@@ -41,7 +41,6 @@ def main():
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--max-iter", type=int, default=100)
     ap.add_argument("--max-sentence-len", type=int, default=512)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -69,7 +68,7 @@ def main():
     for template_id in ("CRF1", "CRF2"):
         cfg = ExperimentConfig(
             task="ezafe", template=FeatureTemplate(id=template_id), train_config=tc,
-            train_path=args.corpus, n_threads=args.threads,
+            train_path=args.corpus,
         )
         ez_runs[template_id] = experiment(f"ezafe_{template_id.lower()}", cfg)
 
@@ -79,7 +78,7 @@ def main():
     for template_id in ("CRF1", "CRF2"):
         cfg = ExperimentConfig(
             task="pos", template=FeatureTemplate(id=template_id), train_config=tc,
-            train_path=args.corpus, n_threads=args.threads,
+            train_path=args.corpus,
         )
         experiment(f"pos_{template_id.lower()}", cfg)
 
@@ -89,7 +88,6 @@ def main():
         train_config=tc,
         train_path=args.corpus,
         ezafe_source="predicted",
-        n_threads=args.threads,
     )
     experiment("pos_crf2_ez_input", cfg, mode="predicted", ezafe_model=ez_runs[best_id].model)
     print(f"reports and models in {args.out_dir}/")

@@ -22,7 +22,6 @@ from .crf import (
     Lattice,
     ModelFormatError,
     TrainConfig,
-    TrainingDivergedError,
     backward,
     forward,
     load_model,

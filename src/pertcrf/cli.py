@@ -26,9 +26,10 @@ from .corpus import (
     write_corpus,
     write_corpus_file,
 )
-from .crf import ModelFormatError, TrainConfig, TrainingDivergedError
+from .crf import ModelFormatError, TrainConfig
 from .datagen import GeometricLength, HmmSpecError, generate, read_hmm_spec_file
 from .features import FeatureTemplate
+from .optim import DivergenceError
 from .tasks import ConfigError, ExperimentConfig
 
 EXIT_USAGE = 1
@@ -135,7 +136,6 @@ def _experiment_config_from_args(args) -> ExperimentConfig:
             eval_every=args.eval_every,
             seed=args.seed,
             min_count=args.min_count,
-            n_threads=args.threads,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -292,12 +292,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--min-count", type=int, default=1, help="feature count cutoff (default 1)")
     p.add_argument("--seed", type=int, default=17, help="echoed into reports for provenance")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="gradient accumulation threads; byte determinism is guaranteed at 1",
-    )
     p.add_argument("--ezafe-model", help="trained ezafe model (pos-ez-input with predicted flags)")
     p.add_argument(
         "--ezafe-source",
@@ -342,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"pertcrf: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDivergedError as exc:
+    except DivergenceError as exc:
         print(f"pertcrf: training failed: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except (CorpusFormatError, ModelFormatError, HmmSpecError, ConfigError) as exc:

@@ -10,19 +10,18 @@ on the BOS/EOS features.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .features import FeatureIndex, FeatureTemplate, FeatureVector
-from .optim import DivergenceError, minimize_owlqn
+from .optim import minimize_owlqn
 
 MODEL_MAGIC = "PERTCRF"
 MODEL_VERSION = "v1"
-
-TrainingDivergedError = DivergenceError
 
 
 class ModelFormatError(ValueError):
@@ -38,6 +37,8 @@ class TrainConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.l1, self.l2, self.tolerance)):
+            raise ValueError("l1, l2 and tolerance must be finite")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("regularization coefficients must be non-negative")
         if self.max_iterations < 1:
@@ -110,17 +111,61 @@ def score_lattice(model: CrfModel, features: Sequence[FeatureVector]) -> Lattice
     return Lattice(log_emission=em, log_transition=model.transition)
 
 
+def _forward(em: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Log-space forward recursion over a (B, T, L) batch of right-padded
+    lattices. A row's alphas are exact up to its own last position; past it
+    they are finite values that callers must mask."""
+    alphas = np.empty_like(em)
+    alphas[:, 0] = em[:, 0]
+    for t in range(1, em.shape[1]):
+        scores = alphas[:, t - 1, :, None] + trans
+        m = scores.max(axis=1)
+        alphas[:, t] = em[:, t] + m + np.log(np.exp(scores - m[:, None, :]).sum(axis=1))
+    return alphas
+
+
+def _backward(em: np.ndarray, trans: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Log-space backward recursion over a (B, T, L) batch; last holds each
+    row's final position, where beta restarts at 0. Past it betas are
+    finite values that callers must mask."""
+    T = em.shape[1]
+    betas = np.empty_like(em)
+    betas[:, T - 1] = 0.0
+    for t in range(T - 2, -1, -1):
+        scores = trans + (em[:, t + 1] + betas[:, t + 1])[:, None, :]
+        m = scores.max(axis=2)
+        step = m + np.log(np.exp(scores - m[:, :, None]).sum(axis=2))
+        betas[:, t] = np.where((last == t)[:, None], 0.0, step)
+    return betas
+
+
+def _marginals(
+    em: np.ndarray,
+    trans: np.ndarray,
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    log_z: np.ndarray,
+    valid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unary (B, T, L) and pairwise (B, T-1, L, L) posteriors of a batch,
+    with log_z per row and valid (B, T) marking real positions. Padded
+    cells are set to -inf before exponentiation, so they come out 0 however
+    large their unmasked values are."""
+    lz = log_z[:, None, None]
+    unary = np.exp(np.where(valid[:, :, None], alphas + betas - lz, -np.inf))
+    pair = (
+        alphas[:, :-1, :, None]
+        + trans
+        + (em[:, 1:] + betas[:, 1:])[:, :, None, :]
+        - lz[:, :, :, None]
+    )
+    pairwise = np.exp(np.where(valid[:, 1:, None, None], pair, -np.inf))
+    return unary, pairwise
+
+
 def forward(lattice: Lattice) -> tuple[np.ndarray, float]:
     """Forward recursion in log space; returns (alphas, log_Z)."""
-    em = lattice.log_emission
-    trans = lattice.log_transition
-    T = em.shape[0]
-    alphas = np.empty_like(em)
-    alphas[0] = em[0]
-    for t in range(1, T):
-        scores = alphas[t - 1][:, None] + trans
-        m = scores.max(axis=0)
-        alphas[t] = em[t] + m + np.log(np.exp(scores - m).sum(axis=0))
+    alphas = _forward(lattice.log_emission[None], lattice.log_transition)[0]
     return alphas, float(logsumexp(alphas[-1]))
 
 
@@ -128,14 +173,8 @@ def backward(lattice: Lattice) -> tuple[np.ndarray, float]:
     """Backward recursion; log_Z from this direction must agree with
     forward's."""
     em = lattice.log_emission
-    trans = lattice.log_transition
-    T = em.shape[0]
-    betas = np.empty_like(em)
-    betas[T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        scores = trans + (em[t + 1] + betas[t + 1])[None, :]
-        m = scores.max(axis=1)
-        betas[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+    last = np.array([em.shape[0] - 1])
+    betas = _backward(em[None], lattice.log_transition, last)[0]
     return betas, float(logsumexp(em[0] + betas[0]))
 
 
@@ -144,16 +183,15 @@ def marginals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unary (T, L) and pairwise (T-1, L, L) posterior marginals."""
     em = lattice.log_emission
-    trans = lattice.log_transition
-    T, L = em.shape
-    unary = np.exp(alphas + betas - log_z)
-    if T > 1:
-        pairwise = np.exp(
-            alphas[:-1, :, None] + trans[None, :, :] + (em[1:] + betas[1:])[:, None, :] - log_z
-        )
-    else:
-        pairwise = np.zeros((0, L, L))
-    return unary, pairwise
+    unary, pairwise = _marginals(
+        em[None],
+        lattice.log_transition,
+        alphas[None],
+        betas[None],
+        np.array([log_z]),
+        np.ones((1, em.shape[0]), dtype=bool),
+    )
+    return unary[0], pairwise[0]
 
 
 def decode_lattice(lattice: Lattice) -> tuple[list[int], float]:
@@ -192,155 +230,146 @@ def gold_path_score(lattice: Lattice, label_ids: Sequence[int]) -> float:
 
 def nll_and_gradient(
     model: CrfModel,
-    batch: Sequence[tuple[Sequence[FeatureVector], Sequence[str]]],
+    batch: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
     l2: float = 0.0,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Negative log-likelihood of the batch plus an optional ridge term,
     with its gradient (expected minus empirical feature counts, plus l2*w).
+    This is the objective that training minimizes.
 
     The L1 penalty is deliberately absent: it is non-smooth and belongs to
     the optimizer, not the gradient.
     """
-    ids = model.label_ids()
-    grad_e = np.zeros_like(model.emission)
-    grad_t = np.zeros_like(model.transition)
-    nll = 0.0
-    for sent_i, (features, gold) in enumerate(batch):
-        if len(features) != len(gold):
-            raise ValueError(f"sentence {sent_i}: {len(features)} positions, {len(gold)} labels")
-        try:
-            y = [ids[g] for g in gold]
-        except KeyError as exc:
-            raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
-        lattice = score_lattice(model, features)
-        alphas, log_z = forward(lattice)
-        betas, _ = backward(lattice)
-        unary, pairwise = marginals(lattice, alphas, betas, log_z)
-        nll += log_z - gold_path_score(lattice, y)
-        for t, keys in enumerate(features):
-            idx = model.feature_index.encode(keys)
-            if idx:
-                grad_e[idx] += unary[t]
-                grad_e[idx, y[t]] -= 1.0
-        if len(y) > 1:
-            grad_t += pairwise.sum(axis=0)
-            np.subtract.at(grad_t, (np.asarray(y[:-1]), np.asarray(y[1:])), 1.0)
-    if l2 > 0.0:
-        nll += 0.5 * l2 * (float(np.sum(model.emission**2)) + float(np.sum(model.transition**2)))
-        grad_e += l2 * model.emission
-        grad_t += l2 * model.transition
-    return nll, (grad_e, grad_t)
+    F, L = model.emission.shape
+    encoded = _encode(batch, model.feature_index, model.label_ids())
+    x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
+    nll, grad = _Objective(encoded, F, L, l2)(x)
+    return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
 
 
 # ---------------------------------------------------------------------------
-# Training on pre-encoded sentences (index lookups done once, not per
-# iteration).
+# Training on a corpus encoded once into flat int32 arrays, with inference
+# batched over sentences of similar length.
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Encoded:
-    idx: np.ndarray  # int32 concatenated active feature indices
-    counts: np.ndarray  # int32 active-feature count per position
-    rows: np.ndarray  # int32 position id per entry of idx
-    offsets: np.ndarray  # int32 start of each position's slice in idx
-    labels: np.ndarray  # int64 gold label ids
-    dense: bool  # every position has at least one active feature
+    feat: np.ndarray  # int32 indexed feature ids of every position, in order
+    tok: np.ndarray  # int32 position that each entry of feat belongs to
+    labels: np.ndarray  # int32 gold label id of every position
+    offsets: np.ndarray  # int32 (S+1,) sentence starts, then the position count
 
 
-def _encode_sentence(
-    features: Sequence[FeatureVector], gold: Sequence[str], index: FeatureIndex, ids: dict[str, int]
+def _encode(
+    data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
+    index: FeatureIndex,
+    ids: dict[str, int],
 ) -> _Encoded:
-    if len(features) != len(gold):
-        raise ValueError(f"{len(features)} positions but {len(gold)} labels")
-    if not features:
-        raise ValueError("empty sentence")
-    try:
-        labels = np.array([ids[g] for g in gold], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"gold label {exc.args[0]!r} not in label set") from None
-    per_pos = [index.encode(keys) for keys in features]
-    counts = np.array([len(p) for p in per_pos], dtype=np.int32)
-    idx = np.concatenate([np.asarray(p, dtype=np.int32) for p in per_pos if p] or [np.zeros(0, np.int32)])
-    rows = np.repeat(np.arange(len(per_pos), dtype=np.int32), counts)
-    offsets = np.zeros(len(per_pos), dtype=np.int32)
-    np.cumsum(counts[:-1], out=offsets[1:])
+    """Encode (features, labels) pairs as they arrive, so that the feature
+    strings of a whole corpus never need to exist at once."""
+    feat, counts, labels, offsets = array("i"), array("i"), array("i"), array("i", [0])
+    for i, (features, gold) in enumerate(data):
+        if len(features) != len(gold):
+            raise ValueError(f"sentence {i}: {len(features)} positions, {len(gold)} labels")
+        if not features:
+            raise ValueError(f"sentence {i}: no positions")
+        try:
+            labels.extend([ids[g] for g in gold])
+        except KeyError as exc:
+            raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
+        for keys in features:
+            idx = index.encode(keys)
+            feat.extend(idx)
+            counts.append(len(idx))
+        offsets.append(len(labels))
+    n = len(labels)
     return _Encoded(
-        idx=idx,
-        counts=counts,
-        rows=rows,
-        offsets=offsets,
-        labels=labels,
-        dense=bool(counts.min() > 0) if len(counts) else False,
+        feat=np.frombuffer(feat, dtype=np.intc),
+        tok=np.repeat(np.arange(n, dtype=np.intc), np.frombuffer(counts, dtype=np.intc)),
+        labels=np.frombuffer(labels, dtype=np.intc),
+        offsets=np.frombuffer(offsets, dtype=np.intc),
     )
+
+
+@dataclass(frozen=True)
+class _Bucket:
+    pos: np.ndarray  # (B, T) position of each cell; padding repeats the row's last
+    valid: np.ndarray  # (B, T) bool, True at real positions
+    last: np.ndarray  # (B,) index of each row's final position
+    flat: np.ndarray  # pos[valid]: the positions the valid cells hold, in cell order
+
+
+def _buckets(offsets: np.ndarray) -> list[_Bucket]:
+    """Group sentences into length classes [2^k, 2^(k+1)), so padding
+    stays under 2x with at most log2(max length) + 1 buckets. Classes come
+    in ascending order and keep corpus order inside, so the accumulation
+    order, and with it every result, is fixed by the corpus."""
+    starts = offsets[:-1]
+    lengths = np.diff(offsets)
+    length_class = np.frexp(lengths)[1]
+    out = []
+    for c in np.unique(length_class):
+        rows = np.flatnonzero(length_class == c)
+        lens = lengths[rows]
+        steps = np.arange(lens.max())
+        valid = steps < lens[:, None]
+        pos = starts[rows, None] + np.minimum(steps, lens[:, None] - 1)
+        out.append(_Bucket(pos=pos, valid=valid, last=lens - 1, flat=pos[valid]))
+    return out
 
 
 class _Objective:
     """Smooth part of the training objective (NLL + ridge) as a flat-vector
-    function for the optimizer. Accumulation order is fixed, so results are
-    bit-reproducible for a fixed sentence order and thread count."""
+    function for the optimizer. One evaluation makes a fixed number of
+    numpy passes: emissions for every position, batched forward-backward
+    per length bucket, and one scatter of expected counts. Accumulation
+    order is fixed, so results are bit-reproducible for a fixed corpus."""
 
-    def __init__(self, encoded: list[_Encoded], n_features: int, n_labels: int, l2: float, n_threads: int = 1):
+    def __init__(self, encoded: _Encoded, n_features: int, n_labels: int, l2: float):
         self.encoded = encoded
         self.F = n_features
         self.L = n_labels
         self.l2 = l2
-        self.n_threads = max(1, n_threads)
-        # Empirical counts never change; fold them into a constant gradient
-        # term up front.
-        emp_e = np.zeros((self.F, self.L))
-        emp_t = np.zeros((self.L, self.L))
-        for enc in encoded:
-            np.add.at(emp_e, (enc.idx, np.repeat(enc.labels, enc.counts)), 1.0)
-            if len(enc.labels) > 1:
-                np.add.at(emp_t, (enc.labels[:-1], enc.labels[1:]), 1.0)
-        self._emp_e = emp_e
-        self._emp_t = emp_t
-
-    def _emission_scores(self, w_e: np.ndarray, enc: _Encoded) -> np.ndarray:
-        T = len(enc.labels)
-        if enc.dense:
-            return np.add.reduceat(w_e[enc.idx], enc.offsets, axis=0)
-        em = np.zeros((T, self.L))
-        if len(enc.idx):
-            np.add.at(em, enc.rows, w_e[enc.idx])
-        return em
-
-    def _chunk(self, w_e: np.ndarray, w_t: np.ndarray, chunk: list[_Encoded]):
-        nll = 0.0
-        exp_e = np.zeros((self.F, self.L))
-        exp_t = np.zeros((self.L, self.L))
-        for enc in chunk:
-            em = self._emission_scores(w_e, enc)
-            lattice = Lattice(log_emission=em, log_transition=w_t)
-            alphas, log_z = forward(lattice)
-            betas, _ = backward(lattice)
-            unary, pairwise = marginals(lattice, alphas, betas, log_z)
-            nll += log_z - gold_path_score(lattice, enc.labels)
-            if len(enc.idx):
-                np.add.at(exp_e, enc.idx, unary[enc.rows])
-            if len(enc.labels) > 1:
-                exp_t += pairwise.sum(axis=0)
-        return nll, exp_e, exp_t
+        self.buckets = _buckets(encoded.offsets)
+        # Empirical counts never change, and the gold path score is their
+        # dot product with the weights.
+        L, y = n_labels, encoded.labels
+        chained = np.ones(max(len(y) - 1, 0), dtype=bool)  # t and t+1 in one sentence
+        chained[encoded.offsets[1:-1] - 1] = False
+        emp_e = np.bincount(encoded.feat * np.int64(L) + y[encoded.tok], minlength=n_features * L)
+        emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
+        self._emp = np.concatenate([emp_e, emp_t]).astype(np.float64)
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        split = self.F * self.L
-        w_e = x[:split].reshape(self.F, self.L)
-        w_t = x[split:].reshape(self.L, self.L)
-        if self.n_threads == 1 or len(self.encoded) < 2 * self.n_threads:
-            nll, exp_e, exp_t = self._chunk(w_e, w_t, self.encoded)
-        else:
-            step = -(-len(self.encoded) // self.n_threads)
-            chunks = [self.encoded[i : i + step] for i in range(0, len(self.encoded), step)]
-            with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
-                parts = list(pool.map(lambda c: self._chunk(w_e, w_t, c), chunks))
-            nll = 0.0
-            exp_e = np.zeros((self.F, self.L))
-            exp_t = np.zeros((self.L, self.L))
-            for p_nll, p_e, p_t in parts:  # fixed reduction order
-                nll += p_nll
-                exp_e += p_e
-                exp_t += p_t
-        grad = np.concatenate([(exp_e - self._emp_e).ravel(), (exp_t - self._emp_t).ravel()])
+        enc, L = self.encoded, self.L
+        split = self.F * L
+        w_e = x[:split].reshape(self.F, L)
+        w_t = x[split:].reshape(L, L)
+        n = len(enc.labels)
+        em = np.empty((n, L))
+        for lab in range(L):
+            em[:, lab] = np.bincount(enc.tok, weights=w_e[enc.feat, lab], minlength=n)
+
+        log_z = 0.0
+        unary = np.empty((L, n))  # label-major, so each label's scatter reads a row
+        exp_t = np.zeros((L, L))
+        for b in self.buckets:
+            e = em[b.pos]
+            alphas = _forward(e, w_t)
+            betas = _backward(e, w_t, b.last)
+            lz = logsumexp(alphas[np.arange(len(b.last)), b.last], axis=1)
+            u, pairwise = _marginals(e, w_t, alphas, betas, lz, b.valid)
+            unary[:, b.flat] = u[b.valid].T
+            exp_t += pairwise.sum(axis=(0, 1))
+            log_z += float(lz.sum())
+
+        grad = np.empty_like(x)
+        exp_e = grad[:split].reshape(self.F, L)
+        for lab in range(L):
+            exp_e[:, lab] = np.bincount(enc.feat, weights=unary[lab][enc.tok], minlength=self.F)
+        grad[split:] = exp_t.ravel()
+        grad -= self._emp
+        nll = log_z - float(np.dot(self._emp, x))
         if self.l2 > 0.0:
             nll += 0.5 * self.l2 * float(np.dot(x, x))
             grad += self.l2 * x
@@ -348,30 +377,31 @@ class _Objective:
 
 
 def train(
-    train_data: Sequence[tuple[Sequence[FeatureVector], Sequence[str]]],
+    train_data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
     feature_index: FeatureIndex,
     labels: Sequence[str],
     template: FeatureTemplate,
     config: TrainConfig = TrainConfig(),
     on_iteration: Callable[[int, float, CrfModel], None] | None = None,
-    n_threads: int = 1,
 ) -> CrfModel:
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
-    start. Raises TrainingDivergedError if the objective turns non-finite.
+    start. train_data may be any iterable, a generator included; it is
+    read once. Raises optim.DivergenceError if the objective turns
+    non-finite.
 
     on_iteration(iteration, objective, model) fires after every accepted
     optimizer step with a read-only view of the current weights; copy them
     if you want a snapshot.
     """
-    if not train_data:
-        raise ValueError("training data is empty")
     labels = tuple(labels)
     ids = {lab: i for i, lab in enumerate(labels)}
     if len(ids) != len(labels):
         raise ValueError("labels must be distinct")
-    encoded = [_encode_sentence(f, g, feature_index, ids) for f, g in train_data]
+    encoded = _encode(train_data, feature_index, ids)
+    if len(encoded.offsets) == 1:
+        raise ValueError("training data is empty")
     F, L = len(feature_index), len(labels)
-    objective = _Objective(encoded, F, L, config.l2, n_threads=n_threads)
+    objective = _Objective(encoded, F, L, config.l2)
 
     def _view(x: np.ndarray) -> CrfModel:
         return CrfModel(

@@ -10,7 +10,7 @@ best validation F1 are the ones evaluated on test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import crf
 from .corpus import Corpus, Token, read_corpus_file
@@ -18,6 +18,7 @@ from .crf import CrfModel, TrainConfig
 from .features import (
     FeatureIndex,
     FeatureTemplate,
+    FeatureVector,
     build_feature_index,
     check_annotation,
     sentence_features,
@@ -57,7 +58,6 @@ class ExperimentConfig:
     eval_every: int = DEFAULT_EVAL_EVERY
     seed: int = 17
     min_count: int = 1
-    n_threads: int = 1
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -129,15 +129,15 @@ def corpus_instances(
     template: FeatureTemplate,
     label_of: Callable[[Token], str],
     ezafe: Flags | None = None,
-):
-    instances = []
+) -> Iterator[tuple[list[FeatureVector], list[str]]]:
+    """(features, labels) per sentence, generated lazily so that training
+    can encode each one and drop its feature strings."""
     for i, sent in enumerate(corpus.sentences):
         forms = [t.form for t in sent]
         flags = ezafe[i] if ezafe is not None else None
         if flags is not None:
             check_annotation(flags, len(forms))
-        instances.append((sentence_features(forms, template, flags), [label_of(t) for t in sent]))
-    return instances
+        yield sentence_features(forms, template, flags), [label_of(t) for t in sent]
 
 
 def decode_corpus(model: CrfModel, corpus: Corpus, ezafe: Flags | None = None) -> list[list[str]]:
@@ -246,7 +246,6 @@ def train_checkpointed(
     config: TrainConfig,
     valid_f1: Callable[[CrfModel], float] | None = None,
     eval_every: int = DEFAULT_EVAL_EVERY,
-    n_threads: int = 1,
 ) -> tuple[CrfModel, list[TrainLogEntry], int]:
     """Returns (model restored to the best-validation snapshot, training
     log, iteration of the snapshot)."""
@@ -274,7 +273,6 @@ def train_checkpointed(
         template,
         config,
         on_iteration=on_iteration,
-        n_threads=n_threads,
     )
     if valid_f1 is not None and log and log[-1].valid_f1 is None:
         f1 = snapshot(log[-1].iteration, model)
@@ -366,7 +364,6 @@ def fit(
         cfg.train_config,
         valid_f1=valid_f1,
         eval_every=cfg.eval_every,
-        n_threads=cfg.n_threads,
     )
     return model, log, best_it, valid_flags
 

@@ -71,3 +71,37 @@ def central_differences(fun, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         xm.flat[i] -= step
         g.flat[i] = (fun(xp) - fun(xm)) / (2 * step)
     return g
+
+
+def brute_nll_and_gradient(batch, n_features: int, n_labels: int, x: np.ndarray, l2: float = 0.0):
+    """NLL + (l2/2)|x|^2 of a batch and its gradient, sentence by sentence
+    from enumeration: the sum of brute_log_z minus the gold path scores, and
+    brute_posteriors expected counts minus empirical counts, plus l2*x.
+
+    batch holds (feature ids per position, label ids) pairs; x is the flat
+    weight vector, emission (F, L) then transition (L, L), row-major.
+    """
+    F, L = n_features, n_labels
+    w_e = x[: F * L].reshape(F, L)
+    w_t = x[F * L :].reshape(L, L)
+    nll = 0.0
+    g_e = np.zeros((F, L))
+    g_t = np.zeros((L, L))
+    for feats, y in batch:
+        T = len(y)
+        em = np.zeros((T, L))
+        for t, ids in enumerate(feats):
+            for k in ids:
+                em[t] += w_e[k]
+        gold = sum(em[t, y[t]] for t in range(T)) + sum(w_t[y[t], y[t + 1]] for t in range(T - 1))
+        nll += brute_log_z(em, w_t) - gold
+        unary, pairwise = brute_posteriors(em, w_t)
+        for t, ids in enumerate(feats):
+            for k in ids:
+                g_e[k] += unary[t]
+                g_e[k, y[t]] -= 1.0
+        g_t += pairwise.sum(axis=0)
+        for t in range(T - 1):
+            g_t[y[t], y[t + 1]] -= 1.0
+    grad = np.concatenate([g_e.ravel(), g_t.ravel()])
+    return nll + 0.5 * l2 * float(x @ x), grad + l2 * x

@@ -61,7 +61,7 @@ def learnability_data():
     train_c = generate(spec, 5000, seed=102)
     test_c = generate(spec, 1000, seed=103)
     index = build_feature_index(train_c, CRF2)
-    instances = corpus_instances(train_c, CRF2, lambda t: t.pos)
+    instances = list(corpus_instances(train_c, CRF2, lambda t: t.pos))
     return spec, train_c, test_c, index, instances
 
 

@@ -140,6 +140,14 @@ class TestTrain:
         main(args)
         assert log.read_text(encoding="utf-8").startswith("iter\t")
 
+    @pytest.mark.parametrize("flag", ["--l1", "--l2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_regularization_is_usage_error(self, tmp_path, corpus_file, capsys, flag, value):
+        args, out = train_args(tmp_path, corpus_file, extra=[flag, value])
+        assert main(args) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pos_ez_input_needs_ezafe_model(self, tmp_path, corpus_file, capsys):
         args, _ = train_args(tmp_path, corpus_file, task="pos-ez-input")
         assert main(args) == 1

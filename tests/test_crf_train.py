@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_differences
+from oracles import brute_nll_and_gradient, central_differences
 from pertcrf import crf
 from pertcrf.crf import (
     CrfModel,
@@ -15,7 +15,6 @@ from pertcrf.crf import (
     train,
     viterbi,
 )
-from pertcrf.crf import _Objective, _encode_sentence
 from pertcrf.features import FeatureIndex, FeatureTemplate
 
 CRF1 = FeatureTemplate(id="CRF1")
@@ -93,40 +92,72 @@ class TestNllGradient:
             denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
 
-    def test_objective_path_agrees_with_public_op(self):
-        rng = np.random.default_rng(9)
-        F, L, features, labels, batch, x = random_problem(rng)
-        index = FeatureIndex(features)
-        ids = {lab: i for i, lab in enumerate(labels)}
-        encoded = [_encode_sentence(f, g, index, ids) for f, g in batch]
-        objective = _Objective(encoded, F, L, l2=0.2)
-        f_fast, g_fast = objective(x)
-        model = model_from_flat(x, F, L, features, labels)
-        f_ref, (ge, gt) = nll_and_gradient(model, batch, l2=0.2)
-        assert f_fast == pytest.approx(f_ref, rel=1e-12)
-        assert np.allclose(g_fast, np.concatenate([ge.ravel(), gt.ravel()]), atol=1e-12)
 
-    def test_objective_path_with_positions_lacking_indexed_features(self):
-        # A cutoff-thinned index leaves some positions with no active
-        # features; the fast path must fall back and still agree.
-        kept = ["f0", "f1"]
-        labels = ["a", "b"]
-        batch = [
-            ([["f0"], ["dropped"], ["f1", "dropped"]], ["a", "b", "a"]),
-            ([["dropped"]], ["b"]),
-        ]
-        index = FeatureIndex(kept)
-        ids = {lab: i for i, lab in enumerate(labels)}
-        encoded = [_encode_sentence(f, g, index, ids) for f, g in batch]
-        assert any(not e.dense for e in encoded)
-        rng = np.random.default_rng(10)
-        x = rng.normal(0, 0.5, size=2 * 2 + 4)
-        objective = _Objective(encoded, 2, 2, l2=0.0)
-        f_fast, g_fast = objective(x)
-        model = model_from_flat(x, 2, 2, kept, labels)
-        f_ref, (ge, gt) = nll_and_gradient(model, batch)
-        assert f_fast == pytest.approx(f_ref, rel=1e-12)
-        assert np.allclose(g_fast, np.concatenate([ge.ravel(), gt.ravel()]), atol=1e-12)
+def oracle_problem(rng, lengths, L, scale, F=6, keys_per_position=(0, 4)):
+    """A batch with the given sentence lengths over F indexed features plus
+    a string the index lacks, so that some positions have no indexed
+    feature; returns the string batch and the same batch as ids."""
+    features = [f"f{i}" for i in range(F)]
+    labels = [f"y{i}" for i in range(L)]
+    batch, ids = [], []
+    for T in lengths:
+        feats = []
+        for _ in range(T):
+            k = int(rng.integers(*keys_per_position))
+            keys = list(rng.choice(features, size=k, replace=False))
+            feats.append(keys + ["unindexed"] * int(rng.integers(0, 2)))
+        y = [int(rng.integers(0, L)) for _ in range(T)]
+        batch.append((feats, [labels[v] for v in y]))
+        ids.append(([[int(k[1:]) for k in keys if k in features] for keys in feats], y))
+    x = rng.normal(0, scale, size=F * L + L * L)
+    return features, labels, batch, ids, x
+
+
+def assert_matches_oracle(features, labels, batch, ids, x, l2=0.0):
+    F, L = len(features), len(labels)
+    model = model_from_flat(x, F, L, features, labels)
+    nll, (ge, gt) = nll_and_gradient(model, batch, l2=l2)
+    ref_nll, ref_grad = brute_nll_and_gradient(ids, F, L, x, l2=l2)
+    grad = np.concatenate([ge.ravel(), gt.ravel()])
+    assert np.isfinite(nll) and np.all(np.isfinite(grad))
+    assert nll == pytest.approx(ref_nll, rel=1e-10, abs=1e-10)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-8
+
+
+class TestObjectiveOracle:
+    """The batched training objective against enumeration, sentence by
+    sentence, on batches mixing length classes [2^k, 2^(k+1))."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tiny_batches(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        L = int(rng.integers(2, 4))
+        # T=1, repeated lengths, and lengths in four different classes.
+        lengths = [1, 1, 2, 3, 3, 4, 6] + ([8] if L == 2 else [])
+        lengths = [int(v) for v in rng.permutation(lengths)]
+        features, labels, batch, ids, x = oracle_problem(rng, lengths, L, scale=0.7)
+        assert any(not pos for feats, _ in ids for pos in feats)
+        assert_matches_oracle(features, labels, batch, ids, x, l2=float(rng.choice([0.0, 0.3])))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extreme_weights_and_heavy_padding(self, seed):
+        # Weights of scale 50. Next to one 15-token sentence, each 8-token
+        # sentence pads 7 of its 15 cells, close to the half that length
+        # classes allow, and with ten of them some padded cells lie far past
+        # exp's range unless masked. Neither inf, NaN nor a floating-point
+        # warning may come of them.
+        rng = np.random.default_rng(200 + seed)
+        lengths = [int(v) for v in rng.permutation([8] * 10 + [15])]
+        features, labels, batch, ids, x = oracle_problem(
+            rng, lengths, 2, scale=50.0, F=24, keys_per_position=(8, 17)
+        )
+        assert_matches_oracle(features, labels, batch, ids, x)
+
+    def test_length_mismatch(self):
+        model = model_from_flat(np.zeros(8), 2, 2, ["f0", "f1"], ["a", "b"])
+        with pytest.raises(ValueError, match="sentence 1: 2 positions, 1 labels"):
+            nll_and_gradient(model, [([["f0"]], ["a"]), ([["f0"], ["f1"]], ["a"])])
 
 
 def separable_data(n=40, length=4, seed=0):
@@ -164,6 +195,12 @@ class TestTrain:
         sparse = train(noisy, index, labels, CRF1, TrainConfig(l1=0.1, l2=0.01, max_iterations=40))
         assert np.sum(sparse.emission == 0.0) > np.sum(dense.emission == 0.0)
 
+    @pytest.mark.parametrize("field", ["l1", "l2", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
     def test_defaults_match_reference_settings(self):
         config = TrainConfig()
         assert (config.l1, config.l2, config.max_iterations) == (0.1, 0.1, 100)
@@ -176,13 +213,6 @@ class TestTrain:
         b = train(batch, index, labels, CRF1, config)
         assert np.array_equal(a.emission, b.emission)
         assert np.array_equal(a.transition, b.transition)
-
-    def test_threads_produce_working_model(self):
-        batch, labels = separable_data(n=30)
-        index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
-        model = train(batch, index, labels, CRF1, TrainConfig(max_iterations=15), n_threads=3)
-        pred, _ = viterbi(model, batch[0][0])
-        assert pred == batch[0][1]
 
     def test_callback_objective_nonincreasing(self):
         batch, labels = separable_data(n=15)

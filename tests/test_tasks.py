@@ -117,7 +117,7 @@ class TestCheckpointReplay:
     def test_model_equals_snapshot_at_best_iteration(self, rule_corpora):
         train_c, valid_c, _ = rule_corpora
         index = build_feature_index(train_c, CRF1)
-        instances = corpus_instances(train_c, CRF1, lambda t: str(t.ezafe))
+        instances = list(corpus_instances(train_c, CRF1, lambda t: str(t.ezafe)))
         config = TrainConfig(max_iterations=12)
         valid_f1 = lambda m: evaluate_ezafe(m, valid_c).headline.f1
         model, log, best_it = train_checkpointed(
@@ -179,7 +179,7 @@ class TestRunPos:
         train_c = rule_corpora[0]
         bad = [tuple(2 for _ in s) for s in train_c.sentences]
         with pytest.raises(ValueError, match="0 or 1"):
-            corpus_instances(train_c, CRF1_EZ, lambda t: t.pos, ezafe=bad)
+            list(corpus_instances(train_c, CRF1_EZ, lambda t: t.pos, ezafe=bad))
 
 
 class TestRunJoint:
