@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,12 +102,7 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
 
 def score_lattice(model: CrfModel, features: Sequence[FeatureVector]) -> Lattice:
     """Emission scores from active indexed features; unknown strings score 0."""
-    L = len(model.labels)
-    em = np.zeros((len(features), L))
-    for t, keys in enumerate(features):
-        idx = model.feature_index.encode(keys)
-        if idx:
-            em[t] = model.emission[idx].sum(axis=0)
+    em = _emissions(_encode_features([features], model.feature_index), model.emission)
     return Lattice(log_emission=em, log_transition=model.transition)
 
 
@@ -163,6 +158,31 @@ def _marginals(
     return unary, pairwise
 
 
+def _viterbi(em: np.ndarray, trans: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best paths (B, T) and their scores (B,) over a (B, T, L) batch of
+    right-padded lattices; last holds each row's final position, where its
+    backtrace starts. argmax takes the first maximum, so ties break toward
+    the lower label index. Past its last position a row's path repeats the
+    label it ends on."""
+    B, T, L = em.shape
+    rows = np.arange(B)
+    back = np.empty((T, B, L), dtype=np.min_scalar_type(L - 1))
+    deltas = np.empty_like(em)
+    deltas[:, 0] = em[:, 0]
+    for t in range(1, T):
+        scores = deltas[:, t - 1, :, None] + trans
+        back[t] = scores.argmax(axis=1)
+        deltas[:, t] = scores.max(axis=1) + em[:, t]
+    end = deltas[rows, last]
+    y = end.argmax(axis=1).astype(back.dtype)
+    paths = np.empty((B, T), dtype=back.dtype)
+    for t in range(T - 1, 0, -1):
+        paths[:, t] = y
+        y = np.where(t <= last, back[t, rows, y], y)
+    paths[:, 0] = y
+    return paths, end.max(axis=1)
+
+
 def forward(lattice: Lattice) -> tuple[np.ndarray, float]:
     """Forward recursion in log space; returns (alphas, log_Z)."""
     alphas = _forward(lattice.log_emission[None], lattice.log_transition)[0]
@@ -198,25 +218,29 @@ def decode_lattice(lattice: Lattice) -> tuple[list[int], float]:
     """Viterbi over a scored lattice; ties break toward the lower label
     index at every backtrace decision."""
     em = lattice.log_emission
-    trans = lattice.log_transition
-    T, L = em.shape
-    delta = em[0].copy()
-    back = np.empty((T, L), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, None] + trans
-        back[t] = scores.argmax(axis=0)
-        delta = scores[back[t], np.arange(L)] + em[t]
-    last = int(delta.argmax())
-    path = [last]
-    for t in range(T - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
-    path.reverse()
-    return path, float(delta[last])
+    paths, scores = _viterbi(em[None], lattice.log_transition, np.array([em.shape[0] - 1]))
+    return paths[0].tolist(), float(scores[0])
 
 
 def viterbi(model: CrfModel, features: Sequence[FeatureVector]) -> tuple[list[str], float]:
     path, score = decode_lattice(score_lattice(model, features))
     return [model.labels[i] for i in path], score
+
+
+def decode(model: CrfModel, sentences: Iterable[Sequence[FeatureVector]]) -> list[list[str]]:
+    """Viterbi labels of every sentence, each given as its feature vectors.
+    sentences may be any iterable, a generator included; it is read once
+    and encoded as it arrives, then decoded in batches of similar length.
+    Each result equals viterbi(model, features)[0]."""
+    enc = _encode_features(sentences, model.feature_index)
+    em = _emissions(enc, model.emission)
+    best = np.empty(len(em), dtype=np.min_scalar_type(len(model.labels) - 1))
+    for b in _buckets(enc.offsets):
+        paths, _ = _viterbi(em[b.pos], model.transition, b.last)
+        best[b.flat] = paths[b.valid]
+    tags = [model.labels[i] for i in best.tolist()]
+    bounds = enc.offsets.tolist()
+    return [tags[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def gold_path_score(lattice: Lattice, label_ids: Sequence[int]) -> float:
@@ -241,54 +265,76 @@ def nll_and_gradient(
     the optimizer, not the gradient.
     """
     F, L = model.emission.shape
-    encoded = _encode(batch, model.feature_index, model.label_ids())
+    encoded, labels = _encode(batch, model.feature_index, model.label_ids())
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
-    nll, grad = _Objective(encoded, F, L, l2)(x)
+    nll, grad = _Objective(encoded, labels, F, L, l2)(x)
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
 
 
 # ---------------------------------------------------------------------------
-# Training on a corpus encoded once into flat int32 arrays, with inference
-# batched over sentences of similar length.
+# A corpus encoded once into flat int32 arrays, with inference batched over
+# sentences of similar length. Training and decoding share the encoding,
+# the emission kernel and the bucketing.
 
 
 @dataclass(frozen=True)
 class _Encoded:
     feat: np.ndarray  # int32 indexed feature ids of every position, in order
     tok: np.ndarray  # int32 position that each entry of feat belongs to
-    labels: np.ndarray  # int32 gold label id of every position
     offsets: np.ndarray  # int32 (S+1,) sentence starts, then the position count
+
+
+def _encode_features(sentences: Iterable[Sequence[FeatureVector]], index: FeatureIndex) -> _Encoded:
+    """Encode sentences, each given as its feature vectors, as they arrive,
+    so that the feature strings of a whole corpus never need to exist at
+    once."""
+    feat, counts, offsets = array("i"), array("i"), array("i", [0])
+    for i, features in enumerate(sentences):
+        if not features:
+            raise ValueError(f"sentence {i}: no positions")
+        for keys in features:
+            idx = index.encode(keys)
+            feat.extend(idx)
+            counts.append(len(idx))
+        offsets.append(len(counts))
+    return _Encoded(
+        feat=np.frombuffer(feat, dtype=np.intc),
+        tok=np.repeat(np.arange(len(counts), dtype=np.intc), np.frombuffer(counts, dtype=np.intc)),
+        offsets=np.frombuffer(offsets, dtype=np.intc),
+    )
 
 
 def _encode(
     data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
     index: FeatureIndex,
     ids: dict[str, int],
-) -> _Encoded:
-    """Encode (features, labels) pairs as they arrive, so that the feature
-    strings of a whole corpus never need to exist at once."""
-    feat, counts, labels, offsets = array("i"), array("i"), array("i"), array("i", [0])
-    for i, (features, gold) in enumerate(data):
-        if len(features) != len(gold):
-            raise ValueError(f"sentence {i}: {len(features)} positions, {len(gold)} labels")
-        if not features:
-            raise ValueError(f"sentence {i}: no positions")
-        try:
-            labels.extend([ids[g] for g in gold])
-        except KeyError as exc:
-            raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
-        for keys in features:
-            idx = index.encode(keys)
-            feat.extend(idx)
-            counts.append(len(idx))
-        offsets.append(len(labels))
-    n = len(labels)
-    return _Encoded(
-        feat=np.frombuffer(feat, dtype=np.intc),
-        tok=np.repeat(np.arange(n, dtype=np.intc), np.frombuffer(counts, dtype=np.intc)),
-        labels=np.frombuffer(labels, dtype=np.intc),
-        offsets=np.frombuffer(offsets, dtype=np.intc),
-    )
+) -> tuple[_Encoded, np.ndarray]:
+    """Encode (features, labels) pairs as they arrive; returns the encoded
+    features and the int32 gold label id of every position."""
+    labels = array("i")
+
+    def checked() -> Iterator[Sequence[FeatureVector]]:
+        for i, (features, gold) in enumerate(data):
+            if len(features) != len(gold):
+                raise ValueError(f"sentence {i}: {len(features)} positions, {len(gold)} labels")
+            try:
+                labels.extend([ids[g] for g in gold])
+            except KeyError as exc:
+                raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
+            yield features
+
+    encoded = _encode_features(checked(), index)
+    return encoded, np.frombuffer(labels, dtype=np.intc)
+
+
+def _emissions(encoded: _Encoded, w_e: np.ndarray) -> np.ndarray:
+    """(positions, L) emission scores: each position's indexed feature
+    weights, summed in the order its features were given."""
+    n = int(encoded.offsets[-1])
+    em = np.empty((n, w_e.shape[1]))
+    for lab in range(w_e.shape[1]):
+        em[:, lab] = np.bincount(encoded.tok, weights=w_e[encoded.feat, lab], minlength=n)
+    return em
 
 
 @dataclass(frozen=True)
@@ -308,7 +354,7 @@ def _buckets(offsets: np.ndarray) -> list[_Bucket]:
     lengths = np.diff(offsets)
     length_class = np.frexp(lengths)[1]
     out = []
-    for c in np.unique(length_class):
+    for c in np.flatnonzero(np.bincount(length_class)):
         rows = np.flatnonzero(length_class == c)
         lens = lengths[rows]
         steps = np.arange(lens.max())
@@ -325,7 +371,9 @@ class _Objective:
     per length bucket, and one scatter of expected counts. Accumulation
     order is fixed, so results are bit-reproducible for a fixed corpus."""
 
-    def __init__(self, encoded: _Encoded, n_features: int, n_labels: int, l2: float):
+    def __init__(
+        self, encoded: _Encoded, labels: np.ndarray, n_features: int, n_labels: int, l2: float
+    ):
         self.encoded = encoded
         self.F = n_features
         self.L = n_labels
@@ -333,7 +381,7 @@ class _Objective:
         self.buckets = _buckets(encoded.offsets)
         # Empirical counts never change, and the gold path score is their
         # dot product with the weights.
-        L, y = n_labels, encoded.labels
+        L, y = n_labels, labels
         chained = np.ones(max(len(y) - 1, 0), dtype=bool)  # t and t+1 in one sentence
         chained[encoded.offsets[1:-1] - 1] = False
         emp_e = np.bincount(encoded.feat * np.int64(L) + y[encoded.tok], minlength=n_features * L)
@@ -345,13 +393,10 @@ class _Objective:
         split = self.F * L
         w_e = x[:split].reshape(self.F, L)
         w_t = x[split:].reshape(L, L)
-        n = len(enc.labels)
-        em = np.empty((n, L))
-        for lab in range(L):
-            em[:, lab] = np.bincount(enc.tok, weights=w_e[enc.feat, lab], minlength=n)
+        em = _emissions(enc, w_e)
 
         log_z = 0.0
-        unary = np.empty((L, n))  # label-major, so each label's scatter reads a row
+        unary = np.empty((L, len(em)))  # label-major, so each label's scatter reads a row
         exp_t = np.zeros((L, L))
         for b in self.buckets:
             e = em[b.pos]
@@ -397,11 +442,11 @@ def train(
     ids = {lab: i for i, lab in enumerate(labels)}
     if len(ids) != len(labels):
         raise ValueError("labels must be distinct")
-    encoded = _encode(train_data, feature_index, ids)
+    encoded, gold = _encode(train_data, feature_index, ids)
     if len(encoded.offsets) == 1:
         raise ValueError("training data is empty")
     F, L = len(feature_index), len(labels)
-    objective = _Objective(encoded, F, L, config.l2)
+    objective = _Objective(encoded, gold, F, L, config.l2)
 
     def _view(x: np.ndarray) -> CrfModel:
         return CrfModel(
@@ -450,10 +495,10 @@ def save_model(model: CrfModel) -> str:
         f"{MODEL_MAGIC} {MODEL_VERSION} {model.template.token} {L} {F}",
         "\t".join(model.labels),
     ]
-    for key, row in zip(model.feature_index.keys(), model.emission):
-        lines.append("F\t" + key + "\t" + "\t".join(repr(float(w)) for w in row))
-    for lab, row in zip(model.labels, model.transition):
-        lines.append("T\t" + lab + "\t" + "\t".join(repr(float(w)) for w in row))
+    for key, row in zip(model.feature_index.keys(), model.emission.tolist()):
+        lines.append("F\t" + key + "\t" + "\t".join(map(repr, row)))
+    for lab, row in zip(model.labels, model.transition.tolist()):
+        lines.append("T\t" + lab + "\t" + "\t".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -102,12 +102,8 @@ def predict_flags(model: CrfModel, sentences: Sequence[Sequence[str]]) -> list[t
     """Decode per-token ezafe flags for raw sentences (lists of forms)."""
     if set(model.labels) != {"0", "1"}:
         raise ValueError("not an ezafe model: labels are not {0, 1}")
-    out = []
-    for forms in sentences:
-        feats = sentence_features(forms, model.template)
-        labels, _ = crf.viterbi(model, feats)
-        out.append(tuple(int(lab) for lab in labels))
-    return out
+    feats = (sentence_features(forms, model.template) for forms in sentences)
+    return [tuple(int(lab) for lab in labels) for labels in crf.decode(model, feats)]
 
 
 def _label_fn(task: str) -> Callable[[Token], str]:
@@ -124,6 +120,19 @@ def _label_fn(task: str) -> Callable[[Token], str]:
     return lambda t: t.pos
 
 
+def _corpus_features(
+    corpus: Corpus, template: FeatureTemplate, ezafe: Flags | None = None
+) -> Iterator[list[FeatureVector]]:
+    """Feature vectors per sentence, generated lazily so that the encoder
+    can take each one and drop its feature strings."""
+    for i, sent in enumerate(corpus.sentences):
+        forms = [t.form for t in sent]
+        flags = ezafe[i] if ezafe is not None else None
+        if flags is not None:
+            check_annotation(flags, len(forms))
+        yield sentence_features(forms, template, flags)
+
+
 def corpus_instances(
     corpus: Corpus,
     template: FeatureTemplate,
@@ -132,25 +141,12 @@ def corpus_instances(
 ) -> Iterator[tuple[list[FeatureVector], list[str]]]:
     """(features, labels) per sentence, generated lazily so that training
     can encode each one and drop its feature strings."""
-    for i, sent in enumerate(corpus.sentences):
-        forms = [t.form for t in sent]
-        flags = ezafe[i] if ezafe is not None else None
-        if flags is not None:
-            check_annotation(flags, len(forms))
-        yield sentence_features(forms, template, flags), [label_of(t) for t in sent]
+    for sent, feats in zip(corpus.sentences, _corpus_features(corpus, template, ezafe)):
+        yield feats, [label_of(t) for t in sent]
 
 
 def decode_corpus(model: CrfModel, corpus: Corpus, ezafe: Flags | None = None) -> list[list[str]]:
-    preds = []
-    for i, sent in enumerate(corpus.sentences):
-        forms = [t.form for t in sent]
-        flags = ezafe[i] if ezafe is not None else None
-        if flags is not None:
-            check_annotation(flags, len(forms))
-        feats = sentence_features(forms, model.template, flags)
-        labels, _ = crf.viterbi(model, feats)
-        preds.append(labels)
-    return preds
+    return crf.decode(model, _corpus_features(corpus, model.template, ezafe))
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +476,14 @@ def pipeline_tag(
     flags as input features. Output tokens carry the predictions."""
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
-    if sentences and min(len(s) for s in sentences) == 0:
-        raise ValueError("sentences must be non-empty")
     flags = predict_flags(ezafe_model, sentences)
-    tagged = []
-    for forms, sent_flags in zip(sentences, flags):
-        feats = sentence_features(forms, pos_model.template, sent_flags)
-        pos_labels, _ = crf.viterbi(pos_model, feats)
-        tagged.append(
-            tuple(
-                Token(form=f, pos=p, ezafe=fl) for f, p, fl in zip(forms, pos_labels, sent_flags)
-            )
-        )
+    feats = (
+        sentence_features(forms, pos_model.template, fl) for forms, fl in zip(sentences, flags)
+    )
+    tagged = [
+        tuple(Token(form=f, pos=p, ezafe=e) for f, p, e in zip(forms, pos_labels, fl))
+        for forms, pos_labels, fl in zip(sentences, crf.decode(pos_model, feats), flags)
+    ]
     return Corpus.from_sentences(tagged)
 
 

@@ -10,7 +10,11 @@ from oracles import brute_log_z, brute_posteriors, brute_viterbi
 from pertcrf.crf import (
     CrfModel,
     Lattice,
+    _emissions,
+    _encode_features,
+    _viterbi,
     backward,
+    decode,
     decode_lattice,
     forward,
     logsumexp,
@@ -173,6 +177,75 @@ class TestViterbi:
         labels, score = viterbi(model, [["f1"], ["f2"]])
         assert labels == ["b", "a"]
         assert score == pytest.approx(3.0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestBatchedViterbi:
+    """The batched kernel against enumeration, row by row, on batches mixing
+    T=1 rows, repeated lengths and length classes [2^k, 2^(k+1))."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernel_matches_oracle(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        L = int(rng.integers(2, 4))
+        lengths = [int(v) for v in rng.permutation([1, 1, 2, 3, 3, 4, 6, 7])]
+        # Integer scores, so that exact ties occur; the padded cells hold
+        # random integers too, which must not matter.
+        em = rng.integers(-1, 2, size=(len(lengths), 7, L)).astype(float)
+        trans = rng.integers(-1, 2, size=(L, L)).astype(float)
+        paths, scores = _viterbi(em, trans, np.array(lengths) - 1)
+        assert paths.dtype == np.uint8
+        for b, T in enumerate(lengths):
+            path, score = brute_viterbi(em[b, :T], trans)
+            assert paths[b, :T].tolist() == path
+            assert scores[b] == score
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_decode_matches_oracle(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        L = int(rng.integers(2, 4))
+        features = [f"f{i}" for i in range(6)]
+        model = tiny_model(
+            rng.integers(-1, 2, size=(6, L)),
+            rng.integers(-1, 2, size=(L, L)),
+            labels=[f"y{i}" for i in range(L)],
+            features=features,
+        )
+        # 0 to 5 keys per position, some of them unknown to the index.
+        sentences = [
+            [list(rng.choice(features + ["nope"], size=int(rng.integers(0, 6)))) for _ in range(T)]
+            for T in rng.permutation([1, 1, 2, 3, 3, 5, 4, 7, 1])
+        ]
+        decoded = decode(model, iter(sentences))
+        assert len(decoded) == len(sentences)
+        for feats, labels in zip(sentences, decoded):
+            rows = [[features.index(k) for k in keys if k != "nope"] for keys in feats]
+            em = np.array([sum((model.emission[k] for k in ks), np.zeros(L)) for ks in rows])
+            path, _ = brute_viterbi(em, model.transition)
+            assert labels == [model.labels[i] for i in path]
+            assert labels == viterbi(model, feats)[0]
+
+    @pytest.mark.parametrize("L", [2, 3, 6, 13])
+    def test_emissions_equal_per_position_sums(self, L):
+        # Each position's features are summed in the order given, as numpy
+        # sums the rows of emission[idx], so the results are equal, not
+        # close. (With L=1 numpy sums the single column pairwise instead.)
+        rng = np.random.default_rng(500 + L)
+        features = [f"f{i}" for i in range(300)]
+        emission = rng.normal(size=(300, L)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1))
+        labels = [f"y{i}" for i in range(L)]
+        model = tiny_model(emission, np.zeros((L, L)), labels=labels, features=features)
+        sentences = [
+            [list(rng.choice(features, size=int(rng.integers(0, 40)))) for _ in range(T)]
+            for T in rng.integers(1, 20, size=30)
+        ]
+        got = _emissions(_encode_features(iter(sentences), model.feature_index), model.emission)
+        want = []
+        for feats in sentences:
+            for keys in feats:
+                idx = model.feature_index.encode(keys)
+                want.append(model.emission[idx].sum(axis=0) if idx else np.zeros(L))
+        assert np.array_equal(got, np.array(want))
 
 
 class TestScoreLattice:

@@ -268,6 +268,32 @@ class TestModelIO:
         assert model.transition[1, 0] == -0.125
         assert save_model(model) == text
 
+    def test_weights_render_as_per_element_repr(self):
+        # The text must equal the per-element rendering repr(float(w)) byte
+        # for byte, on weights whose shortest round-trip forms are unusual.
+        special = [-0.0, 5e-324, 1e308, 0.1 + 0.2, -1.5e-7, 123456789.125]
+        rng = np.random.default_rng(7)
+        emission = np.concatenate([np.reshape(special, (3, 2)), rng.normal(size=(5, 2))])
+        transition = np.array([[-0.0, 5e-324], [0.1 + 0.2, -1e308]])
+        keys = [f"f{i}" for i in range(8)]
+        model = CrfModel(
+            labels=("a", "b"),
+            feature_index=FeatureIndex(keys),
+            emission=emission,
+            transition=transition,
+            template=CRF1,
+        )
+        lines = ["PERTCRF v1 CRF1 2 8", "a\tb"]
+        for kind, names, weights in (("F", keys, emission), ("T", "ab", transition)):
+            for name, row in zip(names, weights):
+                lines.append(f"{kind}\t{name}\t" + "\t".join(repr(float(w)) for w in row))
+        text = save_model(model)
+        assert text.encode("utf-8") == ("\n".join(lines) + "\n").encode("utf-8")
+        assert "-0.0\t5e-324" in text and "0.30000000000000004" in text
+        restored = load_model(text)
+        assert np.array_equal(restored.emission, emission)
+        assert np.signbit(restored.transition[0, 0])
+
     def test_unsupported_version(self):
         with pytest.raises(ModelFormatError, match="unsupported version"):
             load_model("PERTCRF v99 CRF1 2 0\na\tb\nT\ta\t0.0\t0.0\nT\tb\t0.0\t0.0\n")

@@ -220,6 +220,18 @@ class TestPipeline:
         out = pipeline_tag([], ezafe_model, pos_model)
         assert out.n_sentences == 0
 
+    def test_zero_token_sentence_named(self, perfect_ezafe_setup):
+        corpora, ezafe_model = perfect_ezafe_setup
+        cfg = ExperimentConfig(
+            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=5)
+        )
+        pos_model = run_pos(cfg, "gold", corpora).model
+        assert predict_flags(ezafe_model, []) == []
+        with pytest.raises(ValueError, match="sentence 1: no positions"):
+            predict_flags(ezafe_model, [["ea"], []])
+        with pytest.raises(ValueError, match="sentence 2: no positions"):
+            pipeline_tag([["ea"], ["ea", "b"], []], ezafe_model, pos_model)
+
     def test_output_aligned_and_matches_predicted_mode(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
         cfg = ExperimentConfig(
