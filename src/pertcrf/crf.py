@@ -33,7 +33,6 @@ class TrainConfig:
     l1: float = 0.1
     l2: float = 0.1
     max_iterations: int = 100
-    memory: int = 10
     tolerance: float = 1e-5
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class TrainConfig:
             raise ValueError("regularization coefficients must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.memory < 1:
-            raise ValueError("memory must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -72,9 +69,6 @@ class CrfModel:
             raise ValueError("weights must be finite")
         self.emission.flags.writeable = False
         self.transition.flags.writeable = False
-
-    def label_ids(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 @dataclass(frozen=True)
@@ -243,15 +237,6 @@ def decode(model: CrfModel, sentences: Iterable[Sequence[FeatureVector]]) -> lis
     return [tags[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
-def gold_path_score(lattice: Lattice, label_ids: Sequence[int]) -> float:
-    em = lattice.log_emission
-    y = np.asarray(label_ids, dtype=np.int64)
-    score = float(em[np.arange(len(y)), y].sum())
-    if len(y) > 1:
-        score += float(lattice.log_transition[y[:-1], y[1:]].sum())
-    return score
-
-
 def nll_and_gradient(
     model: CrfModel,
     batch: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
@@ -265,7 +250,8 @@ def nll_and_gradient(
     the optimizer, not the gradient.
     """
     F, L = model.emission.shape
-    encoded, labels = _encode(batch, model.feature_index, model.label_ids())
+    ids = {lab: i for i, lab in enumerate(model.labels)}
+    encoded, labels = _encode(batch, model.feature_index, ids)
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
     nll, grad = _Objective(encoded, labels, F, L, l2)(x)
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
@@ -287,21 +273,18 @@ class _Encoded:
 def _encode_features(sentences: Iterable[Sequence[FeatureVector]], index: FeatureIndex) -> _Encoded:
     """Encode sentences, each given as its feature vectors, as they arrive,
     so that the feature strings of a whole corpus never need to exist at
-    once."""
+    once. Keys missing from the index are dropped."""
     feat, counts, offsets = array("i"), array("i"), array("i", [0])
     for i, features in enumerate(sentences):
         if not features:
             raise ValueError(f"sentence {i}: no positions")
-        for keys in features:
-            idx = index.encode(keys)
-            feat.extend(idx)
-            counts.append(len(idx))
+        feat.extend(index.encode(features))
+        counts.extend([len(keys) for keys in features])
         offsets.append(len(counts))
-    return _Encoded(
-        feat=np.frombuffer(feat, dtype=np.intc),
-        tok=np.repeat(np.arange(len(counts), dtype=np.intc), np.frombuffer(counts, dtype=np.intc)),
-        offsets=np.frombuffer(offsets, dtype=np.intc),
-    )
+    ids = np.frombuffer(feat, dtype=np.intc)
+    tok = np.repeat(np.arange(len(counts), dtype=np.intc), np.frombuffer(counts, dtype=np.intc))
+    known = ids >= 0
+    return _Encoded(feat=ids[known], tok=tok[known], offsets=np.frombuffer(offsets, dtype=np.intc))
 
 
 def _encode(
@@ -466,7 +449,6 @@ def train(
         np.zeros(F * L + L * L),
         l1=config.l1,
         max_iterations=config.max_iterations,
-        memory=config.memory,
         tolerance=config.tolerance,
         callback=callback,
     )

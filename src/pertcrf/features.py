@@ -8,10 +8,15 @@ Key grammar (bit-stable across versions):
                         when the form is strictly shorter than the affix
   BOS / EOS             boundary booleans, emitted only when true
   ez[-5]=0|1 ez[5]=...  predicted-ezafe window, sentinel value _
+
+Ezafe annotations go only with ezafe-input templates: one 0/1 flag per
+token, and one annotation per sentence of a corpus. sentence_features and
+corpus_features reject anything else with ValueError.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -27,14 +32,11 @@ EZ_PAD = "_"
 @dataclass(frozen=True)
 class FeatureTemplate:
     id: str
-    window: int = WINDOW
     ezafe_input: bool = False
 
     def __post_init__(self):
         if self.id not in TEMPLATE_IDS:
             raise ValueError(f"unknown template id {self.id!r}; expected one of {TEMPLATE_IDS}")
-        if self.window != WINDOW:
-            raise ValueError(f"window radius is fixed at {WINDOW}")
 
     @property
     def token(self) -> str:
@@ -54,65 +56,10 @@ class FeatureTemplate:
 FeatureVector = list[str]
 EzafeAnnotation = Sequence[int]
 
-
-def check_annotation(flags: EzafeAnnotation, n_tokens: int) -> None:
-    if len(flags) != n_tokens:
-        raise ValueError(f"ezafe annotation length {len(flags)} != sentence length {n_tokens}")
-    for v in flags:
-        if v not in (0, 1):
-            raise ValueError(f"ezafe flags must be 0 or 1, got {v!r}")
-
-
-def extract_features(
-    forms: Sequence[str],
-    position: int,
-    template: FeatureTemplate,
-    ezafe: EzafeAnnotation | None = None,
-) -> FeatureVector:
-    """Features active at one token position of a sentence (given as its
-    surface forms)."""
-    n = len(forms)
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} out of range for sentence of length {n}")
-    if template.ezafe_input:
-        if ezafe is None:
-            raise ValueError("template requires an ezafe annotation")
-        if len(ezafe) != n:
-            raise ValueError(f"ezafe annotation length {len(ezafe)} != sentence length {n}")
-    elif ezafe is not None:
-        raise ValueError("template does not take an ezafe annotation")
-
-    keys: FeatureVector = []
-    for k in range(-WINDOW, WINDOW + 1):
-        j = position + k
-        if j < 0:
-            form = BOS_FORM
-        elif j >= n:
-            form = EOS_FORM
-        else:
-            form = forms[j]
-        keys.append(f"w[{k}]={form}")
-
-    if template.id == "CRF2":
-        focus = forms[position]
-        for ln in (1, 2, 3):
-            if len(focus) >= ln:
-                keys.append(f"pre{ln}={focus[:ln]}")
-        for ln in (1, 2, 3):
-            if len(focus) >= ln:
-                keys.append(f"suf{ln}={focus[-ln:]}")
-        if position == 0:
-            keys.append("BOS")
-        if position == n - 1:
-            keys.append("EOS")
-
-    if template.ezafe_input:
-        assert ezafe is not None
-        for k in range(-WINDOW, WINDOW + 1):
-            j = position + k
-            value = EZ_PAD if j < 0 or j >= n else str(ezafe[j])
-            keys.append(f"ez[{k}]={value}")
-    return keys
+SPAN = 2 * WINDOW + 1
+# Key prefixes of the word and flag windows, offsets -WINDOW..WINDOW.
+W_KEYS = [f"w[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
+EZ_KEYS = [f"ez[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
 
 
 def sentence_features(
@@ -120,7 +67,57 @@ def sentence_features(
     template: FeatureTemplate,
     ezafe: EzafeAnnotation | None = None,
 ) -> list[FeatureVector]:
-    return [extract_features(forms, i, template, ezafe) for i in range(len(forms))]
+    """Feature vectors of every token of a sentence (given as its surface
+    forms), in token order. Ezafe-input templates need ezafe, one 0/1 flag
+    per token; the other templates refuse it."""
+    n = len(forms)
+    if not template.ezafe_input:
+        if ezafe is not None:
+            raise ValueError("template does not take an ezafe annotation")
+    elif ezafe is None:
+        raise ValueError("template requires an ezafe annotation")
+    elif len(ezafe) != n:
+        raise ValueError(f"ezafe annotation length {len(ezafe)} != sentence length {n}")
+    else:
+        for v in ezafe:
+            if v not in (0, 1):
+                raise ValueError(f"ezafe flags must be 0 or 1, got {v!r}")
+        ez = [EZ_PAD] * WINDOW + ["1" if v else "0" for v in ezafe] + [EZ_PAD] * WINDOW
+    words = [BOS_FORM] * WINDOW + list(forms) + [EOS_FORM] * WINDOW
+    out: list[FeatureVector] = []
+    for i, focus in enumerate(forms):
+        keys = [p + w for p, w in zip(W_KEYS, words[i : i + SPAN])]
+        if template.id == "CRF2":
+            for ln in (1, 2, 3):
+                if len(focus) >= ln:
+                    keys.append(f"pre{ln}={focus[:ln]}")
+            for ln in (1, 2, 3):
+                if len(focus) >= ln:
+                    keys.append(f"suf{ln}={focus[-ln:]}")
+            if i == 0:
+                keys.append("BOS")
+            if i == n - 1:
+                keys.append("EOS")
+        if template.ezafe_input:
+            keys += [p + v for p, v in zip(EZ_KEYS, ez[i : i + SPAN])]
+        out.append(keys)
+    return out
+
+
+def corpus_features(
+    corpus: Corpus,
+    template: FeatureTemplate,
+    ezafe: Sequence[EzafeAnnotation] | None = None,
+) -> Iterator[list[FeatureVector]]:
+    """Feature vectors of every sentence, generated lazily so that a
+    consumer can take each one and drop its feature strings."""
+    if ezafe is not None and len(ezafe) != corpus.n_sentences:
+        raise ValueError(f"{len(ezafe)} ezafe annotations for {corpus.n_sentences} sentences")
+    flags = ezafe if ezafe is not None else [None] * corpus.n_sentences
+    return (
+        sentence_features([t.form for t in sent], template, fl)
+        for sent, fl in zip(corpus.sentences, flags)
+    )
 
 
 class FeatureIndex:
@@ -144,16 +141,14 @@ class FeatureIndex:
     def __getitem__(self, key: str) -> int:
         return self._index[key]
 
-    def get(self, key: str) -> int | None:
-        return self._index.get(key)
-
     def keys(self) -> Iterator[str]:
         return iter(self._index)
 
-    def encode(self, keys: Sequence[str]) -> list[int]:
-        """Indices of the known features among keys, in emission order."""
-        idx = self._index
-        return [idx[k] for k in keys if k in idx]
+    def encode(self, features: Sequence[FeatureVector]) -> list[int]:
+        """Index of every key of one sentence's feature vectors, position by
+        position in emission order; -1 for a key not in the index."""
+        get = self._index.get
+        return [get(k, -1) for keys in features for k in keys]
 
 
 def build_feature_index(
@@ -170,14 +165,8 @@ def build_feature_index(
     """
     if corpus.n_sentences == 0:
         raise ValueError("cannot index an empty corpus")
-    if template.ezafe_input:
-        if ezafe is None or len(ezafe) != corpus.n_sentences:
-            raise ValueError("ezafe-input template needs one annotation per sentence")
-    counts: dict[str, int] = {}
-    for s, sent in enumerate(corpus.sentences):
-        forms = [t.form for t in sent]
-        flags = ezafe[s] if template.ezafe_input else None
-        for i in range(len(forms)):
-            for key in extract_features(forms, i, template, flags):
-                counts[key] = counts.get(key, 0) + 1
+    counts: Counter[str] = Counter()
+    for features in corpus_features(corpus, template, ezafe):
+        for keys in features:
+            counts.update(keys)
     return FeatureIndex(k for k, c in counts.items() if c >= min_count)

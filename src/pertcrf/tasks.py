@@ -20,7 +20,7 @@ from .features import (
     FeatureTemplate,
     FeatureVector,
     build_feature_index,
-    check_annotation,
+    corpus_features,
     sentence_features,
 )
 from .metrics import (
@@ -120,19 +120,6 @@ def _label_fn(task: str) -> Callable[[Token], str]:
     return lambda t: t.pos
 
 
-def _corpus_features(
-    corpus: Corpus, template: FeatureTemplate, ezafe: Flags | None = None
-) -> Iterator[list[FeatureVector]]:
-    """Feature vectors per sentence, generated lazily so that the encoder
-    can take each one and drop its feature strings."""
-    for i, sent in enumerate(corpus.sentences):
-        forms = [t.form for t in sent]
-        flags = ezafe[i] if ezafe is not None else None
-        if flags is not None:
-            check_annotation(flags, len(forms))
-        yield sentence_features(forms, template, flags)
-
-
 def corpus_instances(
     corpus: Corpus,
     template: FeatureTemplate,
@@ -141,12 +128,12 @@ def corpus_instances(
 ) -> Iterator[tuple[list[FeatureVector], list[str]]]:
     """(features, labels) per sentence, generated lazily so that training
     can encode each one and drop its feature strings."""
-    for sent, feats in zip(corpus.sentences, _corpus_features(corpus, template, ezafe)):
-        yield feats, [label_of(t) for t in sent]
+    feats = corpus_features(corpus, template, ezafe)
+    return ((f, [label_of(t) for t in sent]) for sent, f in zip(corpus.sentences, feats))
 
 
 def decode_corpus(model: CrfModel, corpus: Corpus, ezafe: Flags | None = None) -> list[list[str]]:
-    return crf.decode(model, _corpus_features(corpus, model.template, ezafe))
+    return crf.decode(model, corpus_features(corpus, model.template, ezafe))
 
 
 # ---------------------------------------------------------------------------

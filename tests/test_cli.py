@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,8 +267,13 @@ class TestUsage:
         assert e.value.code == 0
 
     def test_module_entry_point(self):
+        # The child does not inherit pytest's sys.path, so it gets the
+        # source tree through PYTHONPATH.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "pertcrf", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "pertcrf", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         for sub in ("split", "stats", "synth", "train", "tag", "eval", "experiment"):

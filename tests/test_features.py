@@ -8,7 +8,7 @@ from pertcrf.features import (
     FeatureIndex,
     FeatureTemplate,
     build_feature_index,
-    extract_features,
+    corpus_features,
     sentence_features,
 )
 
@@ -22,10 +22,6 @@ class TestTemplate:
         with pytest.raises(ValueError):
             FeatureTemplate(id="CRF3")
 
-    def test_window_fixed(self):
-        with pytest.raises(ValueError):
-            FeatureTemplate(id="CRF1", window=3)
-
     def test_token_round_trip(self):
         for t in (CRF1, CRF2, CRF2_EZ, FeatureTemplate(id="CRF1", ezafe_input=True)):
             assert FeatureTemplate.from_token(t.token) == t
@@ -38,7 +34,7 @@ class TestTemplate:
 
 class TestExtract:
     def test_crf1_single_token(self):
-        keys = extract_features(["tak"], 0, CRF1)
+        keys = sentence_features(["tak"], CRF1)[0]
         assert len(keys) == 11
         assert keys.count("w[0]=tak") == 1
         assert sum(1 for k in keys if "__BOS__" in k or "__EOS__" in k) == 10
@@ -47,67 +43,98 @@ class TestExtract:
 
     def test_crf1_window_values(self):
         sent = ["a", "b", "c"]
-        keys = extract_features(sent, 1, CRF1)
+        keys = sentence_features(sent, CRF1)[1]
         assert "w[-1]=a" in keys and "w[0]=b" in keys and "w[1]=c" in keys
         assert "w[-2]=__BOS__" in keys and "w[2]=__EOS__" in keys
 
     def test_crf2_two_scalar_focus(self):
-        keys = extract_features(["ab"], 0, CRF2)
+        keys = sentence_features(["ab"], CRF2)[0]
         affixes = [k for k in keys if k.startswith(("pre", "suf"))]
         assert sorted(affixes) == ["pre1=a", "pre2=ab", "suf1=b", "suf2=ab"]
 
     def test_crf2_three_scalar_focus_emits_whole_word_affix(self):
-        keys = extract_features(["abc"], 0, CRF2)
+        keys = sentence_features(["abc"], CRF2)[0]
         assert "pre3=abc" in keys and "suf3=abc" in keys
 
     def test_crf2_boundary_booleans(self):
         sent = ["aa", "bb", "cc"]
-        assert "BOS" in extract_features(sent, 0, CRF2)
-        assert "EOS" not in extract_features(sent, 0, CRF2)
-        assert "BOS" not in extract_features(sent, 1, CRF2)
-        assert "EOS" in extract_features(sent, 2, CRF2)
-        single = extract_features(["aa"], 0, CRF2)
+        assert "BOS" in sentence_features(sent, CRF2)[0]
+        assert "EOS" not in sentence_features(sent, CRF2)[0]
+        assert "BOS" not in sentence_features(sent, CRF2)[1]
+        assert "EOS" in sentence_features(sent, CRF2)[2]
+        single = sentence_features(["aa"], CRF2)[0]
         assert "BOS" in single and "EOS" in single
 
     def test_crf2_ez_midposition_count(self):
         # 11 word + 6 affix (3-scalar focus) + 0 booleans + 11 ez
-        keys = extract_features(["aaa", "bbb", "ccc"], 1, CRF2_EZ, ezafe=[1, 0, 1])
+        keys = sentence_features(["aaa", "bbb", "ccc"], CRF2_EZ, ezafe=[1, 0, 1])[1]
         assert len(keys) == 28
         assert "ez[-1]=1" in keys and "ez[0]=0" in keys and "ez[1]=1" in keys
         assert "ez[-2]=_" in keys and "ez[5]=_" in keys
 
     def test_persian_affixes_by_scalar(self):
         word = "کتاب"  # four Persian scalars
-        keys = extract_features([word], 0, CRF2)
+        keys = sentence_features([word], CRF2)[0]
         assert f"pre2={word[:2]}" in keys
         assert f"suf3={word[-3:]}" in keys
 
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            extract_features(["a"], 1, CRF1)
+    def test_crf2_ez_full_key_list(self):
+        # Model files list features in first-occurrence order, so this order
+        # is part of the model format.
+        assert sentence_features(["ab", "c", "defg"], CRF2_EZ, ezafe=[1, 0, 0]) == [
+            [
+                "w[-5]=__BOS__", "w[-4]=__BOS__", "w[-3]=__BOS__", "w[-2]=__BOS__",
+                "w[-1]=__BOS__", "w[0]=ab", "w[1]=c", "w[2]=defg", "w[3]=__EOS__",
+                "w[4]=__EOS__", "w[5]=__EOS__", "pre1=a", "pre2=ab", "suf1=b", "suf2=ab", "BOS",
+                "ez[-5]=_", "ez[-4]=_", "ez[-3]=_", "ez[-2]=_", "ez[-1]=_", "ez[0]=1",
+                "ez[1]=0", "ez[2]=0", "ez[3]=_", "ez[4]=_", "ez[5]=_",
+            ],
+            [
+                "w[-5]=__BOS__", "w[-4]=__BOS__", "w[-3]=__BOS__", "w[-2]=__BOS__", "w[-1]=ab",
+                "w[0]=c", "w[1]=defg", "w[2]=__EOS__", "w[3]=__EOS__", "w[4]=__EOS__",
+                "w[5]=__EOS__", "pre1=c", "suf1=c", "ez[-5]=_", "ez[-4]=_", "ez[-3]=_",
+                "ez[-2]=_", "ez[-1]=1", "ez[0]=0", "ez[1]=0", "ez[2]=_", "ez[3]=_", "ez[4]=_",
+                "ez[5]=_",
+            ],
+            [
+                "w[-5]=__BOS__", "w[-4]=__BOS__", "w[-3]=__BOS__", "w[-2]=ab", "w[-1]=c",
+                "w[0]=defg", "w[1]=__EOS__", "w[2]=__EOS__", "w[3]=__EOS__", "w[4]=__EOS__",
+                "w[5]=__EOS__", "pre1=d", "pre2=de", "pre3=def", "suf1=g", "suf2=fg",
+                "suf3=efg", "EOS", "ez[-5]=_", "ez[-4]=_", "ez[-3]=_", "ez[-2]=1", "ez[-1]=0",
+                "ez[0]=0", "ez[1]=_", "ez[2]=_", "ez[3]=_", "ez[4]=_", "ez[5]=_",
+            ],
+        ]
 
     def test_ezafe_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            extract_features(["a", "b"], 0, CRF2_EZ, ezafe=[1])
+            sentence_features(["a", "b"], CRF2_EZ, ezafe=[1])
+        with pytest.raises(ValueError, match="length"):
+            sentence_features(["a", "b"], CRF2_EZ, ezafe=[1, 0, 0])
+
+    def test_ezafe_flag_values(self):
+        for bad in (2, -1, "1", None):
+            with pytest.raises(ValueError, match="0 or 1"):
+                sentence_features(["a", "b"], CRF2_EZ, ezafe=[0, bad])
 
     def test_ezafe_presence_must_match_template(self):
-        with pytest.raises(ValueError):
-            extract_features(["a"], 0, CRF2_EZ)
-        with pytest.raises(ValueError):
-            extract_features(["a"], 0, CRF1, ezafe=[0])
+        with pytest.raises(ValueError, match="requires"):
+            sentence_features(["a"], CRF2_EZ)
+        with pytest.raises(ValueError, match="does not take"):
+            sentence_features(["a"], CRF1, ezafe=[0])
 
     @given(st.lists(forms, min_size=1, max_size=9), st.data())
     def test_crf1_always_11_distinct_keys(self, sent, data):
-        pos = data.draw(st.integers(0, len(sent) - 1))
-        keys = extract_features(sent, pos, CRF1)
+        vectors = sentence_features(sent, CRF1)
+        assert len(vectors) == len(sent)
+        keys = vectors[data.draw(st.integers(0, len(sent) - 1))]
         assert len(keys) == 11
         assert len(set(keys)) == 11
 
     @given(st.lists(forms, min_size=1, max_size=9), st.data())
     def test_pure_function_and_focus_key(self, sent, data):
         pos = data.draw(st.integers(0, len(sent) - 1))
-        a = extract_features(sent, pos, CRF2)
-        b = extract_features(sent, pos, CRF2)
+        a = sentence_features(sent, CRF2)[pos]
+        b = sentence_features(sent, CRF2)[pos]
         assert a == b
         assert [k for k in a if k.startswith("w[0]=")] == [f"w[0]={sent[pos]}"]
         assert len(set(a)) == len(a)
@@ -125,7 +152,7 @@ class TestIndex:
         c = self.one_token_corpus()
         keys = set()
         for i in range(1):
-            keys.update(extract_features(["tak"], 0, CRF1))
+            keys.update(sentence_features(["tak"], CRF1)[0])
         index = build_feature_index(c, CRF1, min_count=1)
         assert set(index.keys()) == keys
 
@@ -142,13 +169,17 @@ class TestIndex:
     def test_first_occurrence_order(self):
         c = self.one_token_corpus()
         index = build_feature_index(c, CRF1)
-        assert [index[k] for k in extract_features(["tak"], 0, CRF1)] == list(range(11))
+        assert [index[k] for k in sentence_features(["tak"], CRF1)[0]] == list(range(11))
 
     def test_unknown_feature_maps_to_nothing(self):
         index = build_feature_index(self.one_token_corpus(), CRF1)
         n = len(index)
-        assert index.get("w[0]=unseen") is None
-        assert index.encode(["w[0]=unseen", "w[0]=tak"]) == [index["w[0]=tak"]]
+        assert "w[0]=unseen" not in index
+        assert index.encode([["w[0]=unseen", "w[0]=tak"], ["w[0]=tak"]]) == [
+            -1,
+            index["w[0]=tak"],
+            index["w[0]=tak"],
+        ]
         assert len(index) == n
 
     def test_duplicate_key_rejected(self):
@@ -158,6 +189,18 @@ class TestIndex:
     def test_ezafe_template_needs_annotations(self):
         with pytest.raises(ValueError):
             build_feature_index(self.one_token_corpus(), CRF2_EZ)
+
+    def test_annotation_count_must_match_sentences(self):
+        c = Corpus.from_sentences([(Token(form="a", pos="N", ezafe=0),)] * 2)
+        for flags in ([(0,)], [(0,)] * 3):
+            with pytest.raises(ValueError, match="annotations for 2 sentences"):
+                build_feature_index(c, CRF2_EZ, ezafe=flags)
+            with pytest.raises(ValueError, match="annotations for 2 sentences"):
+                corpus_features(c, CRF2_EZ, flags)
+
+    def test_flag_value_two_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1, got 2"):
+            build_feature_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(2,)])
 
     def test_ezafe_template_index(self):
         index = build_feature_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(0,)])

@@ -5,7 +5,7 @@ from pertcrf import crf
 from pertcrf.corpus import Corpus, Token
 from pertcrf.crf import TrainConfig
 from pertcrf.datagen import GeometricLength, generate, homograph_spec
-from pertcrf.features import FeatureTemplate, build_feature_index
+from pertcrf.features import FeatureIndex, FeatureTemplate, build_feature_index
 from pertcrf.rng import SplitMix64
 from pertcrf.tasks import (
     ConfigError,
@@ -13,6 +13,7 @@ from pertcrf.tasks import (
     corpus_instances,
     decode_corpus,
     evaluate_ezafe,
+    evaluate_pos,
     gold_flags,
     model_task_kind,
     parse_experiment_config,
@@ -180,6 +181,27 @@ class TestRunPos:
         bad = [tuple(2 for _ in s) for s in train_c.sentences]
         with pytest.raises(ValueError, match="0 or 1"):
             list(corpus_instances(train_c, CRF1_EZ, lambda t: t.pos, ezafe=bad))
+
+    def test_annotation_count_must_match_sentences(self, rule_corpora):
+        c = rule_corpora[1]
+        flags = gold_flags(c)
+        model = crf.CrfModel(
+            labels=("N",),
+            feature_index=FeatureIndex([]),
+            emission=np.zeros((0, 1)),
+            transition=np.zeros((1, 1)),
+            template=CRF1_EZ,
+        )
+        for wrong in (flags[:-1], flags + flags[:1]):
+            msg = f"{len(wrong)} ezafe annotations for {c.n_sentences} sentences"
+            with pytest.raises(ValueError, match=msg):
+                list(corpus_instances(c, CRF1_EZ, lambda t: t.pos, ezafe=wrong))
+            with pytest.raises(ValueError, match=msg):
+                decode_corpus(model, c, wrong)
+            with pytest.raises(ValueError, match=msg):
+                evaluate_pos(model, c, ezafe=wrong)
+            with pytest.raises(ValueError, match=msg):
+                build_feature_index(c, CRF1_EZ, ezafe=wrong)
 
 
 class TestRunJoint:
