@@ -26,7 +26,7 @@ from .corpus import (
     write_corpus,
     write_corpus_file,
 )
-from .crf import ModelFormatError, TrainConfig
+from .crf import ModelFormatError, TrainConfig, TransitionSpanError
 from .datagen import GeometricLength, HmmSpecError, generate, read_hmm_spec_file
 from .features import FeatureTemplate
 from .optim import DivergenceError
@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"pertcrf: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergenceError as exc:
+    except (DivergenceError, TransitionSpanError) as exc:
         print(f"pertcrf: training failed: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except (CorpusFormatError, ModelFormatError, HmmSpecError, ConfigError) as exc:

@@ -1,11 +1,38 @@
-"""Linear-chain CRF: lattice scoring, exact log-space inference, elastic-net
-training via orthant-wise quasi-Newton, Viterbi decoding, and a text model
-format.
+"""Linear-chain CRF: packed-batch inference, elastic-net training via
+orthant-wise quasi-Newton, Viterbi decoding, and a text model format.
 
 The chain factorizes into per-position emission scores (sums of indexed
 feature weights) and a single label-pair transition matrix shared across
 positions. There are no start/stop parameters; boundary information rides
 on the BOS/EOS features.
+
+Layout. A corpus is encoded once into flat int32 arrays whose positions
+are packed rows in time-major order: sentences are sorted by length,
+longest first (a stable sort, so corpus order is kept among equal
+lengths), and step t holds, contiguously, position t of every sentence
+longer than t. Step t's rows are thus a prefix of step t-1's in sentence
+order, so the recursions make one pass per step over a block with no
+padding, and training and decoding share the layout.
+
+Scaling. Training runs sum-product in the exp domain with per-step
+normalisation (Rabiner 1989, section V.A): P = exp(em - row max),
+E = exp(trans - max(trans)), alpha_t = (alpha_{t-1} @ E) * P_t divided by
+its sum c_t, and beta_t = E @ (P_{t+1} beta_{t+1} / c_{t+1}), 1 at a
+sentence's last row. Unary posteriors are alpha * beta, expected
+transitions E * (alpha[prev]^T @ (P beta / c)[cur]), and
+log Z = sum log c + sum row max + (positions - sentences) * max(trans).
+
+Span bound. With span = max(trans) - min(trans), E lies in
+[exp(-span), 1]. Each alpha_t sums to 1 and each P_t peaks at 1, so
+c_t >= exp(-span) / L. The alpha-weighted mean of beta_t is 1 and two
+rows of E differ by at most a factor exp(span), so beta <= exp(span) and
+P beta / c <= L exp(2 span); each term alpha(i) (P beta / c)(j) of the
+expected-transition product is a pairwise marginal over E_ij, so at most
+exp(span), and their sum over N rows at most N exp(span). All of these
+stay finite, and c far above the smallest normal
+float, when 2 span + log L < log(largest float64) ~ 709.78: spans up to
+~354 for L = 2. Wider spans raise TransitionSpanError instead of returning
+NaN. Viterbi adds log scores and has no such bound.
 """
 
 from __future__ import annotations
@@ -71,168 +98,32 @@ class CrfModel:
         self.transition.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class Lattice:
-    log_emission: np.ndarray  # (T, L)
-    log_transition: np.ndarray  # (L, L)
-
-    def __post_init__(self):
-        if self.log_emission.ndim != 2 or self.log_emission.shape[0] < 1:
-            raise ValueError("log_emission must be (T, L) with T >= 1")
-        L = self.log_emission.shape[1]
-        if self.log_transition.shape != (L, L):
-            raise ValueError("log_transition must be (L, L)")
+class TransitionSpanError(RuntimeError):
+    """Transition weights span too wide a range for the scaled recursion."""
 
 
-def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Max-shifted log(sum(exp(a))), stable for large magnitudes."""
-    a = np.asarray(a, dtype=np.float64)
-    if axis is None:
-        m = float(a.max())
-        return m + float(np.log(np.exp(a - m).sum()))
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)), axis=axis)
-
-
-def score_lattice(model: CrfModel, features: Sequence[FeatureVector]) -> Lattice:
-    """Emission scores from active indexed features; unknown strings score 0."""
-    em = _emissions(_encode_features([features], model.feature_index), model.emission)
-    return Lattice(log_emission=em, log_transition=model.transition)
-
-
-def _forward(em: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Log-space forward recursion over a (B, T, L) batch of right-padded
-    lattices. A row's alphas are exact up to its own last position; past it
-    they are finite values that callers must mask."""
-    alphas = np.empty_like(em)
-    alphas[:, 0] = em[:, 0]
-    for t in range(1, em.shape[1]):
-        scores = alphas[:, t - 1, :, None] + trans
-        m = scores.max(axis=1)
-        alphas[:, t] = em[:, t] + m + np.log(np.exp(scores - m[:, None, :]).sum(axis=1))
-    return alphas
-
-
-def _backward(em: np.ndarray, trans: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Log-space backward recursion over a (B, T, L) batch; last holds each
-    row's final position, where beta restarts at 0. Past it betas are
-    finite values that callers must mask."""
-    T = em.shape[1]
-    betas = np.empty_like(em)
-    betas[:, T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        scores = trans + (em[:, t + 1] + betas[:, t + 1])[:, None, :]
-        m = scores.max(axis=2)
-        step = m + np.log(np.exp(scores - m[:, :, None]).sum(axis=2))
-        betas[:, t] = np.where((last == t)[:, None], 0.0, step)
-    return betas
-
-
-def _marginals(
-    em: np.ndarray,
-    trans: np.ndarray,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    log_z: np.ndarray,
-    valid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unary (B, T, L) and pairwise (B, T-1, L, L) posteriors of a batch,
-    with log_z per row and valid (B, T) marking real positions. Padded
-    cells are set to -inf before exponentiation, so they come out 0 however
-    large their unmasked values are."""
-    lz = log_z[:, None, None]
-    unary = np.exp(np.where(valid[:, :, None], alphas + betas - lz, -np.inf))
-    pair = (
-        alphas[:, :-1, :, None]
-        + trans
-        + (em[:, 1:] + betas[:, 1:])[:, :, None, :]
-        - lz[:, :, :, None]
-    )
-    pairwise = np.exp(np.where(valid[:, 1:, None, None], pair, -np.inf))
-    return unary, pairwise
-
-
-def _viterbi(em: np.ndarray, trans: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best paths (B, T) and their scores (B,) over a (B, T, L) batch of
-    right-padded lattices; last holds each row's final position, where its
-    backtrace starts. argmax takes the first maximum, so ties break toward
-    the lower label index. Past its last position a row's path repeats the
-    label it ends on."""
-    B, T, L = em.shape
-    rows = np.arange(B)
-    back = np.empty((T, B, L), dtype=np.min_scalar_type(L - 1))
-    deltas = np.empty_like(em)
-    deltas[:, 0] = em[:, 0]
-    for t in range(1, T):
-        scores = deltas[:, t - 1, :, None] + trans
-        back[t] = scores.argmax(axis=1)
-        deltas[:, t] = scores.max(axis=1) + em[:, t]
-    end = deltas[rows, last]
-    y = end.argmax(axis=1).astype(back.dtype)
-    paths = np.empty((B, T), dtype=back.dtype)
-    for t in range(T - 1, 0, -1):
-        paths[:, t] = y
-        y = np.where(t <= last, back[t, rows, y], y)
-    paths[:, 0] = y
-    return paths, end.max(axis=1)
-
-
-def forward(lattice: Lattice) -> tuple[np.ndarray, float]:
-    """Forward recursion in log space; returns (alphas, log_Z)."""
-    alphas = _forward(lattice.log_emission[None], lattice.log_transition)[0]
-    return alphas, float(logsumexp(alphas[-1]))
-
-
-def backward(lattice: Lattice) -> tuple[np.ndarray, float]:
-    """Backward recursion; log_Z from this direction must agree with
-    forward's."""
-    em = lattice.log_emission
-    last = np.array([em.shape[0] - 1])
-    betas = _backward(em[None], lattice.log_transition, last)[0]
-    return betas, float(logsumexp(em[0] + betas[0]))
-
-
-def marginals(
-    lattice: Lattice, alphas: np.ndarray, betas: np.ndarray, log_z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unary (T, L) and pairwise (T-1, L, L) posterior marginals."""
-    em = lattice.log_emission
-    unary, pairwise = _marginals(
-        em[None],
-        lattice.log_transition,
-        alphas[None],
-        betas[None],
-        np.array([log_z]),
-        np.ones((1, em.shape[0]), dtype=bool),
-    )
-    return unary[0], pairwise[0]
-
-
-def decode_lattice(lattice: Lattice) -> tuple[list[int], float]:
-    """Viterbi over a scored lattice; ties break toward the lower label
-    index at every backtrace decision."""
-    em = lattice.log_emission
-    paths, scores = _viterbi(em[None], lattice.log_transition, np.array([em.shape[0] - 1]))
-    return paths[0].tolist(), float(scores[0])
+# Largest x with exp(x) finite in float64; bounds the span (module docstring).
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 def viterbi(model: CrfModel, features: Sequence[FeatureVector]) -> tuple[list[str], float]:
-    path, score = decode_lattice(score_lattice(model, features))
-    return [model.labels[i] for i in path], score
+    """Best labels of one sentence, given as its feature vectors, and their
+    score. Unknown feature strings score 0."""
+    enc = _encode_features([features], model.feature_index)
+    paths, scores = _viterbi(_emissions(enc, model.emission), model.transition, enc.steps)
+    return [model.labels[i] for i in paths[enc.row].tolist()], float(scores[0])
 
 
 def decode(model: CrfModel, sentences: Iterable[Sequence[FeatureVector]]) -> list[list[str]]:
     """Viterbi labels of every sentence, each given as its feature vectors.
-    sentences may be any iterable, a generator included; it is read once
-    and encoded as it arrives, then decoded in batches of similar length.
-    Each result equals viterbi(model, features)[0]."""
+    sentences may be any iterable, a generator included; it is read once,
+    encoded as it arrives, then decoded in one packed batch. Each result
+    equals viterbi(model, features)[0]."""
     enc = _encode_features(sentences, model.feature_index)
-    em = _emissions(enc, model.emission)
-    best = np.empty(len(em), dtype=np.min_scalar_type(len(model.labels) - 1))
-    for b in _buckets(enc.offsets):
-        paths, _ = _viterbi(em[b.pos], model.transition, b.last)
-        best[b.flat] = paths[b.valid]
-    tags = [model.labels[i] for i in best.tolist()]
+    if len(enc.offsets) == 1:
+        return []
+    paths, _ = _viterbi(_emissions(enc, model.emission), model.transition, enc.steps)
+    tags = [model.labels[i] for i in paths[enc.row].tolist()]
     bounds = enc.offsets.tolist()
     return [tags[start:end] for start, end in zip(bounds, bounds[1:])]
 
@@ -258,16 +149,34 @@ def nll_and_gradient(
 
 
 # ---------------------------------------------------------------------------
-# A corpus encoded once into flat int32 arrays, with inference batched over
-# sentences of similar length. Training and decoding share the encoding,
-# the emission kernel and the bucketing.
+# A corpus encoded once into flat int32 arrays over the packed layout (see
+# the module docstring). Training and decoding share the encoding, the
+# layout and the emission kernel.
 
 
 @dataclass(frozen=True)
 class _Encoded:
-    feat: np.ndarray  # int32 indexed feature ids of every position, in order
-    tok: np.ndarray  # int32 position that each entry of feat belongs to
-    offsets: np.ndarray  # int32 (S+1,) sentence starts, then the position count
+    feat: np.ndarray  # int32 indexed feature ids of every position, in corpus order
+    tok: np.ndarray  # int32 packed row of the position that each entry of feat belongs to
+    offsets: np.ndarray  # int32 (S+1,) sentence starts in corpus order, then the position count
+    steps: np.ndarray  # (T+1,) first packed row of each step, then the position count
+    row: np.ndarray  # int32 packed row of each position, in corpus order
+
+
+def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed layout of sentences with the given corpus offsets: (steps,
+    row). Sentences rank by length, longest first, in corpus order among
+    equal lengths; step t holds position t of each sentence longer than t,
+    in rank order, at rows steps[t] .. steps[t+1]-1."""
+    lengths = np.diff(offsets)
+    S = len(lengths)
+    rank = np.empty(S, dtype=np.intp)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(S)
+    alive = S - np.cumsum(np.bincount(lengths))[:-1]  # sentences longer than t
+    steps = np.concatenate([[0], np.cumsum(alive)])
+    sentence = np.repeat(np.arange(S), lengths)
+    t = np.arange(len(sentence)) - offsets[:-1][sentence]
+    return steps, (steps[t] + rank[sentence]).astype(np.intc)
 
 
 def _encode_features(sentences: Iterable[Sequence[FeatureVector]], index: FeatureIndex) -> _Encoded:
@@ -282,9 +191,11 @@ def _encode_features(sentences: Iterable[Sequence[FeatureVector]], index: Featur
         counts.extend([len(keys) for keys in features])
         offsets.append(len(counts))
     ids = np.frombuffer(feat, dtype=np.intc)
-    tok = np.repeat(np.arange(len(counts), dtype=np.intc), np.frombuffer(counts, dtype=np.intc))
+    offsets = np.frombuffer(offsets, dtype=np.intc)
+    steps, row = _layout(offsets)
+    tok = np.repeat(row, np.frombuffer(counts, dtype=np.intc))
     known = ids >= 0
-    return _Encoded(feat=ids[known], tok=tok[known], offsets=np.frombuffer(offsets, dtype=np.intc))
+    return _Encoded(feat=ids[known], tok=tok[known], offsets=offsets, steps=steps, row=row)
 
 
 def _encode(
@@ -293,7 +204,8 @@ def _encode(
     ids: dict[str, int],
 ) -> tuple[_Encoded, np.ndarray]:
     """Encode (features, labels) pairs as they arrive; returns the encoded
-    features and the int32 gold label id of every position."""
+    features and the int32 gold label id of every position, in corpus
+    order."""
     labels = array("i")
 
     def checked() -> Iterator[Sequence[FeatureVector]]:
@@ -311,48 +223,89 @@ def _encode(
 
 
 def _emissions(encoded: _Encoded, w_e: np.ndarray) -> np.ndarray:
-    """(positions, L) emission scores: each position's indexed feature
-    weights, summed in the order its features were given."""
+    """(positions, L) emission scores in packed rows: each position's
+    indexed feature weights, summed in the order its features were given."""
     n = int(encoded.offsets[-1])
     em = np.empty((n, w_e.shape[1]))
-    for lab in range(w_e.shape[1]):
-        em[:, lab] = np.bincount(encoded.tok, weights=w_e[encoded.feat, lab], minlength=n)
+    # Label-major weights, so that each label's gather reads one contiguous row.
+    for lab, w in enumerate(np.ascontiguousarray(w_e.T)):
+        em[:, lab] = np.bincount(encoded.tok, weights=w[encoded.feat], minlength=n)
     return em
 
 
-@dataclass(frozen=True)
-class _Bucket:
-    pos: np.ndarray  # (B, T) position of each cell; padding repeats the row's last
-    valid: np.ndarray  # (B, T) bool, True at real positions
-    last: np.ndarray  # (B,) index of each row's final position
-    flat: np.ndarray  # pos[valid]: the positions the valid cells hold, in cell order
+def _sum_product(
+    P: np.ndarray, E: np.ndarray, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward and backward messages over a packed batch, from
+    exp-domain emissions P (N, L) and transitions E (L, L). Returns
+    (alpha, beta, c): each row of alpha sums to 1 after division by its
+    normaliser c, beta is 1 on each sentence's last row, and alpha * beta
+    are the unary posteriors."""
+    bounds = steps.tolist()
+    alpha = np.empty_like(P)
+    c = np.empty(len(P))
+    for t in range(len(bounds) - 1):
+        a, b = bounds[t], bounds[t + 1]
+        if t == 0:
+            alpha[a:b] = P[a:b]
+        else:
+            prev = bounds[t - 1]
+            np.matmul(alpha[prev : prev + b - a], E, out=alpha[a:b])
+            alpha[a:b] *= P[a:b]
+        c[a:b] = alpha[a:b].sum(axis=1)
+        alpha[a:b] /= c[a:b, None]
+    beta = np.ones_like(P)
+    for t in range(len(bounds) - 2, 0, -1):
+        a, b = bounds[t], bounds[t + 1]
+        prev = bounds[t - 1]
+        right = P[a:b] * beta[a:b]
+        right /= c[a:b, None]
+        np.matmul(right, E.T, out=beta[prev : prev + b - a])
+    return alpha, beta, c
 
 
-def _buckets(offsets: np.ndarray) -> list[_Bucket]:
-    """Group sentences into length classes [2^k, 2^(k+1)), so padding
-    stays under 2x with at most log2(max length) + 1 buckets. Classes come
-    in ascending order and keep corpus order inside, so the accumulation
-    order, and with it every result, is fixed by the corpus."""
-    starts = offsets[:-1]
-    lengths = np.diff(offsets)
-    length_class = np.frexp(lengths)[1]
-    out = []
-    for c in np.flatnonzero(np.bincount(length_class)):
-        rows = np.flatnonzero(length_class == c)
-        lens = lengths[rows]
-        steps = np.arange(lens.max())
-        valid = steps < lens[:, None]
-        pos = starts[rows, None] + np.minimum(steps, lens[:, None] - 1)
-        out.append(_Bucket(pos=pos, valid=valid, last=lens - 1, flat=pos[valid]))
-    return out
+def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-product over a packed batch of log-domain emissions em (N, L).
+    Returns the best label of every packed row and the best score of every
+    sentence, in rank order. argmax takes the first maximum, so ties break
+    toward the lower label index."""
+    bounds = steps.tolist()
+    L = em.shape[1]
+    S = bounds[1]
+    back = np.empty(em.shape, dtype=np.min_scalar_type(L - 1))
+    deltas = np.empty_like(em)
+    deltas[:S] = em[:S]
+    for t in range(1, len(bounds) - 1):
+        a, b = bounds[t], bounds[t + 1]
+        prev = bounds[t - 1]
+        scores = deltas[prev : prev + b - a, :, None] + trans
+        back[a:b] = scores.argmax(axis=1)
+        deltas[a:b] = scores.max(axis=1) + em[a:b]
+    # Sentences ending at step t hold the last rows of its block, so the
+    # ranks end, in ascending order, at steps T-1 down to 0.
+    sizes = np.diff(steps)
+    ending = sizes - np.append(sizes[1:], 0)
+    last_step = np.repeat(np.arange(len(sizes))[::-1], ending[::-1])
+    ranks = np.arange(S)
+    end = deltas[steps[last_step] + ranks]
+    y = end.argmax(axis=1).astype(back.dtype)
+    paths = np.empty(len(em), dtype=back.dtype)
+    for t in range(len(bounds) - 2, 0, -1):
+        a, b = bounds[t], bounds[t + 1]
+        n = b - a
+        paths[a:b] = y[:n]
+        y[:n] = back[a:b][ranks[:n], y[:n]]
+    paths[:S] = y
+    return paths, end.max(axis=1)
 
 
 class _Objective:
     """Smooth part of the training objective (NLL + ridge) as a flat-vector
     function for the optimizer. One evaluation makes a fixed number of
-    numpy passes: emissions for every position, batched forward-backward
-    per length bucket, and one scatter of expected counts. Accumulation
-    order is fixed, so results are bit-reproducible for a fixed corpus."""
+    numpy passes: emissions for every position, scaled forward-backward
+    over the packed layout, one product for the expected transitions and
+    one scatter of expected emission counts. Accumulation order is fixed,
+    so results are bit-reproducible for a fixed corpus."""
 
     def __init__(
         self, encoded: _Encoded, labels: np.ndarray, n_features: int, n_labels: int, l2: float
@@ -361,40 +314,51 @@ class _Objective:
         self.F = n_features
         self.L = n_labels
         self.l2 = l2
-        self.buckets = _buckets(encoded.offsets)
+        # Rows of step 0 start the sentences; every later row pairs with the
+        # row its sentence holds one step earlier.
+        sizes = np.diff(encoded.steps)
+        self.S = int(sizes[0]) if len(sizes) else 0
+        self._prev = np.arange(self.S, int(encoded.steps[-1])) - np.repeat(sizes[:-1], sizes[1:])
         # Empirical counts never change, and the gold path score is their
         # dot product with the weights.
         L, y = n_labels, labels
         chained = np.ones(max(len(y) - 1, 0), dtype=bool)  # t and t+1 in one sentence
         chained[encoded.offsets[1:-1] - 1] = False
-        emp_e = np.bincount(encoded.feat * np.int64(L) + y[encoded.tok], minlength=n_features * L)
+        y_row = np.empty_like(y)
+        y_row[encoded.row] = y
+        emp_e = np.bincount(encoded.feat * np.int64(L) + y_row[encoded.tok], minlength=n_features * L)
         emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
         self._emp = np.concatenate([emp_e, emp_t]).astype(np.float64)
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        enc, L = self.encoded, self.L
+        enc, L, S = self.encoded, self.L, self.S
         split = self.F * L
         w_e = x[:split].reshape(self.F, L)
         w_t = x[split:].reshape(L, L)
-        em = _emissions(enc, w_e)
-
-        log_z = 0.0
-        unary = np.empty((L, len(em)))  # label-major, so each label's scatter reads a row
-        exp_t = np.zeros((L, L))
-        for b in self.buckets:
-            e = em[b.pos]
-            alphas = _forward(e, w_t)
-            betas = _backward(e, w_t, b.last)
-            lz = logsumexp(alphas[np.arange(len(b.last)), b.last], axis=1)
-            u, pairwise = _marginals(e, w_t, alphas, betas, lz, b.valid)
-            unary[:, b.flat] = u[b.valid].T
-            exp_t += pairwise.sum(axis=(0, 1))
-            log_z += float(lz.sum())
+        top = float(w_t.max())
+        span = top - float(w_t.min())
+        if 2.0 * span + math.log(L) >= _LOG_MAX:
+            raise TransitionSpanError(
+                f"transition weights span {span:.6g}, above the {(_LOG_MAX - math.log(L)) / 2:.6g} "
+                f"that the scaled recursion keeps finite for {L} labels"
+            )
+        E = np.exp(w_t - top)
+        P = _emissions(enc, w_e)
+        shift = P.max(axis=1)
+        P -= shift[:, None]
+        np.exp(P, out=P)
+        alpha, beta, c = _sum_product(P, E, enc.steps)
+        log_z = float(np.log(c).sum()) + float(shift.sum()) + (len(P) - S) * top
+        right = P[S:]  # becomes P beta / c, the pairwise factor of each later row
+        right *= beta[S:]
+        right /= c[S:, None]
+        exp_t = E * (alpha[self._prev].T @ right)
+        alpha *= beta  # unary posteriors
 
         grad = np.empty_like(x)
         exp_e = grad[:split].reshape(self.F, L)
-        for lab in range(L):
-            exp_e[:, lab] = np.bincount(enc.feat, weights=unary[lab][enc.tok], minlength=self.F)
+        for lab, unary in enumerate(np.ascontiguousarray(alpha.T)):
+            exp_e[:, lab] = np.bincount(enc.feat, weights=unary[enc.tok], minlength=self.F)
         grad[split:] = exp_t.ravel()
         grad -= self._emp
         nll = log_z - float(np.dot(self._emp, x))
@@ -415,7 +379,8 @@ def train(
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
     start. train_data may be any iterable, a generator included; it is
     read once. Raises optim.DivergenceError if the objective turns
-    non-finite.
+    non-finite, and TransitionSpanError if the optimizer tries transition
+    weights too far apart for the scaled recursion.
 
     on_iteration(iteration, objective, model) fires after every accepted
     optimizer step with a read-only view of the current weights; copy them

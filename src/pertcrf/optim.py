@@ -36,7 +36,12 @@ class OwlQnResult:
     x: np.ndarray
     objective: float
     iterations: int
-    converged: bool
+    # Why the run stopped: "tolerance" (relative objective change below
+    # tolerance), "zero_step" (no descent direction: the pseudo-gradient,
+    # or the direction projected onto its orthant, is zero), "line_search"
+    # (no step of MAX_LINESEARCH backtracks decreased the objective) or
+    # "max_iterations".
+    stop: str
     objective_log: list[float]
 
 
@@ -86,7 +91,8 @@ def minimize_owlqn(
     fun_and_grad evaluates the smooth part only; the l1 term is added here.
     callback(iteration, objective, x) fires after each accepted step with
     the full (penalized) objective. Stops early when the relative objective
-    change drops below tolerance or the line search cannot make progress.
+    change drops below tolerance, no descent direction is left, or the line
+    search cannot make progress; OwlQnResult.stop says which.
     """
     if l1 < 0:
         raise ValueError("l1 must be non-negative")
@@ -99,13 +105,13 @@ def minimize_owlqn(
     s_hist: deque = deque(maxlen=memory)
     y_hist: deque = deque(maxlen=memory)
     log = [obj]
-    converged = False
+    stop = "max_iterations"
     it = 0
 
     while it < max_iterations:
         pg = _pseudo_gradient(x, g, l1)
         if not np.any(pg):
-            converged = True
+            stop = "zero_step"
             break
         d = _lbfgs_direction(pg, s_hist, y_hist)
         if l1 > 0.0:
@@ -113,7 +119,7 @@ def minimize_owlqn(
             # pseudo-gradient; required for convergence of OWL-QN.
             d[d * -pg <= 0] = 0.0
             if not np.any(d):
-                converged = True
+                stop = "zero_step"
                 break
             orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
 
@@ -133,7 +139,7 @@ def minimize_owlqn(
                 break
             alpha *= BACKTRACK
         if not accepted:
-            converged = True
+            stop = "line_search"
             break
 
         it += 1
@@ -148,7 +154,7 @@ def minimize_owlqn(
         if callback is not None:
             callback(it, obj, x)
         if rel_change < tolerance:
-            converged = True
+            stop = "tolerance"
             break
 
-    return OwlQnResult(x=x, objective=obj, iterations=it, converged=converged, objective_log=log)
+    return OwlQnResult(x=x, objective=obj, iterations=it, stop=stop, objective_log=log)

@@ -309,6 +309,8 @@ def fit(
     reuse by callers that evaluate the same split)."""
     if train_c.n_sentences == 0:
         raise ValueError("empty train split")
+    if valid_c is not None and valid_c.n_sentences == 0:
+        raise ValueError("empty validation split")
     corpora = [train_c] + ([valid_c] if valid_c is not None else [])
     flags = _make_flags(cfg, ezafe_mode, corpora, ezafe_model)
     train_flags = flags[0]

@@ -26,12 +26,9 @@ from pertcrf.corpus import (
 )
 from pertcrf.crf import (
     CrfModel,
-    Lattice,
     TrainConfig,
-    backward,
-    decode_lattice,
-    forward,
-    marginals,
+    _sum_product,
+    _viterbi,
     nll_and_gradient,
     train,
 )
@@ -73,28 +70,52 @@ def test_criterion_1_exact_inference_oracle():
         L = int(rng.integers(1, 5))
         em = rng.normal(0, rng.choice([0.5, 2.0, 8.0]), size=(T, L))
         trans = rng.normal(0, 2.0, size=(L, L))
-        lattice = Lattice(log_emission=em, log_transition=trans)
+        steps = np.arange(T + 1)  # one sentence: step t holds its position t
 
+        # The scaled kernel that training runs, with its inputs
+        # P = exp(em - row max) and E = exp(trans - max).
+        top = trans.max()
+        shift = em.max(axis=1)
+        P = np.exp(em - shift[:, None])
+        E = np.exp(trans - top)
+        alpha, beta, c = _sum_product(P, E, steps)
         expected_z = brute_log_z(em, trans)
-        alphas, log_z = forward(lattice)
-        betas, log_z_b = backward(lattice)
+        log_z = float(np.log(c).sum() + shift.sum() + (T - 1) * top)
+        log_z_b = float(math.log(P[0] @ beta[0]) + shift.sum() + np.log(c[1:]).sum() + (T - 1) * top)
         assert _rel_close(log_z, expected_z, 1e-8)
         assert _rel_close(log_z_b, expected_z, 1e-8)
 
-        unary, pairwise = marginals(lattice, alphas, betas, log_z)
+        unary = alpha * beta
+        pairwise = alpha[:-1, :, None] * E * (P[1:] * beta[1:] / c[1:, None])[:, None, :]
         exp_unary, exp_pair = brute_posteriors(em, trans)
         assert np.max(np.abs(unary - exp_unary)) <= 1e-8
         if len(pairwise):
             assert np.max(np.abs(pairwise - exp_pair)) <= 1e-8
 
-        path, score = decode_lattice(lattice)
+        # The objective's log Z and expected transitions, with one feature
+        # per position weighted by its emission scores and gold labels all
+        # 0, whose empirical transition count is T-1 at (0, 0).
+        labels = [f"y{i}" for i in range(L)]
+        model = CrfModel(
+            labels=tuple(labels),
+            feature_index=FeatureIndex([f"p{t}" for t in range(T)]),
+            emission=em.copy(),
+            transition=trans.copy(),
+            template=CRF2,
+        )
+        nll, (_, g_t) = nll_and_gradient(model, [([[f"p{t}"] for t in range(T)], [labels[0]] * T)])
+        assert _rel_close(nll + em[:, 0].sum() + (T - 1) * trans[0, 0], expected_z, 1e-8)
+        g_t[0, 0] += T - 1
+        assert np.max(np.abs(g_t - pairwise.sum(axis=0))) <= 1e-8
+
+        paths, scores = _viterbi(em, trans, steps)
         exp_path, exp_score = brute_viterbi(em, trans)
-        assert path == exp_path and score == exp_score
+        assert paths.tolist() == exp_path and scores[0] == exp_score
     elapsed = time.monotonic() - started
     _criterion(
         1,
         elapsed < 30.0,
-        "forward/backward/marginals/Viterbi match enumeration on 500 lattices",
+        "scaled forward-backward, marginals and Viterbi match enumeration on 500 lattices",
         f" (elapsed {elapsed:.1f}s < 30s)",
     )
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pertcrf import crf
 from pertcrf.cli import main
 from pertcrf.corpus import Token, Corpus, parse_corpus, write_corpus
 from pertcrf.datagen import random_spec, write_hmm_spec
@@ -150,6 +151,22 @@ class TestTrain:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_validation_split_is_data_error(self, tmp_path, corpus_file, capsys):
+        args, out = train_args(tmp_path, corpus_file)
+        (tmp_path / "valid.tsv").write_text("", encoding="utf-8")
+        assert main(args) == 2
+        assert "empty validation split" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_transition_span_is_training_failure(self, tmp_path, corpus_file, capsys, monkeypatch):
+        # A guard this tight passes the zero start (span 0, log 2 < 1) and
+        # trips on the first trial step.
+        monkeypatch.setattr(crf, "_LOG_MAX", 1.0)
+        args, out = train_args(tmp_path, corpus_file)
+        assert main(args) == 3
+        assert "transition weights span" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pos_ez_input_needs_ezafe_model(self, tmp_path, corpus_file, capsys):
         args, _ = train_args(tmp_path, corpus_file, task="pos-ez-input")
         assert main(args) == 1
@@ -245,6 +262,24 @@ class TestExperiment:
         report = json.loads((tmp_path / "model.crf.test.json").read_text(encoding="utf-8"))
         assert report["config"]["task"] == "ezafe"
         assert report["config"]["max_iter"] == "10"
+
+    def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        valid = tmp_path / "valid.tsv"
+        test = tmp_path / "test.tsv"
+        train.write_text(write_corpus(small_corpus(50, seed=6)), encoding="utf-8")
+        valid.write_text("", encoding="utf-8")
+        test.write_text(write_corpus(small_corpus(15, seed=8)), encoding="utf-8")
+        out = tmp_path / "model.crf"
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            "task = ezafe\ntemplate = crf1\nmax_iter = 10\n"
+            f"train = {train}\nvalid = {valid}\ntest = {test}\nout = {out}\n",
+            encoding="utf-8",
+        )
+        assert main(["experiment", str(config)]) == 2
+        assert "empty validation split" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

@@ -126,7 +126,7 @@ def assert_matches_oracle(features, labels, batch, ids, x, l2=0.0):
 
 class TestObjectiveOracle:
     """The batched training objective against enumeration, sentence by
-    sentence, on batches mixing length classes [2^k, 2^(k+1))."""
+    sentence, on batches mixing many lengths."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_tiny_batches(self, seed):
@@ -142,11 +142,9 @@ class TestObjectiveOracle:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", range(6))
     def test_extreme_weights_and_heavy_padding(self, seed):
-        # Weights of scale 50. Next to one 15-token sentence, each 8-token
-        # sentence pads 7 of its 15 cells, close to the half that length
-        # classes allow, and with ten of them some padded cells lie far past
-        # exp's range unless masked. Neither inf, NaN nor a floating-point
-        # warning may come of them.
+        # Weights of scale 50, ten 8-token sentences beside one of 15, so
+        # that steps 8-14 of the packed layout hold one row each. Neither
+        # inf, NaN nor a floating-point warning may come of them.
         rng = np.random.default_rng(200 + seed)
         lengths = [int(v) for v in rng.permutation([8] * 10 + [15])]
         features, labels, batch, ids, x = oracle_problem(
@@ -158,6 +156,53 @@ class TestObjectiveOracle:
         model = model_from_flat(np.zeros(8), 2, 2, ["f0", "f1"], ["a", "b"])
         with pytest.raises(ValueError, match="sentence 1: 2 positions, 1 labels"):
             nll_and_gradient(model, [([["f0"]], ["a"]), ([["f0"], ["f1"]], ["a"])])
+
+
+def span_limit(L):
+    """Widest transition span the scaled recursion accepts for L labels."""
+    return (math.log(np.finfo(np.float64).max) - math.log(L)) / 2
+
+
+@pytest.mark.filterwarnings("error")
+class TestTransitionSpan:
+    """The range guard of the scaled recursion (see the crf module
+    docstring): a span just inside the bound gives finite values that match
+    enumeration, one just outside raises TransitionSpanError; neither gives
+    NaN, inf or a floating-point warning."""
+
+    @staticmethod
+    def problem(seed, L, span):
+        rng = np.random.default_rng(700 + seed)
+        lengths = [int(v) for v in rng.permutation([1, 1, 2, 3, 6])]
+        features, labels, batch, ids, x = oracle_problem(rng, lengths, L, scale=50.0)
+        # Transitions at both ends of the span, so that E holds exp(-span);
+        # 0 -> 1 and 1 -> 0 cost the whole span.
+        trans = -span * rng.integers(0, 2, size=(L, L)).astype(float)
+        trans[0, 0], trans[0, 1], trans[1, 0], trans[1, 1] = 0.0, -span, -span, 0.0
+        x[len(features) * L :] = trans.ravel()
+        # f0 and f1 outweigh the span for labels 0 and 1, so that a sentence
+        # alternating them crosses the costliest transitions at every step,
+        # where the normalisers fall to about exp(-span).
+        w_e = x[: len(features) * L].reshape(len(features), L)
+        w_e[0], w_e[1] = 0.0, 0.0
+        w_e[0, 0] = w_e[1, 1] = span + 50.0
+        alternating = [0, 1, 0, 1, 0]
+        batch.append(([[f"f{k}"] for k in alternating], [labels[k] for k in alternating]))
+        ids.append(([[k] for k in alternating], alternating))
+        return features, labels, batch, ids, x
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inside_bound_matches_oracle(self, seed, L):
+        features, labels, batch, ids, x = self.problem(seed, L, span_limit(L) - 0.5)
+        assert_matches_oracle(features, labels, batch, ids, x)
+
+    @pytest.mark.parametrize("L", [2, 3, 30])
+    def test_outside_bound_raises(self, L):
+        features, labels, batch, _, x = self.problem(0, L, span_limit(L) + 0.5)
+        model = model_from_flat(x, len(features), L, features, labels)
+        with pytest.raises(crf.TransitionSpanError, match="transition weights span"):
+            nll_and_gradient(model, batch)
 
 
 def separable_data(n=40, length=4, seed=0):

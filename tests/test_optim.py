@@ -15,12 +15,24 @@ def quadratic(center):
     return fg
 
 
+def ill_conditioned(center, scales):
+    """0.5 * sum(scales * (x - center)^2): curvature differs by coordinate,
+    so quasi-Newton steps approach the minimum over many iterations."""
+    center = np.asarray(center, dtype=float)
+
+    def fg(x):
+        d = x - center
+        return 0.5 * float(scales * d @ d), scales * d
+
+    return fg
+
+
 class TestSmooth:
     def test_quadratic_minimum(self):
         a = np.array([3.0, -2.0, 0.5, 7.0])
         res = minimize_owlqn(quadratic(a), np.zeros(4), max_iterations=100, tolerance=1e-12)
         assert np.allclose(res.x, a, atol=1e-6)
-        assert res.converged
+        assert res.stop == "tolerance"
 
     def test_matches_scipy_on_logistic(self):
         rng = np.random.default_rng(7)
@@ -90,8 +102,9 @@ class TestControl:
         assert res.iterations <= 3
 
     def test_tolerance_stops_early(self):
-        res = minimize_owlqn(quadratic(np.ones(4)), np.zeros(4), max_iterations=100, tolerance=1e-3)
-        assert res.converged
+        fg = ill_conditioned(np.full(30, 5.0), np.logspace(0, 3, 30))
+        res = minimize_owlqn(fg, np.zeros(30), max_iterations=100, tolerance=1e-3)
+        assert res.stop == "tolerance"
         assert res.iterations < 100
 
     def test_callback_sees_every_accepted_step(self):
@@ -122,4 +135,29 @@ class TestControl:
     def test_already_optimal(self):
         res = minimize_owlqn(quadratic(np.zeros(3)), np.zeros(3), max_iterations=10)
         assert res.iterations == 0
-        assert res.converged
+        assert res.stop == "zero_step"
+
+
+class TestStopReason:
+    def test_max_iterations(self):
+        fg = ill_conditioned(np.full(30, 5.0), np.logspace(0, 3, 30))
+        res = minimize_owlqn(fg, np.zeros(30), max_iterations=3, tolerance=1e-16)
+        assert res.stop == "max_iterations"
+        assert res.iterations == 3
+
+    def test_zero_step_at_kink(self):
+        # Under l1 = 0.1 the minimum of 0.5*(x-a)^2 + 0.1|x| is 0 for these
+        # a: the pseudo-gradient at 0 is zero, so there is no step to take.
+        res = minimize_owlqn(quadratic(np.array([0.05, -0.03])), np.zeros(2), l1=0.1)
+        assert res.stop == "zero_step"
+        assert res.iterations == 0
+        assert np.all(res.x == 0.0)
+
+    def test_line_search_failure_is_not_convergence(self):
+        # A gradient of the wrong sign makes every trial step go uphill.
+        def fg(x):
+            return float(x @ x), -2 * x - 1.0
+
+        res = minimize_owlqn(fg, np.zeros(3), max_iterations=10)
+        assert res.stop == "line_search"
+        assert res.iterations == 0
