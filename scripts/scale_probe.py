@@ -2,10 +2,10 @@
 """Cost of one training configuration at a given corpus size and tagset.
 
 Generates a synthetic CRF2 POS corpus of at least --tokens tokens from
-`tuned_ezafe_spec(0.22, n_states=--labels, vocab_size=20000)`, then times
-the layers that training runs before and inside the optimizer: parsing the
-corpus text, building the feature index, encoding the corpus, and one
-evaluation of the training objective at x = 0 (the minimum of --repeats).
+`tuned_ezafe_spec(0.22, n_states=--labels, vocab_size=20000)` at seed 5,
+then times the layers that training runs before and inside the optimizer:
+parsing the corpus text, building the feature index, encoding the corpus,
+and one evaluation of the training objective at x = 0 (the minimum of 3).
 Prints one JSON object with those times, F, the parameter count and the
 process's peak RSS.
 
@@ -35,6 +35,9 @@ from pertcrf import crf, datagen, tasks  # noqa: E402
 from pertcrf.corpus import Corpus, parse_corpus, write_corpus  # noqa: E402
 from pertcrf.features import FeatureTemplate, build_feature_index  # noqa: E402
 
+SEED = 5  # generator seed
+REPEATS = 3  # objective evaluations timed; the minimum is reported
+
 
 def generate_tokens(spec: datagen.HmmSpec, n_tokens: int, seed: int) -> Corpus:
     """The shortest prefix of the seed's sentence stream holding at least
@@ -60,12 +63,10 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--tokens", type=int, required=True, help="minimum corpus size in tokens")
     ap.add_argument("--labels", type=int, required=True, help="POS tagset size (states of the process)")
-    ap.add_argument("--seed", type=int, default=5, help="generator seed (default 5)")
-    ap.add_argument("--repeats", type=int, default=3, help="objective evaluations to time (default 3)")
     args = ap.parse_args()
 
     spec = datagen.tuned_ezafe_spec(0.22, n_states=args.labels, vocab_size=20000)
-    text = write_corpus(generate_tokens(spec, args.tokens, args.seed))
+    text = write_corpus(generate_tokens(spec, args.tokens, SEED))
     template = FeatureTemplate(id="CRF2")
 
     corpus, parse_s = timed(lambda: parse_corpus(text))
@@ -78,7 +79,7 @@ def main() -> None:
     F, L = len(index), len(labels)
     objective = crf._Objective(encoded, gold, F, L, 0.1)
     x = np.zeros(F * L + L * L)
-    evals = [timed(lambda: objective(x))[1] for _ in range(args.repeats)]
+    evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
 
     print(json.dumps({
         "tokens": corpus.n_tokens,

@@ -32,7 +32,8 @@ exp(span), and their sum over N rows at most N exp(span). All of these
 stay finite, and c far above the smallest normal
 float, when 2 span + log L < log(largest float64) ~ 709.78: spans up to
 ~354 for L = 2. Wider spans raise TransitionSpanError instead of returning
-NaN. Viterbi adds log scores and has no such bound.
+NaN, and the optimizer's line search backtracks from them. Viterbi adds
+log scores and has no such bound.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .features import FeatureIndex, FeatureTemplate, FeatureVector
-from .optim import minimize_owlqn
+from .optim import DomainError, minimize_owlqn
 
 MODEL_MAGIC = "PERTCRF"
 MODEL_VERSION = "v1"
@@ -98,27 +99,20 @@ class CrfModel:
         self.transition.flags.writeable = False
 
 
-class TransitionSpanError(RuntimeError):
-    """Transition weights span too wide a range for the scaled recursion."""
+class TransitionSpanError(DomainError):
+    """Transition weights span too wide a range for the scaled recursion.
+    Training backtracks from such trial points (optim.DomainError)."""
 
 
 # Largest x with exp(x) finite in float64; bounds the span (module docstring).
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
-def viterbi(model: CrfModel, features: Sequence[FeatureVector]) -> tuple[list[str], float]:
-    """Best labels of one sentence, given as its feature vectors, and their
-    score. Unknown feature strings score 0."""
-    enc = _encode_features([features], model.feature_index)
-    paths, scores = _viterbi(_emissions(enc, model.emission), model.transition, enc.steps)
-    return [model.labels[i] for i in paths[enc.row].tolist()], float(scores[0])
-
-
 def decode(model: CrfModel, sentences: Iterable[Sequence[FeatureVector]]) -> list[list[str]]:
     """Viterbi labels of every sentence, each given as its feature vectors.
     sentences may be any iterable, a generator included; it is read once,
-    encoded as it arrives, then decoded in one packed batch. Each result
-    equals viterbi(model, features)[0]."""
+    encoded as it arrives, then decoded in one packed batch. Unknown
+    feature strings score 0."""
     enc = _encode_features(sentences, model.feature_index)
     if len(enc.offsets) == 1:
         return []
@@ -224,11 +218,12 @@ def _encode(
 
 def _emissions(encoded: _Encoded, w_e: np.ndarray) -> np.ndarray:
     """(positions, L) emission scores in packed rows: each position's
-    indexed feature weights, summed in the order its features were given."""
+    indexed feature weights, summed in the order its features were given.
+    Each label's gather reads one column of w_e, in whatever memory order
+    w_e has; nothing is copied."""
     n = int(encoded.offsets[-1])
     em = np.empty((n, w_e.shape[1]))
-    # Label-major weights, so that each label's gather reads one contiguous row.
-    for lab, w in enumerate(np.ascontiguousarray(w_e.T)):
+    for lab, w in enumerate(w_e.T):
         em[:, lab] = np.bincount(encoded.tok, weights=w[encoded.feat], minlength=n)
     return em
 
@@ -343,7 +338,9 @@ class _Objective:
                 f"that the scaled recursion keeps finite for {L} labels"
             )
         E = np.exp(w_t - top)
-        P = _emissions(enc, w_e)
+        # A column-major copy, so that each label's gather reads contiguous
+        # memory; the gradient below is O(F L) anyway.
+        P = _emissions(enc, np.asfortranarray(w_e))
         shift = P.max(axis=1)
         P -= shift[:, None]
         np.exp(P, out=P)
@@ -379,8 +376,8 @@ def train(
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
     start. train_data may be any iterable, a generator included; it is
     read once. Raises optim.DivergenceError if the objective turns
-    non-finite, and TransitionSpanError if the optimizer tries transition
-    weights too far apart for the scaled recursion.
+    non-finite. Trial steps whose transition weights lie too far apart for
+    the scaled recursion are backtracked from, never accepted.
 
     on_iteration(iteration, objective, model) fires after every accepted
     optimizer step with a read-only view of the current weights; copy them

@@ -31,6 +31,12 @@ class DivergenceError(RuntimeError):
         super().__init__(f"objective is not finite at iteration {iteration}")
 
 
+class DomainError(RuntimeError):
+    """Raised by fun_and_grad at a point where it cannot evaluate the
+    objective. The line search takes such a trial point for too long a
+    step and backtracks; at x0 the error propagates."""
+
+
 @dataclass
 class OwlQnResult:
     x: np.ndarray
@@ -39,8 +45,8 @@ class OwlQnResult:
     # Why the run stopped: "tolerance" (relative objective change below
     # tolerance), "zero_step" (no descent direction: the pseudo-gradient,
     # or the direction projected onto its orthant, is zero), "line_search"
-    # (no step of MAX_LINESEARCH backtracks decreased the objective) or
-    # "max_iterations".
+    # (no step of MAX_LINESEARCH backtracks decreased the objective inside
+    # its domain) or "max_iterations".
     stop: str
     objective_log: list[float]
 
@@ -89,6 +95,8 @@ def minimize_owlqn(
     """Run up to max_iterations accepted quasi-Newton steps.
 
     fun_and_grad evaluates the smooth part only; the l1 term is added here.
+    It may raise DomainError at a trial point, which then counts as a
+    failed step.
     callback(iteration, objective, x) fires after each accepted step with
     the full (penalized) objective. Stops early when the relative objective
     change drops below tolerance, no descent direction is left, or the line
@@ -129,7 +137,11 @@ def minimize_owlqn(
             x_new = x + alpha * d
             if l1 > 0.0:
                 x_new[x_new * orthant < 0] = 0.0
-            f_new, g_new = fun_and_grad(x_new)
+            alpha *= BACKTRACK
+            try:
+                f_new, g_new = fun_and_grad(x_new)
+            except DomainError:
+                continue
             obj_new = f_new + l1 * float(np.abs(x_new).sum())
             if not np.isfinite(obj_new):
                 raise DivergenceError(it + 1)
@@ -137,7 +149,6 @@ def minimize_owlqn(
             if obj_new <= obj + ARMIJO_C * dgrad and obj_new <= obj:
                 accepted = True
                 break
-            alpha *= BACKTRACK
         if not accepted:
             stop = "line_search"
             break

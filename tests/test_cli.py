@@ -159,9 +159,9 @@ class TestTrain:
         assert not out.exists()
 
     def test_transition_span_is_training_failure(self, tmp_path, corpus_file, capsys, monkeypatch):
-        # A guard this tight passes the zero start (span 0, log 2 < 1) and
-        # trips on the first trial step.
-        monkeypatch.setattr(crf, "_LOG_MAX", 1.0)
+        # A guard this tight rejects even the zero start (span 0, but
+        # log L > 0.5 for L >= 2), where the line search has no shorter step.
+        monkeypatch.setattr(crf, "_LOG_MAX", 0.5)
         args, out = train_args(tmp_path, corpus_file)
         assert main(args) == 3
         assert "transition weights span" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from pertcrf.crf import (
     _viterbi,
     decode,
     nll_and_gradient,
-    viterbi,
 )
 from pertcrf.features import FeatureIndex, FeatureTemplate
 
@@ -188,9 +187,7 @@ class TestViterbi:
 
     def test_viterbi_maps_labels(self):
         model = tiny_model([[0.0, 2.0], [1.0, 0.0]], np.zeros((2, 2)))
-        labels, score = viterbi(model, [["f1"], ["f2"]])
-        assert labels == ["b", "a"]
-        assert score == pytest.approx(3.0)
+        assert decode(model, [[["f1"], ["f2"]]]) == [["b", "a"]]
 
 
 # T=1 rows, repeated lengths, and one long sentence beside many short ones.
@@ -266,8 +263,8 @@ class TestPackedLayout:
 
 @pytest.mark.filterwarnings("error")
 class TestBatchedViterbi:
-    """The Viterbi kernel and decode against enumeration and per-sentence
-    viterbi, and the emission kernel against per-position sums."""
+    """The Viterbi kernel and decode against enumeration and one-sentence
+    decoding, and the emission kernel against per-position sums."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_kernel_matches_oracle(self, seed):
@@ -308,7 +305,7 @@ class TestBatchedViterbi:
             em = np.array([sum((model.emission[k] for k in ks), np.zeros(L)) for ks in rows])
             path, _ = brute_viterbi(em, model.transition)
             assert labels == [model.labels[i] for i in path]
-            assert labels == viterbi(model, feats)[0]
+            assert [labels] == decode(model, [feats])
 
     @pytest.mark.parametrize("L", [2, 3, 6, 13])
     def test_emissions_equal_per_position_sums(self, L):

@@ -9,11 +9,11 @@ from pertcrf.crf import (
     CrfModel,
     ModelFormatError,
     TrainConfig,
+    decode,
     load_model,
     nll_and_gradient,
     save_model,
     train,
-    viterbi,
 )
 from pertcrf.features import FeatureIndex, FeatureTemplate
 
@@ -205,6 +205,22 @@ class TestTransitionSpan:
             nll_and_gradient(model, batch)
 
 
+    def test_training_backtracks_from_wide_spans(self, monkeypatch):
+        # Unregularized training here ends with a transition span above
+        # 0.3; under a guard whose limit is 0.1 the line search backtracks
+        # from the trial steps beyond it instead of failing, and the run
+        # still fits the data.
+        batch, labels = separable_data()
+        index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
+        config = TrainConfig(l1=0.0, l2=0.0, max_iterations=60)
+        free = train(batch, index, labels, CRF1, config)
+        assert np.ptp(free.transition) > 0.3
+        monkeypatch.setattr(crf, "_LOG_MAX", math.log(len(labels)) + 0.2)
+        guarded = train(batch, index, labels, CRF1, config)
+        assert np.ptp(guarded.transition) <= 0.1
+        assert decode(guarded, [f for f, _ in batch]) == [g for _, g in batch]
+
+
 def separable_data(n=40, length=4, seed=0):
     rng = np.random.default_rng(seed)
     labels = ["x", "y", "z"]
@@ -221,12 +237,7 @@ class TestTrain:
         index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
         config = TrainConfig(l1=0.0, l2=0.0, max_iterations=60)
         model = train(batch, index, labels, CRF1, config)
-        correct = total = 0
-        for feats, gold in batch:
-            pred, _ = viterbi(model, feats)
-            correct += sum(p == g for p, g in zip(pred, gold))
-            total += len(gold)
-        assert correct == total
+        assert decode(model, [feats for feats, _ in batch]) == [gold for _, gold in batch]
 
     def test_l1_sparsity(self):
         batch, labels = separable_data(n=60)
@@ -294,8 +305,8 @@ class TestModelIO:
         assert np.array_equal(restored.emission, model.emission)
         assert np.array_equal(restored.transition, model.transition)
         assert restored.template == model.template
-        for feats, _ in batch:
-            assert viterbi(restored, feats) == viterbi(model, feats)
+        sentences = [feats for feats, _ in batch]
+        assert decode(restored, sentences) == decode(model, sentences)
 
     def test_hand_built_file(self):
         text = (

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from pertcrf.optim import DivergenceError, minimize_owlqn
+from pertcrf.optim import DivergenceError, DomainError, minimize_owlqn
 
 
 def quadratic(center):
@@ -136,6 +136,39 @@ class TestControl:
         res = minimize_owlqn(quadratic(np.zeros(3)), np.zeros(3), max_iterations=10)
         assert res.iterations == 0
         assert res.stop == "zero_step"
+
+
+class TestDomain:
+    """Trial points where the objective raises DomainError count as failed
+    steps of the line search."""
+
+    @staticmethod
+    def bounded(center, radius):
+        fg = quadratic(center)
+
+        def inside(x):
+            if np.abs(x).max() > radius:
+                raise DomainError(f"outside radius {radius}")
+            return fg(x)
+
+        return inside
+
+    def test_backtracks_into_domain(self):
+        # The minimum lies inside, but the first quasi-Newton steps
+        # overshoot the bound.
+        a = np.array([3.0, -2.0, 0.5, 7.0])
+        res = minimize_owlqn(self.bounded(a, 7.5), np.zeros(4), max_iterations=100, tolerance=1e-12)
+        assert np.allclose(res.x, a, atol=1e-6)
+        assert res.stop == "tolerance"
+
+    def test_minimum_outside_stays_inside(self):
+        res = minimize_owlqn(self.bounded(np.full(3, 10.0), 2.0), np.zeros(3), max_iterations=50)
+        assert np.abs(res.x).max() <= 2.0
+        assert res.objective < 0.5 * 3 * 10.0**2
+
+    def test_raised_at_start_propagates(self):
+        with pytest.raises(DomainError, match="outside radius"):
+            minimize_owlqn(self.bounded(np.zeros(2), 1.0), np.full(2, 3.0))
 
 
 class TestStopReason:
