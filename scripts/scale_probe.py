@@ -4,8 +4,9 @@
 Generates a synthetic CRF2 POS corpus of at least --tokens tokens from
 `tuned_ezafe_spec(0.22, n_states=--labels, vocab_size=20000)` at seed 5,
 then times the layers that training runs before and inside the optimizer:
-parsing the corpus text, building the feature index, encoding the corpus,
-and one evaluation of the training objective at x = 0 (the minimum of 3).
+parsing the corpus text, indexing and encoding the corpus (the one pass
+that `crf.train` makes), and one evaluation of the training objective at
+x = 0 (the minimum of 3).
 Prints one JSON object with those times, F, the parameter count and the
 process's peak RSS.
 
@@ -33,7 +34,7 @@ import numpy as np  # noqa: E402
 
 from pertcrf import crf, datagen, tasks  # noqa: E402
 from pertcrf.corpus import Corpus, parse_corpus, write_corpus  # noqa: E402
-from pertcrf.features import FeatureTemplate, build_feature_index  # noqa: E402
+from pertcrf.features import FeatureTemplate  # noqa: E402
 
 SEED = 5  # generator seed
 REPEATS = 3  # objective evaluations timed; the minimum is reported
@@ -71,11 +72,10 @@ def main() -> None:
 
     corpus, parse_s = timed(lambda: parse_corpus(text))
     del text
-    index, index_s = timed(lambda: build_feature_index(corpus, template))
     labels = corpus.tag_inventory
     ids = {lab: i for i, lab in enumerate(labels)}
     instances = tasks.corpus_instances(corpus, template, lambda t: t.pos)
-    (encoded, gold), encode_s = timed(lambda: crf._encode(instances, index, ids))
+    (index, encoded, gold), encode_s = timed(lambda: crf._index_while_encoding(instances, ids, 1))
     F, L = len(index), len(labels)
     objective = crf._Objective(encoded, gold, F, L, 0.1)
     x = np.zeros(F * L + L * L)
@@ -88,7 +88,6 @@ def main() -> None:
         "features": F,
         "parameters": F * L + L * L,
         "parse_s": round(parse_s, 4),
-        "index_s": round(index_s, 4),
         "encode_s": round(encode_s, 4),
         "eval_s": round(min(evals), 4),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

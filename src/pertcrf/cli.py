@@ -126,7 +126,9 @@ def _experiment_config_from_args(args) -> ExperimentConfig:
         return ExperimentConfig(
             task=args.task,
             template=_template_from_args(args, ezafe_input=(args.task == "pos-ez-input")),
-            train_config=TrainConfig(l1=args.l1, l2=args.l2, max_iterations=args.max_iter),
+            train_config=TrainConfig(
+                l1=args.l1, l2=args.l2, max_iterations=args.max_iter, min_count=args.min_count
+            ),
             train_path=args.train,
             valid_path=args.valid,
             test_path="",
@@ -134,8 +136,6 @@ def _experiment_config_from_args(args) -> ExperimentConfig:
             ezafe_model_path=args.ezafe_model,
             ezafe_source=args.ezafe_source,
             eval_every=args.eval_every,
-            seed=args.seed,
-            min_count=args.min_count,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -160,7 +160,8 @@ def cmd_train(args) -> int:
     valid_c = read_corpus_file(args.valid)
     mode = cfg.ezafe_source if cfg.task == "pos-ez-input" else "none"
     started = time.monotonic()
-    model, log, best_it, _ = tasks.fit(cfg, train_c, valid_c, ezafe_mode=mode)
+    train_flags, valid_flags = tasks.make_flags(cfg, mode, [train_c, valid_c])
+    model, log, best_it = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
     _atomic_write(args.out, crf.save_model(model))
     _print_log(log, best_it, args.log)
     print(f"model written to {args.out}", file=sys.stderr)
@@ -291,7 +292,6 @@ def build_parser() -> _Parser:
         "--eval-every", type=int, default=10, help="validate every N iterations (default 10)"
     )
     p.add_argument("--min-count", type=int, default=1, help="feature count cutoff (default 1)")
-    p.add_argument("--seed", type=int, default=17, help="echoed into reports for provenance")
     p.add_argument("--ezafe-model", help="trained ezafe model (pos-ez-input with predicted flags)")
     p.add_argument(
         "--ezafe-source",

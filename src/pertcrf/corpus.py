@@ -1,9 +1,9 @@
 """Column-format corpus handling: parse, write, shuffle/split, length
 filter, and per-tag statistics.
 
-Canonical file format: UTF-8, Unix newlines, one token per line as
-``form<TAB>pos<TAB>ezafe`` with ezafe in {0,1}; sentences separated by
-exactly one blank line; no trailing blank line.
+Canonical file format: UTF-8 without a byte-order mark, Unix newlines, one
+token per line as ``form<TAB>pos<TAB>ezafe`` with ezafe in {0,1}; sentences
+separated by exactly one blank line; no trailing blank line.
 """
 
 from __future__ import annotations
@@ -98,16 +98,30 @@ class PosStatsRow:
     diversity: float
 
 
+def non_unix_line(text: str) -> tuple[int, str] | None:
+    """(line number, problem) for the first thing in text that the corpus,
+    model and spec formats forbid: a byte-order mark, or a carriage return
+    anywhere (CRLF line endings included). None when there is neither."""
+    if text.startswith("\ufeff"):
+        return 1, "byte-order mark (U+FEFF); files must be UTF-8 without one"
+    cr = text.find("\r")
+    if cr >= 0:
+        return text.count("\n", 0, cr) + 1, "carriage return; lines must end in a Unix newline"
+    return None
+
+
 def parse_corpus(source: str | IO[str]) -> Corpus:
     """Parse canonical 3-column TSV text into a Corpus.
 
-    Raises CorpusFormatError on a malformed line, an out-of-range ezafe
-    column, or an empty sentence (blank line with no tokens before it).
+    Raises CorpusFormatError on a byte-order mark or carriage return, a
+    malformed line, an out-of-range ezafe column, or an empty sentence
+    (blank line with no tokens before it).
     """
-    if isinstance(source, str):
-        lines = source.split("\n")
-    else:
-        lines = source.read().split("\n")
+    text = source if isinstance(source, str) else source.read()
+    bad = non_unix_line(text)
+    if bad is not None:
+        raise CorpusFormatError(bad[1], bad[0])
+    lines = text.split("\n")
     # A trailing newline produces one final empty element; drop it so it is
     # not confused with a sentence separator.
     if lines and lines[-1] == "":
@@ -149,7 +163,7 @@ def write_corpus(corpus: Corpus) -> str:
 
 
 def read_corpus_file(path: str) -> Corpus:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         return parse_corpus(f)
 
 

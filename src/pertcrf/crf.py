@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .corpus import non_unix_line
 from .features import FeatureIndex, FeatureTemplate, FeatureVector
 from .optim import DomainError, minimize_owlqn
 
@@ -62,6 +63,7 @@ class TrainConfig:
     l2: float = 0.1
     max_iterations: int = 100
     tolerance: float = 1e-5
+    min_count: int = 1  # a feature string is indexed when training sees it this often
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.l1, self.l2, self.tolerance)):
@@ -72,6 +74,8 @@ class TrainConfig:
             raise ValueError("max_iterations must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.min_count < 1:
+            raise ValueError("min_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def decode(model: CrfModel, sentences: Iterable[Sequence[FeatureVector]]) -> lis
     sentences may be any iterable, a generator included; it is read once,
     encoded as it arrives, then decoded in one packed batch. Unknown
     feature strings score 0."""
-    enc = _encode_features(sentences, model.feature_index)
+    enc = _encode_features(sentences, model.feature_index.encode)
     if len(enc.offsets) == 1:
         return []
     paths, _ = _viterbi(_emissions(enc, model.emission), model.transition, enc.steps)
@@ -136,7 +140,7 @@ def nll_and_gradient(
     """
     F, L = model.emission.shape
     ids = {lab: i for i, lab in enumerate(model.labels)}
-    encoded, labels = _encode(batch, model.feature_index, ids)
+    encoded, labels = _encode(batch, model.feature_index.encode, ids)
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
     nll, grad = _Objective(encoded, labels, F, L, l2)(x)
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
@@ -173,15 +177,19 @@ def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, (steps[t] + rank[sentence]).astype(np.intc)
 
 
-def _encode_features(sentences: Iterable[Sequence[FeatureVector]], index: FeatureIndex) -> _Encoded:
+def _encode_features(
+    sentences: Iterable[Sequence[FeatureVector]],
+    encode: Callable[[Sequence[FeatureVector]], list[int]],
+) -> _Encoded:
     """Encode sentences, each given as its feature vectors, as they arrive,
     so that the feature strings of a whole corpus never need to exist at
-    once. Keys missing from the index are dropped."""
+    once. encode gives the id of every key of one sentence (as
+    FeatureIndex.encode does); keys it gives -1 are dropped."""
     feat, counts, offsets = array("i"), array("i"), array("i", [0])
     for i, features in enumerate(sentences):
         if not features:
             raise ValueError(f"sentence {i}: no positions")
-        feat.extend(index.encode(features))
+        feat.extend(encode(features))
         counts.extend([len(keys) for keys in features])
         offsets.append(len(counts))
     ids = np.frombuffer(feat, dtype=np.intc)
@@ -194,7 +202,7 @@ def _encode_features(sentences: Iterable[Sequence[FeatureVector]], index: Featur
 
 def _encode(
     data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
-    index: FeatureIndex,
+    encode: Callable[[Sequence[FeatureVector]], list[int]],
     ids: dict[str, int],
 ) -> tuple[_Encoded, np.ndarray]:
     """Encode (features, labels) pairs as they arrive; returns the encoded
@@ -212,8 +220,34 @@ def _encode(
                 raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
             yield features
 
-    encoded = _encode_features(checked(), index)
+    encoded = _encode_features(checked(), encode)
     return encoded, np.frombuffer(labels, dtype=np.intc)
+
+
+def _index_while_encoding(
+    data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
+    ids: dict[str, int],
+    min_count: int,
+) -> tuple[FeatureIndex, _Encoded, np.ndarray]:
+    """Index and encode training data in one pass. Every key gets an id at
+    its first occurrence; keys seen fewer than min_count times are then
+    dropped and the others renumbered in the same order, so the index
+    lists the retained keys in first-occurrence order."""
+    keys: dict[str, int] = {}
+
+    def grow(features: Sequence[FeatureVector]) -> list[int]:
+        setdefault = keys.setdefault
+        return [setdefault(k, len(keys)) for ks in features for k in ks]
+
+    encoded, gold = _encode(data, grow, ids)
+    kept = np.bincount(encoded.feat, minlength=len(keys)) >= min_count
+    if kept.all():
+        return FeatureIndex.adopt(keys), encoded, gold
+    index = FeatureIndex(k for k, keep in zip(keys, kept.tolist()) if keep)
+    renumber = np.cumsum(kept, dtype=np.intc) - 1
+    retained = kept[encoded.feat]
+    encoded = replace(encoded, feat=renumber[encoded.feat[retained]], tok=encoded.tok[retained])
+    return index, encoded, gold
 
 
 def _emissions(encoded: _Encoded, w_e: np.ndarray) -> np.ndarray:
@@ -367,7 +401,6 @@ class _Objective:
 
 def train(
     train_data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
-    feature_index: FeatureIndex,
     labels: Sequence[str],
     template: FeatureTemplate,
     config: TrainConfig = TrainConfig(),
@@ -375,9 +408,11 @@ def train(
 ) -> CrfModel:
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
     start. train_data may be any iterable, a generator included; it is
-    read once. Raises optim.DivergenceError if the objective turns
-    non-finite. Trial steps whose transition weights lie too far apart for
-    the scaled recursion are backtracked from, never accepted.
+    read once. The model's feature index holds every key that train_data
+    gives at least config.min_count times, in first-occurrence order.
+    Raises optim.DivergenceError if the objective turns non-finite. Trial
+    steps whose transition weights lie too far apart for the scaled
+    recursion are backtracked from, never accepted.
 
     on_iteration(iteration, objective, model) fires after every accepted
     optimizer step with a read-only view of the current weights; copy them
@@ -387,7 +422,7 @@ def train(
     ids = {lab: i for i, lab in enumerate(labels)}
     if len(ids) != len(labels):
         raise ValueError("labels must be distinct")
-    encoded, gold = _encode(train_data, feature_index, ids)
+    feature_index, encoded, gold = _index_while_encoding(train_data, ids, config.min_count)
     if len(encoded.offsets) == 1:
         raise ValueError("training data is empty")
     F, L = len(feature_index), len(labels)
@@ -447,6 +482,9 @@ def save_model(model: CrfModel) -> str:
 
 
 def load_model(text: str) -> CrfModel:
+    bad = non_unix_line(text)
+    if bad is not None:
+        raise ModelFormatError(f"line {bad[0]}: {bad[1]}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -511,5 +549,5 @@ def save_model_file(model: CrfModel, path: str) -> None:
 
 
 def load_model_file(path: str) -> CrfModel:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         return load_model(f.read())

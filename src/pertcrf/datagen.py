@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Token
+from .corpus import Corpus, Token, non_unix_line
 from .rng import SplitMix64, substream
 
 
@@ -204,6 +204,9 @@ def write_hmm_spec(spec: HmmSpec) -> str:
 
 
 def parse_hmm_spec(text: str) -> HmmSpec:
+    bad = non_unix_line(text)
+    if bad is not None:
+        raise HmmSpecError(f"line {bad[0]}: {bad[1]}")
     lines = [ln.strip() for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]
     sections: dict[str, list[str]] = {}
@@ -252,7 +255,7 @@ def parse_hmm_spec(text: str) -> HmmSpec:
 
 
 def read_hmm_spec_file(path: str) -> HmmSpec:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         return parse_hmm_spec(f.read())
 
 

@@ -16,7 +16,6 @@ corpus_features reject anything else with ValueError.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -132,6 +131,15 @@ class FeatureIndex:
             index[key] = len(index)
         self._index = index
 
+    @classmethod
+    def adopt(cls, index: dict[str, int]) -> "FeatureIndex":
+        """Wrap a dict that already maps its keys, in insertion order, to
+        0..F-1, without copying it; the caller must not change it
+        afterwards."""
+        self = cls.__new__(cls)
+        self._index = index
+        return self
+
     def __len__(self) -> int:
         return len(self._index)
 
@@ -149,24 +157,3 @@ class FeatureIndex:
         position in emission order; -1 for a key not in the index."""
         get = self._index.get
         return [get(k, -1) for keys in features for k in keys]
-
-
-def build_feature_index(
-    corpus: Corpus,
-    template: FeatureTemplate,
-    min_count: int = 1,
-    ezafe: Sequence[EzafeAnnotation] | None = None,
-) -> FeatureIndex:
-    """Scan the corpus once and index every feature string occurring at
-    least min_count times, in first-occurrence order.
-
-    For ezafe-input templates, ezafe must supply one annotation per
-    sentence.
-    """
-    if corpus.n_sentences == 0:
-        raise ValueError("cannot index an empty corpus")
-    counts: Counter[str] = Counter()
-    for features in corpus_features(corpus, template, ezafe):
-        for keys in features:
-            counts.update(keys)
-    return FeatureIndex(k for k, c in counts.items() if c >= min_count)

@@ -9,20 +9,13 @@ best validation F1 are the ones evaluated on test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from . import crf
 from .corpus import Corpus, Token, read_corpus_file
 from .crf import CrfModel, TrainConfig
-from .features import (
-    FeatureIndex,
-    FeatureTemplate,
-    FeatureVector,
-    build_feature_index,
-    corpus_features,
-    sentence_features,
-)
+from .features import FeatureTemplate, FeatureVector, corpus_features, sentence_features
 from .metrics import (
     EvalReport,
     binary_metrics,
@@ -57,7 +50,6 @@ class ExperimentConfig:
     ezafe_source: str = "predicted"
     eval_every: int = DEFAULT_EVAL_EVERY
     seed: int = 17
-    min_count: int = 1
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -221,66 +213,14 @@ def evaluate_joint(
 # Training with best-validation-F1 checkpointing
 
 
-def train_checkpointed(
-    train_instances,
-    feature_index: FeatureIndex,
-    labels: Sequence[str],
-    template: FeatureTemplate,
-    config: TrainConfig,
-    valid_f1: Callable[[CrfModel], float] | None = None,
-    eval_every: int = DEFAULT_EVAL_EVERY,
-) -> tuple[CrfModel, list[TrainLogEntry], int]:
-    """Returns (model restored to the best-validation snapshot, training
-    log, iteration of the snapshot)."""
-    log: list[TrainLogEntry] = []
-    best = {"f1": float("-inf"), "weights": None, "iteration": 0}
-
-    def snapshot(it: int, model: CrfModel) -> float:
-        f1 = valid_f1(model)
-        if f1 > best["f1"]:
-            best.update(
-                f1=f1, weights=(model.emission.copy(), model.transition.copy()), iteration=it
-            )
-        return f1
-
-    def on_iteration(it: int, objective: float, model: CrfModel) -> None:
-        f1 = None
-        if valid_f1 is not None and it % eval_every == 0:
-            f1 = snapshot(it, model)
-        log.append(TrainLogEntry(iteration=it, objective=objective, valid_f1=f1))
-
-    model = crf.train(
-        train_instances,
-        feature_index,
-        labels,
-        template,
-        config,
-        on_iteration=on_iteration,
-    )
-    if valid_f1 is not None and log and log[-1].valid_f1 is None:
-        f1 = snapshot(log[-1].iteration, model)
-        log[-1] = replace(log[-1], valid_f1=f1)
-    if best["weights"] is not None:
-        em, tr = best["weights"]
-        model = CrfModel(
-            labels=model.labels,
-            feature_index=feature_index,
-            emission=em,
-            transition=tr,
-            template=template,
-        )
-        best_iteration = best["iteration"]
-    else:
-        best_iteration = log[-1].iteration if log else 0
-    return model, log, best_iteration
-
-
-def _make_flags(
+def make_flags(
     cfg: ExperimentConfig,
     mode: str,
     corpora: Sequence[Corpus],
-    ezafe_model: CrfModel | None,
+    ezafe_model: CrfModel | None = None,
 ) -> list[list[tuple[int, ...]] | None]:
+    """Ezafe input flags of each corpus: none, gold, or predicted by
+    ezafe_model (read from cfg.ezafe_model_path when not given)."""
     if mode == "none":
         return [None] * len(corpora)
     if mode == "gold":
@@ -299,58 +239,71 @@ def _make_flags(
 def fit(
     cfg: ExperimentConfig,
     train_c: Corpus,
-    valid_c: Corpus | None,
-    ezafe_mode: str = "none",
-    ezafe_model: CrfModel | None = None,
-) -> tuple[CrfModel, list[TrainLogEntry], int, list | None]:
-    """Train cfg.task on train_c, selecting the checkpoint by validation F1
-    (positive-class F1 for ezafe, macro F1 otherwise). Returns the model,
-    the log, the chosen iteration, and the validation ezafe flags (for
-    reuse by callers that evaluate the same split)."""
+    valid_c: Corpus,
+    train_flags: Flags | None = None,
+    valid_flags: Flags | None = None,
+) -> tuple[CrfModel, list[TrainLogEntry], int]:
+    """Train cfg.task on train_c (with its ezafe input flags, for
+    ezafe-input templates), decoding valid_c every cfg.eval_every
+    iterations and at the last one. Returns the model restored to the
+    checkpoint with the best validation F1 (positive-class F1 for ezafe,
+    macro F1 otherwise; the earliest among ties), the log, and the
+    checkpoint's iteration."""
     if train_c.n_sentences == 0:
         raise ValueError("empty train split")
-    if valid_c is not None and valid_c.n_sentences == 0:
+    if valid_c.n_sentences == 0:
         raise ValueError("empty validation split")
-    corpora = [train_c] + ([valid_c] if valid_c is not None else [])
-    flags = _make_flags(cfg, ezafe_mode, corpora, ezafe_model)
-    train_flags = flags[0]
-    valid_flags = flags[1] if valid_c is not None else None
-
     task = cfg.task
     label_of = _label_fn(task)
     if task == "ezafe":
         labels: tuple[str, ...] = ("0", "1")
+        valid_f1 = lambda m: evaluate_ezafe(m, valid_c).headline.f1
     elif task == "joint":
         seen: dict[str, None] = {}
         for sent in train_c.sentences:
             for tok in sent:
                 seen.setdefault(label_of(tok), None)
         labels = tuple(seen)
+        valid_f1 = lambda m: evaluate_joint(m, valid_c)[0].headline.f1
     else:
         labels = train_c.tag_inventory
+        valid_f1 = lambda m: evaluate_pos(m, valid_c, ezafe=valid_flags).headline.f1
 
-    index = build_feature_index(train_c, cfg.template, cfg.min_count, ezafe=train_flags)
-    instances = corpus_instances(train_c, cfg.template, label_of, ezafe=train_flags)
+    log: list[TrainLogEntry] = []
+    best = {"f1": float("-inf"), "weights": None, "iteration": 0}
 
-    valid_f1 = None
-    if valid_c is not None:
-        if task == "ezafe":
-            valid_f1 = lambda m: evaluate_ezafe(m, valid_c).headline.f1
-        elif task == "joint":
-            valid_f1 = lambda m: evaluate_joint(m, valid_c)[0].headline.f1
-        else:
-            valid_f1 = lambda m: evaluate_pos(m, valid_c, ezafe=valid_flags).headline.f1
+    def checkpoint(it: int, model: CrfModel) -> float:
+        f1 = valid_f1(model)
+        if f1 > best["f1"]:
+            best.update(
+                f1=f1, weights=(model.emission.copy(), model.transition.copy()), iteration=it
+            )
+        return f1
 
-    model, log, best_it = train_checkpointed(
-        instances,
-        index,
+    def on_iteration(it: int, objective: float, model: CrfModel) -> None:
+        f1 = checkpoint(it, model) if it % cfg.eval_every == 0 else None
+        log.append(TrainLogEntry(iteration=it, objective=objective, valid_f1=f1))
+
+    model = crf.train(
+        corpus_instances(train_c, cfg.template, label_of, ezafe=train_flags),
         labels,
         cfg.template,
         cfg.train_config,
-        valid_f1=valid_f1,
-        eval_every=cfg.eval_every,
+        on_iteration=on_iteration,
     )
-    return model, log, best_it, valid_flags
+    if log and log[-1].valid_f1 is None:
+        log[-1].valid_f1 = checkpoint(log[-1].iteration, model)
+    if best["weights"] is None:  # no accepted step: the zero start is the model
+        return model, log, 0
+    em, tr = best["weights"]
+    model = CrfModel(
+        labels=model.labels,
+        feature_index=model.feature_index,
+        emission=em,
+        transition=tr,
+        template=model.template,
+    )
+    return model, log, best["iteration"]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +343,7 @@ def run_ezafe(
     on validation and test, with the per-POS F1 breakdown."""
     train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
     header = _config_header(cfg)
-    model, log, best_it, _ = fit(cfg, train_c, valid_c)
+    model, log, best_it = fit(cfg, train_c, valid_c)
     return ExperimentResult(
         model=model,
         valid_report=evaluate_ezafe(model, valid_c, header),
@@ -412,8 +365,10 @@ def run_pos(
     if ezafe_mode is None:
         ezafe_mode = cfg.ezafe_source if cfg.task == "pos-ez-input" else "none"
     header = _config_header(cfg)
-    model, log, best_it, valid_flags = fit(cfg, train_c, valid_c, ezafe_mode, ezafe_model)
-    test_flags = _make_flags(cfg, ezafe_mode, [test_c], ezafe_model)[0]
+    train_flags, valid_flags, test_flags = make_flags(
+        cfg, ezafe_mode, [train_c, valid_c, test_c], ezafe_model
+    )
+    model, log, best_it = fit(cfg, train_c, valid_c, train_flags, valid_flags)
     return ExperimentResult(
         model=model,
         valid_report=evaluate_pos(model, valid_c, ezafe=valid_flags, header=header),
@@ -431,7 +386,7 @@ def run_joint(
     extra."""
     train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
     header = _config_header(cfg)
-    model, log, best_it, _ = fit(cfg, train_c, valid_c)
+    model, log, best_it = fit(cfg, train_c, valid_c)
     valid_pos, valid_ez = evaluate_joint(model, valid_c, header)
     test_pos, test_ez = evaluate_joint(model, test_c, header)
     return ExperimentResult(
@@ -547,6 +502,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             l1=number("l1", 0.1, float),
             l2=number("l2", 0.1, float),
             max_iterations=number("max_iter", 100, int),
+            min_count=number("min_count", 1, int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -562,7 +518,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         ezafe_source=values.get("ezafe_source", "predicted"),
         eval_every=number("eval_every", DEFAULT_EVAL_EVERY, int),
         seed=number("seed", 17, int),
-        min_count=number("min_count", 1, int),
     )
 
 

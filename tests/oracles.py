@@ -1,13 +1,26 @@
 """Independent reference implementations used only by tests.
 
-Everything here enumerates label sequences exhaustively or perturbs inputs
-numerically; none of it shares code with the package's inference or
-training paths.
+Everything here enumerates label sequences exhaustively, perturbs inputs
+numerically or counts feature strings with a Counter; none of it shares code
+with the package's inference, training or indexing paths.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
+
+from pertcrf.features import FeatureIndex, corpus_features
+
+
+def reference_index(corpus, template, min_count=1, ezafe=None) -> FeatureIndex:
+    """Every feature string of the corpus occurring at least min_count
+    times, in first-occurrence order, from a separate counting pass."""
+    counts = Counter()
+    for features in corpus_features(corpus, template, ezafe):
+        for keys in features:
+            counts.update(keys)
+    return FeatureIndex(k for k, c in counts.items() if c >= min_count)
 
 
 def all_sequences(T: int, L: int) -> np.ndarray:

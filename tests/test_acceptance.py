@@ -33,7 +33,7 @@ from pertcrf.crf import (
     train,
 )
 from pertcrf.datagen import GeometricLength, bayes_decode, generate, homograph_spec, random_spec, tuned_ezafe_spec
-from pertcrf.features import FeatureIndex, FeatureTemplate, build_feature_index
+from pertcrf.features import FeatureIndex, FeatureTemplate
 from pertcrf.metrics import binary_metrics, confusion, macro_metrics
 from pertcrf.tasks import ExperimentConfig, corpus_instances, decode_corpus, run_pos
 
@@ -57,9 +57,8 @@ def learnability_data():
     spec = random_spec(4, 200, seed=101, emission_skew=5.0)
     train_c = generate(spec, 5000, seed=102)
     test_c = generate(spec, 1000, seed=103)
-    index = build_feature_index(train_c, CRF2)
     instances = list(corpus_instances(train_c, CRF2, lambda t: t.pos))
-    return spec, train_c, test_c, index, instances
+    return spec, train_c, test_c, instances
 
 
 def test_criterion_1_exact_inference_oracle():
@@ -164,8 +163,8 @@ def test_criterion_2_gradient_check():
 
 def test_criterion_3_learnability_vs_oracle(learnability_data):
     started = time.monotonic()
-    spec, train_c, test_c, index, instances = learnability_data
-    model = train(instances, index, train_c.tag_inventory, CRF2, TrainConfig())
+    spec, train_c, test_c, instances = learnability_data
+    model = train(instances, train_c.tag_inventory, CRF2, TrainConfig())
     pred = decode_corpus(model, test_c)
     gold = [[t.pos for t in s] for s in test_c.sentences]
     total = sum(len(g) for g in gold)
@@ -221,11 +220,11 @@ def test_criterion_4_ezafe_helps_pos():
 
 
 def test_criterion_5_l1_sparsity(learnability_data):
-    _, train_c, _, index, instances = learnability_data
+    _, train_c, _, instances = learnability_data
     config_l1 = TrainConfig(l1=0.1, l2=0.1, max_iterations=25)
     config_l0 = TrainConfig(l1=0.0, l2=0.1, max_iterations=25)
-    with_l1 = train(instances, index, train_c.tag_inventory, CRF2, config_l1)
-    without = train(instances, index, train_c.tag_inventory, CRF2, config_l0)
+    with_l1 = train(instances, train_c.tag_inventory, CRF2, config_l1)
+    without = train(instances, train_c.tag_inventory, CRF2, config_l0)
     zeros_l1 = int(np.sum(with_l1.emission == 0.0))
     zeros_l0 = int(np.sum(without.emission == 0.0))
     _criterion(

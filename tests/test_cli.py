@@ -151,6 +151,19 @@ class TestTrain:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_min_count_below_one_is_usage_error(self, tmp_path, corpus_file, capsys, value):
+        args, out = train_args(tmp_path, corpus_file, extra=["--min-count", value])
+        assert main(args) == 1
+        assert "min_count must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_is_not_a_train_option(self, tmp_path, corpus_file, capsys):
+        # train writes no report, so there is nothing a seed could go into
+        args, out = train_args(tmp_path, corpus_file, extra=["--seed", "1"])
+        assert main(args) == 1
+        assert not out.exists()
+
     def test_empty_validation_split_is_data_error(self, tmp_path, corpus_file, capsys):
         args, out = train_args(tmp_path, corpus_file)
         (tmp_path / "valid.tsv").write_text("", encoding="utf-8")
@@ -285,6 +298,60 @@ class TestExperiment:
         config = tmp_path / "exp.cfg"
         config.write_text("task = ezafe\nwat = 1\n", encoding="utf-8")
         assert main(["experiment", str(config)]) == 2
+        config.write_text(
+            "task = ezafe\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\nmin_count = 0\n",
+            encoding="utf-8",
+        )
+        assert main(["experiment", str(config)]) == 2
+        assert "min_count must be positive" in capsys.readouterr().err
+
+
+class TestLineEndings:
+    """Corpus, model and spec files are UTF-8 without a byte-order mark,
+    with Unix newlines; anything else is a data error naming the line."""
+
+    CASES = [
+        ("bom+crlf", lambda t: "\ufeff" + t.replace("\n", "\r\n"), "line 1: byte-order mark"),
+        ("crlf", lambda t: t.replace("\n", "\r\n"), "line 1: carriage return"),
+        # line 3 ends in a lone carriage return
+        (
+            "cr-on-line-3",
+            lambda t: t.replace("\n", "\r", 3).replace("\r", "\n", 2),
+            "line 3: carriage return",
+        ),
+    ]
+
+    @staticmethod
+    def write(path, text):
+        path.write_bytes(text.encode("utf-8"))
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_corpus(self, tmp_path, capsys, case):
+        _, mangle, message = case
+        path = tmp_path / "c.tsv"
+        self.write(path, mangle(write_corpus(small_corpus(5, seed=1))))
+        assert main(["stats", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_model(self, tmp_path, corpus_file, capsys, case):
+        _, mangle, message = case
+        args, out = train_args(tmp_path, corpus_file)
+        assert main(args) == 0
+        self.write(out, mangle(out.read_text(encoding="utf-8")))
+        capsys.readouterr()
+        assert main(["eval", str(out), str(corpus_file)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_spec(self, tmp_path, capsys, case):
+        _, mangle, message = case
+        path = tmp_path / "p.spec"
+        self.write(path, mangle(write_hmm_spec(random_spec(3, 12, seed=4))))
+        out = tmp_path / "synth.tsv"
+        assert main(["synth", "--spec", str(path), "--sentences", "5", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -63,6 +63,13 @@ class TestParse:
         with pytest.raises(CorpusFormatError, match="line 1"):
             parse_corpus("a b\tN\t0\n")
 
+    def test_bom_and_carriage_returns_rejected(self):
+        with pytest.raises(CorpusFormatError, match="line 1: byte-order mark"):
+            parse_corpus("\ufeffa\tN\t0\n")
+        with pytest.raises(CorpusFormatError, match="line 2: carriage return") as err:
+            parse_corpus("a\tN\t0\nb\tN\t0\r\n")
+        assert err.value.line == 2
+
     def test_file_object(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text(TWO_SENTENCES, encoding="utf-8")

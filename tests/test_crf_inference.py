@@ -321,7 +321,7 @@ class TestBatchedViterbi:
             [list(rng.choice(features, size=int(rng.integers(0, 40)))) for _ in range(T)]
             for T in rng.integers(1, 20, size=30)
         ]
-        enc = _encode_features(iter(sentences), model.feature_index)
+        enc = _encode_features(iter(sentences), model.feature_index.encode)
         got = _emissions(enc, model.emission)[enc.row]
         want = []
         for feats in sentences:
@@ -333,7 +333,7 @@ class TestBatchedViterbi:
 
 def scored(model, features):
     """Emission scores of one sentence, in position order."""
-    enc = _encode_features([features], model.feature_index)
+    enc = _encode_features([features], model.feature_index.encode)
     return _emissions(enc, model.emission)[enc.row]
 
 

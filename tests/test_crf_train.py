@@ -211,12 +211,11 @@ class TestTransitionSpan:
         # from the trial steps beyond it instead of failing, and the run
         # still fits the data.
         batch, labels = separable_data()
-        index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
         config = TrainConfig(l1=0.0, l2=0.0, max_iterations=60)
-        free = train(batch, index, labels, CRF1, config)
+        free = train(batch, labels, CRF1, config)
         assert np.ptp(free.transition) > 0.3
         monkeypatch.setattr(crf, "_LOG_MAX", math.log(len(labels)) + 0.2)
-        guarded = train(batch, index, labels, CRF1, config)
+        guarded = train(batch, labels, CRF1, config)
         assert np.ptp(guarded.transition) <= 0.1
         assert decode(guarded, [f for f, _ in batch]) == [g for _, g in batch]
 
@@ -234,9 +233,8 @@ def separable_data(n=40, length=4, seed=0):
 class TestTrain:
     def test_separable_data_perfect_accuracy(self):
         batch, labels = separable_data()
-        index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
         config = TrainConfig(l1=0.0, l2=0.0, max_iterations=60)
-        model = train(batch, index, labels, CRF1, config)
+        model = train(batch, labels, CRF1, config)
         assert decode(model, [feats for feats, _ in batch]) == [gold for _, gold in batch]
 
     def test_l1_sparsity(self):
@@ -246,9 +244,8 @@ class TestTrain:
         noisy = []
         for feats, gold in batch:
             noisy.append(([ks + [f"noise={rng.integers(0, 15)}"] for ks in feats], gold))
-        index = FeatureIndex(sorted({k for f, _ in noisy for ks in f for k in ks}))
-        dense = train(noisy, index, labels, CRF1, TrainConfig(l1=0.0, l2=0.01, max_iterations=40))
-        sparse = train(noisy, index, labels, CRF1, TrainConfig(l1=0.1, l2=0.01, max_iterations=40))
+        dense = train(noisy, labels, CRF1, TrainConfig(l1=0.0, l2=0.01, max_iterations=40))
+        sparse = train(noisy, labels, CRF1, TrainConfig(l1=0.1, l2=0.01, max_iterations=40))
         assert np.sum(sparse.emission == 0.0) > np.sum(dense.emission == 0.0)
 
     @pytest.mark.parametrize("field", ["l1", "l2", "tolerance"])
@@ -263,20 +260,17 @@ class TestTrain:
 
     def test_deterministic(self):
         batch, labels = separable_data(n=20)
-        index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
         config = TrainConfig(max_iterations=25)
-        a = train(batch, index, labels, CRF1, config)
-        b = train(batch, index, labels, CRF1, config)
+        a = train(batch, labels, CRF1, config)
+        b = train(batch, labels, CRF1, config)
         assert np.array_equal(a.emission, b.emission)
         assert np.array_equal(a.transition, b.transition)
 
     def test_callback_objective_nonincreasing(self):
         batch, labels = separable_data(n=15)
-        index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
         seen = []
         train(
             batch,
-            index,
             labels,
             CRF1,
             TrainConfig(max_iterations=20),
@@ -287,16 +281,40 @@ class TestTrain:
         objs = [o for _, o in seen]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
+    def test_min_count_drops_rare_keys_from_the_encoding(self):
+        # The objective that training reports must be the one of the
+        # retained keys alone: the same as encoding the data afresh with
+        # the trained index, which drops unknown keys.
+        batch, labels = separable_data(n=30)
+        rng = np.random.default_rng(2)
+        batch = [([ks + [f"rare={rng.integers(0, 40)}"] for ks in f], g) for f, g in batch]
+        config = TrainConfig(l1=0.0, l2=0.1, max_iterations=3, min_count=4)
+        seen = []
+        model = train(batch, labels, CRF1, config, on_iteration=lambda it, obj, m: seen.append(obj))
+        counts = {}
+        for feats, _ in batch:
+            for keys in feats:
+                for k in keys:
+                    counts[k] = counts.get(k, 0) + 1
+        assert set(model.feature_index.keys()) == {k for k, c in counts.items() if c >= 4}
+        assert len(model.feature_index) < len(counts)
+        nll, _ = nll_and_gradient(model, batch, l2=config.l2)
+        assert seen[-1] == pytest.approx(nll, rel=1e-12)
+
+    @pytest.mark.parametrize("min_count", [0, -5])
+    def test_config_rejects_min_count_below_one(self, min_count):
+        with pytest.raises(ValueError, match="min_count"):
+            TrainConfig(min_count=min_count)
+
     def test_empty_training_data(self):
         with pytest.raises(ValueError, match="empty"):
-            train([], FeatureIndex(["f0"]), ["a", "b"], CRF1)
+            train([], ["a", "b"], CRF1)
 
 
 class TestModelIO:
     def trained(self):
         batch, labels = separable_data(n=10)
-        index = FeatureIndex(sorted({k for f, _ in batch for ks in f for k in ks}))
-        return train(batch, index, labels, CRF1, TrainConfig(max_iterations=10)), batch
+        return train(batch, labels, CRF1, TrainConfig(max_iterations=10)), batch
 
     def test_round_trip_exact(self):
         model, batch = self.trained()

@@ -3,14 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import corpora, forms
+from oracles import reference_index
 from pertcrf.corpus import Corpus, Token
-from pertcrf.features import (
-    FeatureIndex,
-    FeatureTemplate,
-    build_feature_index,
-    corpus_features,
-    sentence_features,
-)
+from pertcrf.crf import TrainConfig, train
+from pertcrf.features import FeatureIndex, FeatureTemplate, corpus_features, sentence_features
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF2 = FeatureTemplate(id="CRF2")
@@ -140,39 +136,45 @@ class TestExtract:
         assert len(set(a)) == len(a)
 
 
+def trained_index(corpus, template, min_count=1, ezafe=None):
+    """The feature index that training on corpus builds."""
+    labels = [[t.pos for t in s] for s in corpus.sentences]
+    data = zip(corpus_features(corpus, template, ezafe), labels)
+    config = TrainConfig(max_iterations=1, min_count=min_count)
+    return train(data, corpus.tag_inventory, template, config).feature_index
+
+
 class TestIndex:
     def one_token_corpus(self):
         return Corpus.from_sentences([(Token(form="tak", pos="N", ezafe=0),)])
 
     def test_crf1_single_token_corpus(self):
-        index = build_feature_index(self.one_token_corpus(), CRF1)
+        index = trained_index(self.one_token_corpus(), CRF1)
         assert len(index) == 11
 
     def test_min_count_one_keeps_everything(self):
-        c = self.one_token_corpus()
-        keys = set()
-        for i in range(1):
-            keys.update(sentence_features(["tak"], CRF1)[0])
-        index = build_feature_index(c, CRF1, min_count=1)
-        assert set(index.keys()) == keys
+        index = trained_index(self.one_token_corpus(), CRF1, min_count=1)
+        assert set(index.keys()) == set(sentence_features(["tak"], CRF1)[0])
 
     def test_min_count_threshold(self):
         sents = [
             (Token(form="aa", pos="N", ezafe=0),),
-            (Token(form="aa", pos="N", ezafe=0),),
             (Token(form="zz", pos="N", ezafe=0),),
+            (Token(form="aa", pos="N", ezafe=0),),
         ]
-        index = build_feature_index(Corpus.from_sentences(sents), CRF1, min_count=2)
+        index = trained_index(Corpus.from_sentences(sents), CRF1, min_count=2)
         assert "w[0]=aa" in index
         assert "w[0]=zz" not in index  # seen once
+        # ids stay dense and in first-occurrence order among the kept keys
+        assert list(index.keys())[index["w[0]=aa"] - 1] == "w[-1]=__BOS__"
+        assert [index[k] for k in index.keys()] == list(range(len(index)))
 
     def test_first_occurrence_order(self):
-        c = self.one_token_corpus()
-        index = build_feature_index(c, CRF1)
+        index = trained_index(self.one_token_corpus(), CRF1)
         assert [index[k] for k in sentence_features(["tak"], CRF1)[0]] == list(range(11))
 
     def test_unknown_feature_maps_to_nothing(self):
-        index = build_feature_index(self.one_token_corpus(), CRF1)
+        index = trained_index(self.one_token_corpus(), CRF1)
         n = len(index)
         assert "w[0]=unseen" not in index
         assert index.encode([["w[0]=unseen", "w[0]=tak"], ["w[0]=tak"]]) == [
@@ -187,30 +189,35 @@ class TestIndex:
             FeatureIndex(["a", "a"])
 
     def test_ezafe_template_needs_annotations(self):
-        with pytest.raises(ValueError):
-            build_feature_index(self.one_token_corpus(), CRF2_EZ)
+        with pytest.raises(ValueError, match="requires an ezafe annotation"):
+            trained_index(self.one_token_corpus(), CRF2_EZ)
 
     def test_annotation_count_must_match_sentences(self):
         c = Corpus.from_sentences([(Token(form="a", pos="N", ezafe=0),)] * 2)
         for flags in ([(0,)], [(0,)] * 3):
             with pytest.raises(ValueError, match="annotations for 2 sentences"):
-                build_feature_index(c, CRF2_EZ, ezafe=flags)
+                trained_index(c, CRF2_EZ, ezafe=flags)
             with pytest.raises(ValueError, match="annotations for 2 sentences"):
                 corpus_features(c, CRF2_EZ, flags)
 
     def test_flag_value_two_rejected(self):
         with pytest.raises(ValueError, match="0 or 1, got 2"):
-            build_feature_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(2,)])
+            trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(2,)])
 
     def test_ezafe_template_index(self):
-        index = build_feature_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(0,)])
+        index = trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(0,)])
         assert "ez[0]=0" in index
         assert "ez[1]=_" in index
 
     @given(corpora(max_sentences=5))
     def test_sentence_features_cover_index(self, c):
-        index = build_feature_index(c, CRF2)
+        index = trained_index(c, CRF2)
         for sent in c.sentences:
             for keys in sentence_features([t.form for t in sent], CRF2):
                 for k in keys:
                     assert k in index
+
+    @given(corpora(max_sentences=8), st.sampled_from([1, 2, 3]))
+    def test_keys_equal_reference_index(self, c, min_count):
+        want = list(reference_index(c, CRF2, min_count).keys())
+        assert list(trained_index(c, CRF2, min_count).keys()) == want

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from pertcrf import crf
-from pertcrf.corpus import Corpus, Token
+from pertcrf import crf, features
+from pertcrf.corpus import Corpus, Token, write_corpus
 from pertcrf.crf import TrainConfig
 from pertcrf.datagen import GeometricLength, generate, homograph_spec
-from pertcrf.features import FeatureIndex, FeatureTemplate, build_feature_index
+from pertcrf.features import FeatureIndex, FeatureTemplate
 from pertcrf.rng import SplitMix64
 from pertcrf.tasks import (
     ConfigError,
@@ -14,6 +14,7 @@ from pertcrf.tasks import (
     decode_corpus,
     evaluate_ezafe,
     evaluate_pos,
+    fit,
     gold_flags,
     model_task_kind,
     parse_experiment_config,
@@ -24,7 +25,6 @@ from pertcrf.tasks import (
     run_joint,
     run_pos,
     split_joint,
-    train_checkpointed,
 )
 
 CRF1 = FeatureTemplate(id="CRF1")
@@ -117,24 +117,40 @@ class TestRunEzafe:
 class TestCheckpointReplay:
     def test_model_equals_snapshot_at_best_iteration(self, rule_corpora):
         train_c, valid_c, _ = rule_corpora
-        index = build_feature_index(train_c, CRF1)
-        instances = list(corpus_instances(train_c, CRF1, lambda t: str(t.ezafe)))
         config = TrainConfig(max_iterations=12)
-        valid_f1 = lambda m: evaluate_ezafe(m, valid_c).headline.f1
-        model, log, best_it = train_checkpointed(
-            instances, index, ("0", "1"), CRF1, config, valid_f1=valid_f1, eval_every=3
-        )
+        cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config, eval_every=3)
+        model, log, best_it = fit(cfg, train_c, valid_c)
         # deterministic retrain, capturing weights at every iteration
+        instances = corpus_instances(train_c, CRF1, lambda t: str(t.ezafe))
         captured = {}
         crf.train(
             instances,
-            index,
             ("0", "1"),
             CRF1,
             config,
             on_iteration=lambda it, obj, m: captured.update({it: m.emission.copy()}),
         )
         assert np.array_equal(model.emission, captured[best_it])
+
+    def test_features_extracted_once_per_train_sentence(self, rule_corpora, monkeypatch):
+        # Training indexes and encodes in one pass over the train split;
+        # every checkpoint decodes the validation split once.
+        train_c, valid_c, _ = rule_corpora
+        calls = []
+        extract = features.sentence_features
+
+        def counted(forms, template, ezafe=None):
+            calls.append(len(forms))
+            return extract(forms, template, ezafe)
+
+        monkeypatch.setattr(features, "sentence_features", counted)
+        cfg = ExperimentConfig(
+            task="ezafe", template=CRF1, train_config=TrainConfig(max_iterations=7), eval_every=3
+        )
+        _, log, _ = fit(cfg, train_c, valid_c)
+        checkpoints = sum(e.valid_f1 is not None for e in log)
+        assert checkpoints == 3  # iterations 3, 6 and the last one, 7
+        assert len(calls) == train_c.n_sentences + checkpoints * valid_c.n_sentences
 
 
 class TestRunPos:
@@ -171,6 +187,29 @@ class TestRunPos:
         assert np.array_equal(gold_run.model.transition, pred_run.model.transition)
         assert gold_run.test_report.to_json() == pred_run.test_report.to_json()
 
+    def test_experiment_reads_ezafe_model_once(self, tmp_path, perfect_ezafe_setup, monkeypatch):
+        corpora, ezafe_model = perfect_ezafe_setup
+        paths = []
+        for name, c in zip(("train", "valid", "test"), corpora):
+            paths.append(tmp_path / f"{name}.tsv")
+            paths[-1].write_text(write_corpus(c), encoding="utf-8")
+        model_path = tmp_path / "ez.crf"
+        crf.save_model_file(ezafe_model, str(model_path))
+        loads = []
+        load = crf.load_model_file
+        monkeypatch.setattr(crf, "load_model_file", lambda path: loads.append(path) or load(path))
+        cfg = ExperimentConfig(
+            task="pos-ez-input",
+            template=CRF1_EZ,
+            train_config=TrainConfig(max_iterations=3),
+            train_path=str(paths[0]),
+            valid_path=str(paths[1]),
+            test_path=str(paths[2]),
+            ezafe_model_path=str(model_path),
+        )
+        run_experiment(cfg)
+        assert loads == [str(model_path)]
+
     def test_predicted_mode_needs_model(self, rule_corpora):
         cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=FAST)
         with pytest.raises(ValueError, match="needs an ezafe model"):
@@ -201,7 +240,7 @@ class TestRunPos:
             with pytest.raises(ValueError, match=msg):
                 evaluate_pos(model, c, ezafe=wrong)
             with pytest.raises(ValueError, match=msg):
-                build_feature_index(c, CRF1_EZ, ezafe=wrong)
+                fit(ExperimentConfig(task="pos-ez-input", template=CRF1_EZ), c, c, wrong, flags)
 
 
 class TestRunJoint:
@@ -308,6 +347,7 @@ class TestConfig:
             "l1 = 0.2\n"
             "l2 = 0.05\n"
             "max_iter = 42\n"
+            "min_count = 3\n"
             "seed = 7\n"
             "train = data/train.tsv\n"
             "valid = data/valid.tsv\n"
@@ -320,6 +360,7 @@ class TestConfig:
         assert cfg.template == FeatureTemplate(id="CRF2", ezafe_input=True)
         assert cfg.train_config.l1 == 0.2
         assert cfg.train_config.max_iterations == 42
+        assert cfg.train_config.min_count == 3
         assert cfg.seed == 7
         assert cfg.ezafe_model_path == "models/ez.crf"
         assert cfg.out_path == "models/pos.crf"
@@ -331,6 +372,7 @@ class TestConfig:
         assert cfg.train_config.l1 == 0.1
         assert cfg.train_config.l2 == 0.1
         assert cfg.train_config.max_iterations == 100
+        assert cfg.train_config.min_count == 1
         assert cfg.seed == 17
 
     def test_parse_errors(self):
@@ -344,6 +386,10 @@ class TestConfig:
             )
         with pytest.raises(ConfigError, match="duplicate"):
             parse_experiment_config("task = ezafe\ntask = pos\n")
+        with pytest.raises(ConfigError, match="min_count must be positive"):
+            parse_experiment_config(
+                "task = ezafe\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\nmin_count = 0\n"
+            )
 
     def test_run_experiment_dispatch(self, rule_corpora):
         cfg = ezafe_cfg()
