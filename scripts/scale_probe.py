@@ -5,8 +5,9 @@ Generates a synthetic CRF2 POS corpus of at least --tokens tokens from
 `tuned_ezafe_spec(0.22, n_states=--labels, vocab_size=20000)` at seed 5,
 then times the layers that training runs before and inside the optimizer:
 parsing the corpus text, indexing and encoding the corpus (the one pass
-that `crf.train` makes), and one evaluation of the training objective at
-x = 0 (the minimum of 3).
+of `tasks.fit`: `features.index_and_encode`, then the packed layout and
+the gold label ids that `crf.train` builds), and one evaluation of the
+training objective at x = 0 (the minimum of 3).
 Prints one JSON object with those times, F, the parameter count and the
 process's peak RSS.
 
@@ -32,7 +33,7 @@ sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "
 
 import numpy as np  # noqa: E402
 
-from pertcrf import crf, datagen, tasks  # noqa: E402
+from pertcrf import crf, datagen, features  # noqa: E402
 from pertcrf.corpus import Corpus, parse_corpus, write_corpus  # noqa: E402
 from pertcrf.features import FeatureTemplate  # noqa: E402
 
@@ -74,10 +75,16 @@ def main() -> None:
     del text
     labels = corpus.tag_inventory
     ids = {lab: i for i, lab in enumerate(labels)}
-    instances = tasks.corpus_instances(corpus, template, lambda t: t.pos)
-    (index, encoded, gold), encode_s = timed(lambda: crf._index_while_encoding(instances, ids, 1))
+
+    def encode():
+        forms = [[t.form for t in s] for s in corpus.sentences]
+        index, encoded = features.index_and_encode(template, forms)
+        gold = crf._gold_ids(encoded, [[t.pos for t in s] for s in corpus.sentences], ids)
+        return index, crf._pack(encoded), gold
+
+    (index, packed, gold), encode_s = timed(encode)
     F, L = len(index), len(labels)
-    objective = crf._Objective(encoded, gold, F, L, 0.1)
+    objective = crf._Objective(packed, gold, F, L, 0.1)
     x = np.zeros(F * L + L * L)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
 

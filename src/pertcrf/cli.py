@@ -21,6 +21,7 @@ from .corpus import (
     corpus_stats,
     filter_long,
     format_stats,
+    non_unix_line,
     read_corpus_file,
     shuffle_split,
     write_corpus,
@@ -172,12 +173,12 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     ezafe_model = crf.load_model_file(args.ezafe_model)
     pos_model = crf.load_model_file(args.pos_model)
-    sentences = []
-    with open(args.input, encoding="utf-8") as f:
-        for line in f:
-            forms = line.split()
-            if forms:
-                sentences.append(forms)
+    with open(args.input, encoding="utf-8", newline="") as f:
+        text = f.read()
+    bad = non_unix_line(text)
+    if bad is not None:
+        raise CorpusFormatError(bad[1], bad[0])
+    sentences = [forms for forms in map(str.split, text.split("\n")) if forms]
     tagged = tasks.pipeline_tag(sentences, ezafe_model, pos_model)
     _atomic_write(args.out, write_corpus(tagged))
     print(f"tagged {tagged.n_sentences} sentences to {args.out}")

@@ -37,9 +37,11 @@ class Token:
     ezafe: int
 
     def __post_init__(self):
-        if not self.form or any(c.isspace() for c in self.form):
+        # s.split() == [s] exactly when s is non-empty and has no character
+        # for which isspace() is true.
+        if self.form.split() != [self.form]:
             raise ValueError(f"token form must be non-empty and whitespace-free: {self.form!r}")
-        if not self.pos or any(c.isspace() for c in self.pos):
+        if self.pos.split() != [self.pos]:
             raise ValueError(f"pos tag must be non-empty and whitespace-free: {self.pos!r}")
         if self.ezafe not in (0, 1):
             raise ValueError(f"ezafe flag must be 0 or 1, got {self.ezafe!r}")

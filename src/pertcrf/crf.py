@@ -6,13 +6,15 @@ feature weights) and a single label-pair transition matrix shared across
 positions. There are no start/stop parameters; boundary information rides
 on the BOS/EOS features.
 
-Layout. A corpus is encoded once into flat int32 arrays whose positions
-are packed rows in time-major order: sentences are sorted by length,
-longest first (a stable sort, so corpus order is kept among equal
-lengths), and step t holds, contiguously, position t of every sentence
-longer than t. Step t's rows are thus a prefix of step t-1's in sentence
-order, so the recursions make one pass per step over a block with no
-padding, and training and decoding share the layout.
+Layout. A corpus arrives encoded by features (features.Encoded: flat
+int32 feature ids, the count of them at each position, and the sentence
+offsets), and its positions become packed rows in time-major order:
+sentences are sorted by length, longest first (a stable sort, so corpus
+order is kept among equal lengths), and step t holds, contiguously,
+position t of every sentence longer than t. Step t's rows are thus a
+prefix of step t-1's in sentence order, so the recursions make one pass
+per step over a block with no padding, and training and decoding share
+the layout.
 
 Scaling. Training runs sum-product in the exp domain with per-step
 normalisation (Rabiner 1989, section V.A): P = exp(em - row max),
@@ -39,14 +41,14 @@ log scores and has no such bound.
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import non_unix_line
-from .features import FeatureIndex, FeatureTemplate, FeatureVector
+from .features import Encoded, FeatureIndex, FeatureTemplate
 from .optim import DomainError, minimize_owlqn
 
 MODEL_MAGIC = "PERTCRF"
@@ -63,7 +65,7 @@ class TrainConfig:
     l2: float = 0.1
     max_iterations: int = 100
     tolerance: float = 1e-5
-    min_count: int = 1  # a feature string is indexed when training sees it this often
+    min_count: int = 1  # features.index_and_encode keeps the keys seen this often
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.l1, self.l2, self.tolerance)):
@@ -112,48 +114,47 @@ class TransitionSpanError(DomainError):
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
-def decode(model: CrfModel, sentences: Iterable[Sequence[FeatureVector]]) -> list[list[str]]:
-    """Viterbi labels of every sentence, each given as its feature vectors.
-    sentences may be any iterable, a generator included; it is read once,
-    encoded as it arrives, then decoded in one packed batch. Unknown
-    feature strings score 0."""
-    enc = _encode_features(sentences, model.feature_index.encode)
-    if len(enc.offsets) == 1:
+def decode(model: CrfModel, encoded: Encoded) -> list[list[str]]:
+    """Viterbi labels of every sentence of encoded (see features.encode),
+    decoded in one packed batch."""
+    if len(encoded.offsets) == 1:
         return []
-    paths, _ = _viterbi(_emissions(enc, model.emission), model.transition, enc.steps)
-    tags = [model.labels[i] for i in paths[enc.row].tolist()]
-    bounds = enc.offsets.tolist()
+    packed = _pack(encoded)
+    paths, _ = _viterbi(_emissions(packed, model.emission), model.transition, packed.steps)
+    tags = [model.labels[i] for i in paths[packed.row].tolist()]
+    bounds = encoded.offsets.tolist()
     return [tags[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def nll_and_gradient(
     model: CrfModel,
-    batch: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
+    encoded: Encoded,
+    gold: Sequence[Sequence[str]],
     l2: float = 0.0,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Negative log-likelihood of the batch plus an optional ridge term,
-    with its gradient (expected minus empirical feature counts, plus l2*w).
-    This is the objective that training minimizes.
+    """Negative log-likelihood of the encoded sentences with their gold
+    labels, plus an optional ridge term, with its gradient (expected minus
+    empirical feature counts, plus l2*w). This is the objective that
+    training minimizes.
 
     The L1 penalty is deliberately absent: it is non-smooth and belongs to
     the optimizer, not the gradient.
     """
     F, L = model.emission.shape
     ids = {lab: i for i, lab in enumerate(model.labels)}
-    encoded, labels = _encode(batch, model.feature_index.encode, ids)
+    packed, labels = _pack(encoded), _gold_ids(encoded, gold, ids)
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
-    nll, grad = _Objective(encoded, labels, F, L, l2)(x)
+    nll, grad = _Objective(packed, labels, F, L, l2)(x)
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
 
 
 # ---------------------------------------------------------------------------
-# A corpus encoded once into flat int32 arrays over the packed layout (see
-# the module docstring). Training and decoding share the encoding, the
-# layout and the emission kernel.
+# The encoded corpus over the packed layout (see the module docstring).
+# Training and decoding share the layout and the emission kernel.
 
 
 @dataclass(frozen=True)
-class _Encoded:
+class _Packed:
     feat: np.ndarray  # int32 indexed feature ids of every position, in corpus order
     tok: np.ndarray  # int32 packed row of the position that each entry of feat belongs to
     offsets: np.ndarray  # int32 (S+1,) sentence starts in corpus order, then the position count
@@ -177,80 +178,33 @@ def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, (steps[t] + rank[sentence]).astype(np.intc)
 
 
-def _encode_features(
-    sentences: Iterable[Sequence[FeatureVector]],
-    encode: Callable[[Sequence[FeatureVector]], list[int]],
-) -> _Encoded:
-    """Encode sentences, each given as its feature vectors, as they arrive,
-    so that the feature strings of a whole corpus never need to exist at
-    once. encode gives the id of every key of one sentence (as
-    FeatureIndex.encode does); keys it gives -1 are dropped."""
-    feat, counts, offsets = array("i"), array("i"), array("i", [0])
-    for i, features in enumerate(sentences):
-        if not features:
-            raise ValueError(f"sentence {i}: no positions")
-        feat.extend(encode(features))
-        counts.extend([len(keys) for keys in features])
-        offsets.append(len(counts))
-    ids = np.frombuffer(feat, dtype=np.intc)
-    offsets = np.frombuffer(offsets, dtype=np.intc)
-    steps, row = _layout(offsets)
-    tok = np.repeat(row, np.frombuffer(counts, dtype=np.intc))
-    known = ids >= 0
-    return _Encoded(feat=ids[known], tok=tok[known], offsets=offsets, steps=steps, row=row)
+def _pack(encoded: Encoded) -> _Packed:
+    steps, row = _layout(encoded.offsets)
+    return _Packed(
+        feat=encoded.feat,
+        tok=np.repeat(row, encoded.counts),
+        offsets=encoded.offsets,
+        steps=steps,
+        row=row,
+    )
 
 
-def _encode(
-    data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
-    encode: Callable[[Sequence[FeatureVector]], list[int]],
-    ids: dict[str, int],
-) -> tuple[_Encoded, np.ndarray]:
-    """Encode (features, labels) pairs as they arrive; returns the encoded
-    features and the int32 gold label id of every position, in corpus
-    order."""
-    labels = array("i")
-
-    def checked() -> Iterator[Sequence[FeatureVector]]:
-        for i, (features, gold) in enumerate(data):
-            if len(features) != len(gold):
-                raise ValueError(f"sentence {i}: {len(features)} positions, {len(gold)} labels")
-            try:
-                labels.extend([ids[g] for g in gold])
-            except KeyError as exc:
-                raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
-            yield features
-
-    encoded = _encode_features(checked(), encode)
-    return encoded, np.frombuffer(labels, dtype=np.intc)
+def _gold_ids(encoded: Encoded, gold: Sequence[Sequence[str]], ids: dict[str, int]) -> np.ndarray:
+    """The int32 label id of every position, in corpus order, from one label
+    sequence per sentence."""
+    lengths = np.diff(encoded.offsets).tolist()
+    if len(gold) != len(lengths):
+        raise ValueError(f"{len(gold)} label sequences for {len(lengths)} sentences")
+    for i, (n, labels) in enumerate(zip(lengths, gold)):
+        if len(labels) != n:
+            raise ValueError(f"sentence {i}: {n} positions, {len(labels)} labels")
+    try:
+        return np.fromiter(map(ids.__getitem__, chain.from_iterable(gold)), np.intc, sum(lengths))
+    except KeyError as exc:
+        raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
 
 
-def _index_while_encoding(
-    data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
-    ids: dict[str, int],
-    min_count: int,
-) -> tuple[FeatureIndex, _Encoded, np.ndarray]:
-    """Index and encode training data in one pass. Every key gets an id at
-    its first occurrence; keys seen fewer than min_count times are then
-    dropped and the others renumbered in the same order, so the index
-    lists the retained keys in first-occurrence order."""
-    keys: dict[str, int] = {}
-
-    def grow(features: Sequence[FeatureVector]) -> list[int]:
-        setdefault = keys.setdefault
-        return [setdefault(k, len(keys)) for ks in features for k in ks]
-
-    encoded, gold = _encode(data, grow, ids)
-    kept = np.bincount(encoded.feat, minlength=len(keys)) >= min_count
-    if kept.all():
-        return FeatureIndex.adopt(keys), encoded, gold
-    index = FeatureIndex(k for k, keep in zip(keys, kept.tolist()) if keep)
-    renumber = np.cumsum(kept, dtype=np.intc) - 1
-    retained = kept[encoded.feat]
-    encoded = replace(encoded, feat=renumber[encoded.feat[retained]], tok=encoded.tok[retained])
-    return index, encoded, gold
-
-
-def _emissions(encoded: _Encoded, w_e: np.ndarray) -> np.ndarray:
+def _emissions(encoded: _Packed, w_e: np.ndarray) -> np.ndarray:
     """(positions, L) emission scores in packed rows: each position's
     indexed feature weights, summed in the order its features were given.
     Each label's gather reads one column of w_e, in whatever memory order
@@ -337,7 +291,7 @@ class _Objective:
     so results are bit-reproducible for a fixed corpus."""
 
     def __init__(
-        self, encoded: _Encoded, labels: np.ndarray, n_features: int, n_labels: int, l2: float
+        self, encoded: _Packed, labels: np.ndarray, n_features: int, n_labels: int, l2: float
     ):
         self.encoded = encoded
         self.F = n_features
@@ -400,19 +354,20 @@ class _Objective:
 
 
 def train(
-    train_data: Iterable[tuple[Sequence[FeatureVector], Sequence[str]]],
+    feature_index: FeatureIndex,
+    encoded: Encoded,
+    gold: Sequence[Sequence[str]],
     labels: Sequence[str],
     template: FeatureTemplate,
     config: TrainConfig = TrainConfig(),
     on_iteration: Callable[[int, float, CrfModel], None] | None = None,
 ) -> CrfModel:
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
-    start. train_data may be any iterable, a generator included; it is
-    read once. The model's feature index holds every key that train_data
-    gives at least config.min_count times, in first-occurrence order.
-    Raises optim.DivergenceError if the objective turns non-finite. Trial
-    steps whose transition weights lie too far apart for the scaled
-    recursion are backtracked from, never accepted.
+    start, on sentences encoded with feature_index (features.index_and_encode
+    makes both) and their gold labels, one sequence per sentence. Raises
+    optim.DivergenceError if the objective turns non-finite. Trial steps
+    whose transition weights lie too far apart for the scaled recursion are
+    backtracked from, never accepted.
 
     on_iteration(iteration, objective, model) fires after every accepted
     optimizer step with a read-only view of the current weights; copy them
@@ -422,11 +377,10 @@ def train(
     ids = {lab: i for i, lab in enumerate(labels)}
     if len(ids) != len(labels):
         raise ValueError("labels must be distinct")
-    feature_index, encoded, gold = _index_while_encoding(train_data, ids, config.min_count)
     if len(encoded.offsets) == 1:
         raise ValueError("training data is empty")
     F, L = len(feature_index), len(labels)
-    objective = _Objective(encoded, gold, F, L, config.l2)
+    objective = _Objective(_pack(encoded), _gold_ids(encoded, gold, ids), F, L, config.l2)
 
     def _view(x: np.ndarray) -> CrfModel:
         return CrfModel(

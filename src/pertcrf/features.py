@@ -1,6 +1,7 @@
-"""String-keyed indicator features for the two window templates.
+"""Indicator features for the two window templates, encoded from
+(slot, value) codes.
 
-Key grammar (bit-stable across versions):
+Key grammar (bit-stable across versions; it is the model format):
   w[-5]=... w[5]=...    word identity in a +-5 window, with sentinel forms
                         __BOS__ / __EOS__ outside the sentence
   pre1=..pre3= suf1=..suf3=
@@ -9,23 +10,78 @@ Key grammar (bit-stable across versions):
   BOS / EOS             boundary booleans, emitted only when true
   ez[-5]=0|1 ez[5]=...  predicted-ezafe window, sentinel value _
 
-Ezafe annotations go only with ezafe-input templates: one 0/1 flag per
-token, and one annotation per sentence of a corpus. sentence_features and
-corpus_features reject anything else with ValueError.
+A position's keys come in slot order: the word window, pre1-3, suf1-3,
+BOS, EOS, then the flag window. Training numbers the keys in order of
+first occurrence over (sentence, position, slot), and model files list
+them in that order, so that order is part of the model format too.
+
+Codes. No key string is built per token. Every key is a (slot, value)
+pair, and a batch of sentences becomes one int32 column of value codes per
+slot (-1 where the slot is absent):
+  - w[k]: the form at offset k. Forms are interned once per batch, with
+    the sentinels first, so a real token spelled __BOS__ shares its w[k]
+    key with the sentinel (and still has affixes).
+  - pre1-3, suf1-3: the focus form's affixes, computed once per form type.
+  - BOS, EOS: one value, at the first or last position of a sentence.
+  - ez[k]: 0, 1 or the pad _.
+Per slot kind, a table from value codes to feature ids (one column per
+slot) then turns the columns into the flat arrays that crf consumes
+(Encoded), with the entries in (sentence, position, slot) order, so
+emission sums add in the same order as ever.
+  - index_and_encode (training) makes the tables from the codes: the count
+    and first position of every code per column, the candidates ordered
+    by (position, slot), then the min_count cut.
+  - encode (decoding) looks the batch's forms and affixes up in the tables
+    of a FeatureIndex, which builds them once, when it is made.
+Key strings exist only for the F indexed keys, and only when
+FeatureIndex.keys() builds them (save_model). A key outside the grammar
+is kept as given but never matches.
+
+Ezafe annotations go only with ezafe-input templates: one annotation per
+sentence, holding one 0/1 flag per token. Both encoders reject anything
+else with ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus
+import numpy as np
 
 TEMPLATE_IDS = ("CRF1", "CRF2")
 WINDOW = 5
 BOS_FORM = "__BOS__"
 EOS_FORM = "__EOS__"
 EZ_PAD = "_"
+
+W_SLOTS = tuple(f"w[{k}]" for k in range(-WINDOW, WINDOW + 1))
+AFFIX_LENGTHS = (1, 2, 3)
+AFFIX_SLOTS = tuple(f"pre{n}" for n in AFFIX_LENGTHS) + tuple(f"suf{n}" for n in AFFIX_LENGTHS)
+EDGE_SLOTS = ("BOS", "EOS")
+EZ_SLOTS = tuple(f"ez[{k}]" for k in range(-WINDOW, WINDOW + 1))
+EZ_VALUES = ("0", "1", EZ_PAD)  # the codes of the flag slots: 0, 1 and 2
+_SLOTS = W_SLOTS + AFFIX_SLOTS + EDGE_SLOTS + EZ_SLOTS
+# The kind of every slot and its column within that kind's id table.
+_SLOT_COLUMNS = {
+    **{slot: ("word", i) for i, slot in enumerate(W_SLOTS)},
+    **{slot: ("affix", i) for i, slot in enumerate(AFFIX_SLOTS)},
+    **{slot: ("edge", i) for i, slot in enumerate(EDGE_SLOTS)},
+    **{slot: ("ez", i) for i, slot in enumerate(EZ_SLOTS)},
+}
+_SLOT_NUMBERS = {slot: i for i, slot in enumerate(_SLOTS)}
+# A key is its slot's prefix followed by its value (the edge slots have the
+# empty value).
+_PREFIXES = [slot if slot in EDGE_SLOTS else slot + "=" for slot in _SLOTS]
+_WIDTHS = {
+    "word": len(W_SLOTS),
+    "affix": len(AFFIX_SLOTS),
+    "edge": len(EDGE_SLOTS),
+    "ez": len(EZ_SLOTS),
+}
+# The values of the kinds that have a fixed set; the edge slots have one.
+_FIXED_VALUES = {"edge": ("",), "ez": EZ_VALUES}
 
 
 @dataclass(frozen=True)
@@ -42,6 +98,16 @@ class FeatureTemplate:
         """Template identifier used in model files, e.g. 'CRF2+EZ'."""
         return self.id + "+EZ" if self.ezafe_input else self.id
 
+    @property
+    def slots(self) -> tuple[str, ...]:
+        """The key slots of one position, in emission order."""
+        slots = W_SLOTS
+        if self.id == "CRF2":
+            slots += AFFIX_SLOTS + EDGE_SLOTS
+        if self.ezafe_input:
+            slots += EZ_SLOTS
+        return slots
+
     @staticmethod
     def from_token(token: str) -> "FeatureTemplate":
         base, plus, suffix = token.partition("+")
@@ -50,110 +116,256 @@ class FeatureTemplate:
         return FeatureTemplate(id=base, ezafe_input=bool(plus))
 
 
-# A feature vector is a list of distinct key strings in deterministic
-# emission order; an ezafe annotation is one 0/1 flag per token.
-FeatureVector = list[str]
+# An ezafe annotation is one 0/1 flag per token of a sentence.
 EzafeAnnotation = Sequence[int]
 
-SPAN = 2 * WINDOW + 1
-# Key prefixes of the word and flag windows, offsets -WINDOW..WINDOW.
-W_KEYS = [f"w[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
-EZ_KEYS = [f"ez[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
 
+@dataclass(frozen=True)
+class Encoded:
+    """Sentences as flat int32 arrays, the input of crf."""
 
-def sentence_features(
-    forms: Sequence[str],
-    template: FeatureTemplate,
-    ezafe: EzafeAnnotation | None = None,
-) -> list[FeatureVector]:
-    """Feature vectors of every token of a sentence (given as its surface
-    forms), in token order. Ezafe-input templates need ezafe, one 0/1 flag
-    per token; the other templates refuse it."""
-    n = len(forms)
-    if not template.ezafe_input:
-        if ezafe is not None:
-            raise ValueError("template does not take an ezafe annotation")
-    elif ezafe is None:
-        raise ValueError("template requires an ezafe annotation")
-    elif len(ezafe) != n:
-        raise ValueError(f"ezafe annotation length {len(ezafe)} != sentence length {n}")
-    else:
-        for v in ezafe:
-            if v not in (0, 1):
-                raise ValueError(f"ezafe flags must be 0 or 1, got {v!r}")
-        ez = [EZ_PAD] * WINDOW + ["1" if v else "0" for v in ezafe] + [EZ_PAD] * WINDOW
-    words = [BOS_FORM] * WINDOW + list(forms) + [EOS_FORM] * WINDOW
-    out: list[FeatureVector] = []
-    for i, focus in enumerate(forms):
-        keys = [p + w for p, w in zip(W_KEYS, words[i : i + SPAN])]
-        if template.id == "CRF2":
-            for ln in (1, 2, 3):
-                if len(focus) >= ln:
-                    keys.append(f"pre{ln}={focus[:ln]}")
-            for ln in (1, 2, 3):
-                if len(focus) >= ln:
-                    keys.append(f"suf{ln}={focus[-ln:]}")
-            if i == 0:
-                keys.append("BOS")
-            if i == n - 1:
-                keys.append("EOS")
-        if template.ezafe_input:
-            keys += [p + v for p, v in zip(EZ_KEYS, ez[i : i + SPAN])]
-        out.append(keys)
-    return out
-
-
-def corpus_features(
-    corpus: Corpus,
-    template: FeatureTemplate,
-    ezafe: Sequence[EzafeAnnotation] | None = None,
-) -> Iterator[list[FeatureVector]]:
-    """Feature vectors of every sentence, generated lazily so that a
-    consumer can take each one and drop its feature strings."""
-    if ezafe is not None and len(ezafe) != corpus.n_sentences:
-        raise ValueError(f"{len(ezafe)} ezafe annotations for {corpus.n_sentences} sentences")
-    flags = ezafe if ezafe is not None else [None] * corpus.n_sentences
-    return (
-        sentence_features([t.form for t in sent], template, fl)
-        for sent, fl in zip(corpus.sentences, flags)
-    )
+    feat: np.ndarray  # feature id of every indexed entry, in (sentence, position, slot) order
+    counts: np.ndarray  # number of entries of feat at each position, in corpus order
+    offsets: np.ndarray  # (S+1,) sentence starts in corpus order, then the position count
 
 
 class FeatureIndex:
-    """Immutable bijection between retained feature strings and 0..F-1,
-    assigned in first-occurrence order. Unknown strings map to nothing."""
+    """Immutable bijection between retained feature strings and 0..F-1, in
+    the order given (training gives first-occurrence order), held as
+    tables rather than strings. Per slot kind, a dict maps each value to a
+    row of a table of ids, one column per slot of the kind and -1 where
+    that key is not indexed; the table's last row is all -1, for values
+    the dict lacks. Each id records its slot and row, so keys() builds the
+    strings when asked (save_model); keys outside the grammar are kept as
+    given and never match. Made from keys (load_model), it splits each key
+    at its first "=" into a slot and a value; index_and_encode makes the
+    tables from its codes instead."""
 
     def __init__(self, keys: Iterable[str]):
-        index: dict[str, int] = {}
-        for key in keys:
-            if key in index:
-                raise ValueError(f"duplicate feature string {key!r}")
-            index[key] = len(index)
-        self._index = index
+        keys = list(keys)
+        if len(set(keys)) != len(keys):
+            seen: set[str] = set()
+            for key in keys:
+                if key in seen:
+                    raise ValueError(f"duplicate feature string {key!r}")
+                seen.add(key)
+        values = _fixed_values()
+        rows = {kind: [[-1] * _WIDTHS[kind] for _ in values[kind]] for kind in _WIDTHS}
+        slot_of, row_of, other = [], [], {}
+        for i, key in enumerate(keys):
+            slot, eq, value = key.partition("=")
+            kind, column = _SLOT_COLUMNS.get(slot, (None, 0))
+            row = None
+            if kind is not None and (kind == "edge") != bool(eq):
+                row = values[kind].get(value)
+                if row is None and kind not in _FIXED_VALUES:
+                    row = values[kind][value] = len(rows[kind])
+                    rows[kind].append([-1] * _WIDTHS[kind])
+            if row is None:  # outside the grammar
+                other[i] = key
+                slot_of.append(-1)
+                row_of.append(-1)
+                continue
+            rows[kind][row][column] = i
+            slot_of.append(_SLOT_NUMBERS[slot])
+            row_of.append(row)
+        self._values = values
+        self._ids = {
+            kind: np.array(r + [[-1] * _WIDTHS[kind]], dtype=np.int32) for kind, r in rows.items()
+        }
+        self._slot = np.array(slot_of, dtype=np.int8)
+        self._row = np.array(row_of, dtype=np.int32)
+        self._other = other
 
     @classmethod
-    def adopt(cls, index: dict[str, int]) -> "FeatureIndex":
-        """Wrap a dict that already maps its keys, in insertion order, to
-        0..F-1, without copying it; the caller must not change it
-        afterwards."""
-        self = cls.__new__(cls)
-        self._index = index
-        return self
+    def _of_tables(
+        cls,
+        values: dict[str, dict[str, int]],
+        ids: dict[str, np.ndarray],
+        slot: np.ndarray,
+        row: np.ndarray,
+    ) -> "FeatureIndex":
+        index = cls.__new__(cls)
+        index._values, index._ids, index._slot, index._row = values, ids, slot, row
+        index._other = {}
+        return index
 
     def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def __getitem__(self, key: str) -> int:
-        return self._index[key]
+        return len(self._slot)
 
     def keys(self) -> Iterator[str]:
-        return iter(self._index)
+        """The feature strings, in id order."""
+        vocab = {kind: list(values) for kind, values in self._values.items()}
+        for i, (slot, row) in enumerate(zip(self._slot.tolist(), self._row.tolist())):
+            if slot < 0:
+                yield self._other[i]
+            else:
+                kind = _SLOT_COLUMNS[_SLOTS[slot]][0]
+                yield _PREFIXES[slot] + vocab[kind][row]
 
-    def encode(self, features: Sequence[FeatureVector]) -> list[int]:
-        """Index of every key of one sentence's feature vectors, position by
-        position in emission order; -1 for a key not in the index."""
-        get = self._index.get
-        return [get(k, -1) for keys in features for k in keys]
+
+def _fixed_values() -> dict[str, dict[str, int]]:
+    """A new value dict per slot kind: empty for words and affixes."""
+    return {kind: {v: i for i, v in enumerate(_FIXED_VALUES.get(kind, ()))} for kind in _WIDTHS}
+
+
+@dataclass(frozen=True)
+class _Codes:
+    """A batch of sentences as value codes."""
+
+    codes: np.ndarray  # (positions, slots) int32, row-major; -1 where a slot is absent
+    offsets: np.ndarray  # int32 (S+1,)
+    words: dict[str, int]  # the code of each form; the sentinels are 0 and 1
+    affixes: dict[str, int]  # the code of each affix
+
+
+def _flags(
+    template: FeatureTemplate,
+    ezafe: Sequence[EzafeAnnotation] | None,
+    lengths: list[int],
+) -> np.ndarray | None:
+    """The flags of every position as one int32 array, for ezafe-input
+    templates; None for the others."""
+    if not template.ezafe_input:
+        if ezafe is not None:
+            raise ValueError("template does not take an ezafe annotation")
+        return None
+    if ezafe is None:
+        raise ValueError("template requires an ezafe annotation")
+    if len(ezafe) != len(lengths):
+        raise ValueError(f"{len(ezafe)} ezafe annotations for {len(lengths)} sentences")
+    for flags, n in zip(ezafe, lengths):
+        if len(flags) != n:
+            raise ValueError(f"ezafe annotation length {len(flags)} != sentence length {n}")
+    flat = list(chain.from_iterable(ezafe))
+    if not set(flat) <= {0, 1}:
+        bad = next(v for v in flat if v not in (0, 1))
+        raise ValueError(f"ezafe flags must be 0 or 1, got {bad!r}")
+    return np.array(flat, dtype=np.int32)
+
+
+def _codes(
+    template: FeatureTemplate,
+    sentences: Sequence[Sequence[str]],
+    ezafe: Sequence[EzafeAnnotation] | None,
+    affixes: dict[str, int] | None = None,
+) -> _Codes:
+    """Value codes of a batch. Forms are interned anew; affixes are coded by
+    the given dict (-1 for an affix it lacks) or, without one, interned
+    anew too."""
+    lengths = list(map(len, sentences))
+    if 0 in lengths:
+        raise ValueError(f"sentence {lengths.index(0)}: no positions")
+    flags = _flags(template, ezafe, lengths)
+    n, S = sum(lengths), len(lengths)
+    forms = dict.fromkeys(chain((BOS_FORM, EOS_FORM), chain.from_iterable(sentences)))
+    words = {f: i for i, f in enumerate(forms)}
+    form = np.fromiter(map(words.__getitem__, chain.from_iterable(sentences)), np.int32, n)
+    offsets = np.zeros(S + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+
+    # Each sentence padded with WINDOW codes on either side: offset k of
+    # position p reads padded[base[p] + k].
+    gaps = np.arange(S, dtype=np.int32) * (2 * WINDOW)
+    base = np.repeat(gaps + WINDOW, lengths) + np.arange(n, dtype=np.int32)
+    before = (offsets[:-1] + gaps)[:, None] + np.arange(WINDOW)
+
+    def windows(values: np.ndarray, first: int, last: int) -> Iterator[np.ndarray]:
+        padded = np.full(n + 2 * WINDOW * S, last, dtype=np.int32)
+        padded[before] = first
+        padded[base] = values
+        return (padded[base + k] for k in range(-WINDOW, WINDOW + 1))
+
+    codes = np.empty((n, len(template.slots)), dtype=np.int32)
+    for col, column in enumerate(windows(form, 0, 1)):
+        codes[:, col] = column
+    col = len(W_SLOTS)
+    if template.id == "CRF2":
+        # Each affix slot's value for every form: the whole form where it is
+        # shorter than the affix, an entry dropped below.
+        columns = [[f[:m] for f in words] for m in AFFIX_LENGTHS]
+        columns += [[f[-m:] for f in words] for m in AFFIX_LENGTHS]
+        if affixes is None:
+            affixes = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns)))}
+        by_form = np.array([list(map(affixes.get, c, repeat(-1))) for c in columns], np.int32).T
+        by_form[np.fromiter(map(len, words), dtype=np.intp)[:, None] < AFFIX_LENGTHS * 2] = -1
+        codes[:, col : col + len(AFFIX_SLOTS)] = by_form[form]
+        col += len(AFFIX_SLOTS)
+        codes[:, col : col + len(EDGE_SLOTS)] = -1
+        codes[offsets[:-1], col] = 0
+        codes[offsets[1:] - 1, col + 1] = 0
+        col += len(EDGE_SLOTS)
+    if flags is not None:
+        for k, column in enumerate(windows(flags, 2, 2)):
+            codes[:, col + k] = column
+    return _Codes(codes=codes, offsets=offsets, words=words, affixes=affixes or {})
+
+
+def _encoded(batch: _Codes, template: FeatureTemplate, ids: dict[str, np.ndarray]) -> Encoded:
+    """Map each slot's codes to feature ids through its column of the id
+    table of its kind, whose rows are the codes, in place (a code of -1
+    reads the last row, which is -1), and keep the indexed entries in
+    (position, slot) order."""
+    codes = batch.codes
+    for col, (kind, column) in enumerate(map(_SLOT_COLUMNS.get, template.slots)):
+        codes[:, col] = ids[kind][codes[:, col], column]
+    known = codes >= 0
+    counts = known.sum(axis=1, dtype=np.int32)
+    return Encoded(feat=codes[known], counts=counts, offsets=batch.offsets)
+
+
+def encode(
+    index: FeatureIndex,
+    template: FeatureTemplate,
+    sentences: Sequence[Sequence[str]],
+    ezafe: Sequence[EzafeAnnotation] | None = None,
+) -> Encoded:
+    """Encode sentences (lists of forms) with the keys of index; keys that
+    the index lacks are dropped. Ezafe-input templates need ezafe, one
+    annotation per sentence; the other templates refuse it."""
+    batch = _codes(template, sentences, ezafe, index._values["affix"])
+    rows = list(map(index._values["word"].get, batch.words, repeat(-1)))
+    return _encoded(batch, template, {**index._ids, "word": index._ids["word"][rows]})
+
+
+def index_and_encode(
+    template: FeatureTemplate,
+    sentences: Sequence[Sequence[str]],
+    ezafe: Sequence[EzafeAnnotation] | None = None,
+    min_count: int = 1,
+) -> tuple[FeatureIndex, Encoded]:
+    """Index the keys of training sentences and encode the sentences in one
+    pass. The index holds every key seen at least min_count times, in order
+    of first occurrence over (sentence, position, slot)."""
+    if min_count < 1:
+        raise ValueError("min_count must be positive")
+    batch = _codes(template, sentences, ezafe)
+    values = {**_fixed_values(), "word": batch.words, "affix": batch.affixes}
+    slots = [_SLOT_COLUMNS[slot] for slot in template.slots]
+    # Per slot, the count and the first position of every code (the row
+    # of -1, absent slots, comes first and is dropped).
+    n = len(batch.codes)
+    positions = np.arange(n)
+    firsts, kept_codes = [], []
+    for col, (kind, _) in enumerate(slots):
+        shifted = batch.codes[:, col] + 1
+        count = np.bincount(shifted, minlength=len(values[kind]) + 1)[1:]
+        first = np.full(len(values[kind]) + 1, n)
+        np.minimum.at(first, shifted, positions)
+        code = np.flatnonzero(count >= min_count)
+        kept_codes.append(code)
+        firsts.append(first[code + 1] * len(slots) + col)
+    order = np.argsort(np.concatenate(firsts))
+    key_ids = np.empty(len(order), dtype=np.int32)
+    key_ids[order] = np.arange(len(order), dtype=np.int32)
+
+    ids = {kind: np.full((len(values[kind]) + 1, width), -1, np.int32) for kind, width in _WIDTHS.items()}
+    start = 0
+    for (kind, column), code in zip(slots, kept_codes):
+        ids[kind][code, column] = key_ids[start : start + len(code)]
+        start += len(code)
+    numbers = np.array([_SLOT_NUMBERS[slot] for slot in template.slots], dtype=np.int8)
+    slot_of = np.repeat(numbers, [len(code) for code in kept_codes])[order]
+    row_of = np.concatenate(kept_codes).astype(np.int32)[order]
+    index = FeatureIndex._of_tables(values, ids, slot_of, row_of)
+    return index, _encoded(batch, template, ids)

@@ -10,12 +10,12 @@ best validation F1 are the ones evaluated on test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from . import crf
+from . import crf, features
 from .corpus import Corpus, Token, read_corpus_file
 from .crf import CrfModel, TrainConfig
-from .features import FeatureTemplate, FeatureVector, corpus_features, sentence_features
+from .features import FeatureTemplate
 from .metrics import (
     EvalReport,
     binary_metrics,
@@ -90,12 +90,24 @@ def gold_flags(corpus: Corpus) -> list[tuple[int, ...]]:
     return [tuple(t.ezafe for t in s) for s in corpus.sentences]
 
 
+def corpus_forms(corpus: Corpus) -> list[list[str]]:
+    return [[t.form for t in s] for s in corpus.sentences]
+
+
+def _decode(
+    model: CrfModel, sentences: Sequence[Sequence[str]], ezafe: Flags | None = None
+) -> list[list[str]]:
+    """Decode raw sentences (lists of forms), with their ezafe input flags
+    for ezafe-input templates."""
+    encoded = features.encode(model.feature_index, model.template, sentences, ezafe)
+    return crf.decode(model, encoded)
+
+
 def predict_flags(model: CrfModel, sentences: Sequence[Sequence[str]]) -> list[tuple[int, ...]]:
     """Decode per-token ezafe flags for raw sentences (lists of forms)."""
     if set(model.labels) != {"0", "1"}:
         raise ValueError("not an ezafe model: labels are not {0, 1}")
-    feats = (sentence_features(forms, model.template) for forms in sentences)
-    return [tuple(int(lab) for lab in labels) for labels in crf.decode(model, feats)]
+    return [tuple(map(int, labels)) for labels in _decode(model, sentences)]
 
 
 def _label_fn(task: str) -> Callable[[Token], str]:
@@ -112,20 +124,8 @@ def _label_fn(task: str) -> Callable[[Token], str]:
     return lambda t: t.pos
 
 
-def corpus_instances(
-    corpus: Corpus,
-    template: FeatureTemplate,
-    label_of: Callable[[Token], str],
-    ezafe: Flags | None = None,
-) -> Iterator[tuple[list[FeatureVector], list[str]]]:
-    """(features, labels) per sentence, generated lazily so that training
-    can encode each one and drop its feature strings."""
-    feats = corpus_features(corpus, template, ezafe)
-    return ((f, [label_of(t) for t in sent]) for sent, f in zip(corpus.sentences, feats))
-
-
 def decode_corpus(model: CrfModel, corpus: Corpus, ezafe: Flags | None = None) -> list[list[str]]:
-    return crf.decode(model, corpus_features(corpus, model.template, ezafe))
+    return _decode(model, corpus_forms(corpus), ezafe)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,7 @@ def make_flags(
         if not cfg.ezafe_model_path:
             raise ValueError("mode=predicted needs an ezafe model")
         ezafe_model = crf.load_model_file(cfg.ezafe_model_path)
-    return [
-        predict_flags(ezafe_model, [[t.form for t in s] for s in c.sentences]) for c in corpora
-    ]
+    return [predict_flags(ezafe_model, corpus_forms(c)) for c in corpora]
 
 
 def fit(
@@ -284,8 +282,13 @@ def fit(
         f1 = checkpoint(it, model) if it % cfg.eval_every == 0 else None
         log.append(TrainLogEntry(iteration=it, objective=objective, valid_f1=f1))
 
+    index, encoded = features.index_and_encode(
+        cfg.template, corpus_forms(train_c), train_flags, cfg.train_config.min_count
+    )
     model = crf.train(
-        corpus_instances(train_c, cfg.template, label_of, ezafe=train_flags),
+        index,
+        encoded,
+        [[label_of(t) for t in s] for s in train_c.sentences],
         labels,
         cfg.template,
         cfg.train_config,
@@ -421,12 +424,9 @@ def pipeline_tag(
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
     flags = predict_flags(ezafe_model, sentences)
-    feats = (
-        sentence_features(forms, pos_model.template, fl) for forms, fl in zip(sentences, flags)
-    )
     tagged = [
         tuple(Token(form=f, pos=p, ezafe=e) for f, p, e in zip(forms, pos_labels, fl))
-        for forms, pos_labels, fl in zip(sentences, crf.decode(pos_model, feats), flags)
+        for forms, pos_labels, fl in zip(sentences, _decode(pos_model, sentences, flags), flags)
     ]
     return Corpus.from_sentences(tagged)
 

@@ -20,12 +20,34 @@ tokens = st.builds(
     pos=st.sampled_from(_TAGS),
     ezafe=st.integers(min_value=0, max_value=1),
 )
-sentences = st.lists(tokens, min_size=1, max_size=8).map(tuple)
+# Persian-realistic text: ZWNJ (U+200C), Arabic-Indic and Persian digits,
+# and the = and | that the feature keys and joint labels use as separators.
+# A small alphabet repeats forms, affixes and tags often. Forms of one to
+# three scalars have partial affixes; forms spelled like the window
+# sentinels share their w[k] keys with them.
+_PERSIAN_ALPHABET = "کتابی\u200c۱۲٣=|"
+persian_forms = st.one_of(
+    st.text(alphabet=_PERSIAN_ALPHABET, min_size=1, max_size=3),
+    st.text(alphabet=_PERSIAN_ALPHABET, min_size=4, max_size=7),
+    st.sampled_from(["__BOS__", "__EOS__"]),
+)
+persian_tokens = st.builds(
+    Token,
+    form=persian_forms,
+    pos=st.text(alphabet="NV\u200c۱=|", min_size=1, max_size=3),
+    ezafe=st.integers(min_value=0, max_value=1),
+)
 
 
 @st.composite
-def corpora(draw, min_sentences=1, max_sentences=10):
-    sents = draw(st.lists(sentences, min_size=min_sentences, max_size=max_sentences))
+def corpora(draw, min_sentences=1, max_sentences=10, tokens=tokens):
+    sents = draw(
+        st.lists(
+            st.lists(tokens, min_size=1, max_size=8).map(tuple),
+            min_size=min_sentences,
+            max_size=max_sentences,
+        )
+    )
     return Corpus.from_sentences(sents)
 
 

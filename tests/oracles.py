@@ -1,8 +1,10 @@
 """Independent reference implementations used only by tests.
 
 Everything here enumerates label sequences exhaustively, perturbs inputs
-numerically or counts feature strings with a Counter; none of it shares code
-with the package's inference, training or indexing paths.
+numerically, or builds and counts feature strings one key at a time; none
+of it shares code with the package's inference, training or encoding
+paths. The string extractor is the reference for the key grammar and its
+order (see the pertcrf.features docstring).
 """
 
 import itertools
@@ -10,17 +12,95 @@ from collections import Counter
 
 import numpy as np
 
-from pertcrf.features import FeatureIndex, corpus_features
+from pertcrf.features import Encoded, FeatureIndex
+
+WINDOW = 5
+W_KEYS = [f"w[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
+EZ_KEYS = [f"ez[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
+
+
+def sentence_features(forms, template, ezafe=None):
+    """The key strings of every token of a sentence, in token order, each
+    position's keys in emission order."""
+    n = len(forms)
+    if not template.ezafe_input:
+        if ezafe is not None:
+            raise ValueError("template does not take an ezafe annotation")
+    elif ezafe is None:
+        raise ValueError("template requires an ezafe annotation")
+    elif len(ezafe) != n:
+        raise ValueError(f"ezafe annotation length {len(ezafe)} != sentence length {n}")
+    else:
+        for v in ezafe:
+            if v not in (0, 1):
+                raise ValueError(f"ezafe flags must be 0 or 1, got {v!r}")
+        ez = ["_"] * WINDOW + ["1" if v else "0" for v in ezafe] + ["_"] * WINDOW
+    words = ["__BOS__"] * WINDOW + list(forms) + ["__EOS__"] * WINDOW
+    out = []
+    for i, focus in enumerate(forms):
+        keys = [p + w for p, w in zip(W_KEYS, words[i : i + 2 * WINDOW + 1])]
+        if template.id == "CRF2":
+            for ln in (1, 2, 3):
+                if len(focus) >= ln:
+                    keys.append(f"pre{ln}={focus[:ln]}")
+            for ln in (1, 2, 3):
+                if len(focus) >= ln:
+                    keys.append(f"suf{ln}={focus[-ln:]}")
+            if i == 0:
+                keys.append("BOS")
+            if i == n - 1:
+                keys.append("EOS")
+        if template.ezafe_input:
+            keys += [p + v for p, v in zip(EZ_KEYS, ez[i : i + 2 * WINDOW + 1])]
+        out.append(keys)
+    return out
+
+
+def corpus_features(corpus, template, ezafe=None):
+    """sentence_features of every sentence of a corpus."""
+    if ezafe is not None and len(ezafe) != corpus.n_sentences:
+        raise ValueError(f"{len(ezafe)} ezafe annotations for {corpus.n_sentences} sentences")
+    flags = ezafe if ezafe is not None else [None] * corpus.n_sentences
+    return [
+        sentence_features([t.form for t in s], template, f) for s, f in zip(corpus.sentences, flags)
+    ]
+
+
+def reference_keys(sentences, min_count=1):
+    """Every key of sentences (each a list of key lists, one per position)
+    occurring at least min_count times, in first-occurrence order, from a
+    Counter."""
+    counts = Counter()
+    for features in sentences:
+        for keys in features:
+            counts.update(keys)
+    return [k for k, c in counts.items() if c >= min_count]
 
 
 def reference_index(corpus, template, min_count=1, ezafe=None) -> FeatureIndex:
-    """Every feature string of the corpus occurring at least min_count
-    times, in first-occurrence order, from a separate counting pass."""
-    counts = Counter()
-    for features in corpus_features(corpus, template, ezafe):
+    """The feature index of a corpus's key strings at min_count."""
+    return FeatureIndex(reference_keys(corpus_features(corpus, template, ezafe), min_count))
+
+
+def encode_keys(index, sentences) -> Encoded:
+    """Encode sentences given as key lists, one dict lookup per key: the
+    index of every key of every position, keys the index lacks dropped.
+    Reaches any key, grammar or not, so tests can use keys such as f0."""
+    ids = {k: i for i, k in enumerate(index.keys())}
+    feat, counts, offsets = [], [], [0]
+    for i, features in enumerate(sentences):
+        if not features:
+            raise ValueError(f"sentence {i}: no positions")
         for keys in features:
-            counts.update(keys)
-    return FeatureIndex(k for k, c in counts.items() if c >= min_count)
+            known = [ids[k] for k in keys if k in ids]
+            feat += known
+            counts.append(len(known))
+        offsets.append(len(counts))
+    return Encoded(
+        feat=np.array(feat, dtype=np.int32),
+        counts=np.array(counts, dtype=np.int32),
+        offsets=np.array(offsets, dtype=np.int32),
+    )
 
 
 def all_sequences(T: int, L: int) -> np.ndarray:

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_log_z, brute_posteriors, brute_viterbi, central_differences
+from oracles import brute_log_z, brute_posteriors, brute_viterbi, central_differences, encode_keys
+from pertcrf import features
 from pertcrf.cli import main as cli_main
 from pertcrf.corpus import (
     SplitSpec,
@@ -35,7 +36,7 @@ from pertcrf.crf import (
 from pertcrf.datagen import GeometricLength, bayes_decode, generate, homograph_spec, random_spec, tuned_ezafe_spec
 from pertcrf.features import FeatureIndex, FeatureTemplate
 from pertcrf.metrics import binary_metrics, confusion, macro_metrics
-from pertcrf.tasks import ExperimentConfig, corpus_instances, decode_corpus, run_pos
+from pertcrf.tasks import ExperimentConfig, corpus_forms, decode_corpus, run_pos
 
 CRF2 = FeatureTemplate(id="CRF2")
 
@@ -57,8 +58,9 @@ def learnability_data():
     spec = random_spec(4, 200, seed=101, emission_skew=5.0)
     train_c = generate(spec, 5000, seed=102)
     test_c = generate(spec, 1000, seed=103)
-    instances = list(corpus_instances(train_c, CRF2, lambda t: t.pos))
-    return spec, train_c, test_c, instances
+    index, encoded = features.index_and_encode(CRF2, corpus_forms(train_c))
+    gold = [[t.pos for t in s] for s in train_c.sentences]
+    return spec, train_c, test_c, (index, encoded, gold)
 
 
 def test_criterion_1_exact_inference_oracle():
@@ -102,7 +104,8 @@ def test_criterion_1_exact_inference_oracle():
             transition=trans.copy(),
             template=CRF2,
         )
-        nll, (_, g_t) = nll_and_gradient(model, [([[f"p{t}"] for t in range(T)], [labels[0]] * T)])
+        encoded = encode_keys(model.feature_index, [[[f"p{t}"] for t in range(T)]])
+        nll, (_, g_t) = nll_and_gradient(model, encoded, [[labels[0]] * T])
         assert _rel_close(nll + em[:, 0].sum() + (T - 1) * trans[0, 0], expected_z, 1e-8)
         g_t[0, 0] += T - 1
         assert np.max(np.abs(g_t - pairwise.sum(axis=0))) <= 1e-8
@@ -147,9 +150,13 @@ def test_criterion_2_gradient_check():
                 template=FeatureTemplate(id="CRF1"),
             )
 
-        _, (ge, gt) = nll_and_gradient(build(x), batch)
+        encoded = encode_keys(build(x).feature_index, [feats for feats, _ in batch])
+        gold = [g for _, g in batch]
+        _, (ge, gt) = nll_and_gradient(build(x), encoded, gold)
         analytic = np.concatenate([ge.ravel(), gt.ravel()])
-        numeric = central_differences(lambda v: nll_and_gradient(build(v), batch)[0], x, step=1e-5)
+        numeric = central_differences(
+            lambda v: nll_and_gradient(build(v), encoded, gold)[0], x, step=1e-5
+        )
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     elapsed = time.monotonic() - started
@@ -163,8 +170,8 @@ def test_criterion_2_gradient_check():
 
 def test_criterion_3_learnability_vs_oracle(learnability_data):
     started = time.monotonic()
-    spec, train_c, test_c, instances = learnability_data
-    model = train(instances, train_c.tag_inventory, CRF2, TrainConfig())
+    spec, train_c, test_c, (index, encoded, gold) = learnability_data
+    model = train(index, encoded, gold, train_c.tag_inventory, CRF2, TrainConfig())
     pred = decode_corpus(model, test_c)
     gold = [[t.pos for t in s] for s in test_c.sentences]
     total = sum(len(g) for g in gold)
@@ -220,11 +227,11 @@ def test_criterion_4_ezafe_helps_pos():
 
 
 def test_criterion_5_l1_sparsity(learnability_data):
-    _, train_c, _, instances = learnability_data
+    _, train_c, _, (index, encoded, gold) = learnability_data
     config_l1 = TrainConfig(l1=0.1, l2=0.1, max_iterations=25)
     config_l0 = TrainConfig(l1=0.0, l2=0.1, max_iterations=25)
-    with_l1 = train(instances, train_c.tag_inventory, CRF2, config_l1)
-    without = train(instances, train_c.tag_inventory, CRF2, config_l0)
+    with_l1 = train(index, encoded, gold, train_c.tag_inventory, CRF2, config_l1)
+    without = train(index, encoded, gold, train_c.tag_inventory, CRF2, config_l0)
     zeros_l1 = int(np.sum(with_l1.emission == 0.0))
     zeros_l0 = int(np.sum(without.emission == 0.0))
     _criterion(

@@ -344,6 +344,26 @@ class TestLineEndings:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_raw_text(self, tmp_path, corpus_file, capsys, case):
+        # tag's input follows the same rule: a BOM would otherwise be
+        # tagged as part of the first form.
+        _, mangle, message = case
+        ez_args, ez_model = train_args(tmp_path, corpus_file, task="ezafe")
+        assert main(ez_args) == 0
+        pos_args, pos_model = train_args(
+            tmp_path, corpus_file, task="pos-ez-input", extra=["--ezafe-model", str(ez_model)]
+        )
+        assert main(pos_args) == 0
+        raw = tmp_path / "raw.txt"
+        self.write(raw, mangle("ea na v1\nad eb\nv1\nea\n"))
+        out = tmp_path / "tagged.tsv"
+        capsys.readouterr()
+        args = ["tag", str(raw), "--ezafe-model", str(ez_model), "--pos-model", str(pos_model)]
+        assert main(args + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
     def test_spec(self, tmp_path, capsys, case):
         _, mangle, message = case
         path = tmp_path / "p.spec"

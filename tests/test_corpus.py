@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import corpora
+from conftest import corpora, persian_tokens
 from pertcrf.corpus import (
     Corpus,
     CorpusFormatError,
@@ -98,6 +98,40 @@ class TestWrite:
     def test_reserialization_byte_identical(self, c):
         text = write_corpus(c)
         assert write_corpus(parse_corpus(text)) == text
+
+    @given(corpora(min_sentences=0, tokens=persian_tokens))
+    def test_round_trip_persian(self, c):
+        text = write_corpus(c)
+        assert parse_corpus(text) == c
+        assert write_corpus(parse_corpus(text)) == text
+
+
+class TestToken:
+    """A form or tag is rejected exactly when it is empty or holds a
+    character for which str.isspace() is true."""
+
+    WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+    def test_every_whitespace_code_point_rejected(self):
+        assert "\u00a0" in self.WHITESPACE  # no-break space
+        for c in self.WHITESPACE:
+            for text in (c, "a" + c, c + "b", "a" + c + "b"):
+                with pytest.raises(ValueError, match="form must be"):
+                    Token(form=text, pos="N", ezafe=0)
+                with pytest.raises(ValueError, match="pos tag must be"):
+                    Token(form="a", pos=text, ezafe=0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="form must be"):
+            Token(form="", pos="N", ezafe=0)
+        with pytest.raises(ValueError, match="pos tag must be"):
+            Token(form="a", pos="", ezafe=0)
+
+    @pytest.mark.parametrize("c", ["\u200c", "\ufeff", "\u200b", "\u2060"])
+    def test_joiners_and_zero_width_marks_accepted(self, c):
+        # ZWNJ, BOM, zero-width space and word joiner are not whitespace.
+        assert Token(form="a" + c + "b", pos=c + "N", ezafe=1).form == "a" + c + "b"
+        assert Token(form=c, pos=c, ezafe=0).pos == c
 
 
 class TestSplit:

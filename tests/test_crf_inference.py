@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import lattices
-from oracles import brute_log_z, brute_posteriors, brute_viterbi
+from oracles import brute_log_z, brute_posteriors, brute_viterbi, encode_keys
 from pertcrf.crf import (
     CrfModel,
     _emissions,
-    _encode_features,
     _layout,
+    _pack,
     _sum_product,
     _viterbi,
     decode,
     nll_and_gradient,
 )
-from pertcrf.features import FeatureIndex, FeatureTemplate
+from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
 
 CRF1 = FeatureTemplate(id="CRF1")
 
@@ -29,6 +29,12 @@ def tiny_model(emission, transition, labels=("a", "b"), features=("f1", "f2")):
         transition=np.asarray(transition, dtype=float),
         template=CRF1,
     )
+
+
+def decode_keys(model, sentences):
+    """Decode sentences given as key lists (keys such as f1 are outside the
+    feature grammar, so the string oracle encodes them)."""
+    return decode(model, encode_keys(model.feature_index, sentences))
 
 
 def pack(ems):
@@ -187,7 +193,7 @@ class TestViterbi:
 
     def test_viterbi_maps_labels(self):
         model = tiny_model([[0.0, 2.0], [1.0, 0.0]], np.zeros((2, 2)))
-        assert decode(model, [[["f1"], ["f2"]]]) == [["b", "a"]]
+        assert decode_keys(model, [[["f1"], ["f2"]]]) == [["b", "a"]]
 
 
 # T=1 rows, repeated lengths, and one long sentence beside many short ones.
@@ -242,23 +248,27 @@ class TestPackedLayout:
             labels=[f"y{i}" for i in range(L)],
             features=[f"p{k}" for k in range(sum(lengths))],
         )
-        batch, k = [], 0
+        sentences, k = [], 0
         for T in lengths:
-            batch.append(([[f"p{k + t}"] for t in range(T)], ["y0"] * T))
+            sentences.append([[f"p{k + t}"] for t in range(T)])
             k += T
-        _, (_, g_t) = nll_and_gradient(model, batch)
+        encoded = encode_keys(model.feature_index, sentences)
+        _, (_, g_t) = nll_and_gradient(model, encoded, [["y0"] * T for T in lengths])
         g_t[0, 0] += sum(T - 1 for T in lengths)
         assert np.max(np.abs(g_t - expected_t)) <= 1e-8
 
     def test_decode_empty(self):
         model = tiny_model(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert decode(model, []) == []
-        assert decode(model, iter([])) == []
+        assert decode_keys(model, []) == []
+        assert decode(model, encode(model.feature_index, CRF1, [])) == []
 
     def test_zero_token_sentence_named(self):
         model = tiny_model(np.zeros((2, 2)), np.zeros((2, 2)))
+        sentences = [["a"], ["b", "a"], [], ["a"]]
         with pytest.raises(ValueError, match="sentence 2: no positions"):
-            decode(model, [[["f1"]], [["f2"], ["f1"]], [], [["f1"]]])
+            encode(model.feature_index, CRF1, sentences)
+        with pytest.raises(ValueError, match="sentence 2: no positions"):
+            index_and_encode(CRF1, sentences)
 
 
 @pytest.mark.filterwarnings("error")
@@ -298,14 +308,14 @@ class TestBatchedViterbi:
             [list(rng.choice(features + ["nope"], size=int(rng.integers(0, 6)))) for _ in range(T)]
             for T in rng.permutation([1, 1, 2, 3, 3, 5, 4, 7, 1])
         ]
-        decoded = decode(model, iter(sentences))
+        decoded = decode_keys(model, sentences)
         assert len(decoded) == len(sentences)
         for feats, labels in zip(sentences, decoded):
             rows = [[features.index(k) for k in keys if k != "nope"] for keys in feats]
             em = np.array([sum((model.emission[k] for k in ks), np.zeros(L)) for ks in rows])
             path, _ = brute_viterbi(em, model.transition)
             assert labels == [model.labels[i] for i in path]
-            assert [labels] == decode(model, [feats])
+            assert [labels] == decode_keys(model, [feats])
 
     @pytest.mark.parametrize("L", [2, 3, 6, 13])
     def test_emissions_equal_per_position_sums(self, L):
@@ -321,19 +331,19 @@ class TestBatchedViterbi:
             [list(rng.choice(features, size=int(rng.integers(0, 40)))) for _ in range(T)]
             for T in rng.integers(1, 20, size=30)
         ]
-        enc = _encode_features(iter(sentences), model.feature_index.encode)
+        enc = _pack(encode_keys(model.feature_index, sentences))
         got = _emissions(enc, model.emission)[enc.row]
         want = []
         for feats in sentences:
             for keys in feats:
-                idx = [model.feature_index[k] for k in keys if k in model.feature_index]
+                idx = [features.index(k) for k in keys]
                 want.append(model.emission[idx].sum(axis=0) if idx else np.zeros(L))
         assert np.array_equal(got, np.array(want))
 
 
 def scored(model, features):
     """Emission scores of one sentence, in position order."""
-    enc = _encode_features([features], model.feature_index.encode)
+    enc = _pack(encode_keys(model.feature_index, [features]))
     return _emissions(enc, model.emission)[enc.row]
 
 

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import brute_nll_and_gradient, central_differences
+from conftest import corpora, persian_tokens
+from oracles import (
+    brute_nll_and_gradient,
+    central_differences,
+    encode_keys,
+    reference_keys,
+    sentence_features,
+)
 from pertcrf import crf
 from pertcrf.crf import (
     CrfModel,
@@ -15,9 +24,34 @@ from pertcrf.crf import (
     save_model,
     train,
 )
-from pertcrf.features import FeatureIndex, FeatureTemplate
+from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
+from pertcrf.tasks import corpus_forms, gold_flags
 
 CRF1 = FeatureTemplate(id="CRF1")
+CRF2 = FeatureTemplate(id="CRF2")
+
+
+# Batches here are (key lists per position, labels) pairs whose keys, such
+# as f0, lie outside the feature grammar; the string oracle encodes them.
+
+
+def objective(model, batch, l2=0.0):
+    """nll_and_gradient of a batch."""
+    encoded = encode_keys(model.feature_index, [feats for feats, _ in batch])
+    return nll_and_gradient(model, encoded, [gold for _, gold in batch], l2=l2)
+
+
+def train_keys(batch, labels, config=TrainConfig(), on_iteration=None):
+    """train on a batch, indexing its keys in first-occurrence order."""
+    sentences = [feats for feats, _ in batch]
+    index = FeatureIndex(reference_keys(sentences))
+    encoded = encode_keys(index, sentences)
+    gold = [g for _, g in batch]
+    return train(index, encoded, gold, labels, CRF1, config, on_iteration=on_iteration)
+
+
+def decode_keys(model, sentences):
+    return decode(model, encode_keys(model.feature_index, sentences))
 
 
 def model_from_flat(x, F, L, features, labels):
@@ -52,7 +86,7 @@ def random_problem(rng, max_features=8, max_labels=3, max_sentences=3, max_len=4
 class TestNllGradient:
     def test_uniform_model_single_token(self):
         model = model_from_flat(np.zeros(2 * 2 + 4), 2, 2, ["f0", "f1"], ["a", "b"])
-        nll, (ge, gt) = nll_and_gradient(model, [([["f0"]], ["a"])])
+        nll, (ge, gt) = objective(model, [([["f0"]], ["a"])])
         assert nll == pytest.approx(math.log(2), abs=1e-12)
         assert ge[0, 0] == pytest.approx(0.5 - 1.0, abs=1e-12)
         assert ge[0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -64,8 +98,8 @@ class TestNllGradient:
         F, L, features, labels, batch, x = random_problem(rng)
         model = model_from_flat(x, F, L, features, labels)
         one = batch[:1]
-        nll1, (ge1, gt1) = nll_and_gradient(model, one)
-        nll2, (ge2, gt2) = nll_and_gradient(model, one + one)
+        nll1, (ge1, gt1) = objective(model, one)
+        nll2, (ge2, gt2) = objective(model, one + one)
         assert nll2 == pytest.approx(2 * nll1, rel=1e-12)
         assert np.allclose(ge2, 2 * ge1, atol=1e-12)
         assert np.allclose(gt2, 2 * gt1, atol=1e-12)
@@ -73,7 +107,7 @@ class TestNllGradient:
     def test_unknown_gold_label(self):
         model = model_from_flat(np.zeros(8), 2, 2, ["f0", "f1"], ["a", "b"])
         with pytest.raises(ValueError, match="not in model labels"):
-            nll_and_gradient(model, [([["f0"]], ["zzz"])])
+            objective(model, [([["f0"]], ["zzz"])])
 
     @pytest.mark.parametrize("l2", [0.0, 0.3])
     def test_matches_finite_differences(self, l2):
@@ -83,10 +117,10 @@ class TestNllGradient:
 
             def value(v):
                 m = model_from_flat(v, F, L, features, labels)
-                return nll_and_gradient(m, batch, l2=l2)[0]
+                return objective(m, batch, l2=l2)[0]
 
             model = model_from_flat(x, F, L, features, labels)
-            _, (ge, gt) = nll_and_gradient(model, batch, l2=l2)
+            _, (ge, gt) = objective(model, batch, l2=l2)
             analytic = np.concatenate([ge.ravel(), gt.ravel()])
             numeric = central_differences(value, x, step=1e-5)
             denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
@@ -116,7 +150,7 @@ def oracle_problem(rng, lengths, L, scale, F=6, keys_per_position=(0, 4)):
 def assert_matches_oracle(features, labels, batch, ids, x, l2=0.0):
     F, L = len(features), len(labels)
     model = model_from_flat(x, F, L, features, labels)
-    nll, (ge, gt) = nll_and_gradient(model, batch, l2=l2)
+    nll, (ge, gt) = objective(model, batch, l2=l2)
     ref_nll, ref_grad = brute_nll_and_gradient(ids, F, L, x, l2=l2)
     grad = np.concatenate([ge.ravel(), gt.ravel()])
     assert np.isfinite(nll) and np.all(np.isfinite(grad))
@@ -155,7 +189,7 @@ class TestObjectiveOracle:
     def test_length_mismatch(self):
         model = model_from_flat(np.zeros(8), 2, 2, ["f0", "f1"], ["a", "b"])
         with pytest.raises(ValueError, match="sentence 1: 2 positions, 1 labels"):
-            nll_and_gradient(model, [([["f0"]], ["a"]), ([["f0"], ["f1"]], ["a"])])
+            objective(model, [([["f0"]], ["a"]), ([["f0"], ["f1"]], ["a"])])
 
 
 def span_limit(L):
@@ -202,7 +236,7 @@ class TestTransitionSpan:
         features, labels, batch, _, x = self.problem(0, L, span_limit(L) + 0.5)
         model = model_from_flat(x, len(features), L, features, labels)
         with pytest.raises(crf.TransitionSpanError, match="transition weights span"):
-            nll_and_gradient(model, batch)
+            objective(model, batch)
 
 
     def test_training_backtracks_from_wide_spans(self, monkeypatch):
@@ -212,12 +246,12 @@ class TestTransitionSpan:
         # still fits the data.
         batch, labels = separable_data()
         config = TrainConfig(l1=0.0, l2=0.0, max_iterations=60)
-        free = train(batch, labels, CRF1, config)
+        free = train_keys(batch, labels, config)
         assert np.ptp(free.transition) > 0.3
         monkeypatch.setattr(crf, "_LOG_MAX", math.log(len(labels)) + 0.2)
-        guarded = train(batch, labels, CRF1, config)
+        guarded = train_keys(batch, labels, config)
         assert np.ptp(guarded.transition) <= 0.1
-        assert decode(guarded, [f for f, _ in batch]) == [g for _, g in batch]
+        assert decode_keys(guarded, [f for f, _ in batch]) == [g for _, g in batch]
 
 
 def separable_data(n=40, length=4, seed=0):
@@ -234,8 +268,8 @@ class TestTrain:
     def test_separable_data_perfect_accuracy(self):
         batch, labels = separable_data()
         config = TrainConfig(l1=0.0, l2=0.0, max_iterations=60)
-        model = train(batch, labels, CRF1, config)
-        assert decode(model, [feats for feats, _ in batch]) == [gold for _, gold in batch]
+        model = train_keys(batch, labels, config)
+        assert decode_keys(model, [feats for feats, _ in batch]) == [gold for _, gold in batch]
 
     def test_l1_sparsity(self):
         batch, labels = separable_data(n=60)
@@ -244,8 +278,8 @@ class TestTrain:
         noisy = []
         for feats, gold in batch:
             noisy.append(([ks + [f"noise={rng.integers(0, 15)}"] for ks in feats], gold))
-        dense = train(noisy, labels, CRF1, TrainConfig(l1=0.0, l2=0.01, max_iterations=40))
-        sparse = train(noisy, labels, CRF1, TrainConfig(l1=0.1, l2=0.01, max_iterations=40))
+        dense = train_keys(noisy, labels, TrainConfig(l1=0.0, l2=0.01, max_iterations=40))
+        sparse = train_keys(noisy, labels, TrainConfig(l1=0.1, l2=0.01, max_iterations=40))
         assert np.sum(sparse.emission == 0.0) > np.sum(dense.emission == 0.0)
 
     @pytest.mark.parametrize("field", ["l1", "l2", "tolerance"])
@@ -261,18 +295,17 @@ class TestTrain:
     def test_deterministic(self):
         batch, labels = separable_data(n=20)
         config = TrainConfig(max_iterations=25)
-        a = train(batch, labels, CRF1, config)
-        b = train(batch, labels, CRF1, config)
+        a = train_keys(batch, labels, config)
+        b = train_keys(batch, labels, config)
         assert np.array_equal(a.emission, b.emission)
         assert np.array_equal(a.transition, b.transition)
 
     def test_callback_objective_nonincreasing(self):
         batch, labels = separable_data(n=15)
         seen = []
-        train(
+        train_keys(
             batch,
             labels,
-            CRF1,
             TrainConfig(max_iterations=20),
             on_iteration=lambda it, obj, m: seen.append((it, obj)),
         )
@@ -284,21 +317,26 @@ class TestTrain:
     def test_min_count_drops_rare_keys_from_the_encoding(self):
         # The objective that training reports must be the one of the
         # retained keys alone: the same as encoding the data afresh with
-        # the trained index, which drops unknown keys.
-        batch, labels = separable_data(n=30)
+        # the trained index, which drops unknown keys. Each form is its
+        # label plus a rare number, so pre1 is frequent and w[0] rare.
         rng = np.random.default_rng(2)
-        batch = [([ks + [f"rare={rng.integers(0, 40)}"] for ks in f], g) for f, g in batch]
+        batch, labels = separable_data(n=30)
+        forms = [[f"{g}{rng.integers(0, 40)}" for g in gold] for _, gold in batch]
+        gold = [gold for _, gold in batch]
         config = TrainConfig(l1=0.0, l2=0.1, max_iterations=3, min_count=4)
+        index, encoded = index_and_encode(CRF2, forms, min_count=config.min_count)
         seen = []
-        model = train(batch, labels, CRF1, config, on_iteration=lambda it, obj, m: seen.append(obj))
+        on_iteration = lambda it, obj, m: seen.append(obj)
+        model = train(index, encoded, gold, labels, CRF2, config, on_iteration=on_iteration)
         counts = {}
-        for feats, _ in batch:
-            for keys in feats:
+        for sentence in forms:
+            for keys in sentence_features(sentence, CRF2):
                 for k in keys:
                     counts[k] = counts.get(k, 0) + 1
         assert set(model.feature_index.keys()) == {k for k, c in counts.items() if c >= 4}
         assert len(model.feature_index) < len(counts)
-        nll, _ = nll_and_gradient(model, batch, l2=config.l2)
+        encoded = encode(model.feature_index, CRF2, forms)
+        nll, _ = nll_and_gradient(model, encoded, gold, l2=config.l2)
         assert seen[-1] == pytest.approx(nll, rel=1e-12)
 
     @pytest.mark.parametrize("min_count", [0, -5])
@@ -307,14 +345,15 @@ class TestTrain:
             TrainConfig(min_count=min_count)
 
     def test_empty_training_data(self):
+        index, encoded = index_and_encode(CRF1, [])
         with pytest.raises(ValueError, match="empty"):
-            train([], ["a", "b"], CRF1)
+            train(index, encoded, [], ["a", "b"], CRF1)
 
 
 class TestModelIO:
     def trained(self):
         batch, labels = separable_data(n=10)
-        return train(batch, labels, CRF1, TrainConfig(max_iterations=10)), batch
+        return train_keys(batch, labels, TrainConfig(max_iterations=10)), batch
 
     def test_round_trip_exact(self):
         model, batch = self.trained()
@@ -324,7 +363,7 @@ class TestModelIO:
         assert np.array_equal(restored.transition, model.transition)
         assert restored.template == model.template
         sentences = [feats for feats, _ in batch]
-        assert decode(restored, sentences) == decode(model, sentences)
+        assert decode_keys(restored, sentences) == decode_keys(model, sentences)
 
     def test_hand_built_file(self):
         text = (
@@ -389,6 +428,39 @@ class TestModelIO:
     def test_bad_weight_value(self):
         with pytest.raises(ModelFormatError, match="bad weight"):
             load_model("PERTCRF v1 CRF1 2 1\na\tb\nF\tf\tx\t1.0\nT\ta\t0\t0\nT\tb\t0\t0\n")
+
+    @given(
+        corpora(max_sentences=6, tokens=persian_tokens),
+        st.sampled_from([CRF1, CRF2, FeatureTemplate(id="CRF2", ezafe_input=True)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_persian_keys_and_labels(self, c, template, seed):
+        # Keys and labels with ZWNJ, digits, = and |; weights of every
+        # magnitude, signed zeros and subnormals.
+        flags = gold_flags(c) if template.ezafe_input else None
+        index, encoded = index_and_encode(template, corpus_forms(c), flags)
+        labels = c.tag_inventory
+        rng = np.random.default_rng(seed)
+        F, L = len(index), len(labels)
+        weights = rng.normal(size=F * L + L * L) * 10.0 ** rng.integers(-300, 300, size=F * L + L * L)
+        weights[rng.random(weights.size) < 0.2] = rng.choice([0.0, -0.0, 5e-324, -1e-310])
+        model = CrfModel(
+            labels=labels,
+            feature_index=index,
+            emission=weights[: F * L].reshape(F, L),
+            transition=weights[F * L :].reshape(L, L),
+            template=template,
+        )
+        text = save_model(model)
+        restored = load_model(text)
+        assert restored.labels == labels and restored.template == template
+        assert list(restored.feature_index.keys()) == list(index.keys())
+        assert np.array_equal(restored.emission, model.emission)
+        assert np.array_equal(np.signbit(restored.emission), np.signbit(model.emission))
+        assert np.array_equal(restored.transition, model.transition)
+        assert save_model(restored) == text
+        again = encode(restored.feature_index, template, corpus_forms(c), flags)
+        assert again.feat.tolist() == encoded.feat.tolist()
 
     def test_file_round_trip(self, tmp_path):
         model, _ = self.trained()

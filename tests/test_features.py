@@ -2,15 +2,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import corpora, forms
-from oracles import reference_index
+from conftest import corpora, forms, persian_tokens
+from oracles import corpus_features, encode_keys, reference_index, reference_keys
 from pertcrf.corpus import Corpus, Token
-from pertcrf.crf import TrainConfig, train
-from pertcrf.features import FeatureIndex, FeatureTemplate, corpus_features, sentence_features
+from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
+from pertcrf.tasks import corpus_forms, gold_flags
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF2 = FeatureTemplate(id="CRF2")
 CRF2_EZ = FeatureTemplate(id="CRF2", ezafe_input=True)
+
+
+def sentence_features(forms, template, ezafe=None):
+    """The keys of every position of one sentence, in emission order, as
+    the training encoder indexes and encodes them."""
+    index, encoded = index_and_encode(template, [forms], None if ezafe is None else [ezafe])
+    keys = list(index.keys())
+    out, start = [], 0
+    for n in encoded.counts.tolist():
+        out.append([keys[i] for i in encoded.feat[start : start + n].tolist()])
+        start += n
+    return out
 
 
 class TestTemplate:
@@ -138,10 +150,7 @@ class TestExtract:
 
 def trained_index(corpus, template, min_count=1, ezafe=None):
     """The feature index that training on corpus builds."""
-    labels = [[t.pos for t in s] for s in corpus.sentences]
-    data = zip(corpus_features(corpus, template, ezafe), labels)
-    config = TrainConfig(max_iterations=1, min_count=min_count)
-    return train(data, corpus.tag_inventory, template, config).feature_index
+    return index_and_encode(template, corpus_forms(corpus), ezafe, min_count)[0]
 
 
 class TestIndex:
@@ -154,7 +163,7 @@ class TestIndex:
 
     def test_min_count_one_keeps_everything(self):
         index = trained_index(self.one_token_corpus(), CRF1, min_count=1)
-        assert set(index.keys()) == set(sentence_features(["tak"], CRF1)[0])
+        assert set(index.keys()) == set(corpus_features(self.one_token_corpus(), CRF1)[0][0])
 
     def test_min_count_threshold(self):
         sents = [
@@ -162,26 +171,24 @@ class TestIndex:
             (Token(form="zz", pos="N", ezafe=0),),
             (Token(form="aa", pos="N", ezafe=0),),
         ]
-        index = trained_index(Corpus.from_sentences(sents), CRF1, min_count=2)
-        assert "w[0]=aa" in index
-        assert "w[0]=zz" not in index  # seen once
-        # ids stay dense and in first-occurrence order among the kept keys
-        assert list(index.keys())[index["w[0]=aa"] - 1] == "w[-1]=__BOS__"
-        assert [index[k] for k in index.keys()] == list(range(len(index)))
+        keys = list(trained_index(Corpus.from_sentences(sents), CRF1, min_count=2).keys())
+        assert "w[0]=aa" in keys
+        assert "w[0]=zz" not in keys  # seen once
+        # first-occurrence order among the kept keys
+        assert keys[keys.index("w[0]=aa") - 1] == "w[-1]=__BOS__"
 
     def test_first_occurrence_order(self):
         index = trained_index(self.one_token_corpus(), CRF1)
-        assert [index[k] for k in sentence_features(["tak"], CRF1)[0]] == list(range(11))
+        assert list(index.keys()) == corpus_features(self.one_token_corpus(), CRF1)[0][0]
 
     def test_unknown_feature_maps_to_nothing(self):
         index = trained_index(self.one_token_corpus(), CRF1)
         n = len(index)
-        assert "w[0]=unseen" not in index
-        assert index.encode([["w[0]=unseen", "w[0]=tak"], ["w[0]=tak"]]) == [
-            -1,
-            index["w[0]=tak"],
-            index["w[0]=tak"],
-        ]
+        encoded = encode(index, CRF1, [["unseen"], ["tak"]])
+        # All but w[0]=unseen, then all eleven keys of tak.
+        assert encoded.feat.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10] + list(range(11))
+        assert encoded.counts.tolist() == [10, 11]
+        assert encoded.offsets.tolist() == [0, 1, 2]
         assert len(index) == n
 
     def test_duplicate_key_rejected(self):
@@ -198,22 +205,22 @@ class TestIndex:
             with pytest.raises(ValueError, match="annotations for 2 sentences"):
                 trained_index(c, CRF2_EZ, ezafe=flags)
             with pytest.raises(ValueError, match="annotations for 2 sentences"):
-                corpus_features(c, CRF2_EZ, flags)
+                encode(FeatureIndex([]), CRF2_EZ, corpus_forms(c), flags)
 
     def test_flag_value_two_rejected(self):
         with pytest.raises(ValueError, match="0 or 1, got 2"):
             trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(2,)])
 
     def test_ezafe_template_index(self):
-        index = trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(0,)])
-        assert "ez[0]=0" in index
-        assert "ez[1]=_" in index
+        keys = set(trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(0,)]).keys())
+        assert "ez[0]=0" in keys
+        assert "ez[1]=_" in keys
 
     @given(corpora(max_sentences=5))
     def test_sentence_features_cover_index(self, c):
-        index = trained_index(c, CRF2)
-        for sent in c.sentences:
-            for keys in sentence_features([t.form for t in sent], CRF2):
+        index = set(trained_index(c, CRF2).keys())
+        for features in corpus_features(c, CRF2):
+            for keys in features:
                 for k in keys:
                     assert k in index
 
@@ -221,3 +228,47 @@ class TestIndex:
     def test_keys_equal_reference_index(self, c, min_count):
         want = list(reference_index(c, CRF2, min_count).keys())
         assert list(trained_index(c, CRF2, min_count).keys()) == want
+
+
+class TestEncoderEqualsReference:
+    """The code encoders against the string reference in oracles: the same
+    keys in the same order, and the same feature ids per position."""
+
+    @given(
+        corpora(max_sentences=8, tokens=persian_tokens),
+        corpora(max_sentences=4, tokens=persian_tokens),
+        st.sampled_from([CRF1, CRF2, CRF2_EZ]),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_training_and_decoding_encoders(self, c, other, template, min_count):
+        flags = gold_flags(c) if template.ezafe_input else None
+        strings = corpus_features(c, template, flags)
+        index, encoded = index_and_encode(template, corpus_forms(c), flags, min_count)
+        assert list(index.keys()) == reference_keys(strings, min_count)
+        want = encode_keys(index, strings)
+        for got in (encoded, encode(index, template, corpus_forms(c), flags)):
+            assert got.feat.tolist() == want.feat.tolist()
+            assert got.counts.tolist() == want.counts.tolist()
+            assert got.offsets.tolist() == want.offsets.tolist()
+        # Decoding text the index was not made from: unknown forms,
+        # affixes and flag windows are dropped.
+        other_flags = gold_flags(other) if template.ezafe_input else None
+        got = encode(index, template, corpus_forms(other), other_flags)
+        want = encode_keys(index, corpus_features(other, template, other_flags))
+        assert got.feat.tolist() == want.feat.tolist()
+        assert got.counts.tolist() == want.counts.tolist()
+
+    def test_sentinel_spelled_forms_keep_their_affixes(self):
+        sent = ["__BOS__", "x", "__EOS__"]
+        want = [sorted(keys) for keys in corpus_features(
+            Corpus.from_sentences([tuple(Token(form=f, pos="N", ezafe=0) for f in sent)]), CRF2
+        )[0]]
+        assert [sorted(keys) for keys in sentence_features(sent, CRF2)] == want
+        assert "pre3=__B" in sentence_features(sent, CRF2)[0]
+        assert "w[-1]=__BOS__" in sentence_features(sent, CRF2)[1]
+
+    def test_keys_outside_the_grammar_never_match(self):
+        index = FeatureIndex(["f0", "w[0]", "BOS=1", "ez[0]=2", "pre2=abc", "w[9]=a", "w[0]=a"])
+        encoded = encode(index, CRF2_EZ, [["a", "abc"]], [(0, 1)])
+        assert encoded.feat.tolist() == [6]
+        assert encoded.counts.tolist() == [1, 0]

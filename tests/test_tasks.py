@@ -10,7 +10,7 @@ from pertcrf.rng import SplitMix64
 from pertcrf.tasks import (
     ConfigError,
     ExperimentConfig,
-    corpus_instances,
+    corpus_forms,
     decode_corpus,
     evaluate_ezafe,
     evaluate_pos,
@@ -121,10 +121,13 @@ class TestCheckpointReplay:
         cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config, eval_every=3)
         model, log, best_it = fit(cfg, train_c, valid_c)
         # deterministic retrain, capturing weights at every iteration
-        instances = corpus_instances(train_c, CRF1, lambda t: str(t.ezafe))
+        index, encoded = features.index_and_encode(CRF1, corpus_forms(train_c))
+        gold = [[str(t.ezafe) for t in s] for s in train_c.sentences]
         captured = {}
         crf.train(
-            instances,
+            index,
+            encoded,
+            gold,
             ("0", "1"),
             CRF1,
             config,
@@ -134,23 +137,28 @@ class TestCheckpointReplay:
 
     def test_features_extracted_once_per_train_sentence(self, rule_corpora, monkeypatch):
         # Training indexes and encodes in one pass over the train split;
-        # every checkpoint decodes the validation split once.
+        # every checkpoint encodes the validation split once.
         train_c, valid_c, _ = rule_corpora
         calls = []
-        extract = features.sentence_features
-
-        def counted(forms, template, ezafe=None):
-            calls.append(len(forms))
-            return extract(forms, template, ezafe)
-
-        monkeypatch.setattr(features, "sentence_features", counted)
+        index_and_encode, encode = features.index_and_encode, features.encode
+        monkeypatch.setattr(
+            features,
+            "index_and_encode",
+            lambda t, s, *a: calls.append(("index", len(s))) or index_and_encode(t, s, *a),
+        )
+        monkeypatch.setattr(
+            features,
+            "encode",
+            lambda i, t, s, *a: calls.append(("encode", len(s))) or encode(i, t, s, *a),
+        )
         cfg = ExperimentConfig(
             task="ezafe", template=CRF1, train_config=TrainConfig(max_iterations=7), eval_every=3
         )
         _, log, _ = fit(cfg, train_c, valid_c)
         checkpoints = sum(e.valid_f1 is not None for e in log)
         assert checkpoints == 3  # iterations 3, 6 and the last one, 7
-        assert len(calls) == train_c.n_sentences + checkpoints * valid_c.n_sentences
+        assert calls[0] == ("index", train_c.n_sentences)
+        assert calls[1:] == [("encode", valid_c.n_sentences)] * checkpoints
 
 
 class TestRunPos:
@@ -218,8 +226,9 @@ class TestRunPos:
     def test_bad_flag_values_rejected(self, rule_corpora):
         train_c = rule_corpora[0]
         bad = [tuple(2 for _ in s) for s in train_c.sentences]
+        cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=FAST)
         with pytest.raises(ValueError, match="0 or 1"):
-            list(corpus_instances(train_c, CRF1_EZ, lambda t: t.pos, ezafe=bad))
+            fit(cfg, train_c, rule_corpora[1], bad, gold_flags(rule_corpora[1]))
 
     def test_annotation_count_must_match_sentences(self, rule_corpora):
         c = rule_corpora[1]
@@ -234,7 +243,7 @@ class TestRunPos:
         for wrong in (flags[:-1], flags + flags[:1]):
             msg = f"{len(wrong)} ezafe annotations for {c.n_sentences} sentences"
             with pytest.raises(ValueError, match=msg):
-                list(corpus_instances(c, CRF1_EZ, lambda t: t.pos, ezafe=wrong))
+                features.index_and_encode(CRF1_EZ, corpus_forms(c), wrong)
             with pytest.raises(ValueError, match=msg):
                 decode_corpus(model, c, wrong)
             with pytest.raises(ValueError, match=msg):
