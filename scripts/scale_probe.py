@@ -7,9 +7,13 @@ then times the layers that training runs before and inside the optimizer:
 parsing the corpus text, indexing and encoding the corpus (the one pass
 of `tasks.fit`: `features.index_and_encode`, then the packed layout and
 the gold label ids that `crf.train` builds), and one evaluation of the
-training objective at x = 0 (the minimum of 3).
-Prints one JSON object with those times, F, the parameter count and the
-process's peak RSS.
+training objective at x = 0 (the minimum of 3). It then runs one OWL-QN
+iteration from x = 0 with the default penalties (l1 = l2 = 0.1), which
+gives the kind of model the ingest-ezafe benchmark saves, and times
+`crf.save_model` and `crf.load_model` on it.
+Prints one JSON object with those times, F, the parameter count, the
+model text's size, and the process's peak RSS twice: before model I/O
+(peak_rss_mb) and after it (io_peak_rss_mb).
 
 Run one configuration per process, so that each peak RSS is its own:
 
@@ -33,7 +37,7 @@ sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "
 
 import numpy as np  # noqa: E402
 
-from pertcrf import crf, datagen, features  # noqa: E402
+from pertcrf import crf, datagen, features, optim  # noqa: E402
 from pertcrf.corpus import Corpus, parse_corpus, write_corpus  # noqa: E402
 from pertcrf.features import FeatureTemplate  # noqa: E402
 
@@ -53,6 +57,11 @@ def generate_tokens(spec: datagen.HmmSpec, n_tokens: int, seed: int) -> Corpus:
             if total >= n_tokens:
                 return Corpus.from_sentences(sents[: k + 1])
         n *= 2
+
+
+def peak_rss() -> float:
+    """The process's peak resident set so far, in MB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def timed(fn):
@@ -84,9 +93,23 @@ def main() -> None:
 
     (index, packed, gold), encode_s = timed(encode)
     F, L = len(index), len(labels)
-    objective = crf._Objective(packed, gold, F, L, 0.1)
+    config = crf.TrainConfig()
+    objective = crf._Objective(packed, gold, F, L, config.l2)
     x = np.zeros(F * L + L * L)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
+    peak_rss_mb = peak_rss()
+
+    result = optim.minimize_owlqn(objective, x, l1=config.l1, max_iterations=1, tolerance=config.tolerance)
+    model = crf.CrfModel(
+        labels=labels,
+        feature_index=index,
+        emission=result.x[: F * L].reshape(F, L).copy(),
+        transition=result.x[F * L :].reshape(L, L).copy(),
+        template=template,
+    )
+    del objective, packed, gold, result  # model I/O runs without the training arrays
+    model_text, save_s = timed(lambda: crf.save_model(model))
+    _, load_s = timed(lambda: crf.load_model(model_text))
 
     print(json.dumps({
         "tokens": corpus.n_tokens,
@@ -97,7 +120,11 @@ def main() -> None:
         "parse_s": round(parse_s, 4),
         "encode_s": round(encode_s, 4),
         "eval_s": round(min(evals), 4),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": peak_rss_mb,
+        "save_s": round(save_s, 4),
+        "load_s": round(load_s, 4),
+        "model_mb": round(len(model_text.encode("utf-8")) / 2**20, 2),
+        "io_peak_rss_mb": peak_rss(),
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

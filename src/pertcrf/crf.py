@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -418,21 +418,44 @@ def train(
 #   line 2: tab-separated labels
 #   F lines: F<TAB><feature-string><TAB><w per label ...>
 #   L lines: T<TAB><from-label><TAB><w per to-label ...>
-# Weights are rendered as the shortest decimal string that round-trips.
+# Weights are rendered as repr(float(w)), the shortest decimal string that
+# round-trips. The F rows are rendered _SAVE_BLOCK rows at a time: each
+# distinct weight of a block (by bit pattern, so -0.0 and 0.0 stay apart)
+# is formatted once, and the block's cells are joined in one call.
+
+_SAVE_BLOCK = 4096
 
 
 def save_model(model: CrfModel) -> str:
     L = len(model.labels)
     F = len(model.feature_index)
-    lines = [
-        f"{MODEL_MAGIC} {MODEL_VERSION} {model.template.token} {L} {F}",
-        "\t".join(model.labels),
-    ]
-    for key, row in zip(model.feature_index.keys(), model.emission.tolist()):
-        lines.append("F\t" + key + "\t" + "\t".join(map(repr, row)))
-    for lab, row in zip(model.labels, model.transition.tolist()):
-        lines.append("T\t" + lab + "\t" + "\t".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    header = f"{MODEL_MAGIC} {MODEL_VERSION} {model.template.token} {L} {F}\n"
+    parts = [header + "\t".join(model.labels) + "\n"]
+    emission = np.asarray(model.emission, dtype=np.float64)
+    keys = model.feature_index.keys()
+    # Cells of one row: "F\t", key, then "\t" and a weight per label, "\n".
+    cells = np.empty((min(F, _SAVE_BLOCK), 2 * L + 3), dtype=object)
+    cells[:, 0] = "F\t"
+    cells[:, 2:-1:2] = "\t"
+    cells[:, -1] = "\n"
+    for start in range(0, F, _SAVE_BLOCK):
+        block = emission[start : start + _SAVE_BLOCK]
+        n = len(block)
+        # 0.0 (bit pattern 0), which L1 training leaves in most cells, is
+        # set aside before the sort: long runs of one key slow the sort down.
+        flat = block.ravel().view(np.int64)
+        nonzero = flat != 0
+        bits, inverse = np.unique(flat[nonzero], return_inverse=True)
+        strings = np.array(["0.0", *map(repr, bits.view(np.float64).tolist())], dtype=object)
+        index = np.zeros(flat.size, dtype=np.intp)
+        index[nonzero] = inverse + 1
+        rows = cells[:n]
+        rows[:, 1] = list(islice(keys, n))
+        rows[:, 3:-1:2] = strings[index].reshape(n, L)
+        parts.append("".join(rows.ravel().tolist()))
+    for lab, row in zip(model.labels, np.asarray(model.transition, dtype=np.float64).tolist()):
+        parts.append("T\t" + lab + "\t" + "\t".join(map(repr, row)) + "\n")
+    return "".join(parts)
 
 
 def load_model(text: str) -> CrfModel:
@@ -462,6 +485,10 @@ def load_model(text: str) -> CrfModel:
     labels = tuple(lines[1].split("\t"))
     if len(labels) != L:
         raise ModelFormatError(f"expected {L} labels, got {len(labels)}")
+    for lab in labels:
+        # The rule corpus.Token applies to tags.
+        if lab.split() != [lab]:
+            raise ModelFormatError(f"line 2: label must be non-empty and whitespace-free: {lab!r}")
 
     def _row(line: str, lineno: int, kind: str) -> tuple[str, np.ndarray]:
         cols = line.split("\t")

@@ -1,10 +1,11 @@
 """Independent reference implementations used only by tests.
 
 Everything here enumerates label sequences exhaustively, perturbs inputs
-numerically, or builds and counts feature strings one key at a time; none
-of it shares code with the package's inference, training or encoding
-paths. The string extractor is the reference for the key grammar and its
-order (see the pertcrf.features docstring).
+numerically, builds and counts feature strings one key at a time, or
+renders model text one weight at a time; none of it shares code with the
+package's inference, training, encoding or model-writing paths. The
+string extractor is the reference for the key grammar and its order (see
+the pertcrf.features docstring).
 """
 
 import itertools
@@ -101,6 +102,20 @@ def encode_keys(index, sentences) -> Encoded:
         counts=np.array(counts, dtype=np.int32),
         offsets=np.array(offsets, dtype=np.int32),
     )
+
+
+def reference_model_text(model) -> str:
+    """The model text (see pertcrf.crf) with every weight rendered on its
+    own as repr(float(w)), one line at a time."""
+    L, F = len(model.labels), len(model.feature_index)
+    lines = [f"PERTCRF v1 {model.template.token} {L} {F}", "\t".join(model.labels)]
+    for kind, names, weights in (
+        ("F", model.feature_index.keys(), model.emission),
+        ("T", model.labels, model.transition),
+    ):
+        for name, row in zip(names, weights):
+            lines.append(f"{kind}\t{name}\t" + "\t".join(repr(float(w)) for w in row))
+    return "\n".join(lines) + "\n"
 
 
 def all_sequences(T: int, L: int) -> np.ndarray:

@@ -252,6 +252,35 @@ class TestEvalAndTag:
         assert code == 2
         assert "ezafe input" in capsys.readouterr().err
 
+    @staticmethod
+    def rename_label(path, old, new):
+        # Line 2 and the label's transition row; the weights stay.
+        lines = path.read_text(encoding="utf-8").split("\n")
+        labels = lines[1].split("\t")
+        lines[1] = "\t".join(new if lab == old else lab for lab in labels)
+        row = 2 + int(lines[0].split(" ")[4]) + labels.index(old)
+        lines[row] = lines[row].replace(f"T\t{old}\t", f"T\t{new}\t", 1)
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    def test_model_label_with_whitespace_is_data_error(self, tmp_path, corpus_file, ezafe_model_path, capsys):
+        args, pos_out = train_args(
+            tmp_path, corpus_file, task="pos-ez-input", extra=["--ezafe-model", str(ezafe_model_path)]
+        )
+        assert main(args) == 0
+        self.rename_label(pos_out, "ADJ", "a b")
+        raw = tmp_path / "raw.txt"
+        raw.write_text("ea na v1\nad eb\n", encoding="utf-8")
+        out = tmp_path / "tagged.tsv"
+        capsys.readouterr()
+        tag = ["tag", str(raw), "--ezafe-model", str(ezafe_model_path), "--pos-model", str(pos_out)]
+        assert main(tag + ["--out", str(out)]) == 2
+        assert "line 2: label must be non-empty and whitespace-free: 'a b'" in capsys.readouterr().err
+        assert not out.exists()
+        prefix = tmp_path / "report"
+        assert main(["eval", str(pos_out), str(corpus_file), "--report", str(prefix)]) == 2
+        assert "line 2: label must be non-empty and whitespace-free: 'a b'" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
 
 class TestExperiment:
     def test_full_run_writes_reports(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     central_differences,
     encode_keys,
     reference_keys,
+    reference_model_text,
     sentence_features,
 )
 from pertcrf import crf
@@ -350,6 +352,27 @@ class TestTrain:
             train(index, encoded, [], ["a", "b"], CRF1)
 
 
+def model_of(emission, transition, labels=("a", "b", "c")):
+    """A CRF1 model over features f0, f1, ... with the given weights."""
+    L = transition.shape[0]
+    return CrfModel(
+        labels=labels[:L],
+        feature_index=FeatureIndex([f"f{i}" for i in range(len(emission))]),
+        emission=emission.reshape(len(emission), L),
+        transition=transition,
+        template=CRF1,
+    )
+
+
+def assert_same_text(text, reference):
+    """text == reference, failing on the first line that differs: pytest's
+    diff of two long model texts would take minutes."""
+    got, want = text.split("\n"), reference.split("\n")
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {i + 1}"
+    assert len(got) == len(want)
+
+
 class TestModelIO:
     def trained(self):
         batch, labels = separable_data(n=10)
@@ -388,24 +411,89 @@ class TestModelIO:
         rng = np.random.default_rng(7)
         emission = np.concatenate([np.reshape(special, (3, 2)), rng.normal(size=(5, 2))])
         transition = np.array([[-0.0, 5e-324], [0.1 + 0.2, -1e308]])
-        keys = [f"f{i}" for i in range(8)]
-        model = CrfModel(
-            labels=("a", "b"),
-            feature_index=FeatureIndex(keys),
-            emission=emission,
-            transition=transition,
-            template=CRF1,
-        )
-        lines = ["PERTCRF v1 CRF1 2 8", "a\tb"]
-        for kind, names, weights in (("F", keys, emission), ("T", "ab", transition)):
-            for name, row in zip(names, weights):
-                lines.append(f"{kind}\t{name}\t" + "\t".join(repr(float(w)) for w in row))
+        model = model_of(emission, transition)
         text = save_model(model)
-        assert text.encode("utf-8") == ("\n".join(lines) + "\n").encode("utf-8")
+        assert_same_text(text, reference_model_text(model))
         assert "-0.0\t5e-324" in text and "0.30000000000000004" in text
         restored = load_model(text)
         assert np.array_equal(restored.emission, emission)
         assert np.signbit(restored.transition[0, 0])
+
+    # save_model renders the F rows in blocks of crf._SAVE_BLOCK rows; each
+    # case below must equal the per-element reference byte for byte.
+
+    @pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1", "2B+3"])
+    def test_block_edges(self, rows):
+        B = crf._SAVE_BLOCK
+        F = {"0": 0, "1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "2B+3": 2 * B + 3}[rows]
+        rng = np.random.default_rng(F)
+        emission = np.round(rng.normal(size=(F, 3)), 2)  # repeats within each block
+        emission[rng.random((F, 3)) < 0.3] = 0.0
+        model = model_of(emission, rng.normal(size=(3, 3)))
+        text = save_model(model)
+        assert_same_text(text, reference_model_text(model))
+        assert text.count("\nF\t") == F
+        restored = load_model(text)
+        assert np.array_equal(restored.emission, emission)
+
+    def test_signed_zeros_in_one_block(self):
+        emission = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]])
+        model = model_of(emission, np.array([[-0.0, 0.0], [0.0, -0.0]]))
+        text = save_model(model)
+        assert_same_text(text, reference_model_text(model))
+        assert "F\tf0\t0.0\t-0.0\nF\tf1\t-0.0\t0.0\n" in text
+        assert np.array_equal(np.signbit(load_model(text).emission), np.signbit(emission))
+
+    def test_subnormals_and_extremes(self):
+        values = [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308, 1.7976931348623157e308]
+        emission = np.array(values * 2).reshape(7, 2)
+        model = model_of(emission, np.array([[1e308, -5e-324], [-1e-310, 0.0]]))
+        text = save_model(model)
+        assert_same_text(text, reference_model_text(model))
+        assert np.array_equal(load_model(text).emission, emission)
+
+    def test_values_repeated_across_a_block_boundary(self):
+        B = crf._SAVE_BLOCK
+        rng = np.random.default_rng(3)
+        pool = rng.normal(size=5)
+        emission = pool[rng.integers(0, 5, size=(B + 7, 2))]
+        emission[B - 1 : B + 1] = [[pool[0], -0.0], [pool[0], -0.0]]
+        model = model_of(emission, np.zeros((2, 2)))
+        assert_same_text(save_model(model), reference_model_text(model))
+
+    def test_integer_weights_render_as_floats(self):
+        emission = np.array([[0, -3], [7, 0], [2**53 + 1, -(2**40)]], dtype=np.int64)
+        model = model_of(emission, np.array([[1, 0], [0, -1]], dtype=np.int64))
+        text = save_model(model)
+        assert_same_text(text, reference_model_text(model))
+        assert "F\tf0\t0.0\t-3.0\n" in text and "9007199254740992.0" in text
+        assert np.array_equal(load_model(text).emission, emission.astype(np.float64))
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    )
+    def test_any_weights_at_any_block_size(self, block, L, pool):
+        # A tiny block puts many block boundaries into a small model.
+        F = len(pool)
+        emission = np.array([pool[(i * 7 + j) % F] for i in range(F) for j in range(L)]).reshape(F, L)
+        model = model_of(emission, np.zeros((L, L)))
+        with mock.patch.object(crf, "_SAVE_BLOCK", block):
+            assert_same_text(save_model(model), reference_model_text(model))
+
+    @pytest.mark.parametrize("label", ["a b", "", "a\u00a0b", "b\u2028"])
+    def test_label_with_whitespace_names_line_2(self, label):
+        # The rule corpus.Token applies to tags; the T row names the same label.
+        text = f"PERTCRF v1 CRF1 2 0\nx\t{label}\nT\tx\t0.0\t0.0\nT\t{label}\t0.0\t0.0\n"
+        with pytest.raises(ModelFormatError, match="line 2: label must be non-empty and whitespace-free"):
+            load_model(text)
+
+    def test_label_with_joiners_loads(self):
+        # ZWNJ, ZWSP and the word joiner are not whitespace (as in Token).
+        labels = ("N\u200cEZ", "V\u200b\u2060")
+        text = f"PERTCRF v1 CRF1 2 0\n{labels[0]}\t{labels[1]}\nT\t{labels[0]}\t0.0\t0.0\nT\t{labels[1]}\t0.0\t0.0\n"
+        assert load_model(text).labels == labels
 
     def test_unsupported_version(self):
         with pytest.raises(ModelFormatError, match="unsupported version"):
@@ -452,6 +540,7 @@ class TestModelIO:
             template=template,
         )
         text = save_model(model)
+        assert_same_text(text, reference_model_text(model))
         restored = load_model(text)
         assert restored.labels == labels and restored.template == template
         assert list(restored.feature_index.keys()) == list(index.keys())

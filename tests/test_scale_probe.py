@@ -25,7 +25,8 @@ def test_tiny_configuration_reports_every_field():
     assert record["tokens"] >= 300 and record["labels"] == 3
     F = record["features"]
     assert F > 0 and record["parameters"] == F * 3 + 3 * 3
-    for key in ("parse_s", "encode_s", "eval_s"):
+    for key in ("parse_s", "encode_s", "eval_s", "save_s", "load_s"):
         assert record[key] >= 0.0
-    assert record["peak_rss_mb"] > 0
+    assert record["model_mb"] > 0
+    assert 0 < record["peak_rss_mb"] <= record["io_peak_rss_mb"]
     assert record["machine"]["blas_threads"] == "1"
