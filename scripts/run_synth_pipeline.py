@@ -49,7 +49,7 @@ def main():
     write_hmm_spec_file(spec, os.path.join(args.out_dir, "process.spec"))
     corpus = generate(spec, args.sentences, seed=args.seed)
     print(f"generated {corpus.n_sentences} sentences / {corpus.n_tokens} tokens")
-    rate = sum(t.ezafe for s in corpus.sentences for t in s) / corpus.n_tokens
+    rate = int(corpus.ezafe.sum()) / corpus.n_tokens
     print(f"ezafe rate: {rate:.4f}")
 
     train_c, valid_c, test_c = shuffle_split(corpus, SplitSpec(seed=args.seed))

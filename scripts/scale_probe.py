@@ -4,7 +4,9 @@
 Generates a synthetic CRF2 POS corpus of at least --tokens tokens from
 `tuned_ezafe_spec(0.22, n_states=--labels, vocab_size=20000)` at seed 5,
 then times the layers that training runs before and inside the optimizer:
-parsing the corpus text, indexing and encoding the corpus (the one pass
+parsing the corpus text (and, in a separate traced parse, the bytes that
+the parsed corpus holds, from tracemalloc), indexing and encoding the
+corpus (the one pass
 of `tasks.fit`: `features.index_and_encode`, then the packed layout and
 the gold label ids that `crf.train` builds), and one evaluation of the
 training objective at x = 0 (the minimum of 3). It then runs one OWL-QN
@@ -12,8 +14,9 @@ iteration from x = 0 with the default penalties (l1 = l2 = 0.1), which
 gives the kind of model the ingest-ezafe benchmark saves, and times
 `crf.save_model` and `crf.load_model` on it.
 Prints one JSON object with those times, F, the parameter count, the
-model text's size, and the process's peak RSS twice: before model I/O
-(peak_rss_mb) and after it (io_peak_rss_mb).
+parsed corpus's size (parsed_mb), the model text's size, and the process's
+peak RSS twice: before model I/O (peak_rss_mb) and after it
+(io_peak_rss_mb).
 
 Run one configuration per process, so that each peak RSS is its own:
 
@@ -31,13 +34,14 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from pertcrf import crf, datagen, features, optim  # noqa: E402
+from pertcrf import crf, datagen, features, optim, tasks  # noqa: E402
 from pertcrf.corpus import Corpus, parse_corpus, write_corpus  # noqa: E402
 from pertcrf.features import FeatureTemplate  # noqa: E402
 
@@ -50,12 +54,11 @@ def generate_tokens(spec: datagen.HmmSpec, n_tokens: int, seed: int) -> Corpus:
     n_tokens tokens."""
     n = max(1, n_tokens // 7)
     while True:
-        sents = datagen.generate(spec, n, seed=seed).sentences
-        total = 0
-        for k, sent in enumerate(sents):
-            total += len(sent)
-            if total >= n_tokens:
-                return Corpus.from_sentences(sents[: k + 1])
+        corpus = datagen.generate(spec, n, seed=seed)
+        if corpus.n_tokens >= n_tokens:
+            # The first sentence whose end reaches n_tokens is the last kept.
+            k = int(np.searchsorted(corpus.offsets[1:], n_tokens))
+            return corpus.take(range(k + 1))
         n *= 2
 
 
@@ -80,15 +83,20 @@ def main() -> None:
     text = write_corpus(generate_tokens(spec, args.tokens, SEED))
     template = FeatureTemplate(id="CRF2")
 
+    tracemalloc.start()
+    held = tracemalloc.get_traced_memory()[0]
+    corpus = parse_corpus(text)
+    parsed_mb = (tracemalloc.get_traced_memory()[0] - held) / 2**20
+    tracemalloc.stop()
+    del corpus
     corpus, parse_s = timed(lambda: parse_corpus(text))
     del text
     labels = corpus.tag_inventory
     ids = {lab: i for i, lab in enumerate(labels)}
 
     def encode():
-        forms = [[t.form for t in s] for s in corpus.sentences]
-        index, encoded = features.index_and_encode(template, forms)
-        gold = crf._gold_ids(encoded, [[t.pos for t in s] for s in corpus.sentences], ids)
+        index, encoded = features.index_and_encode(template, tasks.corpus_forms(corpus))
+        gold = crf._gold_ids(encoded, corpus.by_sentence(corpus.tag_names()), ids)
         return index, crf._pack(encoded), gold
 
     (index, packed, gold), encode_s = timed(encode)
@@ -118,6 +126,7 @@ def main() -> None:
         "features": F,
         "parameters": F * L + L * L,
         "parse_s": round(parse_s, 4),
+        "parsed_mb": round(parsed_mb, 2),
         "encode_s": round(encode_s, 4),
         "eval_s": round(min(evals), 4),
         "peak_rss_mb": peak_rss_mb,

@@ -142,13 +142,14 @@ def _experiment_config_from_args(args) -> ExperimentConfig:
         raise UsageError(str(exc)) from None
 
 
-def _print_log(log, best_iteration: int, out_path: str | None) -> None:
+def _print_log(log, best_iteration: int, stop: str, out_path: str | None) -> None:
     lines = [
         f"iter\t{e.iteration}\tobjective\t{e.objective!r}\tvalid_f1\t"
         + ("-" if e.valid_f1 is None else f"{e.valid_f1:.4f}")
         for e in log
     ]
     lines.append(f"best_iteration\t{best_iteration}")
+    lines.append(f"stop\t{stop}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_path:
@@ -162,9 +163,9 @@ def cmd_train(args) -> int:
     mode = cfg.ezafe_source if cfg.task == "pos-ez-input" else "none"
     started = time.monotonic()
     train_flags, valid_flags = tasks.make_flags(cfg, mode, [train_c, valid_c])
-    model, log, best_it = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
+    model, log, best_it, stop = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
     _atomic_write(args.out, crf.save_model(model))
-    _print_log(log, best_it, args.log)
+    _print_log(log, best_it, stop, args.log)
     print(f"model written to {args.out}", file=sys.stderr)
     print(f"wall_time_s\t{time.monotonic() - started:.1f}", file=sys.stderr)
     return 0
@@ -205,8 +206,7 @@ def cmd_eval(args) -> int:
         if model.template.ezafe_input:
             if args.ezafe_model:
                 flags = tasks.predict_flags(
-                    crf.load_model_file(args.ezafe_model),
-                    [[t.form for t in s] for s in corpus.sentences],
+                    crf.load_model_file(args.ezafe_model), tasks.corpus_forms(corpus)
                 )
                 header["ezafe_source"] = "predicted"
             else:
@@ -228,7 +228,7 @@ def cmd_experiment(args) -> int:
     cfg = tasks.read_experiment_config_file(args.config)
     started = time.monotonic()
     result = tasks.run_experiment(cfg)
-    _print_log(result.log, result.best_iteration, None)
+    _print_log(result.log, result.best_iteration, result.stop, None)
     if cfg.out_path:
         _atomic_write(cfg.out_path, crf.save_model(result.model))
         prefix = cfg.out_path

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -361,13 +361,14 @@ def train(
     template: FeatureTemplate,
     config: TrainConfig = TrainConfig(),
     on_iteration: Callable[[int, float, CrfModel], None] | None = None,
-) -> CrfModel:
+) -> tuple[CrfModel, str]:
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
     start, on sentences encoded with feature_index (features.index_and_encode
-    makes both) and their gold labels, one sequence per sentence. Raises
-    optim.DivergenceError if the objective turns non-finite. Trial steps
-    whose transition weights lie too far apart for the scaled recursion are
-    backtracked from, never accepted.
+    makes both) and their gold labels, one sequence per sentence. Returns
+    the model and why the optimizer stopped (optim.OwlQnResult.stop).
+    Raises optim.DivergenceError if the objective turns non-finite. Trial
+    steps whose transition weights lie too far apart for the scaled
+    recursion are backtracked from, never accepted.
 
     on_iteration(iteration, objective, model) fires after every accepted
     optimizer step with a read-only view of the current weights; copy them
@@ -403,13 +404,14 @@ def train(
         tolerance=config.tolerance,
         callback=callback,
     )
-    return CrfModel(
+    model = CrfModel(
         labels=labels,
         feature_index=feature_index,
         emission=result.x[: F * L].reshape(F, L).copy(),
         transition=result.x[F * L :].reshape(L, L).copy(),
         template=template,
     )
+    return model, result.stop
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +423,9 @@ def train(
 # Weights are rendered as repr(float(w)), the shortest decimal string that
 # round-trips. The F rows are rendered _SAVE_BLOCK rows at a time: each
 # distinct weight of a block (by bit pattern, so -0.0 and 0.0 stay apart)
-# is formatted once, and the block's cells are joined in one call.
+# is formatted once, and the block's cells are joined in one call. A
+# feature string enters as two cells, its slot prefix and its value
+# (FeatureIndex.key_parts), so no key string is built.
 
 _SAVE_BLOCK = 4096
 
@@ -432,11 +436,12 @@ def save_model(model: CrfModel) -> str:
     header = f"{MODEL_MAGIC} {MODEL_VERSION} {model.template.token} {L} {F}\n"
     parts = [header + "\t".join(model.labels) + "\n"]
     emission = np.asarray(model.emission, dtype=np.float64)
-    keys = model.feature_index.keys()
-    # Cells of one row: "F\t", key, then "\t" and a weight per label, "\n".
-    cells = np.empty((min(F, _SAVE_BLOCK), 2 * L + 3), dtype=object)
+    prefixes, values = model.feature_index.key_parts()
+    # Cells of one row: "F\t", key prefix, key value, then "\t" and a
+    # weight per label, "\n".
+    cells = np.empty((min(F, _SAVE_BLOCK), 2 * L + 4), dtype=object)
     cells[:, 0] = "F\t"
-    cells[:, 2:-1:2] = "\t"
+    cells[:, 3:-1:2] = "\t"
     cells[:, -1] = "\n"
     for start in range(0, F, _SAVE_BLOCK):
         block = emission[start : start + _SAVE_BLOCK]
@@ -450,8 +455,9 @@ def save_model(model: CrfModel) -> str:
         index = np.zeros(flat.size, dtype=np.intp)
         index[nonzero] = inverse + 1
         rows = cells[:n]
-        rows[:, 1] = list(islice(keys, n))
-        rows[:, 3:-1:2] = strings[index].reshape(n, L)
+        rows[:, 1] = prefixes[start : start + n]
+        rows[:, 2] = values[start : start + n]
+        rows[:, 4:-1:2] = strings[index].reshape(n, L)
         parts.append("".join(rows.ravel().tolist()))
     for lab, row in zip(model.labels, np.asarray(model.transition, dtype=np.float64).tolist()):
         parts.append("T\t" + lab + "\t" + "\t".join(map(repr, row)) + "\n")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Token, non_unix_line
+from .corpus import Corpus, non_unix_line, whitespace_free
 from .rng import SplitMix64, substream
 
 
@@ -76,6 +76,12 @@ class HmmSpec:
             raise HmmSpecError("states must be non-empty and distinct")
         if V == 0 or len(set(self.vocab)) != V:
             raise HmmSpecError("vocab must be non-empty and distinct")
+        # The corpus token rule, checked here once for every tag and form
+        # that generate can emit.
+        for name, values in (("state", self.states), ("word", self.vocab)):
+            if not whitespace_free(values):
+                bad = next(v for v in values if v.split() != [v])
+                raise HmmSpecError(f"{name} must be non-empty and whitespace-free: {bad!r}")
         if self.start.shape != (L,):
             raise HmmSpecError("START must have one entry per state")
         if self.trans.shape != (L, L) or self.emit.shape != (L, V):
@@ -115,26 +121,23 @@ def generate(
     cum_start = np.cumsum(spec.start)
     cum_trans = np.cumsum(spec.trans, axis=1)
     cum_emit = np.cumsum(spec.emit, axis=1)
-    sentences = []
+    forms: list[str] = []
+    states: list[int] = []
+    flags: list[int] = []
+    offsets = [0]
     for s in range(n_sentences):
         rng = substream(seed, s)
         n = length_dist.sample(rng)
-        states = np.empty(n, dtype=np.int64)
-        states[0] = _sample_categorical(rng, cum_start)
+        sent = [_sample_categorical(rng, cum_start)]
         for t in range(1, n):
-            states[t] = _sample_categorical(rng, cum_trans[states[t - 1]])
-        words = [spec.vocab[_sample_categorical(rng, cum_emit[states[t]])] for t in range(n)]
-        flags = np.zeros(n, dtype=np.int64)
-        for t in range(n - 1):
-            p = spec.ezafe_rule[states[t], states[t + 1]]
-            flags[t] = 1 if rng.random() < p else 0
-        sentences.append(
-            tuple(
-                Token(form=words[t], pos=spec.states[states[t]], ezafe=int(flags[t]))
-                for t in range(n)
-            )
-        )
-    return Corpus.from_sentences(sentences)
+            sent.append(_sample_categorical(rng, cum_trans[sent[t - 1]]))
+        forms += [spec.vocab[_sample_categorical(rng, cum_emit[state])] for state in sent]
+        flags += [1 if rng.random() < spec.ezafe_rule[a, b] else 0 for a, b in zip(sent, sent[1:])]
+        flags.append(0)
+        states += sent
+        offsets.append(offsets[-1] + n)
+    # HmmSpec holds its states and vocab to the token rule.
+    return Corpus.from_codes(forms, np.array(states, dtype=np.int32), spec.states, flags, offsets)
 
 
 def bayes_decode(spec: HmmSpec, words: Sequence[str]) -> list[str]:

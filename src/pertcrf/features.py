@@ -80,6 +80,12 @@ _WIDTHS = {
     "edge": len(EDGE_SLOTS),
     "ez": len(EZ_SLOTS),
 }
+# The prefix and the kind (a position in _KINDS) of each slot number; -1,
+# a key outside the grammar, reads the last entry: the empty prefix
+# (before the key as given) and no kind.
+_KINDS = tuple(_WIDTHS)
+_KEY_PREFIXES = np.array(_PREFIXES + [""], dtype=object)
+_SLOT_KINDS = np.array([_KINDS.index(_SLOT_COLUMNS[slot][0]) for slot in _SLOTS] + [-1], np.int8)
 # The values of the kinds that have a fixed set; the edge slots have one.
 _FIXED_VALUES = {"edge": ("",), "ez": EZ_VALUES}
 
@@ -193,15 +199,24 @@ class FeatureIndex:
     def __len__(self) -> int:
         return len(self._slot)
 
-    def keys(self) -> Iterator[str]:
+    def keys(self) -> list[str]:
         """The feature strings, in id order."""
-        vocab = {kind: list(values) for kind, values in self._values.items()}
-        for i, (slot, row) in enumerate(zip(self._slot.tolist(), self._row.tolist())):
-            if slot < 0:
-                yield self._other[i]
-            else:
-                kind = _SLOT_COLUMNS[_SLOTS[slot]][0]
-                yield _PREFIXES[slot] + vocab[kind][row]
+        prefixes, values = self.key_parts()
+        return (prefixes + values).tolist()
+
+    def key_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every feature string as two object arrays in id order, the slot
+        prefixes and the values, gathered per slot kind from its value
+        list; a key outside the grammar is the empty prefix and itself."""
+        values = np.empty(len(self), dtype=object)
+        kinds = _SLOT_KINDS[self._slot]
+        for k, kind in enumerate(_KINDS):
+            at = np.flatnonzero(kinds == k)
+            table = self._values[kind]
+            values[at] = np.fromiter(table, dtype=object, count=len(table))[self._row[at]]
+        for i, key in self._other.items():
+            values[i] = key
+        return _KEY_PREFIXES[self._slot], values
 
 
 def _fixed_values() -> dict[str, dict[str, int]]:

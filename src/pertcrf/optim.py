@@ -52,34 +52,58 @@ class OwlQnResult:
 
 
 def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, l1: float) -> np.ndarray:
+    """The steepest one-sided derivative of f + l1*|x|: grad + l1*sign(x)
+    off zero; at zero, grad shrunk towards 0 by l1 (0 when |grad| <= l1)."""
     if l1 == 0.0:
         return grad.copy()
-    pg = np.where(x > 0, grad + l1, np.where(x < 0, grad - l1, 0.0))
-    at_zero = x == 0
-    right = grad + l1
-    left = grad - l1
-    pg[at_zero & (right < 0)] = right[at_zero & (right < 0)]
-    pg[at_zero & (left > 0)] = left[at_zero & (left > 0)]
-    return pg
+    shift = np.clip(grad, -l1, l1)
+    shift *= x == 0
+    shift -= l1 * np.sign(x)
+    return grad - shift
 
 
-def _lbfgs_direction(pg: np.ndarray, s_hist: deque, y_hist: deque) -> np.ndarray:
-    """Two-loop recursion: d = -H*pg with H built from the stored pairs."""
+def _orthant(x: np.ndarray, pg: np.ndarray) -> np.ndarray:
+    """The orthant a step may explore: sign(x) off zero, -sign(pg) at
+    zero."""
+    orthant = -np.sign(pg)
+    orthant *= x == 0
+    orthant += np.sign(x)
+    return orthant
+
+
+def _project(x_new: np.ndarray, orthant: np.ndarray) -> None:
+    """Zero, in place, the coordinates of x_new outside orthant. Every zero
+    is +0.0."""
+    x_new *= x_new * orthant >= 0
+    x_new += 0.0
+
+
+@dataclass
+class _Pair:
+    """A stored curvature pair with the products that the two-loop
+    recursion reads."""
+
+    s: np.ndarray
+    y: np.ndarray
+    rho: float  # 1 / (s . y)
+    gamma: float  # (s . y) / (y . y), the initial Hessian scale when this pair is the newest
+
+
+def _lbfgs_direction(pg: np.ndarray, pairs: deque, scratch: np.ndarray) -> np.ndarray:
+    """Two-loop recursion: d = -H*pg with H built from the stored pairs.
+    scratch (the size of pg) holds each scaled pair vector in turn."""
     d = -pg
-    if not s_hist:
+    if not pairs:
         return d
     alphas = []
-    rhos = [1.0 / float(np.dot(y, s)) for s, y in zip(s_hist, y_hist)]
-    for i in range(len(s_hist) - 1, -1, -1):
-        a = rhos[i] * float(np.dot(s_hist[i], d))
+    for pair in reversed(pairs):
+        a = pair.rho * float(np.dot(pair.s, d))
         alphas.append(a)
-        d -= a * y_hist[i]
-    s_last, y_last = s_hist[-1], y_hist[-1]
-    d *= float(np.dot(s_last, y_last)) / float(np.dot(y_last, y_last))
-    alphas.reverse()
-    for i in range(len(s_hist)):
-        b = rhos[i] * float(np.dot(y_hist[i], d))
-        d += (alphas[i] - b) * s_hist[i]
+        d -= np.multiply(pair.y, a, out=scratch)
+    d *= pairs[-1].gamma
+    for pair, a in zip(pairs, reversed(alphas)):
+        b = pair.rho * float(np.dot(pair.y, d))
+        d += np.multiply(pair.s, a - b, out=scratch)
     return d
 
 
@@ -110,8 +134,8 @@ def minimize_owlqn(
     if not np.isfinite(obj) or not np.all(np.isfinite(g)):
         raise DivergenceError(0)
 
-    s_hist: deque = deque(maxlen=memory)
-    y_hist: deque = deque(maxlen=memory)
+    pairs: deque = deque(maxlen=memory)
+    scratch = np.empty_like(x)
     log = [obj]
     stop = "max_iterations"
     it = 0
@@ -121,22 +145,22 @@ def minimize_owlqn(
         if not np.any(pg):
             stop = "zero_step"
             break
-        d = _lbfgs_direction(pg, s_hist, y_hist)
+        d = _lbfgs_direction(pg, pairs, scratch)
         if l1 > 0.0:
             # Constrain the direction to the descent orthant of the
             # pseudo-gradient; required for convergence of OWL-QN.
-            d[d * -pg <= 0] = 0.0
+            d *= d * -pg > 0
             if not np.any(d):
                 stop = "zero_step"
                 break
-            orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
+            orthant = _orthant(x, pg)
 
-        alpha = 1.0 if s_hist else 1.0 / max(float(np.linalg.norm(d)), 1e-12)
+        alpha = 1.0 if pairs else 1.0 / max(float(np.linalg.norm(d)), 1e-12)
         accepted = False
         for _ in range(MAX_LINESEARCH):
             x_new = x + alpha * d
             if l1 > 0.0:
-                x_new[x_new * orthant < 0] = 0.0
+                _project(x_new, orthant)
             alpha *= BACKTRACK
             try:
                 f_new, g_new = fun_and_grad(x_new)
@@ -145,8 +169,8 @@ def minimize_owlqn(
             obj_new = f_new + l1 * float(np.abs(x_new).sum())
             if not np.isfinite(obj_new):
                 raise DivergenceError(it + 1)
-            dgrad = float(np.dot(pg, x_new - x))
-            if obj_new <= obj + ARMIJO_C * dgrad and obj_new <= obj:
+            s = x_new - x
+            if obj_new <= obj + ARMIJO_C * float(np.dot(pg, s)) and obj_new <= obj:
                 accepted = True
                 break
         if not accepted:
@@ -154,11 +178,10 @@ def minimize_owlqn(
             break
 
         it += 1
-        s = x_new - x
         y = g_new - g
-        if float(np.dot(s, y)) > CURVATURE_EPS:
-            s_hist.append(s)
-            y_hist.append(y)
+        sy = float(np.dot(s, y))
+        if sy > CURVATURE_EPS:
+            pairs.append(_Pair(s=s, y=y, rho=1.0 / sy, gamma=sy / float(np.dot(y, y))))
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj_new))
         x, g, obj = x_new, g_new, obj_new
         log.append(obj)

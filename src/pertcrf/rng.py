@@ -7,6 +7,8 @@ byte-for-byte on any platform, forever.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -45,10 +47,32 @@ class SplitMix64:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates shuffle: for i from len-1 down to 1, swap
+        items[i] with items[randrange(i + 1)]. The draws are computed as
+        one array; in the unlikely case that one of them would be
+        rejected, they are drawn one by one instead."""
+        n = len(items)
+        if n < 2:
+            return
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for each i
+        u = self._next_u64s(n - 1)
+        # randrange(b) rejects u >= 2**64 - 2**64 % b, and
+        # 2**64 % b == (2**64 - b) % b.
+        if np.any(u > np.uint64(MASK64) - (np.uint64(0) - bounds) % bounds):
+            targets = [self.randrange(i + 1) for i in range(n - 1, 0, -1)]
+        else:
+            targets = (u % bounds).tolist()
+            self._state = (self._state + (n - 1) * _GAMMA) & MASK64
+        for i, j in zip(range(n - 1, 0, -1), targets):
             items[i], items[j] = items[j], items[i]
+
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next n outputs of next_u64 as a uint64 array, without
+        advancing the state."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
 
 def substream(seed: int, index: int) -> SplitMix64:

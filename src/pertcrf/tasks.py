@@ -10,10 +10,11 @@ best validation F1 are the ones evaluated on test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Sequence
 
 from . import crf, features
-from .corpus import Corpus, Token, read_corpus_file
+from .corpus import Corpus, read_corpus_file
 from .crf import CrfModel, TrainConfig
 from .features import FeatureTemplate
 from .metrics import (
@@ -79,6 +80,7 @@ class ExperimentResult:
     test_report: EvalReport
     log: list[TrainLogEntry]
     best_iteration: int
+    stop: str  # why training stopped: optim.OwlQnResult.stop
     extra: dict[str, EvalReport] = field(default_factory=dict)
 
 
@@ -87,11 +89,11 @@ class ExperimentResult:
 
 
 def gold_flags(corpus: Corpus) -> list[tuple[int, ...]]:
-    return [tuple(t.ezafe for t in s) for s in corpus.sentences]
+    return corpus.by_sentence(tuple(corpus.ezafe.tolist()))
 
 
-def corpus_forms(corpus: Corpus) -> list[list[str]]:
-    return [[t.form for t in s] for s in corpus.sentences]
+def corpus_forms(corpus: Corpus) -> list[tuple[str, ...]]:
+    return corpus.by_sentence(corpus.forms)
 
 
 def _decode(
@@ -110,18 +112,23 @@ def predict_flags(model: CrfModel, sentences: Sequence[Sequence[str]]) -> list[t
     return [tuple(map(int, labels)) for labels in _decode(model, sentences)]
 
 
-def _label_fn(task: str) -> Callable[[Token], str]:
+def _ezafe_labels(corpus: Corpus) -> list[str]:
+    """The ezafe flag of every token, as a label."""
+    return list(map(("0", "1").__getitem__, corpus.ezafe.tolist()))
+
+
+def _task_labels(task: str, corpus: Corpus) -> list[str]:
+    """The gold label of every token for task."""
     if task == "ezafe":
-        return lambda t: str(t.ezafe)
+        return _ezafe_labels(corpus)
     if task == "joint":
-
-        def joint(t: Token) -> str:
-            if JOINT_SEP in t.pos:
-                raise ValueError(f"pos tag {t.pos!r} contains reserved {JOINT_SEP!r}")
-            return f"{t.pos}{JOINT_SEP}{t.ezafe}"
-
-        return joint
-    return lambda t: t.pos
+        for pos in corpus.tag_inventory:
+            if JOINT_SEP in pos:
+                raise ValueError(f"pos tag {pos!r} contains reserved {JOINT_SEP!r}")
+        # Tag code t with flag e is label 2t + e.
+        joint = [f"{pos}{JOINT_SEP}{ez}" for pos in corpus.tag_inventory for ez in (0, 1)]
+        return list(map(joint.__getitem__, (2 * corpus.tags + corpus.ezafe).tolist()))
+    return corpus.tag_names()
 
 
 def decode_corpus(model: CrfModel, corpus: Corpus, ezafe: Flags | None = None) -> list[list[str]]:
@@ -146,12 +153,11 @@ def evaluate_ezafe(
         pred = decode_corpus(model_or_pred, corpus)
     else:
         pred = model_or_pred
-    gold = [[str(t.ezafe) for t in s] for s in corpus.sentences]
-    table = confusion(gold, pred, ("0", "1"))
+    table = confusion(corpus.by_sentence(_ezafe_labels(corpus)), pred, ("0", "1"))
     per_pos, mean = ezafe_f1_per_pos(
-        [[t.ezafe for t in s] for s in corpus.sentences],
+        corpus.by_sentence(corpus.ezafe.tolist()),
         [[int(v) for v in ps] for ps in pred],
-        [[t.pos for t in s] for s in corpus.sentences],
+        corpus.by_sentence(corpus.tag_names()),
     )
     return EvalReport(
         kind="binary",
@@ -177,8 +183,7 @@ def evaluate_pos(
     else:
         pred = model_or_pred
         extra = sorted({t for ps in pred for t in ps})
-    gold = [[t.pos for t in s] for s in corpus.sentences]
-    table = confusion(gold, pred, _tagset(corpus, extra))
+    table = confusion(corpus.by_sentence(corpus.tag_names()), pred, _tagset(corpus, extra))
     return EvalReport(
         kind="macro",
         headline=macro_metrics(table),
@@ -240,28 +245,24 @@ def fit(
     valid_c: Corpus,
     train_flags: Flags | None = None,
     valid_flags: Flags | None = None,
-) -> tuple[CrfModel, list[TrainLogEntry], int]:
+) -> tuple[CrfModel, list[TrainLogEntry], int, str]:
     """Train cfg.task on train_c (with its ezafe input flags, for
     ezafe-input templates), decoding valid_c every cfg.eval_every
     iterations and at the last one. Returns the model restored to the
     checkpoint with the best validation F1 (positive-class F1 for ezafe,
-    macro F1 otherwise; the earliest among ties), the log, and the
-    checkpoint's iteration."""
+    macro F1 otherwise; the earliest among ties), the log, the
+    checkpoint's iteration, and why training stopped (OwlQnResult.stop)."""
     if train_c.n_sentences == 0:
         raise ValueError("empty train split")
     if valid_c.n_sentences == 0:
         raise ValueError("empty validation split")
     task = cfg.task
-    label_of = _label_fn(task)
+    gold = _task_labels(task, train_c)
     if task == "ezafe":
         labels: tuple[str, ...] = ("0", "1")
         valid_f1 = lambda m: evaluate_ezafe(m, valid_c).headline.f1
     elif task == "joint":
-        seen: dict[str, None] = {}
-        for sent in train_c.sentences:
-            for tok in sent:
-                seen.setdefault(label_of(tok), None)
-        labels = tuple(seen)
+        labels = tuple(dict.fromkeys(gold))
         valid_f1 = lambda m: evaluate_joint(m, valid_c)[0].headline.f1
     else:
         labels = train_c.tag_inventory
@@ -285,10 +286,10 @@ def fit(
     index, encoded = features.index_and_encode(
         cfg.template, corpus_forms(train_c), train_flags, cfg.train_config.min_count
     )
-    model = crf.train(
+    model, stop = crf.train(
         index,
         encoded,
-        [[label_of(t) for t in s] for s in train_c.sentences],
+        train_c.by_sentence(gold),
         labels,
         cfg.template,
         cfg.train_config,
@@ -297,7 +298,7 @@ def fit(
     if log and log[-1].valid_f1 is None:
         log[-1].valid_f1 = checkpoint(log[-1].iteration, model)
     if best["weights"] is None:  # no accepted step: the zero start is the model
-        return model, log, 0
+        return model, log, 0, stop
     em, tr = best["weights"]
     model = CrfModel(
         labels=model.labels,
@@ -306,7 +307,7 @@ def fit(
         transition=tr,
         template=model.template,
     )
-    return model, log, best["iteration"]
+    return model, log, best["iteration"], stop
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +347,14 @@ def run_ezafe(
     on validation and test, with the per-POS F1 breakdown."""
     train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
     header = _config_header(cfg)
-    model, log, best_it = fit(cfg, train_c, valid_c)
+    model, log, best_it, stop = fit(cfg, train_c, valid_c)
     return ExperimentResult(
         model=model,
         valid_report=evaluate_ezafe(model, valid_c, header),
         test_report=evaluate_ezafe(model, test_c, header),
         log=log,
         best_iteration=best_it,
+        stop=stop,
     )
 
 
@@ -371,13 +373,14 @@ def run_pos(
     train_flags, valid_flags, test_flags = make_flags(
         cfg, ezafe_mode, [train_c, valid_c, test_c], ezafe_model
     )
-    model, log, best_it = fit(cfg, train_c, valid_c, train_flags, valid_flags)
+    model, log, best_it, stop = fit(cfg, train_c, valid_c, train_flags, valid_flags)
     return ExperimentResult(
         model=model,
         valid_report=evaluate_pos(model, valid_c, ezafe=valid_flags, header=header),
         test_report=evaluate_pos(model, test_c, ezafe=test_flags, header=header),
         log=log,
         best_iteration=best_it,
+        stop=stop,
     )
 
 
@@ -389,7 +392,7 @@ def run_joint(
     extra."""
     train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
     header = _config_header(cfg)
-    model, log, best_it = fit(cfg, train_c, valid_c)
+    model, log, best_it, stop = fit(cfg, train_c, valid_c)
     valid_pos, valid_ez = evaluate_joint(model, valid_c, header)
     test_pos, test_ez = evaluate_joint(model, test_c, header)
     return ExperimentResult(
@@ -398,6 +401,7 @@ def run_joint(
         test_report=test_pos,
         log=log,
         best_iteration=best_it,
+        stop=stop,
         extra={"valid_ezafe": valid_ez, "test_ezafe": test_ez},
     )
 
@@ -424,11 +428,12 @@ def pipeline_tag(
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
     flags = predict_flags(ezafe_model, sentences)
-    tagged = [
-        tuple(Token(form=f, pos=p, ezafe=e) for f, p, e in zip(forms, pos_labels, fl))
-        for forms, pos_labels, fl in zip(sentences, _decode(pos_model, sentences, flags), flags)
-    ]
-    return Corpus.from_sentences(tagged)
+    return Corpus.from_columns(
+        list(chain.from_iterable(sentences)),
+        list(chain.from_iterable(_decode(pos_model, sentences, flags))),
+        list(chain.from_iterable(flags)),
+        list(map(len, sentences)),
+    )
 
 
 def model_task_kind(model: CrfModel) -> str:

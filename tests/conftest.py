@@ -39,6 +39,15 @@ persian_tokens = st.builds(
 )
 
 
+def assert_same_text(text, reference):
+    """text == reference, failing on the first line that differs: pytest's
+    diff of two long model texts would take minutes."""
+    got, want = text.split("\n"), reference.split("\n")
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {i + 1}"
+    assert len(got) == len(want)
+
+
 @st.composite
 def corpora(draw, min_sentences=1, max_sentences=10, tokens=tokens):
     sents = draw(

@@ -1,11 +1,13 @@
 """Independent reference implementations used only by tests.
 
 Everything here enumerates label sequences exhaustively, perturbs inputs
-numerically, builds and counts feature strings one key at a time, or
-renders model text one weight at a time; none of it shares code with the
-package's inference, training, encoding or model-writing paths. The
-string extractor is the reference for the key grammar and its order (see
-the pertcrf.features docstring).
+numerically, builds and counts feature strings one key at a time, renders
+model text one weight at a time, parses corpus text one line at a time,
+shuffles with one draw at a time, or applies the OWL-QN projections with
+masks; none of it shares code with the package's inference, training,
+encoding, model-writing, parsing or optimizer paths. The string extractor
+is the reference for the key grammar and its order (see the
+pertcrf.features docstring).
 """
 
 import itertools
@@ -13,7 +15,9 @@ from collections import Counter
 
 import numpy as np
 
+from pertcrf.corpus import Corpus, CorpusFormatError, Token, non_unix_line
 from pertcrf.features import Encoded, FeatureIndex
+from pertcrf.rng import SplitMix64
 
 WINDOW = 5
 W_KEYS = [f"w[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
@@ -213,3 +217,66 @@ def brute_nll_and_gradient(batch, n_features: int, n_labels: int, x: np.ndarray,
             g_t[y[t], y[t + 1]] -= 1.0
     grad = np.concatenate([g_e.ravel(), g_t.ravel()])
     return nll + 0.5 * l2 * float(x @ x), grad + l2 * x
+
+
+def reference_parse(text: str) -> Corpus:
+    """parse_corpus one line at a time, building a Token per token and
+    raising CorpusFormatError at the first malformed line."""
+    bad = non_unix_line(text)
+    if bad is not None:
+        raise CorpusFormatError(bad[1], bad[0])
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    sentences, current = [], []
+    for lineno, line in enumerate(lines, start=1):
+        if line == "":
+            if not current:
+                raise CorpusFormatError("empty sentence", lineno)
+            sentences.append(tuple(current))
+            current = []
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise CorpusFormatError(f"expected 3 tab-separated columns, got {len(cols)}", lineno)
+        form, pos, ez = cols
+        if ez not in ("0", "1"):
+            raise CorpusFormatError(f"ezafe flag must be 0 or 1, got {ez!r}", lineno)
+        try:
+            current.append(Token(form=form, pos=pos, ezafe=int(ez)))
+        except ValueError as exc:
+            raise CorpusFormatError(str(exc), lineno) from None
+    if current:
+        sentences.append(tuple(current))
+    return Corpus.from_sentences(sentences)
+
+
+def reference_shuffle(seed: int, items: list) -> None:
+    """Fisher-Yates with one SplitMix64.randrange draw per swap."""
+    rng = SplitMix64(seed)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+# OWL-QN's sign handling (see pertcrf.optim) written with masks.
+
+
+def reference_pseudo_gradient(x, grad, l1):
+    pg = np.where(x > 0, grad + l1, np.where(x < 0, grad - l1, 0.0))
+    at_zero = x == 0
+    right = grad + l1
+    left = grad - l1
+    pg[at_zero & (right < 0)] = right[at_zero & (right < 0)]
+    pg[at_zero & (left > 0)] = left[at_zero & (left > 0)]
+    return pg
+
+
+def reference_orthant(x, pg):
+    return np.where(x != 0, np.sign(x), -np.sign(pg))
+
+
+def reference_projection(x_new, orthant):
+    out = x_new.copy()
+    out[out * orthant < 0] = 0.0
+    return out

@@ -171,7 +171,7 @@ def test_criterion_2_gradient_check():
 def test_criterion_3_learnability_vs_oracle(learnability_data):
     started = time.monotonic()
     spec, train_c, test_c, (index, encoded, gold) = learnability_data
-    model = train(index, encoded, gold, train_c.tag_inventory, CRF2, TrainConfig())
+    model, _ = train(index, encoded, gold, train_c.tag_inventory, CRF2, TrainConfig())
     pred = decode_corpus(model, test_c)
     gold = [[t.pos for t in s] for s in test_c.sentences]
     total = sum(len(g) for g in gold)
@@ -230,8 +230,8 @@ def test_criterion_5_l1_sparsity(learnability_data):
     _, train_c, _, (index, encoded, gold) = learnability_data
     config_l1 = TrainConfig(l1=0.1, l2=0.1, max_iterations=25)
     config_l0 = TrainConfig(l1=0.0, l2=0.1, max_iterations=25)
-    with_l1 = train(index, encoded, gold, train_c.tag_inventory, CRF2, config_l1)
-    without = train(index, encoded, gold, train_c.tag_inventory, CRF2, config_l0)
+    with_l1, _ = train(index, encoded, gold, train_c.tag_inventory, CRF2, config_l1)
+    without, _ = train(index, encoded, gold, train_c.tag_inventory, CRF2, config_l0)
     zeros_l1 = int(np.sum(with_l1.emission == 0.0))
     zeros_l0 = int(np.sum(without.emission == 0.0))
     _criterion(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_same_text
 from pertcrf import crf
 from pertcrf.cli import main
 from pertcrf.corpus import Token, Corpus, parse_corpus, write_corpus
@@ -133,15 +134,28 @@ class TestTrain:
     def test_rerun_identical_model_bytes(self, tmp_path, corpus_file):
         args, out = train_args(tmp_path, corpus_file)
         main(args)
-        first = out.read_bytes()
+        first = out.read_bytes().decode("utf-8")
         main(args)
-        assert out.read_bytes() == first
+        assert_same_text(out.read_bytes().decode("utf-8"), first)
 
     def test_log_file(self, tmp_path, corpus_file):
         log = tmp_path / "train.log"
         args, _ = train_args(tmp_path, corpus_file, extra=["--log", str(log)])
         main(args)
         assert log.read_text(encoding="utf-8").startswith("iter\t")
+
+    @pytest.mark.parametrize(
+        "extra, reason", [(["--max-iter", "2"], "max_iterations"), (["--l1", "1e6"], "zero_step")]
+    )
+    def test_stop_reason_after_best_iteration(self, tmp_path, corpus_file, capsys, extra, reason):
+        log = tmp_path / "train.log"
+        args, out = train_args(tmp_path, corpus_file, extra=["--log", str(log), *extra])
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines()[-2].startswith("best_iteration\t")
+        assert stdout.endswith(f"\nstop\t{reason}\n")
+        assert log.read_bytes().decode("utf-8") == stdout
+        assert "stop" not in out.read_bytes().decode("utf-8")
 
     @pytest.mark.parametrize("flag", ["--l1", "--l2"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -304,6 +318,10 @@ class TestExperiment:
         report = json.loads((tmp_path / "model.crf.test.json").read_text(encoding="utf-8"))
         assert report["config"]["task"] == "ezafe"
         assert report["config"]["max_iter"] == "10"
+        # The stop reason goes to the log on stdout, never into the files.
+        assert "\nstop\t" in capsys.readouterr().out
+        for path in tmp_path.glob("model.crf*"):
+            assert "stop" not in path.read_bytes().decode("utf-8")
 
     def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import corpora, persian_tokens
+from conftest import assert_same_text, corpora, persian_tokens
 from oracles import (
     brute_nll_and_gradient,
     central_differences,
@@ -44,12 +44,13 @@ def objective(model, batch, l2=0.0):
 
 
 def train_keys(batch, labels, config=TrainConfig(), on_iteration=None):
-    """train on a batch, indexing its keys in first-occurrence order."""
+    """train on a batch, indexing its keys in first-occurrence order; the
+    model only."""
     sentences = [feats for feats, _ in batch]
     index = FeatureIndex(reference_keys(sentences))
     encoded = encode_keys(index, sentences)
     gold = [g for _, g in batch]
-    return train(index, encoded, gold, labels, CRF1, config, on_iteration=on_iteration)
+    return train(index, encoded, gold, labels, CRF1, config, on_iteration=on_iteration)[0]
 
 
 def decode_keys(model, sentences):
@@ -329,7 +330,7 @@ class TestTrain:
         index, encoded = index_and_encode(CRF2, forms, min_count=config.min_count)
         seen = []
         on_iteration = lambda it, obj, m: seen.append(obj)
-        model = train(index, encoded, gold, labels, CRF2, config, on_iteration=on_iteration)
+        model, _ = train(index, encoded, gold, labels, CRF2, config, on_iteration=on_iteration)
         counts = {}
         for sentence in forms:
             for keys in sentence_features(sentence, CRF2):
@@ -362,15 +363,6 @@ def model_of(emission, transition, labels=("a", "b", "c")):
         transition=transition,
         template=CRF1,
     )
-
-
-def assert_same_text(text, reference):
-    """text == reference, failing on the first line that differs: pytest's
-    diff of two long model texts would take minutes."""
-    got, want = text.split("\n"), reference.split("\n")
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert a == b, f"line {i + 1}"
-    assert len(got) == len(want)
 
 
 class TestModelIO:
@@ -547,7 +539,7 @@ class TestModelIO:
         assert np.array_equal(restored.emission, model.emission)
         assert np.array_equal(np.signbit(restored.emission), np.signbit(model.emission))
         assert np.array_equal(restored.transition, model.transition)
-        assert save_model(restored) == text
+        assert_same_text(save_model(restored), text)
         again = encode(restored.feature_index, template, corpus_forms(c), flags)
         assert again.feat.tolist() == encoded.feat.tolist()
 

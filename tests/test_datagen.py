@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pertcrf.corpus import parse_corpus, write_corpus
+from pertcrf.corpus import Corpus, parse_corpus, write_corpus
 from pertcrf.datagen import (
     GeometricLength,
     HmmSpec,
@@ -74,7 +74,49 @@ class TestSpecValidation:
             )
 
 
+class TestSpecTokenRule:
+    """States become tags and vocab words become forms, so a spec holds
+    both to the corpus token rule when it is made."""
+
+    @pytest.mark.parametrize(
+        "states, vocab, message",
+        [
+            (("A", "B C"), ("w1", "w2"), "state must be non-empty and whitespace-free: 'B C'"),
+            (("A", ""), ("w1", "w2"), "state must be non-empty and whitespace-free: ''"),
+            (("A", "B"), ("w1", "w\u00a02"), r"word must be non-empty and whitespace-free: 'w\\xa02'"),
+            (("A", "B"), ("w1\n", "w2"), r"word must be non-empty and whitespace-free: 'w1\\n'"),
+        ],
+    )
+    def test_whitespace_rejected(self, states, vocab, message):
+        spec = two_state_spec()
+        with pytest.raises(HmmSpecError, match=message):
+            HmmSpec(
+                states=states,
+                vocab=vocab,
+                start=spec.start,
+                trans=spec.trans,
+                emit=spec.emit,
+                ezafe_rule=spec.ezafe_rule,
+            )
+
+    def test_joiners_accepted(self):
+        spec = two_state_spec()
+        HmmSpec(
+            states=("A\u200c", "B"),
+            vocab=("w\u200c1", "\u2060"),
+            start=spec.start,
+            trans=spec.trans,
+            emit=spec.emit,
+            ezafe_rule=spec.ezafe_rule,
+        )
+
+
 class TestGenerate:
+    def test_columns_match_the_tokens(self):
+        c = generate(tuned_ezafe_spec(), 40, seed=3)
+        assert c == Corpus.from_sentences(c.sentences)
+        assert c.tag_inventory == tuple(dict.fromkeys(t.pos for s in c.sentences for t in s))
+
     def test_zero_rule_means_no_flags(self):
         c = generate(two_state_spec(0.0), 50, seed=1)
         assert all(t.ezafe == 0 for s in c.sentences for t in s)

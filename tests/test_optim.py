@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
-from pertcrf.optim import DivergenceError, DomainError, minimize_owlqn
+from oracles import reference_orthant, reference_projection, reference_pseudo_gradient
+from pertcrf.optim import (
+    DivergenceError,
+    DomainError,
+    _orthant,
+    _project,
+    _pseudo_gradient,
+    minimize_owlqn,
+)
 
 
 def quadratic(center):
@@ -194,3 +204,58 @@ class TestStopReason:
         res = minimize_owlqn(fg, np.zeros(3), max_iterations=10)
         assert res.stop == "line_search"
         assert res.iterations == 0
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def kinks(draw):
+    """(x, grad, l1) with signed zeros in x and grad, and gradients exactly
+    at +-l1, where the pseudo-gradient switches branch."""
+    l1 = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0, 2.0**-30]))
+    n = draw(st.integers(1, 40))
+    edges = st.sampled_from([0.0, -0.0, l1, -l1, 2 * l1, -2 * l1, 5e-324, -5e-324])
+    value = st.one_of(edges, st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=True))
+    x = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    grad = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return x, grad, l1
+
+
+class TestBranchFree:
+    """The optimizer's arithmetic forms of the pseudo-gradient, orthant and
+    projection against the masked forms in oracles, as bit patterns."""
+
+    @given(kinks())
+    def test_pseudo_gradient_bit_for_bit(self, case):
+        x, grad, l1 = case
+        assert np.array_equal(bits(_pseudo_gradient(x, grad, l1)), bits(reference_pseudo_gradient(x, grad, l1)))
+
+    @given(kinks())
+    def test_orthant_bit_for_bit_but_the_sign_of_zero(self, case):
+        # A zero orthant entry only enters the sign test of the projection,
+        # where -0.0 and 0.0 act alike; the arithmetic form gives 0.0.
+        x, grad, l1 = case
+        pg = _pseudo_gradient(x, grad, l1)
+        assert np.array_equal(bits(_orthant(x, pg)), bits(reference_orthant(x, pg) + 0.0))
+
+    @given(kinks(), st.sampled_from([1.0, 0.5, 2.0**-40]))
+    def test_projection_bit_for_bit_with_positive_zeros(self, case, alpha):
+        x, grad, l1 = case
+        pg = _pseudo_gradient(x, grad, l1)
+        orthant = _orthant(x, pg)
+        x_new = x + alpha * -pg
+        projected = x_new.copy()
+        _project(projected, orthant)
+        assert np.array_equal(bits(projected), bits(reference_projection(x_new, orthant) + 0.0))
+        assert not np.any(np.signbit(projected) & (projected == 0))
+
+    def test_edges_by_hand(self):
+        l1 = 0.5
+        x = np.array([0.0, -0.0, 0.0, 0.0, 0.0, 1.0, -1.0, -0.0])
+        grad = np.array([0.5, -0.5, 0.7, -0.7, -0.0, -0.0, 0.0, -0.0])
+        expected = np.array([0.0, 0.0, 0.7 - 0.5, -0.7 + 0.5, 0.0, 0.5, -0.5, 0.0])
+        pg = _pseudo_gradient(x, grad, l1)
+        assert np.array_equal(bits(pg), bits(expected))
+        assert np.array_equal(bits(pg), bits(reference_pseudo_gradient(x, grad, l1)))

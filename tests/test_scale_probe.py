@@ -28,5 +28,6 @@ def test_tiny_configuration_reports_every_field():
     for key in ("parse_s", "encode_s", "eval_s", "save_s", "load_s"):
         assert record[key] >= 0.0
     assert record["model_mb"] > 0
+    assert 0 < record["parsed_mb"] < record["peak_rss_mb"]
     assert 0 < record["peak_rss_mb"] <= record["io_peak_rss_mb"]
     assert record["machine"]["blas_threads"] == "1"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pertcrf import crf, features
-from pertcrf.corpus import Corpus, Token, write_corpus
-from pertcrf.crf import TrainConfig
-from pertcrf.datagen import GeometricLength, generate, homograph_spec
+from pertcrf.corpus import Corpus, Token, parse_corpus, shuffle_split, write_corpus
+from pertcrf.crf import TrainConfig, save_model
+from pertcrf.datagen import GeometricLength, generate, homograph_spec, tuned_ezafe_spec
 from pertcrf.features import FeatureIndex, FeatureTemplate
 from pertcrf.rng import SplitMix64
 from pertcrf.tasks import (
@@ -119,7 +119,7 @@ class TestCheckpointReplay:
         train_c, valid_c, _ = rule_corpora
         config = TrainConfig(max_iterations=12)
         cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config, eval_every=3)
-        model, log, best_it = fit(cfg, train_c, valid_c)
+        model, log, best_it, _ = fit(cfg, train_c, valid_c)
         # deterministic retrain, capturing weights at every iteration
         index, encoded = features.index_and_encode(CRF1, corpus_forms(train_c))
         gold = [[str(t.ezafe) for t in s] for s in train_c.sentences]
@@ -154,7 +154,7 @@ class TestCheckpointReplay:
         cfg = ExperimentConfig(
             task="ezafe", template=CRF1, train_config=TrainConfig(max_iterations=7), eval_every=3
         )
-        _, log, _ = fit(cfg, train_c, valid_c)
+        _, log, _, _ = fit(cfg, train_c, valid_c)
         checkpoints = sum(e.valid_f1 is not None for e in log)
         assert checkpoints == 3  # iterations 3, 6 and the last one, 7
         assert calls[0] == ("index", train_c.n_sentences)
@@ -273,6 +273,20 @@ class TestRunJoint:
         assert result.extra["test_ezafe"].kind == "binary"
         assert result.test_report.kind == "macro"
 
+    def test_labels_in_first_occurrence_order(self, rule_corpora):
+        train_c = rule_corpora[0]
+        cfg = ExperimentConfig(task="joint", template=CRF1, train_config=TrainConfig(max_iterations=1))
+        labels = run_joint(cfg, corpora=rule_corpora).model.labels
+        assert labels == tuple(dict.fromkeys(f"{t.pos}|{t.ezafe}" for s in train_c.sentences for t in s))
+
+    def test_tag_with_separator_rejected(self, rule_corpora):
+        train_c = Corpus.from_sentences(
+            [(Token("a", "N", 0), Token("b", "N|X", 1)), (Token("c", "V|", 0),)] * 3
+        )
+        cfg = ExperimentConfig(task="joint", template=CRF1, train_config=FAST)
+        with pytest.raises(ValueError, match=r"pos tag 'N\|X' contains reserved '\|'"):
+            run_joint(cfg, corpora=(train_c, rule_corpora[1], rule_corpora[2]))
+
     def test_split_joint_rejects_malformed(self):
         with pytest.raises(ValueError):
             split_joint("N")
@@ -316,6 +330,15 @@ class TestPipeline:
         direct = decode_corpus(pos_model, test_c, ezafe=flags)
         assert [[t.pos for t in s] for s in tagged.sentences] == direct
         assert [[t.ezafe for t in s] for s in tagged.sentences] == [list(f) for f in flags]
+
+    def test_form_with_whitespace_rejected(self, perfect_ezafe_setup):
+        corpora, ezafe_model = perfect_ezafe_setup
+        cfg = ExperimentConfig(
+            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=3)
+        )
+        pos_model = run_pos(cfg, "gold", corpora).model
+        with pytest.raises(ValueError, match="token form must be non-empty and whitespace-free: 'b c'"):
+            pipeline_tag([["ea"], ["ea", "b c"]], ezafe_model, pos_model)
 
     def test_template_incompatibility(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
@@ -421,3 +444,69 @@ class TestModelKind:
             corpora,
         ).model
         assert model_task_kind(joint_model) == "joint"
+
+
+class TestStopReason:
+    """Why training stopped, from optim through crf.train and fit into the
+    experiment result."""
+
+    @pytest.mark.parametrize("runner", ["ezafe", "pos", "joint"])
+    def test_max_iterations(self, rule_corpora, runner):
+        cfg = ExperimentConfig(task=runner, template=CRF1, train_config=TrainConfig(max_iterations=2))
+        result = run_experiment(cfg, corpora=rule_corpora)
+        assert result.stop == "max_iterations"
+        assert [e.iteration for e in result.log] == [1, 2]
+
+    def test_tolerance(self, rule_corpora):
+        config = TrainConfig(max_iterations=50, tolerance=0.05)
+        cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config)
+        result = run_ezafe(cfg, corpora=rule_corpora)
+        assert result.stop == "tolerance"
+        assert len(result.log) < 50
+
+    def test_zero_step(self, rule_corpora):
+        # An L1 weight above every gradient leaves the zero start in place.
+        config = TrainConfig(l1=1e6, max_iterations=5)
+        cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config)
+        model, log, best_it, stop = fit(cfg, *rule_corpora[:2])
+        assert (stop, log, best_it) == ("zero_step", [], 0)
+        assert not np.any(model.emission)
+
+    def test_line_search(self, rule_corpora, monkeypatch):
+        # Every trial point lies outside the objective's domain.
+        evaluate = crf._Objective.__call__
+
+        def only_at_zero(self, x):
+            if np.any(x):
+                raise crf.TransitionSpanError("outside")
+            return evaluate(self, x)
+
+        monkeypatch.setattr(crf._Objective, "__call__", only_at_zero)
+        result = run_ezafe(ezafe_cfg(), corpora=rule_corpora)
+        assert result.stop == "line_search"
+        assert result.log == [] and result.best_iteration == 0
+
+
+def test_timed_paths_build_no_token(monkeypatch):
+    """Parse, split, train, evaluate, save and two-stage tagging run on the
+    corpus columns alone."""
+    text = write_corpus(generate(tuned_ezafe_spec(0.22), 80, seed=4))
+
+    def refuse(self):
+        raise AssertionError("a Token was built")
+
+    monkeypatch.setattr(Token, "__post_init__", refuse)
+    parts = shuffle_split(parse_corpus(text))
+    train_config = TrainConfig(max_iterations=3)
+    ezafe = run_ezafe(
+        ExperimentConfig(task="ezafe", template=CRF1, train_config=train_config, eval_every=1), parts
+    )
+    save_model(ezafe.model)
+    cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=train_config)
+    pos = run_pos(cfg, "predicted", parts, ezafe_model=ezafe.model)
+    tagged = pipeline_tag(corpus_forms(parts[2]), ezafe.model, pos.model)
+    with pytest.raises(AssertionError, match="a Token was built"):
+        tagged.sentences
+    monkeypatch.undo()
+    assert tagged.forms == parts[2].forms
+    assert [len(s) for s in tagged.sentences] == [len(s) for s in parts[2].sentences]
