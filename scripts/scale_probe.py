@@ -7,8 +7,9 @@ then times the layers that training runs before and inside the optimizer:
 parsing the corpus text (and, in a separate traced parse, the bytes that
 the parsed corpus holds, from tracemalloc), indexing and encoding the
 corpus (the one pass
-of `tasks.fit`: `features.index_and_encode`, then the packed layout and
-the gold label ids that `crf.train` builds), and one evaluation of the
+of `tasks.fit`: `features.index_and_encode`, then the packed layout that
+`crf.train` builds; the gold label ids are the corpus's tag codes), and
+one evaluation of the
 training objective at x = 0 (the minimum of 3). It then runs one OWL-QN
 iteration from x = 0 with the default penalties (l1 = l2 = 0.1), which
 gives the kind of model the ingest-ezafe benchmark saves, and times
@@ -41,7 +42,7 @@ sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "
 
 import numpy as np  # noqa: E402
 
-from pertcrf import crf, datagen, features, optim, tasks  # noqa: E402
+from pertcrf import crf, datagen, features, optim  # noqa: E402
 from pertcrf.corpus import Corpus, parse_corpus, write_corpus  # noqa: E402
 from pertcrf.features import FeatureTemplate  # noqa: E402
 
@@ -91,15 +92,13 @@ def main() -> None:
     del corpus
     corpus, parse_s = timed(lambda: parse_corpus(text))
     del text
-    labels = corpus.tag_inventory
-    ids = {lab: i for i, lab in enumerate(labels)}
+    labels, gold = corpus.tag_inventory, corpus.tags
 
     def encode():
-        index, encoded = features.index_and_encode(template, tasks.corpus_forms(corpus))
-        gold = crf._gold_ids(encoded, corpus.by_sentence(corpus.tag_names()), ids)
-        return index, crf._pack(encoded), gold
+        index, encoded = features.index_and_encode(template, corpus.forms, corpus.offsets)
+        return index, crf._pack(encoded)
 
-    (index, packed, gold), encode_s = timed(encode)
+    (index, packed), encode_s = timed(encode)
     F, L = len(index), len(labels)
     config = crf.TrainConfig()
     objective = crf._Objective(packed, gold, F, L, config.l2)
@@ -115,7 +114,7 @@ def main() -> None:
         transition=result.x[F * L :].reshape(L, L).copy(),
         template=template,
     )
-    del objective, packed, gold, result  # model I/O runs without the training arrays
+    del objective, packed, result  # model I/O runs without the training arrays
     model_text, save_s = timed(lambda: crf.save_model(model))
     _, load_s = timed(lambda: crf.load_model(model_text))
 

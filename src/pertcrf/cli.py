@@ -205,12 +205,11 @@ def cmd_eval(args) -> int:
         flags = None
         if model.template.ezafe_input:
             if args.ezafe_model:
-                flags = tasks.predict_flags(
-                    crf.load_model_file(args.ezafe_model), tasks.corpus_forms(corpus)
-                )
+                ezafe_model = crf.load_model_file(args.ezafe_model)
+                flags = tasks.predict_flags(ezafe_model, corpus.forms, corpus.offsets)
                 header["ezafe_source"] = "predicted"
             else:
-                flags = tasks.gold_flags(corpus)
+                flags = corpus.ezafe
                 header["ezafe_source"] = "gold"
         report = tasks.evaluate_pos(model, corpus, ezafe=flags, header=header)
     if args.report:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,26 +113,26 @@ class TransitionSpanError(DomainError):
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
-def decode(model: CrfModel, encoded: Encoded) -> list[list[str]]:
-    """Viterbi labels of every sentence of encoded (see features.encode),
-    decoded in one packed batch."""
+def decode(model: CrfModel, encoded: Encoded) -> np.ndarray:
+    """The Viterbi label id (an index into model.labels) of every position
+    of encoded (see features.encode), in corpus order, as intp, decoded in
+    one packed batch."""
     if len(encoded.offsets) == 1:
-        return []
+        return np.empty(0, dtype=np.intp)
     packed = _pack(encoded)
     paths, _ = _viterbi(_emissions(packed, model.emission), model.transition, packed.steps)
-    tags = [model.labels[i] for i in paths[packed.row].tolist()]
-    bounds = encoded.offsets.tolist()
-    return [tags[start:end] for start, end in zip(bounds, bounds[1:])]
+    return paths.astype(np.intp)[packed.row]
 
 
 def nll_and_gradient(
     model: CrfModel,
     encoded: Encoded,
-    gold: Sequence[Sequence[str]],
+    gold: np.ndarray,
     l2: float = 0.0,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Negative log-likelihood of the encoded sentences with their gold
-    labels, plus an optional ridge term, with its gradient (expected minus
+    label ids (indices into model.labels, one per position in corpus
+    order), plus an optional ridge term, with its gradient (expected minus
     empirical feature counts, plus l2*w). This is the objective that
     training minimizes.
 
@@ -141,8 +140,7 @@ def nll_and_gradient(
     the optimizer, not the gradient.
     """
     F, L = model.emission.shape
-    ids = {lab: i for i, lab in enumerate(model.labels)}
-    packed, labels = _pack(encoded), _gold_ids(encoded, gold, ids)
+    packed, labels = _pack(encoded), _checked_gold(encoded, gold, L)
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
     nll, grad = _Objective(packed, labels, F, L, l2)(x)
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
@@ -189,19 +187,19 @@ def _pack(encoded: Encoded) -> _Packed:
     )
 
 
-def _gold_ids(encoded: Encoded, gold: Sequence[Sequence[str]], ids: dict[str, int]) -> np.ndarray:
-    """The int32 label id of every position, in corpus order, from one label
-    sequence per sentence."""
-    lengths = np.diff(encoded.offsets).tolist()
-    if len(gold) != len(lengths):
-        raise ValueError(f"{len(gold)} label sequences for {len(lengths)} sentences")
-    for i, (n, labels) in enumerate(zip(lengths, gold)):
-        if len(labels) != n:
-            raise ValueError(f"sentence {i}: {n} positions, {len(labels)} labels")
-    try:
-        return np.fromiter(map(ids.__getitem__, chain.from_iterable(gold)), np.intc, sum(lengths))
-    except KeyError as exc:
-        raise ValueError(f"gold label {exc.args[0]!r} not in model labels") from None
+def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarray:
+    """gold as intc, checked to hold one label id below n_labels per
+    position."""
+    gold = np.asarray(gold)
+    n = int(encoded.offsets[-1])
+    if gold.shape != (n,):
+        raise ValueError(f"gold label ids of shape {gold.shape} for {n} positions")
+    if gold.dtype.kind not in "iu" and gold.size:
+        raise ValueError(f"gold label ids must be integers, got {gold.dtype}")
+    outside = gold[(gold < 0) | (gold >= n_labels)]
+    if len(outside):
+        raise ValueError(f"gold label id {outside[0]} outside the {n_labels} labels")
+    return gold.astype(np.intc)
 
 
 def _emissions(encoded: _Packed, w_e: np.ndarray) -> np.ndarray:
@@ -356,7 +354,7 @@ class _Objective:
 def train(
     feature_index: FeatureIndex,
     encoded: Encoded,
-    gold: Sequence[Sequence[str]],
+    gold: np.ndarray,
     labels: Sequence[str],
     template: FeatureTemplate,
     config: TrainConfig = TrainConfig(),
@@ -364,7 +362,8 @@ def train(
 ) -> tuple[CrfModel, str]:
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
     start, on sentences encoded with feature_index (features.index_and_encode
-    makes both) and their gold labels, one sequence per sentence. Returns
+    makes both) and their gold label ids, indices into labels, one per
+    position in corpus order. Returns
     the model and why the optimizer stopped (optim.OwlQnResult.stop).
     Raises optim.DivergenceError if the objective turns non-finite. Trial
     steps whose transition weights lie too far apart for the scaled
@@ -375,13 +374,12 @@ def train(
     if you want a snapshot.
     """
     labels = tuple(labels)
-    ids = {lab: i for i, lab in enumerate(labels)}
-    if len(ids) != len(labels):
+    if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     if len(encoded.offsets) == 1:
         raise ValueError("training data is empty")
     F, L = len(feature_index), len(labels)
-    objective = _Objective(_pack(encoded), _gold_ids(encoded, gold, ids), F, L, config.l2)
+    objective = _Objective(_pack(encoded), _checked_gold(encoded, gold, L), F, L, config.l2)
 
     def _view(x: np.ndarray) -> CrfModel:
         return CrfModel(
@@ -484,6 +482,8 @@ def load_model(text: str) -> CrfModel:
         raise ModelFormatError(str(exc)) from None
     try:
         L, F = int(header[3]), int(header[4])
+        if L < 1 or F < 0:
+            raise ValueError
     except ValueError:
         raise ModelFormatError("malformed header counts") from None
     if len(lines) != 2 + F + L:

@@ -37,9 +37,10 @@ Key strings exist only for the F indexed keys, and only when
 FeatureIndex.keys() builds them (save_model). A key outside the grammar
 is kept as given but never matches.
 
-Ezafe annotations go only with ezafe-input templates: one annotation per
-sentence, holding one 0/1 flag per token. Both encoders reject anything
-else with ValueError.
+Input. A batch is given as columns: the form of every position in corpus
+order and the sentence offsets (S+1,), as corpus.Corpus holds them.
+Ezafe flags go only with ezafe-input templates: one 0/1 flag per position,
+in the same order. Both encoders reject anything else with ValueError.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ class FeatureTemplate:
         if base not in TEMPLATE_IDS or (plus and suffix != "EZ"):
             raise ValueError(f"unknown template token {token!r}")
         return FeatureTemplate(id=base, ezafe_input=bool(plus))
-
-
-# An ezafe annotation is one 0/1 flag per token of a sentence.
-EzafeAnnotation = Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -234,12 +231,8 @@ class _Codes:
     affixes: dict[str, int]  # the code of each affix
 
 
-def _flags(
-    template: FeatureTemplate,
-    ezafe: Sequence[EzafeAnnotation] | None,
-    lengths: list[int],
-) -> np.ndarray | None:
-    """The flags of every position as one int32 array, for ezafe-input
+def _flags(template: FeatureTemplate, ezafe: Sequence[int] | None, n: int) -> np.ndarray | None:
+    """The flags of the n positions as one int32 array, for ezafe-input
     templates; None for the others."""
     if not template.ezafe_input:
         if ezafe is not None:
@@ -247,37 +240,38 @@ def _flags(
         return None
     if ezafe is None:
         raise ValueError("template requires an ezafe annotation")
-    if len(ezafe) != len(lengths):
-        raise ValueError(f"{len(ezafe)} ezafe annotations for {len(lengths)} sentences")
-    for flags, n in zip(ezafe, lengths):
-        if len(flags) != n:
-            raise ValueError(f"ezafe annotation length {len(flags)} != sentence length {n}")
-    flat = list(chain.from_iterable(ezafe))
-    if not set(flat) <= {0, 1}:
-        bad = next(v for v in flat if v not in (0, 1))
+    if len(ezafe) != n:
+        raise ValueError(f"{len(ezafe)} ezafe flags for {n} positions")
+    flags = np.asarray(ezafe)
+    numeric = flags.dtype.kind in "biu" or flags.size == 0
+    if not numeric or flags.ndim != 1 or np.any((flags != 0) & (flags != 1)):
+        values = ezafe.tolist() if isinstance(ezafe, np.ndarray) else ezafe
+        bad = next((v for v in values if not (isinstance(v, int) and v in (0, 1))), ezafe)
         raise ValueError(f"ezafe flags must be 0 or 1, got {bad!r}")
-    return np.array(flat, dtype=np.int32)
+    return flags.astype(np.int32)
 
 
 def _codes(
     template: FeatureTemplate,
-    sentences: Sequence[Sequence[str]],
-    ezafe: Sequence[EzafeAnnotation] | None,
+    forms: Sequence[str],
+    offsets: Sequence[int],
+    ezafe: Sequence[int] | None,
     affixes: dict[str, int] | None = None,
 ) -> _Codes:
     """Value codes of a batch. Forms are interned anew; affixes are coded by
     the given dict (-1 for an affix it lacks) or, without one, interned
     anew too."""
-    lengths = list(map(len, sentences))
-    if 0 in lengths:
-        raise ValueError(f"sentence {lengths.index(0)}: no positions")
-    flags = _flags(template, ezafe, lengths)
-    n, S = sum(lengths), len(lengths)
-    forms = dict.fromkeys(chain((BOS_FORM, EOS_FORM), chain.from_iterable(sentences)))
-    words = {f: i for i, f in enumerate(forms)}
-    form = np.fromiter(map(words.__getitem__, chain.from_iterable(sentences)), np.int32, n)
-    offsets = np.zeros(S + 1, dtype=np.int32)
-    np.cumsum(lengths, out=offsets[1:])
+    n = len(forms)
+    offsets = np.asarray(offsets, dtype=np.int32)
+    if offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != n:
+        raise ValueError(f"sentence offsets must run from 0 to the {n} positions")
+    lengths = np.diff(offsets)
+    if np.any(lengths <= 0):
+        raise ValueError(f"sentence {np.flatnonzero(lengths <= 0)[0]}: no positions")
+    flags = _flags(template, ezafe, n)
+    S = len(lengths)
+    words = {f: i for i, f in enumerate(dict.fromkeys(chain((BOS_FORM, EOS_FORM), forms)))}
+    form = np.fromiter(map(words.__getitem__, forms), np.int32, n)
 
     # Each sentence padded with WINDOW codes on either side: offset k of
     # position p reads padded[base[p] + k].
@@ -332,29 +326,32 @@ def _encoded(batch: _Codes, template: FeatureTemplate, ids: dict[str, np.ndarray
 def encode(
     index: FeatureIndex,
     template: FeatureTemplate,
-    sentences: Sequence[Sequence[str]],
-    ezafe: Sequence[EzafeAnnotation] | None = None,
+    forms: Sequence[str],
+    offsets: Sequence[int],
+    ezafe: Sequence[int] | None = None,
 ) -> Encoded:
-    """Encode sentences (lists of forms) with the keys of index; keys that
-    the index lacks are dropped. Ezafe-input templates need ezafe, one
-    annotation per sentence; the other templates refuse it."""
-    batch = _codes(template, sentences, ezafe, index._values["affix"])
+    """Encode the sentences that offsets cut forms into with the keys of
+    index; keys that the index lacks are dropped. Ezafe-input templates
+    need ezafe, one flag per position; the other templates refuse it."""
+    batch = _codes(template, forms, offsets, ezafe, index._values["affix"])
     rows = list(map(index._values["word"].get, batch.words, repeat(-1)))
     return _encoded(batch, template, {**index._ids, "word": index._ids["word"][rows]})
 
 
 def index_and_encode(
     template: FeatureTemplate,
-    sentences: Sequence[Sequence[str]],
-    ezafe: Sequence[EzafeAnnotation] | None = None,
+    forms: Sequence[str],
+    offsets: Sequence[int],
+    ezafe: Sequence[int] | None = None,
     min_count: int = 1,
 ) -> tuple[FeatureIndex, Encoded]:
-    """Index the keys of training sentences and encode the sentences in one
-    pass. The index holds every key seen at least min_count times, in order
-    of first occurrence over (sentence, position, slot)."""
+    """Index the keys of training sentences (forms cut by offsets, as in
+    encode) and encode the sentences in one pass. The index holds every key
+    seen at least min_count times, in order of first occurrence over
+    (sentence, position, slot)."""
     if min_count < 1:
         raise ValueError("min_count must be positive")
-    batch = _codes(template, sentences, ezafe)
+    batch = _codes(template, forms, offsets, ezafe)
     values = {**_fixed_values(), "word": batch.words, "affix": batch.affixes}
     slots = [_SLOT_COLUMNS[slot] for slot in template.slots]
     # Per slot, the count and the first position of every code (the row

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -54,27 +55,38 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
+def confusion_codes(gold: np.ndarray, pred: np.ndarray, tags: Sequence[str]) -> ConfusionTable:
+    """Token-level confusion counts from the gold and the predicted tag of
+    every token, each given as its row in tags."""
+    tags = tuple(tags)
+    if len(set(tags)) != len(tags):
+        raise ValueError("tagset contains duplicates")
+    gold = np.asarray(gold, dtype=np.intp)
+    pred = np.asarray(pred, dtype=np.intp)
+    if gold.shape != pred.shape:
+        raise ValueError(f"{len(gold)} gold tokens vs {len(pred)} predicted")
+    n = len(tags)
+    if len(gold) and (min(gold.min(), pred.min()) < 0 or max(gold.max(), pred.max()) >= n):
+        raise ValueError(f"tag code outside the {n} tags")
+    counts = np.bincount(gold * n + pred, minlength=n * n).astype(np.int64).reshape(n, n)
+    return ConfusionTable(tags=tags, counts=counts)
+
+
 def confusion(
     gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]], tagset: Sequence[str]
 ) -> ConfusionTable:
     """Token-level confusion counts over sentence-aligned tag sequences."""
-    tags = tuple(tagset)
-    if len(set(tags)) != len(tags):
-        raise ValueError("tagset contains duplicates")
     if len(gold) != len(pred):
         raise ValueError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
-    ids = {t: i for i, t in enumerate(tags)}
-    counts = np.zeros((len(tags), len(tags)), dtype=np.int64)
     for s, (gs, ps) in enumerate(zip(gold, pred)):
         if len(gs) != len(ps):
             raise ValueError(f"sentence {s}: {len(gs)} gold tokens vs {len(ps)} predicted")
-        for g, p in zip(gs, ps):
-            if g not in ids:
-                raise ValueError(f"sentence {s}: gold tag {g!r} outside tagset")
-            if p not in ids:
-                raise ValueError(f"sentence {s}: predicted tag {p!r} outside tagset")
-            counts[ids[g], ids[p]] += 1
-    return ConfusionTable(tags=tags, counts=counts)
+    ids = {t: i for i, t in enumerate(tagset)}
+    try:
+        codes = [np.fromiter(map(ids.__getitem__, chain.from_iterable(s)), np.intp) for s in (gold, pred)]
+    except KeyError as exc:
+        raise ValueError(f"tag {exc.args[0]!r} outside tagset") from None
+    return confusion_codes(*codes, tagset)
 
 
 def one_vs_rest(table: ConfusionTable, tag: str) -> Metrics:
@@ -124,37 +136,30 @@ def per_tag_metrics(table: ConfusionTable) -> dict[str, Metrics]:
 
 
 def ezafe_f1_per_pos(
-    gold_ezafe: Sequence[Sequence[int]],
-    pred_ezafe: Sequence[Sequence[int]],
-    gold_pos: Sequence[Sequence[str]],
+    gold_ezafe: np.ndarray,
+    pred_ezafe: np.ndarray,
+    gold_pos: np.ndarray,
+    pos_names: Sequence[str],
 ) -> tuple[dict[str, float], float]:
     """Positive-class F1 of the ezafe flags inside each gold-POS bucket,
-    plus the unweighted mean over reported buckets. Buckets with no gold
-    and no predicted positives are omitted."""
-    if not (len(gold_ezafe) == len(pred_ezafe) == len(gold_pos)):
-        raise ValueError("sentence counts differ between inputs")
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    for s, (ge, pe, gp) in enumerate(zip(gold_ezafe, pred_ezafe, gold_pos)):
-        if not (len(ge) == len(pe) == len(gp)):
-            raise ValueError(f"sentence {s}: token counts differ between inputs")
-        for g, p, pos in zip(ge, pe, gp):
-            tp.setdefault(pos, 0)
-            fp.setdefault(pos, 0)
-            fn.setdefault(pos, 0)
-            if g == 1 and p == 1:
-                tp[pos] += 1
-            elif g == 0 and p == 1:
-                fp[pos] += 1
-            elif g == 1 and p == 0:
-                fn[pos] += 1
+    plus the unweighted mean over reported buckets, from the gold and the
+    predicted 0/1 flag and the gold POS (an index into pos_names) of every
+    token. Buckets with no gold and no predicted positives are omitted."""
+    gold_ezafe, pred_ezafe = np.asarray(gold_ezafe), np.asarray(pred_ezafe)
+    gold_pos = np.asarray(gold_pos, dtype=np.intp)
+    if not (gold_ezafe.shape == pred_ezafe.shape == gold_pos.shape):
+        raise ValueError("token counts differ between inputs")
+    gold, pred = gold_ezafe == 1, pred_ezafe == 1
+    n = len(pos_names)
+    tp, fp, fn = (
+        np.bincount(gold_pos[m], minlength=n).tolist() for m in (gold & pred, ~gold & pred, gold & ~pred)
+    )
     scores: dict[str, float] = {}
-    for pos in tp:
-        if tp[pos] + fp[pos] + fn[pos] == 0:
+    for k, pos in enumerate(pos_names):
+        if tp[k] + fp[k] + fn[k] == 0:
             continue
-        p = _ratio(tp[pos], tp[pos] + fp[pos])
-        r = _ratio(tp[pos], tp[pos] + fn[pos])
+        p = _ratio(tp[k], tp[k] + fp[k])
+        r = _ratio(tp[k], tp[k] + fn[k])
         scores[pos] = _f1(p, r)
     ordered = dict(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
     mean = sum(ordered.values()) / len(ordered) if ordered else 0.0

@@ -2,9 +2,17 @@
 without ezafe input, joint cross-product tagging, and the two-stage
 annotation pipeline.
 
-Checkpoint rule: during training the validation split is decoded every
-eval_every iterations (and at the final iteration); the weights with the
-best validation F1 are the ones evaluated on test.
+Every per-token quantity is a flat column in corpus order beside the
+sentence offsets, as corpus.Corpus holds them: forms and ezafe input flags
+go into features.encode, gold label ids into crf.train, and crf.decode
+returns one label id per token. Evaluation maps those ids to rows of the
+confusion table by label name (an ezafe model may list "1" before "0"),
+and metrics counts the table and the per-POS ezafe F1 from the codes.
+
+Checkpoint rule: the validation split is encoded once per fit with the
+training index and decoded every eval_every iterations (and at the final
+iteration); the weights with the best validation F1 are the ones
+evaluated on test.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
+import numpy as np
+
 from . import crf, features
 from .corpus import Corpus, read_corpus_file
 from .crf import CrfModel, TrainConfig
@@ -20,7 +30,7 @@ from .features import FeatureTemplate
 from .metrics import (
     EvalReport,
     binary_metrics,
-    confusion,
+    confusion_codes,
     ezafe_f1_per_pos,
     macro_metrics,
     per_tag_metrics,
@@ -30,8 +40,6 @@ TASKS = ("ezafe", "pos", "pos-ez-input", "joint")
 EZAFE_SOURCES = ("gold", "predicted")
 JOINT_SEP = "|"
 DEFAULT_EVAL_EVERY = 10
-
-Flags = Sequence[Sequence[int]]
 
 
 class ConfigError(ValueError):
@@ -85,80 +93,51 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Corpus plumbing
+# Decoding and evaluation over corpus columns
 
 
-def gold_flags(corpus: Corpus) -> list[tuple[int, ...]]:
-    return corpus.by_sentence(tuple(corpus.ezafe.tolist()))
-
-
-def corpus_forms(corpus: Corpus) -> list[tuple[str, ...]]:
-    return corpus.by_sentence(corpus.forms)
-
-
-def _decode(
-    model: CrfModel, sentences: Sequence[Sequence[str]], ezafe: Flags | None = None
-) -> list[list[str]]:
-    """Decode raw sentences (lists of forms), with their ezafe input flags
-    for ezafe-input templates."""
-    encoded = features.encode(model.feature_index, model.template, sentences, ezafe)
+def decode(
+    model: CrfModel, forms: Sequence[str], offsets: Sequence[int], ezafe: Sequence[int] | None = None
+) -> np.ndarray:
+    """The label id (an index into model.labels) of every position of the
+    sentences that offsets cut forms into, in corpus order, with one ezafe
+    input flag per position for ezafe-input templates."""
+    encoded = features.encode(model.feature_index, model.template, forms, offsets, ezafe)
     return crf.decode(model, encoded)
 
 
-def predict_flags(model: CrfModel, sentences: Sequence[Sequence[str]]) -> list[tuple[int, ...]]:
-    """Decode per-token ezafe flags for raw sentences (lists of forms)."""
+def predict_flags(model: CrfModel, forms: Sequence[str], offsets: Sequence[int]) -> np.ndarray:
+    """The decoded int8 ezafe flag of every position (see decode), mapped
+    from each label id by the label's name."""
     if set(model.labels) != {"0", "1"}:
         raise ValueError("not an ezafe model: labels are not {0, 1}")
-    return [tuple(map(int, labels)) for labels in _decode(model, sentences)]
+    flag_of = np.array([int(lab) for lab in model.labels], dtype=np.int8)
+    return flag_of[decode(model, forms, offsets)]
 
 
-def _ezafe_labels(corpus: Corpus) -> list[str]:
-    """The ezafe flag of every token, as a label."""
-    return list(map(("0", "1").__getitem__, corpus.ezafe.tolist()))
-
-
-def _task_labels(task: str, corpus: Corpus) -> list[str]:
-    """The gold label of every token for task."""
+def _gold_labels(task: str, corpus: Corpus) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The gold label id of every token for task, and the labels."""
     if task == "ezafe":
-        return _ezafe_labels(corpus)
+        return corpus.ezafe, ("0", "1")
     if task == "joint":
         for pos in corpus.tag_inventory:
             if JOINT_SEP in pos:
                 raise ValueError(f"pos tag {pos!r} contains reserved {JOINT_SEP!r}")
-        # Tag code t with flag e is label 2t + e.
-        joint = [f"{pos}{JOINT_SEP}{ez}" for pos in corpus.tag_inventory for ez in (0, 1)]
-        return list(map(joint.__getitem__, (2 * corpus.tags + corpus.ezafe).tolist()))
-    return corpus.tag_names()
+        # Tag code t with flag e is joint code 2t + e; from_codes renumbers
+        # the pairs in order of first occurrence.
+        names = [f"{pos}{JOINT_SEP}{ez}" for pos in corpus.tag_inventory for ez in (0, 1)]
+        joint = Corpus.from_codes(
+            corpus.forms, 2 * corpus.tags + corpus.ezafe, names, corpus.ezafe, corpus.offsets
+        )
+        return joint.tags, joint.tag_inventory
+    return corpus.tags, corpus.tag_inventory
 
 
-def decode_corpus(model: CrfModel, corpus: Corpus, ezafe: Flags | None = None) -> list[list[str]]:
-    return _decode(model, corpus_forms(corpus), ezafe)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-
-
-def _tagset(corpus: Corpus, more: Sequence[str]) -> tuple[str, ...]:
-    tags = list(corpus.tag_inventory)
-    tags += [t for t in more if t not in corpus.tag_inventory]
-    return tuple(tags)
-
-
-def evaluate_ezafe(
-    model_or_pred: CrfModel | list[list[str]], corpus: Corpus, header: dict | None = None
-) -> EvalReport:
-    """Positive-class report plus the per-POS F1 breakdown (gold POS)."""
-    if isinstance(model_or_pred, CrfModel):
-        pred = decode_corpus(model_or_pred, corpus)
-    else:
-        pred = model_or_pred
-    table = confusion(corpus.by_sentence(_ezafe_labels(corpus)), pred, ("0", "1"))
-    per_pos, mean = ezafe_f1_per_pos(
-        corpus.by_sentence(corpus.ezafe.tolist()),
-        [[int(v) for v in ps] for ps in pred],
-        corpus.by_sentence(corpus.tag_names()),
-    )
+def _ezafe_report(flags: np.ndarray, corpus: Corpus, header: dict | None = None) -> EvalReport:
+    """Positive-class report of the predicted flag of every token, plus the
+    per-POS F1 breakdown (gold POS)."""
+    table = confusion_codes(corpus.ezafe, flags, ("0", "1"))
+    per_pos, mean = ezafe_f1_per_pos(corpus.ezafe, flags, corpus.tags, corpus.tag_inventory)
     return EvalReport(
         kind="binary",
         headline=binary_metrics(table, positive="1"),
@@ -170,20 +149,16 @@ def evaluate_ezafe(
     )
 
 
-def evaluate_pos(
-    model_or_pred: CrfModel | list[list[str]],
-    corpus: Corpus,
-    ezafe: Flags | None = None,
-    header: dict | None = None,
+def _pos_report(
+    pred: np.ndarray, names: Sequence[str], corpus: Corpus, header: dict | None = None
 ) -> EvalReport:
-    """Macro-averaged report with the per-tag F1 table."""
-    if isinstance(model_or_pred, CrfModel):
-        pred = decode_corpus(model_or_pred, corpus, ezafe)
-        extra: Sequence[str] = model_or_pred.labels
-    else:
-        pred = model_or_pred
-        extra = sorted({t for ps in pred for t in ps})
-    table = confusion(corpus.by_sentence(corpus.tag_names()), pred, _tagset(corpus, extra))
+    """Macro-averaged report with the per-tag F1 table of the predicted tag
+    of every token, given as an index into names. Tags that the corpus
+    lacks follow its inventory in the order of names."""
+    tagset = corpus.tag_inventory + tuple(t for t in names if t not in corpus.tag_inventory)
+    row = {tag: i for i, tag in enumerate(tagset)}
+    rows = np.array([row[name] for name in names], dtype=np.intp)
+    table = confusion_codes(corpus.tags, rows[pred], tagset)
     return EvalReport(
         kind="macro",
         headline=macro_metrics(table),
@@ -200,18 +175,44 @@ def split_joint(label: str) -> tuple[str, int]:
     return pos, int(ez)
 
 
+def _joint_reports(
+    pred: np.ndarray, labels: Sequence[str], corpus: Corpus, header: dict | None = None
+) -> tuple[EvalReport, EvalReport]:
+    """The POS and the ezafe report of the joint label id of every token;
+    the POS tags that the corpus lacks follow its inventory in sorted
+    order."""
+    pos, flags = zip(*map(split_joint, labels))
+    names = sorted(set(pos))
+    pos_of = np.array([names.index(p) for p in pos], dtype=np.intp)
+    pos_report = _pos_report(pos_of[pred], names, corpus, header)
+    return pos_report, _ezafe_report(np.array(flags, dtype=np.int8)[pred], corpus, header)
+
+
+def evaluate_ezafe(model: CrfModel, corpus: Corpus, header: dict | None = None) -> EvalReport:
+    """Positive-class report plus the per-POS F1 breakdown (gold POS)."""
+    return _ezafe_report(predict_flags(model, corpus.forms, corpus.offsets), corpus, header)
+
+
+def evaluate_pos(
+    model: CrfModel,
+    corpus: Corpus,
+    ezafe: np.ndarray | None = None,
+    header: dict | None = None,
+) -> EvalReport:
+    """Macro-averaged report with the per-tag F1 table, decoding with one
+    ezafe input flag per token for ezafe-input templates."""
+    pred = decode(model, corpus.forms, corpus.offsets, ezafe)
+    return _pos_report(pred, model.labels, corpus, header)
+
+
 def evaluate_joint(
     model: CrfModel, corpus: Corpus, header: dict | None = None
 ) -> tuple[EvalReport, EvalReport]:
-    """Decode once, project to POS-only and ezafe-only sequences, and report
-    both. Gold pairs unseen in training only affect the scores, never the
-    decoding."""
-    pred = decode_corpus(model, corpus)
-    pos_pred = [[split_joint(lab)[0] for lab in ps] for ps in pred]
-    ez_pred = [[str(split_joint(lab)[1]) for lab in ps] for ps in pred]
-    pos_report = evaluate_pos(pos_pred, corpus, header=header)
-    ez_report = evaluate_ezafe(ez_pred, corpus, header=header)
-    return pos_report, ez_report
+    """Decode once, project to POS-only and ezafe-only predictions, and
+    report both. Gold pairs unseen in training only affect the scores,
+    never the decoding."""
+    pred = decode(model, corpus.forms, corpus.offsets)
+    return _joint_reports(pred, model.labels, corpus, header)
 
 
 # ---------------------------------------------------------------------------
@@ -223,56 +224,59 @@ def make_flags(
     mode: str,
     corpora: Sequence[Corpus],
     ezafe_model: CrfModel | None = None,
-) -> list[list[tuple[int, ...]] | None]:
-    """Ezafe input flags of each corpus: none, gold, or predicted by
-    ezafe_model (read from cfg.ezafe_model_path when not given)."""
+) -> list[np.ndarray | None]:
+    """Ezafe input flags of each corpus, one per token: none, gold, or
+    predicted by ezafe_model (read from cfg.ezafe_model_path when not
+    given)."""
     if mode == "none":
         return [None] * len(corpora)
     if mode == "gold":
-        return [gold_flags(c) for c in corpora]
+        return [c.ezafe for c in corpora]
     if mode != "predicted":
         raise ValueError(f"unknown ezafe mode {mode!r}")
     if ezafe_model is None:
         if not cfg.ezafe_model_path:
             raise ValueError("mode=predicted needs an ezafe model")
         ezafe_model = crf.load_model_file(cfg.ezafe_model_path)
-    return [predict_flags(ezafe_model, corpus_forms(c)) for c in corpora]
+    return [predict_flags(ezafe_model, c.forms, c.offsets) for c in corpora]
 
 
 def fit(
     cfg: ExperimentConfig,
     train_c: Corpus,
     valid_c: Corpus,
-    train_flags: Flags | None = None,
-    valid_flags: Flags | None = None,
+    train_flags: np.ndarray | None = None,
+    valid_flags: np.ndarray | None = None,
 ) -> tuple[CrfModel, list[TrainLogEntry], int, str]:
-    """Train cfg.task on train_c (with its ezafe input flags, for
-    ezafe-input templates), decoding valid_c every cfg.eval_every
-    iterations and at the last one. Returns the model restored to the
-    checkpoint with the best validation F1 (positive-class F1 for ezafe,
-    macro F1 otherwise; the earliest among ties), the log, the
-    checkpoint's iteration, and why training stopped (OwlQnResult.stop)."""
+    """Train cfg.task on train_c (with its ezafe input flags, one per token,
+    for ezafe-input templates), decoding valid_c every cfg.eval_every
+    iterations and at the last one. valid_c is encoded once, with the
+    training index. Returns the model restored to the checkpoint with the
+    best validation F1 (positive-class F1 for ezafe, macro F1 otherwise;
+    the earliest among ties), the log, the checkpoint's iteration, and why
+    training stopped (OwlQnResult.stop)."""
     if train_c.n_sentences == 0:
         raise ValueError("empty train split")
     if valid_c.n_sentences == 0:
         raise ValueError("empty validation split")
     task = cfg.task
-    gold = _task_labels(task, train_c)
-    if task == "ezafe":
-        labels: tuple[str, ...] = ("0", "1")
-        valid_f1 = lambda m: evaluate_ezafe(m, valid_c).headline.f1
+    gold, labels = _gold_labels(task, train_c)
+    if task == "ezafe":  # labels ("0", "1"): each label id is its flag
+        report = lambda pred: _ezafe_report(pred, valid_c)
     elif task == "joint":
-        labels = tuple(dict.fromkeys(gold))
-        valid_f1 = lambda m: evaluate_joint(m, valid_c)[0].headline.f1
+        report = lambda pred: _joint_reports(pred, labels, valid_c)[0]
     else:
-        labels = train_c.tag_inventory
-        valid_f1 = lambda m: evaluate_pos(m, valid_c, ezafe=valid_flags).headline.f1
+        report = lambda pred: _pos_report(pred, labels, valid_c)
 
+    index, encoded = features.index_and_encode(
+        cfg.template, train_c.forms, train_c.offsets, train_flags, cfg.train_config.min_count
+    )
+    valid = features.encode(index, cfg.template, valid_c.forms, valid_c.offsets, valid_flags)
     log: list[TrainLogEntry] = []
     best = {"f1": float("-inf"), "weights": None, "iteration": 0}
 
     def checkpoint(it: int, model: CrfModel) -> float:
-        f1 = valid_f1(model)
+        f1 = report(crf.decode(model, valid)).headline.f1
         if f1 > best["f1"]:
             best.update(
                 f1=f1, weights=(model.emission.copy(), model.transition.copy()), iteration=it
@@ -283,17 +287,8 @@ def fit(
         f1 = checkpoint(it, model) if it % cfg.eval_every == 0 else None
         log.append(TrainLogEntry(iteration=it, objective=objective, valid_f1=f1))
 
-    index, encoded = features.index_and_encode(
-        cfg.template, corpus_forms(train_c), train_flags, cfg.train_config.min_count
-    )
     model, stop = crf.train(
-        index,
-        encoded,
-        train_c.by_sentence(gold),
-        labels,
-        cfg.template,
-        cfg.train_config,
-        on_iteration=on_iteration,
+        index, encoded, gold, labels, cfg.template, cfg.train_config, on_iteration=on_iteration
     )
     if log and log[-1].valid_f1 is None:
         log[-1].valid_f1 = checkpoint(log[-1].iteration, model)
@@ -427,13 +422,12 @@ def pipeline_tag(
     flags as input features. Output tokens carry the predictions."""
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
-    flags = predict_flags(ezafe_model, sentences)
-    return Corpus.from_columns(
-        list(chain.from_iterable(sentences)),
-        list(chain.from_iterable(_decode(pos_model, sentences, flags))),
-        list(chain.from_iterable(flags)),
-        list(map(len, sentences)),
-    )
+    forms = list(chain.from_iterable(sentences))
+    lengths = list(map(len, sentences))
+    offsets = np.cumsum([0, *lengths])
+    flags = predict_flags(ezafe_model, forms, offsets)
+    tags = [pos_model.labels[i] for i in decode(pos_model, forms, offsets, flags).tolist()]
+    return Corpus.from_columns(forms, tags, flags.tolist(), lengths)
 
 
 def model_task_kind(model: CrfModel) -> str:

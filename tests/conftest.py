@@ -2,7 +2,9 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from oracles import encode_keys
 from pertcrf.corpus import Corpus, Token
+from pertcrf.crf import decode
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -37,6 +39,24 @@ persian_tokens = st.builds(
     pos=st.text(alphabet="NV\u200c۱=|", min_size=1, max_size=3),
     ezafe=st.integers(min_value=0, max_value=1),
 )
+
+
+def flat(sentences):
+    """The values of sentences (sequences) in one list, with the sentence
+    offsets: the column form that features, crf and tasks take."""
+    return [v for s in sentences for v in s], np.cumsum([0] + [len(s) for s in sentences])
+
+
+def decode_keys(model, sentences):
+    """crf.decode of sentences given as key lists (keys such as f1 lie
+    outside the feature grammar, so the string oracle encodes them), as one
+    label list per sentence; the ids come back as intp."""
+    encoded = encode_keys(model.feature_index, sentences)
+    ids = decode(model, encoded)
+    assert ids.dtype == np.intp
+    labels = [model.labels[i] for i in ids.tolist()]
+    bounds = encoded.offsets.tolist()
+    return [labels[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def assert_same_text(text, reference):

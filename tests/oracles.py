@@ -2,10 +2,11 @@
 
 Everything here enumerates label sequences exhaustively, perturbs inputs
 numerically, builds and counts feature strings one key at a time, renders
-model text one weight at a time, parses corpus text one line at a time,
+model text one weight at a time, counts confusion cells and per-POS ezafe
+outcomes one token at a time, parses corpus text one line at a time,
 shuffles with one draw at a time, or applies the OWL-QN projections with
 masks; none of it shares code with the package's inference, training,
-encoding, model-writing, parsing or optimizer paths. The string extractor
+encoding, model-writing, metrics, parsing or optimizer paths. The string extractor
 is the reference for the key grammar and its order (see the
 pertcrf.features docstring).
 """
@@ -62,10 +63,11 @@ def sentence_features(forms, template, ezafe=None):
 
 
 def corpus_features(corpus, template, ezafe=None):
-    """sentence_features of every sentence of a corpus."""
-    if ezafe is not None and len(ezafe) != corpus.n_sentences:
-        raise ValueError(f"{len(ezafe)} ezafe annotations for {corpus.n_sentences} sentences")
-    flags = ezafe if ezafe is not None else [None] * corpus.n_sentences
+    """sentence_features of every sentence of a corpus, with ezafe, when
+    given, holding one flag per token."""
+    if ezafe is not None and len(ezafe) != corpus.n_tokens:
+        raise ValueError(f"{len(ezafe)} ezafe flags for {corpus.n_tokens} tokens")
+    flags = corpus.by_sentence(list(ezafe)) if ezafe is not None else [None] * corpus.n_sentences
     return [
         sentence_features([t.form for t in s], template, f) for s, f in zip(corpus.sentences, flags)
     ]
@@ -217,6 +219,54 @@ def brute_nll_and_gradient(batch, n_features: int, n_labels: int, x: np.ndarray,
             g_t[y[t], y[t + 1]] -= 1.0
     grad = np.concatenate([g_e.ravel(), g_t.ravel()])
     return nll + 0.5 * l2 * float(x @ x), grad + l2 * x
+
+
+def reference_confusion(gold, pred, tagset):
+    """Confusion counts (gold x predicted, over tagset) of sentence-aligned
+    tag sequences, one dict lookup and one increment per token."""
+    tags = tuple(tagset)
+    ids = {t: i for i, t in enumerate(tags)}
+    counts = np.zeros((len(tags), len(tags)), dtype=np.int64)
+    for s, (gs, ps) in enumerate(zip(gold, pred)):
+        if len(gs) != len(ps):
+            raise ValueError(f"sentence {s}: {len(gs)} gold tokens vs {len(ps)} predicted")
+        for g, p in zip(gs, ps):
+            if g not in ids:
+                raise ValueError(f"sentence {s}: gold tag {g!r} outside tagset")
+            if p not in ids:
+                raise ValueError(f"sentence {s}: predicted tag {p!r} outside tagset")
+            counts[ids[g], ids[p]] += 1
+    return counts
+
+
+def reference_ezafe_f1_per_pos(gold_ezafe, pred_ezafe, gold_pos):
+    """Per-POS ezafe F1 and its mean from sentence-aligned flag and tag
+    sequences, counting true positives, false positives and false negatives
+    in per-tag dicts one token at a time."""
+    tp, fp, fn = {}, {}, {}
+    for s, (ge, pe, gp) in enumerate(zip(gold_ezafe, pred_ezafe, gold_pos)):
+        if not (len(ge) == len(pe) == len(gp)):
+            raise ValueError(f"sentence {s}: token counts differ between inputs")
+        for g, p, pos in zip(ge, pe, gp):
+            tp.setdefault(pos, 0)
+            fp.setdefault(pos, 0)
+            fn.setdefault(pos, 0)
+            if g == 1 and p == 1:
+                tp[pos] += 1
+            elif g == 0 and p == 1:
+                fp[pos] += 1
+            elif g == 1 and p == 0:
+                fn[pos] += 1
+    scores = {}
+    for pos in tp:
+        if tp[pos] + fp[pos] + fn[pos] == 0:
+            continue
+        p = tp[pos] / (tp[pos] + fp[pos]) if tp[pos] + fp[pos] > 0 else 0.0
+        r = tp[pos] / (tp[pos] + fn[pos]) if tp[pos] + fn[pos] > 0 else 0.0
+        scores[pos] = 2 * p * r / (p + r) if p + r > 0 else 0.0
+    ordered = dict(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
+    mean = sum(ordered.values()) / len(ordered) if ordered else 0.0
+    return ordered, mean
 
 
 def reference_parse(text: str) -> Corpus:

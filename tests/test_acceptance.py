@@ -36,7 +36,7 @@ from pertcrf.crf import (
 from pertcrf.datagen import GeometricLength, bayes_decode, generate, homograph_spec, random_spec, tuned_ezafe_spec
 from pertcrf.features import FeatureIndex, FeatureTemplate
 from pertcrf.metrics import binary_metrics, confusion, macro_metrics
-from pertcrf.tasks import ExperimentConfig, corpus_forms, decode_corpus, run_pos
+from pertcrf.tasks import ExperimentConfig, decode, run_pos
 
 CRF2 = FeatureTemplate(id="CRF2")
 
@@ -58,9 +58,8 @@ def learnability_data():
     spec = random_spec(4, 200, seed=101, emission_skew=5.0)
     train_c = generate(spec, 5000, seed=102)
     test_c = generate(spec, 1000, seed=103)
-    index, encoded = features.index_and_encode(CRF2, corpus_forms(train_c))
-    gold = [[t.pos for t in s] for s in train_c.sentences]
-    return spec, train_c, test_c, (index, encoded, gold)
+    index, encoded = features.index_and_encode(CRF2, train_c.forms, train_c.offsets)
+    return spec, train_c, test_c, (index, encoded, train_c.tags)
 
 
 def test_criterion_1_exact_inference_oracle():
@@ -105,7 +104,7 @@ def test_criterion_1_exact_inference_oracle():
             template=CRF2,
         )
         encoded = encode_keys(model.feature_index, [[[f"p{t}"] for t in range(T)]])
-        nll, (_, g_t) = nll_and_gradient(model, encoded, [[labels[0]] * T])
+        nll, (_, g_t) = nll_and_gradient(model, encoded, np.zeros(T, dtype=int))
         assert _rel_close(nll + em[:, 0].sum() + (T - 1) * trans[0, 0], expected_z, 1e-8)
         g_t[0, 0] += T - 1
         assert np.max(np.abs(g_t - pairwise.sum(axis=0))) <= 1e-8
@@ -138,7 +137,7 @@ def test_criterion_2_gradient_check():
                 list(rng.choice(features, size=int(rng.integers(1, min(4, F) + 1)), replace=False))
                 for _ in range(T)
             ]
-            batch.append((feats, [labels[int(rng.integers(0, L))] for _ in range(T)]))
+            batch.append((feats, [int(rng.integers(0, L)) for _ in range(T)]))
         x = rng.normal(0, 0.5, size=F * L + L * L)
 
         def build(v):
@@ -151,7 +150,7 @@ def test_criterion_2_gradient_check():
             )
 
         encoded = encode_keys(build(x).feature_index, [feats for feats, _ in batch])
-        gold = [g for _, g in batch]
+        gold = np.concatenate([g for _, g in batch])
         _, (ge, gt) = nll_and_gradient(build(x), encoded, gold)
         analytic = np.concatenate([ge.ravel(), gt.ravel()])
         numeric = central_differences(
@@ -172,10 +171,9 @@ def test_criterion_3_learnability_vs_oracle(learnability_data):
     started = time.monotonic()
     spec, train_c, test_c, (index, encoded, gold) = learnability_data
     model, _ = train(index, encoded, gold, train_c.tag_inventory, CRF2, TrainConfig())
-    pred = decode_corpus(model, test_c)
-    gold = [[t.pos for t in s] for s in test_c.sentences]
-    total = sum(len(g) for g in gold)
-    crf_acc = sum(p == g for ps, gs in zip(pred, gold) for p, g in zip(ps, gs)) / total
+    pred = [model.labels[i] for i in decode(model, test_c.forms, test_c.offsets).tolist()]
+    total = test_c.n_tokens
+    crf_acc = sum(p == g for p, g in zip(pred, test_c.tag_names())) / total
     oracle_ok = 0
     for sent in test_c.sentences:
         decoded = bayes_decode(spec, [t.form for t in sent])

@@ -221,6 +221,12 @@ class TestEvalAndTag:
             assert key in data
         assert f"f1\t{data['f1']:.4f}" in text
 
+    def test_eval_negative_header_count_is_data_error(self, tmp_path, corpus_file, capsys):
+        model = tmp_path / "bad.crf"
+        model.write_text("PERTCRF v1 CRF1 1 -1\na\n", encoding="utf-8")
+        assert main(["eval", str(model), str(corpus_file)]) == 2
+        assert "malformed header counts" in capsys.readouterr().err
+
     def test_eval_template_corpus_mismatch(self, tmp_path, ezafe_model_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("not-a-corpus", encoding="utf-8")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import lattices
+from conftest import decode_keys, flat, lattices
 from oracles import brute_log_z, brute_posteriors, brute_viterbi, encode_keys
 from pertcrf.crf import (
     CrfModel,
@@ -29,12 +29,6 @@ def tiny_model(emission, transition, labels=("a", "b"), features=("f1", "f2")):
         transition=np.asarray(transition, dtype=float),
         template=CRF1,
     )
-
-
-def decode_keys(model, sentences):
-    """Decode sentences given as key lists (keys such as f1 are outside the
-    feature grammar, so the string oracle encodes them)."""
-    return decode(model, encode_keys(model.feature_index, sentences))
 
 
 def pack(ems):
@@ -253,22 +247,23 @@ class TestPackedLayout:
             sentences.append([[f"p{k + t}"] for t in range(T)])
             k += T
         encoded = encode_keys(model.feature_index, sentences)
-        _, (_, g_t) = nll_and_gradient(model, encoded, [["y0"] * T for T in lengths])
+        _, (_, g_t) = nll_and_gradient(model, encoded, np.zeros(sum(lengths), dtype=int))
         g_t[0, 0] += sum(T - 1 for T in lengths)
         assert np.max(np.abs(g_t - expected_t)) <= 1e-8
 
     def test_decode_empty(self):
         model = tiny_model(np.zeros((2, 2)), np.zeros((2, 2)))
         assert decode_keys(model, []) == []
-        assert decode(model, encode(model.feature_index, CRF1, [])) == []
+        ids = decode(model, encode(model.feature_index, CRF1, [], [0]))
+        assert ids.tolist() == [] and ids.dtype == np.intp
 
     def test_zero_token_sentence_named(self):
         model = tiny_model(np.zeros((2, 2)), np.zeros((2, 2)))
-        sentences = [["a"], ["b", "a"], [], ["a"]]
+        forms, offsets = flat([["a"], ["b", "a"], [], ["a"]])
         with pytest.raises(ValueError, match="sentence 2: no positions"):
-            encode(model.feature_index, CRF1, sentences)
+            encode(model.feature_index, CRF1, forms, offsets)
         with pytest.raises(ValueError, match="sentence 2: no positions"):
-            index_and_encode(CRF1, sentences)
+            index_and_encode(CRF1, forms, offsets)
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, corpora, persian_tokens
+from conftest import assert_same_text, corpora, decode_keys, flat, persian_tokens
 from oracles import (
     brute_nll_and_gradient,
     central_differences,
@@ -20,14 +20,12 @@ from pertcrf.crf import (
     CrfModel,
     ModelFormatError,
     TrainConfig,
-    decode,
     load_model,
     nll_and_gradient,
     save_model,
     train,
 )
 from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
-from pertcrf.tasks import corpus_forms, gold_flags
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF2 = FeatureTemplate(id="CRF2")
@@ -37,10 +35,15 @@ CRF2 = FeatureTemplate(id="CRF2")
 # as f0, lie outside the feature grammar; the string oracle encodes them.
 
 
+def gold_ids(labels, gold):
+    """The label id of every position of gold, one label list per sentence."""
+    return np.array([list(labels).index(lab) for g in gold for lab in g], dtype=int)
+
+
 def objective(model, batch, l2=0.0):
     """nll_and_gradient of a batch."""
     encoded = encode_keys(model.feature_index, [feats for feats, _ in batch])
-    return nll_and_gradient(model, encoded, [gold for _, gold in batch], l2=l2)
+    return nll_and_gradient(model, encoded, gold_ids(model.labels, [g for _, g in batch]), l2=l2)
 
 
 def train_keys(batch, labels, config=TrainConfig(), on_iteration=None):
@@ -49,12 +52,8 @@ def train_keys(batch, labels, config=TrainConfig(), on_iteration=None):
     sentences = [feats for feats, _ in batch]
     index = FeatureIndex(reference_keys(sentences))
     encoded = encode_keys(index, sentences)
-    gold = [g for _, g in batch]
+    gold = gold_ids(labels, [g for _, g in batch])
     return train(index, encoded, gold, labels, CRF1, config, on_iteration=on_iteration)[0]
-
-
-def decode_keys(model, sentences):
-    return decode(model, encode_keys(model.feature_index, sentences))
 
 
 def model_from_flat(x, F, L, features, labels):
@@ -109,8 +108,14 @@ class TestNllGradient:
 
     def test_unknown_gold_label(self):
         model = model_from_flat(np.zeros(8), 2, 2, ["f0", "f1"], ["a", "b"])
-        with pytest.raises(ValueError, match="not in model labels"):
-            objective(model, [([["f0"]], ["zzz"])])
+        encoded = encode_keys(model.feature_index, [[["f0"]]])
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=f"gold label id {bad} outside the 2 labels"):
+                nll_and_gradient(model, encoded, np.array([bad]))
+            with pytest.raises(ValueError, match=f"gold label id {bad} outside the 2 labels"):
+                train(model.feature_index, encoded, np.array([bad]), model.labels, CRF1)
+        with pytest.raises(ValueError, match="gold label ids must be integers"):
+            nll_and_gradient(model, encoded, np.array([0.0]))
 
     @pytest.mark.parametrize("l2", [0.0, 0.3])
     def test_matches_finite_differences(self, l2):
@@ -191,8 +196,9 @@ class TestObjectiveOracle:
 
     def test_length_mismatch(self):
         model = model_from_flat(np.zeros(8), 2, 2, ["f0", "f1"], ["a", "b"])
-        with pytest.raises(ValueError, match="sentence 1: 2 positions, 1 labels"):
-            objective(model, [([["f0"]], ["a"]), ([["f0"], ["f1"]], ["a"])])
+        encoded = encode_keys(model.feature_index, [[["f0"]], [["f0"], ["f1"]]])
+        with pytest.raises(ValueError, match=r"gold label ids of shape \(2,\) for 3 positions"):
+            nll_and_gradient(model, encoded, np.array([0, 0]))
 
 
 def span_limit(L):
@@ -325,9 +331,10 @@ class TestTrain:
         rng = np.random.default_rng(2)
         batch, labels = separable_data(n=30)
         forms = [[f"{g}{rng.integers(0, 40)}" for g in gold] for _, gold in batch]
-        gold = [gold for _, gold in batch]
+        gold = gold_ids(labels, [gold for _, gold in batch])
         config = TrainConfig(l1=0.0, l2=0.1, max_iterations=3, min_count=4)
-        index, encoded = index_and_encode(CRF2, forms, min_count=config.min_count)
+        column, offsets = flat(forms)
+        index, encoded = index_and_encode(CRF2, column, offsets, min_count=config.min_count)
         seen = []
         on_iteration = lambda it, obj, m: seen.append(obj)
         model, _ = train(index, encoded, gold, labels, CRF2, config, on_iteration=on_iteration)
@@ -338,7 +345,7 @@ class TestTrain:
                     counts[k] = counts.get(k, 0) + 1
         assert set(model.feature_index.keys()) == {k for k, c in counts.items() if c >= 4}
         assert len(model.feature_index) < len(counts)
-        encoded = encode(model.feature_index, CRF2, forms)
+        encoded = encode(model.feature_index, CRF2, column, offsets)
         nll, _ = nll_and_gradient(model, encoded, gold, l2=config.l2)
         assert seen[-1] == pytest.approx(nll, rel=1e-12)
 
@@ -348,9 +355,9 @@ class TestTrain:
             TrainConfig(min_count=min_count)
 
     def test_empty_training_data(self):
-        index, encoded = index_and_encode(CRF1, [])
+        index, encoded = index_and_encode(CRF1, [], [0])
         with pytest.raises(ValueError, match="empty"):
-            train(index, encoded, [], ["a", "b"], CRF1)
+            train(index, encoded, np.empty(0, dtype=int), ["a", "b"], CRF1)
 
 
 def model_of(emission, transition, labels=("a", "b", "c")):
@@ -505,6 +512,13 @@ class TestModelIO:
         with pytest.raises(ModelFormatError):
             load_model("definitely not\n")
 
+    @pytest.mark.parametrize("counts", ["1 -1", "0 0", "-1 2", "2 x"])
+    def test_malformed_header_counts(self, counts):
+        # A negative F with one label line once reached numpy as a negative
+        # array size.
+        with pytest.raises(ModelFormatError, match="malformed header counts"):
+            load_model(f"PERTCRF v1 CRF1 {counts}\na\n")
+
     def test_bad_weight_value(self):
         with pytest.raises(ModelFormatError, match="bad weight"):
             load_model("PERTCRF v1 CRF1 2 1\na\tb\nF\tf\tx\t1.0\nT\ta\t0\t0\nT\tb\t0\t0\n")
@@ -517,8 +531,8 @@ class TestModelIO:
     def test_round_trip_persian_keys_and_labels(self, c, template, seed):
         # Keys and labels with ZWNJ, digits, = and |; weights of every
         # magnitude, signed zeros and subnormals.
-        flags = gold_flags(c) if template.ezafe_input else None
-        index, encoded = index_and_encode(template, corpus_forms(c), flags)
+        flags = c.ezafe if template.ezafe_input else None
+        index, encoded = index_and_encode(template, c.forms, c.offsets, flags)
         labels = c.tag_inventory
         rng = np.random.default_rng(seed)
         F, L = len(index), len(labels)
@@ -540,7 +554,7 @@ class TestModelIO:
         assert np.array_equal(np.signbit(restored.emission), np.signbit(model.emission))
         assert np.array_equal(restored.transition, model.transition)
         assert_same_text(save_model(restored), text)
-        again = encode(restored.feature_index, template, corpus_forms(c), flags)
+        again = encode(restored.feature_index, template, c.forms, c.offsets, flags)
         assert again.feat.tolist() == encoded.feat.tolist()
 
     def test_file_round_trip(self, tmp_path):

@@ -6,7 +6,6 @@ from conftest import corpora, forms, persian_tokens
 from oracles import corpus_features, encode_keys, reference_index, reference_keys
 from pertcrf.corpus import Corpus, Token
 from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
-from pertcrf.tasks import corpus_forms, gold_flags
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF2 = FeatureTemplate(id="CRF2")
@@ -16,7 +15,7 @@ CRF2_EZ = FeatureTemplate(id="CRF2", ezafe_input=True)
 def sentence_features(forms, template, ezafe=None):
     """The keys of every position of one sentence, in emission order, as
     the training encoder indexes and encodes them."""
-    index, encoded = index_and_encode(template, [forms], None if ezafe is None else [ezafe])
+    index, encoded = index_and_encode(template, forms, [0, len(forms)], ezafe)
     keys = list(index.keys())
     out, start = [], 0
     for n in encoded.counts.tolist():
@@ -114,9 +113,9 @@ class TestExtract:
         ]
 
     def test_ezafe_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="1 ezafe flags for 2 positions"):
             sentence_features(["a", "b"], CRF2_EZ, ezafe=[1])
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="3 ezafe flags for 2 positions"):
             sentence_features(["a", "b"], CRF2_EZ, ezafe=[1, 0, 0])
 
     def test_ezafe_flag_values(self):
@@ -150,7 +149,7 @@ class TestExtract:
 
 def trained_index(corpus, template, min_count=1, ezafe=None):
     """The feature index that training on corpus builds."""
-    return index_and_encode(template, corpus_forms(corpus), ezafe, min_count)[0]
+    return index_and_encode(template, corpus.forms, corpus.offsets, ezafe, min_count)[0]
 
 
 class TestIndex:
@@ -184,7 +183,7 @@ class TestIndex:
     def test_unknown_feature_maps_to_nothing(self):
         index = trained_index(self.one_token_corpus(), CRF1)
         n = len(index)
-        encoded = encode(index, CRF1, [["unseen"], ["tak"]])
+        encoded = encode(index, CRF1, ["unseen", "tak"], [0, 1, 2])
         # All but w[0]=unseen, then all eleven keys of tak.
         assert encoded.feat.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10] + list(range(11))
         assert encoded.counts.tolist() == [10, 11]
@@ -200,19 +199,24 @@ class TestIndex:
             trained_index(self.one_token_corpus(), CRF2_EZ)
 
     def test_annotation_count_must_match_sentences(self):
+        # One flag per position of the batch, whatever the sentences.
         c = Corpus.from_sentences([(Token(form="a", pos="N", ezafe=0),)] * 2)
-        for flags in ([(0,)], [(0,)] * 3):
-            with pytest.raises(ValueError, match="annotations for 2 sentences"):
+        for flags in ([0], [0] * 3):
+            with pytest.raises(ValueError, match=f"{len(flags)} ezafe flags for 2 positions"):
                 trained_index(c, CRF2_EZ, ezafe=flags)
-            with pytest.raises(ValueError, match="annotations for 2 sentences"):
-                encode(FeatureIndex([]), CRF2_EZ, corpus_forms(c), flags)
+            with pytest.raises(ValueError, match=f"{len(flags)} ezafe flags for 2 positions"):
+                encode(FeatureIndex([]), CRF2_EZ, c.forms, c.offsets, flags)
 
     def test_flag_value_two_rejected(self):
         with pytest.raises(ValueError, match="0 or 1, got 2"):
-            trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(2,)])
+            trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[2])
+
+    def test_empty_batch_takes_empty_flags(self):
+        encoded = encode(FeatureIndex([]), CRF2_EZ, [], [0], [])
+        assert encoded.feat.tolist() == [] and encoded.offsets.tolist() == [0]
 
     def test_ezafe_template_index(self):
-        keys = set(trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[(0,)]).keys())
+        keys = set(trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[0]).keys())
         assert "ez[0]=0" in keys
         assert "ez[1]=_" in keys
 
@@ -241,19 +245,19 @@ class TestEncoderEqualsReference:
         st.sampled_from([1, 2, 3]),
     )
     def test_training_and_decoding_encoders(self, c, other, template, min_count):
-        flags = gold_flags(c) if template.ezafe_input else None
+        flags = c.ezafe if template.ezafe_input else None
         strings = corpus_features(c, template, flags)
-        index, encoded = index_and_encode(template, corpus_forms(c), flags, min_count)
+        index, encoded = index_and_encode(template, c.forms, c.offsets, flags, min_count)
         assert list(index.keys()) == reference_keys(strings, min_count)
         want = encode_keys(index, strings)
-        for got in (encoded, encode(index, template, corpus_forms(c), flags)):
+        for got in (encoded, encode(index, template, c.forms, c.offsets, flags)):
             assert got.feat.tolist() == want.feat.tolist()
             assert got.counts.tolist() == want.counts.tolist()
             assert got.offsets.tolist() == want.offsets.tolist()
         # Decoding text the index was not made from: unknown forms,
         # affixes and flag windows are dropped.
-        other_flags = gold_flags(other) if template.ezafe_input else None
-        got = encode(index, template, corpus_forms(other), other_flags)
+        other_flags = other.ezafe if template.ezafe_input else None
+        got = encode(index, template, other.forms, other.offsets, other_flags)
         want = encode_keys(index, corpus_features(other, template, other_flags))
         assert got.feat.tolist() == want.feat.tolist()
         assert got.counts.tolist() == want.counts.tolist()
@@ -269,6 +273,6 @@ class TestEncoderEqualsReference:
 
     def test_keys_outside_the_grammar_never_match(self):
         index = FeatureIndex(["f0", "w[0]", "BOS=1", "ez[0]=2", "pre2=abc", "w[9]=a", "w[0]=a"])
-        encoded = encode(index, CRF2_EZ, [["a", "abc"]], [(0, 1)])
+        encoded = encode(index, CRF2_EZ, ["a", "abc"], [0, 2], [0, 1])
         assert encoded.feat.tolist() == [6]
         assert encoded.counts.tolist() == [1, 0]

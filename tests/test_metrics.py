@@ -3,17 +3,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import corpora, persian_tokens
+from oracles import reference_confusion, reference_ezafe_f1_per_pos
+from pertcrf.crf import CrfModel
+from pertcrf.features import FeatureTemplate, index_and_encode
 from pertcrf.metrics import (
     ConfusionTable,
     EvalReport,
     binary_metrics,
     confusion,
+    confusion_codes,
     delta_report,
     ezafe_f1_per_pos,
     macro_metrics,
     one_vs_rest,
     per_tag_metrics,
 )
+from pertcrf.tasks import decode, evaluate_ezafe, evaluate_joint, evaluate_pos
 
 
 def binary_table(gold, pred):
@@ -124,27 +130,115 @@ class TestMacro:
 
 class TestEzafePerPos:
     def test_all_correct(self):
-        per_pos, mean = ezafe_f1_per_pos([[1, 0, 1]], [[1, 0, 1]], [["N", "V", "N"]])
+        per_pos, mean = ezafe_f1_per_pos([1, 0, 1], [1, 0, 1], [0, 1, 0], ("N", "V"))
         assert per_pos == {"N": 1.0}
         assert mean == 1.0
 
     def test_missed_positives_bucket_zero(self):
-        per_pos, _ = ezafe_f1_per_pos([[1, 1]], [[0, 0]], [["N", "N"]])
+        per_pos, _ = ezafe_f1_per_pos([1, 1], [0, 0], [0, 0], ("N",))
         assert per_pos == {"N": 0.0}
 
     def test_two_bucket_hand_example(self):
-        gold = [[1, 1, 0, 0, 1], [0]]
-        pred = [[1, 0, 0, 1, 1], [0]]
-        pos = [["N", "N", "N", "V", "V"], ["D"]]
-        per_pos, mean = ezafe_f1_per_pos(gold, pred, pos)
+        gold = [1, 1, 0, 0, 1, 0]
+        pred = [1, 0, 0, 1, 1, 0]
+        pos = [0, 0, 0, 1, 1, 2]
+        per_pos, mean = ezafe_f1_per_pos(gold, pred, pos, ("N", "V", "D"))
         assert per_pos == {"N": pytest.approx(2 / 3), "V": pytest.approx(2 / 3)}
         assert "D" not in per_pos  # no gold or predicted positives
         assert list(per_pos) == ["N", "V"]
         assert mean == pytest.approx(2 / 3, abs=1e-12)
 
     def test_alignment_error(self):
-        with pytest.raises(ValueError, match="sentence 0"):
-            ezafe_f1_per_pos([[1, 0]], [[1]], [["N", "N"]])
+        with pytest.raises(ValueError, match="token counts differ"):
+            ezafe_f1_per_pos([1, 0], [1], [0, 0], ("N",))
+
+
+def random_model(corpus, labels, seed):
+    """A CRF1 model over the keys of corpus with the given labels and
+    random weights, so that its predictions are arbitrary labels."""
+    index, _ = index_and_encode(FeatureTemplate(id="CRF1"), corpus.forms, corpus.offsets)
+    rng = np.random.default_rng(seed)
+    F, L = len(index), len(labels)
+    return CrfModel(
+        labels=tuple(labels),
+        feature_index=index,
+        emission=rng.normal(size=(F, L)),
+        transition=rng.normal(size=(L, L)),
+        template=FeatureTemplate(id="CRF1"),
+    )
+
+
+class TestAgainstLoopReference:
+    """The bincount metrics, and the evaluations that map label ids to
+    table rows by name, against the per-token loops in oracles, on
+    Persian-realistic corpora with random predictions."""
+
+    @given(corpora(max_sentences=8, tokens=persian_tokens), st.integers(0, 2**32 - 1))
+    def test_codes_equal_loops(self, c, seed):
+        rng = np.random.default_rng(seed)
+        tagset = c.tag_inventory + ("X", "Y")
+        pred = rng.integers(0, len(tagset), size=c.n_tokens)
+        flags = rng.integers(0, 2, size=c.n_tokens)
+        table = confusion_codes(c.tags, pred, tagset)
+        names = [tagset[i] for i in pred.tolist()]
+        want = reference_confusion(c.by_sentence(c.tag_names()), c.by_sentence(names), tagset)
+        assert np.array_equal(table.counts, want)
+        string_table = confusion(c.by_sentence(c.tag_names()), c.by_sentence(names), tagset)
+        assert np.array_equal(string_table.counts, want)
+        per_pos, mean = ezafe_f1_per_pos(c.ezafe, flags, c.tags, c.tag_inventory)
+        want_per_pos, want_mean = reference_ezafe_f1_per_pos(
+            c.by_sentence(c.ezafe.tolist()), c.by_sentence(flags.tolist()), c.by_sentence(c.tag_names())
+        )
+        assert list(per_pos.items()) == list(want_per_pos.items())
+        assert mean == want_mean
+
+    @given(
+        corpora(max_sentences=6, tokens=persian_tokens),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2),
+    )
+    def test_evaluations_equal_loops(self, c, seed, n_extra):
+        rng = np.random.default_rng(seed)
+        gold = c.by_sentence(c.tag_names())
+
+        def predicted(model):
+            return c.by_sentence([model.labels[i] for i in decode(model, c.forms, c.offsets).tolist()])
+
+        # POS: the inventory in another order, then tags outside it.
+        labels = [c.tag_inventory[i] for i in rng.permutation(len(c.tag_inventory))]
+        labels += [f"X{k}" for k in range(n_extra)]
+        model = random_model(c, labels, seed)
+        report = evaluate_pos(model, c)
+        tagset = c.tag_inventory + tuple(t for t in labels if t not in c.tag_inventory)
+        assert report.table.tags == tagset
+        assert np.array_equal(report.table.counts, reference_confusion(gold, predicted(model), tagset))
+
+        # Ezafe, from a model that lists "1" before "0".
+        model = random_model(c, ("1", "0"), seed)
+        report = evaluate_ezafe(model, c)
+        pred = predicted(model)
+        gold_flags = c.by_sentence([str(v) for v in c.ezafe.tolist()])
+        assert np.array_equal(report.table.counts, reference_confusion(gold_flags, pred, ("0", "1")))
+        want_per_pos, want_mean = reference_ezafe_f1_per_pos(
+            c.by_sentence(c.ezafe.tolist()), [[int(v) for v in s] for s in pred], gold
+        )
+        assert list(report.ezafe_per_pos.items()) == list(want_per_pos.items())
+        assert report.ezafe_per_pos_mean == want_mean
+
+        # Joint: POS tags outside the inventory follow it in sorted order.
+        labels = [f"{t}|{e}" for t in ("Z", "A") + c.tag_inventory for e in (1, 0)]
+        model = random_model(c, labels, seed)
+        pos_report, ez_report = evaluate_joint(model, c)
+        pred = predicted(model)
+        pred_pos = [[lab.rpartition("|")[0] for lab in s] for s in pred]
+        pred_ez = [[int(lab.rpartition("|")[2]) for lab in s] for s in pred]
+        tagset = c.tag_inventory + tuple(sorted({t for s in pred_pos for t in s} - set(c.tag_inventory)))
+        want = ConfusionTable(tagset, reference_confusion(gold, pred_pos, tagset))
+        assert list(pos_report.per_tag.items()) == list(per_tag_metrics(want).items())
+        assert macro_metrics(pos_report.table) == macro_metrics(want)
+        want_per_pos, want_mean = reference_ezafe_f1_per_pos(c.by_sentence(c.ezafe.tolist()), pred_ez, gold)
+        assert list(ez_report.ezafe_per_pos.items()) == list(want_per_pos.items())
+        assert ez_report.ezafe_per_pos_mean == want_mean
 
 
 class TestDelta:

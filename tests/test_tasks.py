@@ -10,12 +10,10 @@ from pertcrf.rng import SplitMix64
 from pertcrf.tasks import (
     ConfigError,
     ExperimentConfig,
-    corpus_forms,
-    decode_corpus,
+    decode,
     evaluate_ezafe,
     evaluate_pos,
     fit,
-    gold_flags,
     model_task_kind,
     parse_experiment_config,
     pipeline_tag,
@@ -121,13 +119,12 @@ class TestCheckpointReplay:
         cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config, eval_every=3)
         model, log, best_it, _ = fit(cfg, train_c, valid_c)
         # deterministic retrain, capturing weights at every iteration
-        index, encoded = features.index_and_encode(CRF1, corpus_forms(train_c))
-        gold = [[str(t.ezafe) for t in s] for s in train_c.sentences]
+        index, encoded = features.index_and_encode(CRF1, train_c.forms, train_c.offsets)
         captured = {}
         crf.train(
             index,
             encoded,
-            gold,
+            train_c.ezafe,
             ("0", "1"),
             CRF1,
             config,
@@ -137,19 +134,19 @@ class TestCheckpointReplay:
 
     def test_features_extracted_once_per_train_sentence(self, rule_corpora, monkeypatch):
         # Training indexes and encodes in one pass over the train split;
-        # every checkpoint encodes the validation split once.
+        # the validation split is encoded once, for every checkpoint.
         train_c, valid_c, _ = rule_corpora
         calls = []
         index_and_encode, encode = features.index_and_encode, features.encode
         monkeypatch.setattr(
             features,
             "index_and_encode",
-            lambda t, s, *a: calls.append(("index", len(s))) or index_and_encode(t, s, *a),
+            lambda t, f, o, *a: calls.append(("index", len(o) - 1)) or index_and_encode(t, f, o, *a),
         )
         monkeypatch.setattr(
             features,
             "encode",
-            lambda i, t, s, *a: calls.append(("encode", len(s))) or encode(i, t, s, *a),
+            lambda i, t, f, o, *a: calls.append(("encode", len(o) - 1)) or encode(i, t, f, o, *a),
         )
         cfg = ExperimentConfig(
             task="ezafe", template=CRF1, train_config=TrainConfig(max_iterations=7), eval_every=3
@@ -157,8 +154,7 @@ class TestCheckpointReplay:
         _, log, _, _ = fit(cfg, train_c, valid_c)
         checkpoints = sum(e.valid_f1 is not None for e in log)
         assert checkpoints == 3  # iterations 3, 6 and the last one, 7
-        assert calls[0] == ("index", train_c.n_sentences)
-        assert calls[1:] == [("encode", valid_c.n_sentences)] * checkpoints
+        assert calls == [("index", train_c.n_sentences), ("encode", valid_c.n_sentences)]
 
 
 class TestRunPos:
@@ -184,8 +180,7 @@ class TestRunPos:
     def test_predicted_flags_from_perfect_model_match_gold(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
         for c in corpora:
-            forms = [[t.form for t in s] for s in c.sentences]
-            assert predict_flags(ezafe_model, forms) == gold_flags(c)
+            assert predict_flags(ezafe_model, c.forms, c.offsets).tolist() == c.ezafe.tolist()
         cfg = ExperimentConfig(
             task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=15)
         )
@@ -225,14 +220,15 @@ class TestRunPos:
 
     def test_bad_flag_values_rejected(self, rule_corpora):
         train_c = rule_corpora[0]
-        bad = [tuple(2 for _ in s) for s in train_c.sentences]
+        bad = np.full(train_c.n_tokens, 2)
         cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=FAST)
-        with pytest.raises(ValueError, match="0 or 1"):
-            fit(cfg, train_c, rule_corpora[1], bad, gold_flags(rule_corpora[1]))
+        with pytest.raises(ValueError, match="0 or 1, got 2"):
+            fit(cfg, train_c, rule_corpora[1], bad, rule_corpora[1].ezafe)
 
     def test_annotation_count_must_match_sentences(self, rule_corpora):
+        # One flag per token of the corpus, whatever its sentences.
         c = rule_corpora[1]
-        flags = gold_flags(c)
+        flags = c.ezafe
         model = crf.CrfModel(
             labels=("N",),
             feature_index=FeatureIndex([]),
@@ -240,12 +236,12 @@ class TestRunPos:
             transition=np.zeros((1, 1)),
             template=CRF1_EZ,
         )
-        for wrong in (flags[:-1], flags + flags[:1]):
-            msg = f"{len(wrong)} ezafe annotations for {c.n_sentences} sentences"
+        for wrong in (flags[:-1], np.concatenate([flags, flags[:1]])):
+            msg = f"{len(wrong)} ezafe flags for {c.n_tokens} positions"
             with pytest.raises(ValueError, match=msg):
-                features.index_and_encode(CRF1_EZ, corpus_forms(c), wrong)
+                features.index_and_encode(CRF1_EZ, c.forms, c.offsets, wrong)
             with pytest.raises(ValueError, match=msg):
-                decode_corpus(model, c, wrong)
+                decode(model, c.forms, c.offsets, wrong)
             with pytest.raises(ValueError, match=msg):
                 evaluate_pos(model, c, ezafe=wrong)
             with pytest.raises(ValueError, match=msg):
@@ -262,13 +258,13 @@ class TestRunJoint:
         # V and ADJ never carry ezafe under the window rule
         assert ("V", 1) not in observed_pairs
         assert ("ADJ", 1) not in observed_pairs
-        preds = decode_corpus(result.model, rule_corpora[2])
-        for sent, ps in zip(rule_corpora[2].sentences, preds):
-            assert len(ps) == len(sent)
-            for lab in ps:
-                pos, ez = split_joint(lab)
-                assert pos in train_c.tag_inventory
-                assert ez in (0, 1)
+        test_c = rule_corpora[2]
+        preds = decode(result.model, test_c.forms, test_c.offsets)
+        assert len(preds) == test_c.n_tokens
+        for i in preds.tolist():
+            pos, ez = split_joint(result.model.labels[i])
+            assert pos in train_c.tag_inventory
+            assert ez in (0, 1)
         assert set(result.extra) == {"valid_ezafe", "test_ezafe"}
         assert result.extra["test_ezafe"].kind == "binary"
         assert result.test_report.kind == "macro"
@@ -310,9 +306,9 @@ class TestPipeline:
             task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=5)
         )
         pos_model = run_pos(cfg, "gold", corpora).model
-        assert predict_flags(ezafe_model, []) == []
+        assert predict_flags(ezafe_model, [], [0]).tolist() == []
         with pytest.raises(ValueError, match="sentence 1: no positions"):
-            predict_flags(ezafe_model, [["ea"], []])
+            predict_flags(ezafe_model, ["ea"], [0, 1, 1])
         with pytest.raises(ValueError, match="sentence 2: no positions"):
             pipeline_tag([["ea"], ["ea", "b"], []], ezafe_model, pos_model)
 
@@ -326,10 +322,10 @@ class TestPipeline:
         forms = [[t.form for t in s] for s in test_c.sentences]
         tagged = pipeline_tag(forms, ezafe_model, pos_model)
         assert [len(s) for s in tagged.sentences] == [len(s) for s in test_c.sentences]
-        flags = predict_flags(ezafe_model, forms)
-        direct = decode_corpus(pos_model, test_c, ezafe=flags)
-        assert [[t.pos for t in s] for s in tagged.sentences] == direct
-        assert [[t.ezafe for t in s] for s in tagged.sentences] == [list(f) for f in flags]
+        flags = predict_flags(ezafe_model, test_c.forms, test_c.offsets)
+        direct = decode(pos_model, test_c.forms, test_c.offsets, flags)
+        assert tagged.tag_names() == [pos_model.labels[i] for i in direct.tolist()]
+        assert tagged.ezafe.tolist() == flags.tolist()
 
     def test_form_with_whitespace_rejected(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
@@ -504,9 +500,36 @@ def test_timed_paths_build_no_token(monkeypatch):
     save_model(ezafe.model)
     cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=train_config)
     pos = run_pos(cfg, "predicted", parts, ezafe_model=ezafe.model)
-    tagged = pipeline_tag(corpus_forms(parts[2]), ezafe.model, pos.model)
+    tagged = pipeline_tag(parts[2].by_sentence(parts[2].forms), ezafe.model, pos.model)
     with pytest.raises(AssertionError, match="a Token was built"):
         tagged.sentences
     monkeypatch.undo()
     assert tagged.forms == parts[2].forms
     assert [len(s) for s in tagged.sentences] == [len(s) for s in parts[2].sentences]
+
+
+def test_timed_paths_cut_no_sentence(monkeypatch):
+    """Parse, split, training with checkpoints, evaluation, predicted flags,
+    saving and two-stage tagging carry every per-token quantity as a flat
+    column: none of them cuts a column into sentences."""
+    text = write_corpus(generate(tuned_ezafe_spec(0.22), 80, seed=4))
+    raw = [[line.split("\t")[0] for line in block.split("\n")] for block in text[:-1].split("\n\n")]
+
+    def refuse(self, values):
+        raise AssertionError("a column was cut into sentences")
+
+    monkeypatch.setattr(Corpus, "by_sentence", refuse)
+    parts = shuffle_split(parse_corpus(text))
+    train_config = TrainConfig(max_iterations=3)
+    ezafe = run_ezafe(
+        ExperimentConfig(task="ezafe", template=CRF1, train_config=train_config, eval_every=1), parts
+    )
+    cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=train_config)
+    pos = run_pos(cfg, "predicted", parts, ezafe_model=ezafe.model)
+    joint = run_joint(ExperimentConfig(task="joint", template=CRF1, train_config=train_config), parts)
+    for result in (ezafe, pos, joint):
+        save_model(result.model)
+    tagged = pipeline_tag(raw, ezafe.model, pos.model)
+    monkeypatch.undo()
+    assert list(tagged.forms) == [form for sentence in raw for form in sentence]
+    assert np.diff(tagged.offsets).tolist() == list(map(len, raw))
