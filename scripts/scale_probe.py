@@ -15,9 +15,10 @@ iteration from x = 0 with the default penalties (l1 = l2 = 0.1), which
 gives the kind of model the ingest-ezafe benchmark saves, and times
 `crf.save_model` and `crf.load_model` on it.
 Prints one JSON object with those times, F, the parameter count, the
-parsed corpus's size (parsed_mb), the model text's size, and the process's
-peak RSS twice: before model I/O (peak_rss_mb) and after it
-(io_peak_rss_mb).
+parsed corpus's size (parsed_mb), the bytes per token of the encoded
+corpus and its packed layout's index arrays (encoded_bytes_per_token), the
+model text's size, and the process's peak RSS twice: before model I/O
+(peak_rss_mb) and after it (io_peak_rss_mb).
 
 Run one configuration per process, so that each peak RSS is its own:
 
@@ -100,6 +101,9 @@ def main() -> None:
 
     (index, packed), encode_s = timed(encode)
     F, L = len(index), len(labels)
+    encoded_bytes = sum(
+        a.nbytes for a in (packed.ids, packed.offsets, packed.steps, packed.row, packed.order)
+    )
     config = crf.TrainConfig()
     objective = crf._Objective(packed, gold, F, L, config.l2)
     x = np.zeros(F * L + L * L)
@@ -127,6 +131,7 @@ def main() -> None:
         "parse_s": round(parse_s, 4),
         "parsed_mb": round(parsed_mb, 2),
         "encode_s": round(encode_s, 4),
+        "encoded_bytes_per_token": round(encoded_bytes / corpus.n_tokens, 1),
         "eval_s": round(min(evals), 4),
         "peak_rss_mb": peak_rss_mb,
         "save_s": round(save_s, 4),

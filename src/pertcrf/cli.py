@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
     mode = cfg.ezafe_source if cfg.task == "pos-ez-input" else "none"
     started = time.monotonic()
     train_flags, valid_flags = tasks.make_flags(cfg, mode, [train_c, valid_c])
-    model, log, best_it, stop = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
+    model, log, best_it, stop, _ = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
     _atomic_write(args.out, crf.save_model(model))
     _print_log(log, best_it, stop, args.log)
     print(f"model written to {args.out}", file=sys.stderr)

@@ -6,15 +6,23 @@ feature weights) and a single label-pair transition matrix shared across
 positions. There are no start/stop parameters; boundary information rides
 on the BOS/EOS features.
 
-Layout. A corpus arrives encoded by features (features.Encoded: flat
-int32 feature ids, the count of them at each position, and the sentence
-offsets), and its positions become packed rows in time-major order:
-sentences are sorted by length, longest first (a stable sort, so corpus
-order is kept among equal lengths), and step t holds, contiguously,
+Layout. A corpus arrives encoded by features (features.Encoded: a (K, N)
+int32 matrix holding the feature id of each of K slots at each of N
+positions, with the sentinel F where a slot has no indexed key, and the
+sentence offsets), and its positions become packed rows in time-major
+order: sentences are sorted by length, longest first (a stable sort, so
+corpus order is kept among equal lengths), and step t holds, contiguously,
 position t of every sentence longer than t. Step t's rows are thus a
 prefix of step t-1's in sentence order, so the recursions make one pass
 per step over a block with no padding, and training and decoding share
-the layout.
+the layout. The id matrix stays in corpus order: emissions gather it by
+each packed row's corpus position, and the expected counts scatter over
+it from posteriors put back in corpus order.
+
+Weights. Emission kernels read an (F+1, L) weight matrix whose last row
+is zero, so the sentinel adds nothing. A CrfModel owns one, and its
+emission weights are the first F rows; training builds one per objective
+evaluation.
 
 Scaling. Training runs sum-product in the exp domain with per-step
 normalisation (Rabiner 1989, section V.A): P = exp(em - row max),
@@ -41,7 +49,7 @@ log scores and has no such bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,27 +89,58 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class CrfModel:
+    """A trained tagger. The model owns an (F+1, L) float64 weight matrix
+    whose last row is zero (see Weights in the module docstring), and
+    emission is a read-only view of its first F rows. An emission given as
+    the first F rows of such a matrix is taken as it is; any other is
+    copied into a new one."""
+
     labels: tuple[str, ...]
     feature_index: FeatureIndex
     emission: np.ndarray  # (F, L)
     transition: np.ndarray  # (L, L)
     template: FeatureTemplate
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)  # (F+1, L)
 
     def __post_init__(self):
         L = len(self.labels)
         if L == 0 or len(set(self.labels)) != L:
             raise ValueError("labels must be non-empty and distinct")
-        if self.emission.shape != (len(self.feature_index), L):
-            raise ValueError(
-                f"emission weights shape {self.emission.shape} != "
-                f"({len(self.feature_index)}, {L})"
-            )
+        F = len(self.feature_index)
+        if self.emission.shape != (F, L):
+            raise ValueError(f"emission weights shape {self.emission.shape} != ({F}, {L})")
         if self.transition.shape != (L, L):
             raise ValueError(f"transition weights shape {self.transition.shape} != ({L}, {L})")
-        if not (np.all(np.isfinite(self.emission)) and np.all(np.isfinite(self.transition))):
+        weights = self.emission.base
+        if not _pads(weights, self.emission):
+            weights = _padded(self.emission)
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(self.transition))):
             raise ValueError("weights must be finite")
-        self.emission.flags.writeable = False
+        weights.flags.writeable = False
         self.transition.flags.writeable = False
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "emission", weights[:F])
+
+
+def _padded(w_e: np.ndarray) -> np.ndarray:
+    """A new (F+1, L) float64 matrix: the (F, L) w_e, then a zero row."""
+    weights = np.zeros((len(w_e) + 1, w_e.shape[1]))
+    weights[:-1] = w_e
+    return weights
+
+
+def _pads(weights, w_e: np.ndarray) -> bool:
+    """Whether w_e is the first F rows of weights, an (F+1, L) float64
+    C-contiguous matrix whose last row is zero."""
+    return (
+        isinstance(weights, np.ndarray)
+        and weights.dtype == np.float64
+        and weights.flags.c_contiguous
+        and weights.shape == (len(w_e) + 1, w_e.shape[1])
+        and w_e.ctypes.data == weights.ctypes.data
+        and w_e.strides == weights.strides
+        and not weights[-1].any()
+    )
 
 
 class TransitionSpanError(DomainError):
@@ -120,7 +159,7 @@ def decode(model: CrfModel, encoded: Encoded) -> np.ndarray:
     if len(encoded.offsets) == 1:
         return np.empty(0, dtype=np.intp)
     packed = _pack(encoded)
-    paths, _ = _viterbi(_emissions(packed, model.emission), model.transition, packed.steps)
+    paths, _ = _viterbi(_emissions(packed, model._weights), model.transition, packed.steps)
     return paths.astype(np.intp)[packed.row]
 
 
@@ -153,11 +192,11 @@ def nll_and_gradient(
 
 @dataclass(frozen=True)
 class _Packed:
-    feat: np.ndarray  # int32 indexed feature ids of every position, in corpus order
-    tok: np.ndarray  # int32 packed row of the position that each entry of feat belongs to
+    ids: np.ndarray  # (K, N) int32 feature id of each slot at each position, in corpus order
     offsets: np.ndarray  # int32 (S+1,) sentence starts in corpus order, then the position count
     steps: np.ndarray  # (T+1,) first packed row of each step, then the position count
     row: np.ndarray  # int32 packed row of each position, in corpus order
+    order: np.ndarray  # int32 corpus position of each packed row
 
 
 def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,13 +217,9 @@ def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pack(encoded: Encoded) -> _Packed:
     steps, row = _layout(encoded.offsets)
-    return _Packed(
-        feat=encoded.feat,
-        tok=np.repeat(row, encoded.counts),
-        offsets=encoded.offsets,
-        steps=steps,
-        row=row,
-    )
+    order = np.empty_like(row)
+    order[row] = np.arange(len(row), dtype=row.dtype)
+    return _Packed(ids=encoded.ids, offsets=encoded.offsets, steps=steps, row=row, order=order)
 
 
 def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarray:
@@ -202,15 +237,24 @@ def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarr
     return gold.astype(np.intc)
 
 
-def _emissions(encoded: _Packed, w_e: np.ndarray) -> np.ndarray:
-    """(positions, L) emission scores in packed rows: each position's
-    indexed feature weights, summed in the order its features were given.
-    Each label's gather reads one column of w_e, in whatever memory order
-    w_e has; nothing is copied."""
-    n = int(encoded.offsets[-1])
-    em = np.empty((n, w_e.shape[1]))
-    for lab, w in enumerate(w_e.T):
-        em[:, lab] = np.bincount(encoded.tok, weights=w[encoded.feat], minlength=n)
+# Float64 weights gathered at once by _emissions: a block of packed rows
+# gathers (K, rows, L) of them. Larger blocks raise peak memory and gain
+# nothing.
+_GATHER_BLOCK = 1 << 16
+
+
+def _emissions(packed: _Packed, weights: np.ndarray) -> np.ndarray:
+    """(positions, L) emission scores in packed rows from (F+1, L) weights
+    whose last row is zero: each position's weight rows, one per slot,
+    summed in slot order. Each block of packed rows gathers its columns of
+    the id matrix by corpus position, then their weight rows."""
+    K, n = packed.ids.shape
+    L = weights.shape[1]
+    em = np.empty((n, L))
+    size = max(1, _GATHER_BLOCK // max(1, K * L))
+    for a in range(0, n, size):
+        ids = np.take(packed.ids, packed.order[a : a + size], axis=1)
+        np.take(weights, ids, axis=0).sum(axis=0, out=em[a : a + size])
     return em
 
 
@@ -283,9 +327,13 @@ def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.n
 class _Objective:
     """Smooth part of the training objective (NLL + ridge) as a flat-vector
     function for the optimizer. One evaluation makes a fixed number of
-    numpy passes: emissions for every position, scaled forward-backward
-    over the packed layout, one product for the expected transitions and
-    one scatter of expected emission counts. Accumulation order is fixed,
+    numpy passes: emissions for every position, gathered from a zero-padded
+    copy of the emission weights that is dropped before forward-backward,
+    scaled forward-backward over the packed layout, one product for the
+    expected transitions, and per label one bincount of the posteriors,
+    tiled over the K slots, by the raveled id matrix for the expected
+    emission counts. A grammar feature belongs to one slot, so each of its
+    counts sums its positions in corpus order. Accumulation order is fixed,
     so results are bit-reproducible for a fixed corpus."""
 
     def __init__(
@@ -305,9 +353,8 @@ class _Objective:
         L, y = n_labels, labels
         chained = np.ones(max(len(y) - 1, 0), dtype=bool)  # t and t+1 in one sentence
         chained[encoded.offsets[1:-1] - 1] = False
-        y_row = np.empty_like(y)
-        y_row[encoded.row] = y
-        emp_e = np.bincount(encoded.feat * np.int64(L) + y_row[encoded.tok], minlength=n_features * L)
+        cells = encoded.ids.ravel() * np.int64(L) + np.tile(y, len(encoded.ids))
+        emp_e = np.bincount(cells, minlength=(n_features + 1) * L)[: n_features * L]
         emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
         self._emp = np.concatenate([emp_e, emp_t]).astype(np.float64)
 
@@ -324,9 +371,9 @@ class _Objective:
                 f"that the scaled recursion keeps finite for {L} labels"
             )
         E = np.exp(w_t - top)
-        # A column-major copy, so that each label's gather reads contiguous
-        # memory; the gradient below is O(F L) anyway.
-        P = _emissions(enc, np.asfortranarray(w_e))
+        weights = _padded(w_e)
+        P = _emissions(enc, weights)
+        del weights  # forward-backward runs without the copy
         shift = P.max(axis=1)
         P -= shift[:, None]
         np.exp(P, out=P)
@@ -340,8 +387,10 @@ class _Objective:
 
         grad = np.empty_like(x)
         exp_e = grad[:split].reshape(self.F, L)
+        ids, K = enc.ids.ravel(), len(enc.ids)
         for lab, unary in enumerate(np.ascontiguousarray(alpha.T)):
-            exp_e[:, lab] = np.bincount(enc.feat, weights=unary[enc.tok], minlength=self.F)
+            counts = np.bincount(ids, weights=np.tile(unary[enc.row], K), minlength=self.F + 1)
+            exp_e[:, lab] = counts[: self.F]
         grad[split:] = exp_t.ravel()
         grad -= self._emp
         nll = log_z - float(np.dot(self._emp, x))
@@ -370,8 +419,7 @@ def train(
     recursion are backtracked from, never accepted.
 
     on_iteration(iteration, objective, model) fires after every accepted
-    optimizer step with a read-only view of the current weights; copy them
-    if you want a snapshot.
+    optimizer step with a model of the current weights.
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
@@ -405,7 +453,7 @@ def train(
     model = CrfModel(
         labels=labels,
         feature_index=feature_index,
-        emission=result.x[: F * L].reshape(F, L).copy(),
+        emission=_padded(result.x[: F * L].reshape(F, L))[:F],
         transition=result.x[F * L :].reshape(L, L).copy(),
         template=template,
     )
@@ -506,11 +554,11 @@ def load_model(text: str) -> CrfModel:
             raise ModelFormatError(f"line {lineno}: bad weight value") from None
 
     feature_keys = []
-    emission = np.zeros((F, L))
+    weights = np.zeros((F + 1, L))  # the model's own (see CrfModel)
     for i in range(F):
         key, row = _row(lines[2 + i], 3 + i, "F")
         feature_keys.append(key)
-        emission[i] = row
+        weights[i] = row
     transition = np.zeros((L, L))
     for i in range(L):
         lab, row = _row(lines[2 + F + i], 3 + F + i, "T")
@@ -522,7 +570,7 @@ def load_model(text: str) -> CrfModel:
         return CrfModel(
             labels=labels,
             feature_index=index,
-            emission=emission,
+            emission=weights[:F],
             transition=transition,
             template=template,
         )

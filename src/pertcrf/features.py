@@ -16,8 +16,9 @@ first occurrence over (sentence, position, slot), and model files list
 them in that order, so that order is part of the model format too.
 
 Codes. No key string is built per token. Every key is a (slot, value)
-pair, and a batch of sentences becomes one int32 column of value codes per
-slot (-1 where the slot is absent):
+pair, and a batch of sentences becomes one (slots, positions) int32 matrix
+of value codes, slot-major, so each slot's codes are one contiguous row
+(-1 where the slot is absent):
   - w[k]: the form at offset k. Forms are interned once per batch, with
     the sentinels first, so a real token spelled __BOS__ shares its w[k]
     key with the sentinel (and still has affixes).
@@ -25,12 +26,15 @@ slot (-1 where the slot is absent):
   - BOS, EOS: one value, at the first or last position of a sentence.
   - ez[k]: 0, 1 or the pad _.
 Per slot kind, a table from value codes to feature ids (one column per
-slot) then turns the columns into the flat arrays that crf consumes
-(Encoded), with the entries in (sentence, position, slot) order, so
-emission sums add in the same order as ever.
+slot) then turns each row of codes, in place, into the row of feature ids
+that crf consumes (Encoded). A slot that is absent or whose key is not
+indexed holds the sentinel id F = len(index), which crf reads as a zero
+weight row. Every grammar key belongs to one slot, so a feature's entries
+lie in one row, in corpus order; emission sums add a position's weights
+in slot order, as ever.
   - index_and_encode (training) makes the tables from the codes: the count
-    and first position of every code per column, the candidates ordered
-    by (position, slot), then the min_count cut.
+    and first position of every code per slot, the candidates ordered by
+    (position, slot), then the min_count cut.
   - encode (decoding) looks the batch's forms and affixes up in the tables
     of a FeatureIndex, which builds them once, when it is made.
 Key strings exist only for the F indexed keys, and only when
@@ -125,10 +129,11 @@ class FeatureTemplate:
 
 @dataclass(frozen=True)
 class Encoded:
-    """Sentences as flat int32 arrays, the input of crf."""
+    """Sentences as one id matrix, the input of crf: row k holds the
+    feature id of slot k at every position, in corpus order, and the
+    sentinel F (the index's length) where the slot has no indexed key."""
 
-    feat: np.ndarray  # feature id of every indexed entry, in (sentence, position, slot) order
-    counts: np.ndarray  # number of entries of feat at each position, in corpus order
+    ids: np.ndarray  # (K, N) int32, slot-major
     offsets: np.ndarray  # (S+1,) sentence starts in corpus order, then the position count
 
 
@@ -136,13 +141,13 @@ class FeatureIndex:
     """Immutable bijection between retained feature strings and 0..F-1, in
     the order given (training gives first-occurrence order), held as
     tables rather than strings. Per slot kind, a dict maps each value to a
-    row of a table of ids, one column per slot of the kind and -1 where
-    that key is not indexed; the table's last row is all -1, for values
-    the dict lacks. Each id records its slot and row, so keys() builds the
-    strings when asked (save_model); keys outside the grammar are kept as
-    given and never match. Made from keys (load_model), it splits each key
-    at its first "=" into a slot and a value; index_and_encode makes the
-    tables from its codes instead."""
+    row of a table of ids, one column per slot of the kind and F (the
+    encoders' sentinel) where that key is not indexed; the table's last
+    row is all F, for values the dict lacks. Each id records its slot and
+    row, so keys() builds the strings when asked (save_model); keys
+    outside the grammar are kept as given and never match. Made from keys
+    (load_model), it splits each key at its first "=" into a slot and a
+    value; index_and_encode makes the tables from its codes instead."""
 
     def __init__(self, keys: Iterable[str]):
         keys = list(keys)
@@ -153,7 +158,8 @@ class FeatureIndex:
                     raise ValueError(f"duplicate feature string {key!r}")
                 seen.add(key)
         values = _fixed_values()
-        rows = {kind: [[-1] * _WIDTHS[kind] for _ in values[kind]] for kind in _WIDTHS}
+        F = len(keys)
+        rows = {kind: [[F] * _WIDTHS[kind] for _ in values[kind]] for kind in _WIDTHS}
         slot_of, row_of, other = [], [], {}
         for i, key in enumerate(keys):
             slot, eq, value = key.partition("=")
@@ -163,7 +169,7 @@ class FeatureIndex:
                 row = values[kind].get(value)
                 if row is None and kind not in _FIXED_VALUES:
                     row = values[kind][value] = len(rows[kind])
-                    rows[kind].append([-1] * _WIDTHS[kind])
+                    rows[kind].append([F] * _WIDTHS[kind])
             if row is None:  # outside the grammar
                 other[i] = key
                 slot_of.append(-1)
@@ -174,7 +180,7 @@ class FeatureIndex:
             row_of.append(row)
         self._values = values
         self._ids = {
-            kind: np.array(r + [[-1] * _WIDTHS[kind]], dtype=np.int32) for kind, r in rows.items()
+            kind: np.array(r + [[F] * _WIDTHS[kind]], dtype=np.int32) for kind, r in rows.items()
         }
         self._slot = np.array(slot_of, dtype=np.int8)
         self._row = np.array(row_of, dtype=np.int32)
@@ -225,7 +231,7 @@ def _fixed_values() -> dict[str, dict[str, int]]:
 class _Codes:
     """A batch of sentences as value codes."""
 
-    codes: np.ndarray  # (positions, slots) int32, row-major; -1 where a slot is absent
+    codes: np.ndarray  # (slots, positions) int32, slot-major; -1 where a slot is absent
     offsets: np.ndarray  # int32 (S+1,)
     words: dict[str, int]  # the code of each form; the sentinels are 0 and 1
     affixes: dict[str, int]  # the code of each affix
@@ -285,10 +291,10 @@ def _codes(
         padded[base] = values
         return (padded[base + k] for k in range(-WINDOW, WINDOW + 1))
 
-    codes = np.empty((n, len(template.slots)), dtype=np.int32)
-    for col, column in enumerate(windows(form, 0, 1)):
-        codes[:, col] = column
-    col = len(W_SLOTS)
+    codes = np.empty((len(template.slots), n), dtype=np.int32)
+    for row, values in enumerate(windows(form, 0, 1)):
+        codes[row] = values
+    row = len(W_SLOTS)
     if template.id == "CRF2":
         # Each affix slot's value for every form: the whole form where it is
         # shorter than the affix, an entry dropped below.
@@ -296,31 +302,29 @@ def _codes(
         columns += [[f[-m:] for f in words] for m in AFFIX_LENGTHS]
         if affixes is None:
             affixes = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns)))}
-        by_form = np.array([list(map(affixes.get, c, repeat(-1))) for c in columns], np.int32).T
-        by_form[np.fromiter(map(len, words), dtype=np.intp)[:, None] < AFFIX_LENGTHS * 2] = -1
-        codes[:, col : col + len(AFFIX_SLOTS)] = by_form[form]
-        col += len(AFFIX_SLOTS)
-        codes[:, col : col + len(EDGE_SLOTS)] = -1
-        codes[offsets[:-1], col] = 0
-        codes[offsets[1:] - 1, col + 1] = 0
-        col += len(EDGE_SLOTS)
+        by_form = np.array([list(map(affixes.get, c, repeat(-1))) for c in columns], np.int32)
+        short = np.fromiter(map(len, words), np.intp) < np.array(AFFIX_LENGTHS * 2)[:, None]
+        by_form[short] = -1
+        np.take(by_form, form, axis=1, out=codes[row : row + len(AFFIX_SLOTS)])
+        row += len(AFFIX_SLOTS)
+        codes[row : row + len(EDGE_SLOTS)] = -1
+        codes[row, offsets[:-1]] = 0
+        codes[row + 1, offsets[1:] - 1] = 0
+        row += len(EDGE_SLOTS)
     if flags is not None:
-        for k, column in enumerate(windows(flags, 2, 2)):
-            codes[:, col + k] = column
+        for k, values in enumerate(windows(flags, 2, 2)):
+            codes[row + k] = values
     return _Codes(codes=codes, offsets=offsets, words=words, affixes=affixes or {})
 
 
 def _encoded(batch: _Codes, template: FeatureTemplate, ids: dict[str, np.ndarray]) -> Encoded:
-    """Map each slot's codes to feature ids through its column of the id
-    table of its kind, whose rows are the codes, in place (a code of -1
-    reads the last row, which is -1), and keep the indexed entries in
-    (position, slot) order."""
+    """Map each slot's row of codes to feature ids, in place, through its
+    column of the id table of its kind, whose rows are the codes (a code of
+    -1 reads the last row, which holds the sentinel)."""
     codes = batch.codes
-    for col, (kind, column) in enumerate(map(_SLOT_COLUMNS.get, template.slots)):
-        codes[:, col] = ids[kind][codes[:, col], column]
-    known = codes >= 0
-    counts = known.sum(axis=1, dtype=np.int32)
-    return Encoded(feat=codes[known], counts=counts, offsets=batch.offsets)
+    for row, (kind, column) in enumerate(map(_SLOT_COLUMNS.get, template.slots)):
+        np.take(ids[kind][:, column], codes[row], out=codes[row])
+    return Encoded(ids=codes, offsets=batch.offsets)
 
 
 def encode(
@@ -356,22 +360,23 @@ def index_and_encode(
     slots = [_SLOT_COLUMNS[slot] for slot in template.slots]
     # Per slot, the count and the first position of every code (the row
     # of -1, absent slots, comes first and is dropped).
-    n = len(batch.codes)
+    n = batch.codes.shape[1]
     positions = np.arange(n)
     firsts, kept_codes = [], []
-    for col, (kind, _) in enumerate(slots):
-        shifted = batch.codes[:, col] + 1
+    for row, (kind, _) in enumerate(slots):
+        shifted = batch.codes[row] + 1
         count = np.bincount(shifted, minlength=len(values[kind]) + 1)[1:]
         first = np.full(len(values[kind]) + 1, n)
         np.minimum.at(first, shifted, positions)
         code = np.flatnonzero(count >= min_count)
         kept_codes.append(code)
-        firsts.append(first[code + 1] * len(slots) + col)
+        firsts.append(first[code + 1] * len(slots) + row)
     order = np.argsort(np.concatenate(firsts))
-    key_ids = np.empty(len(order), dtype=np.int32)
-    key_ids[order] = np.arange(len(order), dtype=np.int32)
+    F = len(order)
+    key_ids = np.empty(F, dtype=np.int32)
+    key_ids[order] = np.arange(F, dtype=np.int32)
 
-    ids = {kind: np.full((len(values[kind]) + 1, width), -1, np.int32) for kind, width in _WIDTHS.items()}
+    ids = {kind: np.full((len(values[kind]) + 1, width), F, np.int32) for kind, width in _WIDTHS.items()}
     start = 0
     for (kind, column), code in zip(slots, kept_codes):
         ids[kind][code, column] = key_ids[start : start + len(code)]

@@ -12,7 +12,8 @@ and metrics counts the table and the per-POS ezafe F1 from the codes.
 Checkpoint rule: the validation split is encoded once per fit with the
 training index and decoded every eval_every iterations (and at the final
 iteration); the weights with the best validation F1 are the ones
-evaluated on test.
+evaluated on test, and their validation decode gives the validation
+report.
 """
 
 from __future__ import annotations
@@ -247,14 +248,15 @@ def fit(
     valid_c: Corpus,
     train_flags: np.ndarray | None = None,
     valid_flags: np.ndarray | None = None,
-) -> tuple[CrfModel, list[TrainLogEntry], int, str]:
+) -> tuple[CrfModel, list[TrainLogEntry], int, str, np.ndarray]:
     """Train cfg.task on train_c (with its ezafe input flags, one per token,
     for ezafe-input templates), decoding valid_c every cfg.eval_every
     iterations and at the last one. valid_c is encoded once, with the
     training index. Returns the model restored to the checkpoint with the
     best validation F1 (positive-class F1 for ezafe, macro F1 otherwise;
-    the earliest among ties), the log, the checkpoint's iteration, and why
-    training stopped (OwlQnResult.stop)."""
+    the earliest among ties), the log, the checkpoint's iteration, why
+    training stopped (OwlQnResult.stop), and the model's label id of every
+    token of valid_c."""
     if train_c.n_sentences == 0:
         raise ValueError("empty train split")
     if valid_c.n_sentences == 0:
@@ -273,13 +275,17 @@ def fit(
     )
     valid = features.encode(index, cfg.template, valid_c.forms, valid_c.offsets, valid_flags)
     log: list[TrainLogEntry] = []
-    best = {"f1": float("-inf"), "weights": None, "iteration": 0}
+    best = {"f1": float("-inf"), "weights": None, "iteration": 0, "pred": None}
 
     def checkpoint(it: int, model: CrfModel) -> float:
-        f1 = report(crf.decode(model, valid)).headline.f1
+        pred = crf.decode(model, valid)
+        f1 = report(pred).headline.f1
         if f1 > best["f1"]:
             best.update(
-                f1=f1, weights=(model.emission.copy(), model.transition.copy()), iteration=it
+                f1=f1,
+                weights=(model.emission.copy(), model.transition.copy()),
+                iteration=it,
+                pred=pred,
             )
         return f1
 
@@ -293,7 +299,7 @@ def fit(
     if log and log[-1].valid_f1 is None:
         log[-1].valid_f1 = checkpoint(log[-1].iteration, model)
     if best["weights"] is None:  # no accepted step: the zero start is the model
-        return model, log, 0, stop
+        return model, log, 0, stop, crf.decode(model, valid)
     em, tr = best["weights"]
     model = CrfModel(
         labels=model.labels,
@@ -302,7 +308,7 @@ def fit(
         transition=tr,
         template=model.template,
     )
-    return model, log, best["iteration"], stop
+    return model, log, best["iteration"], stop, best["pred"]
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +348,10 @@ def run_ezafe(
     on validation and test, with the per-POS F1 breakdown."""
     train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
     header = _config_header(cfg)
-    model, log, best_it, stop = fit(cfg, train_c, valid_c)
+    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c)
     return ExperimentResult(
         model=model,
-        valid_report=evaluate_ezafe(model, valid_c, header),
+        valid_report=_ezafe_report(valid_pred, valid_c, header),
         test_report=evaluate_ezafe(model, test_c, header),
         log=log,
         best_iteration=best_it,
@@ -368,10 +374,10 @@ def run_pos(
     train_flags, valid_flags, test_flags = make_flags(
         cfg, ezafe_mode, [train_c, valid_c, test_c], ezafe_model
     )
-    model, log, best_it, stop = fit(cfg, train_c, valid_c, train_flags, valid_flags)
+    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c, train_flags, valid_flags)
     return ExperimentResult(
         model=model,
-        valid_report=evaluate_pos(model, valid_c, ezafe=valid_flags, header=header),
+        valid_report=_pos_report(valid_pred, model.labels, valid_c, header),
         test_report=evaluate_pos(model, test_c, ezafe=test_flags, header=header),
         log=log,
         best_iteration=best_it,
@@ -387,8 +393,8 @@ def run_joint(
     extra."""
     train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
     header = _config_header(cfg)
-    model, log, best_it, stop = fit(cfg, train_c, valid_c)
-    valid_pos, valid_ez = evaluate_joint(model, valid_c, header)
+    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c)
+    valid_pos, valid_ez = _joint_reports(valid_pred, model.labels, valid_c, header)
     test_pos, test_ez = evaluate_joint(model, test_c, header)
     return ExperimentResult(
         model=model,

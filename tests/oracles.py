@@ -8,7 +8,10 @@ shuffles with one draw at a time, or applies the OWL-QN projections with
 masks; none of it shares code with the package's inference, training,
 encoding, model-writing, metrics, parsing or optimizer paths. The string extractor
 is the reference for the key grammar and its order (see the
-pertcrf.features docstring).
+pertcrf.features docstring). The one exception is ragged_nll_and_gradient,
+which pins the emission and expected-count kernels bit for bit: it runs
+the package's packed layout and forward-backward around the ragged
+kernels that preceded the id matrix.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from collections import Counter
 import numpy as np
 
 from pertcrf.corpus import Corpus, CorpusFormatError, Token, non_unix_line
+from pertcrf.crf import _layout, _sum_product
 from pertcrf.features import Encoded, FeatureIndex
 from pertcrf.rng import SplitMix64
 
@@ -91,23 +95,82 @@ def reference_index(corpus, template, min_count=1, ezafe=None) -> FeatureIndex:
 
 def encode_keys(index, sentences) -> Encoded:
     """Encode sentences given as key lists, one dict lookup per key: the
-    index of every key of every position, keys the index lacks dropped.
-    Reaches any key, grammar or not, so tests can use keys such as f0."""
+    index of every key of every position, keys the index lacks dropped, as
+    the (K, N) id matrix with the sentinel len(index) below each position's
+    ids, K the largest count of them at any position. Reaches any key,
+    grammar or not, so tests can use keys such as f0."""
     ids = {k: i for i, k in enumerate(index.keys())}
-    feat, counts, offsets = [], [], [0]
+    columns, offsets = [], [0]
     for i, features in enumerate(sentences):
         if not features:
             raise ValueError(f"sentence {i}: no positions")
         for keys in features:
-            known = [ids[k] for k in keys if k in ids]
-            feat += known
-            counts.append(len(known))
-        offsets.append(len(counts))
-    return Encoded(
-        feat=np.array(feat, dtype=np.int32),
-        counts=np.array(counts, dtype=np.int32),
-        offsets=np.array(offsets, dtype=np.int32),
-    )
+            columns.append([ids[k] for k in keys if k in ids])
+        offsets.append(len(columns))
+    matrix = np.full((max(map(len, columns), default=0), len(columns)), len(ids), dtype=np.int32)
+    for p, column in enumerate(columns):
+        matrix[: len(column), p] = column
+    return Encoded(ids=matrix, offsets=np.array(offsets, dtype=np.int32))
+
+
+def position_ids(encoded, n_features):
+    """The feature ids of every position of an encoding, sentinels (ids
+    n_features and above) dropped, in slot order."""
+    return [[i for i in column if i < n_features] for column in encoded.ids.T.tolist()]
+
+
+def ragged_nll_and_gradient(model, encoded, gold, l2=0.0):
+    """crf.nll_and_gradient with ragged kernels: the indexed ids of every
+    position, in (position, slot) order (feat), beside the packed row of
+    each (tok); emissions from one bincount of w[feat] by tok per label,
+    expected counts from one bincount of unary[tok] by feat per label. The
+    rest is the objective's arithmetic in its order."""
+    F, L = model.emission.shape
+    known = encoded.ids.T < F
+    feat = encoded.ids.T[known]
+    steps, row = _layout(encoded.offsets)
+    tok = np.repeat(row, known.sum(axis=1))
+    n, S = len(row), int(steps[1])
+    y = np.asarray(gold).astype(np.intc)
+    x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
+    w_e, w_t = x[: F * L].reshape(F, L), x[F * L :].reshape(L, L)
+
+    P = np.empty((n, L))
+    for lab, w in enumerate(np.asfortranarray(w_e).T):
+        P[:, lab] = np.bincount(tok, weights=w[feat], minlength=n)
+    top = float(w_t.max())
+    E = np.exp(w_t - top)
+    shift = P.max(axis=1)
+    P -= shift[:, None]
+    np.exp(P, out=P)
+    alpha, beta, c = _sum_product(P, E, steps)
+    log_z = float(np.log(c).sum()) + float(shift.sum()) + (n - S) * top
+    sizes = np.diff(steps)
+    prev = np.arange(S, n) - np.repeat(sizes[:-1], sizes[1:])
+    right = P[S:]
+    right *= beta[S:]
+    right /= c[S:, None]
+    exp_t = E * (alpha[prev].T @ right)
+    alpha *= beta
+
+    chained = np.ones(max(n - 1, 0), dtype=bool)
+    chained[encoded.offsets[1:-1] - 1] = False
+    y_row = np.empty_like(y)
+    y_row[row] = y
+    emp_e = np.bincount(feat * np.int64(L) + y_row[tok], minlength=F * L)
+    emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
+    emp = np.concatenate([emp_e, emp_t]).astype(np.float64)
+    grad = np.empty_like(x)
+    exp_e = grad[: F * L].reshape(F, L)
+    for lab, unary in enumerate(np.ascontiguousarray(alpha.T)):
+        exp_e[:, lab] = np.bincount(feat, weights=unary[tok], minlength=F)
+    grad[F * L :] = exp_t.ravel()
+    grad -= emp
+    nll = log_z - float(np.dot(emp, x))
+    if l2 > 0.0:
+        nll += 0.5 * l2 * float(np.dot(x, x))
+        grad += l2 * x
+    return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
 
 
 def reference_model_text(model) -> str:

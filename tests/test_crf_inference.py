@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,7 +328,7 @@ class TestBatchedViterbi:
             for T in rng.integers(1, 20, size=30)
         ]
         enc = _pack(encode_keys(model.feature_index, sentences))
-        got = _emissions(enc, model.emission)[enc.row]
+        got = _emissions(enc, model._weights)[enc.row]
         want = []
         for feats in sentences:
             for keys in feats:
@@ -339,7 +340,7 @@ class TestBatchedViterbi:
 def scored(model, features):
     """Emission scores of one sentence, in position order."""
     enc = _pack(encode_keys(model.feature_index, [features]))
-    return _emissions(enc, model.emission)[enc.row]
+    return _emissions(enc, model._weights)[enc.row]
 
 
 class TestScoreLattice:
@@ -379,3 +380,39 @@ class TestValidation:
         model = tiny_model(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             model.emission[0, 0] = 1.0
+        # The sentinel id reads the zero row after the emission weights.
+        assert model._weights.shape == (3, 2) and not model._weights[2].any()
+        with pytest.raises(ValueError):
+            model._weights[2, 0] = 1.0
+
+    def test_model_owns_zero_padded_weights(self):
+        # Any (F, L) emission is copied below F+1 rows; the first F rows of
+        # an (F+1, L) float64 matrix with a zero last row are taken as
+        # they are.
+        given = np.ones((2, 2))
+        model = tiny_model(given, np.zeros((2, 2)))
+        assert not np.shares_memory(model.emission, given) and given.flags.writeable
+        padded = np.zeros((3, 2))
+        padded[:2] = 1.0
+        model = tiny_model(padded[:2], np.zeros((2, 2)))
+        assert model._weights is padded and np.shares_memory(model.emission, padded)
+        padded = np.ones((3, 2))
+        model = tiny_model(padded[:2], np.zeros((2, 2)))
+        assert model._weights is not padded and not model._weights[2].any()
+
+    def test_decode_copies_no_weights(self):
+        F, L = 50_000, 30
+        model = tiny_model(
+            np.ones((F, L)),
+            np.zeros((L, L)),
+            labels=[f"y{i}" for i in range(L)],
+            features=[f"w[0]=f{i}" for i in range(F)],
+        )
+        encoded = encode(model.feature_index, CRF1, ["f1", "f2", "x"], [0, 3])
+        tracemalloc.start()
+        try:
+            decode(model, encoded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < F * L * 8 / 50

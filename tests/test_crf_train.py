@@ -11,6 +11,7 @@ from oracles import (
     brute_nll_and_gradient,
     central_differences,
     encode_keys,
+    ragged_nll_and_gradient,
     reference_keys,
     reference_model_text,
     sentence_features,
@@ -25,10 +26,12 @@ from pertcrf.crf import (
     save_model,
     train,
 )
+from pertcrf.datagen import generate, tuned_ezafe_spec
 from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF2 = FeatureTemplate(id="CRF2")
+CRF2_EZ = FeatureTemplate(id="CRF2", ezafe_input=True)
 
 
 # Batches here are (key lists per position, labels) pairs whose keys, such
@@ -199,6 +202,29 @@ class TestObjectiveOracle:
         encoded = encode_keys(model.feature_index, [[["f0"]], [["f0"], ["f1"]]])
         with pytest.raises(ValueError, match=r"gold label ids of shape \(2,\) for 3 positions"):
             nll_and_gradient(model, encoded, np.array([0, 0]))
+
+
+class TestRaggedKernels:
+    """The id-matrix kernels against the ragged ones they replaced
+    (oracles.ragged_nll_and_gradient): every grammar feature belongs to one
+    slot, so the sums run in the same order and the results are equal, not
+    close."""
+
+    @pytest.mark.parametrize("template", [CRF2, CRF2_EZ])
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_nll_and_gradient_bit_identical(self, template, l2):
+        corpus = generate(tuned_ezafe_spec(0.22), 60, seed=3)
+        flags = corpus.ezafe if template.ezafe_input else None
+        index, encoded = index_and_encode(template, corpus.forms, corpus.offsets, flags)
+        F, L = len(index), len(corpus.tag_inventory)
+        rng = np.random.default_rng(11)
+        x = rng.normal(0.0, 0.5, size=F * L + L * L)
+        x[rng.random(x.size) < 0.3] = 0.0  # as L1 training leaves most weights
+        model = model_from_flat(x, F, L, index.keys(), corpus.tag_inventory)
+        nll, (g_e, g_t) = nll_and_gradient(model, encoded, corpus.tags, l2=l2)
+        want, (w_e, w_t) = ragged_nll_and_gradient(model, encoded, corpus.tags, l2=l2)
+        assert nll == want
+        assert np.array_equal(g_e, w_e) and np.array_equal(g_t, w_t)
 
 
 def span_limit(L):
@@ -555,7 +581,7 @@ class TestModelIO:
         assert np.array_equal(restored.transition, model.transition)
         assert_same_text(save_model(restored), text)
         again = encode(restored.feature_index, template, c.forms, c.offsets, flags)
-        assert again.feat.tolist() == encoded.feat.tolist()
+        assert np.array_equal(again.ids, encoded.ids)
 
     def test_file_round_trip(self, tmp_path):
         model, _ = self.trained()

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import corpora, forms, persian_tokens
-from oracles import corpus_features, encode_keys, reference_index, reference_keys
+from oracles import corpus_features, encode_keys, position_ids, reference_index, reference_keys
 from pertcrf.corpus import Corpus, Token
 from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
 
@@ -17,11 +18,7 @@ def sentence_features(forms, template, ezafe=None):
     the training encoder indexes and encodes them."""
     index, encoded = index_and_encode(template, forms, [0, len(forms)], ezafe)
     keys = list(index.keys())
-    out, start = [], 0
-    for n in encoded.counts.tolist():
-        out.append([keys[i] for i in encoded.feat[start : start + n].tolist()])
-        start += n
-    return out
+    return [[keys[i] for i in ids] for ids in position_ids(encoded, len(keys))]
 
 
 class TestTemplate:
@@ -184,9 +181,9 @@ class TestIndex:
         index = trained_index(self.one_token_corpus(), CRF1)
         n = len(index)
         encoded = encode(index, CRF1, ["unseen", "tak"], [0, 1, 2])
-        # All but w[0]=unseen, then all eleven keys of tak.
-        assert encoded.feat.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10] + list(range(11))
-        assert encoded.counts.tolist() == [10, 11]
+        # All but w[0]=unseen, which holds the sentinel n, then all eleven
+        # keys of tak.
+        assert encoded.ids.T.tolist() == [[0, 1, 2, 3, 4, n, 6, 7, 8, 9, 10], list(range(11))]
         assert encoded.offsets.tolist() == [0, 1, 2]
         assert len(index) == n
 
@@ -213,7 +210,7 @@ class TestIndex:
 
     def test_empty_batch_takes_empty_flags(self):
         encoded = encode(FeatureIndex([]), CRF2_EZ, [], [0], [])
-        assert encoded.feat.tolist() == [] and encoded.offsets.tolist() == [0]
+        assert encoded.ids.shape == (len(CRF2_EZ.slots), 0) and encoded.offsets.tolist() == [0]
 
     def test_ezafe_template_index(self):
         keys = set(trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[0]).keys())
@@ -249,18 +246,23 @@ class TestEncoderEqualsReference:
         strings = corpus_features(c, template, flags)
         index, encoded = index_and_encode(template, c.forms, c.offsets, flags, min_count)
         assert list(index.keys()) == reference_keys(strings, min_count)
-        want = encode_keys(index, strings)
+        F, keys = len(index), index.keys()
+        want = position_ids(encode_keys(index, strings), F)
         for got in (encoded, encode(index, template, c.forms, c.offsets, flags)):
-            assert got.feat.tolist() == want.feat.tolist()
-            assert got.counts.tolist() == want.counts.tolist()
-            assert got.offsets.tolist() == want.offsets.tolist()
+            assert got.ids.dtype == np.int32 and got.ids.shape == (len(template.slots), c.n_tokens)
+            assert got.ids.max(initial=F) == F
+            assert position_ids(got, F) == want
+            assert got.offsets.tolist() == c.offsets.tolist()
+            # Row k holds only keys of slot k.
+            for slot, ids in zip(template.slots, got.ids.tolist()):
+                assert all(keys[i].partition("=")[0] == slot for i in ids if i < F)
         # Decoding text the index was not made from: unknown forms,
-        # affixes and flag windows are dropped.
+        # affixes and flag windows hold the sentinel.
         other_flags = other.ezafe if template.ezafe_input else None
         got = encode(index, template, other.forms, other.offsets, other_flags)
         want = encode_keys(index, corpus_features(other, template, other_flags))
-        assert got.feat.tolist() == want.feat.tolist()
-        assert got.counts.tolist() == want.counts.tolist()
+        assert got.ids.max(initial=F) == F
+        assert position_ids(got, F) == position_ids(want, F)
 
     def test_sentinel_spelled_forms_keep_their_affixes(self):
         sent = ["__BOS__", "x", "__EOS__"]
@@ -274,5 +276,4 @@ class TestEncoderEqualsReference:
     def test_keys_outside_the_grammar_never_match(self):
         index = FeatureIndex(["f0", "w[0]", "BOS=1", "ez[0]=2", "pre2=abc", "w[9]=a", "w[0]=a"])
         encoded = encode(index, CRF2_EZ, ["a", "abc"], [0, 2], [0, 1])
-        assert encoded.feat.tolist() == [6]
-        assert encoded.counts.tolist() == [1, 0]
+        assert position_ids(encoded, len(index)) == [[6], []]

@@ -29,5 +29,8 @@ def test_tiny_configuration_reports_every_field():
         assert record[key] >= 0.0
     assert record["model_mb"] > 0
     assert 0 < record["parsed_mb"] < record["peak_rss_mb"]
+    # CRF2 puts 19 int32 ids per token in the id matrix, and the layout
+    # adds an int32 row and corpus position per token.
+    assert 19 * 4 + 2 * 4 < record["encoded_bytes_per_token"] < 19 * 4 + 2 * 4 + 8
     assert 0 < record["peak_rss_mb"] <= record["io_peak_rss_mb"]
     assert record["machine"]["blas_threads"] == "1"

@@ -12,6 +12,7 @@ from pertcrf.tasks import (
     ExperimentConfig,
     decode,
     evaluate_ezafe,
+    evaluate_joint,
     evaluate_pos,
     fit,
     model_task_kind,
@@ -117,7 +118,7 @@ class TestCheckpointReplay:
         train_c, valid_c, _ = rule_corpora
         config = TrainConfig(max_iterations=12)
         cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config, eval_every=3)
-        model, log, best_it, _ = fit(cfg, train_c, valid_c)
+        model, log, best_it, _, _ = fit(cfg, train_c, valid_c)
         # deterministic retrain, capturing weights at every iteration
         index, encoded = features.index_and_encode(CRF1, train_c.forms, train_c.offsets)
         captured = {}
@@ -151,10 +152,43 @@ class TestCheckpointReplay:
         cfg = ExperimentConfig(
             task="ezafe", template=CRF1, train_config=TrainConfig(max_iterations=7), eval_every=3
         )
-        _, log, _, _ = fit(cfg, train_c, valid_c)
+        _, log, _, _, _ = fit(cfg, train_c, valid_c)
         checkpoints = sum(e.valid_f1 is not None for e in log)
         assert checkpoints == 3  # iterations 3, 6 and the last one, 7
         assert calls == [("index", train_c.n_sentences), ("encode", valid_c.n_sentences)]
+
+
+    @pytest.mark.parametrize("task", ["ezafe", "pos-ez-input", "joint"])
+    def test_valid_report_reuses_the_kept_checkpoint_decode(self, task, rule_corpora, monkeypatch):
+        # The validation split is encoded once, by fit; its report equals
+        # one made from a fresh decode with the kept model.
+        valid_c = rule_corpora[1]
+        template = CRF1_EZ if task == "pos-ez-input" else CRF1
+        cfg = ExperimentConfig(
+            task=task,
+            template=template,
+            train_config=TrainConfig(max_iterations=7),
+            eval_every=3,
+            ezafe_source="gold",
+        )
+        encoded = []
+        encode = features.encode
+        monkeypatch.setattr(
+            features, "encode", lambda i, t, f, o, *a: encoded.append(len(o) - 1) or encode(i, t, f, o, *a)
+        )
+        result = run_experiment(cfg, rule_corpora)
+        assert encoded == [valid_c.n_sentences, rule_corpora[2].n_sentences]
+        monkeypatch.undo()
+        header = result.valid_report.header
+        if task == "ezafe":
+            fresh = evaluate_ezafe(result.model, valid_c, header)
+        elif task == "joint":
+            fresh, fresh_ez = evaluate_joint(result.model, valid_c, header)
+            assert result.extra["valid_ezafe"].to_json() == fresh_ez.to_json()
+        else:
+            fresh = evaluate_pos(result.model, valid_c, valid_c.ezafe, header)
+        assert result.valid_report.to_json() == fresh.to_json()
+        assert result.valid_report.to_text() == fresh.to_text()
 
 
 class TestRunPos:
@@ -464,9 +498,11 @@ class TestStopReason:
         # An L1 weight above every gradient leaves the zero start in place.
         config = TrainConfig(l1=1e6, max_iterations=5)
         cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config)
-        model, log, best_it, stop = fit(cfg, *rule_corpora[:2])
+        model, log, best_it, stop, valid_pred = fit(cfg, *rule_corpora[:2])
         assert (stop, log, best_it) == ("zero_step", [], 0)
         assert not np.any(model.emission)
+        valid_c = rule_corpora[1]
+        assert np.array_equal(valid_pred, decode(model, valid_c.forms, valid_c.offsets))
 
     def test_line_search(self, rule_corpora, monkeypatch):
         # Every trial point lies outside the objective's domain.
