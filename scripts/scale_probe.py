@@ -10,14 +10,18 @@ corpus (the one pass
 of `tasks.fit`: `features.index_and_encode`, then the packed layout that
 `crf.train` builds; the gold label ids are the corpus's tag codes), and
 one evaluation of the
-training objective at x = 0 (the minimum of 3). It then runs one OWL-QN
-iteration from x = 0 with the default penalties (l1 = l2 = 0.1), which
-gives the kind of model the ingest-ezafe benchmark saves, and times
-`crf.save_model` and `crf.load_model` on it.
-Prints one JSON object with those times, F, the parameter count, the
-parsed corpus's size (parsed_mb), the bytes per token of the encoded
-corpus and its packed layout's index arrays (encoded_bytes_per_token), the
-model text's size, and the process's peak RSS twice: before model I/O
+training objective at x = 0 (the minimum of 3), over the parameters that
+`crf.train` fits: the (feature, label) pairs seen in the corpus, then the
+transitions. It then times one OWL-QN iteration from x = 0 with the
+default penalties (l1 = l2 = 0.1), which gives the kind of model the
+ingest-ezafe benchmark saves, and times `crf.save_model` and
+`crf.load_model` on it.
+Prints one JSON object with those times, F, the dense parameter count
+(F * L + L * L) beside the observed pairs, the bytes of the vectors that
+OWL-QN holds over the trained parameters (optimizer_state_mb), the parsed
+corpus's size (parsed_mb), the bytes per token of the encoded corpus and
+its packed layout's index arrays (encoded_bytes_per_token), the model
+text's size, and the process's peak RSS twice: before model I/O
 (peak_rss_mb) and after it (io_peak_rss_mb).
 
 Run one configuration per process, so that each peak RSS is its own:
@@ -30,6 +34,7 @@ src, so the same script can measure another checkout.
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -49,6 +54,11 @@ from pertcrf.features import FeatureTemplate  # noqa: E402
 
 SEED = 5  # generator seed
 REPEATS = 3  # objective evaluations timed; the minimum is reported
+MEMORY = inspect.signature(optim.minimize_owlqn).parameters["memory"].default
+# Parameter-length vectors that minimize_owlqn holds at once: MEMORY (s, y)
+# curvature pairs, then x, g, the pseudo-gradient, the direction, the
+# orthant, the two-loop scratch, and the trial x, gradient and step.
+OWLQN_VECTORS = 2 * MEMORY + 9
 
 
 def generate_tokens(spec: datagen.HmmSpec, n_tokens: int, seed: int) -> Corpus:
@@ -106,16 +116,19 @@ def main() -> None:
     )
     config = crf.TrainConfig()
     objective = crf._Objective(packed, gold, F, L, config.l2)
-    x = np.zeros(F * L + L * L)
+    P = len(objective.cells)
+    x = np.zeros(objective.size)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
     peak_rss_mb = peak_rss()
 
-    result = optim.minimize_owlqn(objective, x, l1=config.l1, max_iterations=1, tolerance=config.tolerance)
+    result, step_s = timed(
+        lambda: optim.minimize_owlqn(objective, x, l1=config.l1, max_iterations=1, tolerance=config.tolerance)
+    )
     model = crf.CrfModel(
         labels=labels,
         feature_index=index,
-        emission=result.x[: F * L].reshape(F, L).copy(),
-        transition=result.x[F * L :].reshape(L, L).copy(),
+        emission=objective.weights(result.x)[:F],
+        transition=objective.transitions(result.x).copy(),
         template=template,
     )
     del objective, packed, result  # model I/O runs without the training arrays
@@ -128,12 +141,15 @@ def main() -> None:
         "labels": L,
         "features": F,
         "parameters": F * L + L * L,
+        "pairs": P,
+        "optimizer_state_mb": round(OWLQN_VECTORS * (P + L * L) * 8 / 2**20, 2),
         "parse_s": round(parse_s, 4),
         "parsed_mb": round(parsed_mb, 2),
         "encode_s": round(encode_s, 4),
         "encoded_bytes_per_token": round(encoded_bytes / corpus.n_tokens, 1),
         "eval_s": round(min(evals), 4),
         "peak_rss_mb": peak_rss_mb,
+        "step_s": round(step_s, 4),
         "save_s": round(save_s, 4),
         "load_s": round(load_s, 4),
         "model_mb": round(len(model_text.encode("utf-8")) / 2**20, 2),

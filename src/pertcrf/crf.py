@@ -24,6 +24,13 @@ is zero, so the sentinel adds nothing. A CrfModel owns one, and its
 emission weights are the first F rows; training builds one per objective
 evaluation.
 
+Parameters. Training fits only the (feature, label) pairs seen in the
+training data, as CRFsuite does by default (feature.possible_states=0),
+plus the L * L transitions: the optimizer's vector holds those pair
+weights in ascending cell order (f * L + label), then the transitions,
+and every other emission weight stays exactly 0.0. Models and their files
+still hold every one of the F * L emission cells.
+
 Scaling. Training runs sum-product in the exp domain with per-step
 normalisation (Rabiner 1989, section V.A): P = exp(em - row max),
 E = exp(trans - max(trans)), alpha_t = (alpha_{t-1} @ E) * P_t divided by
@@ -172,8 +179,9 @@ def nll_and_gradient(
     """Negative log-likelihood of the encoded sentences with their gold
     label ids (indices into model.labels, one per position in corpus
     order), plus an optional ridge term, with its gradient (expected minus
-    empirical feature counts, plus l2*w). This is the objective that
-    training minimizes.
+    empirical feature counts, plus l2*w), over every emission cell.
+    Training minimizes the same objective over the cells seen with their
+    gold label, holding the others at 0.0.
 
     The L1 penalty is deliberately absent: it is non-smooth and belongs to
     the optimizer, not the gradient.
@@ -181,7 +189,8 @@ def nll_and_gradient(
     F, L = model.emission.shape
     packed, labels = _pack(encoded), _checked_gold(encoded, gold, L)
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
-    nll, grad = _Objective(packed, labels, F, L, l2)(x)
+    objective = _Objective(packed, labels, F, L, l2, cells=np.arange(F * L))
+    nll, grad = objective(x)
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
 
 
@@ -326,18 +335,30 @@ def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.n
 
 class _Objective:
     """Smooth part of the training objective (NLL + ridge) as a flat-vector
-    function for the optimizer. One evaluation makes a fixed number of
-    numpy passes: emissions for every position, gathered from a zero-padded
-    copy of the emission weights that is dropped before forward-backward,
-    scaled forward-backward over the packed layout, one product for the
-    expected transitions, and per label one bincount of the posteriors,
-    tiled over the K slots, by the raveled id matrix for the expected
-    emission counts. A grammar feature belongs to one slot, so each of its
-    counts sums its positions in corpus order. Accumulation order is fixed,
-    so results are bit-reproducible for a fixed corpus."""
+    function for the optimizer. The vector holds the weights of the
+    emission cells given as cells (f * L + label, ascending; by default the
+    cells seen with their gold label, see train), then the L * L
+    transitions; every other emission weight is 0.0.
+
+    One evaluation makes a fixed number of numpy passes: the cell weights
+    scattered into a zero-padded (F+1, L) matrix, emissions for every
+    position gathered from it (the matrix is dropped before
+    forward-backward), scaled forward-backward over the packed layout, one
+    product for the expected transitions, and per label one bincount of
+    the posteriors, tiled over the K slots, by the raveled id matrix, read
+    at that label's cells for the expected emission counts. A grammar
+    feature belongs to one slot, so each of its counts sums its positions
+    in corpus order. Accumulation order is fixed, so results are
+    bit-reproducible for a fixed corpus."""
 
     def __init__(
-        self, encoded: _Packed, labels: np.ndarray, n_features: int, n_labels: int, l2: float
+        self,
+        encoded: _Packed,
+        labels: np.ndarray,
+        n_features: int,
+        n_labels: int,
+        l2: float,
+        cells: np.ndarray | None = None,
     ):
         self.encoded = encoded
         self.F = n_features
@@ -353,16 +374,36 @@ class _Objective:
         L, y = n_labels, labels
         chained = np.ones(max(len(y) - 1, 0), dtype=bool)  # t and t+1 in one sentence
         chained[encoded.offsets[1:-1] - 1] = False
-        cells = encoded.ids.ravel() * np.int64(L) + np.tile(y, len(encoded.ids))
-        emp_e = np.bincount(cells, minlength=(n_features + 1) * L)[: n_features * L]
+        emp_e = np.bincount(
+            encoded.ids.ravel() * np.int64(L) + np.tile(y, len(encoded.ids)),
+            minlength=(n_features + 1) * L,
+        )[: n_features * L]  # the sentinel row's cells are no parameters
+        self.cells = np.flatnonzero(emp_e) if cells is None else cells
         emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
-        self._emp = np.concatenate([emp_e, emp_t]).astype(np.float64)
+        self._emp = np.concatenate([emp_e[self.cells], emp_t]).astype(np.float64)
+        # Where each label's cells sit in the vector, and their features.
+        feature, label = np.divmod(self.cells, L)
+        self._by_label = [(np.flatnonzero(label == lab), feature[label == lab]) for lab in range(L)]
+
+    @property
+    def size(self) -> int:
+        """Length of the parameter vector."""
+        return len(self.cells) + self.L * self.L
+
+    def weights(self, x: np.ndarray) -> np.ndarray:
+        """A new zero-padded (F+1, L) emission matrix holding x's cell
+        weights and 0.0 elsewhere (see Weights in the module docstring)."""
+        weights = np.zeros((self.F + 1) * self.L)
+        weights[self.cells] = x[: len(self.cells)]
+        return weights.reshape(self.F + 1, self.L)
+
+    def transitions(self, x: np.ndarray) -> np.ndarray:
+        """The (L, L) transition weights of x, a view."""
+        return x[len(self.cells) :].reshape(self.L, self.L)
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         enc, L, S = self.encoded, self.L, self.S
-        split = self.F * L
-        w_e = x[:split].reshape(self.F, L)
-        w_t = x[split:].reshape(L, L)
+        w_t = self.transitions(x)
         top = float(w_t.max())
         span = top - float(w_t.min())
         if 2.0 * span + math.log(L) >= _LOG_MAX:
@@ -371,9 +412,7 @@ class _Objective:
                 f"that the scaled recursion keeps finite for {L} labels"
             )
         E = np.exp(w_t - top)
-        weights = _padded(w_e)
-        P = _emissions(enc, weights)
-        del weights  # forward-backward runs without the copy
+        P = _emissions(enc, self.weights(x))
         shift = P.max(axis=1)
         P -= shift[:, None]
         np.exp(P, out=P)
@@ -386,12 +425,11 @@ class _Objective:
         alpha *= beta  # unary posteriors
 
         grad = np.empty_like(x)
-        exp_e = grad[:split].reshape(self.F, L)
         ids, K = enc.ids.ravel(), len(enc.ids)
-        for lab, unary in enumerate(np.ascontiguousarray(alpha.T)):
+        for (at, feature), unary in zip(self._by_label, np.ascontiguousarray(alpha.T)):
             counts = np.bincount(ids, weights=np.tile(unary[enc.row], K), minlength=self.F + 1)
-            exp_e[:, lab] = counts[: self.F]
-        grad[split:] = exp_t.ravel()
+            grad[at] = counts[feature]
+        grad[len(self.cells) :] = exp_t.ravel()
         grad -= self._emp
         nll = log_z - float(np.dot(self._emp, x))
         if self.l2 > 0.0:
@@ -407,19 +445,22 @@ def train(
     labels: Sequence[str],
     template: FeatureTemplate,
     config: TrainConfig = TrainConfig(),
-    on_iteration: Callable[[int, float, CrfModel], None] | None = None,
+    on_iteration: Callable[[int, float, Callable[[], CrfModel]], None] | None = None,
 ) -> tuple[CrfModel, str]:
     """Fit weights by minimizing NLL + l1*|w| + (l2/2)*w^2 from a zero
     start, on sentences encoded with feature_index (features.index_and_encode
     makes both) and their gold label ids, indices into labels, one per
-    position in corpus order. Returns
-    the model and why the optimizer stopped (optim.OwlQnResult.stop).
-    Raises optim.DivergenceError if the objective turns non-finite. Trial
-    steps whose transition weights lie too far apart for the scaled
-    recursion are backtracked from, never accepted.
+    position in corpus order. Only the (feature, label) pairs seen in the
+    gold data are parameters (CRFsuite's feature.possible_states=0); every
+    other emission weight of the model is exactly 0.0. Returns the model
+    and why the optimizer stopped (optim.OwlQnResult.stop). Raises
+    optim.DivergenceError if the objective turns non-finite. Trial steps
+    whose transition weights lie too far apart for the scaled recursion
+    are backtracked from, never accepted.
 
     on_iteration(iteration, objective, model) fires after every accepted
-    optimizer step with a model of the current weights.
+    optimizer step; model() builds a CrfModel of the step's weights, so a
+    callback that does not call it costs no model.
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
@@ -429,35 +470,28 @@ def train(
     F, L = len(feature_index), len(labels)
     objective = _Objective(_pack(encoded), _checked_gold(encoded, gold, L), F, L, config.l2)
 
-    def _view(x: np.ndarray) -> CrfModel:
+    def model(x: np.ndarray) -> CrfModel:
         return CrfModel(
             labels=labels,
             feature_index=feature_index,
-            emission=x[: F * L].reshape(F, L),
-            transition=x[F * L :].reshape(L, L),
+            emission=objective.weights(x)[:F],
+            transition=objective.transitions(x).copy(),
             template=template,
         )
 
     callback = None
     if on_iteration is not None:
-        callback = lambda it, obj, x: on_iteration(it, obj, _view(x))
+        callback = lambda it, obj, x: on_iteration(it, obj, lambda: model(x))
 
     result = minimize_owlqn(
         objective,
-        np.zeros(F * L + L * L),
+        np.zeros(objective.size),
         l1=config.l1,
         max_iterations=config.max_iterations,
         tolerance=config.tolerance,
         callback=callback,
     )
-    model = CrfModel(
-        labels=labels,
-        feature_index=feature_index,
-        emission=_padded(result.x[: F * L].reshape(F, L))[:F],
-        transition=result.x[F * L :].reshape(L, L).copy(),
-        template=template,
-    )
-    return model, result.stop
+    return model(result.x), result.stop
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -252,8 +252,8 @@ def fit(
     """Train cfg.task on train_c (with its ezafe input flags, one per token,
     for ezafe-input templates), decoding valid_c every cfg.eval_every
     iterations and at the last one. valid_c is encoded once, with the
-    training index. Returns the model restored to the checkpoint with the
-    best validation F1 (positive-class F1 for ezafe, macro F1 otherwise;
+    training index. Returns the model of the checkpoint with the best
+    validation F1 (positive-class F1 for ezafe, macro F1 otherwise;
     the earliest among ties), the log, the checkpoint's iteration, why
     training stopped (OwlQnResult.stop), and the model's label id of every
     token of valid_c."""
@@ -275,22 +275,17 @@ def fit(
     )
     valid = features.encode(index, cfg.template, valid_c.forms, valid_c.offsets, valid_flags)
     log: list[TrainLogEntry] = []
-    best = {"f1": float("-inf"), "weights": None, "iteration": 0, "pred": None}
+    best = {"f1": float("-inf"), "model": None, "iteration": 0, "pred": None}
 
     def checkpoint(it: int, model: CrfModel) -> float:
         pred = crf.decode(model, valid)
         f1 = report(pred).headline.f1
         if f1 > best["f1"]:
-            best.update(
-                f1=f1,
-                weights=(model.emission.copy(), model.transition.copy()),
-                iteration=it,
-                pred=pred,
-            )
+            best.update(f1=f1, model=model, iteration=it, pred=pred)
         return f1
 
-    def on_iteration(it: int, objective: float, model: CrfModel) -> None:
-        f1 = checkpoint(it, model) if it % cfg.eval_every == 0 else None
+    def on_iteration(it: int, objective: float, model: Callable[[], CrfModel]) -> None:
+        f1 = checkpoint(it, model()) if it % cfg.eval_every == 0 else None
         log.append(TrainLogEntry(iteration=it, objective=objective, valid_f1=f1))
 
     model, stop = crf.train(
@@ -298,17 +293,9 @@ def fit(
     )
     if log and log[-1].valid_f1 is None:
         log[-1].valid_f1 = checkpoint(log[-1].iteration, model)
-    if best["weights"] is None:  # no accepted step: the zero start is the model
+    if best["model"] is None:  # no accepted step: the zero start is the model
         return model, log, 0, stop, crf.decode(model, valid)
-    em, tr = best["weights"]
-    model = CrfModel(
-        labels=model.labels,
-        feature_index=model.feature_index,
-        emission=em,
-        transition=tr,
-        template=model.template,
-    )
-    return model, log, best["iteration"], stop, best["pred"]
+    return best["model"], log, best["iteration"], stop, best["pred"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,12 @@ def test_tiny_configuration_reports_every_field():
     assert record["tokens"] >= 300 and record["labels"] == 3
     F = record["features"]
     assert F > 0 and record["parameters"] == F * 3 + 3 * 3
-    for key in ("parse_s", "encode_s", "eval_s", "save_s", "load_s"):
+    # Every feature is seen with at least one label, and some not with all.
+    P = record["pairs"]
+    assert F <= P < F * 3
+    # 29 OWL-QN vectors (10 curvature pairs and 9 more) of P + L^2 float64.
+    assert record["optimizer_state_mb"] == round(29 * (P + 3 * 3) * 8 / 2**20, 2)
+    for key in ("parse_s", "encode_s", "eval_s", "step_s", "save_s", "load_s"):
         assert record[key] >= 0.0
     assert record["model_mb"] > 0
     assert 0 < record["parsed_mb"] < record["peak_rss_mb"]
