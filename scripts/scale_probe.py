@@ -2,8 +2,9 @@
 """Cost of one training configuration at a given corpus size and tagset.
 
 Generates a synthetic CRF2 POS corpus of at least --tokens tokens from
-`tuned_ezafe_spec(0.22, n_states=--labels, vocab_size=20000)` at seed 5,
-then times the layers that training runs before and inside the optimizer:
+`tuned_ezafe_spec(0.22, n_states=--labels, vocab_size=--vocab)` at seed 5
+(timing the spec and the generation: spec_s, generate_s), then times the
+layers that training runs before and inside the optimizer:
 parsing the corpus text (and, in a separate traced parse, the bytes that
 the parsed corpus holds, from tracemalloc), indexing and encoding the
 corpus (the one pass
@@ -89,10 +90,13 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--tokens", type=int, required=True, help="minimum corpus size in tokens")
     ap.add_argument("--labels", type=int, required=True, help="POS tagset size (states of the process)")
+    ap.add_argument("--vocab", type=int, default=20000, help="vocabulary size of the process")
     args = ap.parse_args()
 
-    spec = datagen.tuned_ezafe_spec(0.22, n_states=args.labels, vocab_size=20000)
-    text = write_corpus(generate_tokens(spec, args.tokens, SEED))
+    spec, spec_s = timed(lambda: datagen.tuned_ezafe_spec(0.22, n_states=args.labels, vocab_size=args.vocab))
+    generated, generate_s = timed(lambda: generate_tokens(spec, args.tokens, SEED))
+    text = write_corpus(generated)
+    del generated
     template = FeatureTemplate(id="CRF2")
 
     tracemalloc.start()
@@ -139,10 +143,13 @@ def main() -> None:
         "tokens": corpus.n_tokens,
         "sentences": corpus.n_sentences,
         "labels": L,
+        "vocab": len(spec.vocab),
         "features": F,
         "parameters": F * L + L * L,
         "pairs": P,
         "optimizer_state_mb": round(OWLQN_VECTORS * (P + L * L) * 8 / 2**20, 2),
+        "spec_s": round(spec_s, 4),
+        "generate_s": round(generate_s, 4),
         "parse_s": round(parse_s, 4),
         "parsed_mb": round(parsed_mb, 2),
         "encode_s": round(encode_s, 4),

@@ -460,7 +460,8 @@ def train(
 
     on_iteration(iteration, objective, model) fires after every accepted
     optimizer step; model() builds a CrfModel of the step's weights, so a
-    callback that does not call it costs no model.
+    callback that does not call it costs no model. When the callback built
+    the model of the last accepted step, that model is returned.
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
@@ -470,14 +471,19 @@ def train(
     F, L = len(feature_index), len(labels)
     objective = _Objective(_pack(encoded), _checked_gold(encoded, gold, L), F, L, config.l2)
 
+    last = None  # (x, model) of the last model built
+
     def model(x: np.ndarray) -> CrfModel:
-        return CrfModel(
-            labels=labels,
-            feature_index=feature_index,
-            emission=objective.weights(x)[:F],
-            transition=objective.transitions(x).copy(),
-            template=template,
-        )
+        nonlocal last
+        if last is None or last[0] is not x:
+            last = x, CrfModel(
+                labels=labels,
+                feature_index=feature_index,
+                emission=objective.weights(x)[:F],
+                transition=objective.transitions(x).copy(),
+                template=template,
+            )
+        return last[1]
 
     callback = None
     if on_iteration is not None:

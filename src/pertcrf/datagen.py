@@ -6,18 +6,42 @@ Ezafe flags are generated conditionally on (state, next state), so the flag
 carries exactly the phrase-boundary signal that makes it informative for
 tagging; the last token of a sentence never carries ezafe (there is no
 following word to link to).
+
+Reproducibility contract: sentence i of a corpus draws from substream(seed,
+i), in this order, and nothing else does:
+  1. its length: n - min_len continuation draws, plus the one that stops
+     the sentence when n < max_len;
+  2. its start state;
+  3. n - 1 transitions;
+  4. n emissions;
+  5. n - 1 ezafe flags, one per (state, next state) pair.
+A categorical draw u picks the first index whose cumulative probability
+exceeds u (the last index when rounding leaves u above them all); a flag
+is u < rule[state, next state]. generate computes these draws in bulk
+(rng.randoms_at indexed by the offsets above) and samples every sentence
+of a chunk at once, so its corpora equal, byte for byte, those of one
+draw per Python call; tests/oracles.py keeps that scalar sampler as the
+reference.
+
+Spec rows are drawn in bulk too (rng.SplitMix64.randoms), but the
+exponential weights -log(1 - u) keep math.log: np.log rounds some of the
+logs differently, which would change every spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, non_unix_line, whitespace_free
-from .rng import SplitMix64, substream
+from .rng import SplitMix64, randoms_at, substream_states
+
+# Uniform draws that one chunk of generate holds at most, whatever the
+# length law; a single sentence longer than a third of this is one chunk.
+_DRAW_BLOCK = 1 << 18
 
 
 class HmmSpecError(ValueError):
@@ -39,11 +63,23 @@ class GeometricLength:
         if not 0.0 <= self.continue_prob < 1.0:
             raise ValueError("continue_prob must lie in [0, 1)")
 
-    def sample(self, rng: SplitMix64) -> int:
-        n = self.min_len
-        while n < self.max_len and rng.random() < self.continue_prob:
-            n += 1
-        return n
+    def continuations(self, states: np.ndarray) -> np.ndarray:
+        """The number of continuation draws (n - min_len) of the streams in
+        states (uint64, see rng.randoms_at): the index of each stream's
+        first draw >= continue_prob, max_len - min_len if none comes
+        first. The streams still open draw blocks of 8, 16, 32, ... draws."""
+        span = self.max_len - self.min_len
+        extra = np.full(len(states), span, dtype=np.int64)
+        open_ = np.arange(len(states))
+        done, width = 0, 8
+        while open_.size and done < span:
+            block = np.arange(done, min(done + width, span))
+            stop = randoms_at(states[open_, None], block) >= self.continue_prob
+            hit = stop.any(axis=1)
+            extra[open_[hit]] = done + stop[hit].argmax(axis=1)
+            open_ = open_[~hit]
+            done, width = done + len(block), 2 * width
+        return extra
 
     def pmf(self) -> np.ndarray:
         """Probabilities for lengths min_len..max_len (inclusive)."""
@@ -69,12 +105,14 @@ class HmmSpec:
     trans: np.ndarray  # (L, L) row-stochastic
     emit: np.ndarray  # (L, V) row-stochastic
     ezafe_rule: np.ndarray  # (L, L) P(ezafe=1 | state, next state)
+    word_ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L, V = len(self.states), len(self.vocab)
         if L == 0 or len(set(self.states)) != L:
             raise HmmSpecError("states must be non-empty and distinct")
-        if V == 0 or len(set(self.vocab)) != V:
+        object.__setattr__(self, "word_ids", {w: i for i, w in enumerate(self.vocab)})
+        if V == 0 or len(self.word_ids) != V:
             raise HmmSpecError("vocab must be non-empty and distinct")
         # The corpus token rule, checked here once for every tag and form
         # that generate can emit.
@@ -94,18 +132,6 @@ class HmmSpec:
             _check_row("EMIT", s, self.emit[i], stochastic=True)
             _check_row("EZAFE", s, self.ezafe_rule[i], stochastic=False)
 
-    def word_id(self, word: str) -> int:
-        try:
-            return self.vocab.index(word)
-        except ValueError:
-            raise ValueError(f"word {word!r} not in spec vocabulary") from None
-
-
-def _sample_categorical(rng: SplitMix64, cumulative: np.ndarray) -> int:
-    u = rng.random()
-    i = int(np.searchsorted(cumulative, u, side="right"))
-    return min(i, len(cumulative) - 1)
-
 
 def generate(
     spec: HmmSpec,
@@ -114,30 +140,84 @@ def generate(
     length_dist: GeometricLength = GeometricLength(),
 ) -> Corpus:
     """Sample n_sentences independent sentences; deterministic under
-    (seed, length_dist). Each sentence draws from its own substream, so
-    prefixes of the corpus do not depend on n_sentences."""
+    (seed, length_dist). Each sentence draws from its own substream (see
+    the module docstring for the order), so prefixes of the corpus do not
+    depend on n_sentences. Sentences are sampled a chunk at a time, each
+    chunk making at most _DRAW_BLOCK draws."""
     if n_sentences < 1:
         raise ValueError("n_sentences must be positive")
-    cum_start = np.cumsum(spec.start)
-    cum_trans = np.cumsum(spec.trans, axis=1)
-    cum_emit = np.cumsum(spec.emit, axis=1)
-    forms: list[str] = []
-    states: list[int] = []
-    flags: list[int] = []
-    offsets = [0]
-    for s in range(n_sentences):
-        rng = substream(seed, s)
-        n = length_dist.sample(rng)
-        sent = [_sample_categorical(rng, cum_start)]
-        for t in range(1, n):
-            sent.append(_sample_categorical(rng, cum_trans[sent[t - 1]]))
-        forms += [spec.vocab[_sample_categorical(rng, cum_emit[state])] for state in sent]
-        flags += [1 if rng.random() < spec.ezafe_rule[a, b] else 0 for a, b in zip(sent, sent[1:])]
-        flags.append(0)
-        states += sent
-        offsets.append(offsets[-1] + n)
+    span = length_dist.max_len - length_dist.min_len
+    group = max(1, _DRAW_BLOCK // max(span, 1))
+    extra = np.concatenate([
+        length_dist.continuations(substream_states(seed, a, min(group, n_sentences - a)))
+        for a in range(0, n_sentences, group)
+    ])
+    lengths = length_dist.min_len + extra
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    tables = (
+        np.cumsum(spec.start),
+        np.cumsum(spec.trans, axis=1),
+        np.cumsum(spec.emit, axis=1),
+        spec.ezafe_rule,
+    )
+    chunks = []
+    a = 0
+    while a < n_sentences:
+        # Three draws per token: its state, its word and its flag.
+        b = int(np.searchsorted(offsets, offsets[a] + _DRAW_BLOCK // 3, side="right")) - 1
+        b = max(a + 1, b)
+        streams = substream_states(seed, a, b - a)
+        chunks.append(_sample_chunk(tables, streams, extra[a:b] + (extra[a:b] < span), lengths[a:b]))
+        a = b
+    states, words, flags = (np.concatenate(column) for column in zip(*chunks))
+    vocab = np.array(spec.vocab, dtype=object)
     # HmmSpec holds its states and vocab to the token rule.
-    return Corpus.from_codes(forms, np.array(states, dtype=np.int32), spec.states, flags, offsets)
+    return Corpus.from_codes(vocab[words].tolist(), states, spec.states, flags, offsets)
+
+
+def _categorical(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each u, the number of entries of its cumulative row (the last
+    axis) that are <= u, at most the row length - 1: what searchsorted
+    with side="right" gives on a non-decreasing row."""
+    return np.minimum((cumulative <= u[:, None]).sum(axis=1), cumulative.shape[-1] - 1)
+
+
+def _sample_chunk(tables, streams, skip, lengths):
+    """State codes, word ids and flags of the sentences drawn from streams,
+    whose first skip draws went to their lengths."""
+    cum_start, cum_trans, cum_emit, rule = tables
+    L, V = cum_emit.shape
+    T = int(lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    sent = np.repeat(np.arange(len(lengths)), lengths)  # sentence of each token
+    draw = skip[sent] + np.arange(T) - starts[sent]  # the token's state draw
+    n = lengths[sent]
+    u_state = randoms_at(streams[sent], draw)
+    u_word = randoms_at(streams[sent], draw + n)
+    u_flag = randoms_at(streams[sent], draw + 2 * n)  # unused at a last token
+
+    states = np.empty(T, dtype=np.int32)
+    states[starts] = _categorical(cum_start, u_state[starts])
+    # Step t samples position t of every sentence longer than t; longest
+    # first, those sentences are a prefix of this order.
+    by_length = np.argsort(-lengths, kind="stable")
+    longest_first = lengths[by_length]
+    for t in range(1, int(longest_first[0])):
+        rows = starts[by_length[: np.count_nonzero(longest_first > t)]] + t
+        states[rows] = _categorical(cum_trans[states[rows - 1]], u_state[rows])
+
+    words = np.empty(T, dtype=np.int64)
+    by_state = np.argsort(states, kind="stable")
+    bounds = np.searchsorted(states[by_state], np.arange(L + 1))
+    for k in range(L):
+        rows = by_state[bounds[k] : bounds[k + 1]]
+        words[rows] = np.searchsorted(cum_emit[k], u_word[rows], side="right")
+    np.minimum(words, V - 1, out=words)
+
+    flags = np.zeros(T, dtype=np.int8)
+    flags[:-1] = u_flag[:-1] < rule[states[:-1], states[1:]]
+    flags[starts[1:] - 1] = 0
+    return states, words, flags
 
 
 def bayes_decode(spec: HmmSpec, words: Sequence[str]) -> list[str]:
@@ -145,16 +225,20 @@ def bayes_decode(spec: HmmSpec, words: Sequence[str]) -> list[str]:
     (posterior decoding); ties go to the lower state index."""
     if not words:
         raise ValueError("empty word sequence")
-    obs = np.array([spec.word_id(w) for w in words])
+    try:
+        obs = [spec.word_ids[w] for w in words]
+    except KeyError as exc:
+        raise ValueError(f"word {exc.args[0]!r} not in spec vocabulary") from None
+    emit = spec.emit.T[obs]  # (T, L): the emission column of each word
     T, L = len(obs), len(spec.states)
     alphas = np.empty((T, L))
-    a = spec.start * spec.emit[:, obs[0]]
+    a = spec.start * emit[0]
     norm = a.sum()
     if norm <= 0:
         raise ValueError("sequence has zero probability under the spec")
     alphas[0] = a / norm
     for t in range(1, T):
-        a = (alphas[t - 1] @ spec.trans) * spec.emit[:, obs[t]]
+        a = (alphas[t - 1] @ spec.trans) * emit[t]
         norm = a.sum()
         if norm <= 0:
             raise ValueError("sequence has zero probability under the spec")
@@ -162,7 +246,7 @@ def bayes_decode(spec: HmmSpec, words: Sequence[str]) -> list[str]:
     betas = np.empty((T, L))
     betas[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        b = spec.trans @ (spec.emit[:, obs[t + 1]] * betas[t + 1])
+        b = spec.trans @ (emit[t + 1] * betas[t + 1])
         betas[t] = b / b.sum()
     posterior = alphas * betas
     return [spec.states[int(posterior[t].argmax())] for t in range(T)]
@@ -171,14 +255,18 @@ def bayes_decode(spec: HmmSpec, words: Sequence[str]) -> list[str]:
 def expected_ezafe_rate(spec: HmmSpec, length_dist: GeometricLength = GeometricLength()) -> float:
     """Analytic fraction of generated tokens carrying ezafe: expected flag
     count over expected sentence length under the length law."""
+    return _ezafe_rate(spec.start, spec.trans, spec.ezafe_rule, length_dist)
+
+
+def _ezafe_rate(start, trans, rule, length_dist: GeometricLength) -> float:
     pmf = length_dist.pmf()
     lengths = np.arange(length_dist.min_len, length_dist.max_len + 1)
     # r[t] = P(flag at position t is 1) for a long enough sentence
     r = np.empty(length_dist.max_len)
-    p_t = spec.start.copy()
+    p_t = start.copy()
     for t in range(length_dist.max_len):
-        r[t] = float(((p_t[:, None] * spec.trans) * spec.ezafe_rule).sum())
-        p_t = p_t @ spec.trans
+        r[t] = float(((p_t[:, None] * trans) * rule).sum())
+        p_t = p_t @ trans
     cum_r = np.concatenate([[0.0], np.cumsum(r)])
     expected_flags = float(sum(pmf[i] * cum_r[n - 1] for i, n in enumerate(lengths)))
     expected_tokens = float(np.dot(pmf, lengths))
@@ -272,8 +360,28 @@ def write_hmm_spec_file(spec: HmmSpec, path: str) -> None:
 
 
 def _dirichlet1(rng: SplitMix64, n: int, skew: float = 1.0) -> np.ndarray:
-    w = np.array([-math.log(1.0 - rng.random()) for _ in range(n)]) ** skew
+    # math.log, not np.log: the two round some logs differently.
+    logs = np.fromiter(map(math.log, (1.0 - rng.randoms(n)).tolist()), dtype=np.float64, count=n)
+    w = (-logs) ** skew
     return w / w.sum()
+
+
+def _random_process(n_states, vocab_size, seed, self_bias, emission_skew):
+    """start, trans and emit of random_spec."""
+    rng = SplitMix64(seed)
+    start = _dirichlet1(rng, n_states)
+    trans = np.vstack(
+        [
+            (1 - self_bias) * _dirichlet1(rng, n_states) + self_bias * np.eye(n_states)[i]
+            for i in range(n_states)
+        ]
+    )
+    emit = np.vstack([_dirichlet1(rng, vocab_size, emission_skew) for _ in range(n_states)])
+    return start, trans, emit
+
+
+def _names(n_states: int, vocab_size: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return tuple(f"T{i}" for i in range(n_states)), tuple(f"w{i:03d}" for i in range(vocab_size))
 
 
 def random_spec(
@@ -287,21 +395,11 @@ def random_spec(
     """Random stochastic process with moderately sticky transitions and
     skewed emissions, so states are learnable from words. The first third
     of the states accept ezafe with probability ezafe_prob."""
-    rng = SplitMix64(seed)
-    states = tuple(f"T{i}" for i in range(n_states))
-    vocab = tuple(f"w{i:03d}" for i in range(vocab_size))
-    start = _dirichlet1(rng, n_states)
-    trans = np.vstack(
-        [
-            (1 - self_bias) * _dirichlet1(rng, n_states) + self_bias * np.eye(n_states)[i]
-            for i in range(n_states)
-        ]
-    )
-    emit = np.vstack([_dirichlet1(rng, vocab_size, emission_skew) for _ in range(n_states)])
+    start, trans, emit = _random_process(n_states, vocab_size, seed, self_bias, emission_skew)
     n_accepting = max(1, n_states // 3)
     ezafe = np.zeros((n_states, n_states))
     ezafe[:n_accepting, :] = ezafe_prob
-    return HmmSpec(states=states, vocab=vocab, start=start, trans=trans, emit=emit, ezafe_rule=ezafe)
+    return HmmSpec(*_names(n_states, vocab_size), start=start, trans=trans, emit=emit, ezafe_rule=ezafe)
 
 
 def tuned_ezafe_spec(
@@ -316,32 +414,21 @@ def tuned_ezafe_spec(
     forward to modifier-like next states, so recognition hinges on the word
     window rather than a coin flip. A binary pair rule grows one next-state
     column at a time until it clears the target, then a single closed-form
-    rescale hits the target exactly (the rate is linear in the rule)."""
-    base = random_spec(
-        n_states=n_states, vocab_size=vocab_size, seed=seed, emission_skew=5.0, ezafe_prob=1.0
-    )
-
-    def with_rule(rule: np.ndarray) -> HmmSpec:
-        return HmmSpec(
-            states=base.states,
-            vocab=base.vocab,
-            start=base.start,
-            trans=base.trans,
-            emit=base.emit,
-            ezafe_rule=rule,
-        )
-
+    rescale hits the target exactly (the rate is linear in the rule). The
+    process is random_spec's at emission_skew 5.0."""
+    start, trans, emit = _random_process(n_states, vocab_size, seed, self_bias=0.3, emission_skew=5.0)
     accepting = max(1, n_states // 3)
     rule = np.zeros((n_states, n_states))
     rate = 0.0
     for j in range(n_states):
         rule[:accepting, j] = 1.0
-        rate = expected_ezafe_rate(with_rule(rule), length_dist)
+        rate = _ezafe_rate(start, trans, rule, length_dist)
         if rate >= target_rate:
             break
     if rate < target_rate:
         raise ValueError(f"target rate {target_rate} exceeds attainable rate {rate:.4f}")
-    return with_rule(rule * (target_rate / rate))
+    rule = rule * (target_rate / rate)
+    return HmmSpec(*_names(n_states, vocab_size), start=start, trans=trans, emit=emit, ezafe_rule=rule)
 
 
 def homograph_spec(seed: int = 5) -> HmmSpec:

@@ -4,9 +4,11 @@ Everything here enumerates label sequences exhaustively, perturbs inputs
 numerically, builds and counts feature strings one key at a time, renders
 model text one weight at a time, counts confusion cells and per-POS ezafe
 outcomes one token at a time, parses corpus text one line at a time,
-shuffles with one draw at a time, or applies the OWL-QN projections with
-masks; none of it shares code with the package's inference, training,
-encoding, model-writing, metrics, parsing or optimizer paths. The string extractor
+shuffles, samples corpora and spec rows with one draw at a time, runs the
+Bayes oracle with one vocabulary scan per word, or applies the OWL-QN
+projections with masks; none of it shares code with the package's
+inference, training, encoding, model-writing, metrics, parsing, sampling
+or optimizer paths. The string extractor
 is the reference for the key grammar and its order (see the
 pertcrf.features docstring). The one exception is ragged_nll_and_gradient,
 which pins the emission and expected-count kernels bit for bit: it runs
@@ -15,14 +17,16 @@ kernels that preceded the id matrix.
 """
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 
 from pertcrf.corpus import Corpus, CorpusFormatError, Token, non_unix_line
 from pertcrf.crf import _layout, _sum_product
+from pertcrf.datagen import GeometricLength, HmmSpec, expected_ezafe_rate, random_spec
 from pertcrf.features import Encoded, FeatureIndex
-from pertcrf.rng import SplitMix64
+from pertcrf.rng import SplitMix64, substream
 
 WINDOW = 5
 W_KEYS = [f"w[{k}]=" for k in range(-WINDOW, WINDOW + 1)]
@@ -370,6 +374,83 @@ def reference_shuffle(seed: int, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+# Synthetic corpora, spec rows and the Bayes oracle with one draw (or one
+# vocabulary scan) at a time. Each sentence draws from its own substream:
+# its length, its start state, n - 1 transitions, n emissions and n - 1
+# flags, in that order.
+
+
+def _sample_categorical(rng, cumulative):
+    u = rng.random()
+    i = int(np.searchsorted(cumulative, u, side="right"))
+    return min(i, len(cumulative) - 1)
+
+
+def reference_generate(spec, n_sentences, seed, length_dist=GeometricLength()):
+    cum_start = np.cumsum(spec.start)
+    cum_trans = np.cumsum(spec.trans, axis=1)
+    cum_emit = np.cumsum(spec.emit, axis=1)
+    forms, states, flags, offsets = [], [], [], [0]
+    for s in range(n_sentences):
+        rng = substream(seed, s)
+        n = length_dist.min_len
+        while n < length_dist.max_len and rng.random() < length_dist.continue_prob:
+            n += 1
+        sent = [_sample_categorical(rng, cum_start)]
+        for t in range(1, n):
+            sent.append(_sample_categorical(rng, cum_trans[sent[t - 1]]))
+        forms += [spec.vocab[_sample_categorical(rng, cum_emit[state])] for state in sent]
+        flags += [1 if rng.random() < spec.ezafe_rule[a, b] else 0 for a, b in zip(sent, sent[1:])]
+        flags.append(0)
+        states += sent
+        offsets.append(offsets[-1] + n)
+    return Corpus.from_codes(forms, np.array(states, dtype=np.int32), spec.states, flags, offsets)
+
+
+def reference_dirichlet1(rng, n, skew=1.0):
+    w = np.array([-math.log(1.0 - rng.random()) for _ in range(n)]) ** skew
+    return w / w.sum()
+
+
+def reference_tuned_ezafe_spec(target_rate=0.22, n_states=6, vocab_size=300, seed=11,
+                               length_dist=GeometricLength()):
+    """tuned_ezafe_spec's rule search over one validated HmmSpec per
+    candidate column."""
+    base = random_spec(
+        n_states=n_states, vocab_size=vocab_size, seed=seed, emission_skew=5.0, ezafe_prob=1.0
+    )
+
+    def with_rule(rule):
+        return HmmSpec(base.states, base.vocab, base.start, base.trans, base.emit, rule)
+
+    accepting = max(1, n_states // 3)
+    rule = np.zeros((n_states, n_states))
+    for j in range(n_states):
+        rule[:accepting, j] = 1.0
+        rate = expected_ezafe_rate(with_rule(rule), length_dist)
+        if rate >= target_rate:
+            break
+    return with_rule(rule * (target_rate / rate))
+
+
+def reference_bayes_decode(spec, words):
+    obs = np.array([spec.vocab.index(w) for w in words])
+    T, L = len(obs), len(spec.states)
+    alphas = np.empty((T, L))
+    a = spec.start * spec.emit[:, obs[0]]
+    alphas[0] = a / a.sum()
+    for t in range(1, T):
+        a = (alphas[t - 1] @ spec.trans) * spec.emit[:, obs[t]]
+        alphas[t] = a / a.sum()
+    betas = np.empty((T, L))
+    betas[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        b = spec.trans @ (spec.emit[:, obs[t + 1]] * betas[t + 1])
+        betas[t] = b / b.sum()
+    posterior = alphas * betas
+    return [spec.states[int(posterior[t].argmax())] for t in range(T)]
 
 
 # OWL-QN's sign handling (see pertcrf.optim) written with masks.

@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import assert_same_text
+from oracles import (
+    reference_bayes_decode,
+    reference_dirichlet1,
+    reference_generate,
+    reference_tuned_ezafe_spec,
+)
+from pertcrf import datagen
 from pertcrf.corpus import Corpus, parse_corpus, write_corpus
 from pertcrf.datagen import (
     GeometricLength,
@@ -15,6 +25,7 @@ from pertcrf.datagen import (
     tuned_ezafe_spec,
     write_hmm_spec,
 )
+from pertcrf.rng import SplitMix64, randoms_at, substream, substream_states
 
 
 def two_state_spec(ezafe_p=0.0):
@@ -295,3 +306,95 @@ class TestFactories:
         b = random_spec(5, 40, seed=3)
         assert np.array_equal(a.emit, b.emit)
         assert len(a.states) == 5 and len(a.vocab) == 40
+
+
+def same_spec(a, b):
+    return (
+        a.states == b.states
+        and a.vocab == b.vocab
+        and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("start", "trans", "emit", "ezafe_rule"))
+    )
+
+
+@pytest.fixture(scope="module")
+def bit_specs():
+    """The specs the bulk sampler is held to, by name."""
+    return {
+        "random": random_spec(5, 40, seed=3),
+        "tuned6": tuned_ezafe_spec(0.22, n_states=6, vocab_size=20000),
+        "tuned30": tuned_ezafe_spec(0.22, n_states=30, vocab_size=20000),
+        "homograph": homograph_spec(),
+        "two-state": two_state_spec(0.5),
+    }
+
+
+LAWS = [
+    GeometricLength(1, 1, 0.0),
+    GeometricLength(2, 9, 0.5),
+    GeometricLength(5, 5, 0.9),
+    GeometricLength(3, 40, 0.999),
+    GeometricLength(),
+]
+
+
+class TestBitIdentity:
+    """Specs, corpora and oracle labels equal those of one draw per Python
+    call (tests/oracles.py), byte for byte."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+    def test_randoms_equal_random_calls(self, seed, n):
+        bulk, one = SplitMix64(seed), SplitMix64(seed)
+        assert bulk.randoms(n).tolist() == [one.random() for _ in range(n)]
+        assert bulk.next_u64() == one.next_u64()
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 20))
+    def test_substream_block_equals_substreams(self, seed, first, count):
+        block = randoms_at(substream_states(seed, first, count)[:, None], np.arange(7))
+        for i, row in enumerate(block.tolist()):
+            rng = substream(seed, first + i)
+            assert row == [rng.random() for _ in range(7)]
+
+    @pytest.mark.parametrize("n, skew", [(1, 1.0), (5, 1.0), (300, 3.0), (20000, 5.0)])
+    def test_dirichlet_rows(self, n, skew):
+        bulk, one = SplitMix64(n), SplitMix64(n)
+        assert np.array_equal(datagen._dirichlet1(bulk, n, skew), reference_dirichlet1(one, n, skew))
+        assert bulk.next_u64() == one.next_u64()
+
+    @pytest.mark.parametrize("name", ["random", "tuned6", "tuned30", "homograph"])
+    def test_specs(self, bit_specs, name, monkeypatch):
+        monkeypatch.setattr(datagen, "_dirichlet1", reference_dirichlet1)
+        if name.startswith("tuned"):
+            reference = reference_tuned_ezafe_spec(0.22, n_states=int(name[5:]), vocab_size=20000)
+        else:
+            reference = {"random": lambda: random_spec(5, 40, seed=3), "homograph": homograph_spec}[name]()
+        assert same_spec(bit_specs[name], reference)
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("name", ["random", "tuned6", "tuned30", "homograph", "two-state"])
+    def test_corpora(self, bit_specs, name, law):
+        spec = bit_specs[name]
+        for seed, n in [(0, 1), (7, 1), (2**64 - 1, 30)]:
+            corpus = generate(spec, n, seed, law)
+            assert_same_text(write_corpus(corpus), write_corpus(reference_generate(spec, n, seed, law)))
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_corpora_in_small_chunks(self, bit_specs, law, monkeypatch):
+        # A block of 64 draws puts at most 21 tokens in a chunk, so sentences
+        # of up to 40 tokens make chunks of one, and lengths are drawn in
+        # groups of a few sentences.
+        monkeypatch.setattr(datagen, "_DRAW_BLOCK", 64)
+        spec = bit_specs["tuned6"]
+        assert_same_text(write_corpus(generate(spec, 50, 3, law)), write_corpus(reference_generate(spec, 50, 3, law)))
+
+    def test_corpus_across_chunks(self, bit_specs):
+        spec = bit_specs["two-state"]
+        corpus = generate(spec, 11_000, 12)
+        assert corpus.n_tokens > datagen._DRAW_BLOCK // 3
+        assert_same_text(write_corpus(corpus), write_corpus(reference_generate(spec, 11_000, 12)))
+
+    def test_oracle_labels(self, bit_specs):
+        spec = bit_specs["tuned30"]
+        c = generate(spec, 1000, 31, GeometricLength(2, 9, 0.5))
+        for i in range(c.n_sentences):
+            words = c.forms[c.offsets[i] : c.offsets[i + 1]]
+            assert bayes_decode(spec, words) == reference_bayes_decode(spec, words)
