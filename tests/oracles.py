@@ -414,10 +414,12 @@ def reference_dirichlet1(rng, n, skew=1.0):
     return w / w.sum()
 
 
-def reference_tuned_ezafe_spec(target_rate=0.22, n_states=6, vocab_size=300, seed=11,
-                               length_dist=GeometricLength()):
+def reference_tuned_ezafe_spec(
+    target_rate=0.22, n_states=6, vocab_size=300, seed=11, length_dist=GeometricLength()
+):
     """tuned_ezafe_spec's rule search over one validated HmmSpec per
-    candidate column."""
+    candidate column. Its process comes from random_spec, which draws one
+    uniform at a time when datagen._dirichlet1 is reference_dirichlet1."""
     base = random_spec(
         n_states=n_states, vocab_size=vocab_size, seed=seed, emission_skew=5.0, ezafe_prob=1.0
     )
