@@ -16,14 +16,15 @@ training objective at x = 0 (the minimum of 3), over the parameters that
 transitions. It then times one OWL-QN iteration from x = 0 with the
 default penalties (l1 = l2 = 0.1), which gives the kind of model the
 ingest-ezafe benchmark saves, and times `crf.save_model` and
-`crf.load_model` on it.
+`crf.load_model` on it. Last, it times the Bayes oracle over the whole
+corpus, one `datagen.bayes_decode(spec, forms, offsets)` call (oracle_s).
 Prints one JSON object with those times, F, the dense parameter count
 (F * L + L * L) beside the observed pairs, the bytes of the vectors that
 OWL-QN holds over the trained parameters (optimizer_state_mb), the parsed
 corpus's size (parsed_mb), the bytes per token of the encoded corpus and
 its packed layout's index arrays (encoded_bytes_per_token), the model
 text's size, and the process's peak RSS twice: before model I/O
-(peak_rss_mb) and after it (io_peak_rss_mb).
+(peak_rss_mb) and after it, before the oracle (io_peak_rss_mb).
 
 Run one configuration per process, so that each peak RSS is its own:
 
@@ -138,6 +139,8 @@ def main() -> None:
     del objective, packed, result  # model I/O runs without the training arrays
     model_text, save_s = timed(lambda: crf.save_model(model))
     _, load_s = timed(lambda: crf.load_model(model_text))
+    io_peak_rss_mb = peak_rss()
+    _, oracle_s = timed(lambda: datagen.bayes_decode(spec, corpus.forms, corpus.offsets))
 
     print(json.dumps({
         "tokens": corpus.n_tokens,
@@ -160,7 +163,8 @@ def main() -> None:
         "save_s": round(save_s, 4),
         "load_s": round(load_s, 4),
         "model_mb": round(len(model_text.encode("utf-8")) / 2**20, 2),
-        "io_peak_rss_mb": peak_rss(),
+        "io_peak_rss_mb": io_peak_rss_mb,
+        "oracle_s": round(oracle_s, 4),
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

@@ -49,8 +49,8 @@ exp(span), and their sum over N rows at most N exp(span). All of these
 stay finite, and c far above the smallest normal
 float, when 2 span + log L < log(largest float64) ~ 709.78: spans up to
 ~354 for L = 2. Wider spans raise TransitionSpanError instead of returning
-NaN, and the optimizer's line search backtracks from them. Viterbi adds
-log scores and has no such bound.
+NaN, and the optimizer's line search backtracks from them. Viterbi (log
+scores) and datagen.bayes_decode (probabilities; raises if c = 0) have none.
 """
 
 from __future__ import annotations
@@ -213,13 +213,13 @@ def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row). Sentences rank by length, longest first, in corpus order among
     equal lengths; step t holds position t of each sentence longer than t,
     in rank order, at rows steps[t] .. steps[t+1]-1."""
-    lengths = np.diff(offsets)
+    lengths = offsets[1:] - offsets[:-1]
     S = len(lengths)
     rank = np.empty(S, dtype=np.intp)
-    rank[np.argsort(-lengths, kind="stable")] = np.arange(S)
-    alive = S - np.cumsum(np.bincount(lengths))[:-1]  # sentences longer than t
-    steps = np.concatenate([[0], np.cumsum(alive)])
-    sentence = np.repeat(np.arange(S), lengths)
+    rank[(-lengths).argsort(kind="stable")] = np.arange(S)
+    alive = S - np.bincount(lengths).cumsum()[:-1]  # sentences longer than t
+    steps = np.concatenate([[0], alive.cumsum()])
+    sentence = np.arange(S).repeat(lengths)
     t = np.arange(len(sentence)) - offsets[:-1][sentence]
     return steps, (steps[t] + rank[sentence]).astype(np.intc)
 
@@ -280,14 +280,15 @@ def _sum_product(
     c = np.empty(len(P))
     for t in range(len(bounds) - 1):
         a, b = bounds[t], bounds[t + 1]
+        cur, norm = alpha[a:b], c[a:b]
         if t == 0:
-            alpha[a:b] = P[a:b]
+            cur[...] = P[a:b]
         else:
             prev = bounds[t - 1]
-            np.matmul(alpha[prev : prev + b - a], E, out=alpha[a:b])
-            alpha[a:b] *= P[a:b]
-        c[a:b] = alpha[a:b].sum(axis=1)
-        alpha[a:b] /= c[a:b, None]
+            np.matmul(alpha[prev : prev + b - a], E, out=cur)
+            cur *= P[a:b]
+        np.add.reduce(cur, axis=1, out=norm)
+        cur /= norm[:, None]
     beta = np.ones_like(P)
     for t in range(len(bounds) - 2, 0, -1):
         a, b = bounds[t], bounds[t + 1]

@@ -1,6 +1,7 @@
 """Synthetic annotated corpora from a known hidden-Markov process, plus a
 posterior-decoding oracle that upper-bounds any trained tagger on data from
-the same process.
+the same process. The oracle runs crf's packed sum-product on the spec's
+probabilities: no span bound applies, and zero-probability sentences raise.
 
 Ezafe flags are generated conditionally on (state, next state), so the flag
 carries exactly the phrase-boundary signal that makes it informative for
@@ -37,6 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, non_unix_line, whitespace_free
+from .crf import _layout, _sum_product
+from .features import checked_offsets
 from .rng import SplitMix64, randoms_at, substream_states
 
 # Uniform draws that one chunk of generate holds at most, whatever the
@@ -91,8 +94,8 @@ class GeometricLength:
 
 
 def _check_row(section: str, row_name: str, row: np.ndarray, stochastic: bool) -> None:
-    if np.any(row < 0) or np.any(row > 1):
-        raise HmmSpecError(f"{section} row {row_name!r} has entries outside [0, 1]")
+    if not np.all((row >= 0) & (row <= 1)):  # NaN fails both
+        raise HmmSpecError(f"{section} row {row_name!r} has NaN entries or entries outside [0, 1]")
     if stochastic and abs(float(row.sum()) - 1.0) > 1e-12:
         raise HmmSpecError(f"{section} row {row_name!r} sums to {float(row.sum())!r}, not 1")
 
@@ -220,36 +223,24 @@ def _sample_chunk(tables, streams, skip, lengths):
     return states, words, flags
 
 
-def bayes_decode(spec: HmmSpec, words: Sequence[str]) -> list[str]:
-    """Per-token argmax of posterior state marginals under the true process
-    (posterior decoding); ties go to the lower state index."""
-    if not words:
-        raise ValueError("empty word sequence")
+def bayes_decode(spec: HmmSpec, words: Sequence[str], offsets: Sequence[int] | None = None) -> list[str]:
+    """Posterior-mode state of each word under the true process, in corpus order,
+    ties to the lower index; offsets cut words into sentences (one by default)."""
+    offsets = checked_offsets([0, len(words)] if offsets is None else offsets, len(words))
     try:
-        obs = [spec.word_ids[w] for w in words]
+        obs = np.fromiter(map(spec.word_ids.__getitem__, words), np.intp, len(words))
     except KeyError as exc:
         raise ValueError(f"word {exc.args[0]!r} not in spec vocabulary") from None
-    emit = spec.emit.T[obs]  # (T, L): the emission column of each word
-    T, L = len(obs), len(spec.states)
-    alphas = np.empty((T, L))
-    a = spec.start * emit[0]
-    norm = a.sum()
-    if norm <= 0:
-        raise ValueError("sequence has zero probability under the spec")
-    alphas[0] = a / norm
-    for t in range(1, T):
-        a = (alphas[t - 1] @ spec.trans) * emit[t]
-        norm = a.sum()
-        if norm <= 0:
-            raise ValueError("sequence has zero probability under the spec")
-        alphas[t] = a / norm
-    betas = np.empty((T, L))
-    betas[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        b = spec.trans @ (emit[t + 1] * betas[t + 1])
-        betas[t] = b / b.sum()
-    posterior = alphas * betas
-    return [spec.states[int(posterior[t].argmax())] for t in range(T)]
+    steps, row = _layout(offsets)
+    P = spec.emit.take(obs[row.argsort()], axis=1).T.copy()  # packed rows
+    P[: len(offsets) - 1] *= spec.start  # step 0: each sentence's first row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha, beta, c = _sum_product(P, spec.trans, steps)
+    if not (c > 0).all():  # also where c is NaN; c[row] is in corpus order
+        sentence = np.searchsorted(offsets, np.flatnonzero(~(c[row] > 0))[0], "right") - 1
+        raise ValueError(f"sentence {sentence}: zero probability under the spec")
+    alpha *= beta
+    return list(map(spec.states.__getitem__, alpha.argmax(axis=1)[row].tolist()))
 
 
 def expected_ezafe_rate(spec: HmmSpec, length_dist: GeometricLength = GeometricLength()) -> float:

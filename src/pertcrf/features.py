@@ -257,6 +257,17 @@ def _flags(template: FeatureTemplate, ezafe: Sequence[int] | None, n: int) -> np
     return flags.astype(np.int32)
 
 
+def checked_offsets(offsets: Sequence[int], n: int) -> np.ndarray:
+    """offsets as int32, checked to cut n positions into non-empty sentences."""
+    offsets = np.asarray(offsets, dtype=np.int32)
+    if offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != n:
+        raise ValueError(f"sentence offsets must run from 0 to the {n} positions")
+    empty = offsets[1:] <= offsets[:-1]
+    if empty.any():
+        raise ValueError(f"sentence {np.flatnonzero(empty)[0]}: no positions")
+    return offsets
+
+
 def _codes(
     template: FeatureTemplate,
     forms: Sequence[str],
@@ -268,12 +279,8 @@ def _codes(
     the given dict (-1 for an affix it lacks) or, without one, interned
     anew too."""
     n = len(forms)
-    offsets = np.asarray(offsets, dtype=np.int32)
-    if offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != n:
-        raise ValueError(f"sentence offsets must run from 0 to the {n} positions")
+    offsets = checked_offsets(offsets, n)
     lengths = np.diff(offsets)
-    if np.any(lengths <= 0):
-        raise ValueError(f"sentence {np.flatnonzero(lengths <= 0)[0]}: no positions")
     flags = _flags(template, ezafe, n)
     S = len(lengths)
     words = {f: i for i, f in enumerate(dict.fromkeys(chain((BOS_FORM, EOS_FORM), forms)))}

@@ -121,6 +121,18 @@ class TestSynth:
         spec_path.write_text("STATES\nA\nSTART\n0.9\n", encoding="utf-8")
         assert main(["synth", "--spec", str(spec_path), "--sentences", "5", "--out", "x"]) == 2
 
+    def test_rejects_nan_in_spec(self, tmp_path, capsys):
+        spec_path = tmp_path / "nan.spec"
+        spec_path.write_text(
+            "STATES\nA B\nSTART\nnan 1.0\nTRANS\n0.5 0.5\n0.5 0.5\n"
+            "EMIT\nw\n1.0\n1.0\nEZAFE\n0 0\n0 0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "synth.tsv"
+        assert main(["synth", "--spec", str(spec_path), "--sentences", "5", "--out", str(out)]) == 2
+        assert "START row 'start'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_trains_and_logs(self, tmp_path, corpus_file, capsys):

@@ -161,13 +161,12 @@ class TestGenerate:
         spec = random_spec(4, 30, seed=7)
         dist = GeometricLength(min_len=8, max_len=12, continue_prob=0.5)
         c = generate(spec, 135_000, seed=8, length_dist=dist)
-        ids = {s: i for i, s in enumerate(spec.states)}
-        counts = np.zeros((4, 4))
-        n_trans = 0
-        for sent in c.sentences:
-            for a, b in zip(sent, sent[1:]):
-                counts[ids[a.pos], ids[b.pos]] += 1
-                n_trans += 1
+        states = np.array([spec.states.index(t) for t in c.tag_inventory])[c.tags]
+        chained = np.ones(c.n_tokens - 1, dtype=bool)  # tokens t and t+1 in one sentence
+        chained[c.offsets[1:-1] - 1] = False
+        pairs = states[:-1][chained] * 4 + states[1:][chained]
+        counts = np.bincount(pairs, minlength=16).reshape(4, 4).astype(float)
+        n_trans = len(pairs)
         assert n_trans >= 1_000_000
         empirical = counts / counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(empirical - spec.trans)) < 0.01
@@ -184,8 +183,7 @@ class TestBayesDecode:
             ezafe_rule=np.zeros((2, 2)),
         )
         c = generate(spec, 50, seed=6)
-        for sent in c.sentences:
-            assert bayes_decode(spec, [t.form for t in sent]) == [t.pos for t in sent]
+        assert bayes_decode(spec, c.forms, c.offsets) == c.tag_names()
 
     def test_single_token_hand_bayes(self):
         spec = two_state_spec()
@@ -197,6 +195,23 @@ class TestBayesDecode:
     def test_oov_word(self):
         with pytest.raises(ValueError, match="vocabulary"):
             bayes_decode(two_state_spec(), ["w1", "nope"])
+        with pytest.raises(ValueError, match="'nope' not in spec vocabulary"):
+            bayes_decode(two_state_spec(), ["w1", "w2", "nope", "w1"], [0, 2, 4])
+
+    def test_no_sentences(self):
+        assert bayes_decode(two_state_spec(), [], [0]) == []
+
+    @pytest.mark.parametrize(
+        "words, offsets, message",
+        [
+            ([], None, "sentence 0: no positions"),
+            (["w1", "w2"], [0, 1, 1, 2], "sentence 1: no positions"),
+            (["w1", "w2"], [0, 1], "offsets must run from 0 to the 2 positions"),
+        ],
+    )
+    def test_bad_sentences(self, words, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            bayes_decode(two_state_spec(), words, offsets)
 
     def test_permutation_equivariant_over_sentences(self):
         spec = random_spec(3, 20, seed=17)
@@ -206,10 +221,33 @@ class TestBayesDecode:
         for s in reversed(sentences):
             assert bayes_decode(spec, s) == decoded[tuple(s)]
 
+    @pytest.mark.parametrize("make_spec", [lambda: random_spec(3, 20, seed=17), homograph_spec])
+    def test_corpus_call_equals_sentence_calls(self, make_spec):
+        # Many sentences of equal length, in shuffled order: the packed
+        # layout ranks them by length and keeps corpus order among equals.
+        spec = make_spec()
+        c = generate(spec, 400, seed=18, length_dist=GeometricLength(1, 4, 0.5))
+        c = c.take(np.random.default_rng(3).permutation(c.n_sentences))
+        assert len(set(np.diff(c.offsets).tolist())) == 4
+        sentences = [c.forms[c.offsets[i] : c.offsets[i + 1]] for i in range(c.n_sentences)]
+        per_sentence = [state for s in sentences for state in bayes_decode(spec, s)]
+        reference = [state for s in sentences for state in reference_bayes_decode(spec, s)]
+        assert bayes_decode(spec, c.forms, c.offsets) == per_sentence == reference
+
+    def test_zero_probability_sentence_named(self):
+        # H1 and H2 never follow each other, and only they emit h-words.
+        spec = homograph_spec()
+        c = generate(spec, 6, seed=2)
+        forms = list(c.forms) + ["h0", "h0"] + list(c.forms)
+        offsets = np.concatenate([c.offsets, c.offsets[-1] + 2 + c.offsets])
+        with pytest.raises(ValueError, match="^sentence 6: zero probability under the spec$"):
+            bayes_decode(spec, forms, offsets)
+        with pytest.raises(ValueError, match="^sentence 0: zero probability under the spec$"):
+            bayes_decode(spec, ["h0", "h0"])
+
     def test_beats_weaker_decoders_on_average(self):
         spec = random_spec(4, 50, seed=13)
         c = generate(spec, 6000, seed=14)
-        total = oracle_ok = ml_ok = wrong_model_ok = 0
         permuted = HmmSpec(
             states=spec.states,
             vocab=spec.vocab,
@@ -219,16 +257,14 @@ class TestBayesDecode:
             ezafe_rule=spec.ezafe_rule,
         )
         word_ids = {w: i for i, w in enumerate(spec.vocab)}
-        for sent in c.sentences:
-            forms = [t.form for t in sent]
-            gold = [t.pos for t in sent]
-            oracle = bayes_decode(spec, forms)
-            confused = bayes_decode(permuted, forms)
-            ml = [spec.states[int(spec.emit[:, word_ids[w]].argmax())] for w in forms]
-            total += len(gold)
-            oracle_ok += sum(a == b for a, b in zip(oracle, gold))
-            wrong_model_ok += sum(a == b for a, b in zip(confused, gold))
-            ml_ok += sum(a == b for a, b in zip(ml, gold))
+        gold = np.array(c.tag_names())
+        oracle = np.array(bayes_decode(spec, c.forms, c.offsets))
+        confused = np.array(bayes_decode(permuted, c.forms, c.offsets))
+        ml = np.array(spec.states)[spec.emit[:, [word_ids[w] for w in c.forms]].argmax(axis=0)]
+        total = len(gold)
+        oracle_ok = int((oracle == gold).sum())
+        wrong_model_ok = int((confused == gold).sum())
+        ml_ok = int((ml == gold).sum())
         assert total >= 50_000
         assert oracle_ok >= ml_ok
         assert oracle_ok >= wrong_model_ok
@@ -280,6 +316,23 @@ class TestSpecFiles:
         text = "STATES\nA\nSTART\nxyz\nTRANS\n1.0\nEMIT\nw\n1.0\nEZAFE\n0.0\n"
         with pytest.raises(HmmSpecError, match="START"):
             parse_hmm_spec(text)
+
+    @pytest.mark.parametrize(
+        "old, new, row",
+        [
+            ("START\n0.3 0.7", "START\nnan 1.0", "START row 'start'"),
+            ("0.5 0.5\nEMIT", "0.5 nan\nEMIT", "TRANS row 'B'"),
+            ("0.9 0.1", "inf 0.1", "EMIT row 'A'"),
+            ("EZAFE\n0.0 0.0", "EZAFE\nnan 0.0", "EZAFE row 'A'"),
+        ],
+    )
+    def test_non_finite_entry_rejected(self, old, new, row):
+        text = "STATES\nA B\nSTART\n0.3 0.7\nTRANS\n0.6 0.4\n0.5 0.5\n"
+        text += "EMIT\nw1 w2\n0.9 0.1\n0.2 0.8\nEZAFE\n0.0 0.0\n0.0 0.0\n"
+        parse_hmm_spec(text)
+        assert old in text
+        with pytest.raises(HmmSpecError, match=rf"^{row} has NaN entries or entries outside \[0, 1\]$"):
+            parse_hmm_spec(text.replace(old, new, 1))
 
 
 class TestLengthDist:
@@ -395,6 +448,10 @@ class TestBitIdentity:
     def test_oracle_labels(self, bit_specs):
         spec = bit_specs["tuned30"]
         c = generate(spec, 1000, 31, GeometricLength(2, 9, 0.5))
+        reference = []
         for i in range(c.n_sentences):
             words = c.forms[c.offsets[i] : c.offsets[i + 1]]
-            assert bayes_decode(spec, words) == reference_bayes_decode(spec, words)
+            labels = reference_bayes_decode(spec, words)
+            assert bayes_decode(spec, words) == labels
+            reference += labels
+        assert bayes_decode(spec, c.forms, c.offsets) == reference
