@@ -18,7 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from pertcrf.corpus import SplitSpec, filter_long, read_corpus_file, shuffle_split
 from pertcrf.crf import TrainConfig, save_model_file
 from pertcrf.features import FeatureTemplate
-from pertcrf.tasks import ExperimentConfig, run_ezafe, run_pos
+from pertcrf.tasks import ExperimentConfig, run_experiment
 
 
 def save_reports(result, prefix):
@@ -53,11 +53,9 @@ def main():
 
     tc = TrainConfig(max_iterations=args.max_iter)
 
-    def experiment(tag, cfg, mode="none", ezafe_model=None):
+    def experiment(tag, cfg, ezafe_model=None):
         started = time.monotonic()
-        result = run_pos(cfg, mode, corpora, ezafe_model) if cfg.task != "ezafe" else run_ezafe(
-            cfg, corpora=corpora
-        )
+        result = run_experiment(cfg, corpora, ezafe_model)
         prefix = os.path.join(args.out_dir, tag)
         save_model_file(result.model, prefix + ".crf")
         save_reports(result, prefix)
@@ -89,7 +87,7 @@ def main():
         train_path=args.corpus,
         ezafe_source="predicted",
     )
-    experiment("pos_crf2_ez_input", cfg, mode="predicted", ezafe_model=ez_runs[best_id].model)
+    experiment("pos_crf2_ez_input", cfg, ezafe_model=ez_runs[best_id].model)
     print(f"reports and models in {args.out_dir}/")
 
 

@@ -20,7 +20,7 @@ from pertcrf.crf import TrainConfig, save_model_file
 from pertcrf.datagen import generate, tuned_ezafe_spec, write_hmm_spec_file
 from pertcrf.features import FeatureTemplate
 from pertcrf.metrics import delta_report
-from pertcrf.tasks import ExperimentConfig, run_ezafe, run_pos
+from pertcrf.tasks import ExperimentConfig, run_experiment
 
 
 def results_row(name, split, m):
@@ -67,7 +67,7 @@ def main():
     ez_rows, ez_results = [], {}
     for template_id in ("CRF1", "CRF2"):
         cfg = ExperimentConfig(task="ezafe", template=FeatureTemplate(id=template_id), train_config=tc)
-        result = run_ezafe(cfg, corpora=corpora)
+        result = run_experiment(cfg, corpora)
         ez_results[template_id] = result
         ez_rows.append(results_row(template_id, "valid", result.valid_report.headline))
         ez_rows.append(results_row(template_id, "test", result.test_report.headline))
@@ -87,7 +87,7 @@ def main():
     pos_rows, single_runs = [], {}
     for template_id in ("CRF1", "CRF2"):
         cfg = ExperimentConfig(task="pos", template=FeatureTemplate(id=template_id), train_config=tc)
-        result = run_pos(cfg, "none", corpora)
+        result = run_experiment(cfg, corpora)
         single_runs[template_id] = result
         pos_rows.append(results_row(f"{template_id}", "valid", result.valid_report.headline))
         pos_rows.append(results_row(f"{template_id}", "test", result.test_report.headline))
@@ -98,7 +98,7 @@ def main():
         train_config=tc,
         ezafe_source="predicted",
     )
-    with_input = run_pos(cfg_input, "predicted", corpora, ezafe_model=best_ezafe.model)
+    with_input = run_experiment(cfg_input, corpora, best_ezafe.model)
     pos_rows.append(results_row("CRF2+ez", "valid", with_input.valid_report.headline))
     pos_rows.append(results_row("CRF2+ez", "test", with_input.test_report.headline))
     print_results_table("POS tagging (macro average)", pos_rows)

@@ -121,8 +121,11 @@ def cmd_synth(args) -> int:
 
 
 def _experiment_config_from_args(args) -> ExperimentConfig:
-    if args.task == "pos-ez-input" and args.ezafe_source == "predicted" and not args.ezafe_model:
+    predicted = args.task == "pos-ez-input" and args.ezafe_source == "predicted"
+    if predicted and not args.ezafe_model:
         raise UsageError("--task pos-ez-input with predicted flags requires --ezafe-model")
+    if args.ezafe_model and not predicted:
+        raise UsageError("--ezafe-model is used only by --task pos-ez-input with predicted flags")
     try:
         return ExperimentConfig(
             task=args.task,
@@ -160,9 +163,8 @@ def cmd_train(args) -> int:
     cfg = _experiment_config_from_args(args)
     train_c = read_corpus_file(args.train)
     valid_c = read_corpus_file(args.valid)
-    mode = cfg.ezafe_source if cfg.task == "pos-ez-input" else "none"
     started = time.monotonic()
-    train_flags, valid_flags = tasks.make_flags(cfg, mode, [train_c, valid_c])
+    train_flags, valid_flags = tasks.make_flags(cfg, [train_c, valid_c])
     model, log, best_it, stop, _ = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
     _atomic_write(args.out, crf.save_model(model))
     _print_log(log, best_it, stop, args.log)
@@ -193,33 +195,24 @@ def _write_report(report, prefix: str) -> None:
 
 def cmd_eval(args) -> int:
     model = crf.load_model_file(args.model)
+    if args.ezafe_model and not model.template.ezafe_input:
+        raise UsageError("--ezafe-model is used only by models with ezafe input")
     corpus = read_corpus_file(args.corpus)
-    kind = tasks.model_task_kind(model)
     header = {"model": args.model, "corpus": args.corpus, "template": model.template.token}
-    extra = None
-    if kind == "ezafe":
-        report = tasks.evaluate_ezafe(model, corpus, header)
-    elif kind == "joint":
-        report, extra = tasks.evaluate_joint(model, corpus, header)
-    else:
-        flags = None
-        if model.template.ezafe_input:
-            if args.ezafe_model:
-                ezafe_model = crf.load_model_file(args.ezafe_model)
-                flags = tasks.predict_flags(ezafe_model, corpus.forms, corpus.offsets)
-                header["ezafe_source"] = "predicted"
-            else:
-                flags = corpus.ezafe
-                header["ezafe_source"] = "gold"
-        report = tasks.evaluate_pos(model, corpus, ezafe=flags, header=header)
+    flags = None
+    if args.ezafe_model:
+        ezafe_model = crf.load_model_file(args.ezafe_model)
+        flags = tasks.predict_flags(ezafe_model, corpus.forms, corpus.offsets)
+        header["ezafe_source"] = "predicted"
+    elif model.template.ezafe_input:
+        flags = corpus.ezafe
+        header["ezafe_source"] = "gold"
+    reports = tasks.evaluate(model, corpus, flags, header)
     if args.report:
-        _write_report(report, args.report)
-        if extra is not None:
-            _write_report(extra, args.report + ".ezafe")
+        for report, suffix in zip(reports, ("", ".ezafe")):
+            _write_report(report, args.report + suffix)
     else:
-        sys.stdout.write(report.to_text())
-        if extra is not None:
-            sys.stdout.write("\n" + extra.to_text())
+        sys.stdout.write("\n".join(report.to_text() for report in reports))
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Experiment orchestration: ezafe recognition, POS tagging with and
-without ezafe input, joint cross-product tagging, and the two-stage
+"""Experiment orchestration: one runner (run_experiment) for every task,
+that is ezafe recognition, POS tagging with and without ezafe input and
+joint cross-product tagging; one evaluator (evaluate); and the two-stage
 annotation pipeline.
 
 Every per-token quantity is a flat column in corpus order beside the
@@ -14,6 +15,12 @@ training index and decoded every eval_every iterations (and at the final
 iteration); the weights with the best validation F1 are the ones
 evaluated on test, and their validation decode gives the validation
 report.
+
+Report rule: a model's labels decide its reports (label_kind). Labels
+exactly {"0", "1"} give the binary ezafe report, labels that hold "|" give
+the POS and the ezafe projection of a joint model, and any other labels
+give the macro POS report. So fit refuses POS training tags that this rule
+would misread.
 """
 
 from __future__ import annotations
@@ -110,20 +117,30 @@ def decode(
 def predict_flags(model: CrfModel, forms: Sequence[str], offsets: Sequence[int]) -> np.ndarray:
     """The decoded int8 ezafe flag of every position (see decode), mapped
     from each label id by the label's name."""
-    if set(model.labels) != {"0", "1"}:
+    if label_kind(model.labels) != "ezafe":
         raise ValueError("not an ezafe model: labels are not {0, 1}")
     flag_of = np.array([int(lab) for lab in model.labels], dtype=np.int8)
     return flag_of[decode(model, forms, offsets)]
 
 
+def label_kind(labels: Sequence[str]) -> str:
+    """The task whose reports the labels get: "ezafe", "joint" or "pos"."""
+    if set(labels) == {"0", "1"}:
+        return "ezafe"
+    if any(JOINT_SEP in lab for lab in labels):
+        return "joint"
+    return "pos"
+
+
 def _gold_labels(task: str, corpus: Corpus) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The gold label id of every token for task, and the labels."""
+    """The gold label id of every token for task, and the labels. POS tags
+    that label_kind would not read as POS tags are refused."""
     if task == "ezafe":
         return corpus.ezafe, ("0", "1")
+    for pos in corpus.tag_inventory:
+        if JOINT_SEP in pos:
+            raise ValueError(f"pos tag {pos!r} contains reserved {JOINT_SEP!r}")
     if task == "joint":
-        for pos in corpus.tag_inventory:
-            if JOINT_SEP in pos:
-                raise ValueError(f"pos tag {pos!r} contains reserved {JOINT_SEP!r}")
         # Tag code t with flag e is joint code 2t + e; from_codes renumbers
         # the pairs in order of first occurrence.
         names = [f"{pos}{JOINT_SEP}{ez}" for pos in corpus.tag_inventory for ez in (0, 1)]
@@ -131,6 +148,8 @@ def _gold_labels(task: str, corpus: Corpus) -> tuple[np.ndarray, tuple[str, ...]
             corpus.forms, 2 * corpus.tags + corpus.ezafe, names, corpus.ezafe, corpus.offsets
         )
         return joint.tags, joint.tag_inventory
+    if label_kind(corpus.tag_inventory) == "ezafe":
+        raise ValueError("pos tags '0' and '1' would be read as ezafe flags")
     return corpus.tags, corpus.tag_inventory
 
 
@@ -176,68 +195,64 @@ def split_joint(label: str) -> tuple[str, int]:
     return pos, int(ez)
 
 
-def _joint_reports(
-    pred: np.ndarray, labels: Sequence[str], corpus: Corpus, header: dict | None = None
-) -> tuple[EvalReport, EvalReport]:
-    """The POS and the ezafe report of the joint label id of every token;
-    the POS tags that the corpus lacks follow its inventory in sorted
-    order."""
+def _reports(
+    labels: Sequence[str], pred: np.ndarray, corpus: Corpus, header: dict | None = None
+) -> list[EvalReport]:
+    """The reports of the label id of every token (an index into labels),
+    by label_kind: the ezafe report, the POS report, or a joint model's POS
+    and then ezafe projection. A joint model's POS tags that the corpus
+    lacks follow its inventory in sorted order."""
+    kind = label_kind(labels)
+    if kind == "ezafe":
+        flag_of = np.array([int(lab) for lab in labels], dtype=np.int8)
+        return [_ezafe_report(flag_of[pred], corpus, header)]
+    if kind == "pos":
+        return [_pos_report(pred, labels, corpus, header)]
     pos, flags = zip(*map(split_joint, labels))
     names = sorted(set(pos))
     pos_of = np.array([names.index(p) for p in pos], dtype=np.intp)
-    pos_report = _pos_report(pos_of[pred], names, corpus, header)
-    return pos_report, _ezafe_report(np.array(flags, dtype=np.int8)[pred], corpus, header)
+    return [
+        _pos_report(pos_of[pred], names, corpus, header),
+        _ezafe_report(np.array(flags, dtype=np.int8)[pred], corpus, header),
+    ]
 
 
-def evaluate_ezafe(model: CrfModel, corpus: Corpus, header: dict | None = None) -> EvalReport:
-    """Positive-class report plus the per-POS F1 breakdown (gold POS)."""
-    return _ezafe_report(predict_flags(model, corpus.forms, corpus.offsets), corpus, header)
-
-
-def evaluate_pos(
+def evaluate(
     model: CrfModel,
     corpus: Corpus,
     ezafe: np.ndarray | None = None,
     header: dict | None = None,
-) -> EvalReport:
-    """Macro-averaged report with the per-tag F1 table, decoding with one
-    ezafe input flag per token for ezafe-input templates."""
+) -> list[EvalReport]:
+    """Decode corpus, with one ezafe input flag per token for ezafe-input
+    templates, and report it (see _reports): the primary report, then the
+    ezafe projection for joint models. Gold labels unseen in training only
+    affect the scores, never the decoding."""
     pred = decode(model, corpus.forms, corpus.offsets, ezafe)
-    return _pos_report(pred, model.labels, corpus, header)
-
-
-def evaluate_joint(
-    model: CrfModel, corpus: Corpus, header: dict | None = None
-) -> tuple[EvalReport, EvalReport]:
-    """Decode once, project to POS-only and ezafe-only predictions, and
-    report both. Gold pairs unseen in training only affect the scores,
-    never the decoding."""
-    pred = decode(model, corpus.forms, corpus.offsets)
-    return _joint_reports(pred, model.labels, corpus, header)
+    return _reports(model.labels, pred, corpus, header)
 
 
 # ---------------------------------------------------------------------------
 # Training with best-validation-F1 checkpointing
 
 
+def _flag_mode(cfg: ExperimentConfig) -> str:
+    return cfg.ezafe_source if cfg.task == "pos-ez-input" else "none"
+
+
 def make_flags(
-    cfg: ExperimentConfig,
-    mode: str,
-    corpora: Sequence[Corpus],
-    ezafe_model: CrfModel | None = None,
+    cfg: ExperimentConfig, corpora: Sequence[Corpus], ezafe_model: CrfModel | None = None
 ) -> list[np.ndarray | None]:
-    """Ezafe input flags of each corpus, one per token: none, gold, or
-    predicted by ezafe_model (read from cfg.ezafe_model_path when not
-    given)."""
+    """Ezafe input flags of each corpus, one per token: none unless cfg.task
+    is pos-ez-input, then gold or predicted as cfg.ezafe_source says, by
+    ezafe_model (read from cfg.ezafe_model_path when not given)."""
+    mode = _flag_mode(cfg)
     if mode == "none":
         return [None] * len(corpora)
     if mode == "gold":
         return [c.ezafe for c in corpora]
-    if mode != "predicted":
-        raise ValueError(f"unknown ezafe mode {mode!r}")
     if ezafe_model is None:
         if not cfg.ezafe_model_path:
-            raise ValueError("mode=predicted needs an ezafe model")
+            raise ValueError("ezafe_source=predicted needs an ezafe model")
         ezafe_model = crf.load_model_file(cfg.ezafe_model_path)
     return [predict_flags(ezafe_model, c.forms, c.offsets) for c in corpora]
 
@@ -261,15 +276,7 @@ def fit(
         raise ValueError("empty train split")
     if valid_c.n_sentences == 0:
         raise ValueError("empty validation split")
-    task = cfg.task
-    gold, labels = _gold_labels(task, train_c)
-    if task == "ezafe":  # labels ("0", "1"): each label id is its flag
-        report = lambda pred: _ezafe_report(pred, valid_c)
-    elif task == "joint":
-        report = lambda pred: _joint_reports(pred, labels, valid_c)[0]
-    else:
-        report = lambda pred: _pos_report(pred, labels, valid_c)
-
+    gold, labels = _gold_labels(cfg.task, train_c)
     index, encoded = features.index_and_encode(
         cfg.template, train_c.forms, train_c.offsets, train_flags, cfg.train_config.min_count
     )
@@ -279,7 +286,7 @@ def fit(
 
     def checkpoint(it: int, model: CrfModel) -> float:
         pred = crf.decode(model, valid)
-        f1 = report(pred).headline.f1
+        f1 = _reports(labels, pred, valid_c)[0].headline.f1
         if f1 > best["f1"]:
             best.update(f1=f1, model=model, iteration=it, pred=pred)
         return f1
@@ -328,84 +335,66 @@ def load_corpora(cfg: ExperimentConfig) -> tuple[Corpus, Corpus, Corpus]:
     )
 
 
-def run_ezafe(
-    cfg: ExperimentConfig, corpora: tuple[Corpus, Corpus, Corpus] | None = None
+def run_experiment(
+    cfg: ExperimentConfig,
+    corpora: tuple[Corpus, Corpus, Corpus] | None = None,
+    ezafe_model: CrfModel | None = None,
 ) -> ExperimentResult:
-    """Train the binary ezafe recognizer and report positive-class metrics
-    on validation and test, with the per-POS F1 breakdown."""
+    """Train cfg.task on the train split with the flags of make_flags (see
+    fit) and report on validation and test. A joint model's primary reports
+    are its POS projection; its ezafe projections land in extra as
+    valid_ezafe and test_ezafe."""
     train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
+    train_flags, valid_flags, test_flags = make_flags(cfg, [train_c, valid_c, test_c], ezafe_model)
     header = _config_header(cfg)
-    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c)
+    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c, train_flags, valid_flags)
+    valid = _reports(model.labels, valid_pred, valid_c, header)
+    test = evaluate(model, test_c, test_flags, header)
     return ExperimentResult(
         model=model,
-        valid_report=_ezafe_report(valid_pred, valid_c, header),
-        test_report=evaluate_ezafe(model, test_c, header),
+        valid_report=valid[0],
+        test_report=test[0],
         log=log,
         best_iteration=best_it,
         stop=stop,
+        extra={"valid_ezafe": valid[1], "test_ezafe": test[1]} if len(valid) > 1 else {},
     )
+
+
+# The entry points that bench/workloads.py calls, each one call into the
+# runner or the evaluator.
+
+
+def run_ezafe(
+    cfg: ExperimentConfig, corpora: tuple[Corpus, Corpus, Corpus] | None = None
+) -> ExperimentResult:
+    return run_experiment(cfg, corpora)
 
 
 def run_pos(
     cfg: ExperimentConfig,
-    ezafe_mode: str | None = None,
+    ezafe_mode: str,
     corpora: tuple[Corpus, Corpus, Corpus] | None = None,
     ezafe_model: CrfModel | None = None,
 ) -> ExperimentResult:
-    """Train the tagger; for gold/predicted modes the ezafe flags are
-    attached to the input features of every split before extraction."""
-    train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
-    if ezafe_mode is None:
-        ezafe_mode = cfg.ezafe_source if cfg.task == "pos-ez-input" else "none"
-    header = _config_header(cfg)
-    train_flags, valid_flags, test_flags = make_flags(
-        cfg, ezafe_mode, [train_c, valid_c, test_c], ezafe_model
-    )
-    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c, train_flags, valid_flags)
-    return ExperimentResult(
-        model=model,
-        valid_report=_pos_report(valid_pred, model.labels, valid_c, header),
-        test_report=evaluate_pos(model, test_c, ezafe=test_flags, header=header),
-        log=log,
-        best_iteration=best_it,
-        stop=stop,
-    )
+    """run_experiment, where ezafe_mode ("none", "gold" or "predicted")
+    must be the flag mode that cfg sets."""
+    if ezafe_mode != _flag_mode(cfg):
+        raise ValueError(
+            f"ezafe mode {ezafe_mode!r} contradicts task {cfg.task!r} "
+            f"with ezafe_source {cfg.ezafe_source!r}"
+        )
+    return run_experiment(cfg, corpora, ezafe_model)
 
 
-def run_joint(
-    cfg: ExperimentConfig, corpora: tuple[Corpus, Corpus, Corpus] | None = None
-) -> ExperimentResult:
-    """Tag with the observed (pos, ezafe) pairs as the label space; the
-    primary report is the POS projection, the ezafe projection lands in
-    extra."""
-    train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
-    header = _config_header(cfg)
-    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c)
-    valid_pos, valid_ez = _joint_reports(valid_pred, model.labels, valid_c, header)
-    test_pos, test_ez = evaluate_joint(model, test_c, header)
-    return ExperimentResult(
-        model=model,
-        valid_report=valid_pos,
-        test_report=test_pos,
-        log=log,
-        best_iteration=best_it,
-        stop=stop,
-        extra={"valid_ezafe": valid_ez, "test_ezafe": test_ez},
-    )
-
-
-def run_experiment(
-    cfg: ExperimentConfig, corpora: tuple[Corpus, Corpus, Corpus] | None = None
-) -> ExperimentResult:
-    if cfg.task == "ezafe":
-        return run_ezafe(cfg, corpora)
-    if cfg.task == "pos":
-        return run_pos(cfg, "none", corpora)
-    if cfg.task == "pos-ez-input":
-        return run_pos(cfg, cfg.ezafe_source, corpora)
-    if cfg.task == "joint":
-        return run_joint(cfg, corpora)
-    raise ConfigError(f"unknown task {cfg.task!r}")
+def evaluate_pos(
+    model: CrfModel,
+    corpus: Corpus,
+    ezafe: np.ndarray | None = None,
+    header: dict | None = None,
+) -> EvalReport:
+    """The primary report of evaluate."""
+    return evaluate(model, corpus, ezafe, header)[0]
 
 
 def pipeline_tag(
@@ -421,14 +410,6 @@ def pipeline_tag(
     flags = predict_flags(ezafe_model, forms, offsets)
     tags = [pos_model.labels[i] for i in decode(pos_model, forms, offsets, flags).tolist()]
     return Corpus.from_columns(forms, tags, flags.tolist(), lengths)
-
-
-def model_task_kind(model: CrfModel) -> str:
-    if set(model.labels) == {"0", "1"}:
-        return "ezafe"
-    if any(JOINT_SEP in lab for lab in model.labels):
-        return "joint"
-    return "pos"
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from pertcrf.crf import (
 from pertcrf.datagen import GeometricLength, bayes_decode, generate, homograph_spec, random_spec, tuned_ezafe_spec
 from pertcrf.features import FeatureIndex, FeatureTemplate
 from pertcrf.metrics import binary_metrics, confusion, macro_metrics
-from pertcrf.tasks import ExperimentConfig, decode, run_pos
+from pertcrf.tasks import ExperimentConfig, decode, run_experiment
 
 CRF2 = FeatureTemplate(id="CRF2")
 
@@ -196,19 +196,17 @@ def test_criterion_4_ezafe_helps_pos():
         for n, s in ((1200, 201), (300, 202), (400, 203))
     )
     config = TrainConfig(max_iterations=60)
-    plain = run_pos(
+    plain = run_experiment(
         ExperimentConfig(task="pos", template=FeatureTemplate(id="CRF2"), train_config=config),
-        "none",
         corpora,
     )
-    with_gold = run_pos(
+    with_gold = run_experiment(
         ExperimentConfig(
             task="pos-ez-input",
             template=FeatureTemplate(id="CRF2", ezafe_input=True),
             train_config=config,
             ezafe_source="gold",
         ),
-        "gold",
         corpora,
     )
     delta = (with_gold.test_report.headline.f1 - plain.test_report.headline.f1) * 100
@@ -320,16 +318,13 @@ def test_criterion_8_full_corpus_reference():
     train_c, valid_c, test_c = shuffle_split(corpus, SplitSpec(seed=17))
     train_c, valid_c, test_c = (filter_long(c, 512) for c in (train_c, valid_c, test_c))
 
-    from pertcrf.tasks import run_ezafe
-
-    ez = run_ezafe(
+    ez = run_experiment(
         ExperimentConfig(task="ezafe", template=FeatureTemplate(id="CRF1")),
-        corpora=(train_c, valid_c, test_c),
+        (train_c, valid_c, test_c),
     )
     ez_f1 = ez.test_report.headline.f1
-    pos = run_pos(
+    pos = run_experiment(
         ExperimentConfig(task="pos", template=FeatureTemplate(id="CRF2")),
-        "none",
         (train_c, valid_c, test_c),
     )
     pos_f1 = pos.test_report.headline.f1

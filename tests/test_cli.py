@@ -211,6 +211,38 @@ class TestTrain:
         assert main(args) == 1
         assert "ezafe-model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "task, extra",
+        [("ezafe", []), ("pos", []), ("joint", []), ("pos-ez-input", ["--ezafe-source", "gold"])],
+        ids=["ezafe", "pos", "joint", "pos-ez-input-gold"],
+    )
+    def test_unused_ezafe_model_is_usage_error(self, tmp_path, corpus_file, capsys, task, extra):
+        missing = str(tmp_path / "nonexistent.crf")
+        args, out = train_args(tmp_path, corpus_file, task=task, extra=["--ezafe-model", missing, *extra])
+        assert main(args) == 1
+        assert "--ezafe-model is used only by --task pos-ez-input" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["pos", "pos-ez-input"])
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            (("N|X", "V"), "pos tag 'N|X' contains reserved '|'"),
+            (("0", "1"), "pos tags '0' and '1' would be read as ezafe flags"),
+        ],
+        ids=["separator", "flags"],
+    )
+    def test_pos_tags_read_as_other_labels_are_data_errors(self, tmp_path, corpus_file, capsys, task, tags, message):
+        # eval reads a model's kind from its labels, so a POS model with
+        # these tags would be scored as a joint or an ezafe model.
+        args, out = train_args(tmp_path, corpus_file, task=task, extra=["--ezafe-source", "gold"])
+        text = "\n\n".join(f"a\t{tags[0]}\t0\nb\t{tags[1]}\t1\nc\t{tags[0]}\t0" for _ in range(4))
+        for name in ("train.tsv", "valid.tsv"):
+            (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalAndTag:
     @pytest.fixture()
@@ -238,6 +270,15 @@ class TestEvalAndTag:
         model.write_text("PERTCRF v1 CRF1 1 -1\na\n", encoding="utf-8")
         assert main(["eval", str(model), str(corpus_file)]) == 2
         assert "malformed header counts" in capsys.readouterr().err
+
+    def test_eval_ezafe_model_for_model_without_ezafe_input_is_usage_error(
+        self, tmp_path, corpus_file, ezafe_model_path, capsys
+    ):
+        prefix = tmp_path / "report"
+        args = ["eval", str(ezafe_model_path), str(corpus_file), "--report", str(prefix)]
+        assert main(args + ["--ezafe-model", str(tmp_path / "nonexistent.crf")]) == 1
+        assert "--ezafe-model is used only by models with ezafe input" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
 
     def test_eval_template_corpus_mismatch(self, tmp_path, ezafe_model_path, capsys):
         bad = tmp_path / "bad.tsv"

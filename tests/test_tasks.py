@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,15 @@ from pertcrf.tasks import (
     ConfigError,
     ExperimentConfig,
     decode,
-    evaluate_ezafe,
-    evaluate_joint,
+    evaluate,
     evaluate_pos,
     fit,
-    model_task_kind,
+    label_kind,
     parse_experiment_config,
     pipeline_tag,
     predict_flags,
     run_ezafe,
     run_experiment,
-    run_joint,
     run_pos,
     split_joint,
 )
@@ -71,6 +71,15 @@ def ezafe_cfg(template=CRF1, **kw):
     return ExperimentConfig(task="ezafe", template=template, train_config=FAST, **kw)
 
 
+def gold_flags_cfg(max_iterations):
+    return ExperimentConfig(
+        task="pos-ez-input",
+        template=CRF1_EZ,
+        train_config=TrainConfig(max_iterations=max_iterations),
+        ezafe_source="gold",
+    )
+
+
 @pytest.fixture(scope="module")
 def rule_corpora():
     return (
@@ -83,13 +92,13 @@ def rule_corpora():
 @pytest.fixture(scope="module")
 def perfect_ezafe_setup():
     corpora = (form_rule_corpus(150, 11), form_rule_corpus(50, 12), form_rule_corpus(50, 13))
-    result = run_ezafe(ezafe_cfg(), corpora=corpora)
+    result = run_experiment(ezafe_cfg(), corpora)
     return corpora, result.model
 
 
 class TestRunEzafe:
     def test_learns_window_rule(self, rule_corpora):
-        result = run_ezafe(ezafe_cfg(), corpora=rule_corpora)
+        result = run_experiment(ezafe_cfg(), rule_corpora)
         assert result.test_report.headline.f1 >= 0.99
         assert result.test_report.kind == "binary"
         assert result.test_report.ezafe_per_pos is not None
@@ -99,10 +108,10 @@ class TestRunEzafe:
         empty = Corpus.from_sentences([])
         some = window_rule_corpus(5, 1)
         with pytest.raises(ValueError, match="empty train"):
-            run_ezafe(ezafe_cfg(), corpora=(empty, some, some))
+            run_experiment(ezafe_cfg(), (empty, some, some))
 
     def test_checkpoint_is_logged_best(self, rule_corpora):
-        result = run_ezafe(ezafe_cfg(), corpora=rule_corpora)
+        result = run_experiment(ezafe_cfg(), rule_corpora)
         scored = [e for e in result.log if e.valid_f1 is not None]
         assert scored
         best = max(scored, key=lambda e: e.valid_f1)
@@ -110,7 +119,7 @@ class TestRunEzafe:
             e.iteration for e in scored if e.valid_f1 == best.valid_f1
         )
         valid_c = rule_corpora[1]
-        assert evaluate_ezafe(result.model, valid_c).headline.f1 == pytest.approx(best.valid_f1)
+        assert evaluate(result.model, valid_c)[0].headline.f1 == pytest.approx(best.valid_f1)
 
 
 class TestCheckpointReplay:
@@ -174,10 +183,10 @@ class TestCheckpointReplay:
         assert calls == [("index", train_c.n_sentences), ("encode", valid_c.n_sentences)]
 
 
-    @pytest.mark.parametrize("task", ["ezafe", "pos-ez-input", "joint"])
+    @pytest.mark.parametrize("task", ["ezafe", "pos", "pos-ez-input", "joint"])
     def test_valid_report_reuses_the_kept_checkpoint_decode(self, task, rule_corpora, monkeypatch):
-        # The validation split is encoded once, by fit; its report equals
-        # one made from a fresh decode with the kept model.
+        # The validation split is encoded once, by fit; its reports equal
+        # those that evaluate makes from a fresh decode with the kept model.
         valid_c = rule_corpora[1]
         template = CRF1_EZ if task == "pos-ez-input" else CRF1
         cfg = ExperimentConfig(
@@ -195,16 +204,11 @@ class TestCheckpointReplay:
         result = run_experiment(cfg, rule_corpora)
         assert encoded == [valid_c.n_sentences, rule_corpora[2].n_sentences]
         monkeypatch.undo()
-        header = result.valid_report.header
-        if task == "ezafe":
-            fresh = evaluate_ezafe(result.model, valid_c, header)
-        elif task == "joint":
-            fresh, fresh_ez = evaluate_joint(result.model, valid_c, header)
-            assert result.extra["valid_ezafe"].to_json() == fresh_ez.to_json()
-        else:
-            fresh = evaluate_pos(result.model, valid_c, valid_c.ezafe, header)
-        assert result.valid_report.to_json() == fresh.to_json()
-        assert result.valid_report.to_text() == fresh.to_text()
+        flags = valid_c.ezafe if task == "pos-ez-input" else None
+        fresh = evaluate(result.model, valid_c, flags, result.valid_report.header)
+        kept = [result.valid_report] + ([result.extra["valid_ezafe"]] if task == "joint" else [])
+        assert [r.to_json() for r in kept] == [r.to_json() for r in fresh]
+        assert [r.to_text() for r in kept] == [r.to_text() for r in fresh]
 
 
 class TestRunPos:
@@ -215,14 +219,11 @@ class TestRunPos:
             generate(spec, n, seed=s, length_dist=dist)
             for n, s in ((400, 31), (120, 32), (120, 33))
         )
-        plain = run_pos(
-            ExperimentConfig(task="pos", template=CRF1, train_config=FAST), "none", corpora
-        )
-        gold = run_pos(
+        plain = run_experiment(ExperimentConfig(task="pos", template=CRF1, train_config=FAST), corpora)
+        gold = run_experiment(
             ExperimentConfig(
                 task="pos-ez-input", template=CRF1_EZ, train_config=FAST, ezafe_source="gold"
             ),
-            "gold",
             corpora,
         )
         assert gold.test_report.headline.f1 > plain.test_report.headline.f1
@@ -231,14 +232,14 @@ class TestRunPos:
         corpora, ezafe_model = perfect_ezafe_setup
         for c in corpora:
             assert predict_flags(ezafe_model, c.forms, c.offsets).tolist() == c.ezafe.tolist()
-        cfg = ExperimentConfig(
-            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=15)
-        )
-        gold_run = run_pos(cfg, "gold", corpora)
-        pred_run = run_pos(cfg, "predicted", corpora, ezafe_model=ezafe_model)
+        cfg = gold_flags_cfg(15)
+        gold_run = run_experiment(cfg, corpora)
+        pred_run = run_experiment(replace(cfg, ezafe_source="predicted"), corpora, ezafe_model)
         assert np.array_equal(gold_run.model.emission, pred_run.model.emission)
         assert np.array_equal(gold_run.model.transition, pred_run.model.transition)
-        assert gold_run.test_report.to_json() == pred_run.test_report.to_json()
+        # The headers differ only in ezafe_source.
+        gold_report, pred_report = (replace(r.test_report, header={}) for r in (gold_run, pred_run))
+        assert gold_report.to_json() == pred_report.to_json()
 
     def test_experiment_reads_ezafe_model_once(self, tmp_path, perfect_ezafe_setup, monkeypatch):
         corpora, ezafe_model = perfect_ezafe_setup
@@ -266,7 +267,7 @@ class TestRunPos:
     def test_predicted_mode_needs_model(self, rule_corpora):
         cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=FAST)
         with pytest.raises(ValueError, match="needs an ezafe model"):
-            run_pos(cfg, "predicted", rule_corpora)
+            run_experiment(cfg, rule_corpora)
 
     def test_bad_flag_values_rejected(self, rule_corpora):
         train_c = rule_corpora[0]
@@ -293,16 +294,55 @@ class TestRunPos:
             with pytest.raises(ValueError, match=msg):
                 decode(model, c.forms, c.offsets, wrong)
             with pytest.raises(ValueError, match=msg):
-                evaluate_pos(model, c, ezafe=wrong)
+                evaluate(model, c, ezafe=wrong)
             with pytest.raises(ValueError, match=msg):
                 fit(ExperimentConfig(task="pos-ez-input", template=CRF1_EZ), c, c, wrong, flags)
+
+
+class TestBenchEntryPoints:
+    """run_ezafe, run_pos and evaluate_pos, which bench/workloads.py calls,
+    are the runner and the evaluator under other names."""
+
+    def test_same_reports_as_runner_and_evaluator(self, perfect_ezafe_setup):
+        corpora, ezafe_model = perfect_ezafe_setup
+        test_c = corpora[2]
+        train_config = TrainConfig(max_iterations=5)
+        pos_cfg = ExperimentConfig(task="pos", template=CRF1, train_config=train_config)
+        pred_cfg = replace(gold_flags_cfg(5), ezafe_source="predicted")
+        pairs = [
+            (run_ezafe(ezafe_cfg(), corpora), run_experiment(ezafe_cfg(), corpora)),
+            (run_pos(pos_cfg, "none", corpora), run_experiment(pos_cfg, corpora)),
+            (run_pos(gold_flags_cfg(5), "gold", corpora), run_experiment(gold_flags_cfg(5), corpora)),
+            (
+                run_pos(pred_cfg, "predicted", corpora, ezafe_model=ezafe_model),
+                run_experiment(pred_cfg, corpora, ezafe_model),
+            ),
+        ]
+        for old, new in pairs:
+            assert save_model(old.model) == save_model(new.model)
+            for a, b in ((old.valid_report, new.valid_report), (old.test_report, new.test_report)):
+                assert (a.to_text(), a.to_json()) == (b.to_text(), b.to_json())
+            flags = test_c.ezafe if new.model.template.ezafe_input else None
+            a = evaluate_pos(new.model, test_c, flags, {"corpus": "test"})
+            (b,) = evaluate(new.model, test_c, flags, {"corpus": "test"})
+            assert (a.to_text(), a.to_json()) == (b.to_text(), b.to_json())
+
+    @pytest.mark.parametrize(
+        "task, source, mode",
+        [("pos", "predicted", "gold"), ("pos-ez-input", "predicted", "gold"), ("pos-ez-input", "gold", "none")],
+    )
+    def test_run_pos_mode_must_agree_with_config(self, rule_corpora, task, source, mode):
+        template = CRF1_EZ if task == "pos-ez-input" else CRF1
+        cfg = ExperimentConfig(task=task, template=template, train_config=FAST, ezafe_source=source)
+        with pytest.raises(ValueError, match=f"ezafe mode '{mode}' contradicts task '{task}'"):
+            run_pos(cfg, mode, rule_corpora)
 
 
 class TestRunJoint:
     def test_label_space_and_projections(self, rule_corpora):
         train_c = rule_corpora[0]
         cfg = ExperimentConfig(task="joint", template=CRF1, train_config=FAST)
-        result = run_joint(cfg, corpora=rule_corpora)
+        result = run_experiment(cfg, rule_corpora)
         observed_pairs = {(t.pos, t.ezafe) for s in train_c.sentences for t in s}
         assert len(result.model.labels) == len(observed_pairs)
         # V and ADJ never carry ezafe under the window rule
@@ -322,7 +362,7 @@ class TestRunJoint:
     def test_labels_in_first_occurrence_order(self, rule_corpora):
         train_c = rule_corpora[0]
         cfg = ExperimentConfig(task="joint", template=CRF1, train_config=TrainConfig(max_iterations=1))
-        labels = run_joint(cfg, corpora=rule_corpora).model.labels
+        labels = run_experiment(cfg, rule_corpora).model.labels
         assert labels == tuple(dict.fromkeys(f"{t.pos}|{t.ezafe}" for s in train_c.sentences for t in s))
 
     def test_tag_with_separator_rejected(self, rule_corpora):
@@ -331,7 +371,7 @@ class TestRunJoint:
         )
         cfg = ExperimentConfig(task="joint", template=CRF1, train_config=FAST)
         with pytest.raises(ValueError, match=r"pos tag 'N\|X' contains reserved '\|'"):
-            run_joint(cfg, corpora=(train_c, rule_corpora[1], rule_corpora[2]))
+            run_experiment(cfg, (train_c, rule_corpora[1], rule_corpora[2]))
 
     def test_split_joint_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -343,19 +383,13 @@ class TestRunJoint:
 class TestPipeline:
     def test_empty_input(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
-        cfg = ExperimentConfig(
-            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=15)
-        )
-        pos_model = run_pos(cfg, "gold", corpora).model
+        pos_model = run_experiment(gold_flags_cfg(15), corpora).model
         out = pipeline_tag([], ezafe_model, pos_model)
         assert out.n_sentences == 0
 
     def test_zero_token_sentence_named(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
-        cfg = ExperimentConfig(
-            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=5)
-        )
-        pos_model = run_pos(cfg, "gold", corpora).model
+        pos_model = run_experiment(gold_flags_cfg(5), corpora).model
         assert predict_flags(ezafe_model, [], [0]).tolist() == []
         with pytest.raises(ValueError, match="sentence 1: no positions"):
             predict_flags(ezafe_model, ["ea"], [0, 1, 1])
@@ -364,10 +398,7 @@ class TestPipeline:
 
     def test_output_aligned_and_matches_predicted_mode(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
-        cfg = ExperimentConfig(
-            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=15)
-        )
-        pos_model = run_pos(cfg, "gold", corpora).model
+        pos_model = run_experiment(gold_flags_cfg(15), corpora).model
         test_c = corpora[2]
         forms = [[t.form for t in s] for s in test_c.sentences]
         tagged = pipeline_tag(forms, ezafe_model, pos_model)
@@ -379,18 +410,14 @@ class TestPipeline:
 
     def test_form_with_whitespace_rejected(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
-        cfg = ExperimentConfig(
-            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=3)
-        )
-        pos_model = run_pos(cfg, "gold", corpora).model
+        pos_model = run_experiment(gold_flags_cfg(3), corpora).model
         with pytest.raises(ValueError, match="token form must be non-empty and whitespace-free: 'b c'"):
             pipeline_tag([["ea"], ["ea", "b c"]], ezafe_model, pos_model)
 
     def test_template_incompatibility(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
-        plain_pos = run_pos(
+        plain_pos = run_experiment(
             ExperimentConfig(task="pos", template=CRF1, train_config=TrainConfig(max_iterations=10)),
-            "none",
             corpora,
         ).model
         with pytest.raises(ValueError, match="ezafe input"):
@@ -398,10 +425,7 @@ class TestPipeline:
 
     def test_stage_one_must_be_ezafe_model(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
-        cfg = ExperimentConfig(
-            task="pos-ez-input", template=CRF1_EZ, train_config=TrainConfig(max_iterations=10)
-        )
-        pos_model = run_pos(cfg, "gold", corpora).model
+        pos_model = run_experiment(gold_flags_cfg(10), corpora).model
         with pytest.raises(ValueError, match="not an ezafe model"):
             pipeline_tag([["ea"]], pos_model, pos_model)
 
@@ -478,18 +502,17 @@ class TestConfig:
 class TestModelKind:
     def test_kinds(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
-        assert model_task_kind(ezafe_model) == "ezafe"
-        pos_model = run_pos(
+        assert label_kind(ezafe_model.labels) == "ezafe"
+        pos_model = run_experiment(
             ExperimentConfig(task="pos", template=CRF1, train_config=TrainConfig(max_iterations=8)),
-            "none",
             corpora,
         ).model
-        assert model_task_kind(pos_model) == "pos"
-        joint_model = run_joint(
+        assert label_kind(pos_model.labels) == "pos"
+        joint_model = run_experiment(
             ExperimentConfig(task="joint", template=CRF1, train_config=TrainConfig(max_iterations=8)),
             corpora,
         ).model
-        assert model_task_kind(joint_model) == "joint"
+        assert label_kind(joint_model.labels) == "joint"
 
 
 class TestStopReason:
@@ -506,7 +529,7 @@ class TestStopReason:
     def test_tolerance(self, rule_corpora):
         config = TrainConfig(max_iterations=50, tolerance=0.05)
         cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config)
-        result = run_ezafe(cfg, corpora=rule_corpora)
+        result = run_experiment(cfg, rule_corpora)
         assert result.stop == "tolerance"
         assert len(result.log) < 50
 
@@ -530,7 +553,7 @@ class TestStopReason:
             return evaluate(self, x)
 
         monkeypatch.setattr(crf._Objective, "__call__", only_at_zero)
-        result = run_ezafe(ezafe_cfg(), corpora=rule_corpora)
+        result = run_experiment(ezafe_cfg(), rule_corpora)
         assert result.stop == "line_search"
         assert result.log == [] and result.best_iteration == 0
 
@@ -546,12 +569,12 @@ def test_timed_paths_build_no_token(monkeypatch):
     monkeypatch.setattr(Token, "__post_init__", refuse)
     parts = shuffle_split(parse_corpus(text))
     train_config = TrainConfig(max_iterations=3)
-    ezafe = run_ezafe(
+    ezafe = run_experiment(
         ExperimentConfig(task="ezafe", template=CRF1, train_config=train_config, eval_every=1), parts
     )
     save_model(ezafe.model)
     cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=train_config)
-    pos = run_pos(cfg, "predicted", parts, ezafe_model=ezafe.model)
+    pos = run_experiment(cfg, parts, ezafe.model)
     tagged = pipeline_tag(parts[2].by_sentence(parts[2].forms), ezafe.model, pos.model)
     with pytest.raises(AssertionError, match="a Token was built"):
         tagged.sentences
@@ -573,12 +596,12 @@ def test_timed_paths_cut_no_sentence(monkeypatch):
     monkeypatch.setattr(Corpus, "by_sentence", refuse)
     parts = shuffle_split(parse_corpus(text))
     train_config = TrainConfig(max_iterations=3)
-    ezafe = run_ezafe(
+    ezafe = run_experiment(
         ExperimentConfig(task="ezafe", template=CRF1, train_config=train_config, eval_every=1), parts
     )
     cfg = ExperimentConfig(task="pos-ez-input", template=CRF1_EZ, train_config=train_config)
-    pos = run_pos(cfg, "predicted", parts, ezafe_model=ezafe.model)
-    joint = run_joint(ExperimentConfig(task="joint", template=CRF1, train_config=train_config), parts)
+    pos = run_experiment(cfg, parts, ezafe.model)
+    joint = run_experiment(ExperimentConfig(task="joint", template=CRF1, train_config=train_config), parts)
     for result in (ezafe, pos, joint):
         save_model(result.model)
     tagged = pipeline_tag(raw, ezafe.model, pos.model)
