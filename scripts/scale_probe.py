@@ -7,13 +7,12 @@ Generates a synthetic CRF2 POS corpus of at least --tokens tokens from
 layers that training runs before and inside the optimizer:
 parsing the corpus text (and, in a separate traced parse, the bytes that
 the parsed corpus holds, from tracemalloc), indexing and encoding the
-corpus (the one pass
-of `tasks.fit`: `features.index_and_encode`, then the packed layout that
-`crf.train` builds; the gold label ids are the corpus's tag codes), and
-one evaluation of the
-training objective at x = 0 (the minimum of 3), over the parameters that
-`crf.train` fits: the (feature, label) pairs seen in the corpus, then the
-transitions. It then times one OWL-QN iteration from x = 0 with the
+corpus (the one pass of `tasks.fit`: `features.batch`, then
+`features.index_and_encode`, then the packed layout that `crf.train`
+builds; the gold label ids are the corpus's tag codes), and one
+evaluation of the training objective at x = 0 (the minimum of 3), over
+the parameters that `crf.train` fits: the (feature, label) pairs seen in
+the corpus, then the transitions. It then times one OWL-QN iteration from x = 0 with the
 default penalties (l1 = l2 = 0.1), which gives the kind of model the
 ingest-ezafe benchmark saves, and times `crf.save_model` and
 `crf.load_model` on it. Last, it times the Bayes oracle over the whole
@@ -111,7 +110,7 @@ def main() -> None:
     labels, gold = corpus.tag_inventory, corpus.tags
 
     def encode():
-        index, encoded = features.index_and_encode(template, corpus.forms, corpus.offsets)
+        index, encoded = features.index_and_encode(template, features.batch(corpus.forms, corpus.offsets))
         return index, crf._pack(encoded)
 
     (index, packed), encode_s = timed(encode)

@@ -14,7 +14,7 @@ import sys
 import tempfile
 import time
 
-from . import crf, tasks
+from . import crf, features, tasks
 from .corpus import (
     CorpusFormatError,
     SplitSpec,
@@ -121,7 +121,10 @@ def cmd_synth(args) -> int:
 
 
 def _experiment_config_from_args(args) -> ExperimentConfig:
-    predicted = args.task == "pos-ez-input" and args.ezafe_source == "predicted"
+    if args.ezafe_source and args.task != "pos-ez-input":
+        raise UsageError("--ezafe-source is used only by --task pos-ez-input")
+    ezafe_source = args.ezafe_source or "predicted"
+    predicted = args.task == "pos-ez-input" and ezafe_source == "predicted"
     if predicted and not args.ezafe_model:
         raise UsageError("--task pos-ez-input with predicted flags requires --ezafe-model")
     if args.ezafe_model and not predicted:
@@ -138,7 +141,7 @@ def _experiment_config_from_args(args) -> ExperimentConfig:
             test_path="",
             out_path=args.out,
             ezafe_model_path=args.ezafe_model,
-            ezafe_source=args.ezafe_source,
+            ezafe_source=ezafe_source,
             eval_every=args.eval_every,
         )
     except ValueError as exc:
@@ -164,8 +167,9 @@ def cmd_train(args) -> int:
     train_c = read_corpus_file(args.train)
     valid_c = read_corpus_file(args.valid)
     started = time.monotonic()
-    train_flags, valid_flags = tasks.make_flags(cfg, [train_c, valid_c])
-    model, log, best_it, stop, _ = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
+    batches = [features.batch(c.forms, c.offsets) for c in (train_c, valid_c)]
+    train_flags, valid_flags = tasks.make_flags(cfg, [train_c, valid_c], batches)
+    model, log, best_it, stop, _ = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags, batches)
     _atomic_write(args.out, crf.save_model(model))
     _print_log(log, best_it, stop, args.log)
     print(f"model written to {args.out}", file=sys.stderr)
@@ -199,15 +203,16 @@ def cmd_eval(args) -> int:
         raise UsageError("--ezafe-model is used only by models with ezafe input")
     corpus = read_corpus_file(args.corpus)
     header = {"model": args.model, "corpus": args.corpus, "template": model.template.token}
+    batch = features.batch(corpus.forms, corpus.offsets)
     flags = None
     if args.ezafe_model:
         ezafe_model = crf.load_model_file(args.ezafe_model)
-        flags = tasks.predict_flags(ezafe_model, corpus.forms, corpus.offsets)
+        flags = tasks.predict_flags(ezafe_model, batch)
         header["ezafe_source"] = "predicted"
     elif model.template.ezafe_input:
         flags = corpus.ezafe
         header["ezafe_source"] = "gold"
-    reports = tasks.evaluate(model, corpus, flags, header)
+    reports = tasks.evaluate(model, corpus, flags, header, batch)
     if args.report:
         for report, suffix in zip(reports, ("", ".ezafe")):
             _write_report(report, args.report + suffix)
@@ -288,7 +293,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ezafe-model", help="trained ezafe model (pos-ez-input with predicted flags)")
     p.add_argument(
         "--ezafe-source",
-        default="predicted",
         choices=tasks.EZAFE_SOURCES,
         help="where pos-ez-input training flags come from (default predicted)",
     )

@@ -62,6 +62,13 @@ def whitespace_free(strings: Iterable[str]) -> bool:
     return "" not in distinct and not any(map(str.isspace, set("".join(distinct))))
 
 
+def check_token_rule(forms: Sequence[str], tags: Sequence[str]) -> None:
+    """Raise ValueError for the first token whose form or tag breaks the
+    token rule."""
+    if not (whitespace_free(forms) and whitespace_free(tags)):
+        raise ValueError(next(filter(None, map(_token_problem, forms, tags))))
+
+
 @dataclass(frozen=True)
 class Token:
     form: str
@@ -114,8 +121,7 @@ class Corpus:
         lengths = list(lengths)
         if not len(forms) == len(tags) == len(ezafe) == sum(lengths):
             raise ValueError("columns and sentence lengths disagree")
-        if not (whitespace_free(forms) and whitespace_free(tags)):
-            raise ValueError(next(filter(None, map(_token_problem, forms, tags))))
+        check_token_rule(forms, tags)
         if not set(ezafe) <= {0, 1}:
             bad = next(e for e in ezafe if e not in (0, 1))
             raise ValueError(f"ezafe flag must be 0 or 1, got {bad!r}")

@@ -1,7 +1,8 @@
 """Synthetic annotated corpora from a known hidden-Markov process, plus a
 posterior-decoding oracle that upper-bounds any trained tagger on data from
 the same process. The oracle runs crf's packed sum-product on the spec's
-probabilities: no span bound applies, and zero-probability sentences raise.
+probabilities, over blocks of whole sentences of bounded size: no span
+bound applies, and zero-probability sentences raise.
 
 Ezafe flags are generated conditionally on (state, next state), so the flag
 carries exactly the phrase-boundary signal that makes it informative for
@@ -45,6 +46,10 @@ from .rng import SplitMix64, randoms_at, substream_states
 # Uniform draws that one chunk of generate holds at most, whatever the
 # length law; a single sentence longer than a third of this is one chunk.
 _DRAW_BLOCK = 1 << 18
+# Positions that one block of bayes_decode holds at most; a longer
+# sentence is a block of its own. A block holds three (positions, states)
+# float64 arrays: 47 MB at 30 states.
+_ORACLE_BLOCK = 1 << 16
 
 
 class HmmSpecError(ValueError):
@@ -225,22 +230,38 @@ def _sample_chunk(tables, streams, skip, lengths):
 
 def bayes_decode(spec: HmmSpec, words: Sequence[str], offsets: Sequence[int] | None = None) -> list[str]:
     """Posterior-mode state of each word under the true process, in corpus order,
-    ties to the lower index; offsets cut words into sentences (one by default)."""
+    ties to the lower index; offsets cut words into sentences (one by default).
+    Consecutive whole sentences are decoded together, in blocks of at most
+    _ORACLE_BLOCK positions."""
     offsets = checked_offsets([0, len(words)] if offsets is None else offsets, len(words))
     try:
         obs = np.fromiter(map(spec.word_ids.__getitem__, words), np.intp, len(words))
     except KeyError as exc:
         raise ValueError(f"word {exc.args[0]!r} not in spec vocabulary") from None
+    modes = np.empty(len(words), dtype=np.intp)
+    first, S = 0, len(offsets) - 1
+    while first < S:
+        end = np.searchsorted(offsets, offsets[first] + _ORACLE_BLOCK, "right") - 1
+        last = max(first + 1, int(end))  # the block is sentences first .. last-1
+        a, b = offsets[first], offsets[last]
+        modes[a:b] = _posterior_modes(spec, obs[a:b], offsets[first : last + 1] - a, first)
+        first = last
+    return list(map(spec.states.__getitem__, modes.tolist()))
+
+
+def _posterior_modes(spec: HmmSpec, obs: np.ndarray, offsets: np.ndarray, first: int) -> np.ndarray:
+    """bayes_decode's state ids of the word ids obs, cut into sentences by
+    offsets, whose first sentence is sentence first of the corpus."""
     steps, row = _layout(offsets)
     P = spec.emit.take(obs[row.argsort()], axis=1).T.copy()  # packed rows
     P[: len(offsets) - 1] *= spec.start  # step 0: each sentence's first row
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha, beta, c = _sum_product(P, spec.trans, steps)
     if not (c > 0).all():  # also where c is NaN; c[row] is in corpus order
-        sentence = np.searchsorted(offsets, np.flatnonzero(~(c[row] > 0))[0], "right") - 1
+        sentence = first + np.searchsorted(offsets, np.flatnonzero(~(c[row] > 0))[0], "right") - 1
         raise ValueError(f"sentence {sentence}: zero probability under the spec")
     alpha *= beta
-    return list(map(spec.states.__getitem__, alpha.argmax(axis=1)[row].tolist()))
+    return alpha.argmax(axis=1)[row]
 
 
 def expected_ezafe_rate(spec: HmmSpec, length_dist: GeometricLength = GeometricLength()) -> float:

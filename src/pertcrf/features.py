@@ -16,42 +16,52 @@ first occurrence over (sentence, position, slot), and model files list
 them in that order, so that order is part of the model format too.
 
 Codes. No key string is built per token. Every key is a (slot, value)
-pair, and a batch of sentences becomes one (slots, positions) int32 matrix
-of value codes, slot-major, so each slot's codes are one contiguous row
-(-1 where the slot is absent):
-  - w[k]: the form at offset k. Forms are interned once per batch, with
-    the sentinels first, so a real token spelled __BOS__ shares its w[k]
-    key with the sentinel (and still has affixes).
-  - pre1-3, suf1-3: the focus form's affixes, computed once per form type.
-  - BOS, EOS: one value, at the first or last position of a sentence.
-  - ez[k]: 0, 1 or the pad _.
-Per slot kind, a table from value codes to feature ids (one column per
-slot) then turns each row of codes, in place, into the row of feature ids
-that crf consumes (Encoded). A slot that is absent or whose key is not
-indexed holds the sentinel id F = len(index), which crf reads as a zero
-weight row. Every grammar key belongs to one slot, so a feature's entries
-lie in one row, in corpus order; emission sums add a position's weights
-in slot order, as ever.
-  - index_and_encode (training) makes the tables from the codes: the count
-    and first position of every code per slot, the candidates ordered by
-    (position, slot), then the min_count cut.
-  - encode (decoding) looks the batch's forms and affixes up in the tables
-    of a FeatureIndex, which builds them once, when it is made.
+pair, and encoding is two steps:
+  - batch(forms, offsets) does once per text the work that no model
+    changes. It checks the offsets, interns the form types, with the
+    sentinels first, and holds every sentence's type codes padded with
+    WINDOW sentinel codes on either side (a real token spelled __BOS__
+    shares its w[k] key with the sentinel, and still has affixes). It
+    interns the distinct affix strings of the types, with a (6, types)
+    table into them (-1 where a type is shorter than the affix). So it
+    holds two int32 per position, and the rest grows with the types and
+    sentences.
+  - encode and index_and_encode read a Batch with one index's tables.
+    Per slot kind, a table from value codes to feature ids (one column
+    per slot) gives each position's ids, slot-major, in one
+    (slots, positions) int32 matrix (Encoded): w[k] by the type at
+    offset k, pre1-3 and suf1-3 by the position's type, BOS and EOS at
+    the first or last position of a sentence, ez[k] by the flag (0, 1
+    or the pad _) at offset k. A slot that is absent or whose key is not
+    indexed holds the sentinel id F = len(index), which crf reads as a
+    zero weight row.
+Every grammar key belongs to one slot, so a feature's entries lie in one
+row, in corpus order; emission sums add a position's weights in slot
+order, as ever.
+  - index_and_encode (training) makes the tables from the batch's codes:
+    the count and first position of every code per slot, the candidates
+    ordered by (position, slot), then the min_count cut. The index keeps
+    the batch's type and affix dicts as its values.
+  - encode (decoding) looks each of the batch's types and distinct
+    affixes up once in the value dicts of a FeatureIndex, which builds
+    its tables once, when it is made.
 Key strings exist only for the F indexed keys, and only when
 FeatureIndex.keys() builds them (save_model). A key outside the grammar
 is kept as given but never matches.
 
-Input. A batch is given as columns: the form of every position in corpus
+Input. A batch is made from columns: the form of every position in corpus
 order and the sentence offsets (S+1,), as corpus.Corpus holds them.
 Ezafe flags go only with ezafe-input templates: one 0/1 flag per position,
-in the same order. Both encoders reject anything else with ValueError.
+in the same order. batch and both encoders reject anything else with
+ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,6 +103,9 @@ _KEY_PREFIXES = np.array(_PREFIXES + [""], dtype=object)
 _SLOT_KINDS = np.array([_KINDS.index(_SLOT_COLUMNS[slot][0]) for slot in _SLOTS] + [-1], np.int8)
 # The values of the kinds that have a fixed set; the edge slots have one.
 _FIXED_VALUES = {"edge": ("",), "ez": EZ_VALUES}
+# Positions whose window codes _windows gathers at once: it holds 11 int32
+# per position of a block.
+_WINDOW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -222,19 +235,23 @@ class FeatureIndex:
         return _KEY_PREFIXES[self._slot], values
 
 
+@dataclass(frozen=True)
+class Batch:
+    """A batch of sentences as the codes that no model changes (see
+    batch): the type code of every position, in each sentence padded for
+    the word window, and the affixes of every type."""
+
+    offsets: np.ndarray  # int32 (S+1,) sentence starts, then the position count
+    words: dict[str, int]  # the code of each form type; the sentinels are 0 and 1
+    padded: np.ndarray  # int32 type codes, each sentence with WINDOW sentinels on either side
+    at: np.ndarray  # int32 (N,) where each position lies in padded
+    affixes: dict[str, int]  # the code of each affix string of the types
+    affix_of: np.ndarray  # int32 (6, types) per affix slot; -1 where the type is shorter
+
+
 def _fixed_values() -> dict[str, dict[str, int]]:
     """A new value dict per slot kind: empty for words and affixes."""
     return {kind: {v: i for i, v in enumerate(_FIXED_VALUES.get(kind, ()))} for kind in _WIDTHS}
-
-
-@dataclass(frozen=True)
-class _Codes:
-    """A batch of sentences as value codes."""
-
-    codes: np.ndarray  # (slots, positions) int32, slot-major; -1 where a slot is absent
-    offsets: np.ndarray  # int32 (S+1,)
-    words: dict[str, int]  # the code of each form; the sentinels are 0 and 1
-    affixes: dict[str, int]  # the code of each affix
 
 
 def _flags(template: FeatureTemplate, ezafe: Sequence[int] | None, n: int) -> np.ndarray | None:
@@ -268,110 +285,139 @@ def checked_offsets(offsets: Sequence[int], n: int) -> np.ndarray:
     return offsets
 
 
-def _codes(
-    template: FeatureTemplate,
-    forms: Sequence[str],
-    offsets: Sequence[int],
-    ezafe: Sequence[int] | None,
-    affixes: dict[str, int] | None = None,
-) -> _Codes:
-    """Value codes of a batch. Forms are interned anew; affixes are coded by
-    the given dict (-1 for an affix it lacks) or, without one, interned
-    anew too."""
+def batch(forms: Sequence[str], offsets: Sequence[int]) -> Batch:
+    """The codes of the sentences that offsets cut forms into that do not
+    depend on a model: made once per text, and read by every model that
+    encodes the text (encode, index_and_encode)."""
     n = len(forms)
     offsets = checked_offsets(offsets, n)
     lengths = np.diff(offsets)
-    flags = _flags(template, ezafe, n)
     S = len(lengths)
-    words = {f: i for i, f in enumerate(dict.fromkeys(chain((BOS_FORM, EOS_FORM), forms)))}
-    form = np.fromiter(map(words.__getitem__, forms), np.int32, n)
-
-    # Each sentence padded with WINDOW codes on either side: offset k of
-    # position p reads padded[base[p] + k].
+    # Each sentence padded with WINDOW sentinel codes on either side: the
+    # type codes 0 (__BOS__) and 1 (__EOS__).
     gaps = np.arange(S, dtype=np.int32) * (2 * WINDOW)
-    base = np.repeat(gaps + WINDOW, lengths) + np.arange(n, dtype=np.int32)
-    before = (offsets[:-1] + gaps)[:, None] + np.arange(WINDOW)
+    at = np.repeat(gaps + WINDOW, lengths) + np.arange(n, dtype=np.int32)
+    padded = np.ones(n + 2 * WINDOW * S, dtype=np.int32)
+    padded[(offsets[:-1] + gaps)[:, None] + np.arange(WINDOW)] = 0
+    words = {BOS_FORM: 0, EOS_FORM: 1}
+    padded[at] = _intern(words, forms, n)
+    # Each affix slot's value for every type: the whole form where it is
+    # shorter than the affix, a code dropped below.
+    T = len(words)
+    cuts = [slice(None, m) for m in AFFIX_LENGTHS] + [slice(-m, None) for m in AFFIX_LENGTHS]
+    affixes: dict[str, int] = {}
+    values = chain.from_iterable(map(itemgetter(cut), words) for cut in cuts)
+    affix_of = _intern(affixes, values, len(cuts) * T).reshape(len(cuts), T)
+    affix_of[np.fromiter(map(len, words), np.intp, T) < np.array(AFFIX_LENGTHS * 2)[:, None]] = -1
+    return Batch(offsets, words, padded, at, affixes, affix_of)
 
-    def windows(values: np.ndarray, first: int, last: int) -> Iterator[np.ndarray]:
-        padded = np.full(n + 2 * WINDOW * S, last, dtype=np.int32)
-        padded[before] = first
-        padded[base] = values
-        return (padded[base + k] for k in range(-WINDOW, WINDOW + 1))
 
-    codes = np.empty((len(template.slots), n), dtype=np.int32)
-    for row, values in enumerate(windows(form, 0, 1)):
-        codes[row] = values
+def _intern(codes: dict[str, int], strings: Iterable[str], n: int) -> np.ndarray:
+    """The code of each of the n strings, giving a string that codes lacks
+    the next code (map reads len(codes) before each setdefault)."""
+    return np.fromiter(map(codes.setdefault, strings, map(len, repeat(codes))), np.int32, n)
+
+
+def _windows(padded: np.ndarray, at: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """Write table[k, padded[at + k - WINDOW]] into out[k] for every window
+    offset k, over blocks of at most _WINDOW_BLOCK positions."""
+    shifts = np.arange(-WINDOW, WINDOW + 1, dtype=np.int32)[:, None]
+    flat = np.ascontiguousarray(table, dtype=np.int32).ravel()
+    starts = (np.arange(len(shifts), dtype=np.int32) * table.shape[1])[:, None]
+    for a in range(0, len(at), _WINDOW_BLOCK):
+        codes = padded[at[a : a + _WINDOW_BLOCK] + shifts]
+        codes += starts
+        np.take(flat, codes, out=out[:, a : a + _WINDOW_BLOCK])
+
+
+def _fill(
+    template: FeatureTemplate,
+    batch: Batch,
+    flags: np.ndarray | None,
+    word: np.ndarray,
+    affix: np.ndarray | None,
+    edge: np.ndarray,
+    ez: np.ndarray,
+) -> np.ndarray:
+    """The (slots, positions) matrix whose row for each slot of template
+    holds, at every position, that slot's entry in the table of its kind:
+    word (11, types) by the type at the slot's window offset, affix
+    (6, types) by the position's type, edge (2, 2) row 0 at a sentence's
+    first (BOS) or last (EOS) position and row 1 elsewhere, ez (11, 3) by
+    the flag code at the slot's window offset."""
+    n = len(batch.at)
+    out = np.empty((len(template.slots), n), dtype=np.int32)
+    _windows(batch.padded, batch.at, word, out[: len(W_SLOTS)])
     row = len(W_SLOTS)
     if template.id == "CRF2":
-        # Each affix slot's value for every form: the whole form where it is
-        # shorter than the affix, an entry dropped below.
-        columns = [[f[:m] for f in words] for m in AFFIX_LENGTHS]
-        columns += [[f[-m:] for f in words] for m in AFFIX_LENGTHS]
-        if affixes is None:
-            affixes = {a: i for i, a in enumerate(dict.fromkeys(chain.from_iterable(columns)))}
-        by_form = np.array([list(map(affixes.get, c, repeat(-1))) for c in columns], np.int32)
-        short = np.fromiter(map(len, words), np.intp) < np.array(AFFIX_LENGTHS * 2)[:, None]
-        by_form[short] = -1
-        np.take(by_form, form, axis=1, out=codes[row : row + len(AFFIX_SLOTS)])
+        np.take(affix, batch.padded[batch.at], axis=1, out=out[row : row + len(AFFIX_SLOTS)])
         row += len(AFFIX_SLOTS)
-        codes[row : row + len(EDGE_SLOTS)] = -1
-        codes[row, offsets[:-1]] = 0
-        codes[row + 1, offsets[1:] - 1] = 0
+        out[row : row + len(EDGE_SLOTS)] = edge[1][:, None]
+        out[row, batch.offsets[:-1]] = edge[0, 0]
+        out[row + 1, batch.offsets[1:] - 1] = edge[0, 1]
         row += len(EDGE_SLOTS)
     if flags is not None:
-        for k, values in enumerate(windows(flags, 2, 2)):
-            codes[row + k] = values
-    return _Codes(codes=codes, offsets=offsets, words=words, affixes=affixes or {})
+        padded = np.full(len(batch.padded), EZ_VALUES.index(EZ_PAD), dtype=np.int32)
+        padded[batch.at] = flags
+        _windows(padded, batch.at, ez, out[row:])
+    return out
 
 
-def _encoded(batch: _Codes, template: FeatureTemplate, ids: dict[str, np.ndarray]) -> Encoded:
-    """Map each slot's row of codes to feature ids, in place, through its
-    column of the id table of its kind, whose rows are the codes (a code of
-    -1 reads the last row, which holds the sentinel)."""
-    codes = batch.codes
-    for row, (kind, column) in enumerate(map(_SLOT_COLUMNS.get, template.slots)):
-        np.take(ids[kind][:, column], codes[row], out=codes[row])
-    return Encoded(ids=codes, offsets=batch.offsets)
+def _lookup(values: dict[str, int], strings: dict[str, int]) -> np.ndarray:
+    """The code in values of each of the strings, in order; -1 for a string
+    that values lacks."""
+    return np.fromiter(map(values.get, strings, repeat(-1)), np.intp, len(strings))
 
 
 def encode(
     index: FeatureIndex,
     template: FeatureTemplate,
-    forms: Sequence[str],
-    offsets: Sequence[int],
+    batch: Batch,
     ezafe: Sequence[int] | None = None,
 ) -> Encoded:
-    """Encode the sentences that offsets cut forms into with the keys of
-    index; keys that the index lacks are dropped. Ezafe-input templates
-    need ezafe, one flag per position; the other templates refuse it."""
-    batch = _codes(template, forms, offsets, ezafe, index._values["affix"])
-    rows = list(map(index._values["word"].get, batch.words, repeat(-1)))
-    return _encoded(batch, template, {**index._ids, "word": index._ids["word"][rows]})
+    """Encode the sentences of batch (see batch) with the keys of index;
+    keys that the index lacks are dropped. Ezafe-input templates need
+    ezafe, one flag per position; the other templates refuse it."""
+    flags = _flags(template, ezafe, len(batch.at))
+    ids = index._ids
+    affix = None
+    if template.id == "CRF2":
+        # Each affix slot's id per type: a short type (-1) and an affix
+        # that the index lacks read the last row, the sentinel's.
+        rows = np.append(_lookup(index._values["affix"], batch.affixes), -1)
+        affix = ids["affix"][rows[batch.affix_of], np.arange(len(AFFIX_SLOTS))[:, None]]
+    word = ids["word"][_lookup(index._values["word"], batch.words)].T
+    edge = ids["edge"][[0, -1]]
+    ez = ids["ez"][: len(EZ_VALUES)].T
+    return Encoded(ids=_fill(template, batch, flags, word, affix, edge, ez), offsets=batch.offsets)
 
 
 def index_and_encode(
     template: FeatureTemplate,
-    forms: Sequence[str],
-    offsets: Sequence[int],
+    batch: Batch,
     ezafe: Sequence[int] | None = None,
     min_count: int = 1,
 ) -> tuple[FeatureIndex, Encoded]:
-    """Index the keys of training sentences (forms cut by offsets, as in
-    encode) and encode the sentences in one pass. The index holds every key
-    seen at least min_count times, in order of first occurrence over
-    (sentence, position, slot)."""
+    """Index the keys of training sentences (batch, as in encode) and
+    encode them in one pass. The index holds every key seen at least
+    min_count times, in order of first occurrence over (sentence,
+    position, slot)."""
     if min_count < 1:
         raise ValueError("min_count must be positive")
-    batch = _codes(template, forms, offsets, ezafe)
+    flags = _flags(template, ezafe, len(batch.at))
+    T = len(batch.words)
+    word = np.broadcast_to(np.arange(T, dtype=np.int32), (len(W_SLOTS), T))
+    ez = np.broadcast_to(np.arange(len(EZ_VALUES)), (len(EZ_SLOTS), len(EZ_VALUES)))
+    codes = _fill(template, batch, flags, word, batch.affix_of, np.array([[0, 0], [-1, -1]]), ez)
     values = {**_fixed_values(), "word": batch.words, "affix": batch.affixes}
     slots = [_SLOT_COLUMNS[slot] for slot in template.slots]
     # Per slot, the count and the first position of every code (the row
     # of -1, absent slots, comes first and is dropped).
-    n = batch.codes.shape[1]
+    n = codes.shape[1]
     positions = np.arange(n)
     firsts, kept_codes = [], []
     for row, (kind, _) in enumerate(slots):
-        shifted = batch.codes[row] + 1
+        shifted = codes[row] + 1
         count = np.bincount(shifted, minlength=len(values[kind]) + 1)[1:]
         first = np.full(len(values[kind]) + 1, n)
         np.minimum.at(first, shifted, positions)
@@ -392,4 +438,8 @@ def index_and_encode(
     slot_of = np.repeat(numbers, [len(code) for code in kept_codes])[order]
     row_of = np.concatenate(kept_codes).astype(np.int32)[order]
     index = FeatureIndex._of_tables(values, ids, slot_of, row_of)
-    return index, _encoded(batch, template, ids)
+    # Each row of codes becomes, in place, its column of the id table of
+    # its kind (a code of -1 reads the last row, which holds the sentinel).
+    for row, (kind, column) in enumerate(slots):
+        np.take(ids[kind][:, column], codes[row], out=codes[row])
+    return index, Encoded(ids=codes, offsets=batch.offsets)

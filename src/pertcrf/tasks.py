@@ -4,11 +4,13 @@ joint cross-product tagging; one evaluator (evaluate); and the two-stage
 annotation pipeline.
 
 Every per-token quantity is a flat column in corpus order beside the
-sentence offsets, as corpus.Corpus holds them: forms and ezafe input flags
-go into features.encode, gold label ids into crf.train, and crf.decode
-returns one label id per token. Evaluation maps those ids to rows of the
-confusion table by label name (an ezafe model may list "1" before "0"),
-and metrics counts the table and the per-POS ezafe F1 from the codes.
+sentence offsets, as corpus.Corpus holds them: the forms of each text
+become one features.batch, which every model that reads the text encodes
+(with ezafe input flags for ezafe-input templates), gold label ids go
+into crf.train, and crf.decode returns one label id per token.
+Evaluation maps those ids to rows of the confusion table by label name
+(an ezafe model may list "1" before "0"), and metrics counts the table
+and the per-POS ezafe F1 from the codes.
 
 Checkpoint rule: the validation split is encoded once per fit with the
 training index and decoded every eval_every iterations (and at the final
@@ -32,9 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import crf, features
-from .corpus import Corpus, read_corpus_file
+from .corpus import Corpus, check_token_rule, read_corpus_file
 from .crf import CrfModel, TrainConfig
-from .features import FeatureTemplate
+from .features import Batch, FeatureTemplate
 from .metrics import (
     EvalReport,
     binary_metrics,
@@ -104,23 +106,25 @@ class ExperimentResult:
 # Decoding and evaluation over corpus columns
 
 
-def decode(
-    model: CrfModel, forms: Sequence[str], offsets: Sequence[int], ezafe: Sequence[int] | None = None
-) -> np.ndarray:
-    """The label id (an index into model.labels) of every position of the
-    sentences that offsets cut forms into, in corpus order, with one ezafe
-    input flag per position for ezafe-input templates."""
-    encoded = features.encode(model.feature_index, model.template, forms, offsets, ezafe)
+def _batch(corpus: Corpus) -> Batch:
+    return features.batch(corpus.forms, corpus.offsets)
+
+
+def decode(model: CrfModel, batch: Batch, ezafe: Sequence[int] | None = None) -> np.ndarray:
+    """The label id (an index into model.labels) of every position of batch
+    (a features.batch), in corpus order, with one ezafe input flag per
+    position for ezafe-input templates."""
+    encoded = features.encode(model.feature_index, model.template, batch, ezafe)
     return crf.decode(model, encoded)
 
 
-def predict_flags(model: CrfModel, forms: Sequence[str], offsets: Sequence[int]) -> np.ndarray:
+def predict_flags(model: CrfModel, batch: Batch) -> np.ndarray:
     """The decoded int8 ezafe flag of every position (see decode), mapped
     from each label id by the label's name."""
     if label_kind(model.labels) != "ezafe":
         raise ValueError("not an ezafe model: labels are not {0, 1}")
     flag_of = np.array([int(lab) for lab in model.labels], dtype=np.int8)
-    return flag_of[decode(model, forms, offsets)]
+    return flag_of[decode(model, batch)]
 
 
 def label_kind(labels: Sequence[str]) -> str:
@@ -222,12 +226,14 @@ def evaluate(
     corpus: Corpus,
     ezafe: np.ndarray | None = None,
     header: dict | None = None,
+    batch: Batch | None = None,
 ) -> list[EvalReport]:
     """Decode corpus, with one ezafe input flag per token for ezafe-input
     templates, and report it (see _reports): the primary report, then the
     ezafe projection for joint models. Gold labels unseen in training only
-    affect the scores, never the decoding."""
-    pred = decode(model, corpus.forms, corpus.offsets, ezafe)
+    affect the scores, never the decoding. batch is the corpus's
+    features.batch, made here when not given."""
+    pred = decode(model, _batch(corpus) if batch is None else batch, ezafe)
     return _reports(model.labels, pred, corpus, header)
 
 
@@ -240,11 +246,15 @@ def _flag_mode(cfg: ExperimentConfig) -> str:
 
 
 def make_flags(
-    cfg: ExperimentConfig, corpora: Sequence[Corpus], ezafe_model: CrfModel | None = None
+    cfg: ExperimentConfig,
+    corpora: Sequence[Corpus],
+    batches: Sequence[Batch],
+    ezafe_model: CrfModel | None = None,
 ) -> list[np.ndarray | None]:
     """Ezafe input flags of each corpus, one per token: none unless cfg.task
     is pos-ez-input, then gold or predicted as cfg.ezafe_source says, by
-    ezafe_model (read from cfg.ezafe_model_path when not given)."""
+    ezafe_model (read from cfg.ezafe_model_path when not given) from the
+    corpora's batches (their features.batch)."""
     mode = _flag_mode(cfg)
     if mode == "none":
         return [None] * len(corpora)
@@ -254,7 +264,7 @@ def make_flags(
         if not cfg.ezafe_model_path:
             raise ValueError("ezafe_source=predicted needs an ezafe model")
         ezafe_model = crf.load_model_file(cfg.ezafe_model_path)
-    return [predict_flags(ezafe_model, c.forms, c.offsets) for c in corpora]
+    return [predict_flags(ezafe_model, batch) for batch in batches]
 
 
 def fit(
@@ -263,24 +273,27 @@ def fit(
     valid_c: Corpus,
     train_flags: np.ndarray | None = None,
     valid_flags: np.ndarray | None = None,
+    batches: Sequence[Batch] | None = None,
 ) -> tuple[CrfModel, list[TrainLogEntry], int, str, np.ndarray]:
     """Train cfg.task on train_c (with its ezafe input flags, one per token,
     for ezafe-input templates), decoding valid_c every cfg.eval_every
     iterations and at the last one. valid_c is encoded once, with the
-    training index. Returns the model of the checkpoint with the best
-    validation F1 (positive-class F1 for ezafe, macro F1 otherwise;
-    the earliest among ties), the log, the checkpoint's iteration, why
-    training stopped (OwlQnResult.stop), and the model's label id of every
-    token of valid_c."""
+    training index. batches are the features.batch of train_c and
+    valid_c, made here when not given. Returns the model of the checkpoint
+    with the best validation F1 (positive-class F1 for ezafe, macro F1
+    otherwise; the earliest among ties), the log, the checkpoint's
+    iteration, why training stopped (OwlQnResult.stop), and the model's
+    label id of every token of valid_c."""
     if train_c.n_sentences == 0:
         raise ValueError("empty train split")
     if valid_c.n_sentences == 0:
         raise ValueError("empty validation split")
     gold, labels = _gold_labels(cfg.task, train_c)
+    train_batch, valid_batch = batches or (_batch(train_c), _batch(valid_c))
     index, encoded = features.index_and_encode(
-        cfg.template, train_c.forms, train_c.offsets, train_flags, cfg.train_config.min_count
+        cfg.template, train_batch, train_flags, cfg.train_config.min_count
     )
-    valid = features.encode(index, cfg.template, valid_c.forms, valid_c.offsets, valid_flags)
+    valid = features.encode(index, cfg.template, valid_batch, valid_flags)
     log: list[TrainLogEntry] = []
     best = {"f1": float("-inf"), "model": None, "iteration": 0, "pred": None}
 
@@ -344,12 +357,16 @@ def run_experiment(
     fit) and report on validation and test. A joint model's primary reports
     are its POS projection; its ezafe projections land in extra as
     valid_ezafe and test_ezafe."""
-    train_c, valid_c, test_c = corpora if corpora is not None else load_corpora(cfg)
-    train_flags, valid_flags, test_flags = make_flags(cfg, [train_c, valid_c, test_c], ezafe_model)
+    corpora = corpora if corpora is not None else load_corpora(cfg)
+    train_c, valid_c, test_c = corpora
+    batches = [_batch(c) for c in corpora]
+    train_flags, valid_flags, test_flags = make_flags(cfg, corpora, batches, ezafe_model)
     header = _config_header(cfg)
-    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c, train_flags, valid_flags)
+    model, log, best_it, stop, valid_pred = fit(
+        cfg, train_c, valid_c, train_flags, valid_flags, batches[:2]
+    )
     valid = _reports(model.labels, valid_pred, valid_c, header)
-    test = evaluate(model, test_c, test_flags, header)
+    test = evaluate(model, test_c, test_flags, header, batches[2])
     return ExperimentResult(
         model=model,
         valid_report=valid[0],
@@ -401,15 +418,16 @@ def pipeline_tag(
     sentences: Sequence[Sequence[str]], ezafe_model: CrfModel, pos_model: CrfModel
 ) -> Corpus:
     """Two-stage annotation: decode ezafe flags, then decode POS with the
-    flags as input features. Output tokens carry the predictions."""
+    flags as input features, both from one features.batch of the text.
+    Output tokens carry the predictions and obey the token rule."""
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
     forms = list(chain.from_iterable(sentences))
-    lengths = list(map(len, sentences))
-    offsets = np.cumsum([0, *lengths])
-    flags = predict_flags(ezafe_model, forms, offsets)
-    tags = [pos_model.labels[i] for i in decode(pos_model, forms, offsets, flags).tolist()]
-    return Corpus.from_columns(forms, tags, flags.tolist(), lengths)
+    batch = features.batch(forms, np.cumsum([0, *map(len, sentences)]))
+    flags = predict_flags(ezafe_model, batch)
+    pred = decode(pos_model, batch, flags)
+    check_token_rule(forms, [pos_model.labels[i] for i in pred.tolist()])
+    return Corpus.from_codes(forms, pred, pos_model.labels, flags, batch.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +473,14 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     task = values["task"]
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
+    # Keys that the task would not read are refused, not ignored.
+    if "ezafe_source" in values and task != "pos-ez-input":
+        raise ConfigError(f"ezafe_source is read only by task pos-ez-input, not {task}")
+    predicted = task == "pos-ez-input" and values.get("ezafe_source", "predicted") == "predicted"
+    if "ezafe_model" in values and not predicted:
+        raise ConfigError(
+            "ezafe_model is read only by task pos-ez-input with ezafe_source = predicted"
+        )
     try:
         template = FeatureTemplate(
             id=values["template"].upper(), ezafe_input=(task == "pos-ez-input")

@@ -58,7 +58,7 @@ def learnability_data():
     spec = random_spec(4, 200, seed=101, emission_skew=5.0)
     train_c = generate(spec, 5000, seed=102)
     test_c = generate(spec, 1000, seed=103)
-    index, encoded = features.index_and_encode(CRF2, train_c.forms, train_c.offsets)
+    index, encoded = features.index_and_encode(CRF2, features.batch(train_c.forms, train_c.offsets))
     return spec, train_c, test_c, (index, encoded, train_c.tags)
 
 
@@ -171,7 +171,7 @@ def test_criterion_3_learnability_vs_oracle(learnability_data):
     started = time.monotonic()
     spec, train_c, test_c, (index, encoded, gold) = learnability_data
     model, _ = train(index, encoded, gold, train_c.tag_inventory, CRF2, TrainConfig())
-    pred = [model.labels[i] for i in decode(model, test_c.forms, test_c.offsets).tolist()]
+    pred = [model.labels[i] for i in decode(model, features.batch(test_c.forms, test_c.offsets)).tolist()]
     total = test_c.n_tokens
     crf_acc = sum(p == g for p, g in zip(pred, test_c.tag_names())) / total
     decoded = bayes_decode(spec, test_c.forms, test_c.offsets)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import assert_same_text
-from pertcrf import crf
+from pertcrf import crf, features
 from pertcrf.cli import main
 from pertcrf.corpus import Token, Corpus, parse_corpus, write_corpus
 from pertcrf.datagen import random_spec, write_hmm_spec
@@ -223,6 +223,14 @@ class TestTrain:
         assert "--ezafe-model is used only by --task pos-ez-input" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["ezafe", "pos", "joint"])
+    @pytest.mark.parametrize("source", ["gold", "predicted"])
+    def test_unused_ezafe_source_is_usage_error(self, tmp_path, corpus_file, capsys, task, source):
+        args, out = train_args(tmp_path, corpus_file, task=task, extra=["--ezafe-source", source])
+        assert main(args) == 1
+        assert "--ezafe-source is used only by --task pos-ez-input" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("task", ["pos", "pos-ez-input"])
     @pytest.mark.parametrize(
         "tags, message",
@@ -235,7 +243,8 @@ class TestTrain:
     def test_pos_tags_read_as_other_labels_are_data_errors(self, tmp_path, corpus_file, capsys, task, tags, message):
         # eval reads a model's kind from its labels, so a POS model with
         # these tags would be scored as a joint or an ezafe model.
-        args, out = train_args(tmp_path, corpus_file, task=task, extra=["--ezafe-source", "gold"])
+        extra = ["--ezafe-source", "gold"] if task == "pos-ez-input" else []
+        args, out = train_args(tmp_path, corpus_file, task=task, extra=extra)
         text = "\n\n".join(f"a\t{tags[0]}\t0\nb\t{tags[1]}\t1\nc\t{tags[0]}\t0" for _ in range(4))
         for name in ("train.tsv", "valid.tsv"):
             (tmp_path / name).write_text(text + "\n", encoding="utf-8")
@@ -335,6 +344,18 @@ class TestEvalAndTag:
         lines[row] = lines[row].replace(f"T\t{old}\t", f"T\t{new}\t", 1)
         path.write_text("\n".join(lines), encoding="utf-8")
 
+    def test_eval_with_ezafe_model_makes_one_batch(self, tmp_path, corpus_file, ezafe_model_path, monkeypatch):
+        args, pos_out = train_args(
+            tmp_path, corpus_file, task="pos-ez-input", extra=["--ezafe-model", str(ezafe_model_path)]
+        )
+        assert main(args) == 0
+        made = []
+        batch = features.batch
+        monkeypatch.setattr(features, "batch", lambda *a: made.append(batch(*a)) or made[-1])
+        args = ["eval", str(pos_out), str(corpus_file), "--ezafe-model", str(ezafe_model_path)]
+        assert main(args) == 0
+        assert len(made) == 1
+
     def test_model_label_with_whitespace_is_data_error(self, tmp_path, corpus_file, ezafe_model_path, capsys):
         args, pos_out = train_args(
             tmp_path, corpus_file, task="pos-ez-input", extra=["--ezafe-model", str(ezafe_model_path)]
@@ -399,6 +420,26 @@ class TestExperiment:
         assert main(["experiment", str(config)]) == 2
         assert "empty validation split" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task, key", [("ezafe", "ezafe_model = /nonexistent.crf"), ("pos", "ezafe_source = gold")]
+    )
+    def test_key_the_task_does_not_read_is_data_error(self, tmp_path, capsys, task, key):
+        splits = {}
+        for name, sentences, seed in (("train", 50, 6), ("valid", 15, 7), ("test", 15, 8)):
+            splits[name] = tmp_path / f"{name}.tsv"
+            splits[name].write_text(write_corpus(small_corpus(sentences, seed=seed)), encoding="utf-8")
+        out = tmp_path / "model.crf"
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            f"task = {task}\ntemplate = crf1\nmax_iter = 2\n"
+            + "".join(f"{name} = {path}\n" for name, path in splits.items())
+            + f"out = {out}\n{key}\n",
+            encoding="utf-8",
+        )
+        assert main(["experiment", str(config)]) == 2
+        assert "is read only by task pos-ez-input" in capsys.readouterr().err
+        assert not list(tmp_path.glob("model.crf*"))
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

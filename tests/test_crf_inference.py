@@ -17,7 +17,7 @@ from pertcrf.crf import (
     decode,
     nll_and_gradient,
 )
-from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
+from pertcrf.features import FeatureIndex, FeatureTemplate, batch, encode, index_and_encode
 
 CRF1 = FeatureTemplate(id="CRF1")
 
@@ -255,16 +255,14 @@ class TestPackedLayout:
     def test_decode_empty(self):
         model = tiny_model(np.zeros((2, 2)), np.zeros((2, 2)))
         assert decode_keys(model, []) == []
-        ids = decode(model, encode(model.feature_index, CRF1, [], [0]))
+        ids = decode(model, encode(model.feature_index, CRF1, batch([], [0])))
         assert ids.tolist() == [] and ids.dtype == np.intp
 
     def test_zero_token_sentence_named(self):
         model = tiny_model(np.zeros((2, 2)), np.zeros((2, 2)))
         forms, offsets = flat([["a"], ["b", "a"], [], ["a"]])
         with pytest.raises(ValueError, match="sentence 2: no positions"):
-            encode(model.feature_index, CRF1, forms, offsets)
-        with pytest.raises(ValueError, match="sentence 2: no positions"):
-            index_and_encode(CRF1, forms, offsets)
+            batch(forms, offsets)
 
 
 @pytest.mark.filterwarnings("error")
@@ -408,7 +406,7 @@ class TestValidation:
             labels=[f"y{i}" for i in range(L)],
             features=[f"w[0]=f{i}" for i in range(F)],
         )
-        encoded = encode(model.feature_index, CRF1, ["f1", "f2", "x"], [0, 3])
+        encoded = encode(model.feature_index, CRF1, batch(["f1", "f2", "x"], [0, 3]))
         tracemalloc.start()
         try:
             decode(model, encoded)

@@ -16,7 +16,7 @@ from oracles import (
     reference_model_text,
     sentence_features,
 )
-from pertcrf import crf
+from pertcrf import crf, features
 from pertcrf.crf import (
     CrfModel,
     ModelFormatError,
@@ -215,7 +215,7 @@ class TestRaggedKernels:
     def test_nll_and_gradient_bit_identical(self, template, l2):
         corpus = generate(tuned_ezafe_spec(0.22), 60, seed=3)
         flags = corpus.ezafe if template.ezafe_input else None
-        index, encoded = index_and_encode(template, corpus.forms, corpus.offsets, flags)
+        index, encoded = index_and_encode(template, features.batch(corpus.forms, corpus.offsets), flags)
         F, L = len(index), len(corpus.tag_inventory)
         rng = np.random.default_rng(11)
         x = rng.normal(0.0, 0.5, size=F * L + L * L)
@@ -235,7 +235,7 @@ class TestPairObjective:
     @staticmethod
     def problem(n_sentences=12, seed=3):
         corpus = generate(tuned_ezafe_spec(0.22), n_sentences, seed=seed)
-        index, encoded = index_and_encode(CRF2, corpus.forms, corpus.offsets)
+        index, encoded = index_and_encode(CRF2, features.batch(corpus.forms, corpus.offsets))
         F, L = len(index), len(corpus.tag_inventory)
         return corpus, index, encoded, F, L
 
@@ -436,7 +436,7 @@ class TestTrain:
         gold = gold_ids(labels, [gold for _, gold in batch])
         config = TrainConfig(l1=0.0, l2=0.1, max_iterations=3, min_count=4)
         column, offsets = flat(forms)
-        index, encoded = index_and_encode(CRF2, column, offsets, min_count=config.min_count)
+        index, encoded = index_and_encode(CRF2, features.batch(column, offsets), min_count=config.min_count)
         seen = []
         on_iteration = lambda it, obj, m: seen.append(obj)
         model, _ = train(index, encoded, gold, labels, CRF2, config, on_iteration=on_iteration)
@@ -447,7 +447,7 @@ class TestTrain:
                     counts[k] = counts.get(k, 0) + 1
         assert set(model.feature_index.keys()) == {k for k, c in counts.items() if c >= 4}
         assert len(model.feature_index) < len(counts)
-        encoded = encode(model.feature_index, CRF2, column, offsets)
+        encoded = encode(model.feature_index, CRF2, features.batch(column, offsets))
         nll, _ = nll_and_gradient(model, encoded, gold, l2=config.l2)
         assert seen[-1] == pytest.approx(nll, rel=1e-12)
 
@@ -457,7 +457,7 @@ class TestTrain:
             TrainConfig(min_count=min_count)
 
     def test_empty_training_data(self):
-        index, encoded = index_and_encode(CRF1, [], [0])
+        index, encoded = index_and_encode(CRF1, features.batch([], [0]))
         with pytest.raises(ValueError, match="empty"):
             train(index, encoded, np.empty(0, dtype=int), ["a", "b"], CRF1)
 
@@ -634,7 +634,7 @@ class TestModelIO:
         # Keys and labels with ZWNJ, digits, = and |; weights of every
         # magnitude, signed zeros and subnormals.
         flags = c.ezafe if template.ezafe_input else None
-        index, encoded = index_and_encode(template, c.forms, c.offsets, flags)
+        index, encoded = index_and_encode(template, features.batch(c.forms, c.offsets), flags)
         labels = c.tag_inventory
         rng = np.random.default_rng(seed)
         F, L = len(index), len(labels)
@@ -656,7 +656,7 @@ class TestModelIO:
         assert np.array_equal(np.signbit(restored.emission), np.signbit(model.emission))
         assert np.array_equal(restored.transition, model.transition)
         assert_same_text(save_model(restored), text)
-        again = encode(restored.feature_index, template, c.forms, c.offsets, flags)
+        again = encode(restored.feature_index, template, features.batch(c.forms, c.offsets), flags)
         assert np.array_equal(again.ids, encoded.ids)
 
     def test_file_round_trip(self, tmp_path):

@@ -234,6 +234,43 @@ class TestBayesDecode:
         reference = [state for s in sentences for state in reference_bayes_decode(spec, s)]
         assert bayes_decode(spec, c.forms, c.offsets) == per_sentence == reference
 
+    @pytest.mark.parametrize("block", [1, 4, 9, 40])
+    @pytest.mark.parametrize(
+        "make_spec", [lambda: random_spec(3, 20, seed=17), homograph_spec], ids=["random", "homograph"]
+    )
+    def test_blocks_equal_one_call(self, monkeypatch, make_spec, block):
+        # homograph_spec's h-words tie H1 and H2 exactly.
+        spec = make_spec()
+        c = generate(spec, 150, seed=19, length_dist=GeometricLength(1, 8, 0.7))
+        whole = bayes_decode(spec, c.forms, c.offsets)
+        sizes = []
+        modes = datagen._posterior_modes
+        monkeypatch.setattr(datagen, "_ORACLE_BLOCK", block)
+        monkeypatch.setattr(
+            datagen, "_posterior_modes", lambda sp, obs, *a: sizes.append(len(obs)) or modes(sp, obs, *a)
+        )
+        assert bayes_decode(spec, c.forms, c.offsets) == whole
+        # Whole consecutive sentences per block: at most block positions,
+        # or one longer sentence.
+        assert sum(sizes) == c.n_tokens and len(sizes) > 1
+        lengths = np.diff(c.offsets).tolist()
+        for size in sizes:
+            assert size <= block or size == lengths[0]
+            taken = 0
+            while taken < size:
+                taken += lengths.pop(0)
+            assert taken == size
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_name_the_corpus_sentence(self, monkeypatch, block):
+        spec = homograph_spec()
+        c = generate(spec, 6, seed=2)
+        forms = list(c.forms) + ["h0", "h0"] + list(c.forms)
+        offsets = np.concatenate([c.offsets, c.offsets[-1] + 2 + c.offsets])
+        monkeypatch.setattr(datagen, "_ORACLE_BLOCK", block)
+        with pytest.raises(ValueError, match="^sentence 6: zero probability under the spec$"):
+            bayes_decode(spec, forms, offsets)
+
     def test_zero_probability_sentence_named(self):
         # H1 and H2 never follow each other, and only they emit h-words.
         spec = homograph_spec()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import corpora, forms, persian_tokens
 from oracles import corpus_features, encode_keys, position_ids, reference_index, reference_keys
 from pertcrf.corpus import Corpus, Token
-from pertcrf.features import FeatureIndex, FeatureTemplate, encode, index_and_encode
+from pertcrf.features import FeatureIndex, FeatureTemplate, batch, encode, index_and_encode
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF2 = FeatureTemplate(id="CRF2")
@@ -16,7 +16,7 @@ CRF2_EZ = FeatureTemplate(id="CRF2", ezafe_input=True)
 def sentence_features(forms, template, ezafe=None):
     """The keys of every position of one sentence, in emission order, as
     the training encoder indexes and encodes them."""
-    index, encoded = index_and_encode(template, forms, [0, len(forms)], ezafe)
+    index, encoded = index_and_encode(template, batch(forms, [0, len(forms)]), ezafe)
     keys = list(index.keys())
     return [[keys[i] for i in ids] for ids in position_ids(encoded, len(keys))]
 
@@ -146,7 +146,7 @@ class TestExtract:
 
 def trained_index(corpus, template, min_count=1, ezafe=None):
     """The feature index that training on corpus builds."""
-    return index_and_encode(template, corpus.forms, corpus.offsets, ezafe, min_count)[0]
+    return index_and_encode(template, batch(corpus.forms, corpus.offsets), ezafe, min_count)[0]
 
 
 class TestIndex:
@@ -180,7 +180,7 @@ class TestIndex:
     def test_unknown_feature_maps_to_nothing(self):
         index = trained_index(self.one_token_corpus(), CRF1)
         n = len(index)
-        encoded = encode(index, CRF1, ["unseen", "tak"], [0, 1, 2])
+        encoded = encode(index, CRF1, batch(["unseen", "tak"], [0, 1, 2]))
         # All but w[0]=unseen, which holds the sentinel n, then all eleven
         # keys of tak.
         assert encoded.ids.T.tolist() == [[0, 1, 2, 3, 4, n, 6, 7, 8, 9, 10], list(range(11))]
@@ -202,14 +202,14 @@ class TestIndex:
             with pytest.raises(ValueError, match=f"{len(flags)} ezafe flags for 2 positions"):
                 trained_index(c, CRF2_EZ, ezafe=flags)
             with pytest.raises(ValueError, match=f"{len(flags)} ezafe flags for 2 positions"):
-                encode(FeatureIndex([]), CRF2_EZ, c.forms, c.offsets, flags)
+                encode(FeatureIndex([]), CRF2_EZ, batch(c.forms, c.offsets), flags)
 
     def test_flag_value_two_rejected(self):
         with pytest.raises(ValueError, match="0 or 1, got 2"):
             trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[2])
 
     def test_empty_batch_takes_empty_flags(self):
-        encoded = encode(FeatureIndex([]), CRF2_EZ, [], [0], [])
+        encoded = encode(FeatureIndex([]), CRF2_EZ, batch([], [0]), [])
         assert encoded.ids.shape == (len(CRF2_EZ.slots), 0) and encoded.offsets.tolist() == [0]
 
     def test_ezafe_template_index(self):
@@ -244,11 +244,11 @@ class TestEncoderEqualsReference:
     def test_training_and_decoding_encoders(self, c, other, template, min_count):
         flags = c.ezafe if template.ezafe_input else None
         strings = corpus_features(c, template, flags)
-        index, encoded = index_and_encode(template, c.forms, c.offsets, flags, min_count)
+        index, encoded = index_and_encode(template, batch(c.forms, c.offsets), flags, min_count)
         assert list(index.keys()) == reference_keys(strings, min_count)
         F, keys = len(index), index.keys()
         want = position_ids(encode_keys(index, strings), F)
-        for got in (encoded, encode(index, template, c.forms, c.offsets, flags)):
+        for got in (encoded, encode(index, template, batch(c.forms, c.offsets), flags)):
             assert got.ids.dtype == np.int32 and got.ids.shape == (len(template.slots), c.n_tokens)
             assert got.ids.max(initial=F) == F
             assert position_ids(got, F) == want
@@ -259,7 +259,7 @@ class TestEncoderEqualsReference:
         # Decoding text the index was not made from: unknown forms,
         # affixes and flag windows hold the sentinel.
         other_flags = other.ezafe if template.ezafe_input else None
-        got = encode(index, template, other.forms, other.offsets, other_flags)
+        got = encode(index, template, batch(other.forms, other.offsets), other_flags)
         want = encode_keys(index, corpus_features(other, template, other_flags))
         assert got.ids.max(initial=F) == F
         assert position_ids(got, F) == position_ids(want, F)
@@ -275,5 +275,66 @@ class TestEncoderEqualsReference:
 
     def test_keys_outside_the_grammar_never_match(self):
         index = FeatureIndex(["f0", "w[0]", "BOS=1", "ez[0]=2", "pre2=abc", "w[9]=a", "w[0]=a"])
-        encoded = encode(index, CRF2_EZ, ["a", "abc"], [0, 2], [0, 1])
+        encoded = encode(index, CRF2_EZ, batch(["a", "abc"], [0, 2]), [0, 1])
         assert position_ids(encoded, len(index)) == [[6], []]
+
+
+class TestSharedBatch:
+    """One features.batch, read by every index that encodes its text, gives
+    what a batch made for each index alone gives, and the string reference."""
+
+    TRAIN = [["ketab", "e", "xub", "ra"], ["man", "ketab", "ra", "xandam"], ["a", "ab"], ["__BOS__", "ab"]]
+    # Forms the indexes lack, forms shorter than an affix, and a token
+    # spelled like the sentinel; the first and last sentences have one
+    # position, so their BOS and EOS meet.
+    TEXT = [["__BOS__"], ["ketab", "zz", "e", "ab", "__EOS__", "q"], ["a"], ["xub", "ketaabha"]]
+
+    @staticmethod
+    def corpus(sentences):
+        return Corpus.from_sentences(
+            [tuple(Token(form=f, pos="N", ezafe=i % 2) for i, f in enumerate(s)) for s in sentences]
+        )
+
+    def indexes(self):
+        train = self.corpus(self.TRAIN)
+        out = []
+        for template in (CRF1, CRF2, CRF2_EZ):
+            flags = train.ezafe if template.ezafe_input else None
+            out.append((template, index_and_encode(template, batch(train.forms, train.offsets), flags)[0]))
+        keys = out[2][1].keys() + ["f0", "w[9]=a", "pre2=abc", "ez[0]=2"]
+        return out + [(CRF2_EZ, FeatureIndex(keys))]
+
+    @pytest.mark.parametrize("sentences", [TEXT, []], ids=["text", "empty"])
+    def test_one_batch_equals_one_per_index(self, sentences):
+        text = self.corpus(sentences)
+        shared = batch(text.forms, text.offsets)
+        arrays = lambda b: [b.offsets, b.padded, b.at, b.affix_of]
+        kept = [a.copy() for a in arrays(shared)]
+        for template, index in self.indexes():
+            flags = text.ezafe if template.ezafe_input else None
+            got = encode(index, template, shared, flags)
+            alone = encode(index, template, batch(text.forms, text.offsets), flags)
+            assert np.array_equal(got.ids, alone.ids) and np.array_equal(got.offsets, alone.offsets)
+            assert got.ids.shape == (len(template.slots), text.n_tokens)
+            want = encode_keys(index, corpus_features(text, template, flags))
+            assert position_ids(got, len(index)) == position_ids(want, len(index))
+        # Training on the shared batch reads it too, and changes it no more
+        # than decoding does.
+        index, encoded = index_and_encode(CRF2_EZ, shared, text.ezafe)
+        alone = index_and_encode(CRF2_EZ, batch(text.forms, text.offsets), text.ezafe)
+        assert index.keys() == alone[0].keys() and np.array_equal(encoded.ids, alone[1].ids)
+        assert all(map(np.array_equal, kept, arrays(shared)))
+
+    def test_text_keys(self):
+        # What the batch encodes at the focus of the sentinel-spelled token
+        # (its affixes too), of a form that no index holds and of a
+        # two-scalar form.
+        template, index = self.indexes()[1]
+        text = self.corpus(self.TEXT)
+        keys = index.keys()
+        ids = position_ids(encode(index, template, batch(text.forms, text.offsets)), len(index))
+        at = lambda p: {keys[i] for i in ids[p]}
+        assert {"w[0]=__BOS__", "w[-1]=__BOS__", "pre3=__B", "suf3=S__", "BOS", "EOS"} <= at(0)
+        assert not any(k.startswith("w[0]=") for k in at(2)) and "w[-1]=ketab" in at(2)
+        assert {"pre1=a", "pre2=ab", "suf2=ab", "suf1=b"} <= at(4)
+        assert not any(k.startswith(("pre3", "suf3")) for k in at(4))

@@ -7,7 +7,7 @@ from conftest import corpora, persian_tokens
 from oracles import reference_confusion, reference_ezafe_f1_per_pos
 from pertcrf.corpus import Corpus
 from pertcrf.crf import CrfModel
-from pertcrf.features import FeatureTemplate, index_and_encode
+from pertcrf.features import FeatureTemplate, batch, index_and_encode
 from pertcrf.metrics import (
     ConfusionTable,
     EvalReport,
@@ -157,7 +157,7 @@ class TestEzafePerPos:
 def random_model(corpus, labels, seed):
     """A CRF1 model over the keys of corpus with the given labels and
     random weights, so that its predictions are arbitrary labels."""
-    index, _ = index_and_encode(FeatureTemplate(id="CRF1"), corpus.forms, corpus.offsets)
+    index, _ = index_and_encode(FeatureTemplate(id="CRF1"), batch(corpus.forms, corpus.offsets))
     rng = np.random.default_rng(seed)
     F, L = len(index), len(labels)
     return CrfModel(
@@ -203,7 +203,7 @@ class TestAgainstLoopReference:
         gold = c.by_sentence(c.tag_names())
 
         def predicted(model):
-            return c.by_sentence([model.labels[i] for i in decode(model, c.forms, c.offsets).tolist()])
+            return c.by_sentence([model.labels[i] for i in decode(model, batch(c.forms, c.offsets)).tolist()])
 
         # POS: the inventory in another order, then tags outside it. fit
         # refuses POS tags that hold the joint separator, so they are renamed.

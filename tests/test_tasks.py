@@ -129,7 +129,7 @@ class TestCheckpointReplay:
         cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config, eval_every=3)
         model, log, best_it, _, _ = fit(cfg, train_c, valid_c)
         # deterministic retrain, capturing weights at every iteration
-        index, encoded = features.index_and_encode(CRF1, train_c.forms, train_c.offsets)
+        index, encoded = features.index_and_encode(CRF1, features.batch(train_c.forms, train_c.offsets))
         captured = {}
         crf.train(
             index,
@@ -167,12 +167,12 @@ class TestCheckpointReplay:
         monkeypatch.setattr(
             features,
             "index_and_encode",
-            lambda t, f, o, *a: calls.append(("index", len(o) - 1)) or index_and_encode(t, f, o, *a),
+            lambda t, b, *a: calls.append(("index", len(b.offsets) - 1)) or index_and_encode(t, b, *a),
         )
         monkeypatch.setattr(
             features,
             "encode",
-            lambda i, t, f, o, *a: calls.append(("encode", len(o) - 1)) or encode(i, t, f, o, *a),
+            lambda i, t, b, *a: calls.append(("encode", len(b.offsets) - 1)) or encode(i, t, b, *a),
         )
         cfg = ExperimentConfig(
             task="ezafe", template=CRF1, train_config=TrainConfig(max_iterations=7), eval_every=3
@@ -199,7 +199,7 @@ class TestCheckpointReplay:
         encoded = []
         encode = features.encode
         monkeypatch.setattr(
-            features, "encode", lambda i, t, f, o, *a: encoded.append(len(o) - 1) or encode(i, t, f, o, *a)
+            features, "encode", lambda i, t, b, *a: encoded.append(len(b.offsets) - 1) or encode(i, t, b, *a)
         )
         result = run_experiment(cfg, rule_corpora)
         assert encoded == [valid_c.n_sentences, rule_corpora[2].n_sentences]
@@ -231,7 +231,7 @@ class TestRunPos:
     def test_predicted_flags_from_perfect_model_match_gold(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
         for c in corpora:
-            assert predict_flags(ezafe_model, c.forms, c.offsets).tolist() == c.ezafe.tolist()
+            assert predict_flags(ezafe_model, features.batch(c.forms, c.offsets)).tolist() == c.ezafe.tolist()
         cfg = gold_flags_cfg(15)
         gold_run = run_experiment(cfg, corpora)
         pred_run = run_experiment(replace(cfg, ezafe_source="predicted"), corpora, ezafe_model)
@@ -290,9 +290,9 @@ class TestRunPos:
         for wrong in (flags[:-1], np.concatenate([flags, flags[:1]])):
             msg = f"{len(wrong)} ezafe flags for {c.n_tokens} positions"
             with pytest.raises(ValueError, match=msg):
-                features.index_and_encode(CRF1_EZ, c.forms, c.offsets, wrong)
+                features.index_and_encode(CRF1_EZ, features.batch(c.forms, c.offsets), wrong)
             with pytest.raises(ValueError, match=msg):
-                decode(model, c.forms, c.offsets, wrong)
+                decode(model, features.batch(c.forms, c.offsets), wrong)
             with pytest.raises(ValueError, match=msg):
                 evaluate(model, c, ezafe=wrong)
             with pytest.raises(ValueError, match=msg):
@@ -349,7 +349,7 @@ class TestRunJoint:
         assert ("V", 1) not in observed_pairs
         assert ("ADJ", 1) not in observed_pairs
         test_c = rule_corpora[2]
-        preds = decode(result.model, test_c.forms, test_c.offsets)
+        preds = decode(result.model, features.batch(test_c.forms, test_c.offsets))
         assert len(preds) == test_c.n_tokens
         for i in preds.tolist():
             pos, ez = split_joint(result.model.labels[i])
@@ -380,6 +380,38 @@ class TestRunJoint:
             split_joint("|1")
 
 
+def count_batches(monkeypatch):
+    """The features.batch made from here on, and the batch of every encode
+    and index_and_encode call, in call order."""
+    made, read = [], []
+    batch, encode, index_and_encode = features.batch, features.encode, features.index_and_encode
+    monkeypatch.setattr(features, "batch", lambda *a: made.append(batch(*a)) or made[-1])
+    monkeypatch.setattr(features, "encode", lambda i, t, b, *a: read.append(b) or encode(i, t, b, *a))
+    monkeypatch.setattr(
+        features, "index_and_encode", lambda t, b, *a: read.append(b) or index_and_encode(t, b, *a)
+    )
+    return made, read
+
+
+class TestOneBatchPerText:
+    def test_pipeline_tag(self, perfect_ezafe_setup, monkeypatch):
+        corpora, ezafe_model = perfect_ezafe_setup
+        pos_model = run_experiment(gold_flags_cfg(5), corpora).model
+        test_c = corpora[2]
+        made, read = count_batches(monkeypatch)
+        pipeline_tag(test_c.by_sentence(test_c.forms), ezafe_model, pos_model)
+        assert len(made) == 1 and len(read) == 2 and all(b is made[0] for b in read)
+
+    def test_run_experiment_with_predicted_flags(self, perfect_ezafe_setup, monkeypatch):
+        corpora, ezafe_model = perfect_ezafe_setup
+        made, read = count_batches(monkeypatch)
+        run_experiment(replace(gold_flags_cfg(5), ezafe_source="predicted"), corpora, ezafe_model)
+        # One batch per split, read by the ezafe model and then by
+        # training, the checkpoints or the test decode.
+        assert len(made) == 3
+        assert [sum(b is m for b in read) for m in made] == [2, 2, 2]
+
+
 class TestPipeline:
     def test_empty_input(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
@@ -390,9 +422,9 @@ class TestPipeline:
     def test_zero_token_sentence_named(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
         pos_model = run_experiment(gold_flags_cfg(5), corpora).model
-        assert predict_flags(ezafe_model, [], [0]).tolist() == []
+        assert predict_flags(ezafe_model, features.batch([], [0])).tolist() == []
         with pytest.raises(ValueError, match="sentence 1: no positions"):
-            predict_flags(ezafe_model, ["ea"], [0, 1, 1])
+            features.batch(["ea"], [0, 1, 1])
         with pytest.raises(ValueError, match="sentence 2: no positions"):
             pipeline_tag([["ea"], ["ea", "b"], []], ezafe_model, pos_model)
 
@@ -403,8 +435,9 @@ class TestPipeline:
         forms = [[t.form for t in s] for s in test_c.sentences]
         tagged = pipeline_tag(forms, ezafe_model, pos_model)
         assert [len(s) for s in tagged.sentences] == [len(s) for s in test_c.sentences]
-        flags = predict_flags(ezafe_model, test_c.forms, test_c.offsets)
-        direct = decode(pos_model, test_c.forms, test_c.offsets, flags)
+        batch = features.batch(test_c.forms, test_c.offsets)
+        flags = predict_flags(ezafe_model, batch)
+        direct = decode(pos_model, batch, flags)
         assert tagged.tag_names() == [pos_model.labels[i] for i in direct.tolist()]
         assert tagged.ezafe.tolist() == flags.tolist()
 
@@ -493,6 +526,30 @@ class TestConfig:
                 "task = ezafe\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\nmin_count = 0\n"
             )
 
+    @pytest.mark.parametrize(
+        "task, extra, message",
+        [
+            ("ezafe", "ezafe_model = /nonexistent.crf", "ezafe_model is read only by"),
+            ("pos", "ezafe_model = m.crf", "ezafe_model is read only by"),
+            ("joint", "ezafe_model = m.crf", "ezafe_model is read only by"),
+            ("pos-ez-input", "ezafe_source = gold\nezafe_model = m.crf", "ezafe_model is read only by"),
+            ("ezafe", "ezafe_source = predicted", "ezafe_source is read only by"),
+            ("pos", "ezafe_source = gold", "ezafe_source is read only by"),
+            ("joint", "ezafe_source = gold", "ezafe_source is read only by"),
+        ],
+    )
+    def test_keys_the_task_does_not_read_are_refused(self, task, extra, message):
+        text = f"task = {task}\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\n{extra}\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_experiment_config(text)
+
+    def test_ezafe_keys_the_task_reads_are_kept(self):
+        base = "task = pos-ez-input\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\n"
+        cfg = parse_experiment_config(base + "ezafe_source = predicted\nezafe_model = m.crf\n")
+        assert (cfg.ezafe_source, cfg.ezafe_model_path) == ("predicted", "m.crf")
+        cfg = parse_experiment_config(base + "ezafe_source = gold\n")
+        assert (cfg.ezafe_source, cfg.ezafe_model_path) == ("gold", None)
+
     def test_run_experiment_dispatch(self, rule_corpora):
         cfg = ezafe_cfg()
         result = run_experiment(cfg, corpora=rule_corpora)
@@ -541,7 +598,7 @@ class TestStopReason:
         assert (stop, log, best_it) == ("zero_step", [], 0)
         assert not np.any(model.emission)
         valid_c = rule_corpora[1]
-        assert np.array_equal(valid_pred, decode(model, valid_c.forms, valid_c.offsets))
+        assert np.array_equal(valid_pred, decode(model, features.batch(valid_c.forms, valid_c.offsets)))
 
     def test_line_search(self, rule_corpora, monkeypatch):
         # Every trial point lies outside the objective's domain.
