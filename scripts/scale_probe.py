@@ -12,22 +12,33 @@ corpus (the one pass of `tasks.fit`: `features.batch`, then
 builds; the gold label ids are the corpus's tag codes), and one
 evaluation of the training objective at x = 0 (the minimum of 3), over
 the parameters that `crf.train` fits: the (feature, label) pairs seen in
-the corpus, then the transitions. It then times one OWL-QN iteration from x = 0 with the
-default penalties (l1 = l2 = 0.1), which gives the kind of model the
-ingest-ezafe benchmark saves, and times `crf.save_model` and
-`crf.load_model` on it. Last, it times the Bayes oracle over the whole
+the corpus, then the transitions. One more evaluation runs under
+tracemalloc for the bytes it allocates at its peak beyond those held
+before it (eval_peak_mb). It then runs --iterations OWL-QN iterations
+from x = 0 with the default penalties (l1 = l2 = 0.1), which gives the
+kind of model the ingest-ezafe benchmark saves: step_s is the whole run,
+the evaluation at x = 0 included; iteration_s is the mean accepted
+iteration after it, split into the L-BFGS direction (direction_s, the
+two-loop recursion) and the line search (linesearch_s: the trial points,
+their evaluations and the curvature update); evals_per_iteration counts
+the evaluations of an iteration. It times `crf.save_model` and
+`crf.load_model` on the model, and last the Bayes oracle over the whole
 corpus, one `datagen.bayes_decode(spec, forms, offsets)` call (oracle_s).
 Prints one JSON object with those times, F, the dense parameter count
 (F * L + L * L) beside the observed pairs, the bytes of the vectors that
 OWL-QN holds over the trained parameters (optimizer_state_mb), the parsed
 corpus's size (parsed_mb), the bytes per token of the encoded corpus and
-its packed layout's index arrays (encoded_bytes_per_token), the model
-text's size, and the process's peak RSS twice: before model I/O
-(peak_rss_mb) and after it, before the oracle (io_peak_rss_mb).
+its packed layout's arrays (encoded_bytes_per_token), the model text's
+size, the process's peak RSS twice: before model I/O (peak_rss_mb) and
+after it, before the oracle (io_peak_rss_mb), and a linear extrapolation
+of the evaluation, the iteration, a 100-iteration run and the peak RSS
+above the interpreter's own to 8M training tokens (extrapolated_8M; the
+direction and the optimizer state grow with the pairs, which grow slower
+than the tokens, so this over-estimates them).
 
 Run one configuration per process, so that each peak RSS is its own:
 
-    python scripts/scale_probe.py --tokens 50000 --labels 30
+    python scripts/scale_probe.py --tokens 50000 --labels 30 --iterations 3
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set. The package is
 imported from PYTHONPATH when it is found there, else from this checkout's
@@ -55,6 +66,7 @@ from pertcrf.features import FeatureTemplate  # noqa: E402
 
 SEED = 5  # generator seed
 REPEATS = 3  # objective evaluations timed; the minimum is reported
+EXTRAPOLATE_TOKENS = 8_000_000  # training tokens of the paper's protocol
 MEMORY = inspect.signature(optim.minimize_owlqn).parameters["memory"].default
 # Parameter-length vectors that minimize_owlqn holds at once: MEMORY (s, y)
 # curvature pairs, then x, g, the pseudo-gradient, the direction, the
@@ -91,7 +103,11 @@ def main() -> None:
     ap.add_argument("--tokens", type=int, required=True, help="minimum corpus size in tokens")
     ap.add_argument("--labels", type=int, required=True, help="POS tagset size (states of the process)")
     ap.add_argument("--vocab", type=int, default=20000, help="vocabulary size of the process")
+    ap.add_argument("--iterations", type=int, default=1, help="OWL-QN iterations to run (default 1)")
     args = ap.parse_args()
+    if args.iterations < 1:
+        ap.error("--iterations must be positive")
+    base_rss_mb = peak_rss()  # the interpreter and numpy, before any data
 
     spec, spec_s = timed(lambda: datagen.tuned_ezafe_spec(0.22, n_states=args.labels, vocab_size=args.vocab))
     generated, generate_s = timed(lambda: generate_tokens(spec, args.tokens, SEED))
@@ -115,19 +131,48 @@ def main() -> None:
 
     (index, packed), encode_s = timed(encode)
     F, L = len(index), len(labels)
-    encoded_bytes = sum(
-        a.nbytes for a in (packed.ids, packed.offsets, packed.steps, packed.row, packed.order)
-    )
+    encoded_bytes = sum(a.nbytes for a in vars(packed).values() if isinstance(a, np.ndarray))
     config = crf.TrainConfig()
     objective = crf._Objective(packed, gold, F, L, config.l2)
     P = len(objective.cells)
     x = np.zeros(objective.size)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
+    tracemalloc.start()
+    held = tracemalloc.get_traced_memory()[0]
+    objective(x)
+    eval_peak_mb = (tracemalloc.get_traced_memory()[1] - held) / 2**20
+    tracemalloc.stop()
     peak_rss_mb = peak_rss()
 
-    result, step_s = timed(
-        lambda: optim.minimize_owlqn(objective, x, l1=config.l1, max_iterations=1, tolerance=config.tolerance)
-    )
+    counted = {"evals": 0, "eval_s": 0.0, "direction_s": 0.0}
+
+    def counted_objective(v):
+        counted["evals"] += 1
+        result, seconds = timed(lambda: objective(v))
+        counted["eval_s"] += seconds
+        return result
+
+    direction = optim._lbfgs_direction
+
+    def timed_direction(*a):
+        d, seconds = timed(lambda: direction(*a))
+        counted["direction_s"] += seconds
+        return d
+
+    optim._lbfgs_direction = timed_direction
+    try:
+        result, step_s = timed(
+            lambda: optim.minimize_owlqn(
+                counted_objective, x, l1=config.l1, max_iterations=args.iterations, tolerance=config.tolerance
+            )
+        )
+    finally:
+        optim._lbfgs_direction = direction
+    first_eval_s = min(evals)  # the evaluation at x = 0 that the run starts with
+    iterations, stop = result.iterations, result.stop
+    its = max(iterations, 1)
+    iteration_s = (step_s - first_eval_s) / its
+    direction_s = counted["direction_s"] / its
     model = crf.CrfModel(
         labels=labels,
         feature_index=index,
@@ -141,6 +186,7 @@ def main() -> None:
     io_peak_rss_mb = peak_rss()
     _, oracle_s = timed(lambda: datagen.bayes_decode(spec, corpus.forms, corpus.offsets))
 
+    scale = EXTRAPOLATE_TOKENS / corpus.n_tokens
     print(json.dumps({
         "tokens": corpus.n_tokens,
         "sentences": corpus.n_sentences,
@@ -157,13 +203,27 @@ def main() -> None:
         "encode_s": round(encode_s, 4),
         "encoded_bytes_per_token": round(encoded_bytes / corpus.n_tokens, 1),
         "eval_s": round(min(evals), 4),
+        "eval_peak_mb": round(eval_peak_mb, 2),
         "peak_rss_mb": peak_rss_mb,
         "step_s": round(step_s, 4),
+        "iterations": iterations,
+        "stop": stop,
+        "evals_per_iteration": round((counted["evals"] - 1) / its, 2),
+        "iteration_s": round(iteration_s, 4),
+        "direction_s": round(direction_s, 6),
+        "linesearch_s": round(iteration_s - direction_s, 4),
         "save_s": round(save_s, 4),
         "load_s": round(load_s, 4),
         "model_mb": round(len(model_text.encode("utf-8")) / 2**20, 2),
         "io_peak_rss_mb": io_peak_rss_mb,
         "oracle_s": round(oracle_s, 4),
+        "extrapolated_8M": {
+            "tokens": EXTRAPOLATE_TOKENS,
+            "eval_s": round(min(evals) * scale, 1),
+            "iteration_s": round(iteration_s * scale, 1),
+            "train_100_h": round(100 * iteration_s * scale / 3600, 2),
+            "peak_rss_gb": round((base_rss_mb + (peak_rss_mb - base_rss_mb) * scale) / 1024, 1),
+        },
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

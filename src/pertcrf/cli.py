@@ -31,6 +31,7 @@ from .crf import ModelFormatError, TrainConfig, TransitionSpanError
 from .datagen import GeometricLength, HmmSpecError, generate, read_hmm_spec_file
 from .features import FeatureTemplate
 from .optim import DivergenceError
+from .rng import check_seed
 from .tasks import ConfigError, ExperimentConfig
 
 EXIT_USAGE = 1
@@ -107,13 +108,16 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = read_hmm_spec_file(args.spec)
+    if args.sentences < 1:
+        raise UsageError("--sentences must be positive")
     try:
+        check_seed(args.seed)
         length_dist = GeometricLength(
             min_len=args.min_len, max_len=args.max_len, continue_prob=args.continue_prob
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    spec = read_hmm_spec_file(args.spec)
     corpus = generate(spec, args.sentences, args.seed, length_dist)
     _atomic_write(args.out, write_corpus(corpus))
     print(f"wrote {corpus.n_sentences} sentences / {corpus.n_tokens} tokens to {args.out}")

@@ -23,7 +23,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 DEFAULT_SEED = 17
 DEFAULT_TEST_FRACTION = 0.1
@@ -242,8 +242,7 @@ class SplitSpec:
     valid_fraction: float = DEFAULT_VALID_FRACTION
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_seed(self.seed)
         if not 0.0 < self.test_fraction < 1.0 or not 0.0 < self.valid_fraction < 1.0:
             raise ValueError("fractions must lie in (0, 1)")
         if self.test_fraction + self.valid_fraction >= 1.0:

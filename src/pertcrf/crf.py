@@ -6,23 +6,33 @@ feature weights) and a single label-pair transition matrix shared across
 positions. There are no start/stop parameters; boundary information rides
 on the BOS/EOS features.
 
-Layout. A corpus arrives encoded by features (features.Encoded: a (K, N)
-int32 matrix holding the feature id of each of K slots at each of N
-positions, with the sentinel F where a slot has no indexed key, and the
-sentence offsets), and its positions become packed rows in time-major
-order: sentences are sorted by length, longest first (a stable sort, so
-corpus order is kept among equal lengths), and step t holds, contiguously,
-position t of every sentence longer than t. Step t's rows are thus a
-prefix of step t-1's in sentence order, so the recursions make one pass
-per step over a block with no padding, and training and decoding share
-the layout. The id matrix stays in corpus order: emissions gather it by
-each packed row's corpus position, and the expected counts scatter over
-it from posteriors put back in corpus order.
+Layout. A corpus arrives encoded by features (features.Encoded): a (K, N)
+int32 matrix holding the feature id of each of the K slots that move
+along the window (w[-5..-1], w[1..5], then the ez slots) at each of the N
+positions; the type code of each position and a (J, T) table holding the
+ids of the J focus slots (w[0], then the affixes for CRF2) of each of the
+T form types; the ids of BOS and EOS (CRF2); and the sentence offsets.
+The sentinel F stands where a slot has no indexed key. Positions become
+packed rows in time-major order: sentences are sorted by length, longest
+first (a stable sort, so corpus order is kept among equal lengths), and
+step t holds, contiguously, position t of every sentence longer than t.
+Step t's rows are thus a prefix of step t-1's in sentence order, so the
+recursions make one pass per step over a block with no padding, and
+training and decoding share the layout. The encoding stays in corpus
+order: emissions gather it by each packed row's corpus position, and the
+expected counts scatter over it from posteriors put back in corpus order.
 
 Weights. Emission kernels read an (F+1, L) weight matrix whose last row
 is zero, so the sentinel adds nothing. A CrfModel owns one, and its
 emission weights are the first F rows; training builds one per objective
 evaluation.
+
+Emission order. _emissions sums the J focus rows of each type once per
+call, in slot order, into a (T, L) block. A position's score is its K
+moving slots' rows summed in slot order, plus its type's row of that
+block; then BOS's row is added at every sentence's first row and EOS's at
+its last (a one-token sentence gets both, BOS first). Training and
+decoding share this order, so the scores they see are the same bits.
 
 Parameters. Training fits only the (feature, label) pairs seen in the
 training data, as CRFsuite does by default (feature.possible_states=0),
@@ -38,6 +48,10 @@ its sum c_t, and beta_t = E @ (P_{t+1} beta_{t+1} / c_{t+1}), 1 at a
 sentence's last row. Unary posteriors are alpha * beta, expected
 transitions E * (alpha[prev]^T @ (P beta / c)[cur]), and
 log Z = sum log c + sum row max + (positions - sentences) * max(trans).
+A _Plan holds, for one layout, the buffers P, alpha, beta and c and the
+views of every step into them; training builds one per objective and
+datagen.bayes_decode one per block. The backward pass leaves P beta / c
+in P's rows after step 0, where the expected transitions read it.
 
 Span bound. With span = max(trans) - min(trans), E lies in
 [exp(-span), 1]. Each alpha_t sums to 1 and each P_t peaks at 1, so
@@ -201,9 +215,12 @@ def nll_and_gradient(
 
 @dataclass(frozen=True)
 class _Packed:
-    ids: np.ndarray  # (K, N) int32 feature id of each slot at each position, in corpus order
+    ids: np.ndarray  # (K, N) int32 moving-slot ids of each position, in corpus order
     offsets: np.ndarray  # int32 (S+1,) sentence starts in corpus order, then the position count
-    steps: np.ndarray  # (T+1,) first packed row of each step, then the position count
+    types: np.ndarray  # (N,) int32 form type code of each position, in corpus order
+    focus: np.ndarray  # (J, T) int32 focus-slot ids of each type
+    edges: np.ndarray  # (E,) int32 ids of BOS and EOS, or none
+    steps: np.ndarray  # (steps+1,) first packed row of each step, then the position count
     row: np.ndarray  # int32 packed row of each position, in corpus order
     order: np.ndarray  # int32 corpus position of each packed row
 
@@ -228,7 +245,16 @@ def _pack(encoded: Encoded) -> _Packed:
     steps, row = _layout(encoded.offsets)
     order = np.empty_like(row)
     order[row] = np.arange(len(row), dtype=row.dtype)
-    return _Packed(ids=encoded.ids, offsets=encoded.offsets, steps=steps, row=row, order=order)
+    return _Packed(
+        ids=encoded.ids,
+        offsets=encoded.offsets,
+        types=encoded.types,
+        focus=encoded.focus,
+        edges=encoded.edges,
+        steps=steps,
+        row=row,
+        order=order,
+    )
 
 
 def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarray:
@@ -247,56 +273,91 @@ def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarr
 
 
 # Float64 weights gathered at once by _emissions: a block of packed rows
-# gathers (K, rows, L) of them. Larger blocks raise peak memory and gain
-# nothing.
+# gathers (K, rows, L) of them, and a block of types (J, types, L). Larger
+# blocks raise peak memory and gain nothing.
 _GATHER_BLOCK = 1 << 16
 
 
-def _emissions(packed: _Packed, weights: np.ndarray) -> np.ndarray:
-    """(positions, L) emission scores in packed rows from (F+1, L) weights
-    whose last row is zero: each position's weight rows, one per slot,
-    summed in slot order. Each block of packed rows gathers its columns of
-    the id matrix by corpus position, then their weight rows."""
+def _emissions(packed: _Packed, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(positions, L) emission scores in packed rows, written into out when
+    given, from (F+1, L) weights whose last row is zero. The focus slots'
+    rows of each type are summed once, in slot order. Each position sums
+    its moving slots' rows in slot order, then adds its type's sum; last,
+    BOS's row is added at each sentence's first row and EOS's at its last.
+    Each block of packed rows gathers its columns of the id matrix and its
+    type codes by corpus position, then their weight rows."""
     K, n = packed.ids.shape
+    J, T = packed.focus.shape
     L = weights.shape[1]
-    em = np.empty((n, L))
-    size = max(1, _GATHER_BLOCK // max(1, K * L))
+    em = np.empty((n, L)) if out is None else out
+    if J:
+        typed = np.empty((T, L))
+        size = max(1, _GATHER_BLOCK // (J * L))
+        for a in range(0, T, size):
+            weights.take(packed.focus[:, a : a + size], axis=0).sum(axis=0, out=typed[a : a + size])
+    size = max(1, _GATHER_BLOCK // max(1, (K + 1) * L))
     for a in range(0, n, size):
-        ids = np.take(packed.ids, packed.order[a : a + size], axis=1)
-        np.take(weights, ids, axis=0).sum(axis=0, out=em[a : a + size])
+        at = packed.order[a : a + size]
+        block = em[a : a + size]
+        weights.take(packed.ids.take(at, axis=1), axis=0).sum(axis=0, out=block)
+        if J:
+            block += typed.take(packed.types.take(at), axis=0)
+    if len(packed.edges):
+        bos, eos = weights.take(packed.edges, axis=0)
+        em[: len(packed.offsets) - 1] += bos  # step 0 holds every sentence's first row
+        em[packed.row[packed.offsets[1:] - 1]] += eos
     return em
 
 
-def _sum_product(
-    P: np.ndarray, E: np.ndarray, steps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled forward and backward messages over a packed batch, from
-    exp-domain emissions P (N, L) and transitions E (L, L). Returns
-    (alpha, beta, c): each row of alpha sums to 1 after division by its
-    normaliser c, beta is 1 on each sentence's last row, and alpha * beta
-    are the unary posteriors."""
-    bounds = steps.tolist()
-    alpha = np.empty_like(P)
-    c = np.empty(len(P))
-    for t in range(len(bounds) - 1):
-        a, b = bounds[t], bounds[t + 1]
-        cur, norm = alpha[a:b], c[a:b]
-        if t == 0:
-            cur[...] = P[a:b]
-        else:
-            prev = bounds[t - 1]
-            np.matmul(alpha[prev : prev + b - a], E, out=cur)
-            cur *= P[a:b]
+class _Plan:
+    """The buffers of sum-product over one packed layout with L labels, and
+    the views of every step that it reads and writes: P (N, L), which the
+    caller fills with exp-domain emissions; alpha and beta (N, L); c (N,).
+    beta holds 1 from the start, and no step writes the rows where a
+    sentence ends, so they stay 1."""
+
+    def __init__(self, steps: np.ndarray, n_labels: int):
+        n = int(steps[-1])
+        self.P = np.empty((n, n_labels))
+        self.alpha = np.empty((n, n_labels))
+        self.beta = np.ones((n, n_labels))
+        self.c = np.empty(n)
+        bounds = steps.tolist()
+        self.S = bounds[1] if len(bounds) > 1 else 0
+        self._forward, self._backward = [], []
+        for t in range(1, len(bounds) - 1):
+            a, b = bounds[t], bounds[t + 1]
+            prev = slice(bounds[t - 1], bounds[t - 1] + b - a)
+            norm = self.c[a:b]
+            self._forward.append((self.alpha[prev], self.alpha[a:b], self.P[a:b], norm, norm[:, None]))
+            self._backward.append((self.P[a:b], self.beta[a:b], norm[:, None], self.beta[prev]))
+        self._backward.reverse()
+
+
+def _sum_product(plan: _Plan, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward and backward messages over a packed batch, from the
+    exp-domain emissions in plan.P and transitions E (L, L), into the
+    plan's buffers. Returns (alpha, beta, c): each row of alpha sums to 1
+    after division by its normaliser c, beta is 1 on each sentence's last
+    row, and alpha * beta are the unary posteriors. The rows of P after
+    step 0 are left holding P beta / c, the pairwise factor of each row
+    with the row before it."""
+    S = plan.S
+    first, norm = plan.alpha[:S], plan.c[:S]
+    np.copyto(first, plan.P[:S])
+    np.add.reduce(first, axis=1, out=norm)
+    first /= norm[:, None]
+    for prev, cur, P, norm, scale in plan._forward:
+        np.matmul(prev, E, out=cur)
+        cur *= P
         np.add.reduce(cur, axis=1, out=norm)
-        cur /= norm[:, None]
-    beta = np.ones_like(P)
-    for t in range(len(bounds) - 2, 0, -1):
-        a, b = bounds[t], bounds[t + 1]
-        prev = bounds[t - 1]
-        right = P[a:b] * beta[a:b]
-        right /= c[a:b, None]
-        np.matmul(right, E.T, out=beta[prev : prev + b - a])
-    return alpha, beta, c
+        cur /= scale
+    E_T = E.T
+    for P, beta, scale, out in plan._backward:
+        P *= beta
+        P /= scale
+        np.matmul(P, E_T, out=out)
+    return plan.alpha, plan.beta, plan.c
 
 
 def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,14 +404,23 @@ class _Objective:
 
     One evaluation makes a fixed number of numpy passes: the cell weights
     scattered into a zero-padded (F+1, L) matrix, emissions for every
-    position gathered from it (the matrix is dropped before
-    forward-backward), scaled forward-backward over the packed layout, one
-    product for the expected transitions, and per label one bincount of
-    the posteriors, tiled over the K slots, by the raveled id matrix, read
-    at that label's cells for the expected emission counts. A grammar
-    feature belongs to one slot, so each of its counts sums its positions
-    in corpus order. Accumulation order is fixed, so results are
-    bit-reproducible for a fixed corpus."""
+    position gathered from it into the plan's P (the matrix is dropped
+    before forward-backward), scaled forward-backward over the packed
+    layout, one product for the expected transitions, the unary
+    posteriors in place (alpha *= beta), copied label-major into P, and
+    per label one bincount for the expected emission counts. Its keys are
+    fixed at construction: the moving slots' id matrix, raveled, then the
+    focus slots' id table, then BOS's id and EOS's id once per sentence.
+    Its weights go into one buffer allocated with them: the label's
+    posterior in corpus order under every row of the id matrix, the sum of
+    the posteriors of each type (one bincount over the type codes) under
+    every row of the table, and the posteriors of the sentences' first and
+    last positions under BOS and EOS. A grammar feature belongs to one
+    slot, so a moving slot's count sums its positions in corpus order, a
+    focus slot's sums its types' sums in type order, and an edge's sums
+    the sentences in corpus order. The empirical counts come from the same
+    keys. Accumulation order is fixed, so results are bit-reproducible for
+    a fixed corpus."""
 
     def __init__(
         self,
@@ -365,23 +435,38 @@ class _Objective:
         self.F = n_features
         self.L = n_labels
         self.l2 = l2
+        self.plan = _Plan(encoded.steps, n_labels)
         # Rows of step 0 start the sentences; every later row pairs with the
         # row its sentence holds one step earlier.
         sizes = np.diff(encoded.steps)
-        self.S = int(sizes[0]) if len(sizes) else 0
-        self._prev = np.arange(self.S, int(encoded.steps[-1])) - np.repeat(sizes[:-1], sizes[1:])
+        self.S = S = self.plan.S
+        self._prev = np.arange(S, int(encoded.steps[-1])) - np.repeat(sizes[:-1], sizes[1:])
+        # The scatter's keys and the buffer of its weights, in three parts.
+        (K, N), (J, T), E = encoded.ids.shape, encoded.focus.shape, len(encoded.edges)
+        parts = [encoded.ids.ravel(), encoded.focus.ravel(), np.repeat(encoded.edges, S)]
+        self._keys = np.concatenate(parts, dtype=np.intp)
+        self._weights = np.empty(len(self._keys))
+        self._window = self._weights[: K * N].reshape(K, N)
+        self._typed = self._weights[K * N : K * N + J * T].reshape(J, T)
+        self._edge = self._weights[K * N + J * T :]
+        self._unary = self._window[0] if K else np.empty(N)  # a label's weight per position
+        self._types = encoded.types.astype(np.intp) if J else None
+        offsets = encoded.offsets.astype(np.intp)
+        self._ends = np.concatenate([offsets[:-1], offsets[1:] - 1])[: E * S]  # read by BOS, EOS
+        self._row = encoded.row.astype(np.intp)
         # Empirical counts never change, and the gold path score is their
         # dot product with the weights.
         L, y = n_labels, labels
+        emp_e = np.empty((n_features, L))
+        for lab in range(L):
+            np.equal(y, lab, out=self._unary, casting="unsafe")
+            emp_e[:, lab] = self._counts()[:n_features]  # the sentinel row's cells are no parameters
+        emp_e = emp_e.ravel()
+        self.cells = np.flatnonzero(emp_e) if cells is None else cells
         chained = np.ones(max(len(y) - 1, 0), dtype=bool)  # t and t+1 in one sentence
         chained[encoded.offsets[1:-1] - 1] = False
-        emp_e = np.bincount(
-            encoded.ids.ravel() * np.int64(L) + np.tile(y, len(encoded.ids)),
-            minlength=(n_features + 1) * L,
-        )[: n_features * L]  # the sentinel row's cells are no parameters
-        self.cells = np.flatnonzero(emp_e) if cells is None else cells
         emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
-        self._emp = np.concatenate([emp_e[self.cells], emp_t]).astype(np.float64)
+        self._emp = np.concatenate([emp_e[self.cells], emp_t])
         # Where each label's cells sit in the vector, and their features.
         feature, label = np.divmod(self.cells, L)
         self._by_label = [(np.flatnonzero(label == lab), feature[label == lab]) for lab in range(L)]
@@ -402,8 +487,18 @@ class _Objective:
         """The (L, L) transition weights of x, a view."""
         return x[len(self.cells) :].reshape(self.L, self.L)
 
+    def _counts(self) -> np.ndarray:
+        """(F+1,) the sum of the weight that _unary gives each position (in
+        corpus order) over every feature's positions, the sentinel's last."""
+        u = self._unary
+        self._window[1:] = u
+        if self._types is not None:
+            self._typed[...] = np.bincount(self._types, weights=u, minlength=self._typed.shape[1])
+        u.take(self._ends, out=self._edge)
+        return np.bincount(self._keys, weights=self._weights, minlength=self.F + 1)
+
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        enc, L, S = self.encoded, self.L, self.S
+        enc, plan, L, S = self.encoded, self.plan, self.L, self.S
         w_t = self.transitions(x)
         top = float(w_t.max())
         span = top - float(w_t.min())
@@ -413,23 +508,22 @@ class _Objective:
                 f"that the scaled recursion keeps finite for {L} labels"
             )
         E = np.exp(w_t - top)
-        P = _emissions(enc, self.weights(x))
+        P = _emissions(enc, self.weights(x), out=plan.P)
         shift = P.max(axis=1)
         P -= shift[:, None]
         np.exp(P, out=P)
-        alpha, beta, c = _sum_product(P, E, enc.steps)
+        alpha, beta, c = _sum_product(plan, E)
         log_z = float(np.log(c).sum()) + float(shift.sum()) + (len(P) - S) * top
-        right = P[S:]  # becomes P beta / c, the pairwise factor of each later row
-        right *= beta[S:]
-        right /= c[S:, None]
-        exp_t = E * (alpha[self._prev].T @ right)
+        exp_t = E * (alpha[self._prev].T @ P[S:])  # P[S:] holds P beta / c
         alpha *= beta  # unary posteriors
+        unary = P.reshape(L, -1)  # P's buffer is free: the posteriors, label-major
+        unary[...] = alpha.T
 
         grad = np.empty_like(x)
-        ids, K = enc.ids.ravel(), len(enc.ids)
-        for (at, feature), unary in zip(self._by_label, np.ascontiguousarray(alpha.T)):
-            counts = np.bincount(ids, weights=np.tile(unary[enc.row], K), minlength=self.F + 1)
-            grad[at] = counts[feature]
+        for (at, feature), column in zip(self._by_label, unary):
+            # mode="clip" writes out unbuffered; every row is in range.
+            column.take(self._row, out=self._unary, mode="clip")
+            grad[at] = self._counts()[feature]
         grad[len(self.cells) :] = exp_t.ravel()
         grad -= self._emp
         nll = log_z - float(np.dot(self._emp, x))
@@ -512,7 +606,9 @@ def train(
 # distinct weight of a block (by bit pattern, so -0.0 and 0.0 stay apart)
 # is formatted once, and the block's cells are joined in one call. A
 # feature string enters as two cells, its slot prefix and its value
-# (FeatureIndex.key_parts), so no key string is built.
+# (FeatureIndex.key_parts), so no key string is built. load_model parses
+# the weights of the F rows in one numpy call (_bulk_rows), or a row at a
+# time where that fails, so that an error names its line.
 
 _SAVE_BLOCK = 4096
 
@@ -594,12 +690,16 @@ def load_model(text: str) -> CrfModel:
         except ValueError:
             raise ModelFormatError(f"line {lineno}: bad weight value") from None
 
-    feature_keys = []
     weights = np.zeros((F + 1, L))  # the model's own (see CrfModel)
-    for i in range(F):
-        key, row = _row(lines[2 + i], 3 + i, "F")
-        feature_keys.append(key)
-        weights[i] = row
+    bulk = _bulk_rows(lines[2 : 2 + F], L)
+    if bulk is not None:
+        feature_keys, weights[:F] = bulk
+    else:
+        feature_keys = []
+        for i in range(F):
+            key, row = _row(lines[2 + i], 3 + i, "F")
+            feature_keys.append(key)
+            weights[i] = row
     transition = np.zeros((L, L))
     for i in range(L):
         lab, row = _row(lines[2 + F + i], 3 + F + i, "T")
@@ -617,6 +717,24 @@ def load_model(text: str) -> CrfModel:
         )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+
+
+def _bulk_rows(rows: list[str], L: int) -> tuple[list[str], np.ndarray] | None:
+    """The keys and the (F, L) weights of F rows, the weights parsed in one
+    numpy call; None when there are no rows, when a row is not an F row of
+    2 + L cells, or when numpy refuses a weight, so that load_model's row
+    loop finds the line to name. numpy parses a subset of the strings that
+    float() takes (not 1_000, say), each to the same bits."""
+    heads = [row.split("\t", 2) for row in rows]
+    if not rows or not all(len(h) == 3 and h[0] == "F" and h[2].count("\t") == L - 1 for h in heads):
+        return None
+    try:
+        weights = np.loadtxt(
+            rows, delimiter="\t", comments=None, quotechar=None, usecols=range(2, 2 + L), ndmin=2
+        )
+    except ValueError:
+        return None
+    return [h[1] for h in heads], weights
 
 
 def save_model_file(model: CrfModel, path: str) -> None:

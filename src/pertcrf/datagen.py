@@ -39,9 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, non_unix_line, whitespace_free
-from .crf import _layout, _sum_product
+from .crf import _Plan, _layout, _sum_product
 from .features import checked_offsets
-from .rng import SplitMix64, randoms_at, substream_states
+from .rng import SplitMix64, check_seed, randoms_at, substream_states
 
 # Uniform draws that one chunk of generate holds at most, whatever the
 # length law; a single sentence longer than a third of this is one chunk.
@@ -154,6 +154,7 @@ def generate(
     chunk making at most _DRAW_BLOCK draws."""
     if n_sentences < 1:
         raise ValueError("n_sentences must be positive")
+    check_seed(seed)
     span = length_dist.max_len - length_dist.min_len
     group = max(1, _DRAW_BLOCK // max(span, 1))
     extra = np.concatenate([
@@ -253,10 +254,11 @@ def _posterior_modes(spec: HmmSpec, obs: np.ndarray, offsets: np.ndarray, first:
     """bayes_decode's state ids of the word ids obs, cut into sentences by
     offsets, whose first sentence is sentence first of the corpus."""
     steps, row = _layout(offsets)
-    P = spec.emit.take(obs[row.argsort()], axis=1).T.copy()  # packed rows
-    P[: len(offsets) - 1] *= spec.start  # step 0: each sentence's first row
+    plan = _Plan(steps, len(spec.states))
+    plan.P[...] = spec.emit.take(obs[row.argsort()], axis=1).T  # packed rows
+    plan.P[: len(offsets) - 1] *= spec.start  # step 0: each sentence's first row
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha, beta, c = _sum_product(P, spec.trans, steps)
+        alpha, beta, c = _sum_product(plan, spec.trans)
     if not (c > 0).all():  # also where c is NaN; c[row] is in corpus order
         sentence = first + np.searchsorted(offsets, np.flatnonzero(~(c[row] > 0))[0], "right") - 1
         raise ValueError(f"sentence {sentence}: zero probability under the spec")

@@ -28,20 +28,26 @@ pair, and encoding is two steps:
     sentences.
   - encode and index_and_encode read a Batch with one index's tables.
     Per slot kind, a table from value codes to feature ids (one column
-    per slot) gives each position's ids, slot-major, in one
-    (slots, positions) int32 matrix (Encoded): w[k] by the type at
-    offset k, pre1-3 and suf1-3 by the position's type, BOS and EOS at
-    the first or last position of a sentence, ez[k] by the flag (0, 1
-    or the pad _) at offset k. A slot that is absent or whose key is not
-    indexed holds the sentinel id F = len(index), which crf reads as a
-    zero weight row.
-Every grammar key belongs to one slot, so a feature's entries lie in one
-row, in corpus order; emission sums add a position's weights in slot
-order, as ever.
+    per slot) gives the ids of an Encoded. The slots whose key moves
+    along the window get a row of ids per position, slot-major, in one
+    (10 or 21, positions) int32 matrix: w[k] (k != 0) by the type at
+    offset k, ez[k] by the flag (0, 1 or the pad _) at offset k. The
+    focus slots, w[0], pre1-3 and suf1-3, read only the position's own
+    form, so each gets a row of ids per type (a (1 or 7, types) table),
+    and the Encoded keeps the type code of every position. BOS and EOS
+    are one id each, read at each sentence's first and last position. A
+    slot that is absent or whose key is not indexed holds the sentinel
+    id F = len(index), which crf reads as a zero weight row. For CRF2
+    that is 11 int32 per position, against 19 for a row per slot.
+Every grammar key belongs to one slot, so a moving slot's feature lies in
+one row of the matrix, in corpus order, and a focus slot's in one row of
+the table, in type order.
   - index_and_encode (training) makes the tables from the batch's codes:
-    the count and first position of every code per slot, the candidates
-    ordered by (position, slot), then the min_count cut. The index keeps
-    the batch's type and affix dicts as its values.
+    the count and first position of every code per slot (for the focus
+    slots, from the count and first position of every type; for BOS and
+    EOS, from the offsets), the candidates ordered by (position, slot),
+    then the min_count cut. The index keeps the batch's type and affix
+    dicts as its values.
   - encode (decoding) looks each of the batch's types and distinct
     affixes up once in the value dicts of a FeatureIndex, which builds
     its tables once, when it is made.
@@ -103,6 +109,12 @@ _KEY_PREFIXES = np.array(_PREFIXES + [""], dtype=object)
 _SLOT_KINDS = np.array([_KINDS.index(_SLOT_COLUMNS[slot][0]) for slot in _SLOTS] + [-1], np.int8)
 # The values of the kinds that have a fixed set; the edge slots have one.
 _FIXED_VALUES = {"edge": ("",), "ez": EZ_VALUES}
+# The word slots whose keys move along the window, and their offsets and
+# columns in the word tables: w[0] reads the position's own form, so it is
+# a focus slot (see Encoded).
+_MOVING_W = W_SLOTS[:WINDOW] + W_SLOTS[WINDOW + 1 :]
+_MOVING_SHIFTS = tuple(range(-WINDOW, 0)) + tuple(range(1, WINDOW + 1))
+_MOVING_COLUMNS = [k + WINDOW for k in _MOVING_SHIFTS]
 # Positions whose window codes _windows gathers at once: it holds 11 int32
 # per position of a block.
 _WINDOW_BLOCK = 1 << 14
@@ -124,7 +136,7 @@ class FeatureTemplate:
 
     @property
     def slots(self) -> tuple[str, ...]:
-        """The key slots of one position, in emission order."""
+        """The key slots of one position, in key order."""
         slots = W_SLOTS
         if self.id == "CRF2":
             slots += AFFIX_SLOTS + EDGE_SLOTS
@@ -142,12 +154,20 @@ class FeatureTemplate:
 
 @dataclass(frozen=True)
 class Encoded:
-    """Sentences as one id matrix, the input of crf: row k holds the
-    feature id of slot k at every position, in corpus order, and the
-    sentinel F (the index's length) where the slot has no indexed key."""
+    """Sentences as feature ids, the input of crf. Each slot whose key
+    moves along the window (w[-5..-1], w[1..5], then ez[-5..5] for
+    ezafe-input templates) has a row of ids, one per position in corpus
+    order. The focus slots (w[0], then pre1-3 and suf1-3 for CRF2) read
+    only the position's own form, so each has a row of ids per form type,
+    read by the type code of every position. BOS and EOS (CRF2) are one id
+    each, read at every sentence's first and last position. The sentinel F
+    (the index's length) stands where a slot has no indexed key."""
 
-    ids: np.ndarray  # (K, N) int32, slot-major
+    ids: np.ndarray  # (K, N) int32 ids of the moving slots, slot-major
     offsets: np.ndarray  # (S+1,) sentence starts in corpus order, then the position count
+    types: np.ndarray  # (N,) int32 form type code of each position
+    focus: np.ndarray  # (J, T) int32 ids of the focus slots per type: J = 7 (CRF2), 1 (CRF1) or 0
+    edges: np.ndarray  # (E,) int32 ids of BOS and EOS: E = 2 (CRF2) or 0
 
 
 class FeatureIndex:
@@ -318,10 +338,12 @@ def _intern(codes: dict[str, int], strings: Iterable[str], n: int) -> np.ndarray
     return np.fromiter(map(codes.setdefault, strings, map(len, repeat(codes))), np.int32, n)
 
 
-def _windows(padded: np.ndarray, at: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
-    """Write table[k, padded[at + k - WINDOW]] into out[k] for every window
-    offset k, over blocks of at most _WINDOW_BLOCK positions."""
-    shifts = np.arange(-WINDOW, WINDOW + 1, dtype=np.int32)[:, None]
+def _windows(
+    padded: np.ndarray, at: np.ndarray, table: np.ndarray, out: np.ndarray, shifts: Sequence[int]
+) -> None:
+    """Write table[i, padded[at + shifts[i]]] into out[i] for every row i of
+    table, over blocks of at most _WINDOW_BLOCK positions."""
+    shifts = np.asarray(shifts, dtype=np.int32)[:, None]
     flat = np.ascontiguousarray(table, dtype=np.int32).ravel()
     starts = (np.arange(len(shifts), dtype=np.int32) * table.shape[1])[:, None]
     for a in range(0, len(at), _WINDOW_BLOCK):
@@ -330,37 +352,46 @@ def _windows(padded: np.ndarray, at: np.ndarray, table: np.ndarray, out: np.ndar
         np.take(flat, codes, out=out[:, a : a + _WINDOW_BLOCK])
 
 
-def _fill(
-    template: FeatureTemplate,
-    batch: Batch,
-    flags: np.ndarray | None,
-    word: np.ndarray,
-    affix: np.ndarray | None,
-    edge: np.ndarray,
-    ez: np.ndarray,
-) -> np.ndarray:
-    """The (slots, positions) matrix whose row for each slot of template
-    holds, at every position, that slot's entry in the table of its kind:
-    word (11, types) by the type at the slot's window offset, affix
-    (6, types) by the position's type, edge (2, 2) row 0 at a sentence's
-    first (BOS) or last (EOS) position and row 1 elsewhere, ez (11, 3) by
-    the flag code at the slot's window offset."""
+def _moving(batch: Batch, flags: np.ndarray | None, word: np.ndarray, ez: np.ndarray) -> np.ndarray:
+    """The (moving slots, positions) matrix whose row for each moving slot
+    (the word slots but w[0], then, with flags, the ez slots) holds, at
+    every position, that slot's entry in the table of its kind: word
+    (10, types) by the type at the slot's window offset, ez (11, 3) by the
+    flag code (0, 1 or the pad _) at the slot's window offset."""
     n = len(batch.at)
-    out = np.empty((len(template.slots), n), dtype=np.int32)
-    _windows(batch.padded, batch.at, word, out[: len(W_SLOTS)])
-    row = len(W_SLOTS)
-    if template.id == "CRF2":
-        np.take(affix, batch.padded[batch.at], axis=1, out=out[row : row + len(AFFIX_SLOTS)])
-        row += len(AFFIX_SLOTS)
-        out[row : row + len(EDGE_SLOTS)] = edge[1][:, None]
-        out[row, batch.offsets[:-1]] = edge[0, 0]
-        out[row + 1, batch.offsets[1:] - 1] = edge[0, 1]
-        row += len(EDGE_SLOTS)
+    out = np.empty((len(_MOVING_W) + (len(EZ_SLOTS) if flags is not None else 0), n), dtype=np.int32)
+    _windows(batch.padded, batch.at, word, out[: len(_MOVING_W)], _MOVING_SHIFTS)
     if flags is not None:
         padded = np.full(len(batch.padded), EZ_VALUES.index(EZ_PAD), dtype=np.int32)
         padded[batch.at] = flags
-        _windows(padded, batch.at, ez, out[row:])
+        _windows(padded, batch.at, ez, out[len(_MOVING_W) :], range(-WINDOW, WINDOW + 1))
     return out
+
+
+def _encoded(
+    template: FeatureTemplate,
+    batch: Batch,
+    moving: np.ndarray,
+    word: np.ndarray,
+    affix: np.ndarray,
+    edge: np.ndarray,
+) -> Encoded:
+    """An Encoded of batch from its moving slots' ids and the id tables of
+    the focus slots: word (types,) the w[0] id of every type, affix
+    (6, types) the affix ids of every type, edge (2,) the BOS and EOS ids.
+    CRF1 reads w[0] alone."""
+    focus = word[None]
+    edges = np.empty(0, dtype=np.int32)
+    if template.id == "CRF2":
+        focus = np.concatenate([focus, affix])
+        edges = np.asarray(edge, dtype=np.int32)
+    return Encoded(
+        ids=moving,
+        offsets=batch.offsets,
+        types=batch.padded[batch.at],
+        focus=np.ascontiguousarray(focus, dtype=np.int32),
+        edges=edges,
+    )
 
 
 def _lookup(values: dict[str, int], strings: dict[str, int]) -> np.ndarray:
@@ -387,9 +418,21 @@ def encode(
         rows = np.append(_lookup(index._values["affix"], batch.affixes), -1)
         affix = ids["affix"][rows[batch.affix_of], np.arange(len(AFFIX_SLOTS))[:, None]]
     word = ids["word"][_lookup(index._values["word"], batch.words)].T
-    edge = ids["edge"][[0, -1]]
-    ez = ids["ez"][: len(EZ_VALUES)].T
-    return Encoded(ids=_fill(template, batch, flags, word, affix, edge, ez), offsets=batch.offsets)
+    moving = _moving(batch, flags, word[_MOVING_COLUMNS], ids["ez"][: len(EZ_VALUES)].T)
+    return _encoded(template, batch, moving, word[WINDOW], affix, ids["edge"][0])
+
+
+def _tally(
+    codes: np.ndarray, size: int, at: np.ndarray, n: int, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count (the sum of weights, when given) and the first position
+    (the least of at, n where absent) of each of size codes, from the code
+    of every entry; entries of code -1 are dropped."""
+    shifted = codes + 1
+    count = np.bincount(shifted, weights=weights, minlength=size + 1)[1:]
+    first = np.full(size + 1, n)
+    np.minimum.at(first, shifted, at)
+    return count, first[1:]
 
 
 def index_and_encode(
@@ -406,24 +449,37 @@ def index_and_encode(
         raise ValueError("min_count must be positive")
     flags = _flags(template, ezafe, len(batch.at))
     T = len(batch.words)
-    word = np.broadcast_to(np.arange(T, dtype=np.int32), (len(W_SLOTS), T))
+    word = np.broadcast_to(np.arange(T, dtype=np.int32), (len(_MOVING_W), T))
     ez = np.broadcast_to(np.arange(len(EZ_VALUES)), (len(EZ_SLOTS), len(EZ_VALUES)))
-    codes = _fill(template, batch, flags, word, batch.affix_of, np.array([[0, 0], [-1, -1]]), ez)
+    codes = _moving(batch, flags, word, ez)
     values = {**_fixed_values(), "word": batch.words, "affix": batch.affixes}
-    slots = [_SLOT_COLUMNS[slot] for slot in template.slots]
-    # Per slot, the count and the first position of every code (the row
-    # of -1, absent slots, comes first and is dropped).
-    n = codes.shape[1]
+    # Per slot, in key order, the count and the first position of every
+    # code: the moving slots from their rows of codes; w[0] and the affixes
+    # from the count and first position of every type; BOS and EOS from
+    # the sentence offsets.
+    n, S = codes.shape[1], len(batch.offsets) - 1
     positions = np.arange(n)
+    type_count, type_first = _tally(batch.padded[batch.at], T, positions, n)
+    moving_slots = _MOVING_W + (EZ_SLOTS if template.ezafe_input else ())
+    moving = {slot: row for row, slot in enumerate(moving_slots)}
+    tallies = []
+    for slot in template.slots:
+        kind, column = _SLOT_COLUMNS[slot]
+        if slot in moving:
+            tallies.append(_tally(codes[moving[slot]], len(values[kind]), positions, n))
+        elif kind == "word":
+            tallies.append((type_count, type_first))
+        elif kind == "affix":
+            affixes = len(values["affix"])
+            tallies.append(_tally(batch.affix_of[column], affixes, type_first, n, type_count))
+        else:  # BOS and EOS, once per sentence: first at 0 and at the first sentence's end
+            first = (0, int(batch.offsets[min(S, 1)]) - 1)[column]
+            tallies.append((np.array([S]), np.array([first])))
     firsts, kept_codes = [], []
-    for row, (kind, _) in enumerate(slots):
-        shifted = codes[row] + 1
-        count = np.bincount(shifted, minlength=len(values[kind]) + 1)[1:]
-        first = np.full(len(values[kind]) + 1, n)
-        np.minimum.at(first, shifted, positions)
+    for row, (count, first) in enumerate(tallies):
         code = np.flatnonzero(count >= min_count)
         kept_codes.append(code)
-        firsts.append(first[code + 1] * len(slots) + row)
+        firsts.append(first[code] * len(tallies) + row)
     order = np.argsort(np.concatenate(firsts))
     F = len(order)
     key_ids = np.empty(F, dtype=np.int32)
@@ -431,7 +487,8 @@ def index_and_encode(
 
     ids = {kind: np.full((len(values[kind]) + 1, width), F, np.int32) for kind, width in _WIDTHS.items()}
     start = 0
-    for (kind, column), code in zip(slots, kept_codes):
+    for slot, code in zip(template.slots, kept_codes):
+        kind, column = _SLOT_COLUMNS[slot]
         ids[kind][code, column] = key_ids[start : start + len(code)]
         start += len(code)
     numbers = np.array([_SLOT_NUMBERS[slot] for slot in template.slots], dtype=np.int8)
@@ -440,6 +497,8 @@ def index_and_encode(
     index = FeatureIndex._of_tables(values, ids, slot_of, row_of)
     # Each row of codes becomes, in place, its column of the id table of
     # its kind (a code of -1 reads the last row, which holds the sentinel).
-    for row, (kind, column) in enumerate(slots):
+    for slot, row in moving.items():
+        kind, column = _SLOT_COLUMNS[slot]
         np.take(ids[kind][:, column], codes[row], out=codes[row])
-    return index, Encoded(ids=codes, offsets=batch.offsets)
+    affix = ids["affix"][batch.affix_of, np.arange(len(AFFIX_SLOTS))[:, None]]
+    return index, _encoded(template, batch, codes, ids["word"][:T, WINDOW], affix, ids["edge"][0])

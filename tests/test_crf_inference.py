@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import decode_keys, flat, lattices
-from oracles import brute_log_z, brute_posteriors, brute_viterbi, encode_keys
+from oracles import brute_log_z, brute_posteriors, brute_viterbi, encode_keys, sum_product
 from pertcrf.crf import (
     CrfModel,
     _emissions,
     _layout,
     _pack,
-    _sum_product,
     _viterbi,
     decode,
     nll_and_gradient,
@@ -51,7 +50,7 @@ def posteriors(ems, trans):
     E = np.exp(trans - top)
     shift = packed.max(axis=1)
     P = np.exp(packed - shift[:, None])
-    alpha, beta, c = _sum_product(P, E, steps)
+    alpha, beta, c = sum_product(P, E, steps)
     out = []
     for r in rows:
         log_z = float(np.log(c[r]).sum() + shift[r].sum() + (len(r) - 1) * top)
@@ -73,7 +72,7 @@ def best_path(em, trans):
 
 class TestForwardBackward:
     def test_single_position_two_labels(self):
-        alpha, beta, c = _sum_product(np.ones((1, 2)), np.ones((2, 2)), np.arange(2))
+        alpha, beta, c = sum_product(np.ones((1, 2)), np.ones((2, 2)), np.arange(2))
         assert math.log(c[0]) == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(alpha[0], 0.5)
 
@@ -84,7 +83,7 @@ class TestForwardBackward:
     def test_backward_length_one_betas_zero(self):
         # Scaled betas are 1 (log beta 0) on each sentence's last position.
         em = np.array([[0.3, -1.2]])
-        _, beta, _ = _sum_product(np.exp(em - em.max()), np.ones((2, 2)), np.arange(2))
+        _, beta, _ = sum_product(np.exp(em - em.max()), np.ones((2, 2)), np.arange(2))
         assert np.all(beta == 1.0)
 
     @given(lattices())
@@ -103,7 +102,7 @@ class TestForwardBackward:
         top = trans.max()
         shift = em.max(axis=1)
         P = np.exp(em - shift[:, None])
-        alpha, beta, c = _sum_product(P, np.exp(trans - top), np.arange(T + 1))
+        alpha, beta, c = sum_product(P, np.exp(trans - top), np.arange(T + 1))
         log_z = np.log(c).sum() + shift.sum() + (T - 1) * top
         log_z_b = math.log(P[0] @ beta[0]) + shift.sum() + np.log(c[1:]).sum() + (T - 1) * top
         assert abs(log_z - log_z_b) <= 1e-9 * max(1.0, abs(log_z))

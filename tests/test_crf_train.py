@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 from conftest import assert_same_text, corpora, decode_keys, flat, persian_tokens
 from oracles import (
     brute_nll_and_gradient,
+    brute_viterbi,
     central_differences,
     encode_keys,
+    expanded_ids,
+    loop_nll_and_gradient,
     ragged_nll_and_gradient,
     reference_keys,
     reference_model_text,
     sentence_features,
 )
 from pertcrf import crf, features
+from pertcrf.corpus import Corpus, Token
 from pertcrf.crf import (
     CrfModel,
     ModelFormatError,
@@ -205,10 +209,12 @@ class TestObjectiveOracle:
 
 
 class TestRaggedKernels:
-    """The id-matrix kernels against the ragged ones they replaced
-    (oracles.ragged_nll_and_gradient): every grammar feature belongs to one
-    slot, so the sums run in the same order and the results are equal, not
-    close."""
+    """The kernels against the ragged ones that preceded the id matrix
+    (oracles.ragged_nll_and_gradient), which sum a position's emission in
+    key order and every count position by position. The kernels sum the
+    focus slots once per type, and BOS and EOS once per sentence (see
+    TestTypeKernels), so the results agree to rounding, within 1e-12
+    relative."""
 
     @pytest.mark.parametrize("template", [CRF2, CRF2_EZ])
     @pytest.mark.parametrize("l2", [0.0, 0.1])
@@ -223,8 +229,135 @@ class TestRaggedKernels:
         model = model_from_flat(x, F, L, index.keys(), corpus.tag_inventory)
         nll, (g_e, g_t) = nll_and_gradient(model, encoded, corpus.tags, l2=l2)
         want, (w_e, w_t) = ragged_nll_and_gradient(model, encoded, corpus.tags, l2=l2)
-        assert nll == want
-        assert np.array_equal(g_e, w_e) and np.array_equal(g_t, w_t)
+        assert nll == pytest.approx(want, rel=1e-12)
+        for got, ragged in ((g_e, w_e), (g_t, w_t)):
+            assert np.all(np.abs(got - ragged) <= 1e-12 * np.maximum(1.0, np.abs(ragged)))
+
+
+# Sentences for the type-wise kernels: one-token sentences, where BOS and
+# EOS fall on one row; tokens spelled __BOS__; forms shorter than an affix;
+# and ketabi, seen once, so that at min_count 2 its w[0] is unindexed while
+# the prefixes it shares with ketab are indexed.
+KERNEL_SENTENCES = [
+    ["__BOS__"],
+    ["ketab", "e", "xub"],
+    ["a"],
+    ["ketab", "ab", "ketabha", "e"],
+    ["ab", "a", "xub", "__BOS__"],
+    ["ketabi", "e"],
+    ["xub"],
+    ["ab", "ketab", "e"],
+]
+KERNEL_TEMPLATES = [CRF1, CRF2, CRF2_EZ]
+
+
+def kernel_corpus():
+    tags = ("N", "ADJ", "V")
+    return Corpus.from_sentences([
+        tuple(Token(form=f, pos=tags[(len(f) + i) % 3], ezafe=i % 2) for i, f in enumerate(s))
+        for s in KERNEL_SENTENCES
+    ])
+
+
+class TestTypeKernels:
+    """The kernels that sum the focus slots once per form type, and BOS and
+    EOS once per sentence (crf._emissions, crf._Objective), on CRF1, CRF2
+    and CRF2+EZ encodings of the kernel corpus."""
+
+    @staticmethod
+    def problem(template, min_count):
+        corpus = kernel_corpus()
+        flags = corpus.ezafe if template.ezafe_input else None
+        batch = features.batch(corpus.forms, corpus.offsets)
+        index, encoded = index_and_encode(template, batch, flags, min_count)
+        return corpus, index, encoded
+
+    @staticmethod
+    def random_model(corpus, index, template, seed):
+        F, L = len(index), len(corpus.tag_inventory)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 0.5, size=F * L + L * L)
+        x[rng.random(x.size) < 0.3] = 0.0
+        return CrfModel(
+            labels=corpus.tag_inventory,
+            feature_index=index,
+            emission=x[: F * L].reshape(F, L).copy(),
+            transition=x[F * L :].reshape(L, L).copy(),
+            template=template,
+        )
+
+    def test_corpus_holds_the_cases(self):
+        corpus, index, encoded = self.problem(CRF2, 2)
+        keys = set(index.keys())
+        assert "w[0]=ketabi" not in keys and {"pre3=ket", "w[0]=__BOS__", "pre3=__B", "BOS"} <= keys
+        assert 1 in np.diff(corpus.offsets) and min(map(len, corpus.forms)) < 3
+        assert encoded.ids.shape[0] == 10 and encoded.focus.shape[0] == 7 and len(encoded.edges) == 2
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    @pytest.mark.parametrize("template", KERNEL_TEMPLATES, ids=lambda t: t.token)
+    def test_gradient_matches_central_differences(self, template, min_count):
+        corpus, index, encoded = self.problem(template, min_count)
+        F, L = len(index), len(corpus.tag_inventory)
+        objective = crf._Objective(crf._pack(encoded), corpus.tags, F, L, 0.1)
+        x = np.random.default_rng(6).normal(0.0, 0.5, size=objective.size)
+        _, grad = objective(x)
+        numeric = central_differences(lambda v: objective(v)[0], x, step=1e-5)
+        denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
+        assert np.max(np.abs(grad - numeric) / denom) <= 1e-6
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    @pytest.mark.parametrize("template", KERNEL_TEMPLATES, ids=lambda t: t.token)
+    def test_kernels_equal_loop_oracle(self, template, min_count):
+        # oracles.loop_nll_and_gradient adds one weight row or count at a
+        # time in the kernels' order, so the results are equal, not close.
+        generated = generate(tuned_ezafe_spec(0.22), 40, seed=3)
+        for corpus in (kernel_corpus(), generated):
+            flags = corpus.ezafe if template.ezafe_input else None
+            batch = features.batch(corpus.forms, corpus.offsets)
+            index, encoded = index_and_encode(template, batch, flags, min_count)
+            model = self.random_model(corpus, index, template, seed=7)
+            nll, (g_e, g_t) = nll_and_gradient(model, encoded, corpus.tags, l2=0.1)
+            want, (w_e, w_t) = loop_nll_and_gradient(model, encoded, corpus.tags, l2=0.1)
+            assert nll == want
+            assert np.array_equal(g_e, w_e) and np.array_equal(g_t, w_t)
+
+    def test_loop_oracle_on_key_lists(self):
+        # A matrix of keys outside the grammar has no focus slots or edges.
+        rng = np.random.default_rng(8)
+        F, L, features_, labels, batch, x = random_problem(rng, max_sentences=5)
+        model = model_from_flat(x, F, L, features_, labels)
+        encoded = encode_keys(model.feature_index, [feats for feats, _ in batch])
+        gold = gold_ids(labels, [g for _, g in batch])
+        nll, (g_e, g_t) = nll_and_gradient(model, encoded, gold)
+        want, (w_e, w_t) = loop_nll_and_gradient(model, encoded, gold)
+        assert nll == want and np.array_equal(g_e, w_e) and np.array_equal(g_t, w_t)
+
+    @pytest.mark.parametrize("template", KERNEL_TEMPLATES, ids=lambda t: t.token)
+    def test_decode_matches_brute_force(self, template):
+        corpus, index, encoded = self.problem(template, 2)
+        model = self.random_model(corpus, index, template, seed=9)
+        ids = {k: i for i, k in enumerate(index.keys())}
+        flags = corpus.by_sentence(corpus.ezafe.tolist()) if template.ezafe_input else [None] * len(KERNEL_SENTENCES)
+        decoded = crf.decode(model, encoded).tolist()
+        L = len(corpus.tag_inventory)
+        for forms, f, (a, b) in zip(KERNEL_SENTENCES, flags, zip(corpus.offsets, corpus.offsets[1:])):
+            keys = sentence_features(forms, template, f)
+            em = np.array([sum((model.emission[ids[k]] for k in ks if k in ids), np.zeros(L)) for ks in keys])
+            path, _ = brute_viterbi(em, model.transition)
+            assert decoded[a:b] == path
+
+    @pytest.mark.parametrize("template", KERNEL_TEMPLATES, ids=lambda t: t.token)
+    def test_retraining_gives_identical_model_text(self, template):
+        corpus = generate(tuned_ezafe_spec(0.22), 30, seed=4)
+        flags = corpus.ezafe if template.ezafe_input else None
+        batch = features.batch(corpus.forms, corpus.offsets)
+        index, encoded = index_and_encode(template, batch, flags, 2)
+        config = TrainConfig(max_iterations=10)
+        runs = [
+            save_model(train(index, encoded, corpus.tags, corpus.tag_inventory, template, config)[0])
+            for _ in range(2)
+        ]
+        assert_same_text(runs[0], runs[1])
 
 
 class TestPairObjective:
@@ -246,7 +379,7 @@ class TestPairObjective:
     def test_pairs_are_the_gold_cells_of_the_id_matrix(self):
         objective, encoded, gold = self.objective()
         F, L = objective.F, objective.L
-        seen = {(f, int(y)) for row in encoded.ids for f, y in zip(row.tolist(), gold) if f != F}
+        seen = {(f, int(y)) for row in expanded_ids(encoded, F) for f, y in zip(row.tolist(), gold) if f != F}
         assert objective.cells.tolist() == sorted(f * L + y for f, y in seen)
         assert len(seen) < F * L
         assert objective.size == len(seen) + L * L
@@ -286,7 +419,7 @@ class TestPairObjective:
         config = TrainConfig(l1=0.0, l2=0.1, max_iterations=15)
         model, _ = train(index, encoded, corpus.tags, corpus.tag_inventory, CRF2, config)
         seen = np.zeros((F + 1) * L, dtype=bool)  # the sentinel's cells last
-        seen[(encoded.ids * np.int64(L) + corpus.tags).ravel()] = True
+        seen[(expanded_ids(encoded, F) * np.int64(L) + corpus.tags).ravel()] = True
         seen = seen[: F * L]
         emission = model.emission.ravel()
         assert np.all(emission[~seen].view(np.int64) == 0)  # +0.0, bit for bit
@@ -505,6 +638,67 @@ class TestModelIO:
         assert model.transition[1, 0] == -0.125
         assert save_model(model) == text
 
+    # load_model parses the F rows' weights in one numpy call
+    # (crf._bulk_rows) and falls back to a row at a time; both paths must
+    # give the same model, and the same error naming the same line.
+
+    @staticmethod
+    def load_both_ways(text):
+        """load_model(text) by the bulk parse and by the row loop alone, as
+        (model or error message) pairs."""
+        out = []
+        for bulk in (crf._bulk_rows, lambda rows, L: None):
+            with mock.patch.object(crf, "_bulk_rows", bulk):
+                try:
+                    out.append(load_model(text))
+                except ModelFormatError as exc:
+                    out.append(str(exc))
+        return out
+
+    def test_bulk_parse_equals_row_loop(self):
+        keys = ["w[0]=#", 'w[0]="', 'pre1="#', "f#0", "w[1]=a=b", "suf2=''"]
+        special = [-0.0, 5e-324, 1e308, 0.1 + 0.2, -1.5e-7, 123456789.125, 2.0**-1074, -1e-310]
+        rng = np.random.default_rng(5)
+        emission = rng.choice(special + list(rng.normal(size=8)), size=(len(keys), 3))
+        model = CrfModel(
+            labels=("a", "b", "c"),
+            feature_index=FeatureIndex(keys),
+            emission=emission,
+            transition=rng.normal(size=(3, 3)),
+            template=CRF1,
+        )
+        text = save_model(model)
+        assert crf._bulk_rows(text.split("\n")[2 : 2 + len(keys)], 3) is not None  # not the loop
+        bulk_model, loop_model = self.load_both_ways(text)
+        for got in (bulk_model, loop_model):
+            assert got.feature_index.keys() == keys
+            assert np.array_equal(got.emission.view(np.int64), emission.view(np.int64))
+            assert_same_text(save_model(got), text)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("F\tf\tx\t1.0", "line 3: bad weight value"),
+            ("F\tf\t\t1.0", "line 3: bad weight value"),
+            ("F\tf\t1.0\t2.0\t3.0", "line 3: malformed F row"),
+            ("F\tf\t1.0", "line 3: malformed F row"),
+            ("T\tf\t1.0\t2.0", "line 3: malformed F row"),
+            ("F\tf\tnan\t1.0", "weights must be finite"),
+            ("F\tf\t1e400\t1.0", "weights must be finite"),
+        ],
+    )
+    def test_bad_rows_named_on_both_paths(self, row, error):
+        # The second F row is the good one; the bad one is line 3.
+        text = f"PERTCRF v1 CRF1 2 2\na\tb\n{row}\nF\tg\t0.5\t-0.5\nT\ta\t0\t0\nT\tb\t0\t0\n"
+        assert self.load_both_ways(text) == [error, error]
+
+    @pytest.mark.parametrize("weight, value", [("1_000", 1000.0), ("\u0661.5", 1.5), (" 2.5 ", 2.5)])
+    def test_weights_only_float_parses_load_by_the_row_loop(self, weight, value):
+        # numpy refuses the first two, which float() takes.
+        text = f"PERTCRF v1 CRF1 2 1\na\tb\nF\tf\t{weight}\t1.0\nT\ta\t0\t0\nT\tb\t0\t0\n"
+        for model in self.load_both_ways(text):
+            assert model.emission.tolist() == [[value, 1.0]]
+
     def test_weights_render_as_per_element_repr(self):
         # The text must equal the per-element rendering repr(float(w)) byte
         # for byte, on weights whose shortest round-trip forms are unusual.
@@ -657,7 +851,7 @@ class TestModelIO:
         assert np.array_equal(restored.transition, model.transition)
         assert_same_text(save_model(restored), text)
         again = encode(restored.feature_index, template, features.batch(c.forms, c.offsets), flags)
-        assert np.array_equal(again.ids, encoded.ids)
+        assert np.array_equal(expanded_ids(again, F), expanded_ids(encoded, F))
 
     def test_file_round_trip(self, tmp_path):
         model, _ = self.trained()

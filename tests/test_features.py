@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import corpora, forms, persian_tokens
-from oracles import corpus_features, encode_keys, position_ids, reference_index, reference_keys
+from oracles import corpus_features, encode_keys, expanded_ids, position_ids, reference_index, reference_keys
 from pertcrf.corpus import Corpus, Token
 from pertcrf.features import FeatureIndex, FeatureTemplate, batch, encode, index_and_encode
 
@@ -183,7 +183,7 @@ class TestIndex:
         encoded = encode(index, CRF1, batch(["unseen", "tak"], [0, 1, 2]))
         # All but w[0]=unseen, which holds the sentinel n, then all eleven
         # keys of tak.
-        assert encoded.ids.T.tolist() == [[0, 1, 2, 3, 4, n, 6, 7, 8, 9, 10], list(range(11))]
+        assert expanded_ids(encoded, n).T.tolist() == [[0, 1, 2, 3, 4, n, 6, 7, 8, 9, 10], list(range(11))]
         assert encoded.offsets.tolist() == [0, 1, 2]
         assert len(index) == n
 
@@ -210,7 +210,7 @@ class TestIndex:
 
     def test_empty_batch_takes_empty_flags(self):
         encoded = encode(FeatureIndex([]), CRF2_EZ, batch([], [0]), [])
-        assert encoded.ids.shape == (len(CRF2_EZ.slots), 0) and encoded.offsets.tolist() == [0]
+        assert expanded_ids(encoded, 0).shape == (len(CRF2_EZ.slots), 0) and encoded.offsets.tolist() == [0]
 
     def test_ezafe_template_index(self):
         keys = set(trained_index(self.one_token_corpus(), CRF2_EZ, ezafe=[0]).keys())
@@ -249,19 +249,21 @@ class TestEncoderEqualsReference:
         F, keys = len(index), index.keys()
         want = position_ids(encode_keys(index, strings), F)
         for got in (encoded, encode(index, template, batch(c.forms, c.offsets), flags)):
-            assert got.ids.dtype == np.int32 and got.ids.shape == (len(template.slots), c.n_tokens)
-            assert got.ids.max(initial=F) == F
+            assert all(a.dtype == np.int32 for a in (got.ids, got.types, got.focus, got.edges))
+            expanded = expanded_ids(got, F)
+            assert expanded.shape == (len(template.slots), c.n_tokens)
+            assert expanded.max(initial=F) == F
             assert position_ids(got, F) == want
             assert got.offsets.tolist() == c.offsets.tolist()
             # Row k holds only keys of slot k.
-            for slot, ids in zip(template.slots, got.ids.tolist()):
+            for slot, ids in zip(template.slots, expanded.tolist()):
                 assert all(keys[i].partition("=")[0] == slot for i in ids if i < F)
         # Decoding text the index was not made from: unknown forms,
         # affixes and flag windows hold the sentinel.
         other_flags = other.ezafe if template.ezafe_input else None
         got = encode(index, template, batch(other.forms, other.offsets), other_flags)
         want = encode_keys(index, corpus_features(other, template, other_flags))
-        assert got.ids.max(initial=F) == F
+        assert expanded_ids(got, F).max(initial=F) == F
         assert position_ids(got, F) == position_ids(want, F)
 
     def test_sentinel_spelled_forms_keep_their_affixes(self):
@@ -314,15 +316,19 @@ class TestSharedBatch:
             flags = text.ezafe if template.ezafe_input else None
             got = encode(index, template, shared, flags)
             alone = encode(index, template, batch(text.forms, text.offsets), flags)
-            assert np.array_equal(got.ids, alone.ids) and np.array_equal(got.offsets, alone.offsets)
-            assert got.ids.shape == (len(template.slots), text.n_tokens)
+            F = len(index)
+            assert np.array_equal(expanded_ids(got, F), expanded_ids(alone, F))
+            assert np.array_equal(got.offsets, alone.offsets)
+            assert expanded_ids(got, F).shape == (len(template.slots), text.n_tokens)
             want = encode_keys(index, corpus_features(text, template, flags))
             assert position_ids(got, len(index)) == position_ids(want, len(index))
         # Training on the shared batch reads it too, and changes it no more
         # than decoding does.
         index, encoded = index_and_encode(CRF2_EZ, shared, text.ezafe)
         alone = index_and_encode(CRF2_EZ, batch(text.forms, text.offsets), text.ezafe)
-        assert index.keys() == alone[0].keys() and np.array_equal(encoded.ids, alone[1].ids)
+        F = len(index)
+        assert index.keys() == alone[0].keys()
+        assert np.array_equal(expanded_ids(encoded, F), expanded_ids(alone[1], F))
         assert all(map(np.array_equal, kept, arrays(shared)))
 
     def test_text_keys(self):
