@@ -22,8 +22,12 @@ iteration after it, split into the L-BFGS direction (direction_s, the
 two-loop recursion) and the line search (linesearch_s: the trial points,
 their evaluations and the curvature update); evals_per_iteration counts
 the evaluations of an iteration. It times `crf.save_model` and
-`crf.load_model` on the model, and last the Bayes oracle over the whole
-corpus, one `datagen.bayes_decode(spec, forms, offsets)` call (oracle_s).
+`crf.load_model` on the model, then the Bayes oracle over the whole
+corpus, one `datagen.bayes_decode(spec, forms, offsets)` call (oracle_s),
+and last one `crf.decode` of the trained model over the whole corpus,
+encoded anew with its index: once untimed by tracemalloc (decode_s), then
+once under it for the bytes that the call allocates at its peak beyond
+those held before it (decode_peak_mb).
 Prints one JSON object with those times, F, the dense parameter count
 (F * L + L * L) beside the observed pairs, the bytes of the vectors that
 OWL-QN holds over the trained parameters (optimizer_state_mb), the parsed
@@ -185,6 +189,13 @@ def main() -> None:
     _, load_s = timed(lambda: crf.load_model(model_text))
     io_peak_rss_mb = peak_rss()
     _, oracle_s = timed(lambda: datagen.bayes_decode(spec, corpus.forms, corpus.offsets))
+    encoded = features.encode(index, template, features.batch(corpus.forms, corpus.offsets))
+    _, decode_s = timed(lambda: crf.decode(model, encoded))
+    tracemalloc.start()
+    held = tracemalloc.get_traced_memory()[0]
+    crf.decode(model, encoded)
+    decode_peak_mb = (tracemalloc.get_traced_memory()[1] - held) / 2**20
+    tracemalloc.stop()
 
     scale = EXTRAPOLATE_TOKENS / corpus.n_tokens
     print(json.dumps({
@@ -217,6 +228,8 @@ def main() -> None:
         "model_mb": round(len(model_text.encode("utf-8")) / 2**20, 2),
         "io_peak_rss_mb": io_peak_rss_mb,
         "oracle_s": round(oracle_s, 4),
+        "decode_s": round(decode_s, 4),
+        "decode_peak_mb": round(decode_peak_mb, 2),
         "extrapolated_8M": {
             "tokens": EXTRAPOLATE_TOKENS,
             "eval_s": round(min(evals) * scale, 1),

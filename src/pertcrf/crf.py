@@ -65,6 +65,17 @@ float, when 2 span + log L < log(largest float64) ~ 709.78: spans up to
 ~354 for L = 2. Wider spans raise TransitionSpanError instead of returning
 NaN, and the optimizer's line search backtracks from them. Viterbi (log
 scores) and datagen.bayes_decode (probabilities; raises if c = 0) have none.
+
+Decoding. _viterbi runs max-product over the packed layout in log scores
+and keeps only each row's best scores (deltas), no back-pointer array. A
+step adds the previous step's deltas, transposed, to the rows of trans in
+one (from, rows, to) buffer allocated once per call, takes np.maximum over
+its outer axis (from), then adds the step's emissions. A step with more
+rows than the buffer holds (_VITERBI_BLOCK float64 cells) runs over blocks
+of rows. The backtrace recomputes each chosen label's predecessor from
+the same float sums, deltas of the previous row plus the column of trans
+into the label, and argmax keeps the first maximum. Paths and scores are
+thus those of a back-pointer kernel: ties break toward the lower label.
 """
 
 from __future__ import annotations
@@ -223,6 +234,7 @@ class _Packed:
     steps: np.ndarray  # (steps+1,) first packed row of each step, then the position count
     row: np.ndarray  # int32 packed row of each position, in corpus order
     order: np.ndarray  # int32 corpus position of each packed row
+    ends: np.ndarray  # int32 packed row of each sentence's last position, in corpus order
 
 
 def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +266,7 @@ def _pack(encoded: Encoded) -> _Packed:
         steps=steps,
         row=row,
         order=order,
+        ends=row[encoded.offsets[1:] - 1],
     )
 
 
@@ -305,7 +318,7 @@ def _emissions(packed: _Packed, weights: np.ndarray, out: np.ndarray | None = No
     if len(packed.edges):
         bos, eos = weights.take(packed.edges, axis=0)
         em[: len(packed.offsets) - 1] += bos  # step 0 holds every sentence's first row
-        em[packed.row[packed.offsets[1:] - 1]] += eos
+        em[packed.ends] += eos
     return em
 
 
@@ -360,39 +373,52 @@ def _sum_product(plan: _Plan, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return plan.alpha, plan.beta, plan.c
 
 
+# Float64 cells of the (from, rows, to) buffer of one Viterbi step: a step
+# with more than _VITERBI_BLOCK // L^2 rows runs over blocks of that many.
+# Larger blocks fall out of cache and run slower.
+_VITERBI_BLOCK = 1 << 16
+
+
 def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-product over a packed batch of log-domain emissions em (N, L).
     Returns the best label of every packed row and the best score of every
     sentence, in rank order. argmax takes the first maximum, so ties break
-    toward the lower label index."""
+    toward the lower label index (see the module docstring)."""
     bounds = steps.tolist()
     L = em.shape[1]
     S = bounds[1]
-    back = np.empty(em.shape, dtype=np.min_scalar_type(L - 1))
     deltas = np.empty_like(em)
     deltas[:S] = em[:S]
+    size = max(1, _VITERBI_BLOCK // (L * L))
+    buffer = np.empty((L, min(size, bounds[2] - S if len(bounds) > 2 else 1), L))
+    froms, cols = deltas.T[:, :, None], trans[:, None, :]
     for t in range(1, len(bounds) - 1):
         a, b = bounds[t], bounds[t + 1]
-        prev = bounds[t - 1]
-        scores = deltas[prev : prev + b - a, :, None] + trans
-        back[a:b] = scores.argmax(axis=1)
-        deltas[a:b] = scores.max(axis=1) + em[a:b]
+        shift = bounds[t - 1] - a  # from a row to its sentence's row one step back
+        for c in range(a, b, size):
+            d = min(c + size, b)
+            best, scores = deltas[c:d], buffer[:, : d - c]
+            np.add(froms[:, shift + c : shift + d], cols, scores)
+            np.maximum.reduce(scores, 0, None, best)
+            np.add(best, em[c:d], best)
     # Sentences ending at step t hold the last rows of its block, so the
     # ranks end, in ascending order, at steps T-1 down to 0.
     sizes = np.diff(steps)
     ending = sizes - np.append(sizes[1:], 0)
-    last_step = np.repeat(np.arange(len(sizes))[::-1], ending[::-1])
-    ranks = np.arange(S)
-    end = deltas[steps[last_step] + ranks]
-    y = end.argmax(axis=1).astype(back.dtype)
-    paths = np.empty(len(em), dtype=back.dtype)
+    last = steps[np.repeat(np.arange(len(sizes))[::-1], ending[::-1])] + np.arange(S)
+    end = deltas[last]
+    paths = np.empty(len(em), dtype=np.intp)
+    paths[last] = end.argmax(axis=1)
+    # Step t-1's first b-a rows are the sentences that go on to step t, in
+    # the same rank order: each gets the predecessor of its label there.
+    into = np.ascontiguousarray(trans.T)
     for t in range(len(bounds) - 2, 0, -1):
         a, b = bounds[t], bounds[t + 1]
-        n = b - a
-        paths[a:b] = y[:n]
-        y[:n] = back[a:b][ranks[:n], y[:n]]
-    paths[:S] = y
-    return paths, end.max(axis=1)
+        prev = slice(bounds[t - 1], bounds[t - 1] + b - a)
+        scores = into.take(paths[a:b], axis=0)
+        scores += deltas[prev]
+        scores.argmax(axis=1, out=paths[prev])
+    return paths.astype(np.min_scalar_type(L - 1)), end.max(axis=1)
 
 
 class _Objective:

@@ -15,7 +15,9 @@ layout and forward-backward (sum_product, a new plan per call) around
 their own kernels: loop_nll_and_gradient pins the emission and
 expected-count kernels bit for bit, adding one row or count at a time in
 their order, and ragged_nll_and_gradient keeps the ragged kernels that
-preceded the id matrix, which sum in key order.
+preceded the id matrix, which sum in key order. viterbi_reference is
+the packed Viterbi kernel that preceded crf._viterbi, kept to pin its
+paths and scores bit for bit.
 """
 
 import itertools
@@ -365,6 +367,46 @@ def brute_viterbi(em: np.ndarray, trans: np.ndarray):
     candidates = seqs[scores == best]
     pick = min(range(len(candidates)), key=lambda i: tuple(candidates[i][::-1]))
     return list(int(v) for v in candidates[pick]), float(best)
+
+
+def viterbi_reference(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-product over a packed batch of log-domain emissions em (N, L).
+    Returns the best label of every packed row and the best score of every
+    sentence, in rank order. argmax takes the first maximum, so ties break
+    toward the lower label index.
+
+    The kernel that crf._viterbi replaced, kept as it was: each step takes
+    max and argmax along the middle axis of a fresh (rows, from, to) array
+    and keeps the argmax in an (N, L) back-pointer array, which the
+    backtrace reads."""
+    bounds = steps.tolist()
+    L = em.shape[1]
+    S = bounds[1]
+    back = np.empty(em.shape, dtype=np.min_scalar_type(L - 1))
+    deltas = np.empty_like(em)
+    deltas[:S] = em[:S]
+    for t in range(1, len(bounds) - 1):
+        a, b = bounds[t], bounds[t + 1]
+        prev = bounds[t - 1]
+        scores = deltas[prev : prev + b - a, :, None] + trans
+        back[a:b] = scores.argmax(axis=1)
+        deltas[a:b] = scores.max(axis=1) + em[a:b]
+    # Sentences ending at step t hold the last rows of its block, so the
+    # ranks end, in ascending order, at steps T-1 down to 0.
+    sizes = np.diff(steps)
+    ending = sizes - np.append(sizes[1:], 0)
+    last_step = np.repeat(np.arange(len(sizes))[::-1], ending[::-1])
+    ranks = np.arange(S)
+    end = deltas[steps[last_step] + ranks]
+    y = end.argmax(axis=1).astype(back.dtype)
+    paths = np.empty(len(em), dtype=back.dtype)
+    for t in range(len(bounds) - 2, 0, -1):
+        a, b = bounds[t], bounds[t + 1]
+        n = b - a
+        paths[a:b] = y[:n]
+        y[:n] = back[a:b][ranks[:n], y[:n]]
+    paths[:S] = y
+    return paths, end.max(axis=1)
 
 
 def central_differences(fun, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import decode_keys, flat, lattices
-from oracles import brute_log_z, brute_posteriors, brute_viterbi, encode_keys, sum_product
+from oracles import brute_log_z, brute_posteriors, brute_viterbi, encode_keys, sum_product, viterbi_reference
+from pertcrf import crf
 from pertcrf.crf import (
     CrfModel,
     _emissions,
@@ -284,6 +286,33 @@ class TestBatchedViterbi:
             path, score = brute_viterbi(em, trans)
             assert paths[r].tolist() == path
             assert scores[r[0]] == score  # a sentence's step-0 row is its rank
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6, 30])
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_kernel_matches_reference_bit_for_bit(self, L, rows, monkeypatch):
+        """Paths (dtype included) and scores equal the back-pointer kernel's
+        bits, on integer scores, which tie often, and on real ones, whose
+        sums round, with blocks of the given rows (None keeps the module's)
+        so that a step spans several."""
+        if rows is not None:
+            monkeypatch.setattr(crf, "_VITERBI_BLOCK", rows * L * L)
+        rng = np.random.default_rng(500 + L)
+        batches = [
+            [int(v) for v in rng.permutation(MIXED_LENGTHS)],
+            [int(v) for v in rng.permutation([1] * 12 + [25])],
+            [int(v) for v in rng.permutation([1] * 5 + [6] * 10)],
+            [1] * 9,  # every row is its sentence's first: S == N
+        ]
+        draws = [lambda size: rng.integers(-2, 3, size=size).astype(float), lambda size: rng.normal(size=size)]
+        for lengths, draw in itertools.product(batches, draws):
+            ems = [draw((T, L)) for T in lengths]
+            trans = draw((L, L))
+            packed, steps, _ = pack(ems)
+            paths, scores = _viterbi(packed, trans, steps)
+            want_paths, want_scores = viterbi_reference(packed, trans, steps)
+            assert paths.dtype == want_paths.dtype == np.min_scalar_type(L - 1)
+            assert paths.tobytes() == want_paths.tobytes()
+            assert scores.dtype == want_scores.dtype and scores.tobytes() == want_scores.tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_decode_matches_oracle(self, seed):

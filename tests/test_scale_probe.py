@@ -34,12 +34,15 @@ def test_tiny_configuration_reports_every_field():
     assert F <= P < F * 3
     # 29 OWL-QN vectors (10 curvature pairs and 9 more) of P + L^2 float64.
     assert record["optimizer_state_mb"] == round(29 * (P + 3 * 3) * 8 / 2**20, 2)
-    times = ("spec_s", "generate_s", "parse_s", "encode_s", "eval_s", "step_s", "save_s", "load_s", "oracle_s")
+    times = (
+        "spec_s", "generate_s", "parse_s", "encode_s", "eval_s", "step_s", "save_s", "load_s", "oracle_s", "decode_s",
+    )
     for key in times + ("iteration_s", "direction_s", "linesearch_s"):
         assert record[key] >= 0.0
     assert record["iterations"] == 2 and record["stop"] == "max_iterations"
     assert record["evals_per_iteration"] >= 1.0
     assert 0 < record["eval_peak_mb"] < record["peak_rss_mb"]
+    assert 0 < record["decode_peak_mb"] < record["peak_rss_mb"]
     extrapolated = record["extrapolated_8M"]
     assert extrapolated["tokens"] == 8_000_000
     assert set(extrapolated) == {"tokens", "eval_s", "iteration_s", "train_100_h", "peak_rss_gb"}
