@@ -25,9 +25,9 @@ the evaluations of an iteration. It times `crf.save_model` and
 `crf.load_model` on the model, then the Bayes oracle over the whole
 corpus, one `datagen.bayes_decode(spec, forms, offsets)` call (oracle_s),
 and last one `crf.decode` of the trained model over the whole corpus,
-encoded anew with its index: once untimed by tracemalloc (decode_s), then
-once under it for the bytes that the call allocates at its peak beyond
-those held before it (decode_peak_mb).
+encoded anew with its index: timed once without tracemalloc (decode_s),
+then run once under it for the bytes that the call allocates at its peak
+beyond those held before it (decode_peak_mb).
 Prints one JSON object with those times, F, the dense parameter count
 (F * L + L * L) beside the observed pairs, the bytes of the vectors that
 OWL-QN holds over the trained parameters (optimizer_state_mb), the parsed

@@ -390,8 +390,10 @@ def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.n
     deltas = np.empty_like(em)
     deltas[:S] = em[:S]
     size = max(1, _VITERBI_BLOCK // (L * L))
-    buffer = np.empty((L, min(size, bounds[2] - S if len(bounds) > 2 else 1), L))
+    buffer = np.empty((L, min(size, S), L))  # no step has more rows than step 0
     froms, cols = deltas.T[:, :, None], trans[:, None, :]
+    # The ufuncs take out positionally: at bench sizes a step costs a few
+    # microseconds, most of it per-call overhead.
     for t in range(1, len(bounds) - 1):
         a, b = bounds[t], bounds[t + 1]
         shift = bounds[t - 1] - a  # from a row to its sentence's row one step back
