@@ -8,7 +8,7 @@ layers that training runs before and inside the optimizer:
 parsing the corpus text (and, in a separate traced parse, the bytes that
 the parsed corpus holds, from tracemalloc), indexing and encoding the
 corpus (the one pass of `tasks.fit`: `features.batch`, then
-`features.index_and_encode`, then the packed layout that `crf.train`
+`features.index_and_encode`, then the `crf._Layout` that `crf.train`
 builds; the gold label ids are the corpus's tag codes), and one
 evaluation of the training objective at x = 0 (the minimum of 3), over
 the parameters that `crf.train` fits: the (feature, label) pairs seen in
@@ -131,13 +131,15 @@ def main() -> None:
 
     def encode():
         index, encoded = features.index_and_encode(template, features.batch(corpus.forms, corpus.offsets))
-        return index, crf._pack(encoded)
+        return index, encoded, crf._Layout(encoded.offsets)
 
-    (index, packed), encode_s = timed(encode)
+    (index, encoded, layout), encode_s = timed(encode)
     F, L = len(index), len(labels)
-    encoded_bytes = sum(a.nbytes for a in vars(packed).values() if isinstance(a, np.ndarray))
+    arrays = [*vars(encoded).values(), layout.steps, layout.row, layout.order, layout.ends]
+    encoded_bytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    del layout  # the objective builds its own
     config = crf.TrainConfig()
-    objective = crf._Objective(packed, gold, F, L, config.l2)
+    objective = crf._Objective(encoded, gold, F, L, config.l2)
     P = len(objective.cells)
     x = np.zeros(objective.size)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
@@ -184,7 +186,7 @@ def main() -> None:
         transition=objective.transitions(result.x).copy(),
         template=template,
     )
-    del objective, packed, result  # model I/O runs without the training arrays
+    del objective, encoded, result  # model I/O runs without the training arrays
     model_text, save_s = timed(lambda: crf.save_model(model))
     _, load_s = timed(lambda: crf.load_model(model_text))
     io_peak_rss_mb = peak_rss()

@@ -18,7 +18,10 @@ first (a stable sort, so corpus order is kept among equal lengths), and
 step t holds, contiguously, position t of every sentence longer than t.
 Step t's rows are thus a prefix of step t-1's in sentence order, so the
 recursions make one pass per step over a block with no padding, and
-training and decoding share the layout. The encoding stays in corpus
+training and decoding share the layout. _Layout is the one place its
+facts come from: the steps, each position's row, each row's corpus
+position, each sentence's last row, and each step's rows beside the rows
+their sentences held one step earlier. The encoding stays in corpus
 order: emissions gather it by each packed row's corpus position, and the
 expected counts scatter over it from posteriors put back in corpus order.
 
@@ -48,10 +51,11 @@ its sum c_t, and beta_t = E @ (P_{t+1} beta_{t+1} / c_{t+1}), 1 at a
 sentence's last row. Unary posteriors are alpha * beta, expected
 transitions E * (alpha[prev]^T @ (P beta / c)[cur]), and
 log Z = sum log c + sum row max + (positions - sentences) * max(trans).
-A _Plan holds, for one layout, the buffers P, alpha, beta and c and the
-views of every step into them; training builds one per objective and
-datagen.bayes_decode one per block. The backward pass leaves P beta / c
-in P's rows after step 0, where the expected transitions read it.
+A _Plan holds, for one _Layout, the buffers P, alpha, beta and c and the
+views into them of every step of the layout's spans; training builds one
+per objective and datagen.bayes_decode one per block. The backward pass
+leaves P beta / c in P's rows after step 0, where the expected
+transitions read it.
 
 Span bound. With span = max(trans) - min(trans), E lies in
 [exp(-span), 1]. Each alpha_t sums to 1 and each P_t peaks at 1, so
@@ -66,10 +70,12 @@ float, when 2 span + log L < log(largest float64) ~ 709.78: spans up to
 NaN, and the optimizer's line search backtracks from them. Viterbi (log
 scores) and datagen.bayes_decode (probabilities; raises if c = 0) have none.
 
-Decoding. _viterbi runs max-product over the packed layout in log scores
-and keeps only each row's best scores (deltas), no back-pointer array. A
-step adds the previous step's deltas, transposed, to the rows of trans in
-one (from, rows, to) buffer allocated once per call, takes np.maximum over
+Decoding. _viterbi runs max-product over a _Layout in log scores and
+keeps only each row's best scores (deltas), no back-pointer array. It
+reads each step's rows and their sentences' previous rows from the
+layout's spans, and where each sentence ends from its ends. A step adds
+the previous step's deltas, transposed, to the rows of trans in one
+(from, rows, to) buffer allocated once per call, takes np.maximum over
 its outer axis (from), then adds the step's emissions. A step with more
 rows than the buffer holds (_VITERBI_BLOCK float64 cells) runs over blocks
 of rows. The backtrace recomputes each chosen label's predecessor from
@@ -188,11 +194,9 @@ def decode(model: CrfModel, encoded: Encoded) -> np.ndarray:
     """The Viterbi label id (an index into model.labels) of every position
     of encoded (see features.encode), in corpus order, as intp, decoded in
     one packed batch."""
-    if len(encoded.offsets) == 1:
-        return np.empty(0, dtype=np.intp)
-    packed = _pack(encoded)
-    paths, _ = _viterbi(_emissions(packed, model._weights), model.transition, packed.steps)
-    return paths.astype(np.intp)[packed.row]
+    layout = _Layout(encoded.offsets)
+    paths, _ = _viterbi(_emissions(encoded, layout, model._weights), model.transition, layout)
+    return paths.astype(np.intp)[layout.row]
 
 
 def nll_and_gradient(
@@ -212,9 +216,9 @@ def nll_and_gradient(
     the optimizer, not the gradient.
     """
     F, L = model.emission.shape
-    packed, labels = _pack(encoded), _checked_gold(encoded, gold, L)
+    labels = _checked_gold(encoded, gold, L)
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])
-    objective = _Objective(packed, labels, F, L, l2, cells=np.arange(F * L))
+    objective = _Objective(encoded, labels, F, L, l2, cells=np.arange(F * L))
     nll, grad = objective(x)
     return nll, (grad[: F * L].reshape(F, L), grad[F * L :].reshape(L, L))
 
@@ -224,50 +228,32 @@ def nll_and_gradient(
 # Training and decoding share the layout and the emission kernel.
 
 
-@dataclass(frozen=True)
-class _Packed:
-    ids: np.ndarray  # (K, N) int32 moving-slot ids of each position, in corpus order
-    offsets: np.ndarray  # int32 (S+1,) sentence starts in corpus order, then the position count
-    types: np.ndarray  # (N,) int32 form type code of each position, in corpus order
-    focus: np.ndarray  # (J, T) int32 focus-slot ids of each type
-    edges: np.ndarray  # (E,) int32 ids of BOS and EOS, or none
-    steps: np.ndarray  # (steps+1,) first packed row of each step, then the position count
-    row: np.ndarray  # int32 packed row of each position, in corpus order
-    order: np.ndarray  # int32 corpus position of each packed row
-    ends: np.ndarray  # int32 packed row of each sentence's last position, in corpus order
+class _Layout:
+    """The packed layout of the sentences that offsets cut a corpus into,
+    and the one place its facts are worked out (see Layout in the module
+    docstring). Sentences rank by length, longest first, in corpus order
+    among equal lengths; step t holds position t of each sentence longer
+    than t, in rank order."""
 
-
-def _layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed layout of sentences with the given corpus offsets: (steps,
-    row). Sentences rank by length, longest first, in corpus order among
-    equal lengths; step t holds position t of each sentence longer than t,
-    in rank order, at rows steps[t] .. steps[t+1]-1."""
-    lengths = offsets[1:] - offsets[:-1]
-    S = len(lengths)
-    rank = np.empty(S, dtype=np.intp)
-    rank[(-lengths).argsort(kind="stable")] = np.arange(S)
-    alive = S - np.bincount(lengths).cumsum()[:-1]  # sentences longer than t
-    steps = np.concatenate([[0], alive.cumsum()])
-    sentence = np.arange(S).repeat(lengths)
-    t = np.arange(len(sentence)) - offsets[:-1][sentence]
-    return steps, (steps[t] + rank[sentence]).astype(np.intc)
-
-
-def _pack(encoded: Encoded) -> _Packed:
-    steps, row = _layout(encoded.offsets)
-    order = np.empty_like(row)
-    order[row] = np.arange(len(row), dtype=row.dtype)
-    return _Packed(
-        ids=encoded.ids,
-        offsets=encoded.offsets,
-        types=encoded.types,
-        focus=encoded.focus,
-        edges=encoded.edges,
-        steps=steps,
-        row=row,
-        order=order,
-        ends=row[encoded.offsets[1:] - 1],
-    )
+    def __init__(self, offsets: np.ndarray):
+        lengths = offsets[1:] - offsets[:-1]
+        self.S = S = len(lengths)  # the rows of step 0, each sentence's first
+        by_rank = (-lengths).argsort(kind="stable")
+        rank = np.empty(S, dtype=np.intp)
+        rank[by_rank] = np.arange(S)
+        alive = S - np.bincount(lengths).cumsum()[:-1]  # sentences longer than t
+        # The first row of each step, then the row count.
+        self.steps = np.concatenate([[0], alive.cumsum()])
+        sentence = np.arange(S).repeat(lengths)
+        t = np.arange(len(sentence)) - offsets[:-1][sentence]
+        self.row = (self.steps[t] + rank[sentence]).astype(np.intc)  # of each position, in corpus order
+        self.order = np.empty_like(self.row)  # the corpus position of each row
+        self.order[self.row] = np.arange(len(self.row), dtype=self.row.dtype)
+        self.ends = self.row[offsets[1:][by_rank] - 1]  # the last row of each sentence, in rank order
+        # One (a, b, p) per step t >= 1: its rows a..b-1 continue the
+        # sentences at rows p..p+b-a-1, the first b-a rows of step t-1.
+        bounds = self.steps.tolist()
+        self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1]) for t in range(1, len(bounds) - 1)]
 
 
 def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarray:
@@ -291,7 +277,9 @@ def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarr
 _GATHER_BLOCK = 1 << 16
 
 
-def _emissions(packed: _Packed, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _emissions(
+    encoded: Encoded, layout: _Layout, weights: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """(positions, L) emission scores in packed rows, written into out when
     given, from (F+1, L) weights whose last row is zero. The focus slots'
     rows of each type are summed once, in slot order. Each position sums
@@ -299,26 +287,26 @@ def _emissions(packed: _Packed, weights: np.ndarray, out: np.ndarray | None = No
     BOS's row is added at each sentence's first row and EOS's at its last.
     Each block of packed rows gathers its columns of the id matrix and its
     type codes by corpus position, then their weight rows."""
-    K, n = packed.ids.shape
-    J, T = packed.focus.shape
+    K, n = encoded.ids.shape
+    J, T = encoded.focus.shape
     L = weights.shape[1]
     em = np.empty((n, L)) if out is None else out
     if J:
         typed = np.empty((T, L))
         size = max(1, _GATHER_BLOCK // (J * L))
         for a in range(0, T, size):
-            weights.take(packed.focus[:, a : a + size], axis=0).sum(axis=0, out=typed[a : a + size])
+            weights.take(encoded.focus[:, a : a + size], axis=0).sum(axis=0, out=typed[a : a + size])
     size = max(1, _GATHER_BLOCK // max(1, (K + 1) * L))
     for a in range(0, n, size):
-        at = packed.order[a : a + size]
+        at = layout.order[a : a + size]
         block = em[a : a + size]
-        weights.take(packed.ids.take(at, axis=1), axis=0).sum(axis=0, out=block)
+        weights.take(encoded.ids.take(at, axis=1), axis=0).sum(axis=0, out=block)
         if J:
-            block += typed.take(packed.types.take(at), axis=0)
-    if len(packed.edges):
-        bos, eos = weights.take(packed.edges, axis=0)
-        em[: len(packed.offsets) - 1] += bos  # step 0 holds every sentence's first row
-        em[packed.ends] += eos
+            block += typed.take(encoded.types.take(at), axis=0)
+    if len(encoded.edges):
+        bos, eos = weights.take(encoded.edges, axis=0)
+        em[: layout.S] += bos  # step 0 holds every sentence's first row
+        em[layout.ends] += eos
     return em
 
 
@@ -329,18 +317,16 @@ class _Plan:
     beta holds 1 from the start, and no step writes the rows where a
     sentence ends, so they stay 1."""
 
-    def __init__(self, steps: np.ndarray, n_labels: int):
-        n = int(steps[-1])
+    def __init__(self, layout: _Layout, n_labels: int):
+        n = len(layout.row)
         self.P = np.empty((n, n_labels))
         self.alpha = np.empty((n, n_labels))
         self.beta = np.ones((n, n_labels))
         self.c = np.empty(n)
-        bounds = steps.tolist()
-        self.S = bounds[1] if len(bounds) > 1 else 0
+        self.S = layout.S
         self._forward, self._backward = [], []
-        for t in range(1, len(bounds) - 1):
-            a, b = bounds[t], bounds[t + 1]
-            prev = slice(bounds[t - 1], bounds[t - 1] + b - a)
+        for a, b, p in layout.spans:
+            prev = slice(p, p + b - a)
             norm = self.c[a:b]
             self._forward.append((self.alpha[prev], self.alpha[a:b], self.P[a:b], norm, norm[:, None]))
             self._backward.append((self.P[a:b], self.beta[a:b], norm[:, None], self.beta[prev]))
@@ -379,14 +365,13 @@ def _sum_product(plan: _Plan, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 _VITERBI_BLOCK = 1 << 16
 
 
-def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _viterbi(em: np.ndarray, trans: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """Max-product over a packed batch of log-domain emissions em (N, L).
     Returns the best label of every packed row and the best score of every
     sentence, in rank order. argmax takes the first maximum, so ties break
     toward the lower label index (see the module docstring)."""
-    bounds = steps.tolist()
     L = em.shape[1]
-    S = bounds[1]
+    S = layout.S
     deltas = np.empty_like(em)
     deltas[:S] = em[:S]
     size = max(1, _VITERBI_BLOCK // (L * L))
@@ -394,29 +379,22 @@ def _viterbi(em: np.ndarray, trans: np.ndarray, steps: np.ndarray) -> tuple[np.n
     froms, cols = deltas.T[:, :, None], trans[:, None, :]
     # The ufuncs take out positionally: at bench sizes a step costs a few
     # microseconds, most of it per-call overhead.
-    for t in range(1, len(bounds) - 1):
-        a, b = bounds[t], bounds[t + 1]
-        shift = bounds[t - 1] - a  # from a row to its sentence's row one step back
+    for a, b, p in layout.spans:
+        shift = p - a  # from a row to its sentence's row one step back
         for c in range(a, b, size):
             d = min(c + size, b)
             best, scores = deltas[c:d], buffer[:, : d - c]
             np.add(froms[:, shift + c : shift + d], cols, scores)
             np.maximum.reduce(scores, 0, None, best)
             np.add(best, em[c:d], best)
-    # Sentences ending at step t hold the last rows of its block, so the
-    # ranks end, in ascending order, at steps T-1 down to 0.
-    sizes = np.diff(steps)
-    ending = sizes - np.append(sizes[1:], 0)
-    last = steps[np.repeat(np.arange(len(sizes))[::-1], ending[::-1])] + np.arange(S)
-    end = deltas[last]
+    end = deltas[layout.ends]
     paths = np.empty(len(em), dtype=np.intp)
-    paths[last] = end.argmax(axis=1)
-    # Step t-1's first b-a rows are the sentences that go on to step t, in
-    # the same rank order: each gets the predecessor of its label there.
+    paths[layout.ends] = end.argmax(axis=1)
+    # Each row of a step gets the predecessor of its label at the row its
+    # sentence holds one step back.
     into = np.ascontiguousarray(trans.T)
-    for t in range(len(bounds) - 2, 0, -1):
-        a, b = bounds[t], bounds[t + 1]
-        prev = slice(bounds[t - 1], bounds[t - 1] + b - a)
+    for a, b, p in reversed(layout.spans):
+        prev = slice(p, p + b - a)
         scores = into.take(paths[a:b], axis=0)
         scores += deltas[prev]
         scores.argmax(axis=1, out=paths[prev])
@@ -452,7 +430,7 @@ class _Objective:
 
     def __init__(
         self,
-        encoded: _Packed,
+        encoded: Encoded,
         labels: np.ndarray,
         n_features: int,
         n_labels: int,
@@ -463,12 +441,14 @@ class _Objective:
         self.F = n_features
         self.L = n_labels
         self.l2 = l2
-        self.plan = _Plan(encoded.steps, n_labels)
+        self.layout = layout = _Layout(encoded.offsets)
+        self.plan = _Plan(layout, n_labels)
         # Rows of step 0 start the sentences; every later row pairs with the
         # row its sentence holds one step earlier.
-        sizes = np.diff(encoded.steps)
-        self.S = S = self.plan.S
-        self._prev = np.arange(S, int(encoded.steps[-1])) - np.repeat(sizes[:-1], sizes[1:])
+        self.S = S = layout.S
+        self._prev = np.empty(len(layout.row) - S, dtype=np.intp)
+        for a, b, p in layout.spans:
+            self._prev[a - S : b - S] = np.arange(p, p + b - a)
         # The scatter's keys and the buffer of its weights, in three parts.
         (K, N), (J, T), E = encoded.ids.shape, encoded.focus.shape, len(encoded.edges)
         parts = [encoded.ids.ravel(), encoded.focus.ravel(), np.repeat(encoded.edges, S)]
@@ -481,7 +461,7 @@ class _Objective:
         self._types = encoded.types.astype(np.intp) if J else None
         offsets = encoded.offsets.astype(np.intp)
         self._ends = np.concatenate([offsets[:-1], offsets[1:] - 1])[: E * S]  # read by BOS, EOS
-        self._row = encoded.row.astype(np.intp)
+        self._row = layout.row.astype(np.intp)
         # Empirical counts never change, and the gold path score is their
         # dot product with the weights.
         L, y = n_labels, labels
@@ -526,7 +506,7 @@ class _Objective:
         return np.bincount(self._keys, weights=self._weights, minlength=self.F + 1)
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        enc, plan, L, S = self.encoded, self.plan, self.L, self.S
+        plan, L, S = self.plan, self.L, self.S
         w_t = self.transitions(x)
         top = float(w_t.max())
         span = top - float(w_t.min())
@@ -536,7 +516,7 @@ class _Objective:
                 f"that the scaled recursion keeps finite for {L} labels"
             )
         E = np.exp(w_t - top)
-        P = _emissions(enc, self.weights(x), out=plan.P)
+        P = _emissions(self.encoded, self.layout, self.weights(x), out=plan.P)
         shift = P.max(axis=1)
         P -= shift[:, None]
         np.exp(P, out=P)
@@ -592,7 +572,7 @@ def train(
     if len(encoded.offsets) == 1:
         raise ValueError("training data is empty")
     F, L = len(feature_index), len(labels)
-    objective = _Objective(_pack(encoded), _checked_gold(encoded, gold, L), F, L, config.l2)
+    objective = _Objective(encoded, _checked_gold(encoded, gold, L), F, L, config.l2)
 
     last = None  # (x, model) of the last model built
 

@@ -2,7 +2,8 @@
 posterior-decoding oracle that upper-bounds any trained tagger on data from
 the same process. The oracle runs crf's packed sum-product on the spec's
 probabilities, over blocks of whole sentences of bounded size: no span
-bound applies, and zero-probability sentences raise.
+bound applies, and zero-probability sentences raise. The sampler and the
+oracle step through the same packed layout, a crf._Layout.
 
 Ezafe flags are generated conditionally on (state, next state), so the flag
 carries exactly the phrase-boundary signal that makes it informative for
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, non_unix_line, whitespace_free
-from .crf import _Plan, _layout, _sum_product
+from .crf import _Layout, _Plan, _sum_product
 from .features import checked_offsets
 from .rng import SplitMix64, check_seed, randoms_at, substream_states
 
@@ -196,8 +197,8 @@ def _sample_chunk(tables, streams, skip, lengths):
     whose first skip draws went to their lengths."""
     cum_start, cum_trans, cum_emit, rule = tables
     L, V = cum_emit.shape
-    T = int(lengths.sum())
-    starts = np.cumsum(lengths) - lengths
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    T, starts = int(offsets[-1]), offsets[:-1]
     sent = np.repeat(np.arange(len(lengths)), lengths)  # sentence of each token
     draw = skip[sent] + np.arange(T) - starts[sent]  # the token's state draw
     n = lengths[sent]
@@ -207,12 +208,11 @@ def _sample_chunk(tables, streams, skip, lengths):
 
     states = np.empty(T, dtype=np.int32)
     states[starts] = _categorical(cum_start, u_state[starts])
-    # Step t samples position t of every sentence longer than t; longest
-    # first, those sentences are a prefix of this order.
-    by_length = np.argsort(-lengths, kind="stable")
-    longest_first = lengths[by_length]
-    for t in range(1, int(longest_first[0])):
-        rows = starts[by_length[: np.count_nonzero(longest_first > t)]] + t
+    # Step t of the packed layout samples position t of every sentence
+    # longer than t, at the corpus positions of its rows.
+    layout = _Layout(offsets)
+    for a, b, _ in layout.spans:
+        rows = layout.order[a:b]
         states[rows] = _categorical(cum_trans[states[rows - 1]], u_state[rows])
 
     words = np.empty(T, dtype=np.int64)
@@ -253,17 +253,17 @@ def bayes_decode(spec: HmmSpec, words: Sequence[str], offsets: Sequence[int] | N
 def _posterior_modes(spec: HmmSpec, obs: np.ndarray, offsets: np.ndarray, first: int) -> np.ndarray:
     """bayes_decode's state ids of the word ids obs, cut into sentences by
     offsets, whose first sentence is sentence first of the corpus."""
-    steps, row = _layout(offsets)
-    plan = _Plan(steps, len(spec.states))
-    plan.P[...] = spec.emit.take(obs[row.argsort()], axis=1).T  # packed rows
-    plan.P[: len(offsets) - 1] *= spec.start  # step 0: each sentence's first row
+    layout = _Layout(offsets)
+    plan = _Plan(layout, len(spec.states))
+    plan.P[...] = spec.emit.take(obs[layout.order], axis=1).T  # packed rows
+    plan.P[: layout.S] *= spec.start  # step 0: each sentence's first row
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha, beta, c = _sum_product(plan, spec.trans)
-    if not (c > 0).all():  # also where c is NaN; c[row] is in corpus order
-        sentence = first + np.searchsorted(offsets, np.flatnonzero(~(c[row] > 0))[0], "right") - 1
+    if not (c > 0).all():  # also where c is NaN; c[layout.row] is in corpus order
+        sentence = first + np.searchsorted(offsets, np.flatnonzero(~(c[layout.row] > 0))[0], "right") - 1
         raise ValueError(f"sentence {sentence}: zero probability under the spec")
     alpha *= beta
-    return alpha.argmax(axis=1)[row]
+    return alpha.argmax(axis=1)[layout.row]
 
 
 def expected_ezafe_rate(spec: HmmSpec, length_dist: GeometricLength = GeometricLength()) -> float:

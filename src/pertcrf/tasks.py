@@ -486,6 +486,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             "ezafe_model is read only by task pos-ez-input with ezafe_source = predicted"
         )
+    if predicted and not values.get("ezafe_model"):
+        raise ConfigError("task pos-ez-input with ezafe_source = predicted needs ezafe_model")
     try:
         template = FeatureTemplate(
             id=values["template"].upper(), ezafe_input=(task == "pos-ez-input")

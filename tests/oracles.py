@@ -27,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from pertcrf.corpus import Corpus, CorpusFormatError, Token, non_unix_line
-from pertcrf.crf import _layout, _Plan, _sum_product as _crf_sum_product
+from pertcrf.crf import _Layout, _Plan, _sum_product as _crf_sum_product
 from pertcrf.datagen import GeometricLength, HmmSpec, expected_ezafe_rate, random_spec
 from pertcrf.features import Encoded, FeatureIndex
 from pertcrf.rng import SplitMix64, substream
@@ -153,10 +153,11 @@ def position_ids(encoded, n_features):
     return [[i for i in column if i < n_features] for column in expanded_ids(encoded, n_features).T.tolist()]
 
 
-def sum_product(P, E, steps):
-    """crf._sum_product over a new plan for steps, from a copy of the
-    exp-domain emissions P, which stay as they are: (alpha, beta, c)."""
-    plan = _Plan(steps, P.shape[1])
+def sum_product(P, E, layout):
+    """crf._sum_product over a new plan for layout (a crf._Layout), from a
+    copy of the exp-domain emissions P, which stay as they are: (alpha,
+    beta, c)."""
+    plan = _Plan(layout, P.shape[1])
     plan.P[...] = P
     return _crf_sum_product(plan, E)
 
@@ -165,7 +166,8 @@ def _objective_rest(em, encoded, w_t, gold):
     """The objective's arithmetic after the emissions em (packed rows):
     (log Z, expected transitions, the unary posteriors in packed rows, the
     empirical transition counts)."""
-    steps, row = _layout(encoded.offsets)
+    layout = _Layout(encoded.offsets)
+    steps, row = layout.steps, layout.row
     n, S = len(row), int(steps[1]) if len(steps) > 1 else 0
     y = np.asarray(gold).astype(np.intc)
     L = len(w_t)
@@ -175,7 +177,7 @@ def _objective_rest(em, encoded, w_t, gold):
     shift = P.max(axis=1)
     P -= shift[:, None]
     np.exp(P, out=P)
-    alpha, beta, c = sum_product(P, E, steps)
+    alpha, beta, c = sum_product(P, E, layout)
     log_z = float(np.log(c).sum()) + float(shift.sum()) + (n - S) * top
     sizes = np.diff(steps)
     prev = np.arange(S, n) - np.repeat(sizes[:-1], sizes[1:])
@@ -214,7 +216,7 @@ def ragged_nll_and_gradient(model, encoded, gold, l2=0.0):
     ids = expanded_ids(encoded, F).T
     known = ids < F
     feat = ids[known]
-    _, row = _layout(encoded.offsets)
+    row = _Layout(encoded.offsets).row
     tok = np.repeat(row, known.sum(axis=1))
     n = len(row)
     y = np.asarray(gold).astype(np.intc)
@@ -274,7 +276,7 @@ def loop_nll_and_gradient(model, encoded, gold, l2=0.0):
             if p in ends:
                 acc = acc + w[edges[1]]
         em_corpus[p] = acc
-    _, row = _layout(encoded.offsets)
+    row = _Layout(encoded.offsets).row
     em = np.empty_like(em_corpus)
     em[row] = em_corpus
     x = np.concatenate([model.emission.ravel(), model.transition.ravel()])

@@ -35,6 +35,7 @@ from pertcrf.corpus import (
 from pertcrf.crf import (
     CrfModel,
     TrainConfig,
+    _Layout,
     _viterbi,
     nll_and_gradient,
     train,
@@ -76,7 +77,7 @@ def test_criterion_1_exact_inference_oracle():
         L = int(rng.integers(1, 5))
         em = rng.normal(0, rng.choice([0.5, 2.0, 8.0]), size=(T, L))
         trans = rng.normal(0, 2.0, size=(L, L))
-        steps = np.arange(T + 1)  # one sentence: step t holds its position t
+        layout = _Layout(np.array([0, T]))  # one sentence: step t holds its position t
 
         # The scaled kernel that training runs, with its inputs
         # P = exp(em - row max) and E = exp(trans - max).
@@ -84,7 +85,7 @@ def test_criterion_1_exact_inference_oracle():
         shift = em.max(axis=1)
         P = np.exp(em - shift[:, None])
         E = np.exp(trans - top)
-        alpha, beta, c = sum_product(P, E, steps)
+        alpha, beta, c = sum_product(P, E, layout)
         expected_z = brute_log_z(em, trans)
         log_z = float(np.log(c).sum() + shift.sum() + (T - 1) * top)
         log_z_b = float(math.log(P[0] @ beta[0]) + shift.sum() + np.log(c[1:]).sum() + (T - 1) * top)
@@ -115,7 +116,7 @@ def test_criterion_1_exact_inference_oracle():
         g_t[0, 0] += T - 1
         assert np.max(np.abs(g_t - pairwise.sum(axis=0))) <= 1e-8
 
-        paths, scores = _viterbi(em, trans, steps)
+        paths, scores = _viterbi(em, trans, layout)
         exp_path, exp_score = brute_viterbi(em, trans)
         assert paths.tolist() == exp_path and scores[0] == exp_score
     elapsed = time.monotonic() - started

@@ -479,6 +479,17 @@ class TestExperiment:
         assert "is read only by task pos-ez-input" in capsys.readouterr().err
         assert not list(tmp_path.glob("model.crf*"))
 
+    def test_predicted_flags_without_ezafe_model_is_data_error(self, tmp_path, capsys):
+        # Refused from the config alone: the corpus files do not exist.
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            "task = pos-ez-input\ntemplate = crf1\n"
+            + "".join(f"{name} = {tmp_path / name}.tsv\n" for name in ("train", "valid", "test")),
+            encoding="utf-8",
+        )
+        assert main(["experiment", str(config)]) == 2
+        assert "predicted needs ezafe_model" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_is_data_error(self, tmp_path, capsys, seed):
         config = tmp_path / "exp.cfg"

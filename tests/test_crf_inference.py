@@ -12,8 +12,7 @@ from pertcrf import crf
 from pertcrf.crf import (
     CrfModel,
     _emissions,
-    _layout,
-    _pack,
+    _Layout,
     _viterbi,
     decode,
     nll_and_gradient,
@@ -33,26 +32,32 @@ def tiny_model(emission, transition, labels=("a", "b"), features=("f1", "f2")):
     )
 
 
+def one_sentence(T):
+    """The layout of one sentence of T positions: step t holds position t."""
+    return _Layout(np.array([0, T]))
+
+
 def pack(ems):
     """One packed batch of (T_i, L) emission lattices: the packed rows, the
-    layout's steps, and the packed rows of each lattice in position order."""
+    layout, and the packed rows of each lattice in position order."""
     offsets = np.concatenate([[0], np.cumsum([len(em) for em in ems])]).astype(np.intc)
-    steps, row = _layout(offsets)
+    layout = _Layout(offsets)
+    row = layout.row
     packed = np.empty((int(offsets[-1]), ems[0].shape[1]))
     packed[row] = np.concatenate(ems)
-    return packed, steps, [row[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    return packed, layout, [row[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def posteriors(ems, trans):
     """(log Z, unary (T, L), pairwise (T-1, L, L)) of each lattice, run as
     one packed batch through the scaled kernel and expanded from its alpha,
     beta and c with P = exp(em - row max) and E = exp(trans - max)."""
-    packed, steps, rows = pack([np.asarray(em, dtype=float) for em in ems])
+    packed, layout, rows = pack([np.asarray(em, dtype=float) for em in ems])
     top = trans.max()
     E = np.exp(trans - top)
     shift = packed.max(axis=1)
     P = np.exp(packed - shift[:, None])
-    alpha, beta, c = sum_product(P, E, steps)
+    alpha, beta, c = sum_product(P, E, layout)
     out = []
     for r in rows:
         log_z = float(np.log(c[r]).sum() + shift[r].sum() + (len(r) - 1) * top)
@@ -68,13 +73,13 @@ def lattice_posteriors(em, trans):
 
 def best_path(em, trans):
     em = np.asarray(em, dtype=float)
-    paths, scores = _viterbi(em, np.asarray(trans, dtype=float), np.arange(len(em) + 1))
+    paths, scores = _viterbi(em, np.asarray(trans, dtype=float), one_sentence(len(em)))
     return paths.tolist(), float(scores[0])
 
 
 class TestForwardBackward:
     def test_single_position_two_labels(self):
-        alpha, beta, c = sum_product(np.ones((1, 2)), np.ones((2, 2)), np.arange(2))
+        alpha, beta, c = sum_product(np.ones((1, 2)), np.ones((2, 2)), one_sentence(1))
         assert math.log(c[0]) == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(alpha[0], 0.5)
 
@@ -85,7 +90,7 @@ class TestForwardBackward:
     def test_backward_length_one_betas_zero(self):
         # Scaled betas are 1 (log beta 0) on each sentence's last position.
         em = np.array([[0.3, -1.2]])
-        _, beta, _ = sum_product(np.exp(em - em.max()), np.ones((2, 2)), np.arange(2))
+        _, beta, _ = sum_product(np.exp(em - em.max()), np.ones((2, 2)), one_sentence(1))
         assert np.all(beta == 1.0)
 
     @given(lattices())
@@ -104,7 +109,7 @@ class TestForwardBackward:
         top = trans.max()
         shift = em.max(axis=1)
         P = np.exp(em - shift[:, None])
-        alpha, beta, c = sum_product(P, np.exp(trans - top), np.arange(T + 1))
+        alpha, beta, c = sum_product(P, np.exp(trans - top), one_sentence(T))
         log_z = np.log(c).sum() + shift.sum() + (T - 1) * top
         log_z_b = math.log(P[0] @ beta[0]) + shift.sum() + np.log(c[1:]).sum() + (T - 1) * top
         assert abs(log_z - log_z_b) <= 1e-9 * max(1.0, abs(log_z))
@@ -201,25 +206,49 @@ class TestPackedLayout:
     """The packed layout and the kernels that run over it, against
     enumeration sentence by sentence."""
 
+    @staticmethod
+    def check_layout(layout, offsets, rank):
+        """The layout's order, ends, S and spans against its row, for
+        sentences cut by offsets whose ranks are rank."""
+        row, n = layout.row, int(offsets[-1])
+        assert layout.order[row].tolist() == list(range(n))  # order inverts row
+        assert row[layout.order].tolist() == list(range(n))
+        for i in range(len(rank)):
+            assert layout.ends[rank[i]] == row[offsets[i + 1] - 1]
+        assert layout.S == len(rank)
+        # Each span row's predecessor is the row of its sentence's previous
+        # position, and the spans cover every row after step 0 in order.
+        covered = layout.S
+        for a, b, p in layout.spans:
+            assert a == covered and b > a
+            assert row[layout.order[a:b] - 1].tolist() == list(range(p, p + b - a))
+            covered = b
+        assert covered == n
+
     def test_steps_and_rows(self):
         lengths = [2, 1, 4, 2, 1]
         offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intc)
-        steps, row = _layout(offsets)
+        layout = _Layout(offsets)
         # Longest first, corpus order among equal lengths: sentences 2, 0,
         # 3, 1, 4; step t holds the rows of those longer than t.
-        assert steps.tolist() == [0, 5, 8, 9, 10]
-        assert row.tolist() == [1, 6, 3, 0, 5, 8, 9, 2, 7, 4]
+        assert layout.steps.tolist() == [0, 5, 8, 9, 10]
+        assert layout.row.tolist() == [1, 6, 3, 0, 5, 8, 9, 2, 7, 4]
+        assert layout.order.tolist() == [3, 0, 7, 2, 9, 4, 1, 8, 5, 6]
+        assert layout.ends.tolist() == [9, 6, 7, 3, 4]
+        assert layout.spans == [(5, 8, 0), (8, 9, 5), (9, 10, 8)]
+        self.check_layout(layout, offsets, rank=[1, 3, 0, 2, 4])
 
     def test_equal_lengths_keep_corpus_order(self):
         # Enough sentences that an unstable sort would reorder ties.
         lengths = np.random.default_rng(9).integers(1, 6, size=300)
         offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intc)
-        steps, row = _layout(offsets)
-        order = sorted(range(len(lengths)), key=lambda i: (-lengths[i], i))
+        layout = _Layout(offsets)
+        by_rank = sorted(range(len(lengths)), key=lambda i: (-lengths[i], i))
         rank = np.empty(len(lengths), dtype=int)
-        rank[order] = np.arange(len(lengths))
+        rank[by_rank] = np.arange(len(lengths))
         for i, T in enumerate(lengths):
-            assert row[offsets[i] : offsets[i] + T].tolist() == (steps[:T] + rank[i]).tolist()
+            assert layout.row[offsets[i] : offsets[i] + T].tolist() == (layout.steps[:T] + rank[i]).tolist()
+        self.check_layout(layout, offsets, rank)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_posteriors_match_oracle(self, seed):
@@ -279,8 +308,8 @@ class TestBatchedViterbi:
         # Integer scores, so that exact ties occur.
         ems = [rng.integers(-1, 2, size=(T, L)).astype(float) for T in lengths]
         trans = rng.integers(-1, 2, size=(L, L)).astype(float)
-        packed, steps, rows = pack(ems)
-        paths, scores = _viterbi(packed, trans, steps)
+        packed, layout, rows = pack(ems)
+        paths, scores = _viterbi(packed, trans, layout)
         assert paths.dtype == np.uint8
         for em, r in zip(ems, rows):
             path, score = brute_viterbi(em, trans)
@@ -307,9 +336,9 @@ class TestBatchedViterbi:
         for lengths, draw in itertools.product(batches, draws):
             ems = [draw((T, L)) for T in lengths]
             trans = draw((L, L))
-            packed, steps, _ = pack(ems)
-            paths, scores = _viterbi(packed, trans, steps)
-            want_paths, want_scores = viterbi_reference(packed, trans, steps)
+            packed, layout, _ = pack(ems)
+            paths, scores = _viterbi(packed, trans, layout)
+            want_paths, want_scores = viterbi_reference(packed, trans, layout.steps)
             assert paths.dtype == want_paths.dtype == np.min_scalar_type(L - 1)
             assert paths.tobytes() == want_paths.tobytes()
             assert scores.dtype == want_scores.dtype and scores.tobytes() == want_scores.tobytes()
@@ -353,8 +382,9 @@ class TestBatchedViterbi:
             [list(rng.choice(features, size=int(rng.integers(0, 40)))) for _ in range(T)]
             for T in rng.integers(1, 20, size=30)
         ]
-        enc = _pack(encode_keys(model.feature_index, sentences))
-        got = _emissions(enc, model._weights)[enc.row]
+        encoded = encode_keys(model.feature_index, sentences)
+        layout = _Layout(encoded.offsets)
+        got = _emissions(encoded, layout, model._weights)[layout.row]
         want = []
         for feats in sentences:
             for keys in feats:
@@ -365,8 +395,9 @@ class TestBatchedViterbi:
 
 def scored(model, features):
     """Emission scores of one sentence, in position order."""
-    enc = _pack(encode_keys(model.feature_index, [features]))
-    return _emissions(enc, model._weights)[enc.row]
+    encoded = encode_keys(model.feature_index, [features])
+    layout = _Layout(encoded.offsets)
+    return _emissions(encoded, layout, model._weights)[layout.row]
 
 
 class TestScoreLattice:

@@ -298,7 +298,7 @@ class TestTypeKernels:
     def test_gradient_matches_central_differences(self, template, min_count):
         corpus, index, encoded = self.problem(template, min_count)
         F, L = len(index), len(corpus.tag_inventory)
-        objective = crf._Objective(crf._pack(encoded), corpus.tags, F, L, 0.1)
+        objective = crf._Objective(encoded, corpus.tags, F, L, 0.1)
         x = np.random.default_rng(6).normal(0.0, 0.5, size=objective.size)
         _, grad = objective(x)
         numeric = central_differences(lambda v: objective(v)[0], x, step=1e-5)
@@ -374,7 +374,7 @@ class TestPairObjective:
 
     def objective(self, l2=0.0):
         corpus, _, encoded, F, L = self.problem()
-        return crf._Objective(crf._pack(encoded), corpus.tags, F, L, l2), encoded, corpus.tags
+        return crf._Objective(encoded, corpus.tags, F, L, l2), encoded, corpus.tags
 
     def test_pairs_are_the_gold_cells_of_the_id_matrix(self):
         objective, encoded, gold = self.objective()
@@ -400,7 +400,7 @@ class TestPairObjective:
         # objective is the same and its gradient holds the same values at
         # the pair cells.
         corpus, index, encoded, F, L = self.problem()
-        objective = crf._Objective(crf._pack(encoded), corpus.tags, F, L, l2)
+        objective = crf._Objective(encoded, corpus.tags, F, L, l2)
         x = np.random.default_rng(5).normal(0.0, 0.5, size=objective.size)
         nll, grad = objective(x)
         model = CrfModel(

@@ -543,6 +543,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             parse_experiment_config(text)
 
+    @pytest.mark.parametrize(
+        "extra", ["", "ezafe_source = predicted\n", "ezafe_model =\n"], ids=["default", "predicted", "empty"]
+    )
+    def test_predicted_flags_without_ezafe_model_are_refused(self, extra):
+        text = "task = pos-ez-input\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\n" + extra
+        with pytest.raises(ConfigError, match="predicted needs ezafe_model"):
+            parse_experiment_config(text)
+
     def test_ezafe_keys_the_task_reads_are_kept(self):
         base = "task = pos-ez-input\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\n"
         cfg = parse_experiment_config(base + "ezafe_source = predicted\nezafe_model = m.crf\n")
