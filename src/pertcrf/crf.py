@@ -71,17 +71,19 @@ NaN, and the optimizer's line search backtracks from them. Viterbi (log
 scores) and datagen.bayes_decode (probabilities; raises if c = 0) have none.
 
 Decoding. _viterbi runs max-product over a _Layout in log scores and
-keeps only each row's best scores (deltas), no back-pointer array. It
+keeps only each row's best scores (deltas), no back-pointer array; the
+deltas overwrite the emissions, so a decode holds one (N, L) array. It
 reads each step's rows and their sentences' previous rows from the
 layout's spans, and where each sentence ends from its ends. A step adds
 the previous step's deltas, transposed, to the rows of trans in one
 (from, rows, to) buffer allocated once per call, takes np.maximum over
-its outer axis (from), then adds the step's emissions. A step with more
-rows than the buffer holds (_VITERBI_BLOCK float64 cells) runs over blocks
-of rows. The backtrace recomputes each chosen label's predecessor from
-the same float sums, deltas of the previous row plus the column of trans
-into the label, and argmax keeps the first maximum. Paths and scores are
-thus those of a back-pointer kernel: ties break toward the lower label.
+its outer axis (from) into one more row of that buffer, then adds it to
+the step's emissions. A step with more rows than the buffer holds
+(_VITERBI_BLOCK float64 cells) runs over blocks of rows. The backtrace
+recomputes each chosen label's predecessor from the same float sums,
+deltas of the previous row plus the column of trans into the label, and
+argmax keeps the first maximum. Paths and scores are thus those of a
+back-pointer kernel: ties break toward the lower label.
 """
 
 from __future__ import annotations
@@ -256,6 +258,19 @@ class _Layout:
         self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1]) for t in range(1, len(bounds) - 1)]
 
 
+def _sentence_groups(offsets: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """The (first, last) bounds, in corpus order, of the groups of
+    consecutive sentences first..last-1 that offsets are cut into: each
+    group takes as many whole sentences as fit in size positions, and a
+    longer sentence forms a group by itself."""
+    bounds, first = [], 0
+    while first < len(offsets) - 1:
+        last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + size, "right")) - 1)
+        bounds.append((first, last))
+        first = last
+    return bounds
+
+
 def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarray:
     """gold as intc, checked to hold one label id below n_labels per
     position."""
@@ -366,28 +381,29 @@ _VITERBI_BLOCK = 1 << 16
 
 
 def _viterbi(em: np.ndarray, trans: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """Max-product over a packed batch of log-domain emissions em (N, L).
+    """Max-product over a packed batch of log-domain emissions em (N, L),
+    which it consumes: each row's best scores overwrite its emissions.
     Returns the best label of every packed row and the best score of every
     sentence, in rank order. argmax takes the first maximum, so ties break
     toward the lower label index (see the module docstring)."""
     L = em.shape[1]
-    S = layout.S
-    deltas = np.empty_like(em)
-    deltas[:S] = em[:S]
     size = max(1, _VITERBI_BLOCK // (L * L))
-    buffer = np.empty((L, min(size, S), L))  # no step has more rows than step 0
-    froms, cols = deltas.T[:, :, None], trans[:, None, :]
+    # L rows of (from, rows, to) sums, then the row their maximum goes into;
+    # no step has more rows than step 0.
+    buffer = np.empty((L + 1, min(size, layout.S), L))
+    sums, maxima = buffer[:L], buffer[L]
+    froms, cols = em.T[:, :, None], trans[:, None, :]
     # The ufuncs take out positionally: at bench sizes a step costs a few
     # microseconds, most of it per-call overhead.
     for a, b, p in layout.spans:
         shift = p - a  # from a row to its sentence's row one step back
         for c in range(a, b, size):
             d = min(c + size, b)
-            best, scores = deltas[c:d], buffer[:, : d - c]
+            rows, best, scores = em[c:d], maxima[: d - c], sums[:, : d - c]
             np.add(froms[:, shift + c : shift + d], cols, scores)
             np.maximum.reduce(scores, 0, None, best)
-            np.add(best, em[c:d], best)
-    end = deltas[layout.ends]
+            np.add(rows, best, rows)
+    end = em[layout.ends]
     paths = np.empty(len(em), dtype=np.intp)
     paths[layout.ends] = end.argmax(axis=1)
     # Each row of a step gets the predecessor of its label at the row its
@@ -396,7 +412,7 @@ def _viterbi(em: np.ndarray, trans: np.ndarray, layout: _Layout) -> tuple[np.nda
     for a, b, p in reversed(layout.spans):
         prev = slice(p, p + b - a)
         scores = into.take(paths[a:b], axis=0)
-        scores += deltas[prev]
+        scores += em[prev]
         scores.argmax(axis=1, out=paths[prev])
     return paths.astype(np.min_scalar_type(L - 1)), end.max(axis=1)
 

@@ -2,8 +2,9 @@
 posterior-decoding oracle that upper-bounds any trained tagger on data from
 the same process. The oracle runs crf's packed sum-product on the spec's
 probabilities, over blocks of whole sentences of bounded size: no span
-bound applies, and zero-probability sentences raise. The sampler and the
-oracle step through the same packed layout, a crf._Layout.
+bound applies, and zero-probability sentences raise. The sampler's chunks
+and the oracle's blocks come from the same cut, crf._sentence_groups, and
+both step through the same packed layout, a crf._Layout.
 
 Ezafe flags are generated conditionally on (state, next state), so the flag
 carries exactly the phrase-boundary signal that makes it informative for
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, non_unix_line, whitespace_free
-from .crf import _Layout, _Plan, _sum_product
+from .crf import _Layout, _Plan, _sentence_groups, _sum_product
 from .features import checked_offsets
 from .rng import SplitMix64, check_seed, randoms_at, substream_states
 
@@ -171,14 +172,10 @@ def generate(
         spec.ezafe_rule,
     )
     chunks = []
-    a = 0
-    while a < n_sentences:
-        # Three draws per token: its state, its word and its flag.
-        b = int(np.searchsorted(offsets, offsets[a] + _DRAW_BLOCK // 3, side="right")) - 1
-        b = max(a + 1, b)
+    # Three draws per token: its state, its word and its flag.
+    for a, b in _sentence_groups(offsets, _DRAW_BLOCK // 3):
         streams = substream_states(seed, a, b - a)
         chunks.append(_sample_chunk(tables, streams, extra[a:b] + (extra[a:b] < span), lengths[a:b]))
-        a = b
     states, words, flags = (np.concatenate(column) for column in zip(*chunks))
     vocab = np.array(spec.vocab, dtype=object)
     # HmmSpec holds its states and vocab to the token rule.
@@ -240,13 +237,9 @@ def bayes_decode(spec: HmmSpec, words: Sequence[str], offsets: Sequence[int] | N
     except KeyError as exc:
         raise ValueError(f"word {exc.args[0]!r} not in spec vocabulary") from None
     modes = np.empty(len(words), dtype=np.intp)
-    first, S = 0, len(offsets) - 1
-    while first < S:
-        end = np.searchsorted(offsets, offsets[first] + _ORACLE_BLOCK, "right") - 1
-        last = max(first + 1, int(end))  # the block is sentences first .. last-1
+    for first, last in _sentence_groups(offsets, _ORACLE_BLOCK):
         a, b = offsets[first], offsets[last]
         modes[a:b] = _posterior_modes(spec, obs[a:b], offsets[first : last + 1] - a, first)
-        first = last
     return list(map(spec.states.__getitem__, modes.tolist()))
 
 

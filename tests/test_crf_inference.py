@@ -13,6 +13,7 @@ from pertcrf.crf import (
     CrfModel,
     _emissions,
     _Layout,
+    _sentence_groups,
     _viterbi,
     decode,
     nll_and_gradient,
@@ -73,7 +74,7 @@ def lattice_posteriors(em, trans):
 
 def best_path(em, trans):
     em = np.asarray(em, dtype=float)
-    paths, scores = _viterbi(em, np.asarray(trans, dtype=float), one_sentence(len(em)))
+    paths, scores = _viterbi(em.copy(), np.asarray(trans, dtype=float), one_sentence(len(em)))
     return paths.tolist(), float(scores[0])
 
 
@@ -250,6 +251,26 @@ class TestPackedLayout:
             assert layout.row[offsets[i] : offsets[i] + T].tolist() == (layout.steps[:T] + rank[i]).tolist()
         self.check_layout(layout, offsets, rank)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sentence_groups_are_greedy_whole_sentences(self, seed):
+        """The cut that sizes datagen's chunks and oracle blocks: groups in
+        order that cover every sentence once, each within size positions
+        or a single sentence, and none able to take its next sentence."""
+        rng = np.random.default_rng(700 + seed)
+        lengths = rng.integers(1, 12, size=int(rng.integers(1, 60)))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        longest, total = int(lengths.max()), int(offsets[-1])
+        for size in [1, 2, longest - 1, longest, 17, total, total + 5]:
+            groups = _sentence_groups(offsets, size)
+            assert [first for first, _ in groups] == [0] + [last for _, last in groups[:-1]]
+            assert groups[-1][1] == len(lengths)
+            for first, last in groups:
+                assert last > first
+                positions = int(offsets[last] - offsets[first])
+                assert positions <= size or last == first + 1
+                if last < len(lengths):
+                    assert positions + int(lengths[last]) > size
+
     @pytest.mark.parametrize("seed", range(8))
     def test_posteriors_match_oracle(self, seed):
         rng = np.random.default_rng(600 + seed)
@@ -337,7 +358,7 @@ class TestBatchedViterbi:
             ems = [draw((T, L)) for T in lengths]
             trans = draw((L, L))
             packed, layout, _ = pack(ems)
-            paths, scores = _viterbi(packed, trans, layout)
+            paths, scores = _viterbi(packed.copy(), trans, layout)
             want_paths, want_scores = viterbi_reference(packed, trans, layout.steps)
             assert paths.dtype == want_paths.dtype == np.min_scalar_type(L - 1)
             assert paths.tobytes() == want_paths.tobytes()

@@ -34,12 +34,24 @@ def synth_run(tmp_path_factory):
     return out_dir, stdout
 
 
+MODELS = ["ezafe_crf1", "ezafe_crf2", "pos_crf1", "pos_crf2", "pos_crf2_ez_input"]
+SUFFIXES = (".crf", ".valid.txt", ".valid.json", ".test.txt", ".test.json")
+PROTOCOL_FILES = [m + suffix for m in MODELS for suffix in SUFFIXES]  # what run_protocol writes
+TABLES = (
+    "per-POS statistics (train split)",
+    "ezafe recognition (positive class)",
+    "ezafe F1 per POS (best model, test split)",
+    "POS tagging (macro average)",
+    "POS F1 per tag, CRF2 (test split)",
+    "change in per-tag F1 when ezafe flags are added (CRF2)",
+)
+
+
 def test_synth_pipeline(synth_run):
     out_dir, stdout = synth_run
-    files = ["process.spec", "train.tsv", "valid.tsv", "test.tsv"]
-    files += ["ezafe_crf1.crf", "ezafe_crf2.crf", "pos_crf2_ez.crf"]
+    files = ["process.spec", "train.tsv", "valid.tsv", "test.tsv"] + PROTOCOL_FILES
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(files)
-    for title in ("ezafe recognition", "POS tagging", "change in per-tag F1"):
+    for title in TABLES:
         assert f"== {title}" in stdout
 
 
@@ -49,7 +61,7 @@ def test_full_protocol(synth_run, tmp_path):
     stdout = run_script(
         "run_full_protocol.py", str(synth_dir / "train.tsv"), "--max-iter", "3", "--out-dir", str(out_dir)
     )
-    models = ["ezafe_crf1", "ezafe_crf2", "pos_crf1", "pos_crf2", "pos_crf2_ez_input"]
-    want = [f"{m}{suffix}" for m in models for suffix in (".crf", ".valid.txt", ".valid.json", ".test.txt", ".test.json")]
-    assert sorted(p.name for p in out_dir.iterdir()) == sorted(want)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(PROTOCOL_FILES)
     assert "best ezafe model by validation F1" in stdout
+    for title in TABLES:
+        assert f"== {title}" in stdout
