@@ -47,19 +47,27 @@ def print_results_table(title, results):
             print(f"{name:<10} {split:<6} {m.precision:.4f} {m.recall:.4f} {m.f1:.4f} {m.accuracy:.4f}")
 
 
-def run_protocol(corpora, train_config, out_dir, corpus_path):
+def run_protocol(corpora, train_config, out_dir, corpus_path, seed):
     """Train the five models of the protocol on corpora (train, valid,
     test), write each with its valid and test reports into out_dir, and
-    print the result tables. corpus_path names the corpus in the reports'
-    headers."""
+    print the result tables. corpus_path and seed, the seed of the split,
+    name the corpus in the reports' headers; the CRF2+EZ reports also name
+    the saved recognizer that made their flags."""
     for name, part in zip(("train", "valid", "test"), corpora):
         print(f"{name}: {part.n_sentences} sentences / {part.n_tokens} tokens")
     print("\n== per-POS statistics (train split)")
     print(format_stats(corpus_stats(corpora[0])), end="")
 
-    def experiment(tag, task, template, ezafe_model=None):
+    def experiment(tag, task, template, ezafe_tag=None, ezafe_model=None):
         started = time.monotonic()
-        cfg = ExperimentConfig(task=task, template=template, train_config=train_config, train_path=corpus_path)
+        cfg = ExperimentConfig(
+            task=task,
+            template=template,
+            train_config=train_config,
+            train_path=corpus_path,
+            ezafe_model_path=os.path.join(out_dir, f"{ezafe_tag}.crf") if ezafe_tag else None,
+            seed=seed,
+        )
         result = run_experiment(cfg, corpora, ezafe_model)
         prefix = os.path.join(out_dir, tag)
         save_model_file(result.model, prefix + ".crf")
@@ -81,7 +89,8 @@ def run_protocol(corpora, train_config, out_dir, corpus_path):
     print()
     pos = {t: experiment(f"pos_{t.lower()}", "pos", FeatureTemplate(id=t)) for t in ("CRF1", "CRF2")}
     ez_input = FeatureTemplate(id="CRF2", ezafe_input=True)
-    pos["CRF2+ez"] = experiment("pos_crf2_ez_input", "pos-ez-input", ez_input, ezafe[best_id].model)
+    best_tag, best_model = f"ezafe_{best_id.lower()}", ezafe[best_id].model
+    pos["CRF2+ez"] = experiment("pos_crf2_ez_input", "pos-ez-input", ez_input, best_tag, best_model)
     print_results_table("POS tagging (macro average)", pos)
 
     single_f1 = {t: m.f1 for t, m in pos["CRF2"].test_report.per_tag.items()}
@@ -111,7 +120,7 @@ def main():
     print(f"corpus: {corpus.n_sentences} sentences / {corpus.n_tokens} tokens")
     parts = shuffle_split(corpus, SplitSpec(seed=args.seed))
     corpora = tuple(filter_long(c, args.max_sentence_len) for c in parts)
-    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, args.corpus)
+    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, args.corpus, args.seed)
 
 
 if __name__ == "__main__":

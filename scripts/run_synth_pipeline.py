@@ -40,7 +40,7 @@ def main():
     for name, part in zip(("train", "valid", "test"), corpora):
         write_corpus_file(part, os.path.join(args.out_dir, f"{name}.tsv"))
     train_path = os.path.join(args.out_dir, "train.tsv")
-    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, train_path)
+    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, train_path, args.seed)
 
 
 if __name__ == "__main__":

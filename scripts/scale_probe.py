@@ -22,12 +22,15 @@ iteration after it, split into the L-BFGS direction (direction_s, the
 two-loop recursion) and the line search (linesearch_s: the trial points,
 their evaluations and the curvature update); evals_per_iteration counts
 the evaluations of an iteration. It times `crf.save_model` and
-`crf.load_model` on the model, then the Bayes oracle over the whole
-corpus, one `datagen.bayes_decode(spec, forms, offsets)` call (oracle_s),
-and last one `crf.decode` of the trained model over the whole corpus,
-encoded anew with its index: timed once without tracemalloc (decode_s),
-then run once under it for the bytes that the call allocates at its peak
-beyond those held before it (decode_peak_mb).
+`crf.load_model` on the model (load_s includes the per-word affix id
+table that the loaded `features.FeatureIndex` builds), then the Bayes
+oracle over the whole corpus, one `datagen.bayes_decode(spec, forms,
+offsets)` call (oracle_s). Last, it encodes the whole corpus anew with the
+trained index (`features.batch`, then `features.encode`: decode_encode_s)
+and decodes it with one `crf.decode` of the trained model: timed once
+without tracemalloc (decode_s), then run once under it for the bytes that
+the call allocates at its peak beyond those held before it
+(decode_peak_mb).
 Prints one JSON object with those times, F, the dense parameter count
 (F * L + L * L) beside the observed pairs, the bytes of the vectors that
 OWL-QN holds over the trained parameters (optimizer_state_mb), the parsed
@@ -191,7 +194,9 @@ def main() -> None:
     _, load_s = timed(lambda: crf.load_model(model_text))
     io_peak_rss_mb = peak_rss()
     _, oracle_s = timed(lambda: datagen.bayes_decode(spec, corpus.forms, corpus.offsets))
-    encoded = features.encode(index, template, features.batch(corpus.forms, corpus.offsets))
+    encoded, decode_encode_s = timed(
+        lambda: features.encode(index, template, features.batch(corpus.forms, corpus.offsets))
+    )
     _, decode_s = timed(lambda: crf.decode(model, encoded))
     tracemalloc.start()
     held = tracemalloc.get_traced_memory()[0]
@@ -230,6 +235,7 @@ def main() -> None:
         "model_mb": round(len(model_text.encode("utf-8")) / 2**20, 2),
         "io_peak_rss_mb": io_peak_rss_mb,
         "oracle_s": round(oracle_s, 4),
+        "decode_encode_s": round(decode_encode_s, 4),
         "decode_s": round(decode_s, 4),
         "decode_peak_mb": round(decode_peak_mb, 2),
         "extrapolated_8M": {

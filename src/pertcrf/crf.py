@@ -196,7 +196,12 @@ def decode(model: CrfModel, encoded: Encoded) -> np.ndarray:
     """The Viterbi label id (an index into model.labels) of every position
     of encoded (see features.encode), in corpus order, as intp, decoded in
     one packed batch."""
-    layout = _Layout(encoded.offsets)
+    return _decode(model, encoded, _Layout(encoded.offsets))
+
+
+def _decode(model: CrfModel, encoded: Encoded, layout: _Layout) -> np.ndarray:
+    """decode over layout, the _Layout of encoded.offsets, which models
+    that decode the same sentences can share."""
     paths, _ = _viterbi(_emissions(encoded, layout, model._weights), model.transition, layout)
     return paths.astype(np.intp)[layout.row]
 

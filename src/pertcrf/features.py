@@ -21,11 +21,10 @@ pair, and encoding is two steps:
     changes. It checks the offsets, interns the form types, with the
     sentinels first, and holds every sentence's type codes padded with
     WINDOW sentinel codes on either side (a real token spelled __BOS__
-    shares its w[k] key with the sentinel, and still has affixes). It
-    interns the distinct affix strings of the types, with a (6, types)
-    table into them (-1 where a type is shorter than the affix). So it
+    shares its w[k] key with the sentinel, and still has affixes). So it
     holds two int32 per position, and the rest grows with the types and
-    sentences.
+    sentences. It cuts no affix: which affix keys a form has depends on
+    the model.
   - encode and index_and_encode read a Batch with one index's tables.
     Per slot kind, a table from value codes to feature ids (one column
     per slot) gives the ids of an Encoded. The slots whose key moves
@@ -46,11 +45,16 @@ the table, in type order.
     the count and first position of every code per slot (for the focus
     slots, from the count and first position of every type; for BOS and
     EOS, from the offsets), the candidates ordered by (position, slot),
-    then the min_count cut. The index keeps the batch's type and affix
-    dicts as its values.
-  - encode (decoding) looks each of the batch's types and distinct
-    affixes up once in the value dicts of a FeatureIndex, which builds
-    its tables once, when it is made.
+    then the min_count cut. For CRF2 it first interns the affixes of the
+    types, with a (6, types) table of codes into them. The index keeps
+    the batch's type dict and those affixes as its values, and the
+    (6, types) affix ids of the types as its affix table.
+  - encode (decoding) looks each of the batch's types up once in the
+    word dict of a FeatureIndex. For CRF2 a known form's affix ids are
+    its column of the index's affix table; only the forms that the index
+    lacks have their affixes cut and looked up in its affix dict. A
+    FeatureIndex made from keys builds its tables, the affix table from
+    its word values, once, when it is made.
 Key strings exist only for the F indexed keys, and only when
 FeatureIndex.keys() builds them (save_model). A key outside the grammar
 is kept as given but never matches.
@@ -65,9 +69,10 @@ ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -115,6 +120,11 @@ _FIXED_VALUES = {"edge": ("",), "ez": EZ_VALUES}
 _MOVING_W = W_SLOTS[:WINDOW] + W_SLOTS[WINDOW + 1 :]
 _MOVING_SHIFTS = tuple(range(-WINDOW, 0)) + tuple(range(1, WINDOW + 1))
 _MOVING_COLUMNS = [k + WINDOW for k in _MOVING_SHIFTS]
+# The cut of each affix slot, the least form length that has it, and the
+# column of each slot in the affix id table.
+_CUTS = [slice(None, m) for m in AFFIX_LENGTHS] + [slice(-m, None) for m in AFFIX_LENGTHS]
+_AFFIX_MIN = np.array(AFFIX_LENGTHS * 2)[:, None]
+_AFFIX_COLUMNS = np.arange(len(AFFIX_SLOTS))[:, None]
 # Positions whose window codes _windows gathers at once: it holds 11 int32
 # per position of a block.
 _WINDOW_BLOCK = 1 << 14
@@ -176,11 +186,15 @@ class FeatureIndex:
     tables rather than strings. Per slot kind, a dict maps each value to a
     row of a table of ids, one column per slot of the kind and F (the
     encoders' sentinel) where that key is not indexed; the table's last
-    row is all F, for values the dict lacks. Each id records its slot and
-    row, so keys() builds the strings when asked (save_model); keys
-    outside the grammar are kept as given and never match. Made from keys
-    (load_model), it splits each key at its first "=" into a slot and a
-    value; index_and_encode makes the tables from its codes instead."""
+    row is all F, for values the dict lacks. The affix table holds the
+    affix ids of every value of the word dict, one column each and a last
+    column of F, so that encode cuts affixes only for forms that the word
+    dict lacks. Each id records its slot and row, so keys() builds the
+    strings when asked (save_model); keys outside the grammar are kept as
+    given and never match. Made from keys (load_model), it splits each key
+    at its first "=" into a slot and a value, then cuts the affixes of its
+    word values once; index_and_encode makes the tables from its codes
+    instead."""
 
     def __init__(self, keys: Iterable[str]):
         keys = list(keys)
@@ -218,6 +232,7 @@ class FeatureIndex:
         self._slot = np.array(slot_of, dtype=np.int8)
         self._row = np.array(row_of, dtype=np.int32)
         self._other = other
+        self._affix = self._affix_ids(values["word"])
 
     @classmethod
     def _of_tables(
@@ -226,11 +241,22 @@ class FeatureIndex:
         ids: dict[str, np.ndarray],
         slot: np.ndarray,
         row: np.ndarray,
+        affix: np.ndarray,
     ) -> "FeatureIndex":
         index = cls.__new__(cls)
         index._values, index._ids, index._slot, index._row = values, ids, slot, row
-        index._other = {}
+        index._other, index._affix = {}, affix
         return index
+
+    def _affix_ids(self, forms: Collection[str]) -> np.ndarray:
+        """The (6, forms + 1) id of each affix slot's key for each form, the
+        sentinel F where the form is shorter than the affix or the index
+        lacks the key, and in the last column, which stands for no form.
+        An index without affix keys cuts no string."""
+        affixes = self._values["affix"]
+        if not affixes:
+            return np.broadcast_to(np.int32(len(self)), (len(AFFIX_SLOTS), len(forms) + 1))
+        return self._ids["affix"][_affix_codes(forms, partial(_lookup, affixes)), _AFFIX_COLUMNS]
 
     def __len__(self) -> int:
         return len(self._slot)
@@ -258,15 +284,13 @@ class FeatureIndex:
 @dataclass(frozen=True)
 class Batch:
     """A batch of sentences as the codes that no model changes (see
-    batch): the type code of every position, in each sentence padded for
-    the word window, and the affixes of every type."""
+    batch): the form types and the type code of every position, in each
+    sentence padded for the word window."""
 
     offsets: np.ndarray  # int32 (S+1,) sentence starts, then the position count
     words: dict[str, int]  # the code of each form type; the sentinels are 0 and 1
     padded: np.ndarray  # int32 type codes, each sentence with WINDOW sentinels on either side
     at: np.ndarray  # int32 (N,) where each position lies in padded
-    affixes: dict[str, int]  # the code of each affix string of the types
-    affix_of: np.ndarray  # int32 (6, types) per affix slot; -1 where the type is shorter
 
 
 def _fixed_values() -> dict[str, dict[str, int]]:
@@ -321,21 +345,32 @@ def batch(forms: Sequence[str], offsets: Sequence[int]) -> Batch:
     padded[(offsets[:-1] + gaps)[:, None] + np.arange(WINDOW)] = 0
     words = {BOS_FORM: 0, EOS_FORM: 1}
     padded[at] = _intern(words, forms, n)
-    # Each affix slot's value for every type: the whole form where it is
-    # shorter than the affix, a code dropped below.
-    T = len(words)
-    cuts = [slice(None, m) for m in AFFIX_LENGTHS] + [slice(-m, None) for m in AFFIX_LENGTHS]
-    affixes: dict[str, int] = {}
-    values = chain.from_iterable(map(itemgetter(cut), words) for cut in cuts)
-    affix_of = _intern(affixes, values, len(cuts) * T).reshape(len(cuts), T)
-    affix_of[np.fromiter(map(len, words), np.intp, T) < np.array(AFFIX_LENGTHS * 2)[:, None]] = -1
-    return Batch(offsets, words, padded, at, affixes, affix_of)
+    return Batch(offsets, words, padded, at)
 
 
 def _intern(codes: dict[str, int], strings: Iterable[str], n: int) -> np.ndarray:
     """The code of each of the n strings, giving a string that codes lacks
     the next code (map reads len(codes) before each setdefault)."""
     return np.fromiter(map(codes.setdefault, strings, map(len, repeat(codes))), np.int32, n)
+
+
+def _lookup(values: dict[str, int], strings: Iterable[str], n: int) -> np.ndarray:
+    """The code in values of each of the n strings, in order; -1 for a
+    string that values lacks."""
+    return np.fromiter(map(values.get, strings, repeat(-1)), np.intp, n)
+
+
+def _affix_codes(forms: Collection[str], code: Callable[[Iterable[str], int], np.ndarray]) -> np.ndarray:
+    """The (6, forms + 1) code of each affix slot's value for each form, in
+    AFFIX_SLOTS order, where code(strings, n) codes n strings (_intern or
+    _lookup into a value dict); -1 where the form is shorter than the
+    affix, and in the last column, which stands for no form."""
+    n = len(forms)
+    codes = np.full((len(_CUTS), n + 1), -1, dtype=np.intp)
+    strings = chain.from_iterable(map(itemgetter(cut), forms) for cut in _CUTS)
+    codes[:, :n] = code(strings, len(_CUTS) * n).reshape(len(_CUTS), n)
+    codes[:, :n][np.fromiter(map(len, forms), np.intp, n) < _AFFIX_MIN] = -1
+    return codes
 
 
 def _windows(
@@ -394,12 +429,6 @@ def _encoded(
     )
 
 
-def _lookup(values: dict[str, int], strings: dict[str, int]) -> np.ndarray:
-    """The code in values of each of the strings, in order; -1 for a string
-    that values lacks."""
-    return np.fromiter(map(values.get, strings, repeat(-1)), np.intp, len(strings))
-
-
 def encode(
     index: FeatureIndex,
     template: FeatureTemplate,
@@ -411,13 +440,18 @@ def encode(
     ezafe, one flag per position; the other templates refuse it."""
     flags = _flags(template, ezafe, len(batch.at))
     ids = index._ids
+    # Each type's row in the index's word tables; -1, the last row (the
+    # sentinel's), for a form that the index lacks.
+    rows = _lookup(index._values["word"], batch.words, len(batch.words))
     affix = None
     if template.id == "CRF2":
-        # Each affix slot's id per type: a short type (-1) and an affix
-        # that the index lacks read the last row, the sentinel's.
-        rows = np.append(_lookup(index._values["affix"], batch.affixes), -1)
-        affix = ids["affix"][rows[batch.affix_of], np.arange(len(AFFIX_SLOTS))[:, None]]
-    word = ids["word"][_lookup(index._values["word"], batch.words)].T
+        # A known form's affix ids are its column of the index's table; only
+        # the forms that the index lacks have their affixes cut.
+        affix = index._affix[:, rows]
+        new = rows < 0
+        if new.any():
+            affix[:, new] = index._affix_ids(list(compress(batch.words, new.tolist())))[:, :-1]
+    word = ids["word"][rows].T
     moving = _moving(batch, flags, word[_MOVING_COLUMNS], ids["ez"][: len(EZ_VALUES)].T)
     return _encoded(template, batch, moving, word[WINDOW], affix, ids["edge"][0])
 
@@ -452,7 +486,9 @@ def index_and_encode(
     word = np.broadcast_to(np.arange(T, dtype=np.int32), (len(_MOVING_W), T))
     ez = np.broadcast_to(np.arange(len(EZ_VALUES)), (len(EZ_SLOTS), len(EZ_VALUES)))
     codes = _moving(batch, flags, word, ez)
-    values = {**_fixed_values(), "word": batch.words, "affix": batch.affixes}
+    values = {**_fixed_values(), "word": batch.words}
+    if template.id == "CRF2":  # the code of each affix slot's value per type
+        affix_of = _affix_codes(batch.words, partial(_intern, values["affix"]))
     # Per slot, in key order, the count and the first position of every
     # code: the moving slots from their rows of codes; w[0] and the affixes
     # from the count and first position of every type; BOS and EOS from
@@ -471,7 +507,7 @@ def index_and_encode(
             tallies.append((type_count, type_first))
         elif kind == "affix":
             affixes = len(values["affix"])
-            tallies.append(_tally(batch.affix_of[column], affixes, type_first, n, type_count))
+            tallies.append(_tally(affix_of[column, :T], affixes, type_first, n, type_count))
         else:  # BOS and EOS, once per sentence: first at 0 and at the first sentence's end
             first = (0, int(batch.offsets[min(S, 1)]) - 1)[column]
             tallies.append((np.array([S]), np.array([first])))
@@ -494,11 +530,15 @@ def index_and_encode(
     numbers = np.array([_SLOT_NUMBERS[slot] for slot in template.slots], dtype=np.int8)
     slot_of = np.repeat(numbers, [len(code) for code in kept_codes])[order]
     row_of = np.concatenate(kept_codes).astype(np.int32)[order]
-    index = FeatureIndex._of_tables(values, ids, slot_of, row_of)
+    affix = (
+        ids["affix"][affix_of, _AFFIX_COLUMNS]
+        if template.id == "CRF2"
+        else np.broadcast_to(np.int32(F), (len(AFFIX_SLOTS), T + 1))
+    )
+    index = FeatureIndex._of_tables(values, ids, slot_of, row_of, affix)
     # Each row of codes becomes, in place, its column of the id table of
     # its kind (a code of -1 reads the last row, which holds the sentinel).
     for slot, row in moving.items():
         kind, column = _SLOT_COLUMNS[slot]
         np.take(ids[kind][:, column], codes[row], out=codes[row])
-    affix = ids["affix"][batch.affix_of, np.arange(len(AFFIX_SLOTS))[:, None]]
-    return index, _encoded(template, batch, codes, ids["word"][:T, WINDOW], affix, ids["edge"][0])
+    return index, _encoded(template, batch, codes, ids["word"][:T, WINDOW], affix[:, :T], ids["edge"][0])

@@ -28,13 +28,13 @@ would misread.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import crf, features
-from .corpus import Corpus, check_token_rule, read_corpus_file
+from .corpus import Corpus, check_token_rule, read_corpus_file, whitespace_free
 from .crf import CrfModel, TrainConfig
 from .features import Batch, FeatureTemplate
 from .metrics import (
@@ -119,17 +119,27 @@ def decode(model: CrfModel, batch: Batch, ezafe: Sequence[int] | None = None) ->
     """The label id (an index into model.labels) of every position of batch
     (a features.batch), in corpus order, with one ezafe input flag per
     position for ezafe-input templates."""
+    return _decode(model, batch, ezafe, crf._Layout(batch.offsets))
+
+
+def _decode(model: CrfModel, batch: Batch, ezafe: Sequence[int] | None, layout: crf._Layout) -> np.ndarray:
+    """decode over layout, the crf._Layout of batch.offsets, which every
+    model that decodes the batch can share."""
     encoded = features.encode(model.feature_index, model.template, batch, ezafe)
-    return crf.decode(model, encoded)
+    return crf._decode(model, encoded, layout)
 
 
 def predict_flags(model: CrfModel, batch: Batch) -> np.ndarray:
     """The decoded int8 ezafe flag of every position (see decode), mapped
     from each label id by the label's name."""
+    return _flag_of(model)[decode(model, batch)]
+
+
+def _flag_of(model: CrfModel) -> np.ndarray:
+    """The int8 ezafe flag of each label id of an ezafe model."""
     if label_kind(model.labels) != "ezafe":
         raise ValueError("not an ezafe model: labels are not {0, 1}")
-    flag_of = np.array([int(lab) for lab in model.labels], dtype=np.int8)
-    return flag_of[decode(model, batch)]
+    return np.array([int(lab) for lab in model.labels], dtype=np.int8)
 
 
 def label_kind(labels: Sequence[str]) -> str:
@@ -423,15 +433,21 @@ def pipeline_tag(
     sentences: Sequence[Sequence[str]], ezafe_model: CrfModel, pos_model: CrfModel
 ) -> Corpus:
     """Two-stage annotation: decode ezafe flags, then decode POS with the
-    flags as input features, both from one features.batch of the text.
-    Output tokens carry the predictions and obey the token rule."""
+    flags as input features, both from one features.batch of the text and
+    over one packed layout. Output tokens carry the predictions and obey
+    the token rule."""
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
     forms = list(chain.from_iterable(sentences))
     batch = features.batch(forms, np.cumsum([0, *map(len, sentences)]))
-    flags = predict_flags(ezafe_model, batch)
-    pred = decode(pos_model, batch, flags)
-    check_token_rule(forms, [pos_model.labels[i] for i in pred.tolist()])
+    layout = crf._Layout(batch.offsets)
+    flags = _flag_of(ezafe_model)[_decode(ezafe_model, batch, None, layout)]
+    pred = _decode(pos_model, batch, flags, layout)
+    # The token rule is checked once per distinct form and predicted label;
+    # the scan per token runs only to name the first token that breaks it.
+    predicted = compress(pos_model.labels, np.bincount(pred, minlength=len(pos_model.labels)).tolist())
+    if not (whitespace_free(batch.words) and whitespace_free(predicted)):
+        check_token_rule(forms, [pos_model.labels[i] for i in pred.tolist()])
     return Corpus.from_codes(forms, pred, pos_model.labels, flags, batch.offsets)
 
 

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import corpora, forms, persian_tokens
 from oracles import corpus_features, encode_keys, expanded_ids, position_ids, reference_index, reference_keys
+from pertcrf import features
 from pertcrf.corpus import Corpus, Token
-from pertcrf.features import FeatureIndex, FeatureTemplate, batch, encode, index_and_encode
+from pertcrf.crf import CrfModel, decode
+from pertcrf.features import AFFIX_SLOTS, FeatureIndex, FeatureTemplate, batch, encode, index_and_encode
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF2 = FeatureTemplate(id="CRF2")
@@ -310,8 +312,8 @@ class TestSharedBatch:
     def test_one_batch_equals_one_per_index(self, sentences):
         text = self.corpus(sentences)
         shared = batch(text.forms, text.offsets)
-        arrays = lambda b: [b.offsets, b.padded, b.at, b.affix_of]
-        kept = [a.copy() for a in arrays(shared)]
+        arrays = lambda b: [b.offsets, b.padded, b.at]
+        kept, kept_words = [a.copy() for a in arrays(shared)], list(shared.words.items())
         for template, index in self.indexes():
             flags = text.ezafe if template.ezafe_input else None
             got = encode(index, template, shared, flags)
@@ -330,6 +332,7 @@ class TestSharedBatch:
         assert index.keys() == alone[0].keys()
         assert np.array_equal(expanded_ids(encoded, F), expanded_ids(alone[1], F))
         assert all(map(np.array_equal, kept, arrays(shared)))
+        assert list(shared.words.items()) == kept_words
 
     def test_text_keys(self):
         # What the batch encodes at the focus of the sentinel-spelled token
@@ -344,3 +347,45 @@ class TestSharedBatch:
         assert not any(k.startswith("w[0]=") for k in at(2)) and "w[-1]=ketab" in at(2)
         assert {"pre1=a", "pre2=ab", "suf2=ab", "suf1=b"} <= at(4)
         assert not any(k.startswith(("pre3", "suf3")) for k in at(4))
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_loaded_index_encodes_as_trained(self, min_count):
+        # A known form reads its affix ids from the index's table, and a form
+        # that the index lacks has its affixes cut. At min_count 2, "xub" is
+        # known to the trained index (every training type is), but no key of
+        # the loaded one names it, so the two take different paths.
+        train, text = self.corpus(self.TRAIN), self.corpus(self.TEXT)
+        rng = np.random.default_rng(0)
+        for template in (CRF1, CRF2, CRF2_EZ):
+            train_flags, flags = (train.ezafe, text.ezafe) if template.ezafe_input else (None, None)
+            trained = trained_index(train, template, min_count, train_flags)
+            loaded = FeatureIndex(trained.keys())
+            shared = batch(text.forms, text.offsets)
+            got, want = encode(loaded, template, shared, flags), encode(trained, template, shared, flags)
+            for field in ("ids", "offsets", "types", "focus", "edges"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            # So a model decodes the same labels with either index.
+            F = len(trained)
+            weights = dict(emission=rng.normal(size=(F, 3)), transition=rng.normal(size=(3, 3)))
+            decoded = [
+                decode(CrfModel(labels=("a", "b", "c"), feature_index=index, template=template, **weights), enc)
+                for index, enc in ((trained, want), (loaded, got))
+            ]
+            assert np.array_equal(*decoded)
+        keys = loaded.keys()
+        xub = shared.words["xub"]
+        assert ("w[0]=xub" in keys) == (min_count == 1)
+        assert keys[got.focus[1 + AFFIX_SLOTS.index("pre1"), xub]] == "pre1=x"
+        suf3 = got.focus[1 + AFFIX_SLOTS.index("suf3"), xub]
+        assert (suf3 == F) == (min_count == 2)  # "suf3=xub" is seen once
+
+    def test_crf1_cuts_no_affix(self, monkeypatch):
+        def cut(*args):
+            raise AssertionError("an affix string was cut")
+
+        monkeypatch.setattr(features, "_affix_codes", cut)
+        trained = trained_index(self.corpus(self.TRAIN), CRF1)
+        text = self.corpus(self.TEXT)
+        shared = batch(text.forms, text.offsets)
+        for index in (trained, FeatureIndex(trained.keys())):
+            assert encode(index, CRF1, shared).focus.shape == (1, len(shared.words))

@@ -1,7 +1,9 @@
 """Smoke runs of scripts/run_synth_pipeline.py and
 scripts/run_full_protocol.py at toy size. They bound no timing."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,9 +61,18 @@ def test_full_protocol(synth_run, tmp_path):
     synth_dir, _ = synth_run
     out_dir = tmp_path / "protocol_run"
     stdout = run_script(
-        "run_full_protocol.py", str(synth_dir / "train.tsv"), "--max-iter", "3", "--out-dir", str(out_dir)
+        "run_full_protocol.py", str(synth_dir / "train.tsv"), "--max-iter", "3", "--out-dir", str(out_dir),
+        "--seed", "5",
     )
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(PROTOCOL_FILES)
-    assert "best ezafe model by validation F1" in stdout
+    best = re.search(r"best ezafe model by validation F1: (CRF[12])", stdout).group(1)
     for title in TABLES:
         assert f"== {title}" in stdout
+    # Every report names the split's seed, and the CRF2+EZ reports name the
+    # saved recognizer whose flags they read.
+    for name in PROTOCOL_FILES:
+        if name.endswith(".json"):
+            config = json.loads((out_dir / name).read_text(encoding="utf-8"))["config"]
+            assert config["seed"] == "5", name
+            recognizer = str(out_dir / f"ezafe_{best.lower()}.crf") if name.startswith("pos_crf2_ez") else ""
+            assert config["ezafe_model"] == recognizer, name

@@ -393,14 +393,24 @@ def count_batches(monkeypatch):
     return made, read
 
 
+def count_layouts(monkeypatch):
+    """The crf._Layout made from here on, in call order."""
+    made, layout = [], crf._Layout
+    monkeypatch.setattr(crf, "_Layout", lambda *a: made.append(layout(*a)) or made[-1])
+    return made
+
+
 class TestOneBatchPerText:
     def test_pipeline_tag(self, perfect_ezafe_setup, monkeypatch):
         corpora, ezafe_model = perfect_ezafe_setup
         pos_model = run_experiment(gold_flags_cfg(5), corpora).model
         test_c = corpora[2]
         made, read = count_batches(monkeypatch)
+        layouts = count_layouts(monkeypatch)
         pipeline_tag(test_c.by_sentence(test_c.forms), ezafe_model, pos_model)
         assert len(made) == 1 and len(read) == 2 and all(b is made[0] for b in read)
+        # Both stages decode over one packed layout of the batch.
+        assert len(layouts) == 1 and layouts[0].S == test_c.n_sentences
 
     def test_run_experiment_with_predicted_flags(self, perfect_ezafe_setup, monkeypatch):
         corpora, ezafe_model = perfect_ezafe_setup
@@ -446,6 +456,21 @@ class TestPipeline:
         pos_model = run_experiment(gold_flags_cfg(3), corpora).model
         with pytest.raises(ValueError, match="token form must be non-empty and whitespace-free: 'b c'"):
             pipeline_tag([["ea"], ["ea", "b c"]], ezafe_model, pos_model)
+        with pytest.raises(ValueError, match=r"token form must be non-empty and whitespace-free: 'b\\xa0'"):
+            pipeline_tag([["ea", "b\xa0"], ["ea", "b c"]], ezafe_model, pos_model)
+
+    def test_predicted_label_with_whitespace_rejected(self, perfect_ezafe_setup):
+        corpora, ezafe_model = perfect_ezafe_setup
+        pos_model = run_experiment(gold_flags_cfg(5), corpora).model
+        sentences = corpora[2].by_sentence(corpora[2].forms)
+        pred = pipeline_tag(sentences, ezafe_model, pos_model).tag_names()
+        # Two predicted labels renamed to break the rule: the message names
+        # the one that the earlier token gets.
+        first, second = list(dict.fromkeys(pred))[-2:]
+        names = {first: "x y", second: "z\tw"}
+        renamed = replace(pos_model, labels=tuple(names.get(lab, lab) for lab in pos_model.labels))
+        with pytest.raises(ValueError, match="pos tag must be non-empty and whitespace-free: 'x y'"):
+            pipeline_tag(sentences, ezafe_model, renamed)
 
     def test_template_incompatibility(self, perfect_ezafe_setup):
         corpora, ezafe_model = perfect_ezafe_setup
