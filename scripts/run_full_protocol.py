@@ -47,12 +47,13 @@ def print_results_table(title, results):
             print(f"{name:<10} {split:<6} {m.precision:.4f} {m.recall:.4f} {m.f1:.4f} {m.accuracy:.4f}")
 
 
-def run_protocol(corpora, train_config, out_dir, corpus_path, seed):
+def run_protocol(corpora, train_config, out_dir, split_paths, seed):
     """Train the five models of the protocol on corpora (train, valid,
     test), write each with its valid and test reports into out_dir, and
-    print the result tables. corpus_path and seed, the seed of the split,
-    name the corpus in the reports' headers; the CRF2+EZ reports also name
-    the saved recognizer that made their flags."""
+    print the result tables. split_paths (the train, valid and test
+    sources) and seed, the seed of the split, name the splits in the
+    reports' headers; the CRF2+EZ reports also name the saved recognizer
+    that made their flags."""
     for name, part in zip(("train", "valid", "test"), corpora):
         print(f"{name}: {part.n_sentences} sentences / {part.n_tokens} tokens")
     print("\n== per-POS statistics (train split)")
@@ -64,7 +65,9 @@ def run_protocol(corpora, train_config, out_dir, corpus_path, seed):
             task=task,
             template=template,
             train_config=train_config,
-            train_path=corpus_path,
+            train_path=split_paths[0],
+            valid_path=split_paths[1],
+            test_path=split_paths[2],
             ezafe_model_path=os.path.join(out_dir, f"{ezafe_tag}.crf") if ezafe_tag else None,
             seed=seed,
         )
@@ -120,7 +123,9 @@ def main():
     print(f"corpus: {corpus.n_sentences} sentences / {corpus.n_tokens} tokens")
     parts = shuffle_split(corpus, SplitSpec(seed=args.seed))
     corpora = tuple(filter_long(c, args.max_sentence_len) for c in parts)
-    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, args.corpus, args.seed)
+    # Every split is the corpus cut at the seed, so the corpus names all three.
+    paths = (args.corpus,) * 3
+    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, paths, args.seed)
 
 
 if __name__ == "__main__":

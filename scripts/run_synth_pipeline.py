@@ -37,10 +37,10 @@ def main():
     print(f"ezafe rate: {int(corpus.ezafe.sum()) / corpus.n_tokens:.4f}")
 
     corpora = shuffle_split(corpus, SplitSpec(seed=args.seed))
-    for name, part in zip(("train", "valid", "test"), corpora):
-        write_corpus_file(part, os.path.join(args.out_dir, f"{name}.tsv"))
-    train_path = os.path.join(args.out_dir, "train.tsv")
-    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, train_path, args.seed)
+    paths = [os.path.join(args.out_dir, f"{name}.tsv") for name in ("train", "valid", "test")]
+    for part, path in zip(corpora, paths):
+        write_corpus_file(part, path)
+    run_protocol(corpora, TrainConfig(max_iterations=args.max_iter), args.out_dir, paths, args.seed)
 
 
 if __name__ == "__main__":

@@ -23,11 +23,14 @@ two-loop recursion) and the line search (linesearch_s: the trial points,
 their evaluations and the curvature update); evals_per_iteration counts
 the evaluations of an iteration. It times `crf.save_model` and
 `crf.load_model` on the model (load_s includes the per-word affix id
-table that the loaded `features.FeatureIndex` builds), then the Bayes
-oracle over the whole corpus, one `datagen.bayes_decode(spec, forms,
-offsets)` call (oracle_s). Last, it encodes the whole corpus anew with the
-trained index (`features.batch`, then `features.encode`: decode_encode_s)
-and decodes it with one `crf.decode` of the trained model: timed once
+table that the loaded `features.FeatureIndex` builds), and, on its own,
+`features.FeatureIndex(keys)` on the model's keys (load_index_s: the part
+of load_s that makes the index's id tables and affix table from the key
+strings; the rest of load_s splits the lines and parses the weights),
+then the Bayes oracle over the whole corpus, one
+`datagen.bayes_decode(spec, forms, offsets)` call (oracle_s). Last, it
+encodes the whole corpus anew with the trained index (`features.batch`,
+then `features.encode`: decode_encode_s) and decodes it with one `crf.decode` of the trained model: timed once
 without tracemalloc (decode_s), then run once under it for the bytes that
 the call allocates at its peak beyond those held before it
 (decode_peak_mb).
@@ -193,6 +196,9 @@ def main() -> None:
     model_text, save_s = timed(lambda: crf.save_model(model))
     _, load_s = timed(lambda: crf.load_model(model_text))
     io_peak_rss_mb = peak_rss()
+    keys = index.keys()
+    _, load_index_s = timed(lambda: features.FeatureIndex(keys))
+    del keys
     _, oracle_s = timed(lambda: datagen.bayes_decode(spec, corpus.forms, corpus.offsets))
     encoded, decode_encode_s = timed(
         lambda: features.encode(index, template, features.batch(corpus.forms, corpus.offsets))
@@ -232,6 +238,7 @@ def main() -> None:
         "linesearch_s": round(iteration_s - direction_s, 4),
         "save_s": round(save_s, 4),
         "load_s": round(load_s, 4),
+        "load_index_s": round(load_index_s, 4),
         "model_mb": round(len(model_text.encode("utf-8")) / 2**20, 2),
         "io_peak_rss_mb": io_peak_rss_mb,
         "oracle_s": round(oracle_s, 4),

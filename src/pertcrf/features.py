@@ -46,18 +46,22 @@ the table, in type order.
     slots, from the count and first position of every type; for BOS and
     EOS, from the offsets), the candidates ordered by (position, slot),
     then the min_count cut. For CRF2 it first interns the affixes of the
-    types, with a (6, types) table of codes into them. The index keeps
-    the batch's type dict and those affixes as its values, and the
-    (6, types) affix ids of the types as its affix table.
+    types, with a (6, types) table of codes into them. It gives the kept
+    codes of every slot and their ids to the index's filler, with the
+    batch's type dict and those affixes as the values and, for CRF2, the
+    affix codes, then maps its rows of codes to ids, in place, through
+    the tables that the filler made.
   - encode (decoding) looks each of the batch's types up once in the
     word dict of a FeatureIndex. For CRF2 a known form's affix ids are
     its column of the index's affix table; only the forms that the index
     lacks have their affixes cut and looked up in its affix dict. A
-    FeatureIndex made from keys builds its tables, the affix table from
-    its word values, once, when it is made.
+    FeatureIndex made from keys gives each key's slot, row and id to the
+    same filler, which cuts the affixes of its word values once.
 Key strings exist only for the F indexed keys, and only when
-FeatureIndex.keys() builds them (save_model). A key outside the grammar
-is kept as given but never matches.
+FeatureIndex.keys() reads them back from the id tables (save_model):
+each id lies in one cell, whose row names the value and whose column the
+slot. A key outside the grammar is kept as given, by id, and never
+matches.
 
 Input. A batch is made from columns: the form of every position in corpus
 order and the sentence offsets (S+1,), as corpus.Corpus holds them.
@@ -88,32 +92,20 @@ AFFIX_SLOTS = tuple(f"pre{n}" for n in AFFIX_LENGTHS) + tuple(f"suf{n}" for n in
 EDGE_SLOTS = ("BOS", "EOS")
 EZ_SLOTS = tuple(f"ez[{k}]" for k in range(-WINDOW, WINDOW + 1))
 EZ_VALUES = ("0", "1", EZ_PAD)  # the codes of the flag slots: 0, 1 and 2
-_SLOTS = W_SLOTS + AFFIX_SLOTS + EDGE_SLOTS + EZ_SLOTS
+# The slots of each kind, in the column order of the kind's id table.
+_KIND_SLOTS = {"word": W_SLOTS, "affix": AFFIX_SLOTS, "edge": EDGE_SLOTS, "ez": EZ_SLOTS}
 # The kind of every slot and its column within that kind's id table.
-_SLOT_COLUMNS = {
-    **{slot: ("word", i) for i, slot in enumerate(W_SLOTS)},
-    **{slot: ("affix", i) for i, slot in enumerate(AFFIX_SLOTS)},
-    **{slot: ("edge", i) for i, slot in enumerate(EDGE_SLOTS)},
-    **{slot: ("ez", i) for i, slot in enumerate(EZ_SLOTS)},
-}
-_SLOT_NUMBERS = {slot: i for i, slot in enumerate(_SLOTS)}
+_SLOT_COLUMNS = {slot: (kind, i) for kind, slots in _KIND_SLOTS.items() for i, slot in enumerate(slots)}
 # A key is its slot's prefix followed by its value (the edge slots have the
-# empty value).
-_PREFIXES = [slot if slot in EDGE_SLOTS else slot + "=" for slot in _SLOTS]
-_WIDTHS = {
-    "word": len(W_SLOTS),
-    "affix": len(AFFIX_SLOTS),
-    "edge": len(EDGE_SLOTS),
-    "ez": len(EZ_SLOTS),
+# empty value): per kind, the prefix of each column.
+_PREFIXES = {
+    kind: np.array([slot if kind == "edge" else slot + "=" for slot in slots], dtype=object)
+    for kind, slots in _KIND_SLOTS.items()
 }
-# The prefix and the kind (a position in _KINDS) of each slot number; -1,
-# a key outside the grammar, reads the last entry: the empty prefix
-# (before the key as given) and no kind.
-_KINDS = tuple(_WIDTHS)
-_KEY_PREFIXES = np.array(_PREFIXES + [""], dtype=object)
-_SLOT_KINDS = np.array([_KINDS.index(_SLOT_COLUMNS[slot][0]) for slot in _SLOTS] + [-1], np.int8)
-# The values of the kinds that have a fixed set; the edge slots have one.
-_FIXED_VALUES = {"edge": ("",), "ez": EZ_VALUES}
+# The row of each value of the kinds that have a fixed set of values (the
+# edge slots have one, the empty value). Every index shares these dicts:
+# only the word and affix dicts grow.
+_FIXED_ROWS = {"edge": {"": 0}, "ez": {value: row for row, value in enumerate(EZ_VALUES)}}
 # The word slots whose keys move along the window, and their offsets and
 # columns in the word tables: w[0] reads the position's own form, so it is
 # a focus slot (see Encoded).
@@ -189,12 +181,14 @@ class FeatureIndex:
     row is all F, for values the dict lacks. The affix table holds the
     affix ids of every value of the word dict, one column each and a last
     column of F, so that encode cuts affixes only for forms that the word
-    dict lacks. Each id records its slot and row, so keys() builds the
-    strings when asked (save_model); keys outside the grammar are kept as
-    given and never match. Made from keys (load_model), it splits each key
-    at its first "=" into a slot and a value, then cuts the affixes of its
-    word values once; index_and_encode makes the tables from its codes
-    instead."""
+    dict lacks. Each id lies in one cell of one table, so keys() reads the
+    strings back from the tables when asked (save_model); keys outside the
+    grammar are kept as given, by id, and never match. One filler (_fill)
+    makes the tables from each slot's rows and ids. Made from keys
+    (load_model), the index splits each key at its first "=" into a slot
+    and a value, and the filler cuts the affixes of its word values once;
+    index_and_encode gives the filler its kept codes and the affix codes
+    that it already has."""
 
     def __init__(self, keys: Iterable[str]):
         keys = list(keys)
@@ -204,49 +198,47 @@ class FeatureIndex:
                 if key in seen:
                     raise ValueError(f"duplicate feature string {key!r}")
                 seen.add(key)
-        values = _fixed_values()
-        F = len(keys)
-        rows = {kind: [[F] * _WIDTHS[kind] for _ in values[kind]] for kind in _WIDTHS}
-        slot_of, row_of, other = [], [], {}
+        values = {"word": {}, "affix": {}, **_FIXED_ROWS}
+        cells: dict[str, tuple[list[int], list[int]]] = {}
+        other = {}
         for i, key in enumerate(keys):
             slot, eq, value = key.partition("=")
-            kind, column = _SLOT_COLUMNS.get(slot, (None, 0))
+            kind, _ = _SLOT_COLUMNS.get(slot, (None, None))
             row = None
             if kind is not None and (kind == "edge") != bool(eq):
                 row = values[kind].get(value)
-                if row is None and kind not in _FIXED_VALUES:
-                    row = values[kind][value] = len(rows[kind])
-                    rows[kind].append([F] * _WIDTHS[kind])
+                if row is None and kind not in _FIXED_ROWS:
+                    row = values[kind][value] = len(values[kind])
             if row is None:  # outside the grammar
                 other[i] = key
-                slot_of.append(-1)
-                row_of.append(-1)
                 continue
-            rows[kind][row][column] = i
-            slot_of.append(_SLOT_NUMBERS[slot])
-            row_of.append(row)
-        self._values = values
-        self._ids = {
-            kind: np.array(r + [[F] * _WIDTHS[kind]], dtype=np.int32) for kind, r in rows.items()
-        }
-        self._slot = np.array(slot_of, dtype=np.int8)
-        self._row = np.array(row_of, dtype=np.int32)
-        self._other = other
-        self._affix = self._affix_ids(values["word"])
+            rows, ids = cells.setdefault(slot, ([], []))
+            rows.append(row)
+            ids.append(i)
+        self._fill(values, len(keys), cells, other)
 
-    @classmethod
-    def _of_tables(
-        cls,
-        values: dict[str, dict[str, int]],
-        ids: dict[str, np.ndarray],
-        slot: np.ndarray,
-        row: np.ndarray,
-        affix: np.ndarray,
-    ) -> "FeatureIndex":
-        index = cls.__new__(cls)
-        index._values, index._ids, index._slot, index._row = values, ids, slot, row
-        index._other, index._affix = {}, affix
-        return index
+    def _fill(
+        self, values: dict, F: int, cells: dict, other: dict, affix_of: np.ndarray | None = None
+    ) -> None:
+        """Make the index's tables: per kind, the value -> row dict of values
+        and an id table with a row per value and a last row of F, where each
+        slot's (rows, ids) in cells puts its ids in the slot's column; then
+        the affix table, gathered by affix_of, the (6, words + 1) affix code
+        of every word value (see _affix_codes), or, without it, cut from the
+        word values. other holds the keys outside the grammar, id -> key.
+        This is the only code that writes an index's tables."""
+        self._values, self._F, self._other = values, F, other
+        self._ids = {
+            kind: np.full((len(values[kind]) + 1, len(slots)), F, np.int32)
+            for kind, slots in _KIND_SLOTS.items()
+        }
+        for slot, (rows, ids) in cells.items():
+            kind, column = _SLOT_COLUMNS[slot]
+            self._ids[kind][rows, column] = ids
+        if affix_of is None:
+            self._affix = self._affix_ids(values["word"])
+        else:
+            self._affix = self._ids["affix"][affix_of, _AFFIX_COLUMNS]
 
     def _affix_ids(self, forms: Collection[str]) -> np.ndarray:
         """The (6, forms + 1) id of each affix slot's key for each form, the
@@ -259,7 +251,7 @@ class FeatureIndex:
         return self._ids["affix"][_affix_codes(forms, partial(_lookup, affixes)), _AFFIX_COLUMNS]
 
     def __len__(self) -> int:
-        return len(self._slot)
+        return self._F
 
     def keys(self) -> list[str]:
         """The feature strings, in id order."""
@@ -268,17 +260,19 @@ class FeatureIndex:
 
     def key_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Every feature string as two object arrays in id order, the slot
-        prefixes and the values, gathered per slot kind from its value
-        list; a key outside the grammar is the empty prefix and itself."""
-        values = np.empty(len(self), dtype=object)
-        kinds = _SLOT_KINDS[self._slot]
-        for k, kind in enumerate(_KINDS):
-            at = np.flatnonzero(kinds == k)
-            table = self._values[kind]
-            values[at] = np.fromiter(table, dtype=object, count=len(table))[self._row[at]]
+        prefixes and the values. Each id lies in one cell of the id table
+        of its kind: its row names the value, its column the prefix. A key
+        outside the grammar is the empty prefix and itself."""
+        prefixes, values = np.empty((2, len(self)), dtype=object)
+        for kind, table in self._ids.items():
+            rows, columns = np.nonzero(table < len(self))
+            ids = table[rows, columns]
+            strings = self._values[kind]
+            values[ids] = np.fromiter(strings, dtype=object, count=len(strings))[rows]
+            prefixes[ids] = _PREFIXES[kind][columns]
         for i, key in self._other.items():
-            values[i] = key
-        return _KEY_PREFIXES[self._slot], values
+            prefixes[i], values[i] = "", key
+        return prefixes, values
 
 
 @dataclass(frozen=True)
@@ -291,11 +285,6 @@ class Batch:
     words: dict[str, int]  # the code of each form type; the sentinels are 0 and 1
     padded: np.ndarray  # int32 type codes, each sentence with WINDOW sentinels on either side
     at: np.ndarray  # int32 (N,) where each position lies in padded
-
-
-def _fixed_values() -> dict[str, dict[str, int]]:
-    """A new value dict per slot kind: empty for words and affixes."""
-    return {kind: {v: i for i, v in enumerate(_FIXED_VALUES.get(kind, ()))} for kind in _WIDTHS}
 
 
 def _flags(template: FeatureTemplate, ezafe: Sequence[int] | None, n: int) -> np.ndarray | None:
@@ -486,7 +475,8 @@ def index_and_encode(
     word = np.broadcast_to(np.arange(T, dtype=np.int32), (len(_MOVING_W), T))
     ez = np.broadcast_to(np.arange(len(EZ_VALUES)), (len(EZ_SLOTS), len(EZ_VALUES)))
     codes = _moving(batch, flags, word, ez)
-    values = {**_fixed_values(), "word": batch.words}
+    values = {"word": batch.words, "affix": {}, **_FIXED_ROWS}
+    affix_of = None
     if template.id == "CRF2":  # the code of each affix slot's value per type
         affix_of = _affix_codes(batch.words, partial(_intern, values["affix"]))
     # Per slot, in key order, the count and the first position of every
@@ -520,25 +510,14 @@ def index_and_encode(
     F = len(order)
     key_ids = np.empty(F, dtype=np.int32)
     key_ids[order] = np.arange(F, dtype=np.int32)
-
-    ids = {kind: np.full((len(values[kind]) + 1, width), F, np.int32) for kind, width in _WIDTHS.items()}
-    start = 0
-    for slot, code in zip(template.slots, kept_codes):
-        kind, column = _SLOT_COLUMNS[slot]
-        ids[kind][code, column] = key_ids[start : start + len(code)]
-        start += len(code)
-    numbers = np.array([_SLOT_NUMBERS[slot] for slot in template.slots], dtype=np.int8)
-    slot_of = np.repeat(numbers, [len(code) for code in kept_codes])[order]
-    row_of = np.concatenate(kept_codes).astype(np.int32)[order]
-    affix = (
-        ids["affix"][affix_of, _AFFIX_COLUMNS]
-        if template.id == "CRF2"
-        else np.broadcast_to(np.int32(F), (len(AFFIX_SLOTS), T + 1))
-    )
-    index = FeatureIndex._of_tables(values, ids, slot_of, row_of, affix)
+    bounds = np.cumsum([len(code) for code in kept_codes])[:-1]
+    cells = dict(zip(template.slots, zip(kept_codes, np.split(key_ids, bounds))))
+    index = FeatureIndex.__new__(FeatureIndex)
+    index._fill(values, F, cells, {}, affix_of)
     # Each row of codes becomes, in place, its column of the id table of
     # its kind (a code of -1 reads the last row, which holds the sentinel).
     for slot, row in moving.items():
         kind, column = _SLOT_COLUMNS[slot]
-        np.take(ids[kind][:, column], codes[row], out=codes[row])
-    return index, _encoded(template, batch, codes, ids["word"][:T, WINDOW], affix[:, :T], ids["edge"][0])
+        np.take(index._ids[kind][:, column], codes[row], out=codes[row])
+    word, affix = index._ids["word"][:T, WINDOW], index._affix[:, :T]
+    return index, _encoded(template, batch, codes, word, affix, index._ids["edge"][0])

@@ -110,20 +110,15 @@ def binary_metrics(table: ConfusionTable, positive: str) -> Metrics:
 
 def macro_metrics(table: ConfusionTable) -> Metrics:
     """Unweighted means of one-vs-rest P/R/F1 over tags that occur in gold
-    or prediction; tags absent from both are excluded."""
-    observed = [
-        t
-        for i, t in enumerate(table.tags)
-        if table.counts[i, :].sum() > 0 or table.counts[:, i].sum() > 0
-    ]
-    if not observed:
+    or prediction (per_tag_metrics); tags absent from both are excluded."""
+    per = list(per_tag_metrics(table).values())
+    if not per:
         return Metrics(0.0, 0.0, 0.0, 0.0)
-    per = [one_vs_rest(table, t) for t in observed]
     return Metrics(
         precision=sum(m.precision for m in per) / len(per),
         recall=sum(m.recall for m in per) / len(per),
         f1=sum(m.f1 for m in per) / len(per),
-        accuracy=_ratio(float(np.trace(table.counts)), float(table.total)),
+        accuracy=per[0].accuracy,
     )
 
 

@@ -132,14 +132,14 @@ def _decode(model: CrfModel, batch: Batch, ezafe: Sequence[int] | None, layout: 
 def predict_flags(model: CrfModel, batch: Batch) -> np.ndarray:
     """The decoded int8 ezafe flag of every position (see decode), mapped
     from each label id by the label's name."""
-    return _flag_of(model)[decode(model, batch)]
+    return _flag_of(model.labels)[decode(model, batch)]
 
 
-def _flag_of(model: CrfModel) -> np.ndarray:
-    """The int8 ezafe flag of each label id of an ezafe model."""
-    if label_kind(model.labels) != "ezafe":
+def _flag_of(labels: Sequence[str]) -> np.ndarray:
+    """The int8 ezafe flag of each label id of an ezafe model's labels."""
+    if label_kind(labels) != "ezafe":
         raise ValueError("not an ezafe model: labels are not {0, 1}")
-    return np.array([int(lab) for lab in model.labels], dtype=np.int8)
+    return np.array([int(lab) for lab in labels], dtype=np.int8)
 
 
 def label_kind(labels: Sequence[str]) -> str:
@@ -223,8 +223,7 @@ def _reports(
     lacks follow its inventory in sorted order."""
     kind = label_kind(labels)
     if kind == "ezafe":
-        flag_of = np.array([int(lab) for lab in labels], dtype=np.int8)
-        return [_ezafe_report(flag_of[pred], corpus, header)]
+        return [_ezafe_report(_flag_of(labels)[pred], corpus, header)]
     if kind == "pos":
         return [_pos_report(pred, labels, corpus, header)]
     pos, flags = zip(*map(split_joint, labels))
@@ -441,7 +440,7 @@ def pipeline_tag(
     forms = list(chain.from_iterable(sentences))
     batch = features.batch(forms, np.cumsum([0, *map(len, sentences)]))
     layout = crf._Layout(batch.offsets)
-    flags = _flag_of(ezafe_model)[_decode(ezafe_model, batch, None, layout)]
+    flags = _flag_of(ezafe_model.labels)[_decode(ezafe_model, batch, None, layout)]
     pred = _decode(pos_model, batch, flags, layout)
     # The token rule is checked once per distinct form and predicted label;
     # the scan per token runs only to name the first token that breaks it.

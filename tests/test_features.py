@@ -151,6 +151,27 @@ def trained_index(corpus, template, min_count=1, ezafe=None):
     return index_and_encode(template, batch(corpus.forms, corpus.offsets), ezafe, min_count)[0]
 
 
+def assert_same_tables(trained, loaded):
+    """The two indexes hold the same tables up to the order of their rows:
+    the loaded index holds a row only for the values its keys name, in key
+    order, and the trained one a row for every value the training text
+    has, where the rows that no key names hold only the sentinel F."""
+    F = len(trained)
+    assert len(loaded) == F
+    for kind, values in loaded._values.items():
+        rows = [trained._values[kind][v] for v in values]
+        assert np.array_equal(trained._ids[kind][rows + [-1]], loaded._ids[kind]), kind
+        assert (np.delete(trained._ids[kind], rows, axis=0) == F).all(), kind
+    words = loaded._values["word"]
+    rows = [trained._values["word"][v] for v in words]
+    assert np.array_equal(trained._affix[:, rows + [-1]], loaded._affix)
+    # The affix ids of a training form that no loaded key names are those
+    # that the loaded index cuts for it.
+    unnamed = [v for v in trained._values["word"] if v not in words]
+    cut = loaded._affix_ids(unnamed)[:, :-1]
+    assert np.array_equal(trained._affix[:, [trained._values["word"][v] for v in unnamed]], cut)
+
+
 class TestIndex:
     def one_token_corpus(self):
         return Corpus.from_sentences([(Token(form="tak", pos="N", ezafe=0),)])
@@ -281,6 +302,22 @@ class TestEncoderEqualsReference:
         index = FeatureIndex(["f0", "w[0]", "BOS=1", "ez[0]=2", "pre2=abc", "w[9]=a", "w[0]=a"])
         encoded = encode(index, CRF2_EZ, batch(["a", "abc"], [0, 2]), [0, 1])
         assert position_ids(encoded, len(index)) == [[6], []]
+        # Keys of every kind, some sharing a value, mixed in any order with
+        # keys outside the grammar, read back as given.
+        grammar = [
+            "w[-5]=__BOS__", "w[-1]=a", "w[0]=a", "w[0]=", "w[5]=__EOS__", "pre1=a", "suf1=a", "suf3=abc",
+            "BOS", "EOS", "ez[-5]=_", "ez[0]=1", "ez[5]=0",
+        ]
+        outside = ["f0", "w[0]", "BOS=1", "ez[0]=2", "w[9]=a"]
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            keys = [(grammar + outside)[i] for i in rng.permutation(len(grammar) + len(outside))]
+            index = FeatureIndex(keys)
+            assert index.keys() == keys and len(index) == len(keys)
+        empty = FeatureIndex([])
+        assert empty.keys() == [] and len(empty) == 0
+        encoded = encode(empty, CRF2_EZ, batch(["a", "abc"], [0, 2]), [0, 1])
+        assert position_ids(encoded, 0) == [[], []]
 
 
 class TestSharedBatch:
@@ -372,6 +409,7 @@ class TestSharedBatch:
                 for index, enc in ((trained, want), (loaded, got))
             ]
             assert np.array_equal(*decoded)
+            assert_same_tables(trained, loaded)
         keys = loaded.keys()
         xub = shared.words["xub"]
         assert ("w[0]=xub" in keys) == (min_count == 1)

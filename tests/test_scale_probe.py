@@ -35,8 +35,8 @@ def test_tiny_configuration_reports_every_field():
     # 29 OWL-QN vectors (10 curvature pairs and 9 more) of P + L^2 float64.
     assert record["optimizer_state_mb"] == round(29 * (P + 3 * 3) * 8 / 2**20, 2)
     times = (
-        "spec_s", "generate_s", "parse_s", "encode_s", "eval_s", "step_s", "save_s", "load_s", "oracle_s",
-        "decode_encode_s", "decode_s",
+        "spec_s", "generate_s", "parse_s", "encode_s", "eval_s", "step_s", "save_s", "load_s", "load_index_s",
+        "oracle_s", "decode_encode_s", "decode_s",
     )
     for key in times + ("iteration_s", "direction_s", "linesearch_s"):
         assert record[key] >= 0.0

@@ -49,12 +49,25 @@ TABLES = (
 )
 
 
+def report_configs(out_dir):
+    """The header of every JSON report in out_dir, by file name."""
+    return {
+        name: json.loads((out_dir / name).read_text(encoding="utf-8"))["config"]
+        for name in PROTOCOL_FILES
+        if name.endswith(".json")
+    }
+
+
 def test_synth_pipeline(synth_run):
     out_dir, stdout = synth_run
     files = ["process.spec", "train.tsv", "valid.tsv", "test.tsv"] + PROTOCOL_FILES
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(files)
     for title in TABLES:
         assert f"== {title}" in stdout
+    # Every report names the three split files the run wrote.
+    for name, config in report_configs(out_dir).items():
+        for split in ("train", "valid", "test"):
+            assert config[split] == str(out_dir / f"{split}.tsv"), name
 
 
 def test_full_protocol(synth_run, tmp_path):
@@ -68,11 +81,12 @@ def test_full_protocol(synth_run, tmp_path):
     best = re.search(r"best ezafe model by validation F1: (CRF[12])", stdout).group(1)
     for title in TABLES:
         assert f"== {title}" in stdout
-    # Every report names the split's seed, and the CRF2+EZ reports name the
-    # saved recognizer whose flags they read.
-    for name in PROTOCOL_FILES:
-        if name.endswith(".json"):
-            config = json.loads((out_dir / name).read_text(encoding="utf-8"))["config"]
-            assert config["seed"] == "5", name
-            recognizer = str(out_dir / f"ezafe_{best.lower()}.crf") if name.startswith("pos_crf2_ez") else ""
-            assert config["ezafe_model"] == recognizer, name
+    # Every report names the corpus as the source of all three splits and
+    # the split's seed, and the CRF2+EZ reports name the saved recognizer
+    # whose flags they read.
+    for name, config in report_configs(out_dir).items():
+        for split in ("train", "valid", "test"):
+            assert config[split] == str(synth_dir / "train.tsv"), name
+        assert config["seed"] == "5", name
+        recognizer = str(out_dir / f"ezafe_{best.lower()}.crf") if name.startswith("pos_crf2_ez") else ""
+        assert config["ezafe_model"] == recognizer, name
