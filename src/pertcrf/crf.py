@@ -21,7 +21,9 @@ recursions make one pass per step over a block with no padding, and
 training and decoding share the layout. _Layout is the one place its
 facts come from: the steps, each position's row, each row's corpus
 position, each sentence's last row, and each step's rows beside the rows
-their sentences held one step earlier. The encoding stays in corpus
+their sentences held one step earlier. Its base, _Steps, works out the
+steps, those spans and each row's corpus position alone, which is all
+that datagen's sampler reads. The encoding stays in corpus
 order: emissions gather it by each packed row's corpus position, and the
 expected counts scatter over it from posteriors put back in corpus order.
 
@@ -79,7 +81,10 @@ the previous step's deltas, transposed, to the rows of trans in one
 (from, rows, to) buffer allocated once per call, takes np.maximum over
 its outer axis (from) into one more row of that buffer, then adds it to
 the step's emissions. A step with more rows than the buffer holds
-(_VITERBI_BLOCK float64 cells) runs over blocks of rows. The backtrace
+(_VITERBI_BLOCK float64 cells) runs over blocks of rows: the forward pass
+walks one list of blocks, the layout's spans as they are when no step
+exceeds the buffer (as at the benchmark's sizes), else the spans cut into
+blocks (_blocks), with the same loop body either way. The backtrace
 recomputes each chosen label's predecessor from the same float sums,
 deltas of the previous row plus the column of trans into the label, and
 argmax keeps the first maximum. Paths and scores are thus those of a
@@ -235,32 +240,44 @@ def nll_and_gradient(
 # Training and decoding share the layout and the emission kernel.
 
 
-class _Layout:
-    """The packed layout of the sentences that offsets cut a corpus into,
-    and the one place its facts are worked out (see Layout in the module
-    docstring). Sentences rank by length, longest first, in corpus order
-    among equal lengths; step t holds position t of each sentence longer
-    than t, in rank order."""
+class _Steps:
+    """The steps of the packed layout of the sentences that offsets cut a
+    corpus into (see Layout in the module docstring) and the corpus
+    position of each packed row: all that a step-by-step pass in corpus
+    terms needs (datagen samples so). Sentences rank by length, longest
+    first, in corpus order among equal lengths; step t holds position t
+    of each sentence longer than t, in rank order."""
 
     def __init__(self, offsets: np.ndarray):
         lengths = offsets[1:] - offsets[:-1]
         self.S = S = len(lengths)  # the rows of step 0, each sentence's first
-        by_rank = (-lengths).argsort(kind="stable")
-        rank = np.empty(S, dtype=np.intp)
-        rank[by_rank] = np.arange(S)
+        self._by_rank = (-lengths).argsort(kind="stable")
         alive = S - np.bincount(lengths).cumsum()[:-1]  # sentences longer than t
         # The first row of each step, then the row count.
         self.steps = np.concatenate([[0], alive.cumsum()])
-        sentence = np.arange(S).repeat(lengths)
-        t = np.arange(len(sentence)) - offsets[:-1][sentence]
-        self.row = (self.steps[t] + rank[sentence]).astype(np.intc)  # of each position, in corpus order
-        self.order = np.empty_like(self.row)  # the corpus position of each row
-        self.order[self.row] = np.arange(len(self.row), dtype=self.row.dtype)
-        self.ends = self.row[offsets[1:][by_rank] - 1]  # the last row of each sentence, in rank order
+        # The corpus position of each row: row steps[t] + k holds position t
+        # of the sentence of rank k.
+        t = np.arange(len(alive)).repeat(alive)
+        k = np.arange(len(t)) - self.steps[:-1].repeat(alive)
+        self.order = (offsets[:-1][self._by_rank][k] + t).astype(np.intc)
         # One (a, b, p) per step t >= 1: its rows a..b-1 continue the
         # sentences at rows p..p+b-a-1, the first b-a rows of step t-1.
         bounds = self.steps.tolist()
         self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1]) for t in range(1, len(bounds) - 1)]
+
+
+class _Layout(_Steps):
+    """The packed layout of the sentences that offsets cut a corpus into,
+    and the one place its facts are worked out (see Layout in the module
+    docstring): the steps, and each row's corpus position (_Steps), each
+    position's row and each sentence's last row."""
+
+    def __init__(self, offsets: np.ndarray):
+        super().__init__(offsets)
+        self.row = np.empty_like(self.order)  # of each position, in corpus order
+        self.row[self.order] = np.arange(len(self.order), dtype=self.order.dtype)
+        # The last row of each sentence, in rank order.
+        self.ends = self.row[offsets[1:][self._by_rank] - 1]
 
 
 def _sentence_groups(offsets: np.ndarray, size: int) -> list[tuple[int, int]]:
@@ -385,6 +402,12 @@ def _sum_product(plan: _Plan, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 _VITERBI_BLOCK = 1 << 16
 
 
+def _blocks(spans: list[tuple[int, int, int]], size: int) -> list[tuple[int, int, int]]:
+    """spans (see _Layout) cut into blocks of at most size rows: each
+    (a, b, p) of a span's rows a..b-1 and their sentences' rows from p."""
+    return [(c, min(c + size, b), p + c - a) for a, b, p in spans for c in range(a, b, size)]
+
+
 def _viterbi(em: np.ndarray, trans: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """Max-product over a packed batch of log-domain emissions em (N, L),
     which it consumes: each row's best scores overwrite its emissions.
@@ -400,14 +423,11 @@ def _viterbi(em: np.ndarray, trans: np.ndarray, layout: _Layout) -> tuple[np.nda
     froms, cols = em.T[:, :, None], trans[:, None, :]
     # The ufuncs take out positionally: at bench sizes a step costs a few
     # microseconds, most of it per-call overhead.
-    for a, b, p in layout.spans:
-        shift = p - a  # from a row to its sentence's row one step back
-        for c in range(a, b, size):
-            d = min(c + size, b)
-            rows, best, scores = em[c:d], maxima[: d - c], sums[:, : d - c]
-            np.add(froms[:, shift + c : shift + d], cols, scores)
-            np.maximum.reduce(scores, 0, None, best)
-            np.add(rows, best, rows)
+    for a, b, p in layout.spans if layout.S <= size else _blocks(layout.spans, size):
+        rows, best, scores = em[a:b], maxima[: b - a], sums[:, : b - a]
+        np.add(froms[:, p : p + b - a], cols, scores)
+        np.maximum.reduce(scores, 0, None, best)
+        np.add(rows, best, rows)
     end = em[layout.ends]
     paths = np.empty(len(em), dtype=np.intp)
     paths[layout.ends] = end.argmax(axis=1)

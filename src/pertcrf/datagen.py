@@ -4,7 +4,9 @@ the same process. The oracle runs crf's packed sum-product on the spec's
 probabilities, over blocks of whole sentences of bounded size: no span
 bound applies, and zero-probability sentences raise. The sampler's chunks
 and the oracle's blocks come from the same cut, crf._sentence_groups, and
-both step through the same packed layout, a crf._Layout.
+both step through the same packed layout: the sampler through its steps
+and each row's corpus position (a crf._Steps), the oracle through a whole
+crf._Layout.
 
 Ezafe flags are generated conditionally on (state, next state), so the flag
 carries exactly the phrase-boundary signal that makes it informative for
@@ -41,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, non_unix_line, whitespace_free
-from .crf import _Layout, _Plan, _sentence_groups, _sum_product
+from .crf import _Layout, _Plan, _Steps, _sentence_groups, _sum_product
 from .features import checked_offsets
 from .rng import SplitMix64, check_seed, randoms_at, substream_states
 
@@ -207,9 +209,9 @@ def _sample_chunk(tables, streams, skip, lengths):
     states[starts] = _categorical(cum_start, u_state[starts])
     # Step t of the packed layout samples position t of every sentence
     # longer than t, at the corpus positions of its rows.
-    layout = _Layout(offsets)
-    for a, b, _ in layout.spans:
-        rows = layout.order[a:b]
+    steps = _Steps(offsets)
+    for a, b, _ in steps.spans:
+        rows = steps.order[a:b]
         states[rows] = _categorical(cum_trans[states[rows - 1]], u_state[rows])
 
     words = np.empty(T, dtype=np.int64)

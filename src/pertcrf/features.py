@@ -51,10 +51,19 @@ the table, in type order.
     batch's type dict and those affixes as the values and, for CRF2, the
     affix codes, then maps its rows of codes to ids, in place, through
     the tables that the filler made.
-  - encode (decoding) looks each of the batch's types up once in the
-    word dict of a FeatureIndex. For CRF2 a known form's affix ids are
-    its column of the index's affix table; only the forms that the index
-    lacks have their affixes cut and looked up in its affix dict. A
+  - encode (decoding) reads a batch through an encoder of it (_Encoder),
+    which every model that reads the text can share: tasks.pipeline_tag
+    makes one per call, and encode makes one and uses it once. What no
+    model changes, the encoder makes once, on first use: the type code of
+    every position; for a text of at most _WINDOW_BLOCK positions, the
+    (10, positions) codes of the moving word slots, which each model
+    maps through its own word table with one take; and the affix strings
+    and form lengths of the types that an index lacks, per set of such
+    types (two models trained on one split lack the same ones). Per
+    model, encode looks each of the batch's types up once in the word
+    dict of a FeatureIndex. For CRF2 a known form's affix ids are its
+    column of the index's affix table; only the forms that the index
+    lacks have their affix strings looked up in its affix dict. A
     FeatureIndex made from keys gives each key's slot, row and id to the
     same filler, which cuts the affixes of its word values once.
 Key strings exist only for the F indexed keys, and only when
@@ -73,10 +82,10 @@ ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,26 +108,28 @@ _SLOT_COLUMNS = {slot: (kind, i) for kind, slots in _KIND_SLOTS.items() for i, s
 # A key is its slot's prefix followed by its value (the edge slots have the
 # empty value): per kind, the prefix of each column.
 _PREFIXES = {
-    kind: np.array([slot if kind == "edge" else slot + "=" for slot in slots], dtype=object)
+    kind: [slot if kind == "edge" else slot + "=" for slot in slots]
     for kind, slots in _KIND_SLOTS.items()
 }
 # The row of each value of the kinds that have a fixed set of values (the
 # edge slots have one, the empty value). Every index shares these dicts:
 # only the word and affix dicts grow.
 _FIXED_ROWS = {"edge": {"": 0}, "ez": {value: row for row, value in enumerate(EZ_VALUES)}}
-# The word slots whose keys move along the window, and their offsets and
-# columns in the word tables: w[0] reads the position's own form, so it is
-# a focus slot (see Encoded).
+# The word slots whose keys move along the window: w[0] reads the
+# position's own form, so it is a focus slot (see Encoded).
 _MOVING_W = W_SLOTS[:WINDOW] + W_SLOTS[WINDOW + 1 :]
-_MOVING_SHIFTS = tuple(range(-WINDOW, 0)) + tuple(range(1, WINDOW + 1))
-_MOVING_COLUMNS = [k + WINDOW for k in _MOVING_SHIFTS]
+# The window offset k of each moving slot, word then ez. Both kinds' id
+# tables hold the slot w[k] or ez[k] in column k + WINDOW.
+_W_SHIFTS = np.array([k for k in range(-WINDOW, WINDOW + 1) if k], dtype=np.int32)[:, None]
+_EZ_SHIFTS = np.arange(-WINDOW, WINDOW + 1, dtype=np.int32)[:, None]
 # The cut of each affix slot, the least form length that has it, and the
 # column of each slot in the affix id table.
 _CUTS = [slice(None, m) for m in AFFIX_LENGTHS] + [slice(-m, None) for m in AFFIX_LENGTHS]
 _AFFIX_MIN = np.array(AFFIX_LENGTHS * 2)[:, None]
 _AFFIX_COLUMNS = np.arange(len(AFFIX_SLOTS))[:, None]
-# Positions whose window codes _windows gathers at once: it holds 11 int32
-# per position of a block.
+# Positions whose window codes are gathered at once: a block holds 11 int32
+# of them per position. An encoder keeps the word window codes of a text of
+# at most one block.
 _WINDOW_BLOCK = 1 << 14
 
 
@@ -235,20 +246,20 @@ class FeatureIndex:
         for slot, (rows, ids) in cells.items():
             kind, column = _SLOT_COLUMNS[slot]
             self._ids[kind][rows, column] = ids
-        if affix_of is None:
-            self._affix = self._affix_ids(values["word"])
-        else:
+        if affix_of is not None:
             self._affix = self._ids["affix"][affix_of, _AFFIX_COLUMNS]
+        elif values["affix"]:
+            self._affix = self._affix_ids(*_cut(values["word"]))
+        else:  # no affix key, so no string is cut
+            self._affix = np.broadcast_to(np.int32(F), (len(AFFIX_SLOTS), len(values["word"]) + 1))
 
-    def _affix_ids(self, forms: Collection[str]) -> np.ndarray:
-        """The (6, forms + 1) id of each affix slot's key for each form, the
-        sentinel F where the form is shorter than the affix or the index
-        lacks the key, and in the last column, which stands for no form.
-        An index without affix keys cuts no string."""
-        affixes = self._values["affix"]
-        if not affixes:
-            return np.broadcast_to(np.int32(len(self)), (len(AFFIX_SLOTS), len(forms) + 1))
-        return self._ids["affix"][_affix_codes(forms, partial(_lookup, affixes)), _AFFIX_COLUMNS]
+    def _affix_ids(self, strings: Iterable[str], lengths: np.ndarray) -> np.ndarray:
+        """The (6, forms + 1) id of each affix slot's key for each form of a
+        cut (see _cut), the sentinel F where the form is shorter than the
+        affix or the index lacks the key, and in the last column, which
+        stands for no form."""
+        codes = _affix_codes(strings, lengths, partial(_lookup, self._values["affix"]))
+        return self._ids["affix"][codes, _AFFIX_COLUMNS]
 
     def __len__(self) -> int:
         return self._F
@@ -262,17 +273,33 @@ class FeatureIndex:
         """Every feature string as two object arrays in id order, the slot
         prefixes and the values. Each id lies in one cell of the id table
         of its kind: its row names the value, its column the prefix. A key
-        outside the grammar is the empty prefix and itself."""
-        prefixes, values = np.empty((2, len(self)), dtype=object)
+        outside the grammar is the empty prefix and itself. Each id gets
+        its index into all the values, kind after kind, times P plus its
+        index into all the P prefixes, and each object array is gathered
+        once."""
+        F = len(self)
+        P = sum(map(len, _PREFIXES.values())) + 1  # the last is the empty prefix
+        at = np.empty(F, dtype=np.intp)
+        values, prefixes = [], []
         for kind, table in self._ids.items():
-            rows, columns = np.nonzero(table < len(self))
-            ids = table[rows, columns]
-            strings = self._values[kind]
-            values[ids] = np.fromiter(strings, dtype=object, count=len(strings))[rows]
-            prefixes[ids] = _PREFIXES[kind][columns]
-        for i, key in self._other.items():
-            prefixes[i], values[i] = "", key
-        return prefixes, values
+            flat, width = table.ravel(), table.shape[1]
+            cells = np.flatnonzero(flat < F)
+            # (row + len(values)) * P + column + len(prefixes), where a cell is
+            # row * width + column (np.divmod takes several times as long).
+            code = cells // width * (P - width)
+            code += cells
+            code += len(values) * P + len(prefixes)
+            at[flat.take(cells)] = code
+            values += self._values[kind]
+            prefixes += _PREFIXES[kind]
+        other = list(self._other)
+        at[other] = np.arange(len(values), len(values) + len(other)) * P + len(prefixes)
+        values += self._other.values()
+        prefixes.append("")
+        value_at = at // P
+        prefix_at = at - value_at * P
+        prefixes, values = (np.fromiter(x, dtype=object, count=len(x)) for x in (prefixes, values))
+        return prefixes[prefix_at], values[value_at]
 
 
 @dataclass(frozen=True)
@@ -349,73 +376,151 @@ def _lookup(values: dict[str, int], strings: Iterable[str], n: int) -> np.ndarra
     return np.fromiter(map(values.get, strings, repeat(-1)), np.intp, n)
 
 
-def _affix_codes(forms: Collection[str], code: Callable[[Iterable[str], int], np.ndarray]) -> np.ndarray:
-    """The (6, forms + 1) code of each affix slot's value for each form, in
-    AFFIX_SLOTS order, where code(strings, n) codes n strings (_intern or
+def _cut(forms: Collection[str]) -> tuple[Iterator[str], np.ndarray]:
+    """The affix strings of forms, lazily, slot by slot in AFFIX_SLOTS order
+    (each slot's cut of every form), and the length of every form."""
+    strings = chain.from_iterable(map(itemgetter(cut), forms) for cut in _CUTS)
+    return strings, np.fromiter(map(len, forms), np.intp, len(forms))
+
+
+def _affix_codes(
+    strings: Iterable[str], lengths: np.ndarray, code: Callable[[Iterable[str], int], np.ndarray]
+) -> np.ndarray:
+    """The (6, forms + 1) code of each affix slot's value for each form of a
+    cut (see _cut), where code(strings, n) codes n strings (_intern or
     _lookup into a value dict); -1 where the form is shorter than the
     affix, and in the last column, which stands for no form."""
-    n = len(forms)
+    n = len(lengths)
     codes = np.full((len(_CUTS), n + 1), -1, dtype=np.intp)
-    strings = chain.from_iterable(map(itemgetter(cut), forms) for cut in _CUTS)
     codes[:, :n] = code(strings, len(_CUTS) * n).reshape(len(_CUTS), n)
-    codes[:, :n][np.fromiter(map(len, forms), np.intp, n) < _AFFIX_MIN] = -1
+    codes[:, :n][lengths < _AFFIX_MIN] = -1
     return codes
 
 
-def _windows(
-    padded: np.ndarray, at: np.ndarray, table: np.ndarray, out: np.ndarray, shifts: Sequence[int]
-) -> None:
-    """Write table[i, padded[at + shifts[i]]] into out[i] for every row i of
-    table, over blocks of at most _WINDOW_BLOCK positions."""
-    shifts = np.asarray(shifts, dtype=np.int32)[:, None]
+def _window_codes(padded: np.ndarray, at: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """(slots, positions) where each moving slot of window offset k (one of
+    shifts) reads, at each of the positions at, a (values, 11) id table
+    flattened: the value code at offset k in padded times 11, plus the
+    slot's column k + WINDOW."""
+    codes = padded[at + shifts]
+    codes *= len(W_SLOTS)
+    codes += shifts + WINDOW
+    return codes
+
+
+def _windows(table: np.ndarray, codes_of: Callable[[int], np.ndarray], out: np.ndarray) -> None:
+    """Write the entries of the (values, 11) table that codes_of(a) gives
+    (see _window_codes) for each block of positions from a into out, over
+    blocks of at most _WINDOW_BLOCK positions."""
     flat = np.ascontiguousarray(table, dtype=np.int32).ravel()
-    starts = (np.arange(len(shifts), dtype=np.int32) * table.shape[1])[:, None]
-    for a in range(0, len(at), _WINDOW_BLOCK):
-        codes = padded[at[a : a + _WINDOW_BLOCK] + shifts]
-        codes += starts
-        np.take(flat, codes, out=out[:, a : a + _WINDOW_BLOCK])
+    for a in range(0, out.shape[1], _WINDOW_BLOCK):
+        # mode="clip" writes out unbuffered; every code is in range.
+        np.take(flat, codes_of(a), out=out[:, a : a + _WINDOW_BLOCK], mode="clip")
 
 
-def _moving(batch: Batch, flags: np.ndarray | None, word: np.ndarray, ez: np.ndarray) -> np.ndarray:
-    """The (moving slots, positions) matrix whose row for each moving slot
-    (the word slots but w[0], then, with flags, the ez slots) holds, at
-    every position, that slot's entry in the table of its kind: word
-    (10, types) by the type at the slot's window offset, ez (11, 3) by the
-    flag code (0, 1 or the pad _) at the slot's window offset."""
-    n = len(batch.at)
-    out = np.empty((len(_MOVING_W) + (len(EZ_SLOTS) if flags is not None else 0), n), dtype=np.int32)
-    _windows(batch.padded, batch.at, word, out[: len(_MOVING_W)], _MOVING_SHIFTS)
-    if flags is not None:
-        padded = np.full(len(batch.padded), EZ_VALUES.index(EZ_PAD), dtype=np.int32)
-        padded[batch.at] = flags
-        _windows(padded, batch.at, ez, out[len(_MOVING_W) :], range(-WINDOW, WINDOW + 1))
-    return out
+class _Encoder:
+    """The encoder of one batch, shared by every model that reads its text
+    (see batch). What no model changes it makes once, on first use: the
+    type code of every position; the codes of the moving word slots at
+    every position (_window_codes), for a text of at most _WINDOW_BLOCK
+    positions; and the affix cut (_cut) of the form types that an index
+    lacks, per set of such types. Each model then maps them through its own
+    tables."""
 
+    def __init__(self, batch: Batch):
+        self.batch = batch
+        self._words: np.ndarray | None = None
+        self._cuts: dict[bytes, tuple[list[str], np.ndarray]] = {}
 
-def _encoded(
-    template: FeatureTemplate,
-    batch: Batch,
-    moving: np.ndarray,
-    word: np.ndarray,
-    affix: np.ndarray,
-    edge: np.ndarray,
-) -> Encoded:
-    """An Encoded of batch from its moving slots' ids and the id tables of
-    the focus slots: word (types,) the w[0] id of every type, affix
-    (6, types) the affix ids of every type, edge (2,) the BOS and EOS ids.
-    CRF1 reads w[0] alone."""
-    focus = word[None]
-    edges = np.empty(0, dtype=np.int32)
-    if template.id == "CRF2":
-        focus = np.concatenate([focus, affix])
-        edges = np.asarray(edge, dtype=np.int32)
-    return Encoded(
-        ids=moving,
-        offsets=batch.offsets,
-        types=batch.padded[batch.at],
-        focus=np.ascontiguousarray(focus, dtype=np.int32),
-        edges=edges,
-    )
+    @cached_property
+    def types(self) -> np.ndarray:
+        """(N,) int32 the type code of every position."""
+        return self.batch.padded[self.batch.at]
+
+    def _word_codes(self, a: int) -> np.ndarray:
+        """The codes of the moving word slots at the block of positions from
+        a (see _window_codes), kept for a text of one block."""
+        if a == 0 and self._words is not None:
+            return self._words
+        batch = self.batch
+        codes = _window_codes(batch.padded, batch.at[a : a + _WINDOW_BLOCK], _W_SHIFTS)
+        if len(batch.at) <= _WINDOW_BLOCK:
+            self._words = codes
+        return codes
+
+    def _unknown(self, new: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The affix cut (see _cut) of the form types where new is true, made
+        once per set of types."""
+        key = new.tobytes()
+        if key not in self._cuts:
+            strings, lengths = _cut(list(compress(self.batch.words, new.tolist())))
+            self._cuts[key] = list(strings), lengths
+        return self._cuts[key]
+
+    def _moving(self, flags: np.ndarray | None, word: np.ndarray, ez: np.ndarray) -> np.ndarray:
+        """The (moving slots, positions) matrix whose row for each moving slot
+        (the word slots but w[0], then, with flags, the ez slots) holds, at
+        every position, that slot's entry in the table of its kind, one
+        column per slot: word (types, 11) by the type at the slot's window
+        offset, ez (3 or more, 11) by the flag code (0, 1 or the pad _) at
+        the slot's window offset."""
+        batch = self.batch
+        n, K = len(batch.at), len(_MOVING_W)
+        out = np.empty((K + (len(EZ_SLOTS) if flags is not None else 0), n), dtype=np.int32)
+        _windows(word, self._word_codes, out[:K])
+        if flags is not None:
+            padded = np.full(len(batch.padded), EZ_VALUES.index(EZ_PAD), dtype=np.int32)
+            padded[batch.at] = flags
+            codes_of = lambda a: _window_codes(padded, batch.at[a : a + _WINDOW_BLOCK], _EZ_SHIFTS)
+            _windows(ez, codes_of, out[K:])
+        return out
+
+    def _encoded(
+        self,
+        template: FeatureTemplate,
+        moving: np.ndarray,
+        word: np.ndarray,
+        affix: np.ndarray,
+        edge: np.ndarray,
+    ) -> Encoded:
+        """An Encoded of the batch from its moving slots' ids and the id
+        tables of the focus slots: word (types,) the w[0] id of every type,
+        affix (6, types) the affix ids of every type, edge (2,) the BOS and
+        EOS ids. CRF1 reads w[0] alone."""
+        focus = word[None]
+        edges = np.empty(0, dtype=np.int32)
+        if template.id == "CRF2":
+            focus = np.concatenate([focus, affix])
+            edges = np.asarray(edge, dtype=np.int32)
+        return Encoded(
+            ids=moving,
+            offsets=self.batch.offsets,
+            types=self.types,
+            focus=np.ascontiguousarray(focus, dtype=np.int32),
+            edges=edges,
+        )
+
+    def encode(
+        self, index: FeatureIndex, template: FeatureTemplate, ezafe: Sequence[int] | None = None
+    ) -> Encoded:
+        """encode, for this encoder's batch."""
+        batch = self.batch
+        flags = _flags(template, ezafe, len(batch.at))
+        ids = index._ids
+        # Each type's row in the index's word tables; -1, the last row (the
+        # sentinel's), for a form that the index lacks.
+        rows = _lookup(index._values["word"], batch.words, len(batch.words))
+        word = ids["word"][rows]
+        affix = None
+        if template.id == "CRF2":
+            # A known form's affix ids are its column of the index's table; only
+            # the forms that the index lacks have their affixes cut.
+            affix = index._affix[:, rows]
+            new = rows < 0
+            if index._values["affix"] and new.any():
+                affix[:, new] = index._affix_ids(*self._unknown(new))[:, :-1]
+        moving = self._moving(flags, word, ids["ez"])
+        return self._encoded(template, moving, word[:, WINDOW], affix, ids["edge"][0])
 
 
 def encode(
@@ -427,22 +532,7 @@ def encode(
     """Encode the sentences of batch (see batch) with the keys of index;
     keys that the index lacks are dropped. Ezafe-input templates need
     ezafe, one flag per position; the other templates refuse it."""
-    flags = _flags(template, ezafe, len(batch.at))
-    ids = index._ids
-    # Each type's row in the index's word tables; -1, the last row (the
-    # sentinel's), for a form that the index lacks.
-    rows = _lookup(index._values["word"], batch.words, len(batch.words))
-    affix = None
-    if template.id == "CRF2":
-        # A known form's affix ids are its column of the index's table; only
-        # the forms that the index lacks have their affixes cut.
-        affix = index._affix[:, rows]
-        new = rows < 0
-        if new.any():
-            affix[:, new] = index._affix_ids(list(compress(batch.words, new.tolist())))[:, :-1]
-    word = ids["word"][rows].T
-    moving = _moving(batch, flags, word[_MOVING_COLUMNS], ids["ez"][: len(EZ_VALUES)].T)
-    return _encoded(template, batch, moving, word[WINDOW], affix, ids["edge"][0])
+    return _Encoder(batch).encode(index, template, ezafe)
 
 
 def _tally(
@@ -471,21 +561,23 @@ def index_and_encode(
     if min_count < 1:
         raise ValueError("min_count must be positive")
     flags = _flags(template, ezafe, len(batch.at))
+    text = _Encoder(batch)
     T = len(batch.words)
-    word = np.broadcast_to(np.arange(T, dtype=np.int32), (len(_MOVING_W), T))
-    ez = np.broadcast_to(np.arange(len(EZ_VALUES)), (len(EZ_SLOTS), len(EZ_VALUES)))
-    codes = _moving(batch, flags, word, ez)
+    word = np.broadcast_to(np.arange(T, dtype=np.int32)[:, None], (T, len(W_SLOTS)))
+    ez = np.arange(len(EZ_VALUES), dtype=np.int32)[:, None]
+    ez = np.broadcast_to(ez, (len(EZ_VALUES), len(EZ_SLOTS)))
+    codes = text._moving(flags, word, ez)
     values = {"word": batch.words, "affix": {}, **_FIXED_ROWS}
     affix_of = None
     if template.id == "CRF2":  # the code of each affix slot's value per type
-        affix_of = _affix_codes(batch.words, partial(_intern, values["affix"]))
+        affix_of = _affix_codes(*_cut(batch.words), partial(_intern, values["affix"]))
     # Per slot, in key order, the count and the first position of every
     # code: the moving slots from their rows of codes; w[0] and the affixes
     # from the count and first position of every type; BOS and EOS from
     # the sentence offsets.
     n, S = codes.shape[1], len(batch.offsets) - 1
     positions = np.arange(n)
-    type_count, type_first = _tally(batch.padded[batch.at], T, positions, n)
+    type_count, type_first = _tally(text.types, T, positions, n)
     moving_slots = _MOVING_W + (EZ_SLOTS if template.ezafe_input else ())
     moving = {slot: row for row, slot in enumerate(moving_slots)}
     tallies = []
@@ -520,4 +612,4 @@ def index_and_encode(
         kind, column = _SLOT_COLUMNS[slot]
         np.take(index._ids[kind][:, column], codes[row], out=codes[row])
     word, affix = index._ids["word"][:T, WINDOW], index._affix[:, :T]
-    return index, _encoded(template, batch, codes, word, affix, index._ids["edge"][0])
+    return index, text._encoded(template, codes, word, affix, index._ids["edge"][0])

@@ -119,14 +119,7 @@ def decode(model: CrfModel, batch: Batch, ezafe: Sequence[int] | None = None) ->
     """The label id (an index into model.labels) of every position of batch
     (a features.batch), in corpus order, with one ezafe input flag per
     position for ezafe-input templates."""
-    return _decode(model, batch, ezafe, crf._Layout(batch.offsets))
-
-
-def _decode(model: CrfModel, batch: Batch, ezafe: Sequence[int] | None, layout: crf._Layout) -> np.ndarray:
-    """decode over layout, the crf._Layout of batch.offsets, which every
-    model that decodes the batch can share."""
-    encoded = features.encode(model.feature_index, model.template, batch, ezafe)
-    return crf._decode(model, encoded, layout)
+    return crf.decode(model, features.encode(model.feature_index, model.template, batch, ezafe))
 
 
 def predict_flags(model: CrfModel, batch: Batch) -> np.ndarray:
@@ -432,16 +425,22 @@ def pipeline_tag(
     sentences: Sequence[Sequence[str]], ezafe_model: CrfModel, pos_model: CrfModel
 ) -> Corpus:
     """Two-stage annotation: decode ezafe flags, then decode POS with the
-    flags as input features, both from one features.batch of the text and
-    over one packed layout. Output tokens carry the predictions and obey
-    the token rule."""
+    flags as input features, both from one features.batch of the text,
+    through one encoder of it (which does the text's share of encoding
+    once) and over one packed layout. Output tokens carry the predictions
+    and obey the token rule."""
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
     forms = list(chain.from_iterable(sentences))
     batch = features.batch(forms, np.cumsum([0, *map(len, sentences)]))
+    text = features._Encoder(batch)
     layout = crf._Layout(batch.offsets)
-    flags = _flag_of(ezafe_model.labels)[_decode(ezafe_model, batch, None, layout)]
-    pred = _decode(pos_model, batch, flags, layout)
+
+    def tag(model: CrfModel, flags: np.ndarray | None = None) -> np.ndarray:
+        return crf._decode(model, text.encode(model.feature_index, model.template, flags), layout)
+
+    flags = _flag_of(ezafe_model.labels)[tag(ezafe_model)]
+    pred = tag(pos_model, flags)
     # The token rule is checked once per distinct form and predicted label;
     # the scan per token runs only to name the first token that breaks it.
     predicted = compress(pos_model.labels, np.bincount(pred, minlength=len(pos_model.labels)).tolist())

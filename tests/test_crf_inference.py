@@ -238,6 +238,10 @@ class TestPackedLayout:
         assert layout.ends.tolist() == [9, 6, 7, 3, 4]
         assert layout.spans == [(5, 8, 0), (8, 9, 5), (9, 10, 8)]
         self.check_layout(layout, offsets, rank=[1, 3, 0, 2, 4])
+        # The base that datagen's sampler reads alone.
+        steps = crf._Steps(offsets)
+        assert (steps.S, steps.steps.tolist(), steps.spans) == (5, layout.steps.tolist(), layout.spans)
+        assert steps.order.dtype == layout.order.dtype and steps.order.tolist() == layout.order.tolist()
 
     def test_equal_lengths_keep_corpus_order(self):
         # Enough sentences that an unstable sort would reorder ties.
@@ -338,14 +342,17 @@ class TestBatchedViterbi:
             assert scores[r[0]] == score  # a sentence's step-0 row is its rank
 
     @pytest.mark.parametrize("L", [1, 2, 3, 6, 30])
-    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 3, "S", "S-1"])
     def test_kernel_matches_reference_bit_for_bit(self, L, rows, monkeypatch):
         """Paths (dtype included) and scores equal the back-pointer kernel's
         bits, on integer scores, which tie often, and on real ones, whose
         sums round, with blocks of the given rows (None keeps the module's)
-        so that a step spans several."""
-        if rows is not None:
-            monkeypatch.setattr(crf, "_VITERBI_BLOCK", rows * L * L)
+        so that a step spans several. At blocks of S rows, the rows of step
+        0, the forward pass walks the layout's spans as they are; at S - 1
+        it walks them cut into blocks."""
+        cut = []
+        blocks = crf._blocks
+        monkeypatch.setattr(crf, "_blocks", lambda *a: cut.append(a) or blocks(*a))
         rng = np.random.default_rng(500 + L)
         batches = [
             [int(v) for v in rng.permutation(MIXED_LENGTHS)],
@@ -358,7 +365,12 @@ class TestBatchedViterbi:
             ems = [draw((T, L)) for T in lengths]
             trans = draw((L, L))
             packed, layout, _ = pack(ems)
+            if rows is not None:
+                size = {"S": layout.S, "S-1": layout.S - 1}.get(rows, rows)
+                monkeypatch.setattr(crf, "_VITERBI_BLOCK", size * L * L)
+            cut.clear()
             paths, scores = _viterbi(packed.copy(), trans, layout)
+            assert len(cut) == (rows == "S-1" or (rows in (1, 3) and layout.S > rows))
             want_paths, want_scores = viterbi_reference(packed, trans, layout.steps)
             assert paths.dtype == want_paths.dtype == np.min_scalar_type(L - 1)
             assert paths.tobytes() == want_paths.tobytes()

@@ -168,7 +168,7 @@ def assert_same_tables(trained, loaded):
     # The affix ids of a training form that no loaded key names are those
     # that the loaded index cuts for it.
     unnamed = [v for v in trained._values["word"] if v not in words]
-    cut = loaded._affix_ids(unnamed)[:, :-1]
+    cut = loaded._affix_ids(*features._cut(unnamed))[:, :-1]
     assert np.array_equal(trained._affix[:, [trained._values["word"][v] for v in unnamed]], cut)
 
 
@@ -422,8 +422,43 @@ class TestSharedBatch:
             raise AssertionError("an affix string was cut")
 
         monkeypatch.setattr(features, "_affix_codes", cut)
+        monkeypatch.setattr(features, "_cut", cut)
         trained = trained_index(self.corpus(self.TRAIN), CRF1)
         text = self.corpus(self.TEXT)
         shared = batch(text.forms, text.offsets)
         for index in (trained, FeatureIndex(trained.keys())):
             assert encode(index, CRF1, shared).focus.shape == (1, len(shared.words))
+
+    @pytest.mark.parametrize("block", [None, 4])
+    def test_one_encoder_equals_one_per_index(self, block, monkeypatch):
+        """One encoder of a text, read by every index in turn (in either
+        order), encodes as encode does for each index alone, also for
+        indexes that lack different forms, and it cuts the affixes of each
+        set of forms that a CRF2 index lacks once. The text is one window
+        block, whose codes the encoder keeps, or three (block 4)."""
+        if block is not None:
+            monkeypatch.setattr(features, "_WINDOW_BLOCK", block)
+        cuts = []
+        cut = features._cut
+        monkeypatch.setattr(features, "_cut", lambda forms: cuts.append(tuple(forms)) or cut(forms))
+        text = self.corpus(self.TEXT)
+        other = self.corpus([["ketab", "zz", "q"], ["xub", "a"]])  # forms that TRAIN lacks
+        indexes = self.indexes() + [(CRF2_EZ, trained_index(other, CRF2_EZ, ezafe=other.ezafe))]
+        flags = lambda template: text.ezafe if template.ezafe_input else None
+        for order in (indexes, indexes[::-1]):
+            shared = features._Encoder(batch(text.forms, text.offsets))
+            cuts.clear()
+            got = [shared.encode(index, template, flags(template)) for template, index in order]
+            lacked = [
+                tuple(form for form in shared.batch.words if form not in index._values["word"])
+                for template, index in order
+                if template.id == "CRF2"
+            ]
+            assert len(set(lacked)) == 2 and all(lacked)
+            assert cuts == list(dict.fromkeys(lacked))
+            for (template, index), encoded in zip(order, got):
+                alone = encode(index, template, batch(text.forms, text.offsets), flags(template))
+                for field in ("ids", "offsets", "types", "focus", "edges"):
+                    assert np.array_equal(getattr(encoded, field), getattr(alone, field)), field
+                want = encode_keys(index, corpus_features(text, template, flags(template)))
+                assert position_ids(encoded, len(index)) == position_ids(want, len(index))

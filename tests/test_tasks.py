@@ -28,6 +28,8 @@ from pertcrf.tasks import (
 
 CRF1 = FeatureTemplate(id="CRF1")
 CRF1_EZ = FeatureTemplate(id="CRF1", ezafe_input=True)
+CRF2 = FeatureTemplate(id="CRF2")
+CRF2_EZ = FeatureTemplate(id="CRF2", ezafe_input=True)
 FAST = TrainConfig(max_iterations=30)
 
 
@@ -382,11 +384,12 @@ class TestRunJoint:
 
 def count_batches(monkeypatch):
     """The features.batch made from here on, and the batch of every encode
-    and index_and_encode call, in call order."""
+    (features.encode and pipeline_tag's shared encoder both end in
+    features._Encoder.encode) and index_and_encode call, in call order."""
     made, read = [], []
-    batch, encode, index_and_encode = features.batch, features.encode, features.index_and_encode
+    batch, encode, index_and_encode = features.batch, features._Encoder.encode, features.index_and_encode
     monkeypatch.setattr(features, "batch", lambda *a: made.append(batch(*a)) or made[-1])
-    monkeypatch.setattr(features, "encode", lambda i, t, b, *a: read.append(b) or encode(i, t, b, *a))
+    monkeypatch.setattr(features._Encoder, "encode", lambda e, *a: read.append(e.batch) or encode(e, *a))
     monkeypatch.setattr(
         features, "index_and_encode", lambda t, b, *a: read.append(b) or index_and_encode(t, b, *a)
     )
@@ -420,6 +423,73 @@ class TestOneBatchPerText:
         # training, the checkpoints or the test decode.
         assert len(made) == 3
         assert [sum(b is m for b in read) for m in made] == [2, 2, 2]
+
+
+@pytest.fixture(scope="module")
+def crf2_pipeline():
+    """A CRF2 ezafe model and two CRF2+EZ POS models, the first trained on
+    the ezafe model's split and the second on another, each reloaded from
+    its text as a shipped model is; and raw text drawn from a third seed."""
+    spec = tuned_ezafe_spec(0.22)
+    config = TrainConfig(max_iterations=3)
+    ours, theirs = (shuffle_split(generate(spec, 60, seed=seed)) for seed in (31, 32))
+    ezafe = run_experiment(ExperimentConfig(task="ezafe", template=CRF2, train_config=config), ours).model
+    cfg = ExperimentConfig(task="pos-ez-input", template=CRF2_EZ, train_config=config, ezafe_source="gold")
+    pos = [run_experiment(cfg, corpora).model for corpora in (ours, theirs)]
+    reload = lambda model: crf.load_model(save_model(model))
+    text = generate(spec, 30, seed=33)
+    return reload(ezafe), [reload(model) for model in pos], text.by_sentence(text.forms)
+
+
+def known_forms(model):
+    """The forms that a model's w[0] keys name: every training form."""
+    return {key[len("w[0]=") :] for key in model.feature_index.keys() if key.startswith("w[0]=")}
+
+
+def count_cuts(monkeypatch):
+    """The forms of every affix cut (features._cut) from here on."""
+    cuts, cut = [], features._cut
+    monkeypatch.setattr(features, "_cut", lambda forms: cuts.append(tuple(forms)) or cut(forms))
+    return cuts
+
+
+class TestOneEncoderPerText:
+    """pipeline_tag encodes the text for both models through one encoder."""
+
+    def test_models_with_different_vocabularies(self, crf2_pipeline):
+        ezafe_model, (_, pos_model), sentences = crf2_pipeline
+        forms = [form for sentence in sentences for form in sentence]
+        ez_known, pos_known = known_forms(ezafe_model), known_forms(pos_model)
+        assert set(forms) - ez_known - pos_known
+        assert (set(forms) & pos_known) - ez_known  # unknown to the ezafe model only
+        assert (set(forms) & ez_known) - pos_known  # unknown to the POS model only
+        tagged = pipeline_tag(sentences, ezafe_model, pos_model)
+        # Two decodes, each from a batch of its own.
+        offsets = np.cumsum([0, *map(len, sentences)])
+        ez_ids = decode(ezafe_model, features.batch(forms, offsets))
+        flags = np.array([int(ezafe_model.labels[i]) for i in ez_ids.tolist()], dtype=np.int8)
+        pred = decode(pos_model, features.batch(forms, offsets), flags)
+        assert tagged.ezafe.tolist() == flags.tolist()
+        assert tagged.tag_names() == [pos_model.labels[i] for i in pred.tolist()]
+
+    def test_affixes_cut_once_per_set_of_unknown_forms(self, crf2_pipeline, monkeypatch):
+        ezafe_model, (same, other), sentences = crf2_pipeline
+        forms = {form for sentence in sentences for form in sentence}
+        assert known_forms(same) == known_forms(ezafe_model) != known_forms(other)
+        cuts = count_cuts(monkeypatch)
+        pipeline_tag(sentences, ezafe_model, same)
+        # Both models lack the same forms: they are cut once, for both.
+        assert len(cuts) == 1 and set(cuts[0]) == forms - known_forms(same)
+        cuts.clear()
+        pipeline_tag(sentences, ezafe_model, other)
+        assert [set(c) for c in cuts] == [forms - known_forms(ezafe_model), forms - known_forms(other)]
+
+    def test_crf1_cuts_no_affix(self, perfect_ezafe_setup, monkeypatch):
+        corpora, ezafe_model = perfect_ezafe_setup
+        pos_model = run_experiment(gold_flags_cfg(3), corpora).model
+        cuts = count_cuts(monkeypatch)
+        pipeline_tag([["ea", "zz"], ["nb", "qq", "ea"]], ezafe_model, pos_model)
+        assert cuts == []
 
 
 class TestPipeline:
