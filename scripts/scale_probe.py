@@ -9,14 +9,16 @@ parsing the corpus text (and, in a separate traced parse, the bytes that
 the parsed corpus holds, from tracemalloc), indexing and encoding the
 corpus (the one pass of `tasks.fit`: `features.batch`, then
 `features.index_and_encode`, then the `crf._Layout` that `crf.train`
-builds; the gold label ids are the corpus's tag codes), and one
-evaluation of the training objective at x = 0 (the minimum of 3), over
-the parameters that `crf.train` fits: the (feature, label) pairs seen in
-the corpus, then the transitions. One more evaluation runs under
-tracemalloc for the bytes it allocates at its peak beyond those held
-before it (eval_peak_mb). It then runs --iterations OWL-QN iterations
-from x = 0 with the default penalties (l1 = l2 = 0.1), which gives the
-kind of model the ingest-ezafe benchmark saves: step_s is the whole run,
+builds; the gold label ids are the corpus's tag codes), then
+`features.batch` and `features.index_and_encode` once more under
+tracemalloc for the bytes they allocate at their peak beyond those held
+before them (encode_peak_mb), and one evaluation of the training
+objective at x = 0 (the minimum of 3), over the parameters that
+`crf.train` fits: the (feature, label) pairs seen in the corpus, then the
+transitions. One more evaluation runs under tracemalloc for the bytes it
+allocates at its peak beyond those held before it (eval_peak_mb). It
+then runs --iterations OWL-QN iterations from x = 0 with the default
+penalties (l1 = l2 = 0.1), which gives the kind of model the ingest-ezafe benchmark saves: step_s is the whole run,
 the evaluation at x = 0 included; iteration_s is the mean accepted
 iteration after it, split into the L-BFGS direction (direction_s, the
 two-loop recursion) and the line search (linesearch_s: the trial points,
@@ -140,6 +142,11 @@ def main() -> None:
         return index, encoded, crf._Layout(encoded.offsets)
 
     (index, encoded, layout), encode_s = timed(encode)
+    tracemalloc.start()
+    held = tracemalloc.get_traced_memory()[0]
+    features.index_and_encode(template, features.batch(corpus.forms, corpus.offsets))
+    encode_peak_mb = (tracemalloc.get_traced_memory()[1] - held) / 2**20
+    tracemalloc.stop()
     F, L = len(index), len(labels)
     arrays = [*vars(encoded).values(), layout.steps, layout.row, layout.order, layout.ends]
     encoded_bytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
@@ -225,6 +232,7 @@ def main() -> None:
         "parse_s": round(parse_s, 4),
         "parsed_mb": round(parsed_mb, 2),
         "encode_s": round(encode_s, 4),
+        "encode_peak_mb": round(encode_peak_mb, 2),
         "encoded_bytes_per_token": round(encoded_bytes / corpus.n_tokens, 1),
         "eval_s": round(min(evals), 4),
         "eval_peak_mb": round(eval_peak_mb, 2),

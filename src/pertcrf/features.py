@@ -42,18 +42,21 @@ Every grammar key belongs to one slot, so a moving slot's feature lies in
 one row of the matrix, in corpus order, and a focus slot's in one row of
 the table, in type order.
   - index_and_encode (training) makes the tables from the batch's codes:
-    the count and first position of every code per slot (for the focus
-    slots, from the count and first position of every type; for BOS and
-    EOS, from the offsets), the candidates ordered by (position, slot),
-    then the min_count cut. For CRF2 it first interns the affixes of the
-    types, with a (6, types) table of codes into them. It gives the kept
-    codes of every slot and their ids to the index's filler, with the
+    the count and first position of every code per slot (for w[k] and
+    ez[k], from the padded type codes or flags at window offset k; for the
+    affixes, from w[0]'s, the count and first position of every type; for
+    BOS and EOS, from the offsets), the candidates ordered by (position,
+    slot), then the min_count cut. For CRF2 it first interns the affixes
+    of the types, with a (6, types) table of codes into them. It gives the
+    kept codes of every slot and their ids to the index's filler, with the
     batch's type dict and those affixes as the values and, for CRF2, the
-    affix codes, then maps its rows of codes to ids, in place, through
-    the tables that the filler made.
-  - encode (decoding) reads a batch through an encoder of it (_Encoder),
-    which every model that reads the text can share: tasks.pipeline_tag
-    makes one per call, and encode makes one and uses it once. What no
+    affix codes. Then, its tallies freed, it encodes the batch with the
+    new index as encode does: every type of the batch is in the index's
+    word dict, so no affix is cut twice.
+  - encode reads a batch through an encoder of it (_Encoder), which every
+    model that reads the text can share: tasks.pipeline_tag makes one per
+    call, and encode and index_and_encode each make one and use it once,
+    so trained and loaded indexes encode through one path. What no
     model changes, the encoder makes once, on first use: the type code of
     every position; for a text of at most _WINDOW_BLOCK positions, the
     (10, positions) codes of the moving word slots, which each model
@@ -115,10 +118,8 @@ _PREFIXES = {
 # edge slots have one, the empty value). Every index shares these dicts:
 # only the word and affix dicts grow.
 _FIXED_ROWS = {"edge": {"": 0}, "ez": {value: row for row, value in enumerate(EZ_VALUES)}}
-# The word slots whose keys move along the window: w[0] reads the
-# position's own form, so it is a focus slot (see Encoded).
-_MOVING_W = W_SLOTS[:WINDOW] + W_SLOTS[WINDOW + 1 :]
-# The window offset k of each moving slot, word then ez. Both kinds' id
+# The window offset k of each moving slot, word then ez: w[0] reads the
+# position's own form, so it is a focus slot (see Encoded). Both kinds' id
 # tables hold the slot w[k] or ez[k] in column k + WINDOW.
 _W_SHIFTS = np.array([k for k in range(-WINDOW, WINDOW + 1) if k], dtype=np.int32)[:, None]
 _EZ_SHIFTS = np.arange(-WINDOW, WINDOW + 1, dtype=np.int32)[:, None]
@@ -199,7 +200,7 @@ class FeatureIndex:
     (load_model), the index splits each key at its first "=" into a slot
     and a value, and the filler cuts the affixes of its word values once;
     index_and_encode gives the filler its kept codes and the affix codes
-    that it already has."""
+    that it already has. Either index then encodes through _Encoder."""
 
     def __init__(self, keys: Iterable[str]):
         keys = list(keys)
@@ -408,6 +409,14 @@ def _window_codes(padded: np.ndarray, at: np.ndarray, shifts: np.ndarray) -> np.
     return codes
 
 
+def _padded_flags(batch: Batch, flags: np.ndarray) -> np.ndarray:
+    """The flag code of every position of batch.padded: the flags, and the
+    pad _ around each sentence."""
+    padded = np.full(len(batch.padded), EZ_VALUES.index(EZ_PAD), dtype=np.int32)
+    padded[batch.at] = flags
+    return padded
+
+
 def _windows(table: np.ndarray, codes_of: Callable[[int], np.ndarray], out: np.ndarray) -> None:
     """Write the entries of the (values, 11) table that codes_of(a) gives
     (see _window_codes) for each block of positions from a into out, over
@@ -425,7 +434,8 @@ class _Encoder:
     every position (_window_codes), for a text of at most _WINDOW_BLOCK
     positions; and the affix cut (_cut) of the form types that an index
     lacks, per set of such types. Each model then maps them through its own
-    tables."""
+    tables. Training (index_and_encode), encode and tasks.pipeline_tag all
+    encode through it."""
 
     def __init__(self, batch: Batch):
         self.batch = batch
@@ -465,40 +475,14 @@ class _Encoder:
         offset, ez (3 or more, 11) by the flag code (0, 1 or the pad _) at
         the slot's window offset."""
         batch = self.batch
-        n, K = len(batch.at), len(_MOVING_W)
+        n, K = len(batch.at), len(_W_SHIFTS)
         out = np.empty((K + (len(EZ_SLOTS) if flags is not None else 0), n), dtype=np.int32)
         _windows(word, self._word_codes, out[:K])
         if flags is not None:
-            padded = np.full(len(batch.padded), EZ_VALUES.index(EZ_PAD), dtype=np.int32)
-            padded[batch.at] = flags
+            padded = _padded_flags(batch, flags)
             codes_of = lambda a: _window_codes(padded, batch.at[a : a + _WINDOW_BLOCK], _EZ_SHIFTS)
             _windows(ez, codes_of, out[K:])
         return out
-
-    def _encoded(
-        self,
-        template: FeatureTemplate,
-        moving: np.ndarray,
-        word: np.ndarray,
-        affix: np.ndarray,
-        edge: np.ndarray,
-    ) -> Encoded:
-        """An Encoded of the batch from its moving slots' ids and the id
-        tables of the focus slots: word (types,) the w[0] id of every type,
-        affix (6, types) the affix ids of every type, edge (2,) the BOS and
-        EOS ids. CRF1 reads w[0] alone."""
-        focus = word[None]
-        edges = np.empty(0, dtype=np.int32)
-        if template.id == "CRF2":
-            focus = np.concatenate([focus, affix])
-            edges = np.asarray(edge, dtype=np.int32)
-        return Encoded(
-            ids=moving,
-            offsets=self.batch.offsets,
-            types=self.types,
-            focus=np.ascontiguousarray(focus, dtype=np.int32),
-            edges=edges,
-        )
 
     def encode(
         self, index: FeatureIndex, template: FeatureTemplate, ezafe: Sequence[int] | None = None
@@ -511,7 +495,8 @@ class _Encoder:
         # sentinel's), for a form that the index lacks.
         rows = _lookup(index._values["word"], batch.words, len(batch.words))
         word = ids["word"][rows]
-        affix = None
+        focus = word[None, :, WINDOW]  # CRF1 reads w[0] alone
+        edges = np.empty(0, dtype=np.int32)
         if template.id == "CRF2":
             # A known form's affix ids are its column of the index's table; only
             # the forms that the index lacks have their affixes cut.
@@ -519,8 +504,15 @@ class _Encoder:
             new = rows < 0
             if index._values["affix"] and new.any():
                 affix[:, new] = index._affix_ids(*self._unknown(new))[:, :-1]
-        moving = self._moving(flags, word, ids["ez"])
-        return self._encoded(template, moving, word[:, WINDOW], affix, ids["edge"][0])
+            focus = np.concatenate([focus, affix])
+            edges = ids["edge"][0]
+        return Encoded(
+            ids=self._moving(flags, word, ids["ez"]),
+            offsets=batch.offsets,
+            types=self.types,
+            focus=np.ascontiguousarray(focus, dtype=np.int32),
+            edges=edges,
+        )
 
 
 def encode(
@@ -548,48 +540,37 @@ def _tally(
     return count, first[1:]
 
 
-def index_and_encode(
-    template: FeatureTemplate,
-    batch: Batch,
-    ezafe: Sequence[int] | None = None,
-    min_count: int = 1,
-) -> tuple[FeatureIndex, Encoded]:
-    """Index the keys of training sentences (batch, as in encode) and
-    encode them in one pass. The index holds every key seen at least
-    min_count times, in order of first occurrence over (sentence,
-    position, slot)."""
-    if min_count < 1:
-        raise ValueError("min_count must be positive")
-    flags = _flags(template, ezafe, len(batch.at))
-    text = _Encoder(batch)
+def _index(
+    template: FeatureTemplate, batch: Batch, flags: np.ndarray | None, min_count: int
+) -> FeatureIndex:
+    """The index of the keys of batch (see index_and_encode) that are seen
+    at least min_count times."""
     T = len(batch.words)
-    word = np.broadcast_to(np.arange(T, dtype=np.int32)[:, None], (T, len(W_SLOTS)))
-    ez = np.arange(len(EZ_VALUES), dtype=np.int32)[:, None]
-    ez = np.broadcast_to(ez, (len(EZ_VALUES), len(EZ_SLOTS)))
-    codes = text._moving(flags, word, ez)
     values = {"word": batch.words, "affix": {}, **_FIXED_ROWS}
     affix_of = None
     if template.id == "CRF2":  # the code of each affix slot's value per type
         affix_of = _affix_codes(*_cut(batch.words), partial(_intern, values["affix"]))
     # Per slot, in key order, the count and the first position of every
-    # code: the moving slots from their rows of codes; w[0] and the affixes
-    # from the count and first position of every type; BOS and EOS from
-    # the sentence offsets.
-    n, S = codes.shape[1], len(batch.offsets) - 1
+    # code: w[k] and ez[k] from the padded type codes or flags at window
+    # offset k; the affixes from the count and first position of every
+    # type, which w[0]'s are; BOS and EOS from the sentence offsets.
+    n, S = len(batch.at), len(batch.offsets) - 1
     positions = np.arange(n)
-    type_count, type_first = _tally(text.types, T, positions, n)
-    moving_slots = _MOVING_W + (EZ_SLOTS if template.ezafe_input else ())
-    moving = {slot: row for row, slot in enumerate(moving_slots)}
+    # Where each position's window starts in the padded codes, as intp,
+    # which numpy gathers by without a conversion.
+    start = batch.at.astype(np.intp) - WINDOW
+    padded = {"word": batch.padded}
+    if flags is not None:
+        padded["ez"] = _padded_flags(batch, flags)
     tallies = []
     for slot in template.slots:
         kind, column = _SLOT_COLUMNS[slot]
-        if slot in moving:
-            tallies.append(_tally(codes[moving[slot]], len(values[kind]), positions, n))
-        elif kind == "word":
-            tallies.append((type_count, type_first))
+        if kind in padded:  # w[k] or ez[k]: column is k + WINDOW, so start + column is offset k
+            codes = padded[kind][column:][start]
+            tallies.append(_tally(codes, len(values[kind]), positions, n))
         elif kind == "affix":
-            affixes = len(values["affix"])
-            tallies.append(_tally(affix_of[column, :T], affixes, type_first, n, type_count))
+            count, first = tallies[WINDOW]  # w[0]'s: the word slots come first
+            tallies.append(_tally(affix_of[column, :T], len(values["affix"]), first, n, count))
         else:  # BOS and EOS, once per sentence: first at 0 and at the first sentence's end
             first = (0, int(batch.offsets[min(S, 1)]) - 1)[column]
             tallies.append((np.array([S]), np.array([first])))
@@ -606,10 +587,20 @@ def index_and_encode(
     cells = dict(zip(template.slots, zip(kept_codes, np.split(key_ids, bounds))))
     index = FeatureIndex.__new__(FeatureIndex)
     index._fill(values, F, cells, {}, affix_of)
-    # Each row of codes becomes, in place, its column of the id table of
-    # its kind (a code of -1 reads the last row, which holds the sentinel).
-    for slot, row in moving.items():
-        kind, column = _SLOT_COLUMNS[slot]
-        np.take(index._ids[kind][:, column], codes[row], out=codes[row])
-    word, affix = index._ids["word"][:T, WINDOW], index._affix[:, :T]
-    return index, text._encoded(template, codes, word, affix, index._ids["edge"][0])
+    return index
+
+
+def index_and_encode(
+    template: FeatureTemplate,
+    batch: Batch,
+    ezafe: Sequence[int] | None = None,
+    min_count: int = 1,
+) -> tuple[FeatureIndex, Encoded]:
+    """Index the keys of training sentences (batch, as in encode), then
+    encode them with that index as encode does. The index holds every key
+    seen at least min_count times, in order of first occurrence over
+    (sentence, position, slot)."""
+    if min_count < 1:
+        raise ValueError("min_count must be positive")
+    index = _index(template, batch, _flags(template, ezafe, len(batch.at)), min_count)
+    return index, _Encoder(batch).encode(index, template, ezafe)

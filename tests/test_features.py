@@ -271,7 +271,12 @@ class TestEncoderEqualsReference:
         assert list(index.keys()) == reference_keys(strings, min_count)
         F, keys = len(index), index.keys()
         want = position_ids(encode_keys(index, strings), F)
-        for got in (encoded, encode(index, template, batch(c.forms, c.offsets), flags)):
+        decoded = encode(index, template, batch(c.forms, c.offsets), flags)
+        # Training encodes through the decoding path: the same arrays.
+        for field in ("ids", "offsets", "types", "focus", "edges"):
+            trained, again = getattr(encoded, field), getattr(decoded, field)
+            assert trained.dtype == again.dtype and np.array_equal(trained, again), field
+        for got in (encoded, decoded):
             assert all(a.dtype == np.int32 for a in (got.ids, got.types, got.focus, got.edges))
             expanded = expanded_ids(got, F)
             assert expanded.shape == (len(template.slots), c.n_tokens)
@@ -428,6 +433,21 @@ class TestSharedBatch:
         shared = batch(text.forms, text.offsets)
         for index in (trained, FeatureIndex(trained.keys())):
             assert encode(index, CRF1, shared).focus.shape == (1, len(shared.words))
+
+    def test_training_cuts_affixes_once(self, monkeypatch):
+        """index_and_encode cuts the affixes of its batch's types once, to
+        index them: every type is in its own index's word dict, also the
+        types of keys below min_count, so encoding with it cuts none."""
+        cuts = []
+        cut = features._cut
+        monkeypatch.setattr(features, "_cut", lambda forms: cuts.append(tuple(forms)) or cut(forms))
+        train = self.corpus(self.TRAIN)
+        for template in (CRF2, CRF2_EZ):
+            for min_count in (1, 2):
+                shared = batch(train.forms, train.offsets)
+                cuts.clear()
+                index_and_encode(template, shared, train.ezafe if template.ezafe_input else None, min_count)
+                assert cuts == [tuple(shared.words)], (template, min_count)
 
     @pytest.mark.parametrize("block", [None, 4])
     def test_one_encoder_equals_one_per_index(self, block, monkeypatch):

@@ -42,6 +42,7 @@ def test_tiny_configuration_reports_every_field():
         assert record[key] >= 0.0
     assert record["iterations"] == 2 and record["stop"] == "max_iterations"
     assert record["evals_per_iteration"] >= 1.0
+    assert 0 < record["encode_peak_mb"] < record["peak_rss_mb"]
     assert 0 < record["eval_peak_mb"] < record["peak_rss_mb"]
     assert 0 < record["decode_peak_mb"] < record["peak_rss_mb"]
     extrapolated = record["extrapolated_8M"]

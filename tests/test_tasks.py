@@ -383,16 +383,13 @@ class TestRunJoint:
 
 
 def count_batches(monkeypatch):
-    """The features.batch made from here on, and the batch of every encode
-    (features.encode and pipeline_tag's shared encoder both end in
-    features._Encoder.encode) and index_and_encode call, in call order."""
+    """The features.batch made from here on, and the batch of every read of
+    one, in call order: features.encode, index_and_encode and pipeline_tag's
+    shared encoder all end in features._Encoder.encode, once per read."""
     made, read = [], []
-    batch, encode, index_and_encode = features.batch, features._Encoder.encode, features.index_and_encode
+    batch, encode = features.batch, features._Encoder.encode
     monkeypatch.setattr(features, "batch", lambda *a: made.append(batch(*a)) or made[-1])
     monkeypatch.setattr(features._Encoder, "encode", lambda e, *a: read.append(e.batch) or encode(e, *a))
-    monkeypatch.setattr(
-        features, "index_and_encode", lambda t, b, *a: read.append(b) or index_and_encode(t, b, *a)
-    )
     return made, read
 
 
