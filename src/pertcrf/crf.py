@@ -310,8 +310,25 @@ def _checked_gold(encoded: Encoded, gold: np.ndarray, n_labels: int) -> np.ndarr
 
 # Float64 weights gathered at once by _emissions: a block of packed rows
 # gathers (K, rows, L) of them, and a block of types (J, types, L). Larger
-# blocks raise peak memory and gain nothing.
+# blocks raise peak memory and gain nothing. _row_maxima reads its rows in
+# blocks of as many floats.
 _GATHER_BLOCK = 1 << 16
+
+
+def _row_maxima(a: np.ndarray) -> np.ndarray:
+    """(N,) the maximum of each row of a (N, L), equal bit for bit to
+    a.max(axis=1): np.maximum one column at a time, over blocks of rows of
+    _GATHER_BLOCK floats so that a block's columns stay in cache. For
+    small L this runs several times faster than the reduction."""
+    n, L = a.shape
+    out = np.empty(n)
+    size = max(1, _GATHER_BLOCK // L)
+    for start in range(0, n, size):
+        block, top = a[start : start + size], out[start : start + size]
+        np.copyto(top, block[:, 0])
+        for j in range(1, L):
+            np.maximum(top, block[:, j], out=top)
+    return out
 
 
 def _emissions(
@@ -452,22 +469,24 @@ class _Objective:
     One evaluation makes a fixed number of numpy passes: the cell weights
     scattered into a zero-padded (F+1, L) matrix, emissions for every
     position gathered from it into the plan's P (the matrix is dropped
-    before forward-backward), scaled forward-backward over the packed
-    layout, one product for the expected transitions, the unary
-    posteriors in place (alpha *= beta), copied label-major into P, and
-    per label one bincount for the expected emission counts. Its keys are
-    fixed at construction: the moving slots' id matrix, raveled, then the
-    focus slots' id table, then BOS's id and EOS's id once per sentence.
-    Its weights go into one buffer allocated with them: the label's
-    posterior in corpus order under every row of the id matrix, the sum of
-    the posteriors of each type (one bincount over the type codes) under
-    every row of the table, and the posteriors of the sentences' first and
-    last positions under BOS and EOS. A grammar feature belongs to one
+    before forward-backward), each row's maximum (a column at a time,
+    _row_maxima) taken out before exp, scaled forward-backward over the
+    packed layout, one product for the expected transitions, the unary
+    posteriors in place (alpha *= beta), copied label-major into P, per
+    label one bincount for the expected emission counts into its row of an
+    (L, F+1) matrix, and one take of the vector's cells from that matrix.
+    Its keys are fixed at construction: the moving slots' id matrix,
+    raveled, then the focus slots' id table, then BOS's id and EOS's id once
+    per sentence. Its weights go into one buffer allocated with them: the
+    label's posterior in corpus order under every row of the id matrix, the
+    sum of the posteriors of each type (one bincount over the type codes)
+    under every row of the table, and the posteriors of the sentences' first
+    and last positions under BOS and EOS. A grammar feature belongs to one
     slot, so a moving slot's count sums its positions in corpus order, a
-    focus slot's sums its types' sums in type order, and an edge's sums
-    the sentences in corpus order. The empirical counts come from the same
-    keys. Accumulation order is fixed, so results are bit-reproducible for
-    a fixed corpus."""
+    focus slot's sums its types' sums in type order, and an edge's sums the
+    sentences in corpus order. The empirical counts come from the same keys.
+    Accumulation order is fixed, so results are bit-reproducible for a fixed
+    corpus."""
 
     def __init__(
         self,
@@ -487,9 +506,8 @@ class _Objective:
         # Rows of step 0 start the sentences; every later row pairs with the
         # row its sentence holds one step earlier.
         self.S = S = layout.S
-        self._prev = np.empty(len(layout.row) - S, dtype=np.intp)
-        for a, b, p in layout.spans:
-            self._prev[a - S : b - S] = np.arange(p, p + b - a)
+        alive = np.diff(layout.steps)  # the rows of each step
+        self._prev = np.arange(S, len(layout.row)) - alive[:-1].repeat(alive[1:])
         # The scatter's keys and the buffer of its weights, in three parts.
         (K, N), (J, T), E = encoded.ids.shape, encoded.focus.shape, len(encoded.edges)
         parts = [encoded.ids.ravel(), encoded.focus.ravel(), np.repeat(encoded.edges, S)]
@@ -516,9 +534,10 @@ class _Objective:
         chained[encoded.offsets[1:-1] - 1] = False
         emp_t = np.bincount(y[:-1][chained] * L + y[1:][chained], minlength=L * L)
         self._emp = np.concatenate([emp_e[self.cells], emp_t])
-        # Where each label's cells sit in the vector, and their features.
+        # Where each cell's count sits in the (L, F+1) matrix of each label's
+        # counts (_counts) that an evaluation fills.
         feature, label = np.divmod(self.cells, L)
-        self._by_label = [(np.flatnonzero(label == lab), feature[label == lab]) for lab in range(L)]
+        self._at = label * (n_features + 1) + feature
 
     @property
     def size(self) -> int:
@@ -558,7 +577,7 @@ class _Objective:
             )
         E = np.exp(w_t - top)
         P = _emissions(self.encoded, self.layout, self.weights(x), out=plan.P)
-        shift = P.max(axis=1)
+        shift = _row_maxima(P)
         P -= shift[:, None]
         np.exp(P, out=P)
         alpha, beta, c = _sum_product(plan, E)
@@ -568,12 +587,15 @@ class _Objective:
         unary = P.reshape(L, -1)  # P's buffer is free: the posteriors, label-major
         unary[...] = alpha.T
 
-        grad = np.empty_like(x)
-        for (at, feature), column in zip(self._by_label, unary):
+        counts = np.empty((L, self.F + 1))
+        for column, count in zip(unary, counts):
             # mode="clip" writes out unbuffered; every row is in range.
             column.take(self._row, out=self._unary, mode="clip")
-            grad[at] = self._counts()[feature]
-        grad[len(self.cells) :] = exp_t.ravel()
+            count[...] = self._counts()
+        grad = np.empty_like(x)
+        n = len(self.cells)
+        counts.take(self._at, out=grad[:n], mode="clip")
+        grad[n:] = exp_t.ravel()
         grad -= self._emp
         nll = log_z - float(np.dot(self._emp, x))
         if self.l2 > 0.0:
@@ -651,13 +673,15 @@ def train(
 #   F lines: F<TAB><feature-string><TAB><w per label ...>
 #   L lines: T<TAB><from-label><TAB><w per to-label ...>
 # Weights are rendered as repr(float(w)), the shortest decimal string that
-# round-trips. The F rows are rendered _SAVE_BLOCK rows at a time: each
-# distinct weight of a block (by bit pattern, so -0.0 and 0.0 stay apart)
-# is formatted once, and the block's cells are joined in one call. A
-# feature string enters as two cells, its slot prefix and its value
-# (FeatureIndex.key_parts), so no key string is built. load_model parses
-# the weights of the F rows in one numpy call (_bulk_rows), or a row at a
-# time where that fails, so that an error names its line.
+# round-trips. The F rows are rendered _SAVE_BLOCK rows at a time, each row
+# as L + 3 cells: "F\t" and the key's slot prefix, the key's value, "\t" and
+# a weight per label, then "\n". "F\t" is joined to each distinct prefix
+# (FeatureIndex.key_parts) once per model, so no key string is built, and
+# "\t" to each distinct weight of a block (by bit pattern, so -0.0 and 0.0
+# stay apart) as it is formatted, once; the block's cells are then joined in
+# one call. load_model parses the weights of the F rows in one numpy call
+# (_bulk_rows), or a row at a time where that fails, so that an error names
+# its line.
 
 _SAVE_BLOCK = 4096
 
@@ -668,12 +692,9 @@ def save_model(model: CrfModel) -> str:
     header = f"{MODEL_MAGIC} {MODEL_VERSION} {model.template.token} {L} {F}\n"
     parts = [header + "\t".join(model.labels) + "\n"]
     emission = np.asarray(model.emission, dtype=np.float64)
-    prefixes, values = model.feature_index.key_parts()
-    # Cells of one row: "F\t", key prefix, key value, then "\t" and a
-    # weight per label, "\n".
-    cells = np.empty((min(F, _SAVE_BLOCK), 2 * L + 4), dtype=object)
-    cells[:, 0] = "F\t"
-    cells[:, 3:-1:2] = "\t"
+    prefixes, prefix_at, values = model.feature_index.key_parts()
+    heads = "F\t" + prefixes
+    cells = np.empty((min(F, _SAVE_BLOCK), L + 3), dtype=object)
     cells[:, -1] = "\n"
     for start in range(0, F, _SAVE_BLOCK):
         block = emission[start : start + _SAVE_BLOCK]
@@ -683,13 +704,13 @@ def save_model(model: CrfModel) -> str:
         flat = block.ravel().view(np.int64)
         nonzero = flat != 0
         bits, inverse = np.unique(flat[nonzero], return_inverse=True)
-        strings = np.array(["0.0", *map(repr, bits.view(np.float64).tolist())], dtype=object)
+        strings = "\t" + np.array(["0.0", *map(repr, bits.view(np.float64).tolist())], dtype=object)
         index = np.zeros(flat.size, dtype=np.intp)
         index[nonzero] = inverse + 1
         rows = cells[:n]
-        rows[:, 1] = prefixes[start : start + n]
-        rows[:, 2] = values[start : start + n]
-        rows[:, 4:-1:2] = strings[index].reshape(n, L)
+        rows[:, 0] = heads[prefix_at[start : start + n]]
+        rows[:, 1] = values[start : start + n]
+        rows[:, 2:-1] = strings[index].reshape(n, L)
         parts.append("".join(rows.ravel().tolist()))
     for lab, row in zip(model.labels, np.asarray(model.transition, dtype=np.float64).tolist()):
         parts.append("T\t" + lab + "\t" + "\t".join(map(repr, row)) + "\n")

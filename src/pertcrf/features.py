@@ -267,17 +267,18 @@ class FeatureIndex:
 
     def keys(self) -> list[str]:
         """The feature strings, in id order."""
-        prefixes, values = self.key_parts()
-        return (prefixes + values).tolist()
+        prefixes, prefix_at, values = self.key_parts()
+        return (prefixes[prefix_at] + values).tolist()
 
-    def key_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every feature string as two object arrays in id order, the slot
-        prefixes and the values. Each id lies in one cell of the id table
-        of its kind: its row names the value, its column the prefix. A key
-        outside the grammar is the empty prefix and itself. Each id gets
-        its index into all the values, kind after kind, times P plus its
-        index into all the P prefixes, and each object array is gathered
-        once."""
+    def key_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every feature string in two parts, the slot prefix and the value:
+        the object array of the P slot prefixes, each id's index into it
+        (intp), and the object array of each id's value, in id order. Each
+        id lies in one cell of the id table of its kind: its row names the
+        value, its column the prefix. A key outside the grammar is the
+        empty prefix and itself. Each id gets its index into all the
+        values, kind after kind, times P plus its index into the prefixes,
+        and the values are gathered once."""
         F = len(self)
         P = sum(map(len, _PREFIXES.values())) + 1  # the last is the empty prefix
         at = np.empty(F, dtype=np.intp)
@@ -300,7 +301,7 @@ class FeatureIndex:
         value_at = at // P
         prefix_at = at - value_at * P
         prefixes, values = (np.fromiter(x, dtype=object, count=len(x)) for x in (prefixes, values))
-        return prefixes[prefix_at], values[value_at]
+        return prefixes, prefix_at, values[value_at]
 
 
 @dataclass(frozen=True)

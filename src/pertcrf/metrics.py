@@ -111,7 +111,12 @@ def binary_metrics(table: ConfusionTable, positive: str) -> Metrics:
 def macro_metrics(table: ConfusionTable) -> Metrics:
     """Unweighted means of one-vs-rest P/R/F1 over tags that occur in gold
     or prediction (per_tag_metrics); tags absent from both are excluded."""
-    per = list(per_tag_metrics(table).values())
+    return _macro_of(per_tag_metrics(table))
+
+
+def _macro_of(per_tag: dict[str, Metrics]) -> Metrics:
+    """macro_metrics of the table whose per_tag_metrics are per_tag."""
+    per = list(per_tag.values())
     if not per:
         return Metrics(0.0, 0.0, 0.0, 0.0)
     return Metrics(

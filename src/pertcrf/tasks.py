@@ -39,10 +39,10 @@ from .crf import CrfModel, TrainConfig
 from .features import Batch, FeatureTemplate
 from .metrics import (
     EvalReport,
+    _macro_of,
     binary_metrics,
     confusion_codes,
     ezafe_f1_per_pos,
-    macro_metrics,
     per_tag_metrics,
 )
 from .rng import check_seed
@@ -191,10 +191,11 @@ def _pos_report(
     row = {tag: i for i, tag in enumerate(tagset)}
     rows = np.array([row[name] for name in names], dtype=np.intp)
     table = confusion_codes(corpus.tags, rows[pred], tagset)
+    per_tag = per_tag_metrics(table)
     return EvalReport(
         kind="macro",
-        headline=macro_metrics(table),
-        per_tag=per_tag_metrics(table),
+        headline=_macro_of(per_tag),
+        per_tag=per_tag,
         table=table,
         header=dict(header or {}),
     )

@@ -234,6 +234,27 @@ class TestRaggedKernels:
             assert np.all(np.abs(got - ragged) <= 1e-12 * np.maximum(1.0, np.abs(ragged)))
 
 
+class TestRowMaxima:
+    """crf._row_maxima, the objective's shift before exp, against
+    a.max(axis=1), bit for bit, on row counts below, at and above one
+    block of rows."""
+
+    @pytest.mark.parametrize("L", [1, 2, 6, 30])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, crf._GATHER_BLOCK])
+    def test_equals_max_bit_for_bit(self, L, extra):
+        n = crf._GATHER_BLOCK // L + extra
+        rng = np.random.default_rng(L * 7 + extra)
+        a = rng.normal(0.0, 30.0, size=(n, L))
+        # Ties and signed zeros, as emissions of weights left at 0.0 give,
+        # and infinities, where the order of a reduction could show.
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
+        a[rng.random(a.shape) < 0.01] = -np.inf
+        got = crf._row_maxima(a)
+        assert got.shape == (n,)
+        assert np.array_equal(got.view(np.int64), a.max(axis=1).view(np.int64))
+
+
 # Sentences for the type-wise kernels: one-token sentences, where BOS and
 # EOS fall on one row; tokens spelled __BOS__; forms shorter than an affix;
 # and ketabi, seen once, so that at min_count 2 its w[0] is unindexed while
