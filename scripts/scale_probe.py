@@ -16,9 +16,12 @@ before them (encode_peak_mb), and one evaluation of the training
 objective at x = 0 (the minimum of 3), over the parameters that
 `crf.train` fits: the (feature, label) pairs seen in the corpus, then the
 transitions. One more evaluation runs under tracemalloc for the bytes it
-allocates at its peak beyond those held before it (eval_peak_mb). It
-then runs --iterations OWL-QN iterations from x = 0 with the default
-penalties (l1 = l2 = 0.1), which gives the kind of model the ingest-ezafe benchmark saves: step_s is the whole run,
+allocates at its peak beyond those held before it (eval_peak_mb); the
+objective's own held state, the bytes of the distinct buffers that it
+keeps beyond the encoded corpus it reads (objective_state_mb), is counted
+from its arrays, so unlike peak_rss_mb it does not move with the heap's
+layout. It then runs --iterations OWL-QN iterations from x = 0 with the
+default penalties (l1 = l2 = 0.1), which gives the kind of model the ingest-ezafe benchmark saves: step_s is the whole run,
 the evaluation at x = 0 included; iteration_s is the mean accepted
 iteration after it, split into the L-BFGS direction (direction_s, the
 two-loop recursion) and the line search (linesearch_s: the trial points,
@@ -104,6 +107,33 @@ def peak_rss() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
+def held_mb(obj, read) -> float:
+    """The MB of the distinct numpy buffers that obj holds, through its
+    attributes and the lists, tuples and objects among them, beyond those
+    of read (an object whose arrays obj reads): each base array counted
+    once, so views add nothing."""
+
+    def base(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    seen = {id(base(a)) for a in vars(read).values() if isinstance(a, np.ndarray)}
+    total, stack = 0, [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            x = base(x)
+            if id(x) not in seen:
+                seen.add(id(x))
+                total += x.nbytes
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif hasattr(x, "__dict__") and x is not read:
+            stack.extend(vars(x).values())
+    return total / 2**20
+
+
 def timed(fn):
     started = time.perf_counter()
     result = fn()
@@ -153,6 +183,7 @@ def main() -> None:
     del layout  # the objective builds its own
     config = crf.TrainConfig()
     objective = crf._Objective(encoded, gold, F, L, config.l2)
+    objective_state_mb = held_mb(objective, encoded)
     P = len(objective.cells)
     x = np.zeros(objective.size)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
@@ -236,6 +267,7 @@ def main() -> None:
         "encoded_bytes_per_token": round(encoded_bytes / corpus.n_tokens, 1),
         "eval_s": round(min(evals), 4),
         "eval_peak_mb": round(eval_peak_mb, 2),
+        "objective_state_mb": round(objective_state_mb, 2),
         "peak_rss_mb": peak_rss_mb,
         "step_s": round(step_s, 4),
         "iterations": iterations,

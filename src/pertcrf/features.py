@@ -51,21 +51,20 @@ the table, in type order.
     kept codes of every slot and their ids to the index's filler, with the
     batch's type dict and those affixes as the values and, for CRF2, the
     affix codes. Then, its tallies freed, it encodes the batch with the
-    new index as encode does: every type of the batch is in the index's
+    new index through encode: every type of the batch is in the index's
     word dict, so no affix is cut twice.
-  - encode reads a batch through an encoder of it (_Encoder), which every
-    model that reads the text can share: tasks.pipeline_tag makes one per
-    call, and encode and index_and_encode each make one and use it once,
-    so trained and loaded indexes encode through one path. What no
-    model changes, the encoder makes once, on first use: the type code of
-    every position; for a text of at most _WINDOW_BLOCK positions, the
-    (10, positions) codes of the moving word slots, which each model
-    maps through its own word table with one take; and the affix strings
-    and form lengths of the types that an index lacks, per set of such
-    types (two models trained on one split lack the same ones). Per
-    model, encode looks each of the batch's types up once in the word
-    dict of a FeatureIndex. For CRF2 a known form's affix ids are its
-    column of the index's affix table; only the forms that the index
+  - encode is the one encode path, for trained and loaded indexes alike,
+    and every model that encodes one Batch shares its work: the run's
+    splits, both stages of tasks.pipeline_tag, and eval with an ezafe
+    model. What no model changes, the batch makes once, on first use: the
+    type code of every position; for a text of at most _WINDOW_BLOCK
+    positions, the (10, positions) codes of the moving word slots, which
+    each model maps through its own word table with one take; and the
+    affix strings and form lengths of the types that an index lacks, per
+    set of such types (two models trained on one split lack the same
+    ones). Per model, encode looks each of the batch's types up once in
+    the word dict of a FeatureIndex. For CRF2 a known form's affix ids are
+    its column of the index's affix table; only the forms that the index
     lacks have their affix strings looked up in its affix dict. A
     FeatureIndex made from keys gives each key's slot, row and id to the
     same filler, which cuts the affixes of its word values once.
@@ -78,8 +77,8 @@ matches.
 Input. A batch is made from columns: the form of every position in corpus
 order and the sentence offsets (S+1,), as corpus.Corpus holds them.
 Ezafe flags go only with ezafe-input templates: one 0/1 flag per position,
-in the same order. batch and both encoders reject anything else with
-ValueError.
+in the same order. batch, encode and index_and_encode reject anything
+else with ValueError.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ _CUTS = [slice(None, m) for m in AFFIX_LENGTHS] + [slice(-m, None) for m in AFFI
 _AFFIX_MIN = np.array(AFFIX_LENGTHS * 2)[:, None]
 _AFFIX_COLUMNS = np.arange(len(AFFIX_SLOTS))[:, None]
 # Positions whose window codes are gathered at once: a block holds 11 int32
-# of them per position. An encoder keeps the word window codes of a text of
+# of them per position. A batch keeps the word window codes of a text of
 # at most one block.
 _WINDOW_BLOCK = 1 << 14
 
@@ -189,7 +188,7 @@ class FeatureIndex:
     the order given (training gives first-occurrence order), held as
     tables rather than strings. Per slot kind, a dict maps each value to a
     row of a table of ids, one column per slot of the kind and F (the
-    encoders' sentinel) where that key is not indexed; the table's last
+    encoding's sentinel) where that key is not indexed; the table's last
     row is all F, for values the dict lacks. The affix table holds the
     affix ids of every value of the word dict, one column each and a last
     column of F, so that encode cuts affixes only for forms that the word
@@ -200,7 +199,7 @@ class FeatureIndex:
     (load_model), the index splits each key at its first "=" into a slot
     and a value, and the filler cuts the affixes of its word values once;
     index_and_encode gives the filler its kept codes and the affix codes
-    that it already has. Either index then encodes through _Encoder."""
+    that it already has. Either index then encodes through encode."""
 
     def __init__(self, keys: Iterable[str]):
         keys = list(keys)
@@ -306,14 +305,46 @@ class FeatureIndex:
 
 @dataclass(frozen=True)
 class Batch:
-    """A batch of sentences as the codes that no model changes (see
-    batch): the form types and the type code of every position, in each
-    sentence padded for the word window."""
+    """A text as the codes that no model changes (see batch): the form
+    types and the type code of every position, in each sentence padded for
+    the word window. What every model that encodes the text reads, the
+    batch makes from them once, on first use, so those models share it."""
 
     offsets: np.ndarray  # int32 (S+1,) sentence starts, then the position count
     words: dict[str, int]  # the code of each form type; the sentinels are 0 and 1
     padded: np.ndarray  # int32 type codes, each sentence with WINDOW sentinels on either side
     at: np.ndarray  # int32 (N,) where each position lies in padded
+
+    @cached_property
+    def _types(self) -> np.ndarray:
+        """(N,) int32 the type code of every position."""
+        return self.padded[self.at]
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """The codes of the moving word slots at every position."""
+        return _window_codes(self.padded, self.at, _W_SHIFTS)
+
+    @cached_property
+    def _cuts(self) -> dict[bytes, tuple[list[str], np.ndarray]]:
+        """The cut of _unknown per set of types, by the bytes of its mask."""
+        return {}
+
+    def _word_codes(self, a: int) -> np.ndarray:
+        """The codes of the moving word slots at the block of positions from
+        a (see _window_codes), kept for a text of one block."""
+        if len(self.at) <= _WINDOW_BLOCK:
+            return self._words
+        return _window_codes(self.padded, self.at[a : a + _WINDOW_BLOCK], _W_SHIFTS)
+
+    def _unknown(self, new: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The affix cut (see _cut) of the form types where new is true, made
+        once per set of types."""
+        key = new.tobytes()
+        if key not in self._cuts:
+            strings, lengths = _cut(list(compress(self.words, new.tolist())))
+            self._cuts[key] = list(strings), lengths
+        return self._cuts[key]
 
 
 def _flags(template: FeatureTemplate, ezafe: Sequence[int] | None, n: int) -> np.ndarray | None:
@@ -428,94 +459,6 @@ def _windows(table: np.ndarray, codes_of: Callable[[int], np.ndarray], out: np.n
         np.take(flat, codes_of(a), out=out[:, a : a + _WINDOW_BLOCK], mode="clip")
 
 
-class _Encoder:
-    """The encoder of one batch, shared by every model that reads its text
-    (see batch). What no model changes it makes once, on first use: the
-    type code of every position; the codes of the moving word slots at
-    every position (_window_codes), for a text of at most _WINDOW_BLOCK
-    positions; and the affix cut (_cut) of the form types that an index
-    lacks, per set of such types. Each model then maps them through its own
-    tables. Training (index_and_encode), encode and tasks.pipeline_tag all
-    encode through it."""
-
-    def __init__(self, batch: Batch):
-        self.batch = batch
-        self._words: np.ndarray | None = None
-        self._cuts: dict[bytes, tuple[list[str], np.ndarray]] = {}
-
-    @cached_property
-    def types(self) -> np.ndarray:
-        """(N,) int32 the type code of every position."""
-        return self.batch.padded[self.batch.at]
-
-    def _word_codes(self, a: int) -> np.ndarray:
-        """The codes of the moving word slots at the block of positions from
-        a (see _window_codes), kept for a text of one block."""
-        if a == 0 and self._words is not None:
-            return self._words
-        batch = self.batch
-        codes = _window_codes(batch.padded, batch.at[a : a + _WINDOW_BLOCK], _W_SHIFTS)
-        if len(batch.at) <= _WINDOW_BLOCK:
-            self._words = codes
-        return codes
-
-    def _unknown(self, new: np.ndarray) -> tuple[list[str], np.ndarray]:
-        """The affix cut (see _cut) of the form types where new is true, made
-        once per set of types."""
-        key = new.tobytes()
-        if key not in self._cuts:
-            strings, lengths = _cut(list(compress(self.batch.words, new.tolist())))
-            self._cuts[key] = list(strings), lengths
-        return self._cuts[key]
-
-    def _moving(self, flags: np.ndarray | None, word: np.ndarray, ez: np.ndarray) -> np.ndarray:
-        """The (moving slots, positions) matrix whose row for each moving slot
-        (the word slots but w[0], then, with flags, the ez slots) holds, at
-        every position, that slot's entry in the table of its kind, one
-        column per slot: word (types, 11) by the type at the slot's window
-        offset, ez (3 or more, 11) by the flag code (0, 1 or the pad _) at
-        the slot's window offset."""
-        batch = self.batch
-        n, K = len(batch.at), len(_W_SHIFTS)
-        out = np.empty((K + (len(EZ_SLOTS) if flags is not None else 0), n), dtype=np.int32)
-        _windows(word, self._word_codes, out[:K])
-        if flags is not None:
-            padded = _padded_flags(batch, flags)
-            codes_of = lambda a: _window_codes(padded, batch.at[a : a + _WINDOW_BLOCK], _EZ_SHIFTS)
-            _windows(ez, codes_of, out[K:])
-        return out
-
-    def encode(
-        self, index: FeatureIndex, template: FeatureTemplate, ezafe: Sequence[int] | None = None
-    ) -> Encoded:
-        """encode, for this encoder's batch."""
-        batch = self.batch
-        flags = _flags(template, ezafe, len(batch.at))
-        ids = index._ids
-        # Each type's row in the index's word tables; -1, the last row (the
-        # sentinel's), for a form that the index lacks.
-        rows = _lookup(index._values["word"], batch.words, len(batch.words))
-        word = ids["word"][rows]
-        focus = word[None, :, WINDOW]  # CRF1 reads w[0] alone
-        edges = np.empty(0, dtype=np.int32)
-        if template.id == "CRF2":
-            # A known form's affix ids are its column of the index's table; only
-            # the forms that the index lacks have their affixes cut.
-            affix = index._affix[:, rows]
-            new = rows < 0
-            if index._values["affix"] and new.any():
-                affix[:, new] = index._affix_ids(*self._unknown(new))[:, :-1]
-            focus = np.concatenate([focus, affix])
-            edges = ids["edge"][0]
-        return Encoded(
-            ids=self._moving(flags, word, ids["ez"]),
-            offsets=batch.offsets,
-            types=self.types,
-            focus=np.ascontiguousarray(focus, dtype=np.int32),
-            edges=edges,
-        )
-
-
 def encode(
     index: FeatureIndex,
     template: FeatureTemplate,
@@ -524,8 +467,41 @@ def encode(
 ) -> Encoded:
     """Encode the sentences of batch (see batch) with the keys of index;
     keys that the index lacks are dropped. Ezafe-input templates need
-    ezafe, one flag per position; the other templates refuse it."""
-    return _Encoder(batch).encode(index, template, ezafe)
+    ezafe, one flag per position; the other templates refuse it. What no
+    model changes, the batch makes once for every model (see Batch)."""
+    flags = _flags(template, ezafe, len(batch.at))
+    ids = index._ids
+    # Each type's row in the index's word tables; -1, the last row (the
+    # sentinel's), for a form that the index lacks.
+    rows = _lookup(index._values["word"], batch.words, len(batch.words))
+    word = ids["word"][rows]
+    focus = word[None, :, WINDOW]  # CRF1 reads w[0] alone
+    edges = np.empty(0, dtype=np.int32)
+    if template.id == "CRF2":
+        # A known form's affix ids are its column of the index's table; only
+        # the forms that the index lacks have their affixes cut.
+        affix = index._affix[:, rows]
+        new = rows < 0
+        if index._values["affix"] and new.any():
+            affix[:, new] = index._affix_ids(*batch._unknown(new))[:, :-1]
+        focus = np.concatenate([focus, affix])
+        edges = ids["edge"][0]
+    # Each moving slot's row: its entry in the table of its kind, one column
+    # per slot, by the type (word) or flag code (ez) at its window offset.
+    n, K = len(batch.at), len(_W_SHIFTS)
+    moving = np.empty((K + (len(EZ_SLOTS) if flags is not None else 0), n), dtype=np.int32)
+    _windows(word, batch._word_codes, moving[:K])
+    if flags is not None:
+        padded = _padded_flags(batch, flags)
+        codes_of = lambda a: _window_codes(padded, batch.at[a : a + _WINDOW_BLOCK], _EZ_SHIFTS)
+        _windows(ids["ez"], codes_of, moving[K:])
+    return Encoded(
+        ids=moving,
+        offsets=batch.offsets,
+        types=batch._types,
+        focus=np.ascontiguousarray(focus, dtype=np.int32),
+        edges=edges,
+    )
 
 
 def _tally(
@@ -604,4 +580,4 @@ def index_and_encode(
     if min_count < 1:
         raise ValueError("min_count must be positive")
     index = _index(template, batch, _flags(template, ezafe, len(batch.at)), min_count)
-    return index, _Encoder(batch).encode(index, template, ezafe)
+    return index, encode(index, template, batch, ezafe)

@@ -6,8 +6,9 @@ annotation pipeline.
 Every per-token quantity is a flat column in corpus order beside the
 sentence offsets, as corpus.Corpus holds them: the forms of each text
 become one features.batch, which every model that reads the text encodes
-(with ezafe input flags for ezafe-input templates), gold label ids go
-into crf.train, and crf.decode returns one label id per token.
+(with ezafe input flags for ezafe-input templates) and whose work they
+share, gold label ids go into crf.train, and crf.decode returns one label
+id per token.
 Evaluation maps those ids to rows of the confusion table by label name
 (an ezafe model may list "1" before "0"), and metrics counts the table
 and the per-POS ezafe F1 from the codes.
@@ -81,6 +82,11 @@ class ExperimentConfig:
                 raise ConfigError("pos-ez-input needs an ezafe-input template")
         elif self.template.ezafe_input:
             raise ConfigError(f"task {self.task} does not take an ezafe-input template")
+        # A path that the task would not read is refused, not ignored.
+        if self.ezafe_model_path is not None and _flag_mode(self) != "predicted":
+            raise ConfigError(
+                "ezafe_model is read only by task pos-ez-input with ezafe_source = predicted"
+            )
         if self.eval_every < 1:
             raise ConfigError("eval_every must be positive")
         try:
@@ -426,19 +432,18 @@ def pipeline_tag(
     sentences: Sequence[Sequence[str]], ezafe_model: CrfModel, pos_model: CrfModel
 ) -> Corpus:
     """Two-stage annotation: decode ezafe flags, then decode POS with the
-    flags as input features, both from one features.batch of the text,
-    through one encoder of it (which does the text's share of encoding
-    once) and over one packed layout. Output tokens carry the predictions
-    and obey the token rule."""
+    flags as input features, both from one features.batch of the text
+    (which does the text's share of encoding once) and over one packed
+    layout. Output tokens carry the predictions and obey the token rule."""
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
     forms = list(chain.from_iterable(sentences))
     batch = features.batch(forms, np.cumsum([0, *map(len, sentences)]))
-    text = features._Encoder(batch)
     layout = crf._Layout(batch.offsets)
 
     def tag(model: CrfModel, flags: np.ndarray | None = None) -> np.ndarray:
-        return crf._decode(model, text.encode(model.feature_index, model.template, flags), layout)
+        encoded = features.encode(model.feature_index, model.template, batch, flags)
+        return crf._decode(model, encoded, layout)
 
     flags = _flag_of(ezafe_model.labels)[tag(ezafe_model)]
     pred = tag(pos_model, flags)
@@ -497,10 +502,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     if "ezafe_source" in values and task != "pos-ez-input":
         raise ConfigError(f"ezafe_source is read only by task pos-ez-input, not {task}")
     predicted = task == "pos-ez-input" and values.get("ezafe_source", "predicted") == "predicted"
-    if "ezafe_model" in values and not predicted:
-        raise ConfigError(
-            "ezafe_model is read only by task pos-ez-input with ezafe_source = predicted"
-        )
     if predicted and not values.get("ezafe_model"):
         raise ConfigError("task pos-ez-input with ezafe_source = predicted needs ezafe_model")
     try:
@@ -535,7 +536,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         valid_path=values["valid"],
         test_path=values["test"],
         out_path=values.get("out") or None,
-        ezafe_model_path=values.get("ezafe_model") or None,
+        ezafe_model_path=values.get("ezafe_model"),
         ezafe_source=values.get("ezafe_source", "predicted"),
         eval_every=number("eval_every", DEFAULT_EVAL_EVERY, int),
         seed=number("seed", 17, int),

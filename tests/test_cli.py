@@ -10,7 +10,7 @@ from conftest import assert_same_text
 from pertcrf import crf, features
 from pertcrf.cli import main
 from pertcrf.corpus import Token, Corpus, parse_corpus, write_corpus
-from pertcrf.datagen import random_spec, write_hmm_spec
+from pertcrf.datagen import generate, random_spec, tuned_ezafe_spec, write_hmm_spec
 from pertcrf.rng import SplitMix64
 
 
@@ -187,6 +187,27 @@ class TestTrain:
         first = out.read_bytes().decode("utf-8")
         main(args)
         assert_same_text(out.read_bytes().decode("utf-8"), first)
+
+    def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Threaded BLAS sums the long products of a 30-label fit in another
+        # order; the package runs BLAS on one thread unless told otherwise,
+        # so an unset OPENBLAS_NUM_THREADS trains as 1 does on any host.
+        spec = tuned_ezafe_spec(0.22, n_states=30)
+        paths = [tmp_path / "train.tsv", tmp_path / "valid.tsv"]
+        for path, (n, seed) in zip(paths, ((150, 1), (40, 2))):
+            path.write_text(write_corpus(generate(spec, n, seed=seed)), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        unset = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+        unset["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        models = []
+        for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"model{len(models)}.crf"
+            args = ["train", *map(str, paths), "--task", "pos", "--template", "crf2", "--max-iter", "15"]
+            subprocess.run(
+                [sys.executable, "-m", "pertcrf", *args, "--out", str(out)], env=env, capture_output=True, check=True
+            )
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
     def test_log_file(self, tmp_path, corpus_file):
         log = tmp_path / "train.log"

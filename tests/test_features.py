@@ -451,11 +451,11 @@ class TestSharedBatch:
 
     @pytest.mark.parametrize("block", [None, 4])
     def test_one_encoder_equals_one_per_index(self, block, monkeypatch):
-        """One encoder of a text, read by every index in turn (in either
-        order), encodes as encode does for each index alone, also for
-        indexes that lack different forms, and it cuts the affixes of each
-        set of forms that a CRF2 index lacks once. The text is one window
-        block, whose codes the encoder keeps, or three (block 4)."""
+        """One batch of a text, encoded by every index in turn (in either
+        order), encodes as a batch of its own does for each index alone,
+        also for indexes that lack different forms, and it cuts the affixes
+        of each set of forms that a CRF2 index lacks once. The text is one
+        window block, whose codes the batch keeps, or three (block 4)."""
         if block is not None:
             monkeypatch.setattr(features, "_WINDOW_BLOCK", block)
         cuts = []
@@ -466,11 +466,11 @@ class TestSharedBatch:
         indexes = self.indexes() + [(CRF2_EZ, trained_index(other, CRF2_EZ, ezafe=other.ezafe))]
         flags = lambda template: text.ezafe if template.ezafe_input else None
         for order in (indexes, indexes[::-1]):
-            shared = features._Encoder(batch(text.forms, text.offsets))
+            shared = batch(text.forms, text.offsets)
             cuts.clear()
-            got = [shared.encode(index, template, flags(template)) for template, index in order]
+            got = [encode(index, template, shared, flags(template)) for template, index in order]
             lacked = [
-                tuple(form for form in shared.batch.words if form not in index._values["word"])
+                tuple(form for form in shared.words if form not in index._values["word"])
                 for template, index in order
                 if template.id == "CRF2"
             ]

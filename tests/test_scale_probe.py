@@ -44,6 +44,7 @@ def test_tiny_configuration_reports_every_field():
     assert record["evals_per_iteration"] >= 1.0
     assert 0 < record["encode_peak_mb"] < record["peak_rss_mb"]
     assert 0 < record["eval_peak_mb"] < record["peak_rss_mb"]
+    assert 0 < record["objective_state_mb"] < record["peak_rss_mb"]
     assert 0 < record["decode_peak_mb"] < record["peak_rss_mb"]
     extrapolated = record["extrapolated_8M"]
     assert extrapolated["tokens"] == 8_000_000

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pertcrf import crf, features
+from pertcrf.cli import main
 from pertcrf.corpus import Corpus, Token, parse_corpus, shuffle_split, write_corpus
 from pertcrf.crf import TrainConfig, save_model
 from pertcrf.datagen import GeometricLength, generate, homograph_spec, tuned_ezafe_spec
@@ -182,7 +183,9 @@ class TestCheckpointReplay:
         _, log, _, _, _ = fit(cfg, train_c, valid_c)
         checkpoints = sum(e.valid_f1 is not None for e in log)
         assert checkpoints == 3  # iterations 3, 6 and the last one, 7
-        assert calls == [("index", train_c.n_sentences), ("encode", valid_c.n_sentences)]
+        # index_and_encode encodes the train split through encode.
+        train, valid = ("encode", train_c.n_sentences), ("encode", valid_c.n_sentences)
+        assert calls == [("index", train_c.n_sentences), train, valid]
 
 
     @pytest.mark.parametrize("task", ["ezafe", "pos", "pos-ez-input", "joint"])
@@ -204,7 +207,8 @@ class TestCheckpointReplay:
             features, "encode", lambda i, t, b, *a: encoded.append(len(b.offsets) - 1) or encode(i, t, b, *a)
         )
         result = run_experiment(cfg, rule_corpora)
-        assert encoded == [valid_c.n_sentences, rule_corpora[2].n_sentences]
+        # Training's encode of the train split, then valid and test once each.
+        assert encoded == [split.n_sentences for split in rule_corpora]
         monkeypatch.undo()
         flags = valid_c.ezafe if task == "pos-ez-input" else None
         fresh = evaluate(result.model, valid_c, flags, result.valid_report.header)
@@ -384,12 +388,12 @@ class TestRunJoint:
 
 def count_batches(monkeypatch):
     """The features.batch made from here on, and the batch of every read of
-    one, in call order: features.encode, index_and_encode and pipeline_tag's
-    shared encoder all end in features._Encoder.encode, once per read."""
+    one, in call order: every read, training's included, ends in
+    features.encode, once per read."""
     made, read = [], []
-    batch, encode = features.batch, features._Encoder.encode
+    batch, encode = features.batch, features.encode
     monkeypatch.setattr(features, "batch", lambda *a: made.append(batch(*a)) or made[-1])
-    monkeypatch.setattr(features._Encoder, "encode", lambda e, *a: read.append(e.batch) or encode(e, *a))
+    monkeypatch.setattr(features, "encode", lambda i, t, b, *a: read.append(b) or encode(i, t, b, *a))
     return made, read
 
 
@@ -451,7 +455,7 @@ def count_cuts(monkeypatch):
 
 
 class TestOneEncoderPerText:
-    """pipeline_tag encodes the text for both models through one encoder."""
+    """pipeline_tag encodes the text for both models from one batch."""
 
     def test_models_with_different_vocabularies(self, crf2_pipeline):
         ezafe_model, (_, pos_model), sentences = crf2_pipeline
@@ -487,6 +491,52 @@ class TestOneEncoderPerText:
         cuts = count_cuts(monkeypatch)
         pipeline_tag([["ea", "zz"], ["nb", "qq", "ea"]], ezafe_model, pos_model)
         assert cuts == []
+
+
+class TestSharedBatchAcrossModels:
+    """Every model that encodes one batch shares its work, beyond
+    pipeline_tag: run_experiment's predicted flags and POS model read one
+    batch per split, and so do eval's two models. A CRF2 ezafe model and a
+    CRF2+EZ POS model trained on one split lack the same forms of another
+    split, so those forms are cut once."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        corpora = shuffle_split(generate(tuned_ezafe_spec(0.22), 60, seed=31))
+        config = TrainConfig(max_iterations=3)
+        ezafe = run_experiment(ExperimentConfig(task="ezafe", template=CRF2, train_config=config), corpora)
+        pos_cfg = ExperimentConfig(task="pos-ez-input", template=CRF2_EZ, train_config=config)
+        return corpora, ezafe.model, pos_cfg
+
+    @staticmethod
+    def unknown(corpora):
+        """The forms of the valid and test splits that the train split lacks."""
+        unknown = [set(split.forms) - set(corpora[0].forms) for split in corpora[1:]]
+        assert all(unknown)
+        return unknown
+
+    def test_run_experiment_cuts_each_split_once(self, trained, monkeypatch):
+        corpora, ezafe_model, pos_cfg = trained
+        cuts = count_cuts(monkeypatch)
+        run_experiment(pos_cfg, corpora, ezafe_model)
+        # The ezafe model's flags cut the valid and test forms that it
+        # lacks; training cuts every train type, sentinels included, to
+        # index it; the POS model's encodes of valid and test cut nothing.
+        train_types = {features.BOS_FORM, features.EOS_FORM} | set(corpora[0].forms)
+        assert [set(c) for c in cuts] == [*self.unknown(corpora), train_types]
+
+    def test_eval_with_ezafe_model_cuts_once(self, trained, tmp_path, monkeypatch):
+        corpora, ezafe_model, pos_cfg = trained
+        pos_model = run_experiment(pos_cfg, corpora, ezafe_model).model
+        paths = [str(tmp_path / name) for name in ("ezafe.crf", "pos.crf", "test.tsv")]
+        crf.save_model_file(ezafe_model, paths[0])
+        crf.save_model_file(pos_model, paths[1])
+        (tmp_path / "test.tsv").write_text(write_corpus(corpora[2]), encoding="utf-8")
+        cuts = count_cuts(monkeypatch)
+        assert main(["eval", paths[1], paths[2], "--ezafe-model", paths[0], "--report", str(tmp_path / "r")]) == 0
+        # Loading each model cuts its word values; the test forms that both
+        # lack are cut once.
+        assert [set(c) for c in cuts].count(self.unknown(corpora)[1]) == 1
 
 
 class TestPipeline:
@@ -625,6 +675,7 @@ class TestConfig:
             ("pos", "ezafe_model = m.crf", "ezafe_model is read only by"),
             ("joint", "ezafe_model = m.crf", "ezafe_model is read only by"),
             ("pos-ez-input", "ezafe_source = gold\nezafe_model = m.crf", "ezafe_model is read only by"),
+            ("ezafe", "ezafe_model =", "ezafe_model is read only by"),
             ("ezafe", "ezafe_source = predicted", "ezafe_source is read only by"),
             ("pos", "ezafe_source = gold", "ezafe_source is read only by"),
             ("joint", "ezafe_source = gold", "ezafe_source is read only by"),
@@ -634,6 +685,16 @@ class TestConfig:
         text = f"task = {task}\ntemplate = crf1\ntrain = a\nvalid = b\ntest = c\n{extra}\n"
         with pytest.raises(ConfigError, match=message):
             parse_experiment_config(text)
+
+    @pytest.mark.parametrize(
+        "task, source", [("ezafe", "predicted"), ("pos", "gold"), ("joint", "predicted"), ("pos-ez-input", "gold")]
+    )
+    def test_ezafe_model_path_the_task_does_not_read_is_refused(self, task, source):
+        # A config built in Python is held to the parser's rule: run_experiment
+        # would neither read the path nor say so, and the reports would name it.
+        template = CRF1_EZ if task == "pos-ez-input" else CRF1
+        with pytest.raises(ConfigError, match="ezafe_model is read only by task pos-ez-input"):
+            ExperimentConfig(task, template, ezafe_source=source, ezafe_model_path="/nonexistent/never_read.crf")
 
     @pytest.mark.parametrize(
         "extra", ["", "ezafe_source = predicted\n", "ezafe_model =\n"], ids=["default", "predicted", "empty"]
