@@ -61,7 +61,6 @@ src, so the same script can measure another checkout.
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -82,11 +81,10 @@ from pertcrf.features import FeatureTemplate  # noqa: E402
 SEED = 5  # generator seed
 REPEATS = 3  # objective evaluations timed; the minimum is reported
 EXTRAPOLATE_TOKENS = 8_000_000  # training tokens of the paper's protocol
-MEMORY = inspect.signature(optim.minimize_owlqn).parameters["memory"].default
-# Parameter-length vectors that minimize_owlqn holds at once: MEMORY (s, y)
+# Parameter-length vectors that minimize_owlqn holds at once: optim.MEMORY (s, y)
 # curvature pairs, then x, g, the pseudo-gradient, the direction, the
 # orthant, the two-loop scratch, and the trial x, gradient and step.
-OWLQN_VECTORS = 2 * MEMORY + 9
+OWLQN_VECTORS = 2 * optim.MEMORY + 9
 
 
 def generate_tokens(spec: datagen.HmmSpec, n_tokens: int, seed: int) -> Corpus:

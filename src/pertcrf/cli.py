@@ -14,7 +14,7 @@ import sys
 import tempfile
 import time
 
-from . import crf, features, tasks
+from . import crf, tasks
 from .corpus import (
     CorpusFormatError,
     SplitSpec,
@@ -171,9 +171,8 @@ def cmd_train(args) -> int:
     train_c = read_corpus_file(args.train)
     valid_c = read_corpus_file(args.valid)
     started = time.monotonic()
-    batches = [features.batch(c.forms, c.offsets) for c in (train_c, valid_c)]
-    train_flags, valid_flags = tasks.make_flags(cfg, [train_c, valid_c], batches)
-    model, log, best_it, stop, _ = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags, batches)
+    train_flags, valid_flags = tasks.make_flags(cfg, [train_c, valid_c])
+    model, log, best_it, stop, _ = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
     _atomic_write(args.out, crf.save_model(model))
     _print_log(log, best_it, stop, args.log)
     print(f"model written to {args.out}", file=sys.stderr)
@@ -207,16 +206,15 @@ def cmd_eval(args) -> int:
         raise UsageError("--ezafe-model is used only by models with ezafe input")
     corpus = read_corpus_file(args.corpus)
     header = {"model": args.model, "corpus": args.corpus, "template": model.template.token}
-    batch = features.batch(corpus.forms, corpus.offsets)
     flags = None
     if args.ezafe_model:
         ezafe_model = crf.load_model_file(args.ezafe_model)
-        flags = tasks.predict_flags(ezafe_model, batch)
+        flags = tasks.predict_flags(ezafe_model, corpus.batch)
         header["ezafe_source"] = "predicted"
     elif model.template.ezafe_input:
         flags = corpus.ezafe
         header["ezafe_source"] = "gold"
-    reports = tasks.evaluate(model, corpus, flags, header, batch)
+    reports = tasks.evaluate(model, corpus, flags, header)
     if args.report:
         for report, suffix in zip(reports, ("", ".ezafe")):
             _write_report(report, args.report + suffix)

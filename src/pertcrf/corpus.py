@@ -8,7 +8,10 @@ separated by exactly one blank line; no trailing blank line.
 In memory a corpus is columnar (see Corpus): one sequence of forms, int32
 tag codes, int8 ezafe flags and int32 sentence offsets. Parsing, splitting,
 filtering and generation fill the columns directly; Token objects are made
-only when something reads Corpus.sentences.
+only when something reads Corpus.sentences. Corpus.batch is the corpus's
+features.batch, made on first use, so every model that encodes the corpus
+shares its text work (see features.Batch): its affix cut of the last set
+of forms that a model lacks stays with it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import features
 from .rng import SplitMix64, check_seed
 
 DEFAULT_SEED = 17
@@ -184,6 +188,12 @@ class Corpus:
         tokens = list(map(Token, self.forms, self.tag_names(), self.ezafe.tolist()))
         return tuple(self.by_sentence(tuple(tokens)))
 
+    @cached_property
+    def batch(self) -> features.Batch:
+        """The features.batch of the forms, made on first use and read by
+        every model that encodes the corpus."""
+        return features.batch(self.forms, self.offsets)
+
     @property
     def n_sentences(self) -> int:
         return len(self.offsets) - 1
@@ -231,7 +241,8 @@ class Corpus:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("sentences", None)  # a cache, rebuilt on demand
+        for cache in ("sentences", "batch"):  # rebuilt on demand
+            state.pop(cache, None)
         return state
 
 

@@ -18,14 +18,13 @@ first (a stable sort, so corpus order is kept among equal lengths), and
 step t holds, contiguously, position t of every sentence longer than t.
 Step t's rows are thus a prefix of step t-1's in sentence order, so the
 recursions make one pass per step over a block with no padding, and
-training and decoding share the layout. _Layout is the one place its
-facts come from: the steps, each position's row, each row's corpus
-position, each sentence's last row, and each step's rows beside the rows
-their sentences held one step earlier. Its base, _Steps, works out the
-steps, those spans and each row's corpus position alone, which is all
-that datagen's sampler reads. The encoding stays in corpus
-order: emissions gather it by each packed row's corpus position, and the
-expected counts scatter over it from posteriors put back in corpus order.
+training and decoding share the layout, and so does datagen's sampler.
+_Layout is the one place its facts come from: the steps, each position's
+row, each row's corpus position, each sentence's last row, and each
+step's rows beside the rows their sentences held one step earlier. The
+encoding stays in corpus order: emissions gather it by each packed row's
+corpus position, and the expected counts scatter over it from posteriors
+put back in corpus order.
 
 Weights. Emission kernels read an (F+1, L) weight matrix whose last row
 is zero, so the sentinel adds nothing. A CrfModel owns one, and its
@@ -240,18 +239,18 @@ def nll_and_gradient(
 # Training and decoding share the layout and the emission kernel.
 
 
-class _Steps:
-    """The steps of the packed layout of the sentences that offsets cut a
-    corpus into (see Layout in the module docstring) and the corpus
-    position of each packed row: all that a step-by-step pass in corpus
-    terms needs (datagen samples so). Sentences rank by length, longest
-    first, in corpus order among equal lengths; step t holds position t
-    of each sentence longer than t, in rank order."""
+class _Layout:
+    """The packed layout of the sentences that offsets cut a corpus into,
+    and the one place its facts are worked out (see Layout in the module
+    docstring): the steps, each row's corpus position, each position's row
+    and each sentence's last row. Sentences rank by length, longest first,
+    in corpus order among equal lengths; step t holds position t of each
+    sentence longer than t, in rank order."""
 
     def __init__(self, offsets: np.ndarray):
         lengths = offsets[1:] - offsets[:-1]
         self.S = S = len(lengths)  # the rows of step 0, each sentence's first
-        self._by_rank = (-lengths).argsort(kind="stable")
+        by_rank = (-lengths).argsort(kind="stable")
         alive = S - np.bincount(lengths).cumsum()[:-1]  # sentences longer than t
         # The first row of each step, then the row count.
         self.steps = np.concatenate([[0], alive.cumsum()])
@@ -259,25 +258,15 @@ class _Steps:
         # of the sentence of rank k.
         t = np.arange(len(alive)).repeat(alive)
         k = np.arange(len(t)) - self.steps[:-1].repeat(alive)
-        self.order = (offsets[:-1][self._by_rank][k] + t).astype(np.intc)
+        self.order = (offsets[:-1][by_rank][k] + t).astype(np.intc)
         # One (a, b, p) per step t >= 1: its rows a..b-1 continue the
         # sentences at rows p..p+b-a-1, the first b-a rows of step t-1.
         bounds = self.steps.tolist()
         self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1]) for t in range(1, len(bounds) - 1)]
-
-
-class _Layout(_Steps):
-    """The packed layout of the sentences that offsets cut a corpus into,
-    and the one place its facts are worked out (see Layout in the module
-    docstring): the steps, and each row's corpus position (_Steps), each
-    position's row and each sentence's last row."""
-
-    def __init__(self, offsets: np.ndarray):
-        super().__init__(offsets)
         self.row = np.empty_like(self.order)  # of each position, in corpus order
         self.row[self.order] = np.arange(len(self.order), dtype=self.order.dtype)
         # The last row of each sentence, in rank order.
-        self.ends = self.row[offsets[1:][self._by_rank] - 1]
+        self.ends = self.row[offsets[1:][by_rank] - 1]
 
 
 def _sentence_groups(offsets: np.ndarray, size: int) -> list[tuple[int, int]]:

@@ -60,10 +60,12 @@ the table, in type order.
     type code of every position; for a text of at most _WINDOW_BLOCK
     positions, the (10, positions) codes of the moving word slots, which
     each model maps through its own word table with one take; and the
-    affix strings and form lengths of the types that an index lacks, per
-    set of such types (two models trained on one split lack the same
-    ones). Per model, encode looks each of the batch's types up once in
-    the word dict of a FeatureIndex. For CRF2 a known form's affix ids are
+    affix strings and form lengths of the types that an index lacks, kept
+    for the last set of such types only (models trained on one split lack
+    the same ones, and each run, pipeline and eval reuses the previous
+    model's set; a corpus.Corpus keeps its batch as long as it lives). Per
+    model, encode looks each of the batch's types up once in the word
+    dict of a FeatureIndex. For CRF2 a known form's affix ids are
     its column of the index's affix table; only the forms that the index
     lacks have their affix strings looked up in its affix dict. A
     FeatureIndex made from keys gives each key's slot, row and id to the
@@ -327,7 +329,8 @@ class Batch:
 
     @cached_property
     def _cuts(self) -> dict[bytes, tuple[list[str], np.ndarray]]:
-        """The cut of _unknown per set of types, by the bytes of its mask."""
+        """The cut of _unknown for the last set of types, by the bytes of its
+        mask."""
         return {}
 
     def _word_codes(self, a: int) -> np.ndarray:
@@ -339,12 +342,14 @@ class Batch:
 
     def _unknown(self, new: np.ndarray) -> tuple[list[str], np.ndarray]:
         """The affix cut (see _cut) of the form types where new is true, made
-        once per set of types."""
-        key = new.tobytes()
-        if key not in self._cuts:
+        once for consecutive calls with one set of types: only the last set's
+        cut is kept."""
+        key, cuts = new.tobytes(), self._cuts
+        if key not in cuts:
             strings, lengths = _cut(list(compress(self.words, new.tolist())))
-            self._cuts[key] = list(strings), lengths
-        return self._cuts[key]
+            cuts.clear()
+            cuts[key] = list(strings), lengths
+        return cuts[key]
 
 
 def _flags(template: FeatureTemplate, ezafe: Sequence[int] | None, n: int) -> np.ndarray | None:

@@ -20,6 +20,7 @@ import numpy as np
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_LINESEARCH = 60
+MEMORY = 10  # the (s, y) curvature pairs kept for the direction
 CURVATURE_EPS = 1e-12
 
 
@@ -112,7 +113,6 @@ def minimize_owlqn(
     x0: np.ndarray,
     l1: float = 0.0,
     max_iterations: int = 100,
-    memory: int = 10,
     tolerance: float = 1e-5,
     callback: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> OwlQnResult:
@@ -134,7 +134,7 @@ def minimize_owlqn(
     if not np.isfinite(obj) or not np.all(np.isfinite(g)):
         raise DivergenceError(0)
 
-    pairs: deque = deque(maxlen=memory)
+    pairs: deque = deque(maxlen=MEMORY)
     scratch = np.empty_like(x)
     log = [obj]
     stop = "max_iterations"

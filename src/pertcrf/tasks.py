@@ -4,10 +4,12 @@ joint cross-product tagging; one evaluator (evaluate); and the two-stage
 annotation pipeline.
 
 Every per-token quantity is a flat column in corpus order beside the
-sentence offsets, as corpus.Corpus holds them: the forms of each text
-become one features.batch, which every model that reads the text encodes
-(with ezafe input flags for ezafe-input templates) and whose work they
-share, gold label ids go into crf.train, and crf.decode returns one label
+sentence offsets, as corpus.Corpus holds them: the forms of each corpus
+become its one features.batch (Corpus.batch), which every model that reads
+the corpus encodes (with ezafe input flags for ezafe-input templates) and
+whose work they share, across calls as long as the corpus object lives
+(the batch keeps the affix cut of the last set of forms that a model
+lacks); gold label ids go into crf.train, and crf.decode returns one label
 id per token.
 Evaluation maps those ids to rows of the confusion table by label name
 (an ezafe model may list "1" before "0"), and metrics counts the table
@@ -117,14 +119,10 @@ class ExperimentResult:
 # Decoding and evaluation over corpus columns
 
 
-def _batch(corpus: Corpus) -> Batch:
-    return features.batch(corpus.forms, corpus.offsets)
-
-
 def decode(model: CrfModel, batch: Batch, ezafe: Sequence[int] | None = None) -> np.ndarray:
     """The label id (an index into model.labels) of every position of batch
-    (a features.batch), in corpus order, with one ezafe input flag per
-    position for ezafe-input templates."""
+    (a Corpus.batch or features.batch), in corpus order, with one ezafe
+    input flag per position for ezafe-input templates."""
     return crf.decode(model, features.encode(model.feature_index, model.template, batch, ezafe))
 
 
@@ -240,14 +238,12 @@ def evaluate(
     corpus: Corpus,
     ezafe: np.ndarray | None = None,
     header: dict | None = None,
-    batch: Batch | None = None,
 ) -> list[EvalReport]:
     """Decode corpus, with one ezafe input flag per token for ezafe-input
     templates, and report it (see _reports): the primary report, then the
     ezafe projection for joint models. Gold labels unseen in training only
-    affect the scores, never the decoding. batch is the corpus's
-    features.batch, made here when not given."""
-    pred = decode(model, _batch(corpus) if batch is None else batch, ezafe)
+    affect the scores, never the decoding."""
+    pred = decode(model, corpus.batch, ezafe)
     return _reports(model.labels, pred, corpus, header)
 
 
@@ -262,13 +258,11 @@ def _flag_mode(cfg: ExperimentConfig) -> str:
 def make_flags(
     cfg: ExperimentConfig,
     corpora: Sequence[Corpus],
-    batches: Sequence[Batch],
     ezafe_model: CrfModel | None = None,
 ) -> list[np.ndarray | None]:
     """Ezafe input flags of each corpus, one per token: none unless cfg.task
     is pos-ez-input, then gold or predicted as cfg.ezafe_source says, by
-    ezafe_model (read from cfg.ezafe_model_path when not given) from the
-    corpora's batches (their features.batch)."""
+    ezafe_model (read from cfg.ezafe_model_path when not given)."""
     mode = _flag_mode(cfg)
     if mode == "none":
         return [None] * len(corpora)
@@ -278,7 +272,7 @@ def make_flags(
         if not cfg.ezafe_model_path:
             raise ValueError("ezafe_source=predicted needs an ezafe model")
         ezafe_model = crf.load_model_file(cfg.ezafe_model_path)
-    return [predict_flags(ezafe_model, batch) for batch in batches]
+    return [predict_flags(ezafe_model, c.batch) for c in corpora]
 
 
 def fit(
@@ -287,27 +281,24 @@ def fit(
     valid_c: Corpus,
     train_flags: np.ndarray | None = None,
     valid_flags: np.ndarray | None = None,
-    batches: Sequence[Batch] | None = None,
 ) -> tuple[CrfModel, list[TrainLogEntry], int, str, np.ndarray]:
     """Train cfg.task on train_c (with its ezafe input flags, one per token,
     for ezafe-input templates), decoding valid_c every cfg.eval_every
     iterations and at the last one. valid_c is encoded once, with the
-    training index. batches are the features.batch of train_c and
-    valid_c, made here when not given. Returns the model of the checkpoint
-    with the best validation F1 (positive-class F1 for ezafe, macro F1
-    otherwise; the earliest among ties), the log, the checkpoint's
-    iteration, why training stopped (OwlQnResult.stop), and the model's
-    label id of every token of valid_c."""
+    training index. Returns the model of the checkpoint with the best
+    validation F1 (positive-class F1 for ezafe, macro F1 otherwise; the
+    earliest among ties), the log, the checkpoint's iteration, why
+    training stopped (OwlQnResult.stop), and the model's label id of
+    every token of valid_c."""
     if train_c.n_sentences == 0:
         raise ValueError("empty train split")
     if valid_c.n_sentences == 0:
         raise ValueError("empty validation split")
     gold, labels = _gold_labels(cfg.task, train_c)
-    train_batch, valid_batch = batches or (_batch(train_c), _batch(valid_c))
     index, encoded = features.index_and_encode(
-        cfg.template, train_batch, train_flags, cfg.train_config.min_count
+        cfg.template, train_c.batch, train_flags, cfg.train_config.min_count
     )
-    valid = features.encode(index, cfg.template, valid_batch, valid_flags)
+    valid = features.encode(index, cfg.template, valid_c.batch, valid_flags)
     log: list[TrainLogEntry] = []
     best = {"f1": float("-inf"), "model": None, "iteration": 0, "pred": None}
 
@@ -373,14 +364,11 @@ def run_experiment(
     valid_ezafe and test_ezafe."""
     corpora = corpora if corpora is not None else load_corpora(cfg)
     train_c, valid_c, test_c = corpora
-    batches = [_batch(c) for c in corpora]
-    train_flags, valid_flags, test_flags = make_flags(cfg, corpora, batches, ezafe_model)
+    train_flags, valid_flags, test_flags = make_flags(cfg, corpora, ezafe_model)
     header = _config_header(cfg)
-    model, log, best_it, stop, valid_pred = fit(
-        cfg, train_c, valid_c, train_flags, valid_flags, batches[:2]
-    )
+    model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c, train_flags, valid_flags)
     valid = _reports(model.labels, valid_pred, valid_c, header)
-    test = evaluate(model, test_c, test_flags, header, batches[2])
+    test = evaluate(model, test_c, test_flags, header)
     return ExperimentResult(
         model=model,
         valid_report=valid[0],

@@ -191,10 +191,13 @@ class TestColumns:
 
     @given(corpora(min_sentences=0, tokens=persian_tokens))
     def test_pickle_round_trip(self, c):
-        c.sentences  # the cache is not pickled, and rebuilt after loading
+        c.sentences, c.batch  # the caches are not pickled, and rebuilt after loading
         restored = pickle.loads(pickle.dumps(c))
-        assert "sentences" not in restored.__dict__
+        assert "sentences" not in restored.__dict__ and "batch" not in restored.__dict__
         assert restored == c and restored.sentences == c.sentences
+        assert restored.batch.words == c.batch.words
+        for field in ("offsets", "padded", "at"):
+            assert np.array_equal(getattr(restored.batch, field), getattr(c.batch, field))
 
     def test_equality_reads_every_column(self):
         c = parse_corpus(TWO_SENTENCES)

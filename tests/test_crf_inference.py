@@ -238,10 +238,6 @@ class TestPackedLayout:
         assert layout.ends.tolist() == [9, 6, 7, 3, 4]
         assert layout.spans == [(5, 8, 0), (8, 9, 5), (9, 10, 8)]
         self.check_layout(layout, offsets, rank=[1, 3, 0, 2, 4])
-        # The base that datagen's sampler reads alone.
-        steps = crf._Steps(offsets)
-        assert (steps.S, steps.steps.tolist(), steps.spans) == (5, layout.steps.tolist(), layout.spans)
-        assert steps.order.dtype == layout.order.dtype and steps.order.tolist() == layout.order.tolist()
 
     def test_equal_lengths_keep_corpus_order(self):
         # Enough sentences that an unstable sort would reorder ties.

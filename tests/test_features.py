@@ -482,3 +482,22 @@ class TestSharedBatch:
                     assert np.array_equal(getattr(encoded, field), getattr(alone, field)), field
                 want = encode_keys(index, corpus_features(text, template, flags(template)))
                 assert position_ids(encoded, len(index)) == position_ids(want, len(index))
+
+    def test_batch_keeps_the_last_cut(self, monkeypatch):
+        """A batch keeps the affix cut of the last set of forms that an
+        index lacked, not one per set: after two indexes that lack different
+        forms it holds one cut, and the first index's forms are cut again."""
+        cuts = []
+        cut = features._cut
+        monkeypatch.setattr(features, "_cut", lambda forms: cuts.append(tuple(forms)) or cut(forms))
+        text = self.corpus(self.TEXT)
+        other = self.corpus([["ketab", "zz", "q"], ["xub", "a"]])  # forms that TRAIN lacks
+        first, second = (trained_index(train, CRF2) for train in (self.corpus(self.TRAIN), other))
+        shared = batch(text.forms, text.offsets)
+        cuts.clear()
+        for index in (first, second, second, first):
+            encode(index, CRF2, shared)
+        lacked = [tuple(f for f in shared.words if f not in index._values["word"]) for index in (first, second)]
+        assert lacked[0] != lacked[1] and all(lacked)
+        assert cuts == [lacked[0], lacked[1], lacked[0]]
+        assert len(shared._cuts) == 1

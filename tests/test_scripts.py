@@ -10,6 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from pertcrf import features
+from pertcrf.corpus import shuffle_split
+from pertcrf.crf import TrainConfig
+from pertcrf.datagen import generate, tuned_ezafe_spec
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -90,3 +95,23 @@ def test_full_protocol(synth_run, tmp_path):
         assert config["seed"] == "5", name
         recognizer = str(out_dir / f"ezafe_{best.lower()}.crf") if name.startswith("pos_crf2_ez") else ""
         assert config["ezafe_model"] == recognizer, name
+
+
+def test_protocol_makes_one_batch_per_split(tmp_path, monkeypatch, capsys):
+    """run_protocol's five models share the batch of each of the three
+    splits. Each of the three CRF2 fits cuts the affixes of the train types
+    to index them, and the CRF2 recognizer's encodes of the validation and
+    test splits cut the forms that it lacks, which every later model,
+    trained on the same split, lacks too: five cuts."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # undone after the test, with what the script adds
+    from run_full_protocol import run_protocol
+    corpora = shuffle_split(generate(tuned_ezafe_spec(0.22), 80, seed=17))
+    assert all(set(split.forms) - set(corpora[0].forms) for split in corpora[1:])
+    made, cuts = [], []
+    batch, cut = features.batch, features._cut
+    monkeypatch.setattr(features, "batch", lambda *a: made.append(batch(*a)) or made[-1])
+    monkeypatch.setattr(features, "_cut", lambda forms: cuts.append(tuple(forms)) or cut(forms))
+    run_protocol(corpora, TrainConfig(max_iterations=3), str(tmp_path), ("corpus.tsv",) * 3, 17)
+    assert "best ezafe model by validation F1" in capsys.readouterr().out
+    assert len(made) == 3 and all(c.batch is b for c, b in zip(corpora, made))
+    assert len(cuts) == 5

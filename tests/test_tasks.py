@@ -397,6 +397,11 @@ def count_batches(monkeypatch):
     return made, read
 
 
+def fresh(corpora):
+    """Copies of corpora that have made no batch yet."""
+    return tuple(c.take(range(c.n_sentences)) for c in corpora)
+
+
 def count_layouts(monkeypatch):
     """The crf._Layout made from here on, in call order."""
     made, layout = [], crf._Layout
@@ -418,6 +423,7 @@ class TestOneBatchPerText:
 
     def test_run_experiment_with_predicted_flags(self, perfect_ezafe_setup, monkeypatch):
         corpora, ezafe_model = perfect_ezafe_setup
+        corpora = fresh(corpora)  # the fixture's corpora hold the batches that it made
         made, read = count_batches(monkeypatch)
         run_experiment(replace(gold_flags_cfg(5), ezafe_source="predicted"), corpora, ezafe_model)
         # One batch per split, read by the ezafe model and then by
@@ -494,11 +500,11 @@ class TestOneEncoderPerText:
 
 
 class TestSharedBatchAcrossModels:
-    """Every model that encodes one batch shares its work, beyond
+    """Every model that encodes one corpus shares its batch's work, beyond
     pipeline_tag: run_experiment's predicted flags and POS model read one
-    batch per split, and so do eval's two models. A CRF2 ezafe model and a
-    CRF2+EZ POS model trained on one split lack the same forms of another
-    split, so those forms are cut once."""
+    batch per split, and so do eval's two models, and later runs on the same
+    corpora. A CRF2 ezafe model and a CRF2+EZ POS model trained on one split
+    lack the same forms of another split, so those forms are cut once."""
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -518,12 +524,18 @@ class TestSharedBatchAcrossModels:
     def test_run_experiment_cuts_each_split_once(self, trained, monkeypatch):
         corpora, ezafe_model, pos_cfg = trained
         cuts = count_cuts(monkeypatch)
-        run_experiment(pos_cfg, corpora, ezafe_model)
+        run_experiment(pos_cfg, fresh(corpora), ezafe_model)
         # The ezafe model's flags cut the valid and test forms that it
         # lacks; training cuts every train type, sentinels included, to
         # index it; the POS model's encodes of valid and test cut nothing.
         train_types = {features.BOS_FORM, features.EOS_FORM} | set(corpora[0].forms)
         assert [set(c) for c in cuts] == [*self.unknown(corpora), train_types]
+        # The fixture's corpora kept their batches from training the ezafe
+        # model, which lacks the same forms: a run on them cuts only the
+        # train types, to index them.
+        cuts.clear()
+        run_experiment(pos_cfg, corpora, ezafe_model)
+        assert [set(c) for c in cuts] == [train_types]
 
     def test_eval_with_ezafe_model_cuts_once(self, trained, tmp_path, monkeypatch):
         corpora, ezafe_model, pos_cfg = trained
