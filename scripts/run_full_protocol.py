@@ -18,7 +18,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pertcrf.corpus import SplitSpec, corpus_stats, filter_long, format_stats, read_corpus_file, shuffle_split
+from pertcrf.corpus import MAX_SENTENCE_LEN, SplitSpec, corpus_stats, filter_long, format_stats
+from pertcrf.corpus import read_corpus_file, shuffle_split
 from pertcrf.crf import TrainConfig, save_model_file
 from pertcrf.features import FeatureTemplate
 from pertcrf.metrics import delta_report
@@ -113,9 +114,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("corpus", help="annotated corpus, canonical 3-column TSV")
     ap.add_argument("--out-dir", default="protocol_run")
-    ap.add_argument("--seed", type=int, default=17)
-    ap.add_argument("--max-iter", type=int, default=100)
-    ap.add_argument("--max-sentence-len", type=int, default=512)
+    ap.add_argument("--seed", type=int, default=SplitSpec.seed)
+    ap.add_argument("--max-iter", type=int, default=TrainConfig.max_iterations)
+    ap.add_argument("--max-sentence-len", type=int, default=MAX_SENTENCE_LEN)
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -16,6 +16,7 @@ import time
 
 from . import crf, tasks
 from .corpus import (
+    MAX_SENTENCE_LEN,
     CorpusFormatError,
     SplitSpec,
     corpus_stats,
@@ -127,7 +128,7 @@ def cmd_synth(args) -> int:
 def _experiment_config_from_args(args) -> ExperimentConfig:
     if args.ezafe_source and args.task != "pos-ez-input":
         raise UsageError("--ezafe-source is used only by --task pos-ez-input")
-    ezafe_source = args.ezafe_source or "predicted"
+    ezafe_source = args.ezafe_source or ExperimentConfig.ezafe_source
     predicted = args.task == "pos-ez-input" and ezafe_source == "predicted"
     if predicted and not args.ezafe_model:
         raise UsageError("--task pos-ez-input with predicted flags requires --ezafe-model")
@@ -240,6 +241,12 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _option(p: argparse.ArgumentParser, flag: str, default, help: str) -> None:
+    """A flag of default's type; default is the config class field (or
+    module constant) that holds the setting's default, named in the help."""
+    p.add_argument(flag, type=type(default), default=default, help=help + " (default %(default)s)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pertcrf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -247,14 +254,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", help="shuffle a corpus and write train/valid/test files")
     p.add_argument("input", help="corpus file in canonical 3-column TSV")
     p.add_argument("--out-dir", required=True, help="directory for train.tsv/valid.tsv/test.tsv")
-    p.add_argument("--seed", type=int, default=17, help="shuffle seed (default 17)")
-    p.add_argument("--test", type=float, default=0.1, help="test fraction (default 0.1)")
-    p.add_argument("--valid", type=float, default=0.1, help="validation fraction (default 0.1)")
-    p.add_argument(
-        "--max-len",
-        type=int,
-        default=512,
-        help="drop sentences longer than this after splitting; 0 disables (default 512)",
+    _option(p, "--seed", SplitSpec.seed, "shuffle seed")
+    _option(p, "--test", SplitSpec.test_fraction, "test fraction")
+    _option(p, "--valid", SplitSpec.valid_fraction, "validation fraction")
+    _option(
+        p, "--max-len", MAX_SENTENCE_LEN, "drop sentences longer than this after splitting; 0 disables"
     )
     p.set_defaults(func=cmd_split)
 
@@ -266,15 +270,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic corpus from a process spec")
     p.add_argument("--spec", required=True, help="process spec file")
     p.add_argument("--sentences", type=int, required=True, help="number of sentences")
-    p.add_argument("--seed", type=int, default=17, help="generation seed (default 17)")
+    _option(p, "--seed", SplitSpec.seed, "generation seed")
     p.add_argument("--out", required=True, help="output corpus file")
-    p.add_argument("--min-len", type=int, default=3, help="minimum sentence length (default 3)")
-    p.add_argument("--max-len", type=int, default=40, help="maximum sentence length (default 40)")
-    p.add_argument(
-        "--continue-prob",
-        type=float,
-        default=0.85,
-        help="geometric length continuation probability (default 0.85)",
+    _option(p, "--min-len", GeometricLength.min_len, "minimum sentence length")
+    _option(p, "--max-len", GeometricLength.max_len, "maximum sentence length")
+    _option(
+        p, "--continue-prob", GeometricLength.continue_prob, "geometric length continuation probability"
     )
     p.set_defaults(func=cmd_synth)
 
@@ -285,18 +286,16 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--template", default="crf1", choices=("crf1", "crf2"), help="feature template (default crf1)"
     )
-    p.add_argument("--l1", type=float, default=0.1, help="L1 coefficient (default 0.1)")
-    p.add_argument("--l2", type=float, default=0.1, help="L2 coefficient (default 0.1)")
-    p.add_argument("--max-iter", type=int, default=100, help="iteration cap (default 100)")
-    p.add_argument(
-        "--eval-every", type=int, default=10, help="validate every N iterations (default 10)"
-    )
-    p.add_argument("--min-count", type=int, default=1, help="feature count cutoff (default 1)")
+    _option(p, "--l1", TrainConfig.l1, "L1 coefficient")
+    _option(p, "--l2", TrainConfig.l2, "L2 coefficient")
+    _option(p, "--max-iter", TrainConfig.max_iterations, "iteration cap")
+    _option(p, "--eval-every", ExperimentConfig.eval_every, "validate every N iterations")
+    _option(p, "--min-count", TrainConfig.min_count, "feature count cutoff")
     p.add_argument("--ezafe-model", help="trained ezafe model (pos-ez-input with predicted flags)")
     p.add_argument(
         "--ezafe-source",
         choices=tasks.EZAFE_SOURCES,
-        help="where pos-ez-input training flags come from (default predicted)",
+        help=f"where pos-ez-input training flags come from (default {ExperimentConfig.ezafe_source})",
     )
     p.add_argument("--out", required=True, help="model output file")
     p.add_argument("--log", help="also write the training log here")

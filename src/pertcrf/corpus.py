@@ -29,9 +29,6 @@ import numpy as np
 from . import features
 from .rng import SplitMix64, check_seed
 
-DEFAULT_SEED = 17
-DEFAULT_TEST_FRACTION = 0.1
-DEFAULT_VALID_FRACTION = 0.1
 MAX_SENTENCE_LEN = 512
 # parse_corpus splits the text into lines this many characters at a time,
 # so that the lists of lines and cells it makes stay small at any size.
@@ -248,9 +245,9 @@ class Corpus:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    seed: int = DEFAULT_SEED
-    test_fraction: float = DEFAULT_TEST_FRACTION
-    valid_fraction: float = DEFAULT_VALID_FRACTION
+    seed: int = 17
+    test_fraction: float = 0.1
+    valid_fraction: float = 0.1
 
     def __post_init__(self):
         check_seed(self.seed)

@@ -165,6 +165,9 @@ class CrfModel:
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "emission", weights[:F])
 
+    def __reduce__(self):  # through __post_init__: one padded matrix, and emission its view
+        return CrfModel, (self.labels, self.feature_index, self.emission, self.transition, self.template)
+
 
 def _padded(w_e: np.ndarray) -> np.ndarray:
     """A new (F+1, L) float64 matrix: the (F, L) w_e, then a zero row."""

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import crf, features
-from .corpus import Corpus, check_token_rule, read_corpus_file, whitespace_free
+from .corpus import Corpus, SplitSpec, check_token_rule, read_corpus_file, whitespace_free
 from .crf import CrfModel, TrainConfig
 from .features import Batch, FeatureTemplate
 from .metrics import (
@@ -53,7 +53,6 @@ from .rng import check_seed
 TASKS = ("ezafe", "pos", "pos-ez-input", "joint")
 EZAFE_SOURCES = ("gold", "predicted")
 JOINT_SEP = "|"
-DEFAULT_EVAL_EVERY = 10
 
 
 class ConfigError(ValueError):
@@ -71,8 +70,8 @@ class ExperimentConfig:
     out_path: str | None = None
     ezafe_model_path: str | None = None
     ezafe_source: str = "predicted"
-    eval_every: int = DEFAULT_EVAL_EVERY
-    seed: int = 17
+    eval_every: int = 10
+    seed: int = SplitSpec.seed  # the split seed that the reports name
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -489,7 +488,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     # Keys that the task would not read are refused, not ignored.
     if "ezafe_source" in values and task != "pos-ez-input":
         raise ConfigError(f"ezafe_source is read only by task pos-ez-input, not {task}")
-    predicted = task == "pos-ez-input" and values.get("ezafe_source", "predicted") == "predicted"
+    ezafe_source = values.get("ezafe_source", ExperimentConfig.ezafe_source)
+    predicted = task == "pos-ez-input" and ezafe_source == "predicted"
     if predicted and not values.get("ezafe_model"):
         raise ConfigError("task pos-ez-input with ezafe_source = predicted needs ezafe_model")
     try:
@@ -499,20 +499,21 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    def number(key: str, default, conv):
-        if key not in values:
-            return default
+    def number(key: str, conv):
         try:
             return conv(values[key])
         except ValueError:
             raise ConfigError(f"bad value for {key}: {values[key]!r}") from None
 
+    def given(**fields: tuple[str, Callable]) -> dict:
+        """Each field = (key, type) whose key the file sets, read as its
+        type; the config classes hold the defaults of the others."""
+        return {name: number(key, conv) for name, (key, conv) in fields.items() if key in values}
+
     try:
         train_config = TrainConfig(
-            l1=number("l1", 0.1, float),
-            l2=number("l2", 0.1, float),
-            max_iterations=number("max_iter", 100, int),
-            min_count=number("min_count", 1, int),
+            **given(l1=("l1", float), l2=("l2", float)),
+            **given(max_iterations=("max_iter", int), min_count=("min_count", int)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -525,9 +526,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         test_path=values["test"],
         out_path=values.get("out") or None,
         ezafe_model_path=values.get("ezafe_model"),
-        ezafe_source=values.get("ezafe_source", "predicted"),
-        eval_every=number("eval_every", DEFAULT_EVAL_EVERY, int),
-        seed=number("seed", 17, int),
+        ezafe_source=ezafe_source,
+        **given(eval_every=("eval_every", int), seed=("seed", int)),
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,11 +8,14 @@ from pathlib import Path
 import pytest
 
 from conftest import assert_same_text
-from pertcrf import crf, features
-from pertcrf.cli import main
-from pertcrf.corpus import Token, Corpus, parse_corpus, write_corpus
-from pertcrf.datagen import generate, random_spec, tuned_ezafe_spec, write_hmm_spec
+from pertcrf import cli, crf, features
+from pertcrf.cli import build_parser, main
+from pertcrf.corpus import MAX_SENTENCE_LEN, SplitSpec, Token, Corpus, parse_corpus, write_corpus
+from pertcrf.crf import TrainConfig
+from pertcrf.datagen import GeometricLength, generate, random_spec, tuned_ezafe_spec, write_hmm_spec
+from pertcrf.features import FeatureTemplate
 from pertcrf.rng import SplitMix64
+from pertcrf.tasks import ExperimentConfig, parse_experiment_config
 
 
 def small_corpus(n_sentences, seed):
@@ -86,6 +90,12 @@ class TestSplit:
         out_dir = tmp_path / "x"
         assert main(["split", str(corpus_file), "--out-dir", str(out_dir), "--seed", seed]) == 1
         assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_max_len_usage_error(self, tmp_path, corpus_file, capsys):
+        out_dir = tmp_path / "x"
+        assert main(["split", str(corpus_file), "--out-dir", str(out_dir), "--max-len", "-1"]) == 1
+        assert "--max-len must be 0 (disabled) or positive" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_largest_seed_splits(self, tmp_path, corpus_file):
@@ -338,6 +348,12 @@ class TestEvalAndTag:
         model.write_text("PERTCRF v1 CRF1 1 -1\na\n", encoding="utf-8")
         assert main(["eval", str(model), str(corpus_file)]) == 2
         assert "malformed header counts" in capsys.readouterr().err
+
+    def test_eval_empty_model_is_data_error(self, tmp_path, corpus_file, capsys):
+        model = tmp_path / "empty.crf"
+        model.write_text("", encoding="utf-8")
+        assert main(["eval", str(model), str(corpus_file)]) == 2
+        assert "pertcrf: error: empty model file" in capsys.readouterr().err
 
     def test_eval_ezafe_model_for_model_without_ezafe_input_is_usage_error(
         self, tmp_path, corpus_file, ezafe_model_path, capsys
@@ -599,6 +615,78 @@ class TestLineEndings:
         assert main(["synth", "--spec", str(path), "--sentences", "5", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+EXPERIMENT = ExperimentConfig(task="ezafe", template=FeatureTemplate(id="CRF1"))
+
+# Each setting's default as its config class (or module constant) holds it,
+# by subcommand and flag. --ezafe-source has no parser default: train
+# resolves an unset one through ExperimentConfig.ezafe_source.
+CLASS_DEFAULTS = {
+    ("split", "--seed"): SplitSpec().seed,
+    ("split", "--test"): SplitSpec().test_fraction,
+    ("split", "--valid"): SplitSpec().valid_fraction,
+    ("split", "--max-len"): MAX_SENTENCE_LEN,
+    ("synth", "--seed"): SplitSpec().seed,
+    ("synth", "--min-len"): GeometricLength().min_len,
+    ("synth", "--max-len"): GeometricLength().max_len,
+    ("synth", "--continue-prob"): GeometricLength().continue_prob,
+    ("train", "--l1"): TrainConfig().l1,
+    ("train", "--l2"): TrainConfig().l2,
+    ("train", "--max-iter"): TrainConfig().max_iterations,
+    ("train", "--min-count"): TrainConfig().min_count,
+    ("train", "--eval-every"): EXPERIMENT.eval_every,
+    ("train", "--ezafe-source"): EXPERIMENT.ezafe_source,
+}
+
+
+def flags(command: str):
+    """(subcommand, flag) and the argparse action of each flag of command."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return [((command, a.option_strings[-1]), a) for a in sub._actions if a.option_strings]
+
+
+COMMANDS = ["split", "stats", "synth", "train", "tag", "eval", "experiment"]
+
+
+class TestDefaults:
+    def test_parser_defaults_are_the_class_defaults(self):
+        for command in COMMANDS:
+            for key, action in flags(command):
+                if key in CLASS_DEFAULTS and key[1] != "--ezafe-source":
+                    value = CLASS_DEFAULTS[key]
+                    assert action.default == value and type(action.default) is type(value), key
+                elif action.default not in (None, argparse.SUPPRESS):
+                    # No other flag holds a setting of a config class.
+                    assert key == ("train", "--template"), key
+        assert ExperimentConfig.seed == SplitSpec.seed
+
+    def test_front_ends_apply_the_class_defaults(self):
+        flags = ["train", "t", "v", "--task", "pos-ez-input", "--ezafe-model", "m", "--out", "o"]
+        from_flags = cli._experiment_config_from_args(build_parser().parse_args(flags))
+        from_file = parse_experiment_config(
+            "task = pos-ez-input\ntemplate = crf1\ntrain = t\nvalid = v\ntest = c\nezafe_model = m\n"
+        )
+        for cfg in (from_flags, from_file):
+            assert cfg.train_config == TrainConfig()
+            assert cfg.eval_every == EXPERIMENT.eval_every
+            assert cfg.ezafe_source == EXPERIMENT.ezafe_source
+            assert cfg.seed == SplitSpec().seed
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_renders_the_class_defaults(self, command, capsys):
+        # argparse %-formats each help string only when help is asked for.
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"])
+        assert e.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for key, action in flags(command):
+            if key in CLASS_DEFAULTS:
+                metavar = "{" + ",".join(action.choices) + "}" if action.choices else action.dest.upper()
+                shown = action.help % {"default": CLASS_DEFAULTS[key]}
+                assert shown.endswith(f" (default {CLASS_DEFAULTS[key]})"), key
+                assert f"{key[1]} {metavar} {shown}" in text, key
 
 
 class TestUsage:

@@ -369,6 +369,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="empty part"):
             shuffle_split(c, SplitSpec(seed=1, test_fraction=0.1, valid_fraction=0.1))
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_sentences_rejected(self, n):
+        c = make_corpus(*[[(f"w{i}", "N", 0)] for i in range(n)])
+        with pytest.raises(ValueError, match="at least 3 sentences"):
+            shuffle_split(c, SplitSpec(test_fraction=0.34, valid_fraction=0.33))
+
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(test_fraction=0.6, valid_fraction=0.5)
@@ -391,6 +397,11 @@ class TestFilterLong:
     def test_exactly_512_kept(self):
         c = make_corpus([(f"w{i}", "N", 0) for i in range(512)])
         assert filter_long(c, 512).n_sentences == 1
+
+    def test_max_len_below_one_rejected(self):
+        c = make_corpus([("a", "N", 0)])
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            filter_long(c, 0)
 
 
 class TestShannon:

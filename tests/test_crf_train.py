@@ -1,4 +1,5 @@
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -810,6 +811,36 @@ class TestModelIO:
         labels = ("N\u200cEZ", "V\u200b\u2060")
         text = f"PERTCRF v1 CRF1 2 0\n{labels[0]}\t{labels[1]}\nT\t{labels[0]}\t0.0\t0.0\nT\t{labels[1]}\t0.0\t0.0\n"
         assert load_model(text).labels == labels
+
+    def test_pickle_round_trip_keeps_one_padded_matrix(self):
+        # A model crosses a process boundary by pickle, so the copy must
+        # hold its weights as the constructor does: once, read-only, with
+        # emission a view of the padded matrix that decode reads.
+        model, batch = self.trained()
+        restored = pickle.loads(pickle.dumps(model))
+        F, L = model.emission.shape
+        assert restored._weights.shape == (F + 1, L) and not restored._weights[F].any()
+        assert restored.emission.base is restored._weights
+        for array in (restored.emission, restored._weights, restored.transition):
+            assert not array.flags.writeable
+        assert save_model(restored) == save_model(model)
+        sentences = [feats for feats, _ in batch]
+        assert decode_keys(restored, sentences) == decode_keys(model, sentences)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("", "^empty model file$"),
+            ("PERTCRF v1 CRF1 2 0\na\nT\ta\t0.0\t0.0\nT\tb\t0.0\t0.0\n", "^expected 2 labels, got 1$"),
+            (
+                "PERTCRF v1 CRF1 2 0\na\tb\nT\tb\t0.0\t0.0\nT\ta\t0.0\t0.0\n",
+                "^transition row 0 names 'b', expected 'a'$",
+            ),
+        ],
+    )
+    def test_malformed_file_named(self, text, error):
+        with pytest.raises(ModelFormatError, match=error):
+            load_model(text)
 
     def test_unsupported_version(self):
         with pytest.raises(ModelFormatError, match="unsupported version"):
