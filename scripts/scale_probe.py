@@ -15,7 +15,13 @@ tracemalloc for the bytes they allocate at their peak beyond those held
 before them (encode_peak_mb), and one evaluation of the training
 objective at x = 0 (the minimum of 3), over the parameters that
 `crf.train` fits: the (feature, label) pairs seen in the corpus, then the
-transitions. One more evaluation runs under tracemalloc for the bytes it
+transitions. eval_split parts the evaluation at x = 0 and one at the
+last iterate of the run below (each the fastest of 3) into emission
+scoring (`crf._emissions`), forward-backward (`crf._sum_product`), the
+expected-count scatter (the objective's `_counts` calls) and the rest,
+beside the stride of the steps that forward-backward normalizes there
+(every): at x = 0 the transition span is 0 and the stride at its
+largest. One more evaluation runs under tracemalloc for the bytes it
 allocates at its peak beyond those held before it (eval_peak_mb); the
 objective's own held state, the bytes of the distinct buffers that it
 keeps beyond the encoded corpus it reads (objective_state_mb), is counted
@@ -138,6 +144,43 @@ def timed(fn):
     return result, time.perf_counter() - started
 
 
+def split_eval(objective, x: np.ndarray) -> dict:
+    """The fastest of REPEATS evaluations of objective at x, in seconds,
+    whole (eval_s) and in parts: emission scoring, forward-backward, the
+    expected-count scatter, and the rest; with the stride of the steps that
+    forward-backward normalizes at x."""
+    parts = {"emissions_s": 0.0, "forward_backward_s": 0.0, "scatter_s": 0.0}
+    wrapped = [(crf, "_emissions", "emissions_s"), (crf, "_sum_product", "forward_backward_s"),
+               (crf._Objective, "_counts", "scatter_s")]
+
+    def timer(fn, key):
+        def run(*a, **kw):
+            result, seconds = timed(lambda: fn(*a, **kw))
+            parts[key] += seconds
+            return result
+        return run
+
+    originals = [getattr(owner, name) for owner, name, _ in wrapped]
+    for (owner, name, key), fn in zip(wrapped, originals):
+        setattr(owner, name, timer(fn, key))
+    best = None
+    try:
+        for _ in range(REPEATS):
+            parts.update(dict.fromkeys(parts, 0.0))
+            _, eval_s = timed(lambda: objective(x))
+            if best is None or eval_s < best["eval_s"]:
+                best = {"eval_s": eval_s, **parts}
+    finally:
+        for (owner, name, _), fn in zip(wrapped, originals):
+            setattr(owner, name, fn)
+    best["other_s"] = best["eval_s"] - sum(best[key] for key in parts)
+    out = {key: round(value, 6) for key, value in best.items()}
+    # A checkout without crf._normalize_every normalizes every step.
+    stride = getattr(crf, "_normalize_every", lambda span, n_labels: 1)
+    out["every"] = stride(float(np.ptp(objective.transitions(x))), objective.L)
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--tokens", type=int, required=True, help="minimum corpus size in tokens")
@@ -185,6 +228,7 @@ def main() -> None:
     P = len(objective.cells)
     x = np.zeros(objective.size)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
+    split_zero = split_eval(objective, x)
     tracemalloc.start()
     held = tracemalloc.get_traced_memory()[0]
     objective(x)
@@ -221,6 +265,7 @@ def main() -> None:
     its = max(iterations, 1)
     iteration_s = (step_s - first_eval_s) / its
     direction_s = counted["direction_s"] / its
+    split_last = split_eval(objective, result.x)
     model = crf.CrfModel(
         labels=labels,
         feature_index=index,
@@ -264,6 +309,8 @@ def main() -> None:
         "encode_peak_mb": round(encode_peak_mb, 2),
         "encoded_bytes_per_token": round(encoded_bytes / corpus.n_tokens, 1),
         "eval_s": round(min(evals), 4),
+        "eval_last_s": split_last["eval_s"],
+        "eval_split": {"zero": split_zero, "last": split_last},
         "eval_peak_mb": round(eval_peak_mb, 2),
         "objective_state_mb": round(objective_state_mb, 2),
         "peak_rss_mb": peak_rss_mb,

@@ -45,31 +45,56 @@ weights in ascending cell order (f * L + label), then the transitions,
 and every other emission weight stays exactly 0.0. Models and their files
 still hold every one of the F * L emission cells.
 
-Scaling. Training runs sum-product in the exp domain with per-step
-normalisation (Rabiner 1989, section V.A): P = exp(em - row max),
-E = exp(trans - max(trans)), alpha_t = (alpha_{t-1} @ E) * P_t divided by
-its sum c_t, and beta_t = E @ (P_{t+1} beta_{t+1} / c_{t+1}), 1 at a
-sentence's last row. Unary posteriors are alpha * beta, expected
-transitions E * (alpha[prev]^T @ (P beta / c)[cur]), and
+Scaling. Training runs sum-product in the exp domain with scaling
+(Rabiner 1989, section V.A), which allows any positive normalisers c_t so
+long as forward and backward share them: P = exp(em - row max),
+E = exp(trans - max(trans)), alpha_t = (alpha_{t-1} @ E) * P_t, divided by
+its sum c_t on the steps t that a stride k divides (step 0 among them) and
+kept as it is, with c_t = 1, on the others; and
+beta_t = E @ (P_{t+1} beta_{t+1} / c_{t+1}). On the last row of each
+sentence, whose alpha sums to s (taken as 1 where that row was
+normalized), beta is 1 / s and s is folded into c, so that
+alpha * beta are the unary posteriors, expected transitions are
+E * (alpha[prev]^T @ (P beta / c)[cur]) with c the normaliser of the
+step, not the folded one, and
 log Z = sum log c + sum row max + (positions - sentences) * max(trans).
-A _Plan holds, for one _Layout, the buffers P, alpha, beta and c and the
-views into them of every step of the layout's spans; training builds one
-per objective and datagen.bayes_decode one per block. The backward pass
-leaves P beta / c in P's rows after step 0, where the expected
-transitions read it.
+The objective picks k on every evaluation from the transition span
+(_normalize_every); datagen.bayes_decode keeps k = 1, where results are
+those of normalizing every step, bit for bit. A step makes 4 numpy calls,
+a product and a matmul each way, and a normalized step 3 more: the row sum
+and the division going forward, the division going back. A _Plan holds,
+for one _Layout, the buffers P, alpha, beta and c and the views into them
+of every step of the layout's spans; training builds one per objective
+and datagen.bayes_decode one per block. The backward pass leaves P beta /
+c (P beta on the steps it does not normalize) in P's rows after step 0,
+where the expected transitions read it.
 
 Span bound. With span = max(trans) - min(trans), E lies in
-[exp(-span), 1]. Each alpha_t sums to 1 and each P_t peaks at 1, so
-c_t >= exp(-span) / L. The alpha-weighted mean of beta_t is 1 and two
-rows of E differ by at most a factor exp(span), so beta <= exp(span) and
-P beta / c <= L exp(2 span); each term alpha(i) (P beta / c)(j) of the
-expected-transition product is a pairwise marginal over E_ij, so at most
-exp(span), and their sum over N rows at most N exp(span). All of these
-stay finite, and c far above the smallest normal
-float, when 2 span + log L < log(largest float64) ~ 709.78: spans up to
-~354 for L = 2. Wider spans raise TransitionSpanError instead of returning
-NaN, and the optimizer's line search backtracks from them. Viterbi (log
-scores) and datagen.bayes_decode (probabilities; raises if c = 0) have none.
+[exp(-span), 1], and each P_t peaks at 1, so a step multiplies the sum of
+an alpha row by a factor in [exp(-span), L]. After a normalized row (sum
+1), the next k - 1 rows sum to between exp(-(k-1) span) and L^(k-1), and
+the k-th, before its division, to its c, between exp(-k span) and L^k;
+step 0's c lies in [1, L]. The posteriors sum to 1, so
+sum(alpha_t * beta_t) = 1 on every row, and two entries of beta_t differ
+by at most a factor exp(span), as two rows of E do (a last row's beta is
+constant). So beta_t lies between exp(-span) / L^(k-1) and
+exp(span) / sum(alpha_t) <= exp(k span), 1 / s <= exp((k-1) span), P beta
+<= exp(k span) where a step is not normalized, and P beta / c <=
+exp(span) / c <= exp((k+1) span) where it is. Each term alpha(i)
+(P beta / c)(j) of the expected-transition product is a pairwise marginal
+over E_ij, so at most exp(span), and their sum over N rows at most
+N exp(span). Every stored value and normaliser thus lies inside
+exp(+-B), B = (k+1) span + k log L, and _normalize_every takes the
+largest k with B <= _LOG_MAX / 2 ~ 354.9 (the log of the largest float64
+over 2): a product of two stored values stays finite, normalisers stay
+far above the smallest normal float, and an entry of an alpha row goes
+subnormal only below exp(-354) times its row's sum, a share that no
+posterior or count can show. Where even k = 2 passes that bound, k = 1
+and B = 2 span + log L, and all of these stay finite, and c far above
+the smallest normal float, when B < _LOG_MAX: spans up to ~354 for L = 2.
+Wider spans raise TransitionSpanError instead of returning NaN, and the
+optimizer's line search backtracks from them. Viterbi (log scores) and
+datagen.bayes_decode (probabilities; raises if c = 0) have none.
 
 Decoding. _viterbi runs max-product over a _Layout in log scores and
 keeps only each row's best scores (deltas), no back-pointer array; the
@@ -93,6 +118,7 @@ back-pointer kernel: ties break toward the lower label.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -360,49 +386,76 @@ class _Plan:
     """The buffers of sum-product over one packed layout with L labels, and
     the views of every step that it reads and writes: P (N, L), which the
     caller fills with exp-domain emissions; alpha and beta (N, L); c (N,).
-    beta holds 1 from the start, and no step writes the rows where a
-    sentence ends, so they stay 1."""
+    Each step's views come with its index t. No step writes beta's rows
+    where a sentence ends: _sum_product sets them on every call, from ends
+    and end_steps, the last row of each sentence and its step."""
 
     def __init__(self, layout: _Layout, n_labels: int):
         n = len(layout.row)
         self.P = np.empty((n, n_labels))
         self.alpha = np.empty((n, n_labels))
-        self.beta = np.ones((n, n_labels))
+        self.beta = np.empty((n, n_labels))
         self.c = np.empty(n)
         self.S = layout.S
+        self.ends = layout.ends
+        self.end_steps = layout.steps.searchsorted(layout.ends, "right") - 1
         self._forward, self._backward = [], []
-        for a, b, p in layout.spans:
+        for t, (a, b, p) in enumerate(layout.spans, 1):
             prev = slice(p, p + b - a)
             norm = self.c[a:b]
-            self._forward.append((self.alpha[prev], self.alpha[a:b], self.P[a:b], norm, norm[:, None]))
-            self._backward.append((self.P[a:b], self.beta[a:b], norm[:, None], self.beta[prev]))
+            self._forward.append((t, self.alpha[prev], self.alpha[a:b], self.P[a:b], norm, norm[:, None]))
+            self._backward.append((t, self.P[a:b], self.beta[a:b], norm[:, None], self.beta[prev]))
         self._backward.reverse()
 
 
-def _sum_product(plan: _Plan, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize_every(span: float, n_labels: int) -> int:
+    """The stride k of the steps whose alpha _sum_product normalizes for
+    transitions of this span over n_labels labels: the largest k with
+    (k + 1) span + k log L <= _LOG_MAX / 2, and 1 when there is none (see
+    Span bound in the module docstring)."""
+    per_step = span + math.log(n_labels)
+    if per_step <= 0.0:  # one label and no span: no row ever moves from 1
+        return sys.maxsize
+    return max(1, int((_LOG_MAX / 2 - span) // per_step))
+
+
+def _sum_product(plan: _Plan, E: np.ndarray, every: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled forward and backward messages over a packed batch, from the
     exp-domain emissions in plan.P and transitions E (L, L), into the
-    plan's buffers. Returns (alpha, beta, c): each row of alpha sums to 1
-    after division by its normaliser c, beta is 1 on each sentence's last
-    row, and alpha * beta are the unary posteriors. The rows of P after
-    step 0 are left holding P beta / c, the pairwise factor of each row
-    with the row before it."""
-    S = plan.S
-    first, norm = plan.alpha[:S], plan.c[:S]
+    plan's buffers, normalizing alpha on the steps t that every divides
+    (step 0 among them). Returns (alpha, beta, c). A normalized row of
+    alpha sums to 1 after division by its normaliser c; every other row
+    has c = 1. On each sentence's last row, whose alpha sums to s, beta is
+    1 / s and c is multiplied by s, where s is taken as 1 on a normalized
+    row: alpha * beta are the unary posteriors, and log Z is the sum of
+    log c plus the shifts, for every stride. The rows of P after step 0
+    are left holding P beta / c on normalized steps and P beta on the
+    others, the pairwise factor of each row with the row before it."""
+    S, c = plan.S, plan.c
+    c.fill(1.0)
+    first, norm = plan.alpha[:S], c[:S]
     np.copyto(first, plan.P[:S])
     np.add.reduce(first, axis=1, out=norm)
     first /= norm[:, None]
-    for prev, cur, P, norm, scale in plan._forward:
-        np.matmul(prev, E, out=cur)
+    # np.dot gives np.matmul's bits here at less cost per call on these small blocks.
+    for t, prev, cur, P, norm, scale in plan._forward:
+        np.dot(prev, E, out=cur)
         cur *= P
-        np.add.reduce(cur, axis=1, out=norm)
-        cur /= scale
+        if t % every == 0:
+            np.add.reduce(cur, axis=1, out=norm)
+            cur /= scale
+    ends = plan.ends
+    s = np.add.reduce(plan.alpha[ends], axis=1)
+    s[plan.end_steps % every == 0] = 1.0
+    c[ends] *= s
+    plan.beta[ends] = (1.0 / s)[:, None]
     E_T = E.T
-    for P, beta, scale, out in plan._backward:
+    for t, P, beta, scale, out in plan._backward:
         P *= beta
-        P /= scale
-        np.matmul(P, E_T, out=out)
-    return plan.alpha, plan.beta, plan.c
+        if t % every == 0:
+            P /= scale
+        np.dot(P, E_T, out=out)
+    return plan.alpha, plan.beta, c
 
 
 # Float64 cells of the (from, rows, to) buffer of one Viterbi step: a step
@@ -463,7 +516,8 @@ class _Objective:
     position gathered from it into the plan's P (the matrix is dropped
     before forward-backward), each row's maximum (a column at a time,
     _row_maxima) taken out before exp, scaled forward-backward over the
-    packed layout, one product for the expected transitions, the unary
+    packed layout at the stride that the transition span allows
+    (_normalize_every), one product for the expected transitions, the unary
     posteriors in place (alpha *= beta), copied label-major into P, per
     label one bincount for the expected emission counts into its row of an
     (L, F+1) matrix, and one take of the vector's cells from that matrix.
@@ -572,9 +626,9 @@ class _Objective:
         shift = _row_maxima(P)
         P -= shift[:, None]
         np.exp(P, out=P)
-        alpha, beta, c = _sum_product(plan, E)
+        alpha, beta, c = _sum_product(plan, E, _normalize_every(span, L))
         log_z = float(np.log(c).sum()) + float(shift.sum()) + (len(P) - S) * top
-        exp_t = E * (alpha[self._prev].T @ P[S:])  # P[S:] holds P beta / c
+        exp_t = E * (alpha[self._prev].T @ P[S:])  # P[S:] holds the pairwise factors
         alpha *= beta  # unary posteriors
         unary = P.reshape(L, -1)  # P's buffer is free: the posteriors, label-major
         unary[...] = alpha.T

@@ -247,7 +247,13 @@ def bayes_decode(spec: HmmSpec, words: Sequence[str], offsets: Sequence[int] | N
 
 def _posterior_modes(spec: HmmSpec, obs: np.ndarray, offsets: np.ndarray, first: int) -> np.ndarray:
     """bayes_decode's state ids of the word ids obs, cut into sentences by
-    offsets, whose first sentence is sentence first of the corpus."""
+    offsets, whose first sentence is sentence first of the corpus.
+
+    Forward-backward normalizes every step here (crf._sum_product's
+    default stride, 1). The span bound that lets training skip steps rests
+    on rows of P that peak at 1 and an E bounded away from 0; here P holds
+    the spec's emission probabilities, not shifted by each row's maximum,
+    and the spec's transitions may be 0, so no stride above 1 is safe."""
     layout = _Layout(offsets)
     plan = _Plan(layout, len(spec.states))
     plan.P[...] = spec.emit.take(obs[layout.order], axis=1).T  # packed rows

@@ -11,13 +11,13 @@ inference, training, encoding, model-writing, metrics, parsing, sampling
 or optimizer paths. The string extractor
 is the reference for the key grammar and its order (see the
 pertcrf.features docstring). The exceptions run the package's packed
-layout and forward-backward (sum_product, a new plan per call) around
-their own kernels: loop_nll_and_gradient pins the emission and
-expected-count kernels bit for bit, adding one row or count at a time in
-their order, and ragged_nll_and_gradient keeps the ragged kernels that
-preceded the id matrix, which sum in key order. viterbi_reference is
-the packed Viterbi kernel that preceded crf._viterbi, kept to pin its
-paths and scores bit for bit.
+layout and forward-backward (sum_product, a new plan per call, at the
+objective's stride) around their own kernels: loop_nll_and_gradient pins
+the emission and expected-count kernels bit for bit, adding one row or
+count at a time in their order, and ragged_nll_and_gradient keeps the
+ragged kernels that preceded the id matrix, which sum in key order.
+viterbi_reference is the packed Viterbi kernel that preceded
+crf._viterbi, kept to pin its paths and scores bit for bit.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from pertcrf.corpus import Corpus, CorpusFormatError, Token, non_unix_line
-from pertcrf.crf import _Layout, _Plan, _sum_product as _crf_sum_product
+from pertcrf.crf import _Layout, _normalize_every, _Plan, _sum_product as _crf_sum_product
 from pertcrf.datagen import GeometricLength, HmmSpec, expected_ezafe_rate, random_spec
 from pertcrf.features import Encoded, FeatureIndex
 from pertcrf.rng import SplitMix64, substream
@@ -153,19 +153,31 @@ def position_ids(encoded, n_features):
     return [[i for i in column if i < n_features] for column in expanded_ids(encoded, n_features).T.tolist()]
 
 
-def sum_product(P, E, layout):
+def sum_product(P, E, layout, every=1):
     """crf._sum_product over a new plan for layout (a crf._Layout), from a
-    copy of the exp-domain emissions P, which stay as they are: (alpha,
-    beta, c)."""
+    copy of the exp-domain emissions P, which stay as they are, normalizing
+    every every-th step: (alpha, beta, c)."""
     plan = _Plan(layout, P.shape[1])
     plan.P[...] = P
-    return _crf_sum_product(plan, E)
+    return _crf_sum_product(plan, E, every)
+
+
+def divisors(c, layout, every):
+    """c on the rows of the steps that every divides, which crf._sum_product
+    normalizes, and 1 on the others: what the backward pass divides P beta
+    by, so that P beta / divisors is each row's pairwise factor."""
+    step = np.repeat(np.arange(len(layout.steps) - 1), np.diff(layout.steps))
+    return np.where(step % every == 0, c, 1.0)
 
 
 def _objective_rest(em, encoded, w_t, gold):
     """The objective's arithmetic after the emissions em (packed rows):
     (log Z, expected transitions, the unary posteriors in packed rows, the
-    empirical transition counts)."""
+    empirical transition counts). Forward-backward normalizes at the
+    objective's stride (crf._normalize_every of the transition span), and
+    its last-row scaling leaves beta = 1 / s and c times s on the last row
+    of each sentence, so the pairwise factor divides P beta by c only on
+    the normalized rows (divisors)."""
     layout = _Layout(encoded.offsets)
     steps, row = layout.steps, layout.row
     n, S = len(row), int(steps[1]) if len(steps) > 1 else 0
@@ -174,16 +186,17 @@ def _objective_rest(em, encoded, w_t, gold):
     P = em.copy()
     top = float(w_t.max())
     E = np.exp(w_t - top)
+    every = _normalize_every(top - float(w_t.min()), L)  # the objective's stride
     shift = P.max(axis=1)
     P -= shift[:, None]
     np.exp(P, out=P)
-    alpha, beta, c = sum_product(P, E, layout)
+    alpha, beta, c = sum_product(P, E, layout, every)
     log_z = float(np.log(c).sum()) + float(shift.sum()) + (n - S) * top
     sizes = np.diff(steps)
     prev = np.arange(S, n) - np.repeat(sizes[:-1], sizes[1:])
     right = P[S:]
     right *= beta[S:]
-    right /= c[S:, None]
+    right /= divisors(c, layout, every)[S:, None]
     exp_t = E * (alpha[prev].T @ right)
     unary = alpha * beta
     chained = np.ones(max(n - 1, 0), dtype=bool)

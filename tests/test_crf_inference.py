@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import decode_keys, flat, lattices
-from oracles import brute_log_z, brute_posteriors, brute_viterbi, encode_keys, sum_product, viterbi_reference
+from oracles import (
+    brute_log_z,
+    brute_posteriors,
+    brute_viterbi,
+    divisors,
+    encode_keys,
+    sum_product,
+    viterbi_reference,
+)
 from pertcrf import crf
 from pertcrf.crf import (
     CrfModel,
@@ -21,6 +29,9 @@ from pertcrf.crf import (
 from pertcrf.features import FeatureIndex, FeatureTemplate, batch, encode, index_and_encode
 
 CRF1 = FeatureTemplate(id="CRF1")
+# Strides of the steps that forward-backward normalizes: every step, every
+# other, every third, and none after step 0 (no sentence here is as long).
+EVERY = [1, 2, 3, 64]
 
 
 def tiny_model(emission, transition, labels=("a", "b"), features=("f1", "f2")):
@@ -49,27 +60,29 @@ def pack(ems):
     return packed, layout, [row[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
-def posteriors(ems, trans):
+def posteriors(ems, trans, every=1):
     """(log Z, unary (T, L), pairwise (T-1, L, L)) of each lattice, run as
-    one packed batch through the scaled kernel and expanded from its alpha,
-    beta and c with P = exp(em - row max) and E = exp(trans - max)."""
+    one packed batch through the scaled kernel, normalizing every every-th
+    step, and expanded from its alpha, beta and c with P = exp(em - row
+    max) and E = exp(trans - max)."""
     packed, layout, rows = pack([np.asarray(em, dtype=float) for em in ems])
     top = trans.max()
     E = np.exp(trans - top)
     shift = packed.max(axis=1)
     P = np.exp(packed - shift[:, None])
-    alpha, beta, c = sum_product(P, E, layout)
+    alpha, beta, c = sum_product(P, E, layout, every)
+    d = divisors(c, layout, every)
     out = []
     for r in rows:
         log_z = float(np.log(c[r]).sum() + shift[r].sum() + (len(r) - 1) * top)
-        right = P[r[1:]] * beta[r[1:]] / c[r[1:], None]
+        right = P[r[1:]] * beta[r[1:]] / d[r[1:], None]
         pairwise = alpha[r[:-1], :, None] * E * right[:, None, :]
         out.append((log_z, alpha[r] * beta[r], pairwise))
     return out
 
 
-def lattice_posteriors(em, trans):
-    return posteriors([em], np.asarray(trans, dtype=float))[0]
+def lattice_posteriors(em, trans, every=1):
+    return posteriors([em], np.asarray(trans, dtype=float), every)[0]
 
 
 def best_path(em, trans):
@@ -97,23 +110,27 @@ class TestForwardBackward:
     @given(lattices())
     def test_forward_matches_enumeration(self, lat):
         em, trans = lat
-        log_z, _, _ = lattice_posteriors(em, trans)
         expected = brute_log_z(em, trans)
-        assert abs(log_z - expected) <= 1e-8 * max(1.0, abs(expected))
+        for every in EVERY:
+            log_z, _, _ = lattice_posteriors(em, trans, every)
+            assert abs(log_z - expected) <= 1e-8 * max(1.0, abs(expected))
 
     @given(lattices())
     def test_partition_agreement(self, lat):
         # log Z from the backward direction: position 0's scores times its
-        # betas, rescaled by every later step's normaliser and shifts.
+        # betas, rescaled by every later step's normaliser and shifts. Step
+        # 0 is normalized at every stride, and the last row's alpha sum is
+        # folded into its c.
         em, trans = lat
         T = len(em)
         top = trans.max()
         shift = em.max(axis=1)
         P = np.exp(em - shift[:, None])
-        alpha, beta, c = sum_product(P, np.exp(trans - top), one_sentence(T))
-        log_z = np.log(c).sum() + shift.sum() + (T - 1) * top
-        log_z_b = math.log(P[0] @ beta[0]) + shift.sum() + np.log(c[1:]).sum() + (T - 1) * top
-        assert abs(log_z - log_z_b) <= 1e-9 * max(1.0, abs(log_z))
+        for every in EVERY:
+            alpha, beta, c = sum_product(P, np.exp(trans - top), one_sentence(T), every)
+            log_z = np.log(c).sum() + shift.sum() + (T - 1) * top
+            log_z_b = math.log(P[0] @ beta[0]) + shift.sum() + np.log(c[1:]).sum() + (T - 1) * top
+            assert abs(log_z - log_z_b) <= 1e-9 * max(1.0, abs(log_z))
 
     @given(lattices())
     def test_shift_invariance(self, lat):
@@ -143,21 +160,23 @@ class TestMarginals:
     @given(lattices())
     def test_normalization_and_consistency(self, lat):
         em, trans = lat
-        _, unary, pairwise = lattice_posteriors(em, trans)
-        assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
-        if len(pairwise):
-            assert np.allclose(pairwise.sum(axis=(1, 2)), 1.0, atol=1e-9)
-            assert np.allclose(pairwise.sum(axis=2), unary[:-1], atol=1e-8)
-            assert np.allclose(pairwise.sum(axis=1), unary[1:], atol=1e-8)
+        for every in EVERY:
+            _, unary, pairwise = lattice_posteriors(em, trans, every)
+            assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
+            if len(pairwise):
+                assert np.allclose(pairwise.sum(axis=(1, 2)), 1.0, atol=1e-9)
+                assert np.allclose(pairwise.sum(axis=2), unary[:-1], atol=1e-8)
+                assert np.allclose(pairwise.sum(axis=1), unary[1:], atol=1e-8)
 
     @given(lattices())
     @settings(max_examples=60)
     def test_matches_enumeration(self, lat):
         em, trans = lat
-        _, unary, pairwise = lattice_posteriors(em, trans)
         exp_unary, exp_pair = brute_posteriors(em, trans)
-        assert np.allclose(unary, exp_unary, atol=1e-8)
-        assert np.allclose(pairwise, exp_pair, atol=1e-8)
+        for every in EVERY:
+            _, unary, pairwise = lattice_posteriors(em, trans, every)
+            assert np.allclose(unary, exp_unary, atol=1e-8)
+            assert np.allclose(pairwise, exp_pair, atol=1e-8)
 
 
 class TestViterbi:
@@ -273,18 +292,21 @@ class TestPackedLayout:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_posteriors_match_oracle(self, seed):
+        # The kernel at each stride; the objective below picks its own.
         rng = np.random.default_rng(600 + seed)
         L = int(rng.integers(2, 4))
         lengths = [int(v) for v in rng.permutation(MIXED_LENGTHS)]
         ems = [rng.normal(0, 2.0, size=(T, L)) for T in lengths]
         trans = rng.normal(0, 2.0, size=(L, L))
-        expected_t = np.zeros((L, L))
-        for em, (log_z, unary, pairwise) in zip(ems, posteriors(ems, trans)):
-            exp_unary, exp_pair = brute_posteriors(em, trans)
-            assert abs(log_z - brute_log_z(em, trans)) <= 1e-8 * max(1.0, abs(log_z))
-            assert np.max(np.abs(unary - exp_unary)) <= 1e-8
-            assert np.max(np.abs(pairwise - exp_pair), initial=0.0) <= 1e-8
-            expected_t += exp_pair.sum(axis=0)
+        expected = [(brute_log_z(em, trans), *brute_posteriors(em, trans)) for em in ems]
+        for every in EVERY:
+            for (log_z, unary, pairwise), (exp_log_z, exp_unary, exp_pair) in zip(
+                posteriors(ems, trans, every), expected
+            ):
+                assert abs(log_z - exp_log_z) <= 1e-8 * max(1.0, abs(log_z))
+                assert np.max(np.abs(unary - exp_unary)) <= 1e-8
+                assert np.max(np.abs(pairwise - exp_pair), initial=0.0) <= 1e-8
+        expected_t = sum(exp_pair.sum(axis=0) for _, _, exp_pair in expected)
         # The objective's expected transitions, with one feature per
         # position whose weights are that position's emission scores and
         # gold labels all 0, so the empirical counts are (T-1) at (0, 0).

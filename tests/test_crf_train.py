@@ -462,6 +462,19 @@ def span_limit(L):
     return (math.log(np.finfo(np.float64).max) - math.log(L)) / 2
 
 
+def stride_bound(k, span, L):
+    """The bound that normalizing every k-th step keeps every stored value
+    within (see Span bound in the crf module docstring): it must not pass
+    half the log of the largest float64."""
+    return (k + 1) * span + k * math.log(L)
+
+
+def widest_span(k, L):
+    """The widest transition span at which the stride k keeps within the
+    bound for L labels."""
+    return (math.log(np.finfo(np.float64).max) / 2 - k * math.log(L)) / (k + 1)
+
+
 @pytest.mark.filterwarnings("error")
 class TestTransitionSpan:
     """The range guard of the scaled recursion (see the crf module
@@ -470,7 +483,7 @@ class TestTransitionSpan:
     NaN, inf or a floating-point warning."""
 
     @staticmethod
-    def problem(seed, L, span):
+    def problem(seed, L, span, alternating_lengths=(5,)):
         rng = np.random.default_rng(700 + seed)
         lengths = [int(v) for v in rng.permutation([1, 1, 2, 3, 6])]
         features, labels, batch, ids, x = oracle_problem(rng, lengths, L, scale=50.0)
@@ -481,13 +494,14 @@ class TestTransitionSpan:
         x[len(features) * L :] = trans.ravel()
         # f0 and f1 outweigh the span for labels 0 and 1, so that a sentence
         # alternating them crosses the costliest transitions at every step,
-        # where the normalisers fall to about exp(-span).
+        # where each step's alpha sum falls by about exp(-span).
         w_e = x[: len(features) * L].reshape(len(features), L)
         w_e[0], w_e[1] = 0.0, 0.0
         w_e[0, 0] = w_e[1, 1] = span + 50.0
-        alternating = [0, 1, 0, 1, 0]
-        batch.append(([[f"f{k}"] for k in alternating], [labels[k] for k in alternating]))
-        ids.append(([[k] for k in alternating], alternating))
+        for T in alternating_lengths:
+            alternating = [t % 2 for t in range(T)]
+            batch.append(([[f"f{k}"] for k in alternating], [labels[k] for k in alternating]))
+            ids.append(([[k] for k in alternating], alternating))
         return features, labels, batch, ids, x
 
     @pytest.mark.parametrize("L", [2, 3])
@@ -495,6 +509,31 @@ class TestTransitionSpan:
     def test_inside_bound_matches_oracle(self, seed, L):
         features, labels, batch, ids, x = self.problem(seed, L, span_limit(L) - 0.5)
         assert_matches_oracle(features, labels, batch, ids, x)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_strided_spans_match_oracle(self, k, L):
+        # At the widest span the stride k allows, alternating sentences of
+        # 3k + 1 and 3k + 2 positions end on a normalized step and on one
+        # in between. Unnormalized, the longer one's alpha sums would fall
+        # below the smallest float64 (exp(-745)) by its last step.
+        span = widest_span(k, L) - 1e-6
+        assert crf._normalize_every(span, L) == k
+        assert (3 * k + 1) * span > 745
+        features, labels, batch, ids, x = self.problem(k, L, span, alternating_lengths=(3 * k + 1, 3 * k + 2))
+        assert_matches_oracle(features, labels, batch, ids, x)
+
+    @pytest.mark.parametrize("L", [2, 3, 6, 30])
+    def test_stride_is_the_largest_the_bound_allows(self, L):
+        # k = 1 exactly where even k = 2 would pass the bound; beyond that,
+        # k keeps within it and k + 1 would not.
+        half = math.log(np.finfo(np.float64).max) / 2
+        for span in np.linspace(0.0, span_limit(L), 1001).tolist():
+            k = crf._normalize_every(span, L)
+            assert (k == 1) == (stride_bound(2, span, L) > half)
+            assert k == 1 or stride_bound(k, span, L) <= half
+            assert stride_bound(k + 1, span, L) > half
+        assert crf._normalize_every(0.0, 1) > 10**9  # one label: nothing grows
 
     @pytest.mark.parametrize("L", [2, 3, 30])
     def test_outside_bound_raises(self, L):

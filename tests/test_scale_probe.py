@@ -42,6 +42,18 @@ def test_tiny_configuration_reports_every_field():
         assert record[key] >= 0.0
     assert record["iterations"] == 2 and record["stop"] == "max_iterations"
     assert record["evals_per_iteration"] >= 1.0
+    # One evaluation at x = 0 and one at the last iterate, each in parts
+    # that sum to at most the whole; at x = 0 the transition span is 0, so
+    # the normalizing stride is at its largest.
+    split = record["eval_split"]
+    assert set(split) == {"zero", "last"}
+    for part in split.values():
+        assert set(part) == {"eval_s", "emissions_s", "forward_backward_s", "scatter_s", "other_s", "every"}
+        assert all(part[key] > 0.0 for key in ("eval_s", "emissions_s", "forward_backward_s", "scatter_s"))
+        assert part["emissions_s"] + part["forward_backward_s"] + part["scatter_s"] <= part["eval_s"] + 3e-6
+        assert part["every"] >= 1
+    assert split["zero"]["every"] >= split["last"]["every"]
+    assert record["eval_last_s"] == split["last"]["eval_s"]
     assert 0 < record["encode_peak_mb"] < record["peak_rss_mb"]
     assert 0 < record["eval_peak_mb"] < record["peak_rss_mb"]
     assert 0 < record["objective_state_mb"] < record["peak_rss_mb"]
