@@ -19,7 +19,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pertcrf.corpus import MAX_SENTENCE_LEN, SplitSpec, corpus_stats, filter_long, format_stats
-from pertcrf.corpus import read_corpus_file, shuffle_split
+from pertcrf.corpus import atomic_write, read_corpus_file, shuffle_split
 from pertcrf.crf import TrainConfig, save_model_file
 from pertcrf.features import FeatureTemplate
 from pertcrf.metrics import delta_report
@@ -28,10 +28,8 @@ from pertcrf.tasks import ExperimentConfig, run_experiment
 
 def save_reports(result, prefix):
     for split, report in (("valid", result.valid_report), ("test", result.test_report)):
-        with open(f"{prefix}.{split}.txt", "w", encoding="utf-8") as f:
-            f.write(report.to_text())
-        with open(f"{prefix}.{split}.json", "w", encoding="utf-8") as f:
-            f.write(report.to_json())
+        atomic_write(f"{prefix}.{split}.txt", report.to_text())
+        atomic_write(f"{prefix}.{split}.json", report.to_json())
 
 
 def headline(result):

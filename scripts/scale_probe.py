@@ -8,8 +8,8 @@ layers that training runs before and inside the optimizer:
 parsing the corpus text (and, in a separate traced parse, the bytes that
 the parsed corpus holds, from tracemalloc), indexing and encoding the
 corpus (the one pass of `tasks.fit`: `features.batch`, then
-`features.index_and_encode`, then the `crf._Layout` that `crf.train`
-builds; the gold label ids are the corpus's tag codes), then
+`features.index_and_encode`, whose encoding carries the batch's packed
+layout; the gold label ids are the corpus's tag codes), then
 `features.batch` and `features.index_and_encode` once more under
 tracemalloc for the bytes they allocate at their peak beyond those held
 before them (encode_peak_mb), and one evaluation of the training
@@ -23,10 +23,11 @@ beside the stride of the steps that forward-backward normalizes there
 (every): at x = 0 the transition span is 0 and the stride at its
 largest. One more evaluation runs under tracemalloc for the bytes it
 allocates at its peak beyond those held before it (eval_peak_mb); the
-objective's own held state, the bytes of the distinct buffers that it
-keeps beyond the encoded corpus it reads (objective_state_mb), is counted
-from its arrays, so unlike peak_rss_mb it does not move with the heap's
-layout. It then runs --iterations OWL-QN iterations from x = 0 with the
+objective's held state after its first evaluations, the bytes of the
+distinct buffers that it keeps beyond the encoded corpus's own arrays
+(objective_state_mb, the layout's among them), is counted from its
+arrays, so unlike peak_rss_mb it does not move with the heap's layout.
+It then runs --iterations OWL-QN iterations from x = 0 with the
 default penalties (l1 = l2 = 0.1), which gives the kind of model the ingest-ezafe benchmark saves: step_s is the whole run,
 the evaluation at x = 0 included; iteration_s is the mean accepted
 iteration after it, split into the L-BFGS direction (direction_s, the
@@ -208,26 +209,23 @@ def main() -> None:
     del text
     labels, gold = corpus.tag_inventory, corpus.tags
 
-    def encode():
-        index, encoded = features.index_and_encode(template, features.batch(corpus.forms, corpus.offsets))
-        return index, encoded, crf._Layout(encoded.offsets)
-
-    (index, encoded, layout), encode_s = timed(encode)
+    (index, encoded), encode_s = timed(
+        lambda: features.index_and_encode(template, features.batch(corpus.forms, corpus.offsets))
+    )
     tracemalloc.start()
     held = tracemalloc.get_traced_memory()[0]
     features.index_and_encode(template, features.batch(corpus.forms, corpus.offsets))
     encode_peak_mb = (tracemalloc.get_traced_memory()[1] - held) / 2**20
     tracemalloc.stop()
     F, L = len(index), len(labels)
-    arrays = [*vars(encoded).values(), layout.steps, layout.row, layout.order, layout.ends]
+    arrays = [*vars(encoded).values(), *vars(encoded.layout).values()]
     encoded_bytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    del layout  # the objective builds its own
     config = crf.TrainConfig()
     objective = crf._Objective(encoded, gold, F, L, config.l2)
-    objective_state_mb = held_mb(objective, encoded)
     P = len(objective.cells)
     x = np.zeros(objective.size)
     evals = [timed(lambda: objective(x))[1] for _ in range(REPEATS)]
+    objective_state_mb = held_mb(objective, encoded)
     split_zero = split_eval(objective, x)
     tracemalloc.start()
     held = tracemalloc.get_traced_memory()[0]
@@ -254,9 +252,7 @@ def main() -> None:
     optim._lbfgs_direction = timed_direction
     try:
         result, step_s = timed(
-            lambda: optim.minimize_owlqn(
-                counted_objective, x, l1=config.l1, max_iterations=args.iterations, tolerance=config.tolerance
-            )
+            lambda: optim.minimize_owlqn(counted_objective, x, l1=config.l1, max_iterations=args.iterations)
         )
     finally:
         optim._lbfgs_direction = direction

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 
 from . import crf, tasks
@@ -19,13 +18,13 @@ from .corpus import (
     MAX_SENTENCE_LEN,
     CorpusFormatError,
     SplitSpec,
+    atomic_write,
     corpus_stats,
     filter_long,
     format_stats,
     non_unix_line,
     read_corpus_file,
     shuffle_split,
-    write_corpus,
     write_corpus_file,
 )
 from .crf import ModelFormatError, TrainConfig, TransitionSpanError
@@ -47,23 +46,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    target = os.path.abspath(path)
-    parent = os.path.dirname(target)
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(target) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _template_from_args(args, ezafe_input: bool = False) -> FeatureTemplate:
@@ -93,7 +75,7 @@ def cmd_split(args) -> int:
     if args.max_len:
         train, valid, test = (filter_long(c, args.max_len) for c in (train, valid, test))
     for name, part in (("train", train), ("valid", valid), ("test", test)):
-        _atomic_write(os.path.join(args.out_dir, f"{name}.tsv"), write_corpus(part))
+        write_corpus_file(part, os.path.join(args.out_dir, f"{name}.tsv"))
     print(_counts_table({"train": train, "valid": valid, "test": test}))
     return 0
 
@@ -102,7 +84,7 @@ def cmd_stats(args) -> int:
     corpus = read_corpus_file(args.input)
     text = format_stats(corpus_stats(corpus))
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -120,7 +102,7 @@ def cmd_synth(args) -> int:
         raise UsageError(str(exc)) from None
     spec = read_hmm_spec_file(args.spec)
     corpus = generate(spec, args.sentences, args.seed, length_dist)
-    _atomic_write(args.out, write_corpus(corpus))
+    write_corpus_file(corpus, args.out)
     print(f"wrote {corpus.n_sentences} sentences / {corpus.n_tokens} tokens to {args.out}")
     return 0
 
@@ -164,7 +146,7 @@ def _print_log(log, best_iteration: int, stop: str, out_path: str | None) -> Non
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_path:
-        _atomic_write(out_path, text)
+        atomic_write(out_path, text)
 
 
 def cmd_train(args) -> int:
@@ -174,7 +156,7 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     train_flags, valid_flags = tasks.make_flags(cfg, [train_c, valid_c])
     model, log, best_it, stop, _ = tasks.fit(cfg, train_c, valid_c, train_flags, valid_flags)
-    _atomic_write(args.out, crf.save_model(model))
+    crf.save_model_file(model, args.out)
     _print_log(log, best_it, stop, args.log)
     print(f"model written to {args.out}", file=sys.stderr)
     print(f"wall_time_s\t{time.monotonic() - started:.1f}", file=sys.stderr)
@@ -191,14 +173,14 @@ def cmd_tag(args) -> int:
         raise CorpusFormatError(bad[1], bad[0])
     sentences = [forms for forms in map(str.split, text.split("\n")) if forms]
     tagged = tasks.pipeline_tag(sentences, ezafe_model, pos_model)
-    _atomic_write(args.out, write_corpus(tagged))
+    write_corpus_file(tagged, args.out)
     print(f"tagged {tagged.n_sentences} sentences to {args.out}")
     return 0
 
 
 def _write_report(report, prefix: str) -> None:
-    _atomic_write(prefix + ".txt", report.to_text())
-    _atomic_write(prefix + ".json", report.to_json())
+    atomic_write(prefix + ".txt", report.to_text())
+    atomic_write(prefix + ".json", report.to_json())
 
 
 def cmd_eval(args) -> int:
@@ -230,7 +212,7 @@ def cmd_experiment(args) -> int:
     result = tasks.run_experiment(cfg)
     _print_log(result.log, result.best_iteration, result.stop, None)
     if cfg.out_path:
-        _atomic_write(cfg.out_path, crf.save_model(result.model))
+        crf.save_model_file(result.model, cfg.out_path)
         prefix = cfg.out_path
         _write_report(result.valid_report, prefix + ".valid")
         _write_report(result.test_report, prefix + ".test")

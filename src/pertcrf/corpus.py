@@ -16,7 +16,10 @@ of forms that a model lacks stays with it.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -277,6 +280,24 @@ def non_unix_line(text: str) -> tuple[int, str] | None:
     return None
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Write text to path as UTF-8 with Unix newlines, through a temp file
+    in its directory (made if missing) that replaces path once written: a
+    failed write leaves path as it was and no temp file behind."""
+    target = os.path.abspath(path)
+    parent = os.path.dirname(target)
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, prefix=os.path.basename(target) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def parse_corpus(source: str | IO[str]) -> Corpus:
     """Parse canonical 3-column TSV text into a Corpus.
 
@@ -386,8 +407,7 @@ def read_corpus_file(path: str) -> Corpus:
 
 
 def write_corpus_file(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(write_corpus(corpus))
+    atomic_write(path, write_corpus(corpus))
 
 
 def shuffle_split(corpus: Corpus, spec: SplitSpec = SplitSpec()) -> tuple[Corpus, Corpus, Corpus]:

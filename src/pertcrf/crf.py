@@ -11,20 +11,24 @@ int32 matrix holding the feature id of each of the K slots that move
 along the window (w[-5..-1], w[1..5], then the ez slots) at each of the N
 positions; the type code of each position and a (J, T) table holding the
 ids of the J focus slots (w[0], then the affixes for CRF2) of each of the
-T form types; the ids of BOS and EOS (CRF2); and the sentence offsets.
-The sentinel F stands where a slot has no indexed key. Positions become
-packed rows in time-major order: sentences are sorted by length, longest
-first (a stable sort, so corpus order is kept among equal lengths), and
-step t holds, contiguously, position t of every sentence longer than t.
-Step t's rows are thus a prefix of step t-1's in sentence order, so the
-recursions make one pass per step over a block with no padding, and
-training and decoding share the layout, and so does datagen's sampler.
-_Layout is the one place its facts come from: the steps, each position's
-row, each row's corpus position, each sentence's last row, and each
-step's rows beside the rows their sentences held one step earlier. The
-encoding stays in corpus order: emissions gather it by each packed row's
-corpus position, and the expected counts scatter over it from posteriors
-put back in corpus order.
+T form types; the ids of BOS and EOS (CRF2); the sentence offsets; and
+their packed layout. The sentinel F stands where a slot has no indexed
+key. Positions become packed rows in time-major order: sentences are
+sorted by length, longest first (a stable sort, so corpus order is kept
+among equal lengths), and step t holds, contiguously, position t of every
+sentence longer than t. Step t's rows are thus a prefix of step t-1's in
+sentence order, so the recursions make one pass per step over a block
+with no padding, and training, decoding and datagen's sampler share the
+layout. features._Layout is the one place its facts come from: the steps,
+each position's row (intp), each row's corpus position, each sentence's
+last row and its step, each step's rows beside the rows their sentences
+held one step earlier, and each row's predecessor (prev, made on first
+use). A text's batch makes its layout once (features.Batch.layout), and
+every encoding of the batch carries it (Encoded.layout), so the
+objective, each checkpoint and every decode of one text read one layout.
+The encoding stays in corpus order: emissions gather it by each packed
+row's corpus position, and the expected counts scatter over it from
+posteriors put back in corpus order.
 
 Weights. Emission kernels read an (F+1, L) weight matrix whose last row
 is zero, so the sentinel adds nothing. A CrfModel owns one, and its
@@ -96,15 +100,15 @@ Wider spans raise TransitionSpanError instead of returning NaN, and the
 optimizer's line search backtracks from them. Viterbi (log scores) and
 datagen.bayes_decode (probabilities; raises if c = 0) have none.
 
-Decoding. _viterbi runs max-product over a _Layout in log scores and
-keeps only each row's best scores (deltas), no back-pointer array; the
-deltas overwrite the emissions, so a decode holds one (N, L) array. It
-reads each step's rows and their sentences' previous rows from the
-layout's spans, and where each sentence ends from its ends. A step adds
-the previous step's deltas, transposed, to the rows of trans in one
-(from, rows, to) buffer allocated once per call, takes np.maximum over
-its outer axis (from) into one more row of that buffer, then adds it to
-the step's emissions. A step with more rows than the buffer holds
+Decoding. decode runs _viterbi, max-product over the encoding's layout in
+log scores, which keeps only each row's best scores (deltas), no
+back-pointer array; the deltas overwrite the emissions, so a decode holds
+one (N, L) array. It reads each step's rows and their sentences' previous
+rows from the layout's spans, and where each sentence ends from its ends.
+A step adds the previous step's deltas, transposed, to the rows of trans
+in one (from, rows, to) buffer allocated once per call, takes np.maximum
+over its outer axis (from) into one more row of that buffer, then adds it
+to the step's emissions. A step with more rows than the buffer holds
 (_VITERBI_BLOCK float64 cells) runs over blocks of rows: the forward pass
 walks one list of blocks, the layout's spans as they are when no step
 exceeds the buffer (as at the benchmark's sizes), else the spans cut into
@@ -124,8 +128,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import non_unix_line
-from .features import Encoded, FeatureIndex, FeatureTemplate
+from .corpus import atomic_write, non_unix_line
+from .features import Encoded, FeatureIndex, FeatureTemplate, _Layout
 from .optim import DomainError, minimize_owlqn
 
 MODEL_MAGIC = "PERTCRF"
@@ -141,18 +145,15 @@ class TrainConfig:
     l1: float = 0.1
     l2: float = 0.1
     max_iterations: int = 100
-    tolerance: float = 1e-5
     min_count: int = 1  # features.index_and_encode keeps the keys seen this often
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.l1, self.l2, self.tolerance)):
-            raise ValueError("l1, l2 and tolerance must be finite")
+        if not all(math.isfinite(v) for v in (self.l1, self.l2)):
+            raise ValueError("l1 and l2 must be finite")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("regularization coefficients must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.min_count < 1:
             raise ValueError("min_count must be positive")
 
@@ -228,14 +229,9 @@ _LOG_MAX = math.log(np.finfo(np.float64).max)
 def decode(model: CrfModel, encoded: Encoded) -> np.ndarray:
     """The Viterbi label id (an index into model.labels) of every position
     of encoded (see features.encode), in corpus order, as intp, decoded in
-    one packed batch."""
-    return _decode(model, encoded, _Layout(encoded.offsets))
-
-
-def _decode(model: CrfModel, encoded: Encoded, layout: _Layout) -> np.ndarray:
-    """decode over layout, the _Layout of encoded.offsets, which models
-    that decode the same sentences can share."""
-    paths, _ = _viterbi(_emissions(encoded, layout, model._weights), model.transition, layout)
+    one packed batch over the encoding's layout."""
+    layout = encoded.layout
+    paths, _ = _viterbi(_emissions(encoded, model._weights), model.transition, layout)
     return paths.astype(np.intp)[layout.row]
 
 
@@ -266,36 +262,6 @@ def nll_and_gradient(
 # ---------------------------------------------------------------------------
 # The encoded corpus over the packed layout (see the module docstring).
 # Training and decoding share the layout and the emission kernel.
-
-
-class _Layout:
-    """The packed layout of the sentences that offsets cut a corpus into,
-    and the one place its facts are worked out (see Layout in the module
-    docstring): the steps, each row's corpus position, each position's row
-    and each sentence's last row. Sentences rank by length, longest first,
-    in corpus order among equal lengths; step t holds position t of each
-    sentence longer than t, in rank order."""
-
-    def __init__(self, offsets: np.ndarray):
-        lengths = offsets[1:] - offsets[:-1]
-        self.S = S = len(lengths)  # the rows of step 0, each sentence's first
-        by_rank = (-lengths).argsort(kind="stable")
-        alive = S - np.bincount(lengths).cumsum()[:-1]  # sentences longer than t
-        # The first row of each step, then the row count.
-        self.steps = np.concatenate([[0], alive.cumsum()])
-        # The corpus position of each row: row steps[t] + k holds position t
-        # of the sentence of rank k.
-        t = np.arange(len(alive)).repeat(alive)
-        k = np.arange(len(t)) - self.steps[:-1].repeat(alive)
-        self.order = (offsets[:-1][by_rank][k] + t).astype(np.intc)
-        # One (a, b, p) per step t >= 1: its rows a..b-1 continue the
-        # sentences at rows p..p+b-a-1, the first b-a rows of step t-1.
-        bounds = self.steps.tolist()
-        self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1]) for t in range(1, len(bounds) - 1)]
-        self.row = np.empty_like(self.order)  # of each position, in corpus order
-        self.row[self.order] = np.arange(len(self.order), dtype=self.order.dtype)
-        # The last row of each sentence, in rank order.
-        self.ends = self.row[offsets[1:][by_rank] - 1]
 
 
 def _sentence_groups(offsets: np.ndarray, size: int) -> list[tuple[int, int]]:
@@ -349,11 +315,10 @@ def _row_maxima(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _emissions(
-    encoded: Encoded, layout: _Layout, weights: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(positions, L) emission scores in packed rows, written into out when
-    given, from (F+1, L) weights whose last row is zero. The focus slots'
+def _emissions(encoded: Encoded, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(positions, L) emission scores in the packed rows of encoded.layout,
+    written into out when given, from (F+1, L) weights whose last row is
+    zero. The focus slots'
     rows of each type are summed once, in slot order. Each position sums
     its moving slots' rows in slot order, then adds its type's sum; last,
     BOS's row is added at each sentence's first row and EOS's at its last.
@@ -362,6 +327,7 @@ def _emissions(
     K, n = encoded.ids.shape
     J, T = encoded.focus.shape
     L = weights.shape[1]
+    layout = encoded.layout
     em = np.empty((n, L)) if out is None else out
     if J:
         typed = np.empty((T, L))
@@ -387,8 +353,9 @@ class _Plan:
     the views of every step that it reads and writes: P (N, L), which the
     caller fills with exp-domain emissions; alpha and beta (N, L); c (N,).
     Each step's views come with its index t. No step writes beta's rows
-    where a sentence ends: _sum_product sets them on every call, from ends
-    and end_steps, the last row of each sentence and its step."""
+    where a sentence ends: _sum_product sets them on every call, from the
+    layout's ends and end_steps, the last row of each sentence and its
+    step."""
 
     def __init__(self, layout: _Layout, n_labels: int):
         n = len(layout.row)
@@ -396,9 +363,7 @@ class _Plan:
         self.alpha = np.empty((n, n_labels))
         self.beta = np.empty((n, n_labels))
         self.c = np.empty(n)
-        self.S = layout.S
-        self.ends = layout.ends
-        self.end_steps = layout.steps.searchsorted(layout.ends, "right") - 1
+        self.layout = layout
         self._forward, self._backward = [], []
         for t, (a, b, p) in enumerate(layout.spans, 1):
             prev = slice(p, p + b - a)
@@ -431,7 +396,7 @@ def _sum_product(plan: _Plan, E: np.ndarray, every: int = 1) -> tuple[np.ndarray
     log c plus the shifts, for every stride. The rows of P after step 0
     are left holding P beta / c on normalized steps and P beta on the
     others, the pairwise factor of each row with the row before it."""
-    S, c = plan.S, plan.c
+    layout, c, S = plan.layout, plan.c, plan.layout.S
     c.fill(1.0)
     first, norm = plan.alpha[:S], c[:S]
     np.copyto(first, plan.P[:S])
@@ -444,9 +409,9 @@ def _sum_product(plan: _Plan, E: np.ndarray, every: int = 1) -> tuple[np.ndarray
         if t % every == 0:
             np.add.reduce(cur, axis=1, out=norm)
             cur /= scale
-    ends = plan.ends
+    ends = layout.ends
     s = np.add.reduce(plan.alpha[ends], axis=1)
-    s[plan.end_steps % every == 0] = 1.0
+    s[layout.end_steps % every == 0] = 1.0
     c[ends] *= s
     plan.beta[ends] = (1.0 / s)[:, None]
     E_T = E.T
@@ -547,13 +512,9 @@ class _Objective:
         self.F = n_features
         self.L = n_labels
         self.l2 = l2
-        self.layout = layout = _Layout(encoded.offsets)
+        self.layout = layout = encoded.layout
         self.plan = _Plan(layout, n_labels)
-        # Rows of step 0 start the sentences; every later row pairs with the
-        # row its sentence holds one step earlier.
-        self.S = S = layout.S
-        alive = np.diff(layout.steps)  # the rows of each step
-        self._prev = np.arange(S, len(layout.row)) - alive[:-1].repeat(alive[1:])
+        S = layout.S
         # The scatter's keys and the buffer of its weights, in three parts.
         (K, N), (J, T), E = encoded.ids.shape, encoded.focus.shape, len(encoded.edges)
         parts = [encoded.ids.ravel(), encoded.focus.ravel(), np.repeat(encoded.edges, S)]
@@ -566,7 +527,6 @@ class _Objective:
         self._types = encoded.types.astype(np.intp) if J else None
         offsets = encoded.offsets.astype(np.intp)
         self._ends = np.concatenate([offsets[:-1], offsets[1:] - 1])[: E * S]  # read by BOS, EOS
-        self._row = layout.row.astype(np.intp)
         # Empirical counts never change, and the gold path score is their
         # dot product with the weights.
         L, y = n_labels, labels
@@ -612,7 +572,7 @@ class _Objective:
         return np.bincount(self._keys, weights=self._weights, minlength=self.F + 1)
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        plan, L, S = self.plan, self.L, self.S
+        plan, L, layout, S = self.plan, self.L, self.layout, self.layout.S
         w_t = self.transitions(x)
         top = float(w_t.max())
         span = top - float(w_t.min())
@@ -622,13 +582,13 @@ class _Objective:
                 f"that the scaled recursion keeps finite for {L} labels"
             )
         E = np.exp(w_t - top)
-        P = _emissions(self.encoded, self.layout, self.weights(x), out=plan.P)
+        P = _emissions(self.encoded, self.weights(x), out=plan.P)
         shift = _row_maxima(P)
         P -= shift[:, None]
         np.exp(P, out=P)
         alpha, beta, c = _sum_product(plan, E, _normalize_every(span, L))
         log_z = float(np.log(c).sum()) + float(shift.sum()) + (len(P) - S) * top
-        exp_t = E * (alpha[self._prev].T @ P[S:])  # P[S:] holds the pairwise factors
+        exp_t = E * (alpha[layout.prev].T @ P[S:])  # P[S:] holds the pairwise factors
         alpha *= beta  # unary posteriors
         unary = P.reshape(L, -1)  # P's buffer is free: the posteriors, label-major
         unary[...] = alpha.T
@@ -636,7 +596,7 @@ class _Objective:
         counts = np.empty((L, self.F + 1))
         for column, count in zip(unary, counts):
             # mode="clip" writes out unbuffered; every row is in range.
-            column.take(self._row, out=self._unary, mode="clip")
+            column.take(layout.row, out=self._unary, mode="clip")
             count[...] = self._counts()
         grad = np.empty_like(x)
         n = len(self.cells)
@@ -706,7 +666,6 @@ def train(
         np.zeros(objective.size),
         l1=config.l1,
         max_iterations=config.max_iterations,
-        tolerance=config.tolerance,
         callback=callback,
     )
     return model(result.x), result.stop
@@ -854,8 +813,7 @@ def _bulk_rows(rows: list[str], L: int) -> tuple[list[str], np.ndarray] | None:
 
 
 def save_model_file(model: CrfModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(save_model(model))
+    atomic_write(path, save_model(model))
 
 
 def load_model_file(path: str) -> CrfModel:

@@ -4,7 +4,7 @@ the same process. The oracle runs crf's packed sum-product on the spec's
 probabilities, over blocks of whole sentences of bounded size: no span
 bound applies, and zero-probability sentences raise. The sampler's chunks
 and the oracle's blocks come from the same cut, crf._sentence_groups, and
-both step through the same packed layout, a crf._Layout: the sampler
+both step through the same packed layout, a features._Layout: the sampler
 through its steps and each row's corpus position, the oracle through all
 of it.
 
@@ -42,9 +42,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, non_unix_line, whitespace_free
-from .crf import _Layout, _Plan, _sentence_groups, _sum_product
-from .features import checked_offsets
+from .corpus import Corpus, atomic_write, non_unix_line, whitespace_free
+from .crf import _Plan, _sentence_groups, _sum_product
+from .features import _Layout, checked_offsets
 from .rng import SplitMix64, check_seed, randoms_at, substream_states
 
 # Uniform draws that one chunk of generate holds at most, whatever the
@@ -366,8 +366,7 @@ def read_hmm_spec_file(path: str) -> HmmSpec:
 
 
 def write_hmm_spec_file(spec: HmmSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(write_hmm_spec(spec))
+    atomic_write(path, write_hmm_spec(spec))
 
 
 # ---------------------------------------------------------------------------

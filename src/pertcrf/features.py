@@ -57,9 +57,11 @@ the table, in type order.
     and every model that encodes one Batch shares its work: the run's
     splits, both stages of tasks.pipeline_tag, and eval with an ezafe
     model. What no model changes, the batch makes once, on first use: the
-    type code of every position; for a text of at most _WINDOW_BLOCK
-    positions, the (10, positions) codes of the moving word slots, which
-    each model maps through its own word table with one take; and the
+    type code of every position; the packed layout of its sentences
+    (_Layout, see Layout in crf's module docstring), which every Encoded
+    of the batch carries; for a text of at most _WINDOW_BLOCK positions,
+    the (10, positions) codes of the moving word slots, which each model
+    maps through its own word table with one take; and the
     affix strings and form lengths of the types that an index lacks, kept
     for the last set of such types only (models trained on one split lack
     the same ones, and each run, pipeline and eval reuses the previous
@@ -183,6 +185,43 @@ class Encoded:
     types: np.ndarray  # (N,) int32 form type code of each position
     focus: np.ndarray  # (J, T) int32 ids of the focus slots per type: J = 7 (CRF2), 1 (CRF1) or 0
     edges: np.ndarray  # (E,) int32 ids of BOS and EOS: E = 2 (CRF2) or 0
+    layout: _Layout  # the packed layout of offsets, the batch's (Batch.layout)
+
+
+class _Layout:
+    """The packed layout of the sentences that offsets cut a corpus into,
+    and the one place its facts are worked out (see Layout in crf's module
+    docstring). Sentences rank by length, longest first, in corpus order
+    among equal lengths; step t holds position t of each sentence longer
+    than t, in rank order."""
+
+    def __init__(self, offsets: np.ndarray):
+        lengths = offsets[1:] - offsets[:-1]
+        self.S = S = len(lengths)  # the rows of step 0, each sentence's first
+        by_rank = (-lengths).argsort(kind="stable")
+        alive = S - np.bincount(lengths).cumsum()[:-1]  # sentences longer than t
+        # The first row of each step, then the row count.
+        self.steps = np.concatenate([[0], alive.cumsum()])
+        # The corpus position of each row: row steps[t] + k holds position t
+        # of the sentence of rank k.
+        t = np.arange(len(alive)).repeat(alive)
+        k = np.arange(len(t)) - self.steps[:-1].repeat(alive)
+        self.order = (offsets[:-1][by_rank][k] + t).astype(np.intc)
+        # One (a, b, p) per step t >= 1: its rows a..b-1 continue the
+        # sentences at rows p..p+b-a-1, the first b-a rows of step t-1.
+        bounds = self.steps.tolist()
+        self.spans = [(bounds[t], bounds[t + 1], bounds[t - 1]) for t in range(1, len(bounds) - 1)]
+        self.row = np.empty(len(self.order), dtype=np.intp)  # of each position, in corpus order
+        self.row[self.order] = np.arange(len(self.order))
+        # The last row of each sentence, in rank order, and its step.
+        self.ends = self.row[offsets[1:][by_rank] - 1]
+        self.end_steps = (lengths[by_rank] - 1).astype(np.intp)
+
+    @cached_property
+    def prev(self) -> np.ndarray:
+        """(N - S,) intp each later row's sentence's row one step earlier."""
+        alive = np.diff(self.steps)  # the rows of each step
+        return np.arange(self.S, len(self.row)) - alive[:-1].repeat(alive[1:])
 
 
 class FeatureIndex:
@@ -316,6 +355,11 @@ class Batch:
     words: dict[str, int]  # the code of each form type; the sentinels are 0 and 1
     padded: np.ndarray  # int32 type codes, each sentence with WINDOW sentinels on either side
     at: np.ndarray  # int32 (N,) where each position lies in padded
+
+    @cached_property
+    def layout(self) -> _Layout:
+        """The packed layout of the text's sentences, read by every model."""
+        return _Layout(self.offsets)
 
     @cached_property
     def _types(self) -> np.ndarray:
@@ -506,6 +550,7 @@ def encode(
         types=batch._types,
         focus=np.ascontiguousarray(focus, dtype=np.int32),
         edges=edges,
+        layout=batch.layout,
     )
 
 

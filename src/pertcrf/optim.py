@@ -21,6 +21,7 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_LINESEARCH = 60
 MEMORY = 10  # the (s, y) curvature pairs kept for the direction
+TOLERANCE = 1e-5  # the relative objective change below which a run stops
 CURVATURE_EPS = 1e-12
 
 
@@ -113,7 +114,7 @@ def minimize_owlqn(
     x0: np.ndarray,
     l1: float = 0.0,
     max_iterations: int = 100,
-    tolerance: float = 1e-5,
+    tolerance: float | None = None,
     callback: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> OwlQnResult:
     """Run up to max_iterations accepted quasi-Newton steps.
@@ -123,11 +124,13 @@ def minimize_owlqn(
     failed step.
     callback(iteration, objective, x) fires after each accepted step with
     the full (penalized) objective. Stops early when the relative objective
-    change drops below tolerance, no descent direction is left, or the line
-    search cannot make progress; OwlQnResult.stop says which.
+    change drops below tolerance (TOLERANCE, read at each call, by default),
+    no descent direction is left, or the line search cannot make progress;
+    OwlQnResult.stop says which.
     """
     if l1 < 0:
         raise ValueError("l1 must be non-negative")
+    tolerance = TOLERANCE if tolerance is None else tolerance
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun_and_grad(x)
     obj = f + l1 * float(np.abs(x).sum())

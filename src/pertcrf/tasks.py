@@ -241,7 +241,10 @@ def evaluate(
     """Decode corpus, with one ezafe input flag per token for ezafe-input
     templates, and report it (see _reports): the primary report, then the
     ezafe projection for joint models. Gold labels unseen in training only
-    affect the scores, never the decoding."""
+    affect the scores, never the decoding. An empty corpus has no scores,
+    and raises ValueError."""
+    if corpus.n_sentences == 0:
+        raise ValueError("empty corpus: nothing to evaluate")
     pred = decode(model, corpus.batch, ezafe)
     return _reports(model.labels, pred, corpus, header)
 
@@ -363,6 +366,8 @@ def run_experiment(
     valid_ezafe and test_ezafe."""
     corpora = corpora if corpora is not None else load_corpora(cfg)
     train_c, valid_c, test_c = corpora
+    if test_c.n_sentences == 0:  # refused before fitting; fit refuses the other two
+        raise ValueError("empty test split")
     train_flags, valid_flags, test_flags = make_flags(cfg, corpora, ezafe_model)
     header = _config_header(cfg)
     model, log, best_it, stop, valid_pred = fit(cfg, train_c, valid_c, train_flags, valid_flags)
@@ -418,22 +423,16 @@ def evaluate_pos(
 def pipeline_tag(
     sentences: Sequence[Sequence[str]], ezafe_model: CrfModel, pos_model: CrfModel
 ) -> Corpus:
-    """Two-stage annotation: decode ezafe flags, then decode POS with the
-    flags as input features, both from one features.batch of the text
-    (which does the text's share of encoding once) and over one packed
-    layout. Output tokens carry the predictions and obey the token rule."""
+    """Two-stage annotation: predict_flags, then decode POS with the flags
+    as input features, both from one features.batch of the text (which does
+    the text's share of encoding once, its packed layout included). Output
+    tokens carry the predictions and obey the token rule."""
     if not pos_model.template.ezafe_input:
         raise ValueError("pos model was not trained with ezafe input")
     forms = list(chain.from_iterable(sentences))
     batch = features.batch(forms, np.cumsum([0, *map(len, sentences)]))
-    layout = crf._Layout(batch.offsets)
-
-    def tag(model: CrfModel, flags: np.ndarray | None = None) -> np.ndarray:
-        encoded = features.encode(model.feature_index, model.template, batch, flags)
-        return crf._decode(model, encoded, layout)
-
-    flags = _flag_of(ezafe_model.labels)[tag(ezafe_model)]
-    pred = tag(pos_model, flags)
+    flags = predict_flags(ezafe_model, batch)
+    pred = decode(pos_model, batch, flags)
     # The token rule is checked once per distinct form and predicted label;
     # the scan per token runs only to name the first token that breaks it.
     predicted = compress(pos_model.labels, np.bincount(pred, minlength=len(pos_model.labels)).tolist())

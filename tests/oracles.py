@@ -27,9 +27,9 @@ from collections import Counter
 import numpy as np
 
 from pertcrf.corpus import Corpus, CorpusFormatError, Token, non_unix_line
-from pertcrf.crf import _Layout, _normalize_every, _Plan, _sum_product as _crf_sum_product
+from pertcrf.crf import _normalize_every, _Plan, _sum_product as _crf_sum_product
 from pertcrf.datagen import GeometricLength, HmmSpec, expected_ezafe_rate, random_spec
-from pertcrf.features import Encoded, FeatureIndex
+from pertcrf.features import Encoded, FeatureIndex, _Layout
 from pertcrf.rng import SplitMix64, substream
 
 WINDOW = 5
@@ -118,12 +118,14 @@ def encode_keys(index, sentences) -> Encoded:
     matrix = np.full((max(map(len, columns), default=0), len(columns)), len(ids), dtype=np.int32)
     for p, column in enumerate(columns):
         matrix[: len(column), p] = column
+    offsets = np.array(offsets, dtype=np.int32)
     return Encoded(
         ids=matrix,
-        offsets=np.array(offsets, dtype=np.int32),
+        offsets=offsets,
         types=np.zeros(len(columns), dtype=np.int32),
         focus=np.empty((0, 0), dtype=np.int32),
         edges=np.empty(0, dtype=np.int32),
+        layout=_Layout(offsets),
     )
 
 
@@ -154,7 +156,7 @@ def position_ids(encoded, n_features):
 
 
 def sum_product(P, E, layout, every=1):
-    """crf._sum_product over a new plan for layout (a crf._Layout), from a
+    """crf._sum_product over a new plan for layout (a features._Layout), from a
     copy of the exp-domain emissions P, which stay as they are, normalizing
     every every-th step: (alpha, beta, c)."""
     plan = _Plan(layout, P.shape[1])

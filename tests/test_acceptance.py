@@ -35,13 +35,12 @@ from pertcrf.corpus import (
 from pertcrf.crf import (
     CrfModel,
     TrainConfig,
-    _Layout,
     _viterbi,
     nll_and_gradient,
     train,
 )
 from pertcrf.datagen import GeometricLength, bayes_decode, generate, homograph_spec, random_spec, tuned_ezafe_spec
-from pertcrf.features import FeatureIndex, FeatureTemplate
+from pertcrf.features import FeatureIndex, FeatureTemplate, _Layout
 from pertcrf.metrics import binary_metrics, confusion, macro_metrics
 from pertcrf.tasks import ExperimentConfig, decode, run_experiment
 

@@ -349,6 +349,15 @@ class TestEvalAndTag:
         assert main(["eval", str(model), str(corpus_file)]) == 2
         assert "malformed header counts" in capsys.readouterr().err
 
+    def test_eval_empty_corpus_is_data_error(self, tmp_path, ezafe_model_path, capsys):
+        # No score of an empty corpus means anything: no all-zero report.
+        corpus = tmp_path / "empty.tsv"
+        corpus.write_text("", encoding="utf-8")
+        prefix = tmp_path / "report"
+        assert main(["eval", str(ezafe_model_path), str(corpus), "--report", str(prefix)]) == 2
+        assert "empty corpus" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report*"))
+
     def test_eval_empty_model_is_data_error(self, tmp_path, corpus_file, capsys):
         model = tmp_path / "empty.crf"
         model.write_text("", encoding="utf-8")
@@ -479,22 +488,25 @@ class TestExperiment:
             assert "stop" not in path.read_bytes().decode("utf-8")
 
     def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
-        train = tmp_path / "train.tsv"
-        valid = tmp_path / "valid.tsv"
-        test = tmp_path / "test.tsv"
-        train.write_text(write_corpus(small_corpus(50, seed=6)), encoding="utf-8")
-        valid.write_text("", encoding="utf-8")
-        test.write_text(write_corpus(small_corpus(15, seed=8)), encoding="utf-8")
-        out = tmp_path / "model.crf"
-        config = tmp_path / "exp.cfg"
-        config.write_text(
-            "task = ezafe\ntemplate = crf1\nmax_iter = 10\n"
-            f"train = {train}\nvalid = {valid}\ntest = {test}\nout = {out}\n",
-            encoding="utf-8",
-        )
-        assert main(["experiment", str(config)]) == 2
-        assert "empty validation split" in capsys.readouterr().err
-        assert not out.exists()
+        # An empty validation or test split, each with the other two present.
+        for empty, name in (("valid", "validation"), ("test", "test")):
+            splits = tmp_path / empty
+            splits.mkdir()
+            train, valid, test = (splits / f"{split}.tsv" for split in ("train", "valid", "test"))
+            train.write_text(write_corpus(small_corpus(50, seed=6)), encoding="utf-8")
+            valid.write_text(write_corpus(small_corpus(15, seed=7)), encoding="utf-8")
+            test.write_text(write_corpus(small_corpus(15, seed=8)), encoding="utf-8")
+            (splits / f"{empty}.tsv").write_text("", encoding="utf-8")
+            out = splits / "model.crf"
+            config = splits / "exp.cfg"
+            config.write_text(
+                "task = ezafe\ntemplate = crf1\nmax_iter = 10\n"
+                f"train = {train}\nvalid = {valid}\ntest = {test}\nout = {out}\n",
+                encoding="utf-8",
+            )
+            assert main(["experiment", str(config)]) == 2
+            assert f"empty {name} split" in capsys.readouterr().err
+            assert not list(splits.glob("model.crf*"))
 
     @pytest.mark.parametrize(
         "task, key", [("ezafe", "ezafe_model = /nonexistent.crf"), ("pos", "ezafe_source = gold")]

@@ -20,13 +20,12 @@ from pertcrf import crf
 from pertcrf.crf import (
     CrfModel,
     _emissions,
-    _Layout,
     _sentence_groups,
     _viterbi,
     decode,
     nll_and_gradient,
 )
-from pertcrf.features import FeatureIndex, FeatureTemplate, batch, encode, index_and_encode
+from pertcrf.features import FeatureIndex, FeatureTemplate, _Layout, batch, encode, index_and_encode
 
 CRF1 = FeatureTemplate(id="CRF1")
 # Strides of the steps that forward-backward normalizes: every step, every
@@ -255,7 +254,11 @@ class TestPackedLayout:
         assert layout.row.tolist() == [1, 6, 3, 0, 5, 8, 9, 2, 7, 4]
         assert layout.order.tolist() == [3, 0, 7, 2, 9, 4, 1, 8, 5, 6]
         assert layout.ends.tolist() == [9, 6, 7, 3, 4]
+        assert layout.end_steps.tolist() == [3, 1, 1, 0, 0]  # the lengths minus 1, in rank order
         assert layout.spans == [(5, 8, 0), (8, 9, 5), (9, 10, 8)]
+        # Each row after step 0 continues its sentence's row one step back.
+        assert layout.prev.tolist() == [0, 1, 2, 5, 8]
+        assert layout.row.dtype == layout.prev.dtype == layout.end_steps.dtype == np.intp
         self.check_layout(layout, offsets, rank=[1, 3, 0, 2, 4])
 
     def test_equal_lengths_keep_corpus_order(self):
@@ -434,8 +437,7 @@ class TestBatchedViterbi:
             for T in rng.integers(1, 20, size=30)
         ]
         encoded = encode_keys(model.feature_index, sentences)
-        layout = _Layout(encoded.offsets)
-        got = _emissions(encoded, layout, model._weights)[layout.row]
+        got = _emissions(encoded, model._weights)[encoded.layout.row]
         want = []
         for feats in sentences:
             for keys in feats:
@@ -447,8 +449,7 @@ class TestBatchedViterbi:
 def scored(model, features):
     """Emission scores of one sentence, in position order."""
     encoded = encode_keys(model.feature_index, [features])
-    layout = _Layout(encoded.offsets)
-    return _emissions(encoded, layout, model._weights)[layout.row]
+    return _emissions(encoded, model._weights)[encoded.layout.row]
 
 
 class TestScoreLattice:

